@@ -24,205 +24,263 @@ std::string ruleName(uint64_t Id) { return "R" + std::to_string(Id); }
 CheckReport GrammarValidator::validate(const SequiturGrammar &G) {
   using Symbol = SequiturGrammar::Symbol;
   using Rule = SequiturGrammar::Rule;
+  using NodeIdx = SequiturGrammar::NodeIdx;
   using DigramKey = SequiturGrammar::DigramKey;
   using DigramKeyHash = SequiturGrammar::DigramKeyHash;
+  constexpr NodeIdx Nil = SequiturGrammar::NilIdx;
+  // Every link read from a node is range-checked before it is followed:
+  // a corrupt index must not walk off the slab tables.
+  auto ValidSymbol = [&](NodeIdx I) { return I != Nil && I < G.FreshSymbol; };
+  auto ValidRule = [&](NodeIdx I) { return I != Nil && I < G.FreshRule; };
 
   CheckReport Report;
 
   // Arena discipline: collect the reclaimed node sets first so the live
   // walks below can prove no live structure reaches into them. Free-list
   // nodes are poisoned under ASan, so each visit opens a scoped window.
-  std::unordered_set<const Symbol *> DeadSymbols;
-  std::unordered_set<const Rule *> DeadRules;
-  for (const Symbol *S = G.SymbolFreeList; S;) {
-    if (!DeadSymbols.insert(S).second) {
+  std::unordered_set<NodeIdx> DeadSymbols;
+  std::unordered_set<NodeIdx> DeadRules;
+  for (NodeIdx I = G.SymbolFreeList; I != Nil;) {
+    if (!ValidSymbol(I)) {
+      Report.fail("arena: symbol free list links outside the arena");
+      break;
+    }
+    if (!DeadSymbols.insert(I).second) {
       Report.fail("arena: symbol free list contains a cycle");
       break;
     }
-    ScopedUnpoison Window(S, sizeof(Symbol));
-    Report.require(!S->Live, "arena: free-list symbol has Live tag set");
-    S = S->Next;
+    ScopedUnpoison Window(&G.sym(I), sizeof(Symbol));
+    Report.require(!G.sym(I).Live, "arena: free-list symbol has Live tag set");
+    I = G.sym(I).Next;
   }
-  for (const Symbol *S = G.SymbolPendingList; S;) {
-    if (!DeadSymbols.insert(S).second) {
+  for (NodeIdx I = G.SymbolPendingList; I != Nil; I = G.sym(I).Next) {
+    if (!ValidSymbol(I)) {
+      Report.fail("arena: symbol pending list links outside the arena");
+      break;
+    }
+    if (!DeadSymbols.insert(I).second) {
       Report.fail("arena: symbol pending list overlaps free list or "
                   "contains a cycle");
       break;
     }
-    Report.require(!S->Live, "arena: pending-list symbol has Live tag set");
-    S = S->Next;
+    Report.require(!G.sym(I).Live,
+                   "arena: pending-list symbol has Live tag set");
   }
-  for (const Rule *R = G.RuleFreeList; R;) {
-    if (!DeadRules.insert(R).second) {
+  for (NodeIdx I = G.RuleFreeList; I != Nil;) {
+    if (!ValidRule(I)) {
+      Report.fail("arena: rule free list links outside the arena");
+      break;
+    }
+    if (!DeadRules.insert(I).second) {
       Report.fail("arena: rule free list contains a cycle");
       break;
     }
-    ScopedUnpoison Window(R, sizeof(Rule));
-    Report.require(!R->Live, "arena: free-list rule has Live tag set");
-    R = R->LiveNext;
+    ScopedUnpoison Window(&G.rule(I), sizeof(Rule));
+    Report.require(!G.rule(I).Live, "arena: free-list rule has Live tag set");
+    I = G.rule(I).LiveNext;
   }
-  for (const Rule *R = G.RulePendingList; R;) {
-    if (!DeadRules.insert(R).second) {
+  for (NodeIdx I = G.RulePendingList; I != Nil; I = G.rule(I).LiveNext) {
+    if (!ValidRule(I)) {
+      Report.fail("arena: rule pending list links outside the arena");
+      break;
+    }
+    if (!DeadRules.insert(I).second) {
       Report.fail("arena: rule pending list overlaps free list or "
                   "contains a cycle");
       break;
     }
-    Report.require(!R->Live, "arena: pending-list rule has Live tag set");
-    R = R->LiveNext;
+    Report.require(!G.rule(I).Live,
+                   "arena: pending-list rule has Live tag set");
   }
 
   // Live-rule list: well linked, tagged live, counted, disjoint from the
   // reclaimed sets, and anchored by the start rule.
-  std::unordered_set<const Rule *> LiveListed;
-  if (G.LiveRuleHead && G.LiveRuleHead->LivePrev)
+  std::unordered_set<NodeIdx> LiveListed;
+  if (ValidRule(G.LiveRuleHead) && G.rule(G.LiveRuleHead).LivePrev != Nil)
     Report.fail("live-rule list: head has a LivePrev");
-  for (const Rule *R = G.LiveRuleHead; R; R = R->LiveNext) {
-    if (!LiveListed.insert(R).second) {
+  for (NodeIdx RI = G.LiveRuleHead; RI != Nil; RI = G.rule(RI).LiveNext) {
+    if (!ValidRule(RI)) {
+      Report.fail("live-rule list links outside the arena");
+      break;
+    }
+    if (!LiveListed.insert(RI).second) {
       Report.fail("live-rule list contains a cycle");
       break;
     }
-    Report.require(R->Live, "live-rule list: " + ruleName(R->Id) +
-                                " has a cleared Live tag");
-    Report.require(!DeadRules.count(R), "live-rule list: " + ruleName(R->Id) +
-                                            " is on an arena reclaim list");
-    if (R->LiveNext && R->LiveNext->LivePrev != R)
+    const Rule &R = G.rule(RI);
+    Report.require(R.Live, "live-rule list: " + ruleName(R.Id) +
+                               " has a cleared Live tag");
+    Report.require(!DeadRules.count(RI), "live-rule list: " + ruleName(R.Id) +
+                                             " is on an arena reclaim list");
+    if (R.LiveNext != Nil &&
+        (!ValidRule(R.LiveNext) || G.rule(R.LiveNext).LivePrev != RI))
       Report.fail("live-rule list: broken back-link after " +
-                  ruleName(R->Id));
+                  ruleName(R.Id));
   }
   Report.require(LiveListed.size() == G.NumLiveRules,
                  "live-rule list length disagrees with NumLiveRules");
-  Report.require(G.Start && LiveListed.count(G.Start),
+  Report.require(G.Start != Nil && LiveListed.count(G.Start),
                  "start rule is not on the live-rule list");
 
   // Rule bodies: guard rings intact, member symbols live and owned by
   // exactly one body, referenced rules live.
-  std::unordered_map<const Symbol *, const Rule *> BodyOwner;
-  for (const Rule *R : LiveListed) {
-    if (!Report.require(R->Guard != nullptr,
-                        ruleName(R->Id) + ": missing guard"))
+  std::unordered_map<NodeIdx, NodeIdx> BodyOwner;
+  for (NodeIdx RI : LiveListed) {
+    const Rule &R = G.rule(RI);
+    if (!Report.require(ValidSymbol(R.Guard),
+                        ruleName(R.Id) + ": missing guard"))
       continue;
-    Report.require(R->Guard->GuardOf == R,
-                   ruleName(R->Id) + ": guard does not point back");
-    Report.require(R->Guard->Live,
-                   ruleName(R->Id) + ": guard has a cleared Live tag");
-    Report.require(!DeadSymbols.count(R->Guard),
-                   ruleName(R->Id) + ": guard is on an arena reclaim list");
+    const Symbol &Guard = G.sym(R.Guard);
+    Report.require(Guard.isGuard() && Guard.RuleRef == RI,
+                   ruleName(R.Id) + ": guard does not point back");
+    Report.require(Guard.Live,
+                   ruleName(R.Id) + ": guard has a cleared Live tag");
+    Report.require(!DeadSymbols.count(R.Guard),
+                   ruleName(R.Id) + ": guard is on an arena reclaim list");
     size_t BodyLen = 0;
     bool RingOk = true;
-    for (const Symbol *S = R->Guard->Next; S != R->Guard; S = S->Next) {
-      if (!S || !BodyOwner.emplace(S, R).second) {
-        Report.fail(ruleName(R->Id) +
+    for (NodeIdx I = Guard.Next; I != R.Guard; I = G.sym(I).Next) {
+      if (!ValidSymbol(I) || !BodyOwner.emplace(I, RI).second) {
+        Report.fail(ruleName(R.Id) +
                     ": body ring is broken or shares a symbol");
         RingOk = false;
         break;
       }
-      Report.require(S->Live, ruleName(R->Id) +
-                                  ": body symbol has a cleared Live tag");
-      Report.require(!S->GuardOf,
-                     ruleName(R->Id) + ": foreign guard inside the body");
-      Report.require(!DeadSymbols.count(S),
-                     ruleName(R->Id) +
+      const Symbol &S = G.sym(I);
+      Report.require(S.Live, ruleName(R.Id) +
+                                 ": body symbol has a cleared Live tag");
+      Report.require(!S.isGuard(),
+                     ruleName(R.Id) + ": foreign guard inside the body");
+      Report.require(!DeadSymbols.count(I),
+                     ruleName(R.Id) +
                          ": body symbol is on an arena reclaim list");
-      if (S->Next == nullptr || S->Next->Prev != S ||
-          (S->Prev && S->Prev->Next != S))
-        Report.fail(ruleName(R->Id) + ": body links are inconsistent");
-      if (S->RuleRef)
-        Report.require(S->RuleRef->Live && LiveListed.count(S->RuleRef),
-                       ruleName(R->Id) + ": body references dead rule " +
-                           ruleName(S->RuleRef->Id));
+      if (!ValidSymbol(S.Next) || G.sym(S.Next).Prev != I ||
+          !ValidSymbol(S.Prev) || G.sym(S.Prev).Next != I)
+        Report.fail(ruleName(R.Id) + ": body links are inconsistent");
+      if (S.isNonTerminal()) {
+        bool RefOk = ValidRule(S.RuleRef) && G.rule(S.RuleRef).Live &&
+                     LiveListed.count(S.RuleRef);
+        Report.require(RefOk, ruleName(R.Id) +
+                                  ": body references a dead rule");
+        if (RefOk)
+          Report.require(S.Value == G.rule(S.RuleRef).Id,
+                         ruleName(R.Id) + ": use of " +
+                             ruleName(G.rule(S.RuleRef).Id) +
+                             " carries a stale rule id");
+      }
       ++BodyLen;
     }
-    if (RingOk && R != G.Start)
-      Report.require(BodyLen >= 2, ruleName(R->Id) +
+    if (RingOk && RI != G.Start)
+      Report.require(BodyLen >= 2, ruleName(R.Id) +
                                        ": non-start body shorter than 2");
   }
+  Report.require(BodyOwner.size() == G.totalBodySymbols(),
+                 "live-symbol count disagrees with the rule bodies (" +
+                     std::to_string(G.totalBodySymbols()) + " counted, " +
+                     std::to_string(BodyOwner.size()) + " in bodies)");
 
   // Use lists: counts agree, links are sane, every use is a live body
   // member of some rule, and every nonterminal body symbol is listed.
-  std::unordered_set<const Symbol *> ListedUses;
-  for (const Rule *R : LiveListed) {
+  std::unordered_set<NodeIdx> ListedUses;
+  for (NodeIdx RI : LiveListed) {
+    const Rule &R = G.rule(RI);
     size_t Uses = 0;
-    const Symbol *PrevUse = nullptr;
-    for (const Symbol *U = R->UseHead; U; U = U->UseNext) {
-      if (!ListedUses.insert(U).second) {
-        Report.fail(ruleName(R->Id) + ": use list contains a cycle");
+    NodeIdx PrevUse = Nil;
+    for (NodeIdx U = R.UseHead; U != Nil; U = G.sym(U).UseNext) {
+      if (!ValidSymbol(U)) {
+        Report.fail(ruleName(R.Id) + ": use list links outside the arena");
         break;
       }
-      Report.require(U->RuleRef == R,
-                     ruleName(R->Id) + ": use list entry references " +
-                         (U->RuleRef ? ruleName(U->RuleRef->Id) : "nothing"));
-      Report.require(U->UsePrev == PrevUse,
-                     ruleName(R->Id) + ": use list back-link mismatch");
+      if (!ListedUses.insert(U).second) {
+        Report.fail(ruleName(R.Id) + ": use list contains a cycle");
+        break;
+      }
+      const Symbol &S = G.sym(U);
+      bool IsUse = S.isNonTerminal() && S.RuleRef == RI;
+      Report.require(IsUse,
+                     ruleName(R.Id) + ": use list entry references " +
+                         (S.isNonTerminal() && ValidRule(S.RuleRef)
+                              ? ruleName(G.rule(S.RuleRef).Id)
+                              : "nothing"));
+      Report.require(S.UsePrev == PrevUse,
+                     ruleName(R.Id) + ": use list back-link mismatch");
       Report.require(BodyOwner.count(U) != 0,
-                     ruleName(R->Id) + ": use is not in any live body");
+                     ruleName(R.Id) + ": use is not in any live body");
       PrevUse = U;
       ++Uses;
     }
-    Report.require(Uses == R->UseCount,
-                   ruleName(R->Id) + ": UseCount " +
-                       std::to_string(R->UseCount) + " but use list holds " +
+    Report.require(Uses == R.UseCount,
+                   ruleName(R.Id) + ": UseCount " +
+                       std::to_string(R.UseCount) + " but use list holds " +
                        std::to_string(Uses));
-    if (R != G.Start)
-      Report.require(R->UseCount >= 2,
-                     ruleName(R->Id) + ": rule utility below 2 (" +
-                         std::to_string(R->UseCount) + " uses)");
+    if (RI != G.Start)
+      Report.require(R.UseCount >= 2,
+                     ruleName(R.Id) + ": rule utility below 2 (" +
+                         std::to_string(R.UseCount) + " uses)");
   }
-  for (const auto &[S, Owner] : BodyOwner)
-    if (S->RuleRef)
-      Report.require(ListedUses.count(S) != 0,
-                     ruleName(Owner->Id) +
+  for (const auto &[I, Owner] : BodyOwner) {
+    const Symbol &S = G.sym(I);
+    if (S.isNonTerminal() && ValidRule(S.RuleRef))
+      Report.require(ListedUses.count(I) != 0,
+                     ruleName(G.rule(Owner).Id) +
                          ": nonterminal body symbol missing from " +
-                         ruleName(S->RuleRef->Id) + "'s use list");
+                         ruleName(G.rule(S.RuleRef).Id) + "'s use list");
+  }
+
+  // Only walk the rings again if the structural pass found them intact;
+  // a broken ring has no safe termination condition.
+  const bool StructureOk = Report.ok();
 
   // Liveness tags must equal reachability from the start rule: a live
   // rule no walk can reach is leaked garbage.
-  std::vector<const Rule *> Reach = G.reachableRules();
-  std::unordered_set<const Rule *> ReachSet(Reach.begin(), Reach.end());
-  for (const Rule *R : LiveListed)
-    Report.require(ReachSet.count(R) != 0,
-                   ruleName(R->Id) +
-                       ": live rule unreachable from the start rule");
-  for (const Rule *R : ReachSet)
-    Report.require(LiveListed.count(R) != 0,
-                   ruleName(R->Id) +
-                       ": reachable rule missing from the live-rule list");
+  if (StructureOk) {
+    std::vector<NodeIdx> Reach = G.reachableRules();
+    std::unordered_set<NodeIdx> ReachSet(Reach.begin(), Reach.end());
+    for (NodeIdx RI : LiveListed)
+      Report.require(ReachSet.count(RI) != 0,
+                     ruleName(G.rule(RI).Id) +
+                         ": live rule unreachable from the start rule");
+    for (NodeIdx RI : ReachSet)
+      Report.require(LiveListed.count(RI) != 0,
+                     ruleName(G.rule(RI).Id) +
+                         ": reachable rule missing from the live-rule list");
+  }
 
   // Digram uniqueness plus index coherence. Occurrences of one key may
   // only coexist when they overlap (the "aaa" run case); the index must
   // contain exactly the occurring keys (completeness) and each entry
   // must point at a live occurrence of its key (soundness).
-  std::unordered_map<DigramKey, std::vector<const Symbol *>, DigramKeyHash>
+  std::unordered_map<DigramKey, std::vector<NodeIdx>, DigramKeyHash>
       Occurrences;
-  // Only walk the rings again if the structural pass found them intact;
-  // a broken ring has no safe termination condition.
-  const bool StructureOk = Report.ok();
   if (StructureOk)
-    for (const Rule *R : LiveListed)
-      for (const Symbol *S = R->Guard->Next; S != R->Guard; S = S->Next)
-        if (!S->Next->GuardOf)
-          Occurrences[G.keyOf(S)].push_back(S);
+    for (NodeIdx RI : LiveListed) {
+      NodeIdx Guard = G.rule(RI).Guard;
+      for (NodeIdx I = G.sym(Guard).Next; I != Guard; I = G.sym(I).Next)
+        if (!G.sym(G.sym(I).Next).isGuard())
+          Occurrences[G.keyOf(I)].push_back(I);
+    }
   for (const auto &[Key, Positions] : Occurrences) {
     for (size_t I = 0; I != Positions.size(); ++I)
       for (size_t J = I + 1; J != Positions.size(); ++J) {
-        const Symbol *A = Positions[I];
-        const Symbol *B = Positions[J];
-        if (A->Next != B && B->Next != A)
+        NodeIdx P = Positions[I];
+        NodeIdx Q = Positions[J];
+        if (G.sym(P).Next != Q && G.sym(Q).Next != P)
           Report.fail("digram uniqueness violated: key (" +
                       std::to_string(Key.V1) + "," + std::to_string(Key.V2) +
                       ",tags=" + std::to_string(Key.Tags) +
                       ") occurs at two non-overlapping positions");
       }
     size_t Slot = G.Index.findSlot(Key.V1, Key.V2, Key.Tags);
-    if (Slot == sequitur::DigramTable<Symbol *>::Npos) {
+    if (Slot == sequitur::DigramTable<NodeIdx>::Npos) {
       Report.fail("digram index desync: key (" + std::to_string(Key.V1) +
                   "," + std::to_string(Key.V2) +
                   ",tags=" + std::to_string(Key.Tags) +
                   ") occurs in the grammar but is not indexed");
       continue;
     }
-    const Symbol *Canon = G.Index.valueAt(Slot);
+    NodeIdx Canon = G.Index.valueAt(Slot);
     bool IsOccurrence = false;
-    for (const Symbol *P : Positions)
+    for (NodeIdx P : Positions)
       IsOccurrence |= (P == Canon);
     Report.require(IsOccurrence,
                    "digram index desync: indexed occurrence of key (" +
@@ -231,16 +289,18 @@ CheckReport GrammarValidator::validate(const SequiturGrammar &G) {
                        ") is not where the key occurs");
   }
   if (StructureOk) {
-    G.Index.forEach([&](uint64_t V1, uint64_t V2, uint8_t Tags, Symbol *S) {
+    G.Index.forEach([&](uint64_t V1, uint64_t V2, uint8_t Tags, NodeIdx I) {
       std::string KeyStr = "(" + std::to_string(V1) + "," +
                            std::to_string(V2) +
                            ",tags=" + std::to_string(Tags) + ")";
-      if (!Report.require(S && S->Live && !S->GuardOf && S->Next &&
-                              !S->Next->GuardOf && BodyOwner.count(S) != 0,
+      // Every live body symbol is in BodyOwner, so membership also
+      // range-checks I; body symbols always have a valid Next.
+      if (!Report.require(BodyOwner.count(I) != 0 && G.sym(I).Live &&
+                              !G.sym(G.sym(I).Next).isGuard(),
                           "digram index desync: entry " + KeyStr +
                               " points outside the live grammar"))
         return;
-      DigramKey K = G.keyOf(S);
+      DigramKey K = G.keyOf(I);
       Report.require(K.V1 == V1 && K.V2 == V2 && K.Tags == Tags,
                      "digram index desync: entry " + KeyStr +
                          " points at a different digram");
@@ -254,25 +314,23 @@ CheckReport GrammarValidator::validate(const SequiturGrammar &G) {
 
   // Expansion length over the rule DAG (memoized, so O(grammar) rather
   // than O(input)) must equal the number of appended terminals.
-  std::unordered_map<const Rule *, uint64_t> Lengths;
-  std::unordered_set<const Rule *> Visiting;
+  std::unordered_map<NodeIdx, uint64_t> Lengths;
+  std::unordered_set<NodeIdx> Visiting;
   bool Cyclic = false;
-  auto LengthOf = [&](auto &&Self, const Rule *R) -> uint64_t {
-    auto It = Lengths.find(R);
+  auto LengthOf = [&](auto &&Self, NodeIdx RI) -> uint64_t {
+    auto It = Lengths.find(RI);
     if (It != Lengths.end())
       return It->second;
-    if (!Visiting.insert(R).second || !R->Guard) {
+    if (!Visiting.insert(RI).second) {
       Cyclic = true;
       return 0;
     }
     uint64_t Len = 0;
-    for (const Symbol *S = R->Guard->Next; S != R->Guard; S = S->Next) {
-      if (BodyOwner.find(S) == BodyOwner.end())
-        break; // Broken ring, already reported.
-      Len += S->RuleRef ? Self(Self, S->RuleRef) : 1;
-    }
-    Visiting.erase(R);
-    Lengths.emplace(R, Len);
+    NodeIdx Guard = G.rule(RI).Guard;
+    for (NodeIdx I = G.sym(Guard).Next; I != Guard; I = G.sym(I).Next)
+      Len += G.sym(I).isNonTerminal() ? Self(Self, G.sym(I).RuleRef) : 1;
+    Visiting.erase(RI);
+    Lengths.emplace(RI, Len);
     return Len;
   };
   if (StructureOk) {
@@ -291,45 +349,64 @@ GrammarValidator::ArenaAudit
 GrammarValidator::auditArenaPoisoning(const SequiturGrammar &G) {
   using Symbol = SequiturGrammar::Symbol;
   using Rule = SequiturGrammar::Rule;
+  using NodeIdx = SequiturGrammar::NodeIdx;
+  constexpr NodeIdx Nil = SequiturGrammar::NilIdx;
 
   ArenaAudit Audit;
   Audit.AsanActive = asanActive();
-  for (const Symbol *S = G.SymbolFreeList; S;) {
+  for (NodeIdx I = G.SymbolFreeList; I != Nil;) {
+    const Symbol &S = G.sym(I);
     ++Audit.FreeSymbols;
-    if (isPoisoned(S))
+    if (isPoisoned(&S))
       ++Audit.PoisonedFreeSymbols;
-    ScopedUnpoison Window(S, sizeof(Symbol));
-    S = S->Next;
+    ScopedUnpoison Window(&S, sizeof(Symbol));
+    I = S.Next;
   }
-  for (const Symbol *S = G.SymbolPendingList; S; S = S->Next) {
+  for (NodeIdx I = G.SymbolPendingList; I != Nil; I = G.sym(I).Next) {
     ++Audit.PendingSymbols;
-    if (isPoisoned(S))
+    if (isPoisoned(&G.sym(I)))
       ++Audit.PoisonedPendingSymbols;
   }
-  for (const Rule *R = G.RuleFreeList; R;) {
+  for (NodeIdx I = G.RuleFreeList; I != Nil;) {
+    const Rule &R = G.rule(I);
     ++Audit.FreeRules;
-    if (isPoisoned(R))
+    if (isPoisoned(&R))
       ++Audit.PoisonedFreeRules;
-    ScopedUnpoison Window(R, sizeof(Rule));
-    R = R->LiveNext;
+    ScopedUnpoison Window(&R, sizeof(Rule));
+    I = R.LiveNext;
   }
-  for (const Rule *R = G.RulePendingList; R; R = R->LiveNext) {
+  for (NodeIdx I = G.RulePendingList; I != Nil; I = G.rule(I).LiveNext) {
     ++Audit.PendingRules;
-    if (isPoisoned(R))
+    if (isPoisoned(&G.rule(I)))
       ++Audit.PoisonedPendingRules;
   }
   return Audit;
 }
 
+const void *
+GrammarValidator::firstFreeSymbolForTest(const SequiturGrammar &G) {
+  if (G.SymbolFreeList == SequiturGrammar::NilIdx)
+    return nullptr;
+  return &G.sym(G.SymbolFreeList);
+}
+
+void GrammarValidator::exhaustSymbolIndexSpaceForTest(SequiturGrammar &G) {
+  G.FreshSymbol = uint64_t(1) << 32;
+  G.SymbolFreeList = SequiturGrammar::NilIdx;
+  G.SymbolSlabs.resize(G.FreshSymbol >> SequiturGrammar::SymbolSlabShift,
+                       nullptr);
+}
+
 bool GrammarValidator::injectForTest(SequiturGrammar &G, Corruption K) {
-  using Symbol = SequiturGrammar::Symbol;
   using Rule = SequiturGrammar::Rule;
-  using Table = sequitur::DigramTable<Symbol *>;
+  using NodeIdx = SequiturGrammar::NodeIdx;
+  using Table = sequitur::DigramTable<NodeIdx>;
+  constexpr NodeIdx Nil = SequiturGrammar::NilIdx;
 
   switch (K) {
   case Corruption::DigramIndexDrop: {
     bool Dropped = false;
-    G.Index.forEach([&](uint64_t V1, uint64_t V2, uint8_t Tags, Symbol *) {
+    G.Index.forEach([&](uint64_t V1, uint64_t V2, uint8_t Tags, NodeIdx) {
       if (Dropped)
         return;
       size_t Slot = G.Index.findSlot(V1, V2, Tags);
@@ -346,10 +423,10 @@ bool GrammarValidator::injectForTest(SequiturGrammar &G, Corruption K) {
     struct Grab {
       uint64_t V1, V2;
       uint8_t Tags;
-      Symbol *S;
+      NodeIdx S;
     };
     std::vector<Grab> Entries;
-    G.Index.forEach([&](uint64_t V1, uint64_t V2, uint8_t Tags, Symbol *S) {
+    G.Index.forEach([&](uint64_t V1, uint64_t V2, uint8_t Tags, NodeIdx S) {
       if (Entries.size() < 2)
         Entries.push_back(Grab{V1, V2, Tags, S});
     });
@@ -365,18 +442,19 @@ bool GrammarValidator::injectForTest(SequiturGrammar &G, Corruption K) {
     return true;
   }
   case Corruption::UseCountSkew: {
-    for (Rule *R = G.LiveRuleHead; R; R = R->LiveNext)
-      if (R != G.Start) {
-        ++R->UseCount;
+    for (NodeIdx RI = G.LiveRuleHead; RI != Nil; RI = G.rule(RI).LiveNext)
+      if (RI != G.Start) {
+        Rule &R = G.rule(RI);
+        ++R.UseCount;
         return true;
       }
     return false;
   }
   case Corruption::LivenessTagClear: {
-    Symbol *S = G.Start->Guard->Next;
-    if (S->GuardOf)
+    NodeIdx First = G.sym(G.rule(G.Start).Guard).Next;
+    if (G.sym(First).isGuard())
       return false;
-    S->Live = false;
+    G.sym(First).Live = false;
     return true;
   }
   }

@@ -22,7 +22,9 @@
 ///     nodes are poisoned while pending-list nodes — the sanctioned
 ///     mid-cascade dead-check window — are not;
 ///   * the memoized expansion length of the start rule equals the
-///     number of appended terminals.
+///     number of appended terminals;
+///   * the live-symbol count behind totalBodySymbols() equals the
+///     symbols found in rule bodies.
 ///
 /// The validator never aborts: violations accumulate in a CheckReport.
 /// It also ships fault injectors (injectForTest) so the negative tests
@@ -67,6 +69,19 @@ public:
   /// pending-list node may be (the deferred-reclamation contract keeps
   /// them readable until the next append).
   static ArenaAudit auditArenaPoisoning(const sequitur::SequiturGrammar &G);
+
+  /// Returns the address of the head of the symbol free list (resolved
+  /// through the slab table), or null when the list is empty. For the
+  /// death test that proves a stale read of a recycled node is caught.
+  static const void *
+  firstFreeSymbolForTest(const sequitur::SequiturGrammar &G);
+
+  /// Makes \p G's symbol arena look full: the slab table grows to the
+  /// 2^20 entries that 32-bit indices allow (null slabs) and the bump
+  /// cursor moves to 2^32, so the next fresh symbol must hit the
+  /// index-space cap. Only for a death test: the grammar must not be
+  /// used or destroyed afterwards.
+  static void exhaustSymbolIndexSpaceForTest(sequitur::SequiturGrammar &G);
 
   /// Classes of deliberate corruption for negative tests.
   enum class Corruption {

@@ -100,6 +100,31 @@ public:
     ++Count;
   }
 
+  /// Returns the slot of (V1, V2, Tags) if present. Otherwise inserts
+  /// (V1, V2, Tags) -> Value and returns Npos: one hash and one probe
+  /// walk instead of findSlot() followed by insert(). The table ends up
+  /// exactly as insert() would leave it.
+  size_t findOrInsert(uint64_t V1, uint64_t V2, uint8_t Tags, ValueT Value) {
+    size_t Idx = hashDigram(V1, V2, Tags) & Mask;
+    uint8_t Dist = 1;
+    for (;;) {
+      const Slot &S = Slots[Idx];
+      if (S.Dist < Dist) // Absent: insert() would place or rob here.
+        break;
+      if (S.Dist == Dist && S.V1 == V1 && S.V2 == V2 && S.Tags == Tags)
+        return Idx;
+      Idx = (Idx + 1) & Mask;
+      ++Dist;
+    }
+    if ((Count + 1) * 10 >= Slots.size() * 7 || Dist == MaxDisplacement) {
+      insert(V1, V2, Tags, Value); // Grows first; the walk is stale.
+      return Npos;
+    }
+    emplaceFrom(Idx, Slot{V1, V2, Value, Tags, Dist});
+    ++Count;
+    return Npos;
+  }
+
   /// Removes the entry in \p SlotIdx (backward-shift deletion).
   void eraseSlot(size_t SlotIdx) {
     assert(SlotIdx < Slots.size() && Slots[SlotIdx].Dist != 0);
@@ -120,6 +145,10 @@ public:
 
   /// Returns the number of entries.
   size_t size() const { return Count; }
+
+  /// Returns the number of slots (entries plus empty slots); the table's
+  /// resident size is capacity() * SlotBytes.
+  size_t capacity() const { return Slots.size(); }
 
   /// Returns the longest current probe sequence, in slots (1 = every
   /// entry sits in its home slot). Exposed for the collision regression
@@ -149,12 +178,21 @@ private:
     uint8_t Dist;
   };
 
+public:
+  /// Bytes per slot: 24 for a 32-bit value, 32 for a 64-bit one.
+  static constexpr size_t SlotBytes = sizeof(Slot);
+
+private:
   static constexpr size_t InitialCapacity = 64;
   static constexpr uint8_t MaxDisplacement = 0xff;
 
   void emplaceNoGrow(uint64_t V1, uint64_t V2, uint8_t Tags, ValueT Value) {
-    Slot Carry{V1, V2, Value, Tags, 1};
-    size_t Idx = hashDigram(V1, V2, Tags) & Mask;
+    emplaceFrom(hashDigram(V1, V2, Tags) & Mask, Slot{V1, V2, Value, Tags, 1});
+  }
+
+  /// Robin-hood placement of \p Carry, whose displacement already
+  /// matches slot \p Idx.
+  void emplaceFrom(size_t Idx, Slot Carry) {
     for (;;) {
       Slot &S = Slots[Idx];
       if (S.Dist == 0) {

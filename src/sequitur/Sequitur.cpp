@@ -17,93 +17,117 @@
 using namespace orp;
 using namespace orp::sequitur;
 
-bool SequiturGrammar::isLive(const Symbol *S) const { return S->Live; }
-bool SequiturGrammar::isLiveRule(const Rule *R) const { return R->Live; }
-
 //===----------------------------------------------------------------------===//
 // Slab arena
 //===----------------------------------------------------------------------===//
 
-SequiturGrammar::Symbol *SequiturGrammar::allocSymbol() {
-  Symbol *S;
-  if (SymbolFreeList) {
+// The small node helpers of the append path are forced inline: a call
+// hands over bare indices, so the callee would resolve again through the
+// slab table what its caller has just resolved.
+#define ORP_SEQ_INLINE [[gnu::always_inline]]
+
+namespace {
+/// Node indices are 32-bit: an arena refuses the slab that would hold
+/// index 2^32.
+constexpr uint64_t kIndexSpace = uint64_t(1) << 32;
+} // namespace
+
+ORP_SEQ_INLINE SequiturGrammar::NodeIdx SequiturGrammar::allocSymbol() {
+  NodeIdx I;
+  if (SymbolFreeList != NilIdx) {
     // Free-list nodes are ASan-poisoned; reopen this one before touching
-    // its chain pointer.
-    check::unpoisonRegion(SymbolFreeList, sizeof(Symbol));
-    S = SymbolFreeList;
-    SymbolFreeList = S->Next;
+    // its chain link.
+    I = SymbolFreeList;
+    check::unpoisonRegion(&sym(I), sizeof(Symbol));
+    SymbolFreeList = sym(I).Next;
   } else {
-    if (SymbolSlabUsed == SymbolsPerSlab) {
+    if ((FreshSymbol >> SymbolSlabShift) == SymbolSlabs.size()) {
+      if (SymbolSlabs.size() == kIndexSpace / SymbolsPerSlab)
+        ORP_FATAL_ERROR("sequitur arena: symbol index space (2^32) exhausted");
       // NOLINTNEXTLINE(cppcoreguidelines-owning-memory): slab arena owner.
       Symbol *Slab = new Symbol[SymbolsPerSlab];
       // A fresh slab is born poisoned past the bump cursor: reads ahead
       // of allocation are as illegal as reads after reclamation.
       check::poisonRegion(Slab, sizeof(Symbol) * SymbolsPerSlab);
       SymbolSlabs.push_back(Slab);
-      SymbolSlabUsed = 0;
     }
-    S = &SymbolSlabs.back()[SymbolSlabUsed++];
-    check::unpoisonRegion(S, sizeof(Symbol));
+    I = static_cast<NodeIdx>(FreshSymbol++);
+    check::unpoisonRegion(&sym(I), sizeof(Symbol));
   }
-  *S = Symbol{};
-  S->Live = true;
-  return S;
+  Symbol &S = sym(I);
+  S = Symbol{};
+  S.Live = true;
+  ++NumLiveSymbols;
+  return I;
 }
 
-void SequiturGrammar::releaseSymbol(Symbol *S) {
-  ORP_CHECK1(S->Live, "sequitur arena: symbol double release");
-  S->Live = false;
-  S->Next = SymbolPendingList;
-  SymbolPendingList = S;
+ORP_SEQ_INLINE void SequiturGrammar::releaseSymbol(NodeIdx I) {
+  Symbol &S = sym(I);
+  ORP_CHECK1(S.Live, "sequitur arena: symbol double release");
+  S.Live = false;
+  --NumLiveSymbols;
+  S.Next = SymbolPendingList;
+  SymbolPendingList = I;
 }
 
-SequiturGrammar::Rule *SequiturGrammar::allocRule() {
-  Rule *R;
-  if (RuleFreeList) {
-    check::unpoisonRegion(RuleFreeList, sizeof(Rule));
-    R = RuleFreeList;
-    RuleFreeList = R->LiveNext;
+SequiturGrammar::NodeIdx SequiturGrammar::allocRule() {
+  NodeIdx I;
+  if (RuleFreeList != NilIdx) {
+    I = RuleFreeList;
+    check::unpoisonRegion(&rule(I), sizeof(Rule));
+    RuleFreeList = rule(I).LiveNext;
   } else {
-    if (RuleSlabUsed == RulesPerSlab) {
+    if ((FreshRule >> RuleSlabShift) == RuleSlabs.size()) {
+      if (RuleSlabs.size() == kIndexSpace / RulesPerSlab)
+        ORP_FATAL_ERROR("sequitur arena: rule index space (2^32) exhausted");
       // NOLINTNEXTLINE(cppcoreguidelines-owning-memory): slab arena owner.
       Rule *Slab = new Rule[RulesPerSlab];
       check::poisonRegion(Slab, sizeof(Rule) * RulesPerSlab);
       RuleSlabs.push_back(Slab);
-      RuleSlabUsed = 0;
     }
-    R = &RuleSlabs.back()[RuleSlabUsed++];
-    check::unpoisonRegion(R, sizeof(Rule));
+    I = static_cast<NodeIdx>(FreshRule++);
+    check::unpoisonRegion(&rule(I), sizeof(Rule));
   }
-  *R = Rule{};
-  R->Live = true;
-  return R;
+  Rule &R = rule(I);
+  R = Rule{};
+  R.Live = true;
+  return I;
 }
 
-void SequiturGrammar::releaseRule(Rule *R) {
-  ORP_CHECK1(R->Live, "sequitur arena: rule double release");
-  R->Live = false;
-  R->LiveNext = RulePendingList;
-  RulePendingList = R;
+void SequiturGrammar::releaseRule(NodeIdx I) {
+  Rule &R = rule(I);
+  ORP_CHECK1(R.Live, "sequitur arena: rule double release");
+  R.Live = false;
+  R.LiveNext = RulePendingList;
+  RulePendingList = I;
 }
 
 void SequiturGrammar::reclaimPending() {
   // Pending nodes were readable for the duration of the last append
-  // cascade (the sanctioned stale-pointer dead-check window). Moving to
+  // cascade (the sanctioned stale-index dead-check window). Moving to
   // the free list ends that window, so poison them now.
-  while (SymbolPendingList) {
-    Symbol *S = SymbolPendingList;
-    SymbolPendingList = S->Next;
-    S->Next = SymbolFreeList;
-    SymbolFreeList = S;
-    check::poisonRegion(S, sizeof(Symbol));
+  while (SymbolPendingList != NilIdx) {
+    NodeIdx I = SymbolPendingList;
+    Symbol &S = sym(I);
+    SymbolPendingList = S.Next;
+    S.Next = SymbolFreeList;
+    SymbolFreeList = I;
+    check::poisonRegion(&S, sizeof(Symbol));
   }
-  while (RulePendingList) {
-    Rule *R = RulePendingList;
-    RulePendingList = R->LiveNext;
-    R->LiveNext = RuleFreeList;
-    RuleFreeList = R;
-    check::poisonRegion(R, sizeof(Rule));
+  while (RulePendingList != NilIdx) {
+    NodeIdx I = RulePendingList;
+    Rule &R = rule(I);
+    RulePendingList = R.LiveNext;
+    R.LiveNext = RuleFreeList;
+    RuleFreeList = I;
+    check::poisonRegion(&R, sizeof(Rule));
   }
+}
+
+size_t SequiturGrammar::footprintBytes() const {
+  return SymbolSlabs.size() * SymbolsPerSlab * sizeof(Symbol) +
+         RuleSlabs.size() * RulesPerSlab * sizeof(Rule) +
+         Index.capacity() * DigramTable<NodeIdx>::SlotBytes;
 }
 
 //===----------------------------------------------------------------------===//
@@ -126,93 +150,100 @@ SequiturGrammar::~SequiturGrammar() {
   }
 }
 
-SequiturGrammar::Symbol *SequiturGrammar::newTerminal(uint64_t Value) {
-  Symbol *S = allocSymbol();
-  S->Terminal = Value;
-  return S;
+ORP_SEQ_INLINE SequiturGrammar::NodeIdx
+SequiturGrammar::newTerminal(uint64_t Value) {
+  NodeIdx I = allocSymbol();
+  sym(I).Value = Value;
+  return I;
 }
 
-SequiturGrammar::Symbol *SequiturGrammar::newNonTerminal(Rule *R) {
-  Symbol *S = allocSymbol();
-  S->RuleRef = R;
-  S->UseNext = R->UseHead;
-  if (R->UseHead)
-    R->UseHead->UsePrev = S;
-  R->UseHead = S;
-  ++R->UseCount;
-  return S;
+ORP_SEQ_INLINE SequiturGrammar::NodeIdx
+SequiturGrammar::newNonTerminal(NodeIdx RI) {
+  NodeIdx I = allocSymbol();
+  Symbol &S = sym(I);
+  Rule &R = rule(RI);
+  S.K = Symbol::NonTerminal;
+  S.Value = R.Id;
+  S.RuleRef = RI;
+  S.UseNext = R.UseHead;
+  if (R.UseHead != NilIdx)
+    sym(R.UseHead).UsePrev = I;
+  R.UseHead = I;
+  ++R.UseCount;
+  return I;
 }
 
-void SequiturGrammar::destroySymbol(Symbol *S) {
-  ORP_CHECK1(!S->GuardOf, "guards are destroyed with their rule");
-  if (Rule *R = S->RuleRef) {
-    if (S->UsePrev)
-      S->UsePrev->UseNext = S->UseNext;
+ORP_SEQ_INLINE void SequiturGrammar::destroySymbol(NodeIdx I) {
+  Symbol &S = sym(I);
+  ORP_CHECK1(!S.isGuard(), "guards are destroyed with their rule");
+  if (S.isNonTerminal()) {
+    Rule &R = rule(S.RuleRef);
+    if (S.UsePrev != NilIdx)
+      sym(S.UsePrev).UseNext = S.UseNext;
     else
-      R->UseHead = S->UseNext;
-    if (S->UseNext)
-      S->UseNext->UsePrev = S->UsePrev;
-    --R->UseCount;
-    if (R->UseCount <= 1 && R != Start)
-      MaybeUnderused.push_back(R);
+      R.UseHead = S.UseNext;
+    if (S.UseNext != NilIdx)
+      sym(S.UseNext).UsePrev = S.UsePrev;
+    --R.UseCount;
+    if (R.UseCount <= 1 && S.RuleRef != Start)
+      MaybeUnderused.push_back(S.RuleRef);
   }
-  releaseSymbol(S);
+  releaseSymbol(I);
 }
 
-SequiturGrammar::Rule *SequiturGrammar::newRule() {
-  Rule *R = allocRule();
-  R->Id = NextRuleId++;
-  R->Guard = allocSymbol();
-  R->Guard->GuardOf = R;
-  R->Guard->Next = R->Guard;
-  R->Guard->Prev = R->Guard;
-  R->LiveNext = LiveRuleHead;
-  if (LiveRuleHead)
-    LiveRuleHead->LivePrev = R;
-  LiveRuleHead = R;
+SequiturGrammar::NodeIdx SequiturGrammar::newRule() {
+  NodeIdx RI = allocRule();
+  NodeIdx GI = allocSymbol();
+  Rule &R = rule(RI);
+  Symbol &G = sym(GI);
+  R.Id = NextRuleId++;
+  R.Guard = GI;
+  G.K = Symbol::Guard;
+  G.RuleRef = RI;
+  G.Next = GI;
+  G.Prev = GI;
+  R.LiveNext = LiveRuleHead;
+  if (LiveRuleHead != NilIdx)
+    rule(LiveRuleHead).LivePrev = RI;
+  LiveRuleHead = RI;
   ++NumLiveRules;
-  return R;
+  return RI;
 }
 
-void SequiturGrammar::destroyRule(Rule *R) {
-  ORP_CHECK1(R != Start, "cannot destroy the start rule");
-  ORP_CHECK1(R->UseCount == 0 && !R->UseHead, "destroying a rule in use");
-  if (R->LivePrev)
-    R->LivePrev->LiveNext = R->LiveNext;
+void SequiturGrammar::destroyRule(NodeIdx RI) {
+  Rule &R = rule(RI);
+  ORP_CHECK1(RI != Start, "cannot destroy the start rule");
+  ORP_CHECK1(R.UseCount == 0 && R.UseHead == NilIdx,
+             "destroying a rule in use");
+  if (R.LivePrev != NilIdx)
+    rule(R.LivePrev).LiveNext = R.LiveNext;
   else
-    LiveRuleHead = R->LiveNext;
-  if (R->LiveNext)
-    R->LiveNext->LivePrev = R->LivePrev;
+    LiveRuleHead = R.LiveNext;
+  if (R.LiveNext != NilIdx)
+    rule(R.LiveNext).LivePrev = R.LivePrev;
   --NumLiveRules;
-  releaseSymbol(R->Guard);
-  releaseRule(R);
+  releaseSymbol(R.Guard);
+  releaseRule(RI);
 }
 
 //===----------------------------------------------------------------------===//
 // Digram index maintenance
 //===----------------------------------------------------------------------===//
 
-void SequiturGrammar::link(Symbol *A, Symbol *B) {
-  A->Next = B;
-  B->Prev = A;
+ORP_SEQ_INLINE void SequiturGrammar::link(NodeIdx A, NodeIdx B) {
+  sym(A).Next = B;
+  sym(B).Prev = A;
 }
 
-SequiturGrammar::DigramKey SequiturGrammar::keyOf(const Symbol *A) const {
-  const Symbol *B = A->Next;
-  assert(!A->GuardOf && !B->GuardOf && "digram key of a guard");
-  DigramKey K;
-  K.V1 = A->RuleRef ? A->RuleRef->Id : A->Terminal;
-  K.V2 = B->RuleRef ? B->RuleRef->Id : B->Terminal;
-  K.Tags = static_cast<uint8_t>((A->RuleRef ? 1 : 0) | (B->RuleRef ? 2 : 0));
-  return K;
-}
-
-void SequiturGrammar::removeDigramAt(Symbol *A) {
-  if (!A || A->GuardOf || !A->Next || A->Next->GuardOf)
+ORP_SEQ_INLINE void SequiturGrammar::removeDigramAt(NodeIdx A) {
+  if (A == NilIdx)
+    return;
+  const Symbol &SA = sym(A);
+  if (SA.isGuard() || SA.Next == NilIdx || sym(SA.Next).isGuard())
     return;
   DigramKey K = keyOf(A);
   size_t Slot = Index.findSlot(K.V1, K.V2, K.Tags);
-  if (Slot != DigramTable<Symbol *>::Npos && Index.valueAt(Slot) == A)
+  if (Slot != DigramTable<NodeIdx>::Npos && Index.valueAt(Slot) == A)
     Index.eraseSlot(Slot);
 }
 
@@ -224,11 +255,12 @@ void SequiturGrammar::append(uint64_t Value) {
   // No references into the grammar are held across appends, so nodes
   // freed during the previous append are now safe to recycle.
   reclaimPending();
-  Symbol *S = newTerminal(Value);
-  Symbol *Tail = Start->Guard->Prev;
+  NodeIdx S = newTerminal(Value);
+  NodeIdx Guard = rule(Start).Guard;
+  NodeIdx Tail = sym(Guard).Prev;
   link(Tail, S);
-  link(S, Start->Guard);
-  if (!Tail->GuardOf)
+  link(S, Guard);
+  if (!sym(Tail).isGuard())
     checkDigram(Tail);
   ++InputLen;
   repairUtility();
@@ -239,101 +271,102 @@ void SequiturGrammar::appendAll(const std::vector<uint64_t> &Values) {
     append(V);
 }
 
-bool SequiturGrammar::checkDigram(Symbol *A) {
-  Symbol *B = A->Next;
-  if (A->GuardOf || B->GuardOf)
+bool SequiturGrammar::checkDigram(NodeIdx A) {
+  NodeIdx B = sym(A).Next;
+  if (sym(A).isGuard() || sym(B).isGuard())
     return false;
   DigramKey K = keyOf(A);
-  size_t Slot = Index.findSlot(K.V1, K.V2, K.Tags);
-  if (Slot == DigramTable<Symbol *>::Npos) {
-    Index.insert(K.V1, K.V2, K.Tags, A);
+  size_t Slot = Index.findOrInsert(K.V1, K.V2, K.Tags, A);
+  if (Slot == DigramTable<NodeIdx>::Npos) // Newly indexed at A.
     return false;
-  }
-  Symbol *M = Index.valueAt(Slot);
+  NodeIdx M = Index.valueAt(Slot);
   if (M == A)
     return false;
   // Overlapping occurrences (e.g. the middle of "aaa") never substitute.
-  if (M->Next == A || A->Next == M)
+  if (sym(M).Next == A || B == M)
     return false;
   processMatch(A, M);
   return true;
 }
 
-void SequiturGrammar::processMatch(Symbol *A, Symbol *M) {
-  Rule *R;
-  if (M->Prev->GuardOf && M->Next->Next->GuardOf) {
+void SequiturGrammar::processMatch(NodeIdx A, NodeIdx M) {
+  const Symbol &SM = sym(M);
+  if (sym(SM.Prev).isGuard() && sym(sym(SM.Next).Next).isGuard()) {
     // The indexed occurrence is a complete rule body: reuse that rule.
-    R = M->Prev->GuardOf;
-    substituteDigram(A, R);
+    substituteDigram(A, sym(SM.Prev).RuleRef);
     return;
   }
 
   // Otherwise create a new rule from copies of the digram. The copies
   // are taken from A before any substitution can destroy it.
-  R = newRule();
-  Symbol *C1 = A->RuleRef ? newNonTerminal(A->RuleRef)
-                          : newTerminal(A->Terminal);
-  Symbol *C2 = A->Next->RuleRef ? newNonTerminal(A->Next->RuleRef)
-                                : newTerminal(A->Next->Terminal);
-  link(R->Guard, C1);
+  NodeIdx R = newRule();
+  auto CopyOf = [&](NodeIdx S) {
+    return sym(S).isNonTerminal() ? newNonTerminal(sym(S).RuleRef)
+                                  : newTerminal(sym(S).Value);
+  };
+  NodeIdx C1 = CopyOf(A);
+  NodeIdx C2 = CopyOf(sym(A).Next);
+  NodeIdx Guard = rule(R).Guard;
+  link(Guard, C1);
   link(C1, C2);
-  link(C2, R->Guard);
+  link(C2, Guard);
 
   substituteDigram(M, R);
   // Substituting at M can cascade through the grammar; only substitute
   // the second occurrence if it survived with its digram intact. (When it
   // did not, R may be left under-used, which repairUtility() then fixes.)
-  if (isLive(A) && !A->Next->GuardOf &&
-      keyOf(A) == keyOf(R->Guard->Next))
+  if (sym(A).Live && !sym(sym(A).Next).isGuard() &&
+      keyOf(A) == keyOf(sym(Guard).Next))
     substituteDigram(A, R);
   // Index the rule body as the canonical occurrence of its digram. The
   // substitution cascades above may have created (and indexed) fresh
   // occurrences of the same digram elsewhere; fold every such occurrence
   // into R first, or digram uniqueness would be silently violated.
-  while (isLiveRule(R) && !R->Guard->Next->GuardOf &&
-         !R->Guard->Next->Next->GuardOf) {
-    DigramKey BodyKey = keyOf(R->Guard->Next);
-    size_t Slot = Index.findSlot(BodyKey.V1, BodyKey.V2, BodyKey.Tags);
-    if (Slot == DigramTable<Symbol *>::Npos) {
-      Index.insert(BodyKey.V1, BodyKey.V2, BodyKey.Tags, R->Guard->Next);
+  while (rule(R).Live && !sym(sym(Guard).Next).isGuard() &&
+         !sym(sym(sym(Guard).Next).Next).isGuard()) {
+    NodeIdx Body = sym(Guard).Next;
+    DigramKey BodyKey = keyOf(Body);
+    size_t Slot =
+        Index.findOrInsert(BodyKey.V1, BodyKey.V2, BodyKey.Tags, Body);
+    if (Slot == DigramTable<NodeIdx>::Npos) // Newly indexed at Body.
       break;
-    }
-    if (Index.valueAt(Slot) == R->Guard->Next)
+    NodeIdx Other = Index.valueAt(Slot);
+    if (Other == Body)
       break;
-    Symbol *Other = Index.valueAt(Slot);
     substituteDigram(Other, R);
   }
   // A freshly created rule that gained only one use (second substitution
   // skipped) must be queued for utility repair: it was never decremented,
   // so destroySymbol() has not queued it.
-  if (isLiveRule(R) && R->UseCount <= 1)
+  if (rule(R).Live && rule(R).UseCount <= 1)
     MaybeUnderused.push_back(R);
 }
 
-void SequiturGrammar::substituteDigram(Symbol *First, Rule *R) {
-  Symbol *Second = First->Next;
-  ORP_CHECK1(!First->GuardOf && !Second->GuardOf, "substituting a guard");
-  Symbol *Prev = First->Prev;
-  Symbol *Next = Second->Next;
-  Symbol *PrevPrev = Prev->GuardOf ? nullptr : Prev->Prev;
+void SequiturGrammar::substituteDigram(NodeIdx First, NodeIdx R) {
+  NodeIdx Second = sym(First).Next;
+  ORP_CHECK1(!sym(First).isGuard() && !sym(Second).isGuard(),
+             "substituting a guard");
+  NodeIdx Prev = sym(First).Prev;
+  NodeIdx Next = sym(Second).Next;
+  bool PrevIsGuard = sym(Prev).isGuard();
+  NodeIdx PrevPrev = PrevIsGuard ? NilIdx : sym(Prev).Prev;
 
-  if (!Prev->GuardOf)
+  if (!PrevIsGuard)
     removeDigramAt(Prev);
   removeDigramAt(First);
-  if (!Second->GuardOf)
-    removeDigramAt(Second);
+  removeDigramAt(Second);
 
   destroySymbol(First);
   destroySymbol(Second);
 
-  Symbol *Use = newNonTerminal(R);
+  NodeIdx Use = newNonTerminal(R);
   link(Prev, Use);
   link(Use, Next);
 
   // Re-establish digram uniqueness on both new junctions. If the left
   // junction substituted, Use is gone and the cascade already covered
   // the neighborhood.
-  if (!checkDigram(Prev) && isLive(Use))
+  if (!checkDigram(Prev) && sym(Use).Live)
     checkDigram(Use);
 
   // Twin repair. In a run of one repeated symbol ("aaa"-style) only one
@@ -342,20 +375,21 @@ void SequiturGrammar::substituteDigram(Symbol *First, Rule *R) {
   // overlapping twin just outside the replaced region survived. Re-check
   // the surviving neighbors so the twin is re-indexed (or folded into an
   // existing rule).
-  if (Next && isLive(Next))
+  if (Next != NilIdx && sym(Next).Live)
     checkDigram(Next);
-  if (PrevPrev && isLive(PrevPrev))
+  if (PrevPrev != NilIdx && sym(PrevPrev).Live)
     checkDigram(PrevPrev);
 }
 
-void SequiturGrammar::expandSingleUse(Rule *R) {
-  ORP_CHECK1(R->UseCount == 1 && R->UseHead, "not a single-use rule");
-  Symbol *Use = R->UseHead;
-  Symbol *Prev = Use->Prev;
-  Symbol *Next = Use->Next;
-  Symbol *First = R->Guard->Next;
-  Symbol *Last = R->Guard->Prev;
-  assert(First != R->Guard && "expanding an empty rule");
+void SequiturGrammar::expandSingleUse(NodeIdx RI) {
+  const Rule &R = rule(RI);
+  ORP_CHECK1(R.UseCount == 1 && R.UseHead != NilIdx, "not a single-use rule");
+  NodeIdx Use = R.UseHead;
+  NodeIdx Prev = sym(Use).Prev;
+  NodeIdx Next = sym(Use).Next;
+  NodeIdx First = sym(R.Guard).Next;
+  NodeIdx Last = sym(R.Guard).Prev;
+  assert(First != R.Guard && "expanding an empty rule");
 
   removeDigramAt(Prev);
   removeDigramAt(Use);
@@ -364,33 +398,34 @@ void SequiturGrammar::expandSingleUse(Rule *R) {
   link(Prev, First);
   link(Last, Next);
   destroySymbol(Use); // Drops UseCount to 0.
-  destroyRule(R);
+  destroyRule(RI);
 
   // Check the two junction digrams; the body's interior digrams keep
   // their existing index entries (the symbols were moved, not copied).
   checkDigram(Prev);
-  if (isLive(Last))
+  if (sym(Last).Live)
     checkDigram(Last);
 }
 
 void SequiturGrammar::repairUtility() {
   while (!MaybeUnderused.empty()) {
-    Rule *R = MaybeUnderused.back();
+    NodeIdx RI = MaybeUnderused.back();
     MaybeUnderused.pop_back();
-    if (!isLiveRule(R))
+    const Rule &R = rule(RI);
+    if (!R.Live)
       continue;
-    if (R->UseCount == 1) {
-      expandSingleUse(R);
-    } else if (R->UseCount == 0) {
+    if (R.UseCount == 1) {
+      expandSingleUse(RI);
+    } else if (R.UseCount == 0) {
       // Defensive: an unreferenced rule's body is garbage; drop it.
-      Symbol *S = R->Guard->Next;
-      while (S != R->Guard) {
-        Symbol *Next = S->Next;
+      NodeIdx S = sym(R.Guard).Next;
+      while (S != R.Guard) {
+        NodeIdx Next = sym(S).Next;
         removeDigramAt(S);
         destroySymbol(S);
         S = Next;
       }
-      destroyRule(R);
+      destroyRule(RI);
     }
   }
 }
@@ -399,25 +434,24 @@ void SequiturGrammar::repairUtility() {
 // Inspection, expansion, serialization
 //===----------------------------------------------------------------------===//
 
-size_t SequiturGrammar::totalBodySymbols() const {
-  size_t Total = 0;
-  for (const Rule *R = LiveRuleHead; R; R = R->LiveNext)
-    for (const Symbol *S = R->Guard->Next; S != R->Guard; S = S->Next)
-      ++Total;
-  return Total;
-}
-
-std::vector<const SequiturGrammar::Rule *>
-SequiturGrammar::reachableRules() const {
-  std::vector<const Rule *> Order;
-  std::unordered_map<const Rule *, size_t> Seen;
+std::vector<SequiturGrammar::NodeIdx>
+SequiturGrammar::reachableRules(std::vector<uint64_t> *DenseIds) const {
+  constexpr uint64_t Unseen = ~uint64_t(0);
+  std::vector<uint64_t> Local;
+  std::vector<uint64_t> &Ids = DenseIds ? *DenseIds : Local;
+  Ids.assign(static_cast<size_t>(FreshRule), Unseen);
+  std::vector<NodeIdx> Order;
   Order.push_back(Start);
-  Seen.emplace(Start, 0);
+  Ids[Start] = 0;
   for (size_t I = 0; I != Order.size(); ++I) {
-    const Rule *R = Order[I];
-    for (const Symbol *S = R->Guard->Next; S != R->Guard; S = S->Next)
-      if (S->RuleRef && Seen.emplace(S->RuleRef, Order.size()).second)
-        Order.push_back(S->RuleRef);
+    NodeIdx Guard = rule(Order[I]).Guard;
+    for (NodeIdx S = sym(Guard).Next; S != Guard; S = sym(S).Next) {
+      const Symbol &Sym = sym(S);
+      if (Sym.isNonTerminal() && Ids[Sym.RuleRef] == Unseen) {
+        Ids[Sym.RuleRef] = Order.size();
+        Order.push_back(Sym.RuleRef);
+      }
+    }
   }
   return Order;
 }
@@ -427,44 +461,44 @@ std::vector<uint64_t> SequiturGrammar::expandAll() const {
   Out.reserve(InputLen);
   // Iterative expansion: the stack holds the next symbol to visit per
   // nesting level.
-  std::vector<const Symbol *> Stack;
-  Stack.push_back(Start->Guard->Next);
+  std::vector<NodeIdx> Stack;
+  Stack.push_back(sym(rule(Start).Guard).Next);
   while (!Stack.empty()) {
-    const Symbol *S = Stack.back();
-    if (S->GuardOf) {
+    const Symbol &S = sym(Stack.back());
+    if (S.isGuard()) {
       Stack.pop_back();
       continue;
     }
-    Stack.back() = S->Next;
-    if (S->RuleRef)
-      Stack.push_back(S->RuleRef->Guard->Next);
+    Stack.back() = S.Next;
+    if (S.isNonTerminal())
+      Stack.push_back(sym(rule(S.RuleRef).Guard).Next);
     else
-      Out.push_back(S->Terminal);
+      Out.push_back(S.Value);
   }
   return Out;
 }
 
 std::vector<uint8_t> SequiturGrammar::serialize() const {
-  std::vector<const Rule *> Order = reachableRules();
-  std::unordered_map<const Rule *, uint64_t> Ids;
-  for (size_t I = 0; I != Order.size(); ++I)
-    Ids.emplace(Order[I], I);
+  std::vector<uint64_t> Ids;
+  std::vector<NodeIdx> Order = reachableRules(&Ids);
 
   std::vector<uint8_t> Out;
   encodeULEB128(Order.size(), Out);
   encodeULEB128(InputLen, Out);
-  for (const Rule *R : Order) {
+  for (NodeIdx R : Order) {
+    NodeIdx Guard = rule(R).Guard;
     size_t BodyLen = 0;
-    for (const Symbol *S = R->Guard->Next; S != R->Guard; S = S->Next)
+    for (NodeIdx S = sym(Guard).Next; S != Guard; S = sym(S).Next)
       ++BodyLen;
     encodeULEB128(BodyLen, Out);
-    for (const Symbol *S = R->Guard->Next; S != R->Guard; S = S->Next) {
-      if (S->RuleRef) {
-        encodeULEB128((Ids.at(S->RuleRef) << 1) | 1, Out);
+    for (NodeIdx I = sym(Guard).Next; I != Guard; I = sym(I).Next) {
+      const Symbol &S = sym(I);
+      if (S.isNonTerminal()) {
+        encodeULEB128((Ids[S.RuleRef] << 1) | 1, Out);
       } else {
-        assert(S->Terminal < (1ULL << 63) &&
+        assert(S.Value < (1ULL << 63) &&
                "terminal too large for tagged encoding");
-        encodeULEB128(S->Terminal << 1, Out);
+        encodeULEB128(S.Value << 1, Out);
       }
     }
   }
@@ -629,24 +663,24 @@ bool SequiturGrammar::deserializeAndExpandChecked(const uint8_t *Data,
 }
 
 std::string SequiturGrammar::dump() const {
-  std::vector<const Rule *> Order = reachableRules();
-  std::unordered_map<const Rule *, uint64_t> Ids;
-  for (size_t I = 0; I != Order.size(); ++I)
-    Ids.emplace(Order[I], I);
+  std::vector<uint64_t> Ids;
+  std::vector<NodeIdx> Order = reachableRules(&Ids);
 
   std::string Out;
   char Buf[64];
-  for (const Rule *R : Order) {
+  for (NodeIdx R : Order) {
     std::snprintf(Buf, sizeof(Buf), "R%llu ->",
-                  static_cast<unsigned long long>(Ids.at(R)));
+                  static_cast<unsigned long long>(Ids[R]));
     Out += Buf;
-    for (const Symbol *S = R->Guard->Next; S != R->Guard; S = S->Next) {
-      if (S->RuleRef)
+    NodeIdx Guard = rule(R).Guard;
+    for (NodeIdx I = sym(Guard).Next; I != Guard; I = sym(I).Next) {
+      const Symbol &S = sym(I);
+      if (S.isNonTerminal())
         std::snprintf(Buf, sizeof(Buf), " R%llu",
-                      static_cast<unsigned long long>(Ids.at(S->RuleRef)));
+                      static_cast<unsigned long long>(Ids[S.RuleRef]));
       else
         std::snprintf(Buf, sizeof(Buf), " %llu",
-                      static_cast<unsigned long long>(S->Terminal));
+                      static_cast<unsigned long long>(S.Value));
       Out += Buf;
     }
     Out += '\n';
@@ -656,10 +690,8 @@ std::string SequiturGrammar::dump() const {
 
 std::vector<SequiturGrammar::RuleStats>
 SequiturGrammar::ruleStats(size_t PrefixCap) const {
-  std::vector<const Rule *> Order = reachableRules();
-  std::unordered_map<const Rule *, size_t> Ids;
-  for (size_t I = 0; I != Order.size(); ++I)
-    Ids.emplace(Order[I], I);
+  std::vector<uint64_t> Ids;
+  std::vector<NodeIdx> Order = reachableRules(&Ids);
 
   // Expanded lengths, memoized over the rule DAG (rules never reference
   // themselves, directly or transitively).
@@ -668,9 +700,9 @@ SequiturGrammar::ruleStats(size_t PrefixCap) const {
     if (Expanded[Idx] != 0)
       return Expanded[Idx];
     uint64_t Len = 0;
-    const Rule *R = Order[Idx];
-    for (const Symbol *S = R->Guard->Next; S != R->Guard; S = S->Next)
-      Len += S->RuleRef ? LengthOf(Ids.at(S->RuleRef)) : 1;
+    NodeIdx Guard = rule(Order[Idx]).Guard;
+    for (NodeIdx I = sym(Guard).Next; I != Guard; I = sym(I).Next)
+      Len += sym(I).isNonTerminal() ? LengthOf(Ids[sym(I).RuleRef]) : 1;
     Expanded[Idx] = Len;
     return Len;
   };
@@ -688,10 +720,10 @@ SequiturGrammar::ruleStats(size_t PrefixCap) const {
     std::vector<uint64_t> Next(Order.size(), 0);
     Next[0] = 1;
     for (size_t I = 0; I != Order.size(); ++I) {
-      const Rule *R = Order[I];
-      for (const Symbol *S = R->Guard->Next; S != R->Guard; S = S->Next)
-        if (S->RuleRef)
-          Next[Ids.at(S->RuleRef)] += Count[I];
+      NodeIdx Guard = rule(Order[I]).Guard;
+      for (NodeIdx S = sym(Guard).Next; S != Guard; S = sym(S).Next)
+        if (sym(S).isNonTerminal())
+          Next[Ids[sym(S).RuleRef]] += Count[I];
     }
     Changed = Next != Count;
     Count = std::move(Next);
@@ -704,24 +736,24 @@ SequiturGrammar::ruleStats(size_t PrefixCap) const {
     RS.Id = I;
     RS.ExpandedLength = Expanded[I];
     RS.Occurrences = Count[I];
-    const Rule *R = Order[I];
+    NodeIdx Guard = rule(Order[I]).Guard;
     RS.BodyLength = 0;
-    for (const Symbol *S = R->Guard->Next; S != R->Guard; S = S->Next)
+    for (NodeIdx S = sym(Guard).Next; S != Guard; S = sym(S).Next)
       ++RS.BodyLength;
     // Expand the rule's terminal prefix iteratively, up to the cap.
-    std::vector<const Symbol *> Stack;
-    Stack.push_back(R->Guard->Next);
+    std::vector<NodeIdx> Stack;
+    Stack.push_back(sym(Guard).Next);
     while (!Stack.empty() && RS.Prefix.size() < PrefixCap) {
-      const Symbol *S = Stack.back();
-      if (S->GuardOf) {
+      const Symbol &S = sym(Stack.back());
+      if (S.isGuard()) {
         Stack.pop_back();
         continue;
       }
-      Stack.back() = S->Next;
-      if (S->RuleRef)
-        Stack.push_back(S->RuleRef->Guard->Next);
+      Stack.back() = S.Next;
+      if (S.isNonTerminal())
+        Stack.push_back(sym(rule(S.RuleRef).Guard).Next);
       else
-        RS.Prefix.push_back(S->Terminal);
+        RS.Prefix.push_back(S.Value);
     }
     Stats.push_back(std::move(RS));
   }
@@ -729,60 +761,68 @@ SequiturGrammar::ruleStats(size_t PrefixCap) const {
 }
 
 bool SequiturGrammar::checkInvariants() const {
-
   // Live-rule list consistency: the intrusive list is well linked and
   // its length matches the live-rule counter.
   size_t Listed = 0;
-  for (const Rule *R = LiveRuleHead; R; R = R->LiveNext) {
-    if (!R->Live)
+  for (NodeIdx R = LiveRuleHead; R != NilIdx; R = rule(R).LiveNext) {
+    if (!rule(R).Live)
       return false;
-    if (R->LiveNext && R->LiveNext->LivePrev != R)
+    NodeIdx Next = rule(R).LiveNext;
+    if (Next != NilIdx && rule(Next).LivePrev != R)
       return false;
     ++Listed;
   }
-  if (Listed != NumLiveRules || LiveRuleHead->LivePrev != nullptr)
+  if (Listed != NumLiveRules || rule(LiveRuleHead).LivePrev != NilIdx)
     return false;
 
   // Utility: every non-start rule has at least two uses; use lists are
-  // consistent with the counts and point back at the rule.
-  for (const Rule *R = LiveRuleHead; R; R = R->LiveNext) {
+  // consistent with the counts and point back at the rule. The bodies
+  // hold every live symbol but the guards.
+  size_t BodySymbols = 0;
+  for (NodeIdx RI = LiveRuleHead; RI != NilIdx; RI = rule(RI).LiveNext) {
+    const Rule &R = rule(RI);
     size_t Uses = 0;
-    for (const Symbol *U = R->UseHead; U; U = U->UseNext) {
-      if (U->RuleRef != R)
+    for (NodeIdx U = R.UseHead; U != NilIdx; U = sym(U).UseNext) {
+      if (!sym(U).isNonTerminal() || sym(U).RuleRef != RI)
         return false;
       ++Uses;
     }
-    if (Uses != R->UseCount)
+    if (Uses != R.UseCount)
       return false;
-    if (R != Start && R->UseCount < 2)
+    if (RI != Start && R.UseCount < 2)
       return false;
     size_t BodyLen = 0;
-    for (const Symbol *S = R->Guard->Next; S != R->Guard; S = S->Next) {
-      if (S->GuardOf)
+    for (NodeIdx I = sym(R.Guard).Next; I != R.Guard; I = sym(I).Next) {
+      const Symbol &S = sym(I);
+      if (S.isGuard() || !S.Live)
         return false;
-      if (!S->Live)
-        return false;
-      if (S->RuleRef && !S->RuleRef->Live)
+      if (S.isNonTerminal() &&
+          (!rule(S.RuleRef).Live || S.Value != rule(S.RuleRef).Id))
         return false;
       ++BodyLen;
     }
-    if (R != Start && BodyLen < 2)
+    if (RI != Start && BodyLen < 2)
       return false;
+    BodySymbols += BodyLen;
   }
+  if (BodySymbols != totalBodySymbols())
+    return false;
 
   // Digram uniqueness: no digram occurs at two non-overlapping positions.
-  std::unordered_map<DigramKey, std::vector<const Symbol *>, DigramKeyHash>
+  std::unordered_map<DigramKey, std::vector<NodeIdx>, DigramKeyHash>
       Occurrences;
-  for (const Rule *R = LiveRuleHead; R; R = R->LiveNext)
-    for (const Symbol *S = R->Guard->Next; S != R->Guard; S = S->Next)
-      if (!S->Next->GuardOf)
+  for (NodeIdx R = LiveRuleHead; R != NilIdx; R = rule(R).LiveNext) {
+    NodeIdx Guard = rule(R).Guard;
+    for (NodeIdx S = sym(Guard).Next; S != Guard; S = sym(S).Next)
+      if (!sym(sym(S).Next).isGuard())
         Occurrences[keyOf(S)].push_back(S);
+  }
   for (const auto &[Key, Positions] : Occurrences) {
     for (size_t I = 0; I != Positions.size(); ++I)
       for (size_t J = I + 1; J != Positions.size(); ++J) {
-        const Symbol *A = Positions[I];
-        const Symbol *B = Positions[J];
-        if (A->Next != B && B->Next != A)
+        NodeIdx A = Positions[I];
+        NodeIdx B = Positions[J];
+        if (sym(A).Next != B && sym(B).Next != A)
           return false;
       }
   }
@@ -790,12 +830,13 @@ bool SequiturGrammar::checkInvariants() const {
   // Index soundness: every entry points at a live symbol whose current
   // digram matches the key.
   bool IndexSound = true;
-  Index.forEach([&](uint64_t V1, uint64_t V2, uint8_t Tags, Symbol *S) {
-    if (!S->Live || S->GuardOf || S->Next->GuardOf) {
+  Index.forEach([&](uint64_t V1, uint64_t V2, uint8_t Tags, NodeIdx I) {
+    const Symbol &S = sym(I);
+    if (!S.Live || S.isGuard() || sym(S.Next).isGuard()) {
       IndexSound = false;
       return;
     }
-    DigramKey K = keyOf(S);
+    DigramKey K = keyOf(I);
     if (K.V1 != V1 || K.V2 != V2 || K.Tags != Tags)
       IndexSound = false;
   });

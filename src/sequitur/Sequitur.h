@@ -70,8 +70,9 @@ public:
   size_t numRules() const { return NumLiveRules; }
 
   /// Returns the total number of symbols across all rule bodies — the
-  /// standard abstract "grammar size" measure.
-  size_t totalBodySymbols() const;
+  /// standard abstract "grammar size" measure. O(1): every live symbol
+  /// but the rule guards sits in a body, so no walk is needed.
+  size_t totalBodySymbols() const { return NumLiveSymbols - NumLiveRules; }
 
   /// Reconstructs the original input by expanding the start rule; the
   /// grammar is lossless, so this equals the appended sequence.
@@ -136,6 +137,9 @@ public:
   size_t numSymbolSlabs() const { return SymbolSlabs.size(); }
   size_t numRuleSlabs() const { return RuleSlabs.size(); }
   size_t numDigrams() const { return Index.size(); }
+  /// Resident bytes of the grammar's bulk storage: symbol and rule slabs
+  /// plus the digram index's slot array (capacity, not occupancy).
+  size_t footprintBytes() const;
   /// @}
 
 private:
@@ -146,6 +150,12 @@ private:
 
   struct Rule;
   struct Symbol;
+  struct LayoutPins; ///< Node-size static_asserts (SequiturNodes.h).
+
+  /// Arena index of a symbol or rule node; see SequiturNodes.h.
+  using NodeIdx = uint32_t;
+  /// The null link. Slot 0 of each arena is never handed out.
+  static constexpr NodeIdx NilIdx = 0;
 
   /// Hashable identity of a digram (two adjacent symbols).
   struct DigramKey {
@@ -166,10 +176,13 @@ private:
   /// Symbols and rules come from grammar-owned slabs instead of the
   /// global heap: appending is the profiling hot path and pays for every
   /// malloc/free twice (allocation plus the liveness bookkeeping the old
-  /// unordered_sets did per node). Freed nodes go onto a *pending* list
-  /// first and only become reusable at the next top-level append() —
-  /// within one append cascade a stale pointer therefore still reads as
-  /// dead, exactly matching the pointer-set semantics this replaced.
+  /// unordered_sets did per node). Nodes are addressed by 32-bit index
+  /// through the slab tables (sym()/rule()); alloc* die with a fatal
+  /// error rather than let an index wrap at 2^32. Freed nodes go onto a
+  /// *pending* list first and only become reusable at the next top-level
+  /// append() — within one append cascade a stale index therefore still
+  /// reads as dead, exactly matching the pointer-set semantics this
+  /// replaced.
   ///
   /// Under AddressSanitizer this contract is enforced, not just relied
   /// on: reclaimPending() poisons nodes as they move to the free lists
@@ -178,71 +191,80 @@ private:
   /// use-after-poison report. alloc* unpoison a node before reuse. See
   /// check/Check.h.
   /// @{
-  Symbol *allocSymbol();
-  void releaseSymbol(Symbol *S);
-  Rule *allocRule();
-  void releaseRule(Rule *R);
+  /// sym(), rule() and keyOf() are defined in SequiturNodes.h; the other
+  /// inline helpers only in Sequitur.cpp, the one file that calls them.
+  inline Symbol &sym(NodeIdx I);
+  inline const Symbol &sym(NodeIdx I) const;
+  inline Rule &rule(NodeIdx I);
+  inline const Rule &rule(NodeIdx I) const;
+  inline NodeIdx allocSymbol();
+  inline void releaseSymbol(NodeIdx S);
+  NodeIdx allocRule();
+  void releaseRule(NodeIdx R);
   void reclaimPending();
   /// @}
 
-  Symbol *newTerminal(uint64_t Value);
-  Symbol *newNonTerminal(Rule *R);
-  void destroySymbol(Symbol *S);
-  Rule *newRule();
-  void destroyRule(Rule *R);
+  inline NodeIdx newTerminal(uint64_t Value);
+  inline NodeIdx newNonTerminal(NodeIdx R);
+  inline void destroySymbol(NodeIdx S);
+  NodeIdx newRule();
+  void destroyRule(NodeIdx R);
 
-  static void link(Symbol *A, Symbol *B);
-  DigramKey keyOf(const Symbol *A) const;
-  void removeDigramAt(Symbol *A);
+  inline void link(NodeIdx A, NodeIdx B);
+  inline DigramKey keyOf(NodeIdx A) const;
+  inline void removeDigramAt(NodeIdx A);
 
   /// Enforces digram uniqueness for the digram starting at \p A.
   /// Returns true if a substitution consumed the digram.
-  bool checkDigram(Symbol *A);
+  bool checkDigram(NodeIdx A);
 
   /// Handles a repeated digram: \p A is the new occurrence, \p M the
   /// indexed one.
-  void processMatch(Symbol *A, Symbol *M);
+  void processMatch(NodeIdx A, NodeIdx M);
 
   /// Replaces the digram starting at \p First with a use of \p R.
-  void substituteDigram(Symbol *First, Rule *R);
+  void substituteDigram(NodeIdx First, NodeIdx R);
 
   /// Inlines the single remaining use of \p R and deletes the rule.
-  void expandSingleUse(Rule *R);
+  void expandSingleUse(NodeIdx R);
 
   /// Drains MaybeUnderused until the utility invariant holds.
   void repairUtility();
 
-  /// Liveness is an intrusive tag on the node (set by alloc*, cleared by
-  /// release*), so these are plain field reads instead of hash probes.
-  bool isLive(const Symbol *S) const;
-  bool isLiveRule(const Rule *R) const;
-
   /// Collects live rules reachable from the start rule, start first, in
-  /// first-visit order; assigns dense ids for serialization/dump.
-  std::vector<const Rule *> reachableRules() const;
+  /// first-visit order. When \p DenseIds is given it is resized to the
+  /// rule arena and maps each collected rule index to its position in
+  /// the result (the dense id used by serialization and dump).
+  std::vector<NodeIdx>
+  reachableRules(std::vector<uint64_t> *DenseIds = nullptr) const;
 
-  Rule *Start;
+  NodeIdx Start = NilIdx;
   uint64_t InputLen = 0;
   uint64_t NextRuleId = 0;
-  DigramTable<Symbol *> Index;
-  std::vector<Rule *> MaybeUnderused;
+  DigramTable<NodeIdx> Index;
+  std::vector<NodeIdx> MaybeUnderused;
 
-  /// Number of symbols per arena slab.
-  static constexpr size_t SymbolsPerSlab = 2048;
-  /// Number of rules per arena slab.
-  static constexpr size_t RulesPerSlab = 256;
+  /// Symbols per arena slab (128 KiB of 32-byte symbols).
+  static constexpr unsigned SymbolSlabShift = 12;
+  static constexpr size_t SymbolsPerSlab = size_t(1) << SymbolSlabShift;
+  /// Rules per arena slab.
+  static constexpr unsigned RuleSlabShift = 8;
+  static constexpr size_t RulesPerSlab = size_t(1) << RuleSlabShift;
   std::vector<Symbol *> SymbolSlabs; ///< Each: new Symbol[SymbolsPerSlab].
   std::vector<Rule *> RuleSlabs;     ///< Each: new Rule[RulesPerSlab].
-  size_t SymbolSlabUsed = SymbolsPerSlab; ///< Bump cursor in newest slab.
-  size_t RuleSlabUsed = RulesPerSlab;
-  Symbol *SymbolFreeList = nullptr;    ///< Reusable slots (chained via Next).
-  Symbol *SymbolPendingList = nullptr; ///< Freed since the last append().
-  Rule *RuleFreeList = nullptr;        ///< Chained via LiveNext.
-  Rule *RulePendingList = nullptr;
+  /// Next never-used index of each arena (the bump cursor); starts past
+  /// the reserved NilIdx. 64-bit so reaching 2^32 is observable.
+  uint64_t FreshSymbol = 1;
+  uint64_t FreshRule = 1;
+  NodeIdx SymbolFreeList = NilIdx;    ///< Reusable slots (chained via Next).
+  NodeIdx SymbolPendingList = NilIdx; ///< Freed since the last append().
+  NodeIdx RuleFreeList = NilIdx;      ///< Chained via LiveNext.
+  NodeIdx RulePendingList = NilIdx;
   /// Intrusive doubly-linked list of live rules (unordered), for the
-  /// whole-grammar walks (totalBodySymbols, checkInvariants).
-  Rule *LiveRuleHead = nullptr;
+  /// whole-grammar walks (checkInvariants, the validator).
+  NodeIdx LiveRuleHead = NilIdx;
   size_t NumLiveRules = 0;
+  size_t NumLiveSymbols = 0; ///< Body symbols plus one guard per rule.
 };
 
 } // namespace sequitur

@@ -271,12 +271,10 @@ SessionArtifacts ProfileSession::finalize() {
 }
 
 size_t ProfileSession::memoryEstimateBytes() {
-  // Nominal per-structure byte weights. The absolute numbers only need
-  // to rank sessions and grow with real usage; the budget they are
-  // compared against is configured in the same units.
-  constexpr size_t kSymbolSlabBytes = 2048 * 32;
-  constexpr size_t kRuleSlabBytes = 256 * 48;
-  constexpr size_t kDigramBytes = 64;
+  // The grammars report their real resident bytes (slabs plus digram
+  // index capacity); the OMC and LEAP terms are nominal weights that
+  // only need to grow with real usage. The budget these are compared
+  // against is configured in the same units.
   constexpr size_t kLiveObjectBytes = 96;
   constexpr size_t kGroupBytes = 64;
 
@@ -291,12 +289,8 @@ size_t ProfileSession::memoryEstimateBytes() {
     if (Whomp) {
       for (core::Dimension D :
            {core::Dimension::Instruction, core::Dimension::Group,
-            core::Dimension::Object, core::Dimension::Offset}) {
-        const sequitur::SequiturGrammar &G = Whomp->grammarFor(D);
-        Est += G.numSymbolSlabs() * kSymbolSlabBytes +
-               G.numRuleSlabs() * kRuleSlabBytes +
-               G.numDigrams() * kDigramBytes;
-      }
+            core::Dimension::Object, core::Dimension::Offset})
+        Est += Whomp->grammarFor(D).footprintBytes();
     }
     if (Leap)
       Est += Leap->serializedSizeBytes();

@@ -150,11 +150,12 @@ public:
   const std::string &error() const { return Err; }
   uint64_t eventsInjected() const { return Events; }
 
-  /// Rough resident-footprint estimate of the session's pipeline state,
-  /// derived from the existing structure gauges (Sequitur slab counts,
-  /// OMC group/live-object counts, LEAP profile size). Monotone in the
-  /// real footprint — the quantity SessionManager's memory budget and
-  /// LRU eviction operate on — not an allocator-accurate byte count.
+  /// Resident-footprint estimate of the session's pipeline state — the
+  /// quantity SessionManager's memory budget and LRU eviction operate
+  /// on. The four WHOMP grammars count their real bytes
+  /// (SequiturGrammar::footprintBytes: slabs plus digram-index
+  /// capacity); OMC groups/live objects and the LEAP profile size add
+  /// nominal weights that grow with real usage.
   size_t memoryEstimateBytes();
 
 private:

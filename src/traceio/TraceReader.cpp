@@ -25,11 +25,21 @@ bool TraceReader::open(const std::string &Path) {
     Name = Path;
     return failed("cannot open file");
   }
+  // Size the image from the file length and read it in one pass, so a
+  // large trace is neither copied on growth nor over-allocated.
   std::vector<uint8_t> Image;
-  uint8_t Buf[64 * 1024];
-  size_t N;
-  while ((N = std::fread(Buf, 1, sizeof(Buf), File)) > 0)
-    Image.insert(Image.end(), Buf, Buf + N);
+  long Length = std::fseek(File, 0, SEEK_END) == 0 ? std::ftell(File) : -1;
+  std::rewind(File);
+  if (Length >= 0) {
+    Image.resize(static_cast<size_t>(Length));
+    Image.resize(std::fread(Image.data(), 1, Image.size(), File));
+  } else {
+    // Not seekable (a pipe): read it in chunks.
+    uint8_t Buf[64 * 1024];
+    size_t N;
+    while ((N = std::fread(Buf, 1, sizeof(Buf), File)) > 0)
+      Image.insert(Image.end(), Buf, Buf + N);
+  }
   bool ReadErr = std::ferror(File) != 0;
   std::fclose(File);
   if (ReadErr) {

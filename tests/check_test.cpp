@@ -205,6 +205,38 @@ TEST(ArenaPoisonDeathTest, StaleNodeReadIsAnAsanReport) {
   ASSERT_NE(Stale, nullptr);
   EXPECT_DEATH({ [[maybe_unused]] uint8_t Byte = *Stale; }, "use-after-poison");
 }
+
+TEST(ArenaIndexDeathTest, SymbolIndexSpaceExhaustionIsFatal) {
+  // Nodes are addressed by 32-bit index: the arena must stop with a
+  // fatal error before an index would wrap at 2^32, never hand out a
+  // wrapped index that aliases a live node.
+  EXPECT_DEATH(
+      {
+        sequitur::SequiturGrammar G;
+        G.append(1);
+        GrammarValidator::exhaustSymbolIndexSpaceForTest(G);
+        G.append(2); // Must die here, before G is destroyed.
+      },
+      "symbol index space \\(2\\^32\\) exhausted");
+}
+
+TEST(ArenaPoisonDeathTest, StaleSequiturSymbolReadIsAnAsanReport) {
+  // The same contract for a grammar node: symbols are addressed by
+  // 32-bit index through the slab table, and a recycled one resolved
+  // that way must be poisoned, so reading it dies under ASan.
+  if (!check::asanActive())
+    GTEST_SKIP() << "poisoning is a no-op without ASan";
+  sequitur::SequiturGrammar G;
+  size_t Count = 0;
+  const seqstreams::StreamCase *Cases = seqstreams::streamCases(Count);
+  for (size_t I = 0; I != Count; ++I)
+    if (std::string(Cases[I].Name) == "phrases_a4")
+      G.appendAll(seqstreams::makeStream(Cases[I]));
+  const auto *Stale = static_cast<const volatile uint8_t *>(
+      GrammarValidator::firstFreeSymbolForTest(G));
+  ASSERT_NE(Stale, nullptr) << "stream recycled no symbols";
+  EXPECT_DEATH({ [[maybe_unused]] uint8_t Byte = *Stale; }, "use-after-poison");
+}
 #endif
 
 //===----------------------------------------------------------------------===//

@@ -88,51 +88,71 @@ TEST(DigramHashTest, StridedKeysSpreadAcrossLowBits) {
 }
 
 //===----------------------------------------------------------------------===//
-// DigramTable behavior
+// DigramTable behavior, for every value type the table is used with: the
+// grammar stores 32-bit arena indices, other callers 64-bit values.
 //===----------------------------------------------------------------------===//
 
-TEST(DigramTableTest, InsertFindErase) {
-  DigramTable<int> T;
-  EXPECT_EQ(T.findSlot(1, 2, 0), DigramTable<int>::Npos);
-  T.insert(1, 2, 0, 42);
+template <typename ValueT> class DigramTableTest : public testing::Test {};
+using ValueTypes = testing::Types<int, uint32_t, uint64_t>;
+TYPED_TEST_SUITE(DigramTableTest, ValueTypes);
+
+TEST(DigramTableLayoutTest, SlotBytes) {
+  // The grammar's index is DigramTable<uint32_t>: two 64-bit key words,
+  // a 32-bit value, the tag and displacement bytes, padded to 24.
+  EXPECT_EQ(DigramTable<uint32_t>::SlotBytes, 24u);
+  EXPECT_EQ(DigramTable<uint64_t>::SlotBytes, 32u);
+  DigramTable<uint32_t> T;
+  EXPECT_EQ(T.capacity(), 64u);
+  for (uint64_t I = 0; I != 1000; ++I)
+    T.insert(I, I + 1, 0, static_cast<uint32_t>(I));
+  // Load factor 0.7 on a power-of-two capacity.
+  EXPECT_EQ(T.capacity(), 2048u);
+}
+
+TYPED_TEST(DigramTableTest, InsertFindErase) {
+  using Table = DigramTable<TypeParam>;
+  Table T;
+  EXPECT_EQ(T.findSlot(1, 2, 0), Table::Npos);
+  T.insert(1, 2, 0, TypeParam(42));
   size_t Slot = T.findSlot(1, 2, 0);
-  ASSERT_NE(Slot, DigramTable<int>::Npos);
-  EXPECT_EQ(T.valueAt(Slot), 42);
+  ASSERT_NE(Slot, Table::Npos);
+  EXPECT_EQ(T.valueAt(Slot), TypeParam(42));
   // Same values, different tags: distinct key.
-  EXPECT_EQ(T.findSlot(1, 2, 1), DigramTable<int>::Npos);
+  EXPECT_EQ(T.findSlot(1, 2, 1), Table::Npos);
   T.eraseSlot(Slot);
-  EXPECT_EQ(T.findSlot(1, 2, 0), DigramTable<int>::Npos);
+  EXPECT_EQ(T.findSlot(1, 2, 0), Table::Npos);
   EXPECT_EQ(T.size(), 0u);
 }
 
-TEST(DigramTableTest, SurvivesGrowthAndChurn) {
-  DigramTable<uint64_t> T;
+TYPED_TEST(DigramTableTest, SurvivesGrowthAndChurn) {
+  using Table = DigramTable<TypeParam>;
+  Table T;
   Rng R(3);
   constexpr uint64_t N = 20000;
   for (uint64_t I = 0; I != N; ++I)
-    T.insert(I, I * 3, static_cast<uint8_t>(I & 3), I);
+    T.insert(I, I * 3, static_cast<uint8_t>(I & 3), TypeParam(I));
   EXPECT_EQ(T.size(), N);
   // Erase a random half, then verify every membership answer.
   std::vector<bool> Erased(N, false);
   for (uint64_t I = 0; I != N; ++I)
     if (R.nextBool(0.5)) {
       size_t Slot = T.findSlot(I, I * 3, static_cast<uint8_t>(I & 3));
-      ASSERT_NE(Slot, DigramTable<uint64_t>::Npos);
+      ASSERT_NE(Slot, Table::Npos);
       T.eraseSlot(Slot);
       Erased[I] = true;
     }
   for (uint64_t I = 0; I != N; ++I) {
     size_t Slot = T.findSlot(I, I * 3, static_cast<uint8_t>(I & 3));
     if (Erased[I]) {
-      EXPECT_EQ(Slot, DigramTable<uint64_t>::Npos);
+      EXPECT_EQ(Slot, Table::Npos);
     } else {
-      ASSERT_NE(Slot, DigramTable<uint64_t>::Npos);
-      EXPECT_EQ(T.valueAt(Slot), I);
+      ASSERT_NE(Slot, Table::Npos);
+      EXPECT_EQ(T.valueAt(Slot), TypeParam(I));
     }
   }
 }
 
-TEST(DigramTableTest, CollisionHeavyKeysKeepShortProbes) {
+TYPED_TEST(DigramTableTest, CollisionHeavyKeysKeepShortProbes) {
   // Regression guard: the adversarial families that defeated the old
   // folded hash (large strides, aligned bases, consecutive rule ids)
   // must keep robin-hood probe sequences short. With a sound hash at
@@ -149,24 +169,54 @@ TEST(DigramTableTest, CollisionHeavyKeysKeepShortProbes) {
       {"rule_ids", 0, 1},
   };
   for (const Family &F : Families) {
-    DigramTable<uint64_t> T;
+    DigramTable<TypeParam> T;
     for (uint64_t I = 0; I != 8192; ++I)
-      T.insert(F.Base + I * F.Stride, F.Base + (I + 1) * F.Stride, 0, I);
+      T.insert(F.Base + I * F.Stride, F.Base + (I + 1) * F.Stride, 0,
+               TypeParam(I));
     EXPECT_LE(T.maxProbeLength(), 12u) << F.Name;
   }
 }
 
-TEST(DigramTableTest, ForEachVisitsEveryEntry) {
-  DigramTable<uint64_t> T;
+TYPED_TEST(DigramTableTest, FindOrInsertMatchesFindThenInsert) {
+  // findOrInsert is findSlot + insert in one walk: the same answers and,
+  // through every growth step, the same slot layout.
+  using Table = DigramTable<TypeParam>;
+  Table Split, Fused;
+  Rng R(11);
+  for (uint64_t I = 0; I != 5000; ++I) {
+    uint64_t V1 = R.nextBelow(3000) * 64, V2 = R.nextBelow(4);
+    uint8_t Tags = static_cast<uint8_t>(R.nextBelow(4));
+    size_t Slot = Split.findSlot(V1, V2, Tags);
+    if (Slot == Table::Npos)
+      Split.insert(V1, V2, Tags, TypeParam(I));
+    size_t FusedSlot = Fused.findOrInsert(V1, V2, Tags, TypeParam(I));
+    ASSERT_EQ(FusedSlot, Slot) << I;
+    if (Slot != Table::Npos)
+      EXPECT_EQ(Fused.valueAt(FusedSlot), Split.valueAt(Slot));
+  }
+  EXPECT_EQ(Fused.size(), Split.size());
+  EXPECT_EQ(Fused.capacity(), Split.capacity());
+  std::vector<uint64_t> A, B;
+  Split.forEach([&](uint64_t V1, uint64_t V2, uint8_t Tags, TypeParam V) {
+    A.insert(A.end(), {V1, V2, Tags, static_cast<uint64_t>(V)});
+  });
+  Fused.forEach([&](uint64_t V1, uint64_t V2, uint8_t Tags, TypeParam V) {
+    B.insert(B.end(), {V1, V2, Tags, static_cast<uint64_t>(V)});
+  });
+  EXPECT_EQ(A, B);
+}
+
+TYPED_TEST(DigramTableTest, ForEachVisitsEveryEntry) {
+  DigramTable<TypeParam> T;
   constexpr uint64_t N = 1000;
   for (uint64_t I = 0; I != N; ++I)
-    T.insert(I, I + 1, 0, I);
+    T.insert(I, I + 1, 0, TypeParam(I));
   std::vector<bool> Seen(N, false);
-  T.forEach([&](uint64_t V1, uint64_t V2, uint8_t Tags, uint64_t Value) {
+  T.forEach([&](uint64_t V1, uint64_t V2, uint8_t Tags, TypeParam Value) {
     EXPECT_EQ(V2, V1 + 1);
     EXPECT_EQ(Tags, 0);
-    EXPECT_EQ(Value, V1);
-    ASSERT_LT(Value, N);
+    EXPECT_EQ(static_cast<uint64_t>(Value), V1);
+    ASSERT_LT(static_cast<uint64_t>(Value), N);
     EXPECT_FALSE(Seen[Value]);
     Seen[Value] = true;
   });

@@ -160,6 +160,10 @@ TEST(SpscQueueTest, TelemetryTracksDepthWatermarkAndStalls) {
   ASSERT_TRUE(Q.push(5));
   ASSERT_TRUE(Q.push(6));
   support::ScopedThread Consumer([&] {
+    // Drain only once the producer has stalled; popping earlier would
+    // make room before push(7) and leave nothing to count.
+    while (Q.telemetry().PushStalls == 0) {
+    }
     int X;
     for (int I = 0; I != 5; ++I)
       EXPECT_TRUE(Q.pop(X));
@@ -179,8 +183,9 @@ TEST(QueueWorkerTest, TelemetryReportsQueueAndBusyTime) {
     support::QueueWorker<int> Worker(
         /*QueueCapacity=*/16, [](int &) {
           // Enough work that steady_clock registers nonzero busy time.
-          volatile int Spin = 0;
-          for (int I = 0; I != 100000; ++I)
+          // Unsigned, so the running sum wraps instead of overflowing.
+          volatile unsigned Spin = 0;
+          for (unsigned I = 0; I != 100000; ++I)
             Spin = Spin + I;
         });
     for (int I = 0; I != 10; ++I)

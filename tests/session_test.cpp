@@ -314,6 +314,46 @@ TEST(SessionManagerTest, IdleLruSessionEvictedUnderBudget) {
   std::remove(Path.c_str());
 }
 
+TEST(ProfileSessionTest, MemoryEstimateCountsGrammarFootprints) {
+  // The estimate SessionManager's budget ranks sessions by must cover
+  // the real bytes of the four WHOMP grammars (slabs plus digram-index
+  // capacity) and grow as more blocks are replayed.
+  std::string Path = tempPath("estimate.orpt");
+  recordTrace("164.gzip-a", Path);
+  traceio::TraceReader Reader;
+  ASSERT_TRUE(Reader.open(Path)) << Reader.error();
+  ASSERT_GT(Reader.info().NumBlocks, 8u);
+  session::ProfileSession Session("estimate", configFor(Reader));
+  ASSERT_NE(Session.whomp(), nullptr);
+
+  auto GrammarBytes = [&] {
+    size_t Bytes = 0;
+    for (core::Dimension D :
+         {core::Dimension::Instruction, core::Dimension::Group,
+          core::Dimension::Object, core::Dimension::Offset})
+      Bytes += Session.whomp()->grammarFor(D).footprintBytes();
+    return Bytes;
+  };
+  const size_t Initial = Session.memoryEstimateBytes();
+  EXPECT_GE(Initial, GrammarBytes());
+  std::vector<size_t> Estimates;
+  ASSERT_TRUE(Session.replayFrom(
+      Reader, /*DecodeThreads=*/1, 0, ~static_cast<uint64_t>(0),
+      [&](uint64_t) {
+        size_t Est = Session.memoryEstimateBytes();
+        EXPECT_GE(Est, GrammarBytes());
+        Estimates.push_back(Est);
+      }))
+      << Session.error();
+  ASSERT_EQ(Estimates.size(), Reader.info().NumBlocks);
+  EXPECT_GT(Estimates.back(), Estimates.front());
+  EXPECT_GT(Estimates.front(), Initial);
+  // Every grammar has at least one symbol slab by now, so the grammar
+  // share alone exceeds four 128 KiB slabs.
+  EXPECT_GE(GrammarBytes(), 4u * 128 * 1024);
+  std::remove(Path.c_str());
+}
+
 //===----------------------------------------------------------------------===//
 // Corruption isolation
 //===----------------------------------------------------------------------===//

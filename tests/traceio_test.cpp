@@ -232,6 +232,29 @@ TEST(TraceIoTest, InfoAndRegistryMatchTheRecordedRun) {
   std::remove(Path.c_str());
 }
 
+TEST(TraceIoTest, FileBytesEqualsTheOnDiskSize) {
+  // open() sizes its image from the file length and reads it in one
+  // pass; the image must hold exactly the file, no more and no less.
+  std::string Path = tempPath("filebytes.orpt");
+  recordRun("164.gzip-a", Path);
+  std::FILE *File = std::fopen(Path.c_str(), "rb");
+  ASSERT_NE(File, nullptr);
+  ASSERT_EQ(std::fseek(File, 0, SEEK_END), 0);
+  long OnDisk = std::ftell(File);
+  std::fclose(File);
+  ASSERT_GT(OnDisk, 64 * 1024) << "trace too small to span read chunks";
+
+  traceio::TraceReader Reader;
+  ASSERT_TRUE(Reader.open(Path)) << Reader.error();
+  EXPECT_EQ(Reader.info().FileBytes, static_cast<uint64_t>(OnDisk));
+  EXPECT_TRUE(Reader.forEachEvent([](const traceio::TraceEvent &) {}));
+  std::remove(Path.c_str());
+
+  traceio::TraceReader Missing;
+  EXPECT_FALSE(Missing.open(Path));
+  EXPECT_EQ(Missing.error(), Path + ": cannot open file");
+}
+
 TEST(TraceIoTest, EmptyTraceRoundTrips) {
   std::string Path = tempPath("empty.orpt");
   {
