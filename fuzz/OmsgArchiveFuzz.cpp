@@ -4,10 +4,12 @@
 // reject or cleanly parse ANY byte string — no crash, no sanitizer
 // report, no grammar-expansion blowup (the checked Sequitur expander
 // enforces terminal and step budgets). Accepted parses must be
-// serialization fixpoints, and the digest/merge path over accepted
-// archives must hold. Inputs are exercised raw and re-framed under
-// freshly checksummed OMSA/OMST headers so mutations reach the payload
-// decoders, not just the CRC gate.
+// serialization fixpoints, each dimension's cursor must expand to what
+// the checked expander produces from the same image, and the
+// digest/merge path over accepted archives must hold. Inputs are
+// exercised raw and re-framed under freshly checksummed OMSA/OMST
+// headers so mutations reach the payload decoders, not just the CRC
+// gate.
 //
 //===----------------------------------------------------------------------===//
 
@@ -44,6 +46,20 @@ static void checkArchiveImage(const std::vector<uint8_t> &Bytes) {
   if (!whomp::OmsgArchive::deserialize(Bytes, Out, Err)) {
     ORP_FUZZ_REQUIRE(!Err.empty(), "rejected archive without a diagnostic");
     return;
+  }
+  // Every accepted image expands, through its cursor, to exactly what the
+  // checked expander produces from the same bytes.
+  for (size_t D = 0; D != Out.numDimensions(); ++D) {
+    const std::vector<uint8_t> &Image = Out.grammarImages()[D].bytes();
+    std::vector<uint64_t> Expanded;
+    ORP_FUZZ_REQUIRE(sequitur::SequiturGrammar::deserializeAndExpandChecked(
+                         Image.data(), Image.size(), Expanded, Err),
+                     "accepted grammar image fails the checked expander");
+    sequitur::ImageCursor C = Out.cursor(D);
+    for (uint64_t Want : Expanded)
+      ORP_FUZZ_REQUIRE(!C.done() && C.next() == Want,
+                       "cursor expansion differs from the checked expander");
+    ORP_FUZZ_REQUIRE(C.done(), "cursor expansion runs past the image");
   }
   std::vector<uint8_t> Canonical = Out.serialize();
   whomp::OmsgArchive Again;

@@ -23,23 +23,28 @@ void OffsetPairScanner::consume(const core::OrTuple &T) {
 OffsetPairCounts
 orp::advisor::offsetPairsFromArchive(const whomp::OmsgArchive &Archive) {
   OffsetPairCounts Counts;
-  // Streams are (instr, group, object, offset); walking them in lockstep
-  // replays the tuple stream losslessly.
-  const auto &Streams = Archive.dimensionStreams();
-  if (Streams.size() < 4)
+  // Dimensions are (instr, group, object, offset); walking the last three
+  // cursors in lockstep replays the tuple stream losslessly.
+  if (Archive.numDimensions() < 4)
     return Counts;
-  const std::vector<uint64_t> &Groups = Streams[1];
-  const std::vector<uint64_t> &Objects = Streams[2];
-  const std::vector<uint64_t> &Offsets = Streams[3];
-  size_t N = std::min({Groups.size(), Objects.size(), Offsets.size()});
-  for (size_t I = 1; I < N; ++I) {
-    if (Groups[I] != Groups[I - 1] || Objects[I] != Objects[I - 1] ||
-        Offsets[I] == Offsets[I - 1])
+  sequitur::ImageCursor Groups = Archive.cursor(1);
+  sequitur::ImageCursor Objects = Archive.cursor(2);
+  sequitur::ImageCursor Offsets = Archive.cursor(3);
+  if (Groups.done() || Objects.done() || Offsets.done())
+    return Counts;
+  uint64_t Group = Groups.next(), Object = Objects.next(),
+           Offset = Offsets.next();
+  while (!Groups.done() && !Objects.done() && !Offsets.done()) {
+    uint64_t PrevGroup = Group, PrevObject = Object, PrevOffset = Offset;
+    Group = Groups.next();
+    Object = Objects.next();
+    Offset = Offsets.next();
+    if (Group != PrevGroup || Object != PrevObject || Offset == PrevOffset)
       continue;
-    uint64_t A = Offsets[I - 1], B = Offsets[I];
+    uint64_t A = PrevOffset, B = Offset;
     if (A > B)
       std::swap(A, B);
-    ++Counts[OffsetPairKey{static_cast<omc::GroupId>(Groups[I]), A, B}];
+    ++Counts[OffsetPairKey{static_cast<omc::GroupId>(Group), A, B}];
   }
   return Counts;
 }

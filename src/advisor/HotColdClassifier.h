@@ -88,8 +88,9 @@ private:
   core::OrTuple Prev{};
 };
 
-/// Recovers the back-to-back same-object offset pairs from an archive's
-/// expanded dimension streams (the lossless tuple reconstruction).
+/// Recovers the back-to-back same-object offset pairs from an archive by
+/// walking its group, object and offset cursors in lockstep (the lossless
+/// tuple reconstruction, never materialized).
 OffsetPairCounts offsetPairsFromArchive(const whomp::OmsgArchive &Archive);
 
 /// Ranks raw pair counts into layout advice: drops pairs below

@@ -30,6 +30,18 @@ namespace {
 /// Node indices are 32-bit: an arena refuses the slab that would hold
 /// index 2^32.
 constexpr uint64_t kIndexSpace = uint64_t(1) << 32;
+
+/// Decodes a symbol code that parseImageChecked already validated.
+[[gnu::always_inline]] inline uint64_t decodeValidated(const uint8_t *Data,
+                                                       size_t &Pos) {
+  uint64_t Code = 0;
+  for (unsigned Shift = 0;; Shift += 7) {
+    uint8_t B = Data[Pos++];
+    Code |= static_cast<uint64_t>(B & 0x7f) << Shift;
+    if (!(B & 0x80))
+      return Code;
+  }
+}
 } // namespace
 
 ORP_SEQ_INLINE SequiturGrammar::NodeIdx SequiturGrammar::allocSymbol() {
@@ -478,84 +490,250 @@ std::vector<uint64_t> SequiturGrammar::expandAll() const {
   return Out;
 }
 
-std::vector<uint8_t> SequiturGrammar::serialize() const {
+template <typename EmitFn>
+void SequiturGrammar::forEachImageCode(EmitFn &&Emit) const {
   std::vector<uint64_t> Ids;
   std::vector<NodeIdx> Order = reachableRules(&Ids);
-
-  std::vector<uint8_t> Out;
-  encodeULEB128(Order.size(), Out);
-  encodeULEB128(InputLen, Out);
+  Emit(Order.size());
+  Emit(InputLen);
+  // Symbol encoding per rule: (terminal << 1) or (ruleIndex << 1 | 1).
   for (NodeIdx R : Order) {
     NodeIdx Guard = rule(R).Guard;
     size_t BodyLen = 0;
     for (NodeIdx S = sym(Guard).Next; S != Guard; S = sym(S).Next)
       ++BodyLen;
-    encodeULEB128(BodyLen, Out);
+    Emit(BodyLen);
     for (NodeIdx I = sym(Guard).Next; I != Guard; I = sym(I).Next) {
       const Symbol &S = sym(I);
       if (S.isNonTerminal()) {
-        encodeULEB128((Ids[S.RuleRef] << 1) | 1, Out);
+        Emit((Ids[S.RuleRef] << 1) | 1);
       } else {
         assert(S.Value < (1ULL << 63) &&
                "terminal too large for tagged encoding");
-        encodeULEB128(S.Value << 1, Out);
+        Emit(S.Value << 1);
       }
     }
   }
+}
+
+std::vector<uint8_t> SequiturGrammar::serialize() const {
+  std::vector<uint8_t> Out;
+  forEachImageCode([&](uint64_t V) { encodeULEB128(V, Out); });
   return Out;
 }
 
 size_t SequiturGrammar::serializedSizeBytes() const {
-  return serialize().size();
+  size_t Size = 0;
+  forEachImageCode([&](uint64_t V) { Size += sizeULEB128(V); });
+  return Size;
 }
 
-std::vector<uint64_t>
-SequiturGrammar::deserializeAndExpand(const std::vector<uint8_t> &Bytes) {
+bool SequiturGrammar::parseImageChecked(std::vector<uint8_t> Bytes,
+                                        ParsedImage &Out, std::string &Err,
+                                        uint64_t MaxTerminals) {
+  Out = ParsedImage();
+  const uint8_t *Data = Bytes.data();
+  const size_t Size = Bytes.size();
   size_t Pos = 0;
-  uint64_t NumRules = decodeULEB128(Bytes, Pos);
-  uint64_t ExpectLen = decodeULEB128(Bytes, Pos);
-  // Symbol encoding per rule: (terminal << 1) or (ruleIndex << 1 | 1).
-  std::vector<std::vector<uint64_t>> Bodies(NumRules);
-  for (uint64_t R = 0; R != NumRules; ++R) {
-    uint64_t BodyLen = decodeULEB128(Bytes, Pos);
-    Bodies[R].reserve(BodyLen);
-    for (uint64_t I = 0; I != BodyLen; ++I)
-      Bodies[R].push_back(decodeULEB128(Bytes, Pos));
-  }
+  auto ReadU = [&](const char *What, uint64_t &Value) {
+    VarIntStatus S = decodeULEB128Fast(Data, Size, Pos, Value);
+    if (S != VarIntStatus::Ok) {
+      Err = std::string("sequitur image: ") + What + ": " +
+            varIntStatusName(S) + " varint";
+      return false;
+    }
+    return true;
+  };
+  auto Fail = [&](std::string Msg) {
+    Err = "sequitur image: " + std::move(Msg);
+    return false;
+  };
+  uint64_t NumRules = 0, ExpectLen = 0;
+  if (!ReadU("rule count", NumRules) || !ReadU("input length", ExpectLen))
+    return false;
   if (NumRules == 0)
-    ORP_FATAL_ERROR("sequitur image: no rules");
-  std::vector<uint64_t> Out;
-  Out.reserve(ExpectLen);
-  // Iterative expansion over (rule, position) frames. The input may be a
-  // corrupted image, so every structural assumption is checked: rule
-  // references must be in range, nesting deeper than the rule count
-  // means a reference cycle, and the expansion must match the declared
-  // length exactly.
-  std::vector<std::pair<uint64_t, size_t>> Stack;
-  Stack.emplace_back(0, 0);
+    return Fail("no rules");
+  // Every rule needs at least its body-length byte, so a rule count past
+  // the remaining bytes is corruption — and would otherwise size the
+  // Rules table from attacker-chosen input.
+  if (NumRules > Size - Pos + 1)
+    return Fail("rule count exceeds remaining bytes");
+  if (ExpectLen > MaxTerminals)
+    return Fail("declared expansion of " + std::to_string(ExpectLen) +
+                " terminals exceeds the cap of " +
+                std::to_string(MaxTerminals));
+  std::vector<ParsedImage::Rule> Rules(NumRules);
+  for (ParsedImage::Rule &Rule : Rules) {
+    uint64_t BodyLen = 0, Code = 0;
+    if (!ReadU("body length", BodyLen))
+      return false;
+    if (BodyLen > Size - Pos) // Each symbol is at least one byte.
+      return Fail("body length exceeds remaining bytes");
+    Rule.Symbols.Begin = Pos;
+    for (uint64_t I = 0; I != BodyLen; ++I)
+      if (!ReadU("symbol", Code))
+        return false;
+    Rule.Symbols.End = Pos;
+  }
+  if (Pos != Size)
+    return Fail("trailing bytes");
+
+  // Counting walk of the expansion, one step per loop turn, with a step
+  // budget: a well-formed grammar expands in O(ExpectLen) steps (every
+  // rule body has two or more symbols), so blowing the budget means
+  // degenerate empty-body chains rather than slow legitimate input. Once
+  // a rule's expansion has completed, its step count, length and nesting
+  // height are known, and a later use skips the rule whenever none of
+  // the checks could fire inside it — so the walk costs the grammar's
+  // size, yet every diagnostic is the one a step-by-step walk reports.
+  struct Summary {
+    uint64_t Steps = 0, Len = 0, Height = 0;
+    bool Known = false;
+  };
+  struct Frame {
+    uint64_t Rule;
+    ParsedImage::Body Rest;
+    uint64_t StepsBase, LenBase, Height;
+  };
+  std::vector<Summary> Sums(NumRules);
+  std::vector<uint64_t> Finished; ///< Rules in completion order.
+  const uint64_t MaxSteps = 64 + 4 * ExpectLen + 4 * NumRules;
+  uint64_t Steps = 0, Len = 0;
+  std::vector<Frame> Stack;
+  Stack.push_back(Frame{0, Rules[0].Symbols, 0, 0, 0});
   while (!Stack.empty()) {
-    auto &[RuleIdx, At] = Stack.back();
-    if (At == Bodies[RuleIdx].size()) {
+    if (++Steps > MaxSteps)
+      return Fail("expansion exceeds its step budget");
+    Frame &Top = Stack.back();
+    if (Top.Rest.Begin == Top.Rest.End) {
+      Sums[Top.Rule] = Summary{Steps - Top.StepsBase, Len - Top.LenBase,
+                               Top.Height, true};
+      Finished.push_back(Top.Rule);
+      uint64_t Height = Top.Height;
       Stack.pop_back();
+      if (!Stack.empty())
+        Stack.back().Height = std::max(Stack.back().Height, Height + 1);
       continue;
     }
-    uint64_t Code = Bodies[RuleIdx][At++];
-    if (Code & 1) {
-      uint64_t Ref = Code >> 1;
-      if (Ref >= NumRules)
-        ORP_FATAL_ERROR("sequitur image: rule reference out of range");
-      if (Stack.size() >= NumRules)
-        ORP_FATAL_ERROR("sequitur image: cyclic rule references");
-      Stack.emplace_back(Ref, 0);
-    } else {
-      if (Out.size() == ExpectLen)
-        ORP_FATAL_ERROR("sequitur image: expansion exceeds declared length");
-      Out.push_back(Code >> 1);
+    uint64_t Code = decodeValidated(Data, Top.Rest.Begin);
+    if (!(Code & 1)) {
+      if (Len == ExpectLen)
+        return Fail("expansion exceeds declared length");
+      ++Len;
+      continue;
     }
+    uint64_t Ref = Code >> 1;
+    if (Ref >= NumRules)
+      return Fail("rule reference out of range");
+    if (Stack.size() >= NumRules)
+      return Fail("cyclic rule references");
+    // Inside Ref, frames are pushed at stack sizes Stack.size() + 1 up to
+    // Stack.size() + Height; the cycle check fires at NumRules.
+    const Summary &S = Sums[Ref];
+    if (S.Known && S.Steps <= MaxSteps - Steps && S.Len <= ExpectLen - Len &&
+        S.Height < NumRules - Stack.size()) {
+      Steps += S.Steps;
+      Len += S.Len;
+      Top.Height = std::max(Top.Height, S.Height + 1);
+      continue;
+    }
+    Stack.push_back(Frame{Ref, Rules[Ref].Symbols, Steps, Len, 0});
   }
-  if (Out.size() != ExpectLen)
-    ORP_FATAL_ERROR("sequitur image: deserialized length mismatch");
+  if (Len != ExpectLen)
+    return Fail("deserialized length mismatch");
+
+  // Cache short expansions, children before parents (completion order).
+  std::vector<uint64_t> &Cache = Out.ShortExpansions;
+  for (uint64_t R : Finished) {
+    uint64_t RuleLen = Sums[R].Len;
+    if (RuleLen == 0 || RuleLen > ParsedImage::kShortRule ||
+        RuleLen > ExpectLen - Cache.size())
+      continue;
+    size_t At = Cache.size();
+    for (size_t P = Rules[R].Symbols.Begin; P != Rules[R].Symbols.End;) {
+      uint64_t Code = decodeValidated(Data, P);
+      if (!(Code & 1)) {
+        Cache.push_back(Code >> 1);
+        continue;
+      }
+      uint64_t Child = Rules[Code >> 1].Short;
+      if (Child == 0 && Sums[Code >> 1].Len != 0) // Not cached: the cap.
+        break;
+      for (uint64_t K = Child >> 5, E = K + (Child & 31); K != E; ++K)
+        Cache.push_back(Cache[K]);
+    }
+    if (Cache.size() - At == RuleLen)
+      Rules[R].Short = (uint64_t(At) << 5) | RuleLen;
+    else
+      Cache.resize(At);
+  }
+  Out.Bytes = std::move(Bytes);
+  Out.Rules = std::move(Rules);
+  Out.Length = ExpectLen;
+  Out.MaxDepth = Sums[0].Height + 1;
+  return true;
+}
+
+ImageCursor::ImageCursor(const ParsedImage &Image)
+    : Image(&Image), Left(Image.Length) {
+  if (Left == 0)
+    return;
+  Stack.resize(Image.MaxDepth);
+  Stack[0] = Image.Rules[0].Symbols;
+  Depth = 1;
+}
+
+void ImageCursor::refill() {
+  const uint8_t *Data = Image->Bytes.data();
+  const ParsedImage::Rule *Rules = Image->Rules.data();
+  const uint64_t *Cache = Image->ShortExpansions.data();
+  ParsedImage::Body *Bottom = Stack.data();
+  ParsedImage::Body *Top = Bottom + Depth - 1;
+  unsigned Want = static_cast<unsigned>(std::min<uint64_t>(Left, kChunk));
+  unsigned I = 0;
+  // The parse proved the expansion is exactly Length terminals and at
+  // most MaxDepth frames deep, so the stack bound is never checked. The
+  // top frame is kept non-empty: finished bodies are popped as soon as
+  // their last symbol is read, and a rule used as the last symbol of a
+  // body replaces that body's frame instead of nesting under it. A cached
+  // rule may overshoot Want by less than kShortRule terminals.
+  while (I < Want) {
+    uint64_t Code = decodeValidated(Data, Top->Begin);
+    if (!(Code & 1)) {
+      Buffer[I++] = Code >> 1;
+    } else if (uint64_t Short = Rules[Code >> 1].Short) {
+      const uint64_t *From = Cache + (Short >> 5);
+      for (unsigned K = 0, N = Short & 31; K != N; ++K)
+        Buffer[I++] = From[K];
+    } else if (Top->Begin == Top->End) {
+      *Top = Rules[Code >> 1].Symbols;
+    } else {
+      *++Top = Rules[Code >> 1].Symbols;
+    }
+    while (Top->Begin == Top->End && Top != Bottom)
+      --Top;
+  }
+  Depth = static_cast<size_t>(Top - Bottom) + 1;
+  Left -= I;
+  Head = 0;
+  Tail = I;
+}
+
+std::vector<uint64_t> ParsedImage::expand() const {
+  std::vector<uint64_t> Out;
+  Out.reserve(Length);
+  for (ImageCursor C(*this); !C.done();)
+    Out.push_back(C.next());
   return Out;
+}
+
+bool orp::sequitur::sameExpansion(const ParsedImage &A, const ParsedImage &B) {
+  if (A.length() != B.length())
+    return false;
+  for (ImageCursor CA(A), CB(B); !CA.done();)
+    if (CA.next() != CB.next())
+      return false;
+  return true;
 }
 
 bool SequiturGrammar::deserializeAndExpandChecked(const uint8_t *Data,
@@ -564,102 +742,21 @@ bool SequiturGrammar::deserializeAndExpandChecked(const uint8_t *Data,
                                                   std::string &Err,
                                                   uint64_t MaxTerminals) {
   Out.clear();
-  size_t Pos = 0;
-  auto ReadU = [&](const char *What, uint64_t &Value) {
-    VarIntStatus S = decodeULEB128Checked(Data, Size, Pos, Value);
-    if (S != VarIntStatus::Ok) {
-      Err = std::string("sequitur image: ") + What + ": " +
-            varIntStatusName(S) + " varint";
-      return false;
-    }
-    return true;
-  };
-  uint64_t NumRules = 0, ExpectLen = 0;
-  if (!ReadU("rule count", NumRules) || !ReadU("input length", ExpectLen))
+  ParsedImage Image;
+  if (!parseImageChecked(std::vector<uint8_t>(Data, Data + Size), Image, Err,
+                         MaxTerminals))
     return false;
-  if (NumRules == 0) {
-    Err = "sequitur image: no rules";
-    return false;
-  }
-  // Every rule needs at least its body-length byte, so a rule count past
-  // the remaining bytes is corruption — and would otherwise size the
-  // Bodies table from attacker-chosen input.
-  if (NumRules > Size - Pos + 1) {
-    Err = "sequitur image: rule count exceeds remaining bytes";
-    return false;
-  }
-  if (ExpectLen > MaxTerminals) {
-    Err = "sequitur image: declared expansion of " +
-          std::to_string(ExpectLen) + " terminals exceeds the cap of " +
-          std::to_string(MaxTerminals);
-    return false;
-  }
-  std::vector<std::vector<uint64_t>> Bodies(NumRules);
-  for (uint64_t R = 0; R != NumRules; ++R) {
-    uint64_t BodyLen = 0;
-    if (!ReadU("body length", BodyLen))
-      return false;
-    if (BodyLen > Size - Pos) { // Each symbol is at least one byte.
-      Err = "sequitur image: body length exceeds remaining bytes";
-      return false;
-    }
-    Bodies[R].reserve(BodyLen);
-    for (uint64_t I = 0; I != BodyLen; ++I) {
-      uint64_t Code = 0;
-      if (!ReadU("symbol", Code))
-        return false;
-      Bodies[R].push_back(Code);
-    }
-  }
-  if (Pos != Size) {
-    Err = "sequitur image: trailing bytes";
-    return false;
-  }
-  Out.reserve(static_cast<size_t>(
-      std::min<uint64_t>(ExpectLen, 1ULL << 20)));
-  // Same iterative expansion as the trusted path, plus a step budget: a
-  // well-formed grammar expands in O(ExpectLen) steps (every rule body
-  // has two or more symbols), so blowing the budget means degenerate
-  // empty-body chains rather than slow legitimate input.
-  uint64_t Steps = 0;
-  const uint64_t MaxSteps = 64 + 4 * ExpectLen + 4 * NumRules;
-  std::vector<std::pair<uint64_t, size_t>> Stack;
-  Stack.emplace_back(0, 0);
-  while (!Stack.empty()) {
-    if (++Steps > MaxSteps) {
-      Err = "sequitur image: expansion exceeds its step budget";
-      return false;
-    }
-    auto &[RuleIdx, At] = Stack.back();
-    if (At == Bodies[RuleIdx].size()) {
-      Stack.pop_back();
-      continue;
-    }
-    uint64_t Code = Bodies[RuleIdx][At++];
-    if (Code & 1) {
-      uint64_t Ref = Code >> 1;
-      if (Ref >= NumRules) {
-        Err = "sequitur image: rule reference out of range";
-        return false;
-      }
-      if (Stack.size() >= NumRules) {
-        Err = "sequitur image: cyclic rule references";
-        return false;
-      }
-      Stack.emplace_back(Ref, 0);
-    } else {
-      if (Out.size() == ExpectLen) {
-        Err = "sequitur image: expansion exceeds declared length";
-        return false;
-      }
-      Out.push_back(Code >> 1);
-    }
-  }
-  if (Out.size() != ExpectLen) {
-    Err = "sequitur image: deserialized length mismatch";
-    return false;
-  }
+  Out = Image.expand();
   return true;
+}
+
+std::vector<uint64_t>
+SequiturGrammar::deserializeAndExpand(const std::vector<uint8_t> &Bytes) {
+  ParsedImage Image;
+  std::string Err;
+  if (!parseImageChecked(Bytes, Image, Err, ~uint64_t(0)))
+    ORP_FATAL_ERROR(Err.c_str());
+  return Image.expand();
 }
 
 std::string SequiturGrammar::dump() const {

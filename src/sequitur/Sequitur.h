@@ -48,6 +48,80 @@ class GrammarValidator;
 
 namespace sequitur {
 
+/// A grammar image that SequiturGrammar::parseImageChecked accepted: the
+/// serialize()d bytes, the byte range of every rule body, and the
+/// expansions of the short rules, which let an ImageCursor copy the
+/// bottom levels of the parse tree instead of walking them. The stream
+/// itself is never stored; ImageCursor expands it on demand.
+class ParsedImage {
+public:
+  /// Rules that expand to at most this many terminals are cached, as
+  /// long as the cache stays smaller than the stream.
+  static constexpr unsigned kShortRule = 16;
+
+  /// Terminals the image expands to (declared, and checked on parse).
+  uint64_t length() const { return Length; }
+  /// The serialize()d bytes.
+  const std::vector<uint8_t> &bytes() const { return Bytes; }
+  /// Materializes the whole expansion.
+  std::vector<uint64_t> expand() const;
+
+private:
+  friend class SequiturGrammar;
+  friend class ImageCursor;
+  /// Byte range [Begin, End) of symbol codes in Bytes.
+  struct Body {
+    size_t Begin;
+    size_t End;
+  };
+  struct Rule {
+    Body Symbols;
+    /// (Offset in ShortExpansions << 5) | length, or 0 when not cached.
+    uint64_t Short;
+  };
+  std::vector<uint8_t> Bytes;
+  std::vector<Rule> Rules; ///< Indexed by dense rule id; 0 = start rule.
+  std::vector<uint64_t> ShortExpansions;
+  uint64_t Length = 0;
+  size_t MaxDepth = 0; ///< Deepest nesting of rule frames in the expansion.
+};
+
+/// Pull cursor over a ParsedImage's expansion. An explicit stack of rule
+/// frames, sized once from the parse, refills a small buffer a chunk at a
+/// time, so walking a stream costs the grammar's nesting depth in memory,
+/// not the stream's length. Cursors over sibling dimensions walk the
+/// tuple stream in lockstep. The image must outlive the cursor.
+class ImageCursor {
+public:
+  explicit ImageCursor(const ParsedImage &Image);
+
+  /// True once every terminal has been produced.
+  bool done() const { return Head == Tail && Left == 0; }
+
+  /// Returns the next terminal. Requires !done().
+  uint64_t next() {
+    if (Head == Tail)
+      refill();
+    return Buffer[Head++];
+  }
+
+private:
+  /// Terminals per refill, before the last cached rule's overshoot.
+  static constexpr unsigned kChunk = 64;
+  void refill();
+
+  const ParsedImage *Image;
+  std::vector<ParsedImage::Body> Stack; ///< Unread rest of each open body.
+  size_t Depth = 0;  ///< Open frames.
+  uint64_t Left;     ///< Terminals not yet buffered.
+  unsigned Head = 0; ///< Buffer[Head, Tail) is produced but unread.
+  unsigned Tail = 0;
+  uint64_t Buffer[kChunk + ParsedImage::kShortRule];
+};
+
+/// True when \p A and \p B expand to the same terminal sequence.
+bool sameExpansion(const ParsedImage &A, const ParsedImage &B);
+
 /// Incremental Sequitur grammar over uint64 terminal symbols.
 class SequiturGrammar {
 public:
@@ -82,29 +156,38 @@ public:
   /// serialization are the profile sizes compared in Figure 5.
   std::vector<uint8_t> serialize() const;
 
-  /// Returns serialize().size() without retaining the buffer.
+  /// Returns serialize().size(), summed from the encoded widths without
+  /// building the image.
   size_t serializedSizeBytes() const;
-
-  /// Parses a serialize()d image back into the terminal sequence.
-  /// (Round-trip check used by tests.) Fatal error on malformed input;
-  /// use the checked overload for untrusted bytes.
-  static std::vector<uint64_t> deserializeAndExpand(
-      const std::vector<uint8_t> &Bytes);
 
   /// Default cap on the expanded terminal count the checked decoder will
   /// produce: a grammar is exponentially generative, so a tiny corrupt
   /// (or hostile) image can declare an astronomically long expansion.
   static constexpr uint64_t kDefaultMaxExpandedTerminals = 1ULL << 26;
 
-  /// Bounds-checked variant of deserializeAndExpand for untrusted input.
-  /// Returns false with a diagnostic in \p Err instead of dying on
-  /// truncation, out-of-range references, cycles, length mismatches, or
+  /// Parses and validates a serialize()d image for untrusted input.
+  /// Returns false with a diagnostic in \p Err on truncation, malformed
+  /// varints, out-of-range references, cycles, length mismatches, or
   /// expansions beyond \p MaxTerminals; never reads out of bounds and
-  /// caps its allocations by the input size.
+  /// caps its allocations by the input size. Validation is a counting
+  /// walk of the expansion (memoized per rule, so it costs the grammar's
+  /// size, not the stream's); \p Out never holds the expansion itself
+  /// (see ParsedImage).
+  [[nodiscard]] static bool
+  parseImageChecked(std::vector<uint8_t> Bytes, ParsedImage &Out,
+                    std::string &Err,
+                    uint64_t MaxTerminals = kDefaultMaxExpandedTerminals);
+
+  /// parseImageChecked + full expansion, into \p Out.
   [[nodiscard]] static bool deserializeAndExpandChecked(
       const uint8_t *Data, size_t Size, std::vector<uint64_t> &Out,
       std::string &Err,
       uint64_t MaxTerminals = kDefaultMaxExpandedTerminals);
+
+  /// Trusted variant for images this process produced (round-trip
+  /// checks): dies with the checked decoder's diagnostic on bad input.
+  static std::vector<uint64_t> deserializeAndExpand(
+      const std::vector<uint8_t> &Bytes);
 
   /// Renders the grammar as text ("R0 -> R1 R1", "R1 -> a R2 R2", ...).
   std::string dump() const;
@@ -237,6 +320,9 @@ private:
   /// the result (the dense id used by serialization and dump).
   std::vector<NodeIdx>
   reachableRules(std::vector<uint64_t> *DenseIds = nullptr) const;
+
+  /// Calls \p Emit with every varint of the serialize() image, in order.
+  template <typename EmitFn> void forEachImageCode(EmitFn &&Emit) const;
 
   NodeIdx Start = NilIdx;
   uint64_t InputLen = 0;

@@ -18,22 +18,39 @@ const core::Dimension Dims[] = {
     core::Dimension::Instruction, core::Dimension::Group,
     core::Dimension::Object, core::Dimension::Offset};
 
+/// Parses an image this process just serialized from a live grammar.
+sequitur::ParsedImage parseOwnImage(std::vector<uint8_t> Image) {
+  sequitur::ParsedImage Parsed;
+  std::string Err;
+  if (!sequitur::SequiturGrammar::parseImageChecked(std::move(Image), Parsed,
+                                                    Err, ~uint64_t(0)))
+    ORP_FATAL_ERROR(Err.c_str());
+  return Parsed;
+}
+
 } // namespace
 
 OmsgArchive OmsgArchive::build(const WhompProfiler &Profiler,
                                const omc::ObjectManager *Omc) {
   OmsgArchive Archive;
-  for (core::Dimension D : Dims) {
-    const auto &Grammar = Profiler.grammarFor(D);
-    Archive.GrammarImages.push_back(Grammar.serialize());
-    Archive.Streams.push_back(Grammar.expandAll());
-  }
+  for (core::Dimension D : Dims)
+    Archive.Images.push_back(
+        parseOwnImage(Profiler.grammarFor(D).serialize()));
   if (Omc) {
     for (const auto &Rec : Omc->records())
       Archive.Aux.push_back(ObjectAux{Rec.Group, Rec.Serial, Rec.Size,
                                       Rec.AllocTime, Rec.FreeTime});
   }
   return Archive;
+}
+
+bool OmsgArchive::operator==(const OmsgArchive &O) const {
+  if (Images.size() != O.Images.size() || !(Aux == O.Aux))
+    return false;
+  for (size_t D = 0; D != Images.size(); ++D)
+    if (!sequitur::sameExpansion(Images[D], O.Images[D]))
+      return false;
+  return true;
 }
 
 // Header layout: [magic 4]["version" u8][payload CRC-32, LE u32]; the
@@ -49,10 +66,10 @@ std::vector<uint8_t> OmsgArchive::serialize() const {
   Out.insert(Out.end(), kMagic, kMagic + 4);
   Out.push_back(kFormatVersion);
   appendLE32(0, Out); // payload checksum, patched below
-  encodeULEB128(GrammarImages.size(), Out);
-  for (const auto &Image : GrammarImages) {
-    encodeULEB128(Image.size(), Out);
-    Out.insert(Out.end(), Image.begin(), Image.end());
+  encodeULEB128(Images.size(), Out);
+  for (const sequitur::ParsedImage &Image : Images) {
+    encodeULEB128(Image.bytes().size(), Out);
+    Out.insert(Out.end(), Image.bytes().begin(), Image.bytes().end());
   }
   encodeULEB128(Aux.size(), Out);
   for (const ObjectAux &Row : Aux) {
@@ -117,8 +134,7 @@ bool OmsgArchive::deserialize(const std::vector<uint8_t> &Bytes,
     Err = "OMSG archive: grammar count exceeds remaining bytes";
     return false;
   }
-  Out.GrammarImages.reserve(NumGrammars);
-  Out.Streams.reserve(NumGrammars);
+  Out.Images.reserve(NumGrammars);
   for (uint64_t G = 0; G != NumGrammars; ++G) {
     uint64_t Len = 0;
     if (!ReadU("grammar image length", Len))
@@ -127,15 +143,14 @@ bool OmsgArchive::deserialize(const std::vector<uint8_t> &Bytes,
       Err = "OMSG archive: grammar image overruns the buffer";
       return false;
     }
-    std::vector<uint8_t> Image(Bytes.begin() + Pos,
-                               Bytes.begin() + Pos + Len);
-    Pos += Len;
-    std::vector<uint64_t> Stream;
-    if (!sequitur::SequiturGrammar::deserializeAndExpandChecked(
-            Image.data(), Image.size(), Stream, Err))
+    sequitur::ParsedImage Image;
+    if (!sequitur::SequiturGrammar::parseImageChecked(
+            std::vector<uint8_t>(Bytes.begin() + Pos,
+                                 Bytes.begin() + Pos + Len),
+            Image, Err))
       return false;
-    Out.Streams.push_back(std::move(Stream));
-    Out.GrammarImages.push_back(std::move(Image));
+    Pos += Len;
+    Out.Images.push_back(std::move(Image));
   }
   uint64_t NumAux = 0;
   if (!ReadU("object count", NumAux))
@@ -182,26 +197,23 @@ bool OmsgArchive::mergeSequential(
   Out = OmsgArchive();
   if (Segments.empty())
     return true;
-  size_t NumStreams = Segments.front()->Streams.size();
+  size_t NumDims = Segments.front()->numDimensions();
   for (const OmsgArchive *Seg : Segments)
-    if (Seg->Streams.size() != NumStreams) {
+    if (Seg->numDimensions() != NumDims) {
       Err = "OMSG merge: segment dimension counts differ (" +
-            std::to_string(NumStreams) + " vs " +
-            std::to_string(Seg->Streams.size()) + ")";
+            std::to_string(NumDims) + " vs " +
+            std::to_string(Seg->numDimensions()) + ")";
       return false;
     }
-  for (size_t D = 0; D != NumStreams; ++D) {
+  for (size_t D = 0; D != NumDims; ++D) {
     // Sequitur is deterministic and streaming: feeding the concatenated
     // terminal sequence through a fresh grammar yields exactly the
     // grammar the unsplit run would have built.
     sequitur::SequiturGrammar Grammar;
-    std::vector<uint64_t> Stream;
     for (const OmsgArchive *Seg : Segments)
-      Stream.insert(Stream.end(), Seg->Streams[D].begin(),
-                    Seg->Streams[D].end());
-    Grammar.appendAll(Stream);
-    Out.GrammarImages.push_back(Grammar.serialize());
-    Out.Streams.push_back(std::move(Stream));
+      for (sequitur::ImageCursor C = Seg->cursor(D); !C.done();)
+        Grammar.append(C.next());
+    Out.Images.push_back(parseOwnImage(Grammar.serialize()));
   }
   // A checkpointed segment's OMC carries every record from the start of
   // the trace, so the last segment's aux table is the full table.

@@ -11,7 +11,9 @@
 /// information from the OMC unit. This run- and alloc-dependent
 /// information is separated from the invariant object-relative tuples"
 /// — so the archive has two parts: the invariant OMSG (four dimension
-/// grammars) and an optional auxiliary table of object lifetimes.
+/// grammars) and an optional auxiliary table of object lifetimes. The
+/// grammars stay compressed: the archive holds their validated images,
+/// and consumers read the dimension streams through cursors.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -19,6 +21,7 @@
 #define ORP_WHOMP_OMSGARCHIVE_H
 
 #include "omc/ObjectManager.h"
+#include "sequitur/Sequitur.h"
 #include "whomp/Whomp.h"
 
 #include <cstdint>
@@ -45,8 +48,9 @@ struct ObjectAux {
 /// A parsed (or freshly built) OMSG archive.
 class OmsgArchive {
 public:
-  /// Builds the invariant part from \p Profiler; when \p Omc is given,
-  /// the auxiliary lifetime table is included (base addresses — the
+  /// Builds the invariant part from \p Profiler by serializing (and
+  /// parsing) each dimension grammar; when \p Omc is given, the
+  /// auxiliary lifetime table is included (base addresses — the
   /// run-dependent raw data — are deliberately NOT stored).
   static OmsgArchive build(const WhompProfiler &Profiler,
                            const omc::ObjectManager *Omc = nullptr);
@@ -63,31 +67,43 @@ public:
 
   /// Parses a serialize()d image. Returns false (with a diagnostic in
   /// \p Err) on any malformed input — bad magic, version, checksum,
-  /// truncation, or grammar images that do not expand cleanly — and
-  /// never reads out of bounds: archive files are untrusted input.
+  /// truncation, or grammar images that fail
+  /// SequiturGrammar::parseImageChecked — and never reads out of bounds:
+  /// archive files are untrusted input. Nothing is expanded.
   [[nodiscard]] static bool deserialize(const std::vector<uint8_t> &Bytes,
                                         OmsgArchive &Out, std::string &Err);
 
   /// Concatenates the archives of consecutive trace segments into the
-  /// archive of the unsplit run: the expanded dimension streams join in
-  /// order and recompress through fresh grammars (Sequitur is a
-  /// deterministic streaming algorithm, so this reproduces the unsplit
-  /// grammars byte for byte), and the auxiliary table is taken from the
-  /// last segment, whose checkpointed OMC saw every object. Fails when
-  /// the segments' stream counts disagree.
+  /// archive of the unsplit run: the dimension streams join in order and
+  /// recompress through fresh grammars (Sequitur is a deterministic
+  /// streaming algorithm, so this reproduces the unsplit grammars byte
+  /// for byte), and the auxiliary table is taken from the last segment,
+  /// whose checkpointed OMC saw every object. Fails when the segments'
+  /// dimension counts disagree.
   [[nodiscard]] static bool
   mergeSequential(const std::vector<const OmsgArchive *> &Segments,
                   OmsgArchive &Out, std::string &Err);
 
-  /// Expanded dimension streams, in (instr, group, object, offset)
-  /// order — the lossless reconstruction of the tuple stream.
-  const std::vector<std::vector<uint64_t>> &dimensionStreams() const {
-    return Streams;
+  /// Number of dimension grammars; those WHOMP builds are in
+  /// (instr, group, object, offset) order.
+  size_t numDimensions() const { return Images.size(); }
+
+  /// Per-dimension grammar images (what Figure 5 sizes), validated.
+  const std::vector<sequitur::ParsedImage> &grammarImages() const {
+    return Images;
   }
 
-  /// Serialized per-dimension grammar images (what Figure 5 sizes).
-  const std::vector<std::vector<uint8_t>> &grammarImages() const {
-    return GrammarImages;
+  /// Pull cursor over dimension \p D's stream. Cursors over several
+  /// dimensions walk the tuple stream in lockstep; the archive must
+  /// outlive them.
+  sequitur::ImageCursor cursor(size_t D) const {
+    return sequitur::ImageCursor(Images[D]);
+  }
+
+  /// Materializes dimension \p D's stream, for tests and tools that want
+  /// a vector; the profiling path walks cursor() instead.
+  std::vector<uint64_t> expandDimension(size_t D) const {
+    return Images[D].expand();
   }
 
   /// Auxiliary object rows (empty when built without an OMC).
@@ -95,18 +111,17 @@ public:
 
   /// Number of recorded accesses (length of every dimension stream).
   uint64_t accessCount() const {
-    return Streams.empty() ? 0 : Streams.front().size();
+    return Images.empty() ? 0 : Images.front().length();
   }
 
-  bool operator==(const OmsgArchive &O) const {
-    return Streams == O.Streams && Aux == O.Aux;
-  }
+  /// Equal when every dimension expands to the same stream and the aux
+  /// tables match (compared through cursors, never materialized).
+  bool operator==(const OmsgArchive &O) const;
 
 private:
-  /// Serialized grammar images, one per dimension; kept so that
-  /// serialize() is cheap and deterministic.
-  std::vector<std::vector<uint8_t>> GrammarImages;
-  std::vector<std::vector<uint64_t>> Streams;
+  /// One validated image per dimension: exactly what serialize() writes,
+  /// never the expanded streams.
+  std::vector<sequitur::ParsedImage> Images;
   std::vector<ObjectAux> Aux;
 };
 

@@ -15,14 +15,15 @@ OmsgStats OmsgStats::fromArchive(const OmsgArchive &Archive) {
   Stats.Runs = 1;
   Stats.AccessCount = Archive.accessCount();
   Stats.ObjectCount = Archive.objects().size();
-  const auto &Streams = Archive.dimensionStreams();
-  const auto &Images = Archive.grammarImages();
-  for (size_t D = 0; D != Streams.size(); ++D) {
+  for (const sequitur::ParsedImage &Image : Archive.grammarImages()) {
     DimensionStats Dim;
-    Dim.InputLength = Streams[D].size();
-    Dim.GrammarBytes = D < Images.size() ? Images[D].size() : 0;
+    Dim.InputLength = Image.length();
+    Dim.GrammarBytes = Image.bytes().size();
+    // Recompressing the stream, rather than reading the image's rules,
+    // keeps the digest canonical for any image that expands to it.
     sequitur::SequiturGrammar Grammar;
-    Grammar.appendAll(Streams[D]);
+    for (sequitur::ImageCursor C(Image); !C.done();)
+      Grammar.append(C.next());
     Dim.RuleCount = Grammar.numRules();
     Dim.BodySymbols = Grammar.totalBodySymbols();
     for (const auto &Rule : Grammar.ruleStats(/*PrefixCap=*/0)) {

@@ -62,7 +62,8 @@ public:
   static constexpr size_t kHeaderSize = 4 + 1 + 4;
 
   /// Digests \p Archive (one run) by rebuilding each dimension grammar
-  /// from its expanded stream and reading off the structural counters.
+  /// from its stream, pulled through a cursor, and reading off the
+  /// structural counters.
   static OmsgStats fromArchive(const OmsgArchive &Archive);
 
   /// Folds \p Other into this digest: every counter and histogram

@@ -168,6 +168,41 @@ TEST(HotColdClassifierTest, ScannerMatchesArchiveRecovery) {
   EXPECT_EQ(FromArchive, Scanner.pairCounts());
 }
 
+TEST(HotColdClassifierTest, LockstepCursorsMatchExpandedStreams) {
+  // offsetPairsFromArchive walks three cursors in lockstep; the reference
+  // recomputes the pairs from fully expanded dimension vectors, on both
+  // the freshly built archive and its deserialized copy.
+  for (const char *Name :
+       {"list-traversal", "175.vpr-a", "181.mcf-a", "197.parser-a"}) {
+    leap::LeapProfileData Leap;
+    whomp::OmsgArchive Built;
+    profileWorkload(Name, Leap, Built);
+    whomp::OmsgArchive Omsg;
+    std::string Err;
+    ASSERT_TRUE(whomp::OmsgArchive::deserialize(Built.serialize(), Omsg, Err))
+        << Err;
+    ASSERT_EQ(Omsg.numDimensions(), 4u) << Name;
+    std::vector<uint64_t> Groups = Omsg.expandDimension(1);
+    std::vector<uint64_t> Objects = Omsg.expandDimension(2);
+    std::vector<uint64_t> Offsets = Omsg.expandDimension(3);
+    ASSERT_EQ(Groups.size(), Omsg.accessCount()) << Name;
+    ASSERT_EQ(Objects.size(), Omsg.accessCount()) << Name;
+    ASSERT_EQ(Offsets.size(), Omsg.accessCount()) << Name;
+    OffsetPairCounts Reference;
+    for (size_t I = 1; I < Groups.size(); ++I) {
+      if (Groups[I] != Groups[I - 1] || Objects[I] != Objects[I - 1] ||
+          Offsets[I] == Offsets[I - 1])
+        continue;
+      uint64_t A = std::min(Offsets[I - 1], Offsets[I]);
+      uint64_t B = std::max(Offsets[I - 1], Offsets[I]);
+      ++Reference[OffsetPairKey{static_cast<omc::GroupId>(Groups[I]), A, B}];
+    }
+    EXPECT_FALSE(Reference.empty()) << Name;
+    EXPECT_EQ(offsetPairsFromArchive(Omsg), Reference) << Name;
+    EXPECT_EQ(offsetPairsFromArchive(Built), Reference) << Name;
+  }
+}
+
 TEST(HotColdClassifierTest, PrefetchMatchesLiveStrideAnalysis) {
   core::ProfilingSession Session;
   leap::LeapProfiler LeapProf;

@@ -456,7 +456,7 @@ TEST(OmsgArchiveTest, RoundTripWithAuxTable) {
   Session.finish();
 
   auto Archive = whomp::OmsgArchive::build(Whomp, &Session.omc());
-  EXPECT_EQ(Archive.dimensionStreams().size(), 4u);
+  ASSERT_EQ(Archive.numDimensions(), 4u);
   EXPECT_GT(Archive.accessCount(), 0u);
   EXPECT_FALSE(Archive.objects().empty());
 
@@ -465,6 +465,38 @@ TEST(OmsgArchiveTest, RoundTripWithAuxTable) {
   std::string Err;
   ASSERT_TRUE(whomp::OmsgArchive::deserialize(Bytes, Back, Err)) << Err;
   EXPECT_TRUE(Archive == Back);
+  EXPECT_EQ(Back.accessCount(), Whomp.tuplesSeen());
+  for (size_t D = 0; D != Back.numDimensions(); ++D)
+    EXPECT_EQ(Back.expandDimension(D), Archive.expandDimension(D)) << D;
+}
+
+TEST(OmsgArchiveTest, CursorsExpandToLiveGrammars) {
+  core::ProfilingSession Session;
+  whomp::WhompProfiler Whomp;
+  Session.addConsumer(&Whomp);
+  workloads::WorkloadConfig Config;
+  workloads::createWorkloadByName("175.vpr-a")
+      ->run(Session.memory(), Session.registry(), Config);
+  Session.finish();
+
+  auto Archive = whomp::OmsgArchive::build(Whomp, &Session.omc());
+  whomp::OmsgArchive Back;
+  std::string Err;
+  ASSERT_TRUE(whomp::OmsgArchive::deserialize(Archive.serialize(), Back, Err))
+      << Err;
+  const core::Dimension Dims[] = {
+      core::Dimension::Instruction, core::Dimension::Group,
+      core::Dimension::Object, core::Dimension::Offset};
+  ASSERT_EQ(Back.numDimensions(), 4u);
+  for (size_t D = 0; D != 4; ++D) {
+    std::vector<uint64_t> Live = Whomp.grammarFor(Dims[D]).expandAll();
+    ASSERT_EQ(Back.grammarImages()[D].length(), Live.size()) << D;
+    std::vector<uint64_t> Pulled;
+    for (sequitur::ImageCursor C = Back.cursor(D); !C.done();)
+      Pulled.push_back(C.next());
+    EXPECT_EQ(Pulled, Live) << "dimension " << D;
+    EXPECT_EQ(Archive.expandDimension(D), Live) << "dimension " << D;
+  }
   EXPECT_EQ(Back.accessCount(), Whomp.tuplesSeen());
 }
 

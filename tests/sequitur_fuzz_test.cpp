@@ -13,14 +13,21 @@
 // the contract that makes the arena/table rewrite a pure optimization:
 // Figure 5's grammar sizes cannot move.
 //
+// The image decoder is checked the same way: parseImageChecked's
+// memoized counting walk must accept, reject and diagnose exactly like a
+// plain step-by-step walk over the same bytes, and its cursors must
+// reproduce the input.
+//
 //===----------------------------------------------------------------------===//
 
 #include "SequiturStreams.h"
 #include "sequitur/Sequitur.h"
 #include "support/Checksum.h"
 #include "support/Random.h"
+#include "support/VarInt.h"
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -51,6 +58,17 @@ TEST(SequiturFuzzTest, GoldenSuiteByteIdentical) {
     EXPECT_EQ(Image.size(), G.serializedSizeBytes()) << Case.Name;
     EXPECT_EQ(SequiturGrammar::deserializeAndExpand(Image), Input)
         << Case.Name;
+
+    ParsedImage Parsed;
+    std::string Err;
+    ASSERT_TRUE(SequiturGrammar::parseImageChecked(Image, Parsed, Err))
+        << Case.Name << ": " << Err;
+    EXPECT_EQ(Parsed.length(), Input.size()) << Case.Name;
+    EXPECT_EQ(Parsed.bytes(), Image) << Case.Name;
+    std::vector<uint64_t> Pulled;
+    for (ImageCursor C(Parsed); !C.done();)
+      Pulled.push_back(C.next());
+    EXPECT_EQ(Pulled, Input) << Case.Name;
   }
 }
 
@@ -106,6 +124,246 @@ TEST(SequiturFuzzTest, ArenaReusesAcrossStreams) {
     for (uint64_t I = 0; I != Out.size(); ++I)
       ASSERT_EQ(Out[I], I % Period);
   }
+}
+
+//===----------------------------------------------------------------------===//
+// Checked image decoding
+//===----------------------------------------------------------------------===//
+
+/// Encodes a hand-built image: rule bodies of tagged codes (terminal << 1,
+/// or rule << 1 | 1) under a declared expansion length.
+std::vector<uint8_t> image(uint64_t Declared,
+                           const std::vector<std::vector<uint64_t>> &Rules) {
+  std::vector<uint8_t> Bytes;
+  encodeULEB128(Rules.size(), Bytes);
+  encodeULEB128(Declared, Bytes);
+  for (const auto &Body : Rules) {
+    encodeULEB128(Body.size(), Bytes);
+    for (uint64_t Code : Body)
+      encodeULEB128(Code, Bytes);
+  }
+  return Bytes;
+}
+
+constexpr uint64_t T(uint64_t V) { return V << 1; }
+constexpr uint64_t R(uint64_t Id) { return (Id << 1) | 1; }
+
+std::string parseError(const std::vector<uint8_t> &Bytes,
+                       uint64_t MaxTerminals =
+                           SequiturGrammar::kDefaultMaxExpandedTerminals) {
+  ParsedImage Parsed;
+  std::string Err;
+  if (SequiturGrammar::parseImageChecked(Bytes, Parsed, Err, MaxTerminals))
+    return "accepted";
+  return Err;
+}
+
+/// The step-by-step validating expander the memoized parser replaced:
+/// every structural check fires at the step where the walk meets it.
+bool referenceExpand(const std::vector<uint8_t> &Bytes, uint64_t MaxTerminals,
+                     std::vector<uint64_t> &Out, std::string &Err) {
+  const uint8_t *Data = Bytes.data();
+  size_t Size = Bytes.size(), Pos = 0;
+  auto ReadU = [&](const char *What, uint64_t &Value) {
+    VarIntStatus S = decodeULEB128Checked(Data, Size, Pos, Value);
+    if (S != VarIntStatus::Ok)
+      Err = std::string("sequitur image: ") + What + ": " +
+            varIntStatusName(S) + " varint";
+    return S == VarIntStatus::Ok;
+  };
+  auto Fail = [&](const std::string &Msg) {
+    Err = "sequitur image: " + Msg;
+    return false;
+  };
+  uint64_t NumRules = 0, ExpectLen = 0;
+  if (!ReadU("rule count", NumRules) || !ReadU("input length", ExpectLen))
+    return false;
+  if (NumRules == 0)
+    return Fail("no rules");
+  if (NumRules > Size - Pos + 1)
+    return Fail("rule count exceeds remaining bytes");
+  if (ExpectLen > MaxTerminals)
+    return Fail("declared expansion of " + std::to_string(ExpectLen) +
+                " terminals exceeds the cap of " +
+                std::to_string(MaxTerminals));
+  std::vector<std::vector<uint64_t>> Bodies(NumRules);
+  for (auto &Body : Bodies) {
+    uint64_t BodyLen = 0;
+    if (!ReadU("body length", BodyLen))
+      return false;
+    if (BodyLen > Size - Pos)
+      return Fail("body length exceeds remaining bytes");
+    for (uint64_t I = 0; I != BodyLen; ++I) {
+      uint64_t Code = 0;
+      if (!ReadU("symbol", Code))
+        return false;
+      Body.push_back(Code);
+    }
+  }
+  if (Pos != Size)
+    return Fail("trailing bytes");
+  uint64_t Steps = 0;
+  const uint64_t MaxSteps = 64 + 4 * ExpectLen + 4 * NumRules;
+  std::vector<std::pair<uint64_t, size_t>> Stack{{0, 0}};
+  while (!Stack.empty()) {
+    if (++Steps > MaxSteps)
+      return Fail("expansion exceeds its step budget");
+    auto &[Rule, At] = Stack.back();
+    if (At == Bodies[Rule].size()) {
+      Stack.pop_back();
+      continue;
+    }
+    uint64_t Code = Bodies[Rule][At++];
+    if (Code & 1) {
+      if ((Code >> 1) >= NumRules)
+        return Fail("rule reference out of range");
+      if (Stack.size() >= NumRules)
+        return Fail("cyclic rule references");
+      Stack.emplace_back(Code >> 1, 0);
+    } else {
+      if (Out.size() == ExpectLen)
+        return Fail("expansion exceeds declared length");
+      Out.push_back(Code >> 1);
+    }
+  }
+  if (Out.size() != ExpectLen)
+    return Fail("deserialized length mismatch");
+  return true;
+}
+
+TEST(HardenedDeserializeTest, SequiturImageDiagnostics) {
+  // R0 -> R1, R1 -> R0.
+  EXPECT_EQ(parseError(image(4, {{R(1)}, {R(0)}})),
+            "sequitur image: cyclic rule references");
+  // A self-referencing start rule behind a terminal.
+  EXPECT_EQ(parseError(image(4, {{T(7), R(0)}})),
+            "sequitur image: cyclic rule references");
+  // Forty uses of an empty rule: 64 + 4 * 2 steps are not enough.
+  EXPECT_EQ(parseError(image(0, {std::vector<uint64_t>(40, R(1)), {}})),
+            "sequitur image: expansion exceeds its step budget");
+  // Two terminals against a declared length of one...
+  EXPECT_EQ(parseError(image(1, {{T(1), T(2)}})),
+            "sequitur image: expansion exceeds declared length");
+  // ...also when the overrun sits inside a rule the walk already knows.
+  EXPECT_EQ(parseError(image(3, {{R(1), R(1)}, {T(1), T(2)}})),
+            "sequitur image: expansion exceeds declared length");
+  // A known rule whose nesting would reach the cycle check is walked,
+  // not skipped: R0 -> R1 9 R2, R1 -> R3 8, R2 -> R0, R3 -> 1 2. The
+  // second R1 starts at depth 3 of 4, so its R3 trips the check before
+  // the terminal after it could overrun the declared 7.
+  EXPECT_EQ(parseError(image(7, {{R(1), T(9), R(2)},
+                                 {R(3), T(8)},
+                                 {R(0)},
+                                 {T(1), T(2)}})),
+            "sequitur image: cyclic rule references");
+  EXPECT_EQ(parseError(image(3, {{T(1), T(2)}})),
+            "sequitur image: deserialized length mismatch");
+  EXPECT_EQ(parseError(image(0, {{R(5)}})),
+            "sequitur image: rule reference out of range");
+  EXPECT_EQ(parseError(image(9, {{T(1)}}), /*MaxTerminals=*/8),
+            "sequitur image: declared expansion of 9 terminals exceeds the "
+            "cap of 8");
+  std::vector<uint8_t> Trailing = image(1, {{T(1)}});
+  Trailing.push_back(0);
+  EXPECT_EQ(parseError(Trailing), "sequitur image: trailing bytes");
+  EXPECT_EQ(parseError(image(4, {{R(1), R(1)}, {T(1), T(2)}})), "accepted");
+
+  // The checked expander reports the same diagnostics.
+  std::vector<uint8_t> Cyclic = image(4, {{R(1)}, {R(0)}});
+  std::vector<uint64_t> Out;
+  std::string Err;
+  EXPECT_FALSE(SequiturGrammar::deserializeAndExpandChecked(
+      Cyclic.data(), Cyclic.size(), Out, Err));
+  EXPECT_EQ(Err, "sequitur image: cyclic rule references");
+  EXPECT_TRUE(Out.empty());
+}
+
+/// A random small grammar: acyclic (references only to later rules, so
+/// the declared length can be exact) or unconstrained (cycles,
+/// out-of-range references, empty bodies), with a declared length that
+/// is exact, off by one, or arbitrary.
+std::vector<uint8_t> randomImage(Rng &G) {
+  uint64_t NumRules = 1 + G.nextBelow(10);
+  bool Acyclic = G.nextBelow(2) == 0;
+  std::vector<std::vector<uint64_t>> Rules(NumRules);
+  for (uint64_t Rule = 0; Rule != NumRules; ++Rule) {
+    uint64_t BodyLen = G.nextBelow(5);
+    for (uint64_t I = 0; I != BodyLen; ++I) {
+      if (G.nextBelow(2) == 0) {
+        Rules[Rule].push_back(T(G.nextBelow(4)));
+      } else if (Acyclic) {
+        if (Rule + 1 < NumRules)
+          Rules[Rule].push_back(R(Rule + 1 + G.nextBelow(NumRules - Rule - 1)));
+      } else {
+        Rules[Rule].push_back(R(G.nextBelow(NumRules + 1)));
+      }
+    }
+  }
+  uint64_t Declared = G.nextBelow(64);
+  if (Acyclic) {
+    std::vector<uint64_t> Lengths(NumRules, 0);
+    for (uint64_t Rule = NumRules; Rule-- != 0;)
+      for (uint64_t Code : Rules[Rule])
+        Lengths[Rule] += (Code & 1) ? Lengths[Code >> 1] : 1;
+    Declared = Lengths[0];
+    uint64_t Skew = G.nextBelow(4);
+    if (Skew == 0)
+      ++Declared;
+    else if (Skew == 1 && Declared != 0)
+      --Declared;
+  }
+  return image(Declared, Rules);
+}
+
+TEST(HardenedDeserializeTest, MemoizedWalkMatchesStepByStepWalk) {
+  // Random grammars, plus byte-level corruptions of real images: the
+  // verdict, the diagnostic and, when accepted, the expansion (through
+  // both expand() and a cursor) must match the reference walk.
+  Rng G(0x5eed1a9ULL);
+  size_t Count = 0;
+  const StreamCase *Cases = streamCases(Count);
+  size_t Accepted = 0, Rejected = 0;
+  for (int Round = 0; Round != 10000; ++Round) {
+    std::vector<uint8_t> Bytes;
+    if (Round % 3 != 0) {
+      Bytes = randomImage(G);
+    } else {
+      const StreamCase &Case = Cases[G.nextBelow(Count)];
+      SequiturGrammar Grammar;
+      std::vector<uint64_t> Input = makeStream(Case);
+      Input.resize(64 + G.nextBelow(512));
+      Grammar.appendAll(Input);
+      Bytes = Grammar.serialize();
+      for (uint64_t Flips = G.nextBelow(3); Flips-- != 0;)
+        Bytes[G.nextBelow(Bytes.size())] ^=
+            static_cast<uint8_t>(1 + G.nextBelow(255));
+      if (G.nextBelow(4) == 0)
+        Bytes.resize(G.nextBelow(Bytes.size() + 1));
+    }
+    const uint64_t Cap = 4096;
+    std::vector<uint64_t> Want;
+    std::string WantErr;
+    bool WantOk = referenceExpand(Bytes, Cap, Want, WantErr);
+    ParsedImage Parsed;
+    std::string Err;
+    bool Ok = SequiturGrammar::parseImageChecked(Bytes, Parsed, Err, Cap);
+    ASSERT_EQ(Ok, WantOk) << "round " << Round << ": " << WantErr;
+    if (!Ok) {
+      ASSERT_EQ(Err, WantErr) << "round " << Round;
+      ++Rejected;
+      continue;
+    }
+    ++Accepted;
+    ASSERT_EQ(Parsed.expand(), Want) << "round " << Round;
+    std::vector<uint64_t> Pulled;
+    for (ImageCursor C(Parsed); !C.done();)
+      Pulled.push_back(C.next());
+    ASSERT_EQ(Pulled, Want) << "round " << Round;
+  }
+  // Both outcomes must be well represented for the comparison to mean
+  // anything.
+  EXPECT_GT(Accepted, 1000u);
+  EXPECT_GT(Rejected, 1000u);
 }
 
 } // namespace

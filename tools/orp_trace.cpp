@@ -1180,15 +1180,15 @@ int cmdDiff(const char *PathA, const char *PathB) {
                  Err.c_str());
       return 2;
     }
-    diffCounter("dimension streams", A.dimensionStreams().size(),
-                B.dimensionStreams().size(), Diffs);
+    diffCounter("dimension streams", A.numDimensions(), B.numDimensions(),
+                Diffs);
     diffCounter("accesses", A.accessCount(), B.accessCount(), Diffs);
     diffCounter("aux objects", A.objects().size(), B.objects().size(),
                 Diffs);
-    size_t Dims = std::min(A.dimensionStreams().size(),
-                           B.dimensionStreams().size());
+    size_t Dims = std::min(A.numDimensions(), B.numDimensions());
     for (size_t D = 0; D != Dims; ++D)
-      if (A.dimensionStreams()[D] != B.dimensionStreams()[D]) {
+      if (!sequitur::sameExpansion(A.grammarImages()[D],
+                                   B.grammarImages()[D])) {
         ++Diffs;
         std::printf("  dimension %zu streams differ\n", D);
       }
