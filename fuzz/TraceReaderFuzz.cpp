@@ -3,8 +3,11 @@
 // Property: TraceReader must reject or cleanly parse ANY byte string —
 // no crash, no sanitizer report, no unbounded work. A parse that
 // succeeds must also decode every event without tripping the hardened
-// varint layer. Seeds are real .orpt images produced by TraceWriter so
-// mutations explore the format's interior, not just the header checks.
+// varint layer. Each input is also written to a temporary file and
+// opened through open(), which maps it: the mapped path must reach the
+// same verdict, error string and header info as openImage(). Seeds are
+// real .orpt images produced by TraceWriter so mutations explore the
+// format's interior, not just the header checks.
 //
 //===----------------------------------------------------------------------===//
 
@@ -19,22 +22,70 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <string>
+#include <vector>
+
+#include <unistd.h>
 
 using namespace orp;
+
+namespace {
+
+/// Header info a reader reports, flattened for comparison.
+std::vector<uint64_t> infoOf(const traceio::TraceReader &R) {
+  const traceio::TraceInfo &I = R.info();
+  return {I.Version,   I.Flags,     I.AllocPolicy,
+          I.Seed,      I.TotalEvents, I.NumBlocks,
+          I.FileBytes, I.NumInstructions, I.NumAllocSites};
+}
+
+/// A per-process temporary file for the mapped-open half of the check.
+const std::string &tempTracePath() {
+  static const std::string Path =
+      (std::filesystem::temp_directory_path() /
+       ("orp-tracereader-fuzz-" + std::to_string(::getpid()) + ".orpt"))
+          .string();
+  return Path;
+}
+
+} // namespace
 
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t *Data, size_t Size) {
   traceio::TraceReader Reader;
   std::vector<uint8_t> Image(Data, Data + Size);
-  if (!Reader.openImage(std::move(Image), "fuzz-input")) {
+  bool Ok = Reader.openImage(Image, tempTracePath());
+
+  // The same bytes through open(): a mapping for a non-empty file.
+  {
+    std::ofstream Out(tempTracePath(), std::ios::binary | std::ios::trunc);
+    Out.write(reinterpret_cast<const char *>(Data),
+              static_cast<std::streamsize>(Size));
+  }
+  traceio::TraceReader Mapped;
+  bool MappedOk = Mapped.open(tempTracePath());
+  std::remove(tempTracePath().c_str());
+  ORP_FUZZ_REQUIRE(MappedOk == Ok, "open() and openImage() disagree");
+  ORP_FUZZ_REQUIRE(Mapped.error() == Reader.error(),
+                   "open() and openImage() report different errors");
+  ORP_FUZZ_REQUIRE(infoOf(Mapped) == infoOf(Reader),
+                   "open() and openImage() report different header info");
+
+  if (!Ok) {
     // Rejected inputs must carry a diagnostic.
     ORP_FUZZ_REQUIRE(!Reader.error().empty(),
                      "rejected image without an error message");
     return 0;
   }
   std::vector<traceio::TraceEvent> Events;
-  if (!Reader.readAllEvents(Events))
+  bool Decoded = Reader.readAllEvents(Events);
+  if (!Decoded)
     ORP_FUZZ_REQUIRE(!Reader.error().empty(),
                      "failed decode without an error message");
+  std::vector<traceio::TraceEvent> MappedEvents;
+  ORP_FUZZ_REQUIRE(Mapped.readAllEvents(MappedEvents) == Decoded &&
+                       MappedEvents.size() == Events.size() &&
+                       Mapped.error() == Reader.error(),
+                   "mapped and in-memory images decode differently");
   return 0;
 }
 

@@ -9,6 +9,7 @@
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 using namespace orp;
@@ -25,8 +26,9 @@ CheckReport GrammarValidator::validate(const SequiturGrammar &G) {
   using Symbol = SequiturGrammar::Symbol;
   using Rule = SequiturGrammar::Rule;
   using NodeIdx = SequiturGrammar::NodeIdx;
-  using DigramKey = SequiturGrammar::DigramKey;
-  using DigramKeyHash = SequiturGrammar::DigramKeyHash;
+  using sequitur::DigramKey;
+  using sequitur::DigramKeyHash;
+  using sequitur::DigramTable;
   constexpr NodeIdx Nil = SequiturGrammar::NilIdx;
   // Every link read from a node is range-checked before it is followed:
   // a corrupt index must not walk off the slab tables.
@@ -248,62 +250,76 @@ CheckReport GrammarValidator::validate(const SequiturGrammar &G) {
 
   // Digram uniqueness plus index coherence. Occurrences of one key may
   // only coexist when they overlap (the "aaa" run case); the index must
-  // contain exactly the occurring keys (completeness) and each entry
-  // must point at a live occurrence of its key (soundness).
+  // contain exactly the occurring keys (completeness), and each entry
+  // must point at a live occurrence whose hash is the stored one and
+  // which a lookup of its key reaches (soundness). The index stores no
+  // keys, so lookups read them back from the symbols — but only from
+  // live digram starts: a corrupt entry may name any node.
   std::unordered_map<DigramKey, std::vector<NodeIdx>, DigramKeyHash>
       Occurrences;
+  std::unordered_set<NodeIdx> DigramStarts;
   if (StructureOk)
     for (NodeIdx RI : LiveListed) {
       NodeIdx Guard = G.rule(RI).Guard;
       for (NodeIdx I = G.sym(Guard).Next; I != Guard; I = G.sym(I).Next)
-        if (!G.sym(G.sym(I).Next).isGuard())
+        if (!G.sym(G.sym(I).Next).isGuard()) {
           Occurrences[G.keyOf(I)].push_back(I);
+          DigramStarts.insert(I);
+        }
     }
+  auto LiveKeys = [&](NodeIdx I) {
+    return DigramStarts.count(I) ? G.keyOf(I) : DigramKey{0, 0, 0xff};
+  };
+  auto KeyStr = [](const DigramKey &K) {
+    std::string Out = "(";
+    Out += std::to_string(K.V1);
+    Out += ',';
+    Out += std::to_string(K.V2);
+    Out += ",tags=";
+    Out += std::to_string(K.Tags);
+    Out += ')';
+    return Out;
+  };
   for (const auto &[Key, Positions] : Occurrences) {
     for (size_t I = 0; I != Positions.size(); ++I)
       for (size_t J = I + 1; J != Positions.size(); ++J) {
         NodeIdx P = Positions[I];
         NodeIdx Q = Positions[J];
         if (G.sym(P).Next != Q && G.sym(Q).Next != P)
-          Report.fail("digram uniqueness violated: key (" +
-                      std::to_string(Key.V1) + "," + std::to_string(Key.V2) +
-                      ",tags=" + std::to_string(Key.Tags) +
-                      ") occurs at two non-overlapping positions");
+          Report.fail("digram uniqueness violated: key " + KeyStr(Key) +
+                      " occurs at two non-overlapping positions");
       }
-    size_t Slot = G.Index.findSlot(Key.V1, Key.V2, Key.Tags);
-    if (Slot == sequitur::DigramTable<NodeIdx>::Npos) {
-      Report.fail("digram index desync: key (" + std::to_string(Key.V1) +
-                  "," + std::to_string(Key.V2) +
-                  ",tags=" + std::to_string(Key.Tags) +
-                  ") occurs in the grammar but is not indexed");
+    size_t Slot = G.Index.findSlot(Key, LiveKeys);
+    if (Slot == DigramTable::Npos) {
+      Report.fail("digram index desync: key " + KeyStr(Key) +
+                  " occurs in the grammar but is not indexed");
       continue;
     }
-    NodeIdx Canon = G.Index.valueAt(Slot);
+    NodeIdx Canon = G.Index.nodeAt(Slot);
     bool IsOccurrence = false;
     for (NodeIdx P : Positions)
       IsOccurrence |= (P == Canon);
     Report.require(IsOccurrence,
-                   "digram index desync: indexed occurrence of key (" +
-                       std::to_string(Key.V1) + "," + std::to_string(Key.V2) +
-                       ",tags=" + std::to_string(Key.Tags) +
-                       ") is not where the key occurs");
+                   "digram index desync: indexed occurrence of key " +
+                       KeyStr(Key) + " is not where the key occurs");
   }
   if (StructureOk) {
-    G.Index.forEach([&](uint64_t V1, uint64_t V2, uint8_t Tags, NodeIdx I) {
-      std::string KeyStr = "(" + std::to_string(V1) + "," +
-                           std::to_string(V2) +
-                           ",tags=" + std::to_string(Tags) + ")";
-      // Every live body symbol is in BodyOwner, so membership also
-      // range-checks I; body symbols always have a valid Next.
-      if (!Report.require(BodyOwner.count(I) != 0 && G.sym(I).Live &&
-                              !G.sym(G.sym(I).Next).isGuard(),
-                          "digram index desync: entry " + KeyStr +
+    G.Index.forEach([&](size_t Slot, NodeIdx I, uint32_t Hash) {
+      std::string Entry = "entry " + std::to_string(Slot) + " (symbol " +
+                          std::to_string(I) + ", hash " +
+                          std::to_string(Hash) + ")";
+      if (!Report.require(DigramStarts.count(I) != 0,
+                          "digram index desync: " + Entry +
                               " points outside the live grammar"))
         return;
       DigramKey K = G.keyOf(I);
-      Report.require(K.V1 == V1 && K.V2 == V2 && K.Tags == Tags,
-                     "digram index desync: entry " + KeyStr +
-                         " points at a different digram");
+      if (!Report.require(DigramTable::hash32(K) == Hash,
+                          "digram index desync: " + Entry +
+                              " points at a different digram " + KeyStr(K)))
+        return;
+      Report.require(G.Index.findSlot(K, LiveKeys) == Slot,
+                     "digram index desync: " + Entry + " for " + KeyStr(K) +
+                         " is not reached by a lookup of its key");
     });
     Report.require(G.Index.size() == Occurrences.size(),
                    "digram index holds " + std::to_string(G.Index.size()) +
@@ -400,45 +416,41 @@ void GrammarValidator::exhaustSymbolIndexSpaceForTest(SequiturGrammar &G) {
 bool GrammarValidator::injectForTest(SequiturGrammar &G, Corruption K) {
   using Rule = SequiturGrammar::Rule;
   using NodeIdx = SequiturGrammar::NodeIdx;
-  using Table = sequitur::DigramTable<NodeIdx>;
+  using Table = sequitur::DigramTable;
   constexpr NodeIdx Nil = SequiturGrammar::NilIdx;
 
   switch (K) {
   case Corruption::DigramIndexDrop: {
-    bool Dropped = false;
-    G.Index.forEach([&](uint64_t V1, uint64_t V2, uint8_t Tags, NodeIdx) {
-      if (Dropped)
-        return;
-      size_t Slot = G.Index.findSlot(V1, V2, Tags);
-      if (Slot != Table::Npos) {
-        G.Index.eraseSlot(Slot);
-        Dropped = true;
-      }
+    if (G.Index.size() == 0)
+      return false;
+    size_t First = Table::Npos;
+    G.Index.forEach([&](size_t Slot, NodeIdx, uint32_t) {
+      if (First == Table::Npos)
+        First = Slot;
     });
-    return Dropped;
+    G.Index.eraseSlot(First);
+    return true;
   }
-  case Corruption::DigramIndexRetarget: {
-    // Repoint the first entry at the occurrence of a *different* key, so
-    // the entry's key no longer matches what it points at.
-    struct Grab {
-      uint64_t V1, V2;
-      uint8_t Tags;
-      NodeIdx S;
-    };
-    std::vector<Grab> Entries;
-    G.Index.forEach([&](uint64_t V1, uint64_t V2, uint8_t Tags, NodeIdx S) {
+  case Corruption::DigramIndexRetarget:
+  case Corruption::DigramIndexToFreedSymbol: {
+    // Re-index the first entry's key at another node: the occurrence of
+    // a *different* key, or a symbol on an arena reclaim list.
+    std::vector<std::pair<size_t, NodeIdx>> Entries;
+    G.Index.forEach([&](size_t Slot, NodeIdx I, uint32_t) {
       if (Entries.size() < 2)
-        Entries.push_back(Grab{V1, V2, Tags, S});
+        Entries.emplace_back(Slot, I);
     });
-    if (Entries.size() < 2)
+    NodeIdx Target = Nil;
+    if (K == Corruption::DigramIndexRetarget)
+      Target = Entries.size() < 2 ? Nil : Entries[1].second;
+    else
+      Target = G.SymbolFreeList != Nil ? G.SymbolFreeList
+                                       : G.SymbolPendingList;
+    if (Entries.empty() || Target == Nil)
       return false;
-    size_t Slot =
-        G.Index.findSlot(Entries[0].V1, Entries[0].V2, Entries[0].Tags);
-    if (Slot == Table::Npos)
-      return false;
-    G.Index.eraseSlot(Slot);
-    G.Index.insert(Entries[0].V1, Entries[0].V2, Entries[0].Tags,
-                   Entries[1].S);
+    sequitur::DigramKey Key = G.keyOf(Entries[0].second);
+    G.Index.eraseSlot(Entries[0].first);
+    G.Index.insert(Key, Target);
     return true;
   }
   case Corruption::UseCountSkew: {

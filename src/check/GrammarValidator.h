@@ -11,8 +11,9 @@
 /// grammar it audits what the public interface cannot see:
 ///
 ///   * digram index <-> linked-list coherence (soundness: every index
-///     entry points at a live occurrence of its key; completeness:
-///     every adjacency is findable in the index);
+///     entry points at a live digram whose hash is the entry's stored
+///     hash and which a lookup reaches; completeness: every adjacency is
+///     findable in the index);
 ///   * digram uniqueness across all rule bodies;
 ///   * rule utility >= 2 and use-list/use-count agreement;
 ///   * intrusive live-list membership == liveness tags == reachability
@@ -87,6 +88,7 @@ public:
   enum class Corruption {
     DigramIndexDrop,     ///< Remove an index entry (completeness desync).
     DigramIndexRetarget, ///< Repoint an entry at a wrong occurrence.
+    DigramIndexToFreedSymbol, ///< Repoint an entry at a freed symbol.
     UseCountSkew,        ///< Bump a rule's UseCount with no matching use.
     LivenessTagClear,    ///< Clear the Live tag of an in-body symbol.
   };

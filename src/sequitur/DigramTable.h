@@ -22,14 +22,26 @@
 /// address-like strided keys spread across the low bits the table
 /// actually indexes with.
 ///
+/// The table stores no keys. Like the reference Sequitur, which indexes
+/// a digram by a pointer to its first symbol, a slot holds the 32-bit
+/// arena index of the digram's first symbol plus the low 32 bits of its
+/// hash (8 bytes). A lookup compares stored hashes first and reads a
+/// key back from the grammar — through the caller's key reader — only
+/// when a hash matches. The stored hash also gives every entry its home
+/// slot, so growth never reads a key; that caps the capacity at 2^32
+/// slots, the same bound the 32-bit node indices already impose.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef ORP_SEQUITUR_DIGRAMTABLE_H
 #define ORP_SEQUITUR_DIGRAMTABLE_H
 
+#include "support/Error.h"
+
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 namespace orp {
@@ -57,87 +69,134 @@ inline uint64_t hashDigram(uint64_t V1, uint64_t V2, uint8_t Tags) {
   return avalanche64(H);
 }
 
-/// Robin-hood open-addressing map from digram keys to one value (the
-/// canonical occurrence of the digram in a Sequitur grammar). Not a
-/// general-purpose map: keys are unique, the value type must be
-/// trivially copyable, and pointers returned by lookup() are invalidated
-/// by any mutation.
-template <typename ValueT> class DigramTable {
+/// Identity of a digram: two adjacent symbol values and their kinds.
+struct DigramKey {
+  uint64_t V1;
+  uint64_t V2;
+  uint8_t Tags; ///< Bit 0: V1 is a rule id; bit 1: V2 is a rule id.
+  bool operator==(const DigramKey &O) const {
+    return V1 == O.V1 && V2 == O.V2 && Tags == O.Tags;
+  }
+};
+
+inline uint64_t hashDigram(const DigramKey &K) {
+  return hashDigram(K.V1, K.V2, K.Tags);
+}
+
+struct DigramKeyHash {
+  size_t operator()(const DigramKey &K) const {
+    return static_cast<size_t>(hashDigram(K));
+  }
+};
+
+/// Robin-hood open-addressing set of digram occurrences, each named by
+/// the 32-bit index of its first symbol. Index 0 is never a symbol, so
+/// it marks an empty slot. Keys are unique, and a slot index returned by
+/// a lookup is invalidated by any mutation.
+///
+/// Lookups take a key reader, KeyOf(NodeIdx) -> DigramKey, which must
+/// return the current key of every indexed node the walk meets; the
+/// table calls it only for entries whose stored hash equals the query's.
+class DigramTable {
 public:
+  using NodeIdx = uint32_t;
   static constexpr size_t Npos = ~static_cast<size_t>(0);
+  /// Slots a table may grow to: a stored 32-bit hash names a home slot
+  /// only while the slot index fits in 32 bits.
+  static constexpr uint64_t MaxCapacity = uint64_t(1) << 32;
 
   DigramTable() { rehash(InitialCapacity); }
 
   DigramTable(const DigramTable &) = delete;
   DigramTable &operator=(const DigramTable &) = delete;
 
-  /// Returns the slot of (V1, V2, Tags), or Npos.
-  size_t findSlot(uint64_t V1, uint64_t V2, uint8_t Tags) const {
-    size_t Idx = hashDigram(V1, V2, Tags) & Mask;
-    uint8_t Dist = 1;
-    for (;;) {
+  /// Returns the slot holding key \p K, or Npos.
+  template <typename KeyReader>
+  size_t findSlot(const DigramKey &K, const KeyReader &KeyOf) const {
+    const uint32_t H = hash32(K);
+    size_t Idx = H & Mask;
+    for (size_t Dist = 0;; ++Dist) {
       const Slot &S = Slots[Idx];
-      if (S.Dist < Dist) // Includes empty slots (Dist == 0).
+      if (S.Node == Empty || displacement(Idx, S.Hash) < Dist)
         return Npos;
-      if (S.Dist == Dist && S.V1 == V1 && S.V2 == V2 && S.Tags == Tags)
+      if (S.Hash == H && KeyOf(S.Node) == K)
         return Idx;
       Idx = (Idx + 1) & Mask;
-      ++Dist;
     }
   }
 
-  /// Returns the value stored in \p SlotIdx.
-  ValueT valueAt(size_t SlotIdx) const {
-    assert(SlotIdx < Slots.size() && Slots[SlotIdx].Dist != 0);
-    return Slots[SlotIdx].Value;
+  /// Returns the slot whose entry is \p Node, indexed under key \p K, or
+  /// Npos. Reads no key: node and hash identify the entry.
+  size_t findEntry(const DigramKey &K, NodeIdx Node) const {
+    const uint32_t H = hash32(K);
+    size_t Idx = H & Mask;
+    for (size_t Dist = 0;; ++Dist) {
+      const Slot &S = Slots[Idx];
+      if (S.Node == Empty || displacement(Idx, S.Hash) < Dist)
+        return Npos;
+      if (S.Node == Node && S.Hash == H)
+        return Idx;
+      Idx = (Idx + 1) & Mask;
+    }
   }
 
-  /// Inserts (V1, V2, Tags) -> Value. The key must not be present.
-  void insert(uint64_t V1, uint64_t V2, uint8_t Tags, ValueT Value) {
+  /// Returns the node indexed in \p SlotIdx.
+  NodeIdx nodeAt(size_t SlotIdx) const {
+    assert(SlotIdx < Slots.size() && Slots[SlotIdx].Node != Empty);
+    return Slots[SlotIdx].Node;
+  }
+
+  /// Indexes \p Node under key \p K. The key must not be present.
+  void insert(const DigramKey &K, NodeIdx Node) {
+    assert(Node != Empty && "node index 0 marks an empty slot");
     if ((Count + 1) * 10 >= Slots.size() * 7) // Load factor 0.7.
       rehash(Slots.size() * 2);
-    emplaceNoGrow(V1, V2, Tags, Value);
+    emplaceNoGrow(Slot{Node, hash32(K)});
     ++Count;
   }
 
-  /// Returns the slot of (V1, V2, Tags) if present. Otherwise inserts
-  /// (V1, V2, Tags) -> Value and returns Npos: one hash and one probe
-  /// walk instead of findSlot() followed by insert(). The table ends up
-  /// exactly as insert() would leave it.
-  size_t findOrInsert(uint64_t V1, uint64_t V2, uint8_t Tags, ValueT Value) {
-    size_t Idx = hashDigram(V1, V2, Tags) & Mask;
-    uint8_t Dist = 1;
-    for (;;) {
+  /// Returns the slot of key \p K if present. Otherwise indexes \p Node
+  /// under \p K and returns Npos: one hash and one probe walk instead of
+  /// findSlot() followed by insert(). The table ends up exactly as
+  /// insert() would leave it.
+  template <typename KeyReader>
+  size_t findOrInsert(const DigramKey &K, NodeIdx Node,
+                      const KeyReader &KeyOf) {
+    assert(Node != Empty && "node index 0 marks an empty slot");
+    const uint32_t H = hash32(K);
+    size_t Idx = H & Mask;
+    size_t Dist = 0;
+    for (;; ++Dist) {
       const Slot &S = Slots[Idx];
-      if (S.Dist < Dist) // Absent: insert() would place or rob here.
-        break;
-      if (S.Dist == Dist && S.V1 == V1 && S.V2 == V2 && S.Tags == Tags)
+      if (S.Node == Empty || displacement(Idx, S.Hash) < Dist)
+        break; // Absent: insert() would place or rob here.
+      if (S.Hash == H && KeyOf(S.Node) == K)
         return Idx;
       Idx = (Idx + 1) & Mask;
-      ++Dist;
     }
     if ((Count + 1) * 10 >= Slots.size() * 7 || Dist == MaxDisplacement) {
-      insert(V1, V2, Tags, Value); // Grows first; the walk is stale.
+      insert(K, Node); // Grows first; the walk is stale.
       return Npos;
     }
-    emplaceFrom(Idx, Slot{V1, V2, Value, Tags, Dist});
+    emplaceFrom(Idx, Slot{Node, H}, Dist);
     ++Count;
     return Npos;
   }
 
   /// Removes the entry in \p SlotIdx (backward-shift deletion).
   void eraseSlot(size_t SlotIdx) {
-    assert(SlotIdx < Slots.size() && Slots[SlotIdx].Dist != 0);
+    assert(SlotIdx < Slots.size() && Slots[SlotIdx].Node != Empty);
     size_t Idx = SlotIdx;
     for (;;) {
       size_t NextIdx = (Idx + 1) & Mask;
-      Slot &NextSlot = Slots[NextIdx];
-      if (NextSlot.Dist <= 1) { // Empty, or already in its home slot.
-        Slots[Idx].Dist = 0;
+      const Slot &NextSlot = Slots[NextIdx];
+      // Stop at an empty slot or an entry already in its home slot.
+      if (NextSlot.Node == Empty ||
+          displacement(NextIdx, NextSlot.Hash) == 0) {
+        Slots[Idx] = Slot{};
         break;
       }
       Slots[Idx] = NextSlot;
-      --Slots[Idx].Dist;
       Idx = NextIdx;
     }
     --Count;
@@ -151,80 +210,87 @@ public:
   size_t capacity() const { return Slots.size(); }
 
   /// Returns the longest current probe sequence, in slots (1 = every
-  /// entry sits in its home slot). Exposed for the collision regression
-  /// tests; O(capacity).
+  /// entry sits in its home slot, 0 = empty table). Exposed for the
+  /// collision regression tests; O(capacity).
   size_t maxProbeLength() const {
-    uint8_t Max = 0;
-    for (const Slot &S : Slots)
-      if (S.Dist > Max)
-        Max = S.Dist;
+    size_t Max = 0;
+    for (size_t Idx = 0; Idx != Slots.size(); ++Idx)
+      if (Slots[Idx].Node != Empty &&
+          displacement(Idx, Slots[Idx].Hash) >= Max)
+        Max = displacement(Idx, Slots[Idx].Hash) + 1;
     return Max;
   }
 
-  /// Calls Fn(V1, V2, Tags, Value) for every entry, in table order.
+  /// Calls Visit(SlotIdx, Node, StoredHash) for every entry, in table
+  /// order. StoredHash is the low 32 bits of the key's hashDigram().
   template <typename Fn> void forEach(Fn &&Visit) const {
-    for (const Slot &S : Slots)
-      if (S.Dist != 0)
-        Visit(S.V1, S.V2, S.Tags, S.Value);
+    for (size_t Idx = 0; Idx != Slots.size(); ++Idx)
+      if (Slots[Idx].Node != Empty)
+        Visit(Idx, Slots[Idx].Node, Slots[Idx].Hash);
+  }
+
+  /// The part of hashDigram(K) a slot stores.
+  static uint32_t hash32(const DigramKey &K) {
+    return static_cast<uint32_t>(hashDigram(K));
   }
 
 private:
   struct Slot {
-    uint64_t V1;
-    uint64_t V2;
-    ValueT Value;
-    uint8_t Tags;
-    /// 0 = empty; otherwise 1 + distance from the home slot.
-    uint8_t Dist;
+    NodeIdx Node = 0; ///< First symbol of the digram; 0 = empty.
+    uint32_t Hash = 0;
   };
 
 public:
-  /// Bytes per slot: 24 for a 32-bit value, 32 for a 64-bit one.
+  /// Bytes per slot: a node index and a 32-bit hash.
   static constexpr size_t SlotBytes = sizeof(Slot);
 
 private:
+  static constexpr NodeIdx Empty = 0;
   static constexpr size_t InitialCapacity = 64;
-  static constexpr uint8_t MaxDisplacement = 0xff;
+  /// An entry this far from its home slot forces growth instead.
+  static constexpr size_t MaxDisplacement = 254;
 
-  void emplaceNoGrow(uint64_t V1, uint64_t V2, uint8_t Tags, ValueT Value) {
-    emplaceFrom(hashDigram(V1, V2, Tags) & Mask, Slot{V1, V2, Value, Tags, 1});
+  /// Distance of the entry in slot \p Idx from its home slot.
+  size_t displacement(size_t Idx, uint32_t Hash) const {
+    return (Idx - Hash) & Mask;
   }
 
-  /// Robin-hood placement of \p Carry, whose displacement already
-  /// matches slot \p Idx.
-  void emplaceFrom(size_t Idx, Slot Carry) {
+  void emplaceNoGrow(Slot Carry) { emplaceFrom(Carry.Hash & Mask, Carry, 0); }
+
+  /// Robin-hood placement of \p Carry, which sits \p Dist slots past its
+  /// home when placed at slot \p Idx.
+  void emplaceFrom(size_t Idx, Slot Carry, size_t Dist) {
     for (;;) {
       Slot &S = Slots[Idx];
-      if (S.Dist == 0) {
+      if (S.Node == Empty) {
         S = Carry;
         return;
       }
-      assert(!(S.Dist == Carry.Dist && S.V1 == Carry.V1 &&
-               S.V2 == Carry.V2 && S.Tags == Carry.Tags) &&
-             "duplicate digram key");
-      if (S.Dist < Carry.Dist) { // Rob from the rich.
-        Slot Tmp = S;
-        S = Carry;
-        Carry = Tmp;
+      size_t SDist = displacement(Idx, S.Hash);
+      if (SDist < Dist) { // Rob from the rich.
+        std::swap(S, Carry);
+        Dist = SDist;
       }
       Idx = (Idx + 1) & Mask;
-      if (++Carry.Dist == MaxDisplacement) {
+      if (++Dist == MaxDisplacement) {
         // Pathological clustering: grow and retry the displaced entry.
         rehash(Slots.size() * 2);
-        Carry.Dist = 1;
-        Idx = hashDigram(Carry.V1, Carry.V2, Carry.Tags) & Mask;
+        Dist = 0;
+        Idx = Carry.Hash & Mask;
       }
     }
   }
 
   void rehash(size_t NewCapacity) {
     assert((NewCapacity & (NewCapacity - 1)) == 0 && "capacity not 2^k");
+    if (NewCapacity > MaxCapacity)
+      ORP_FATAL_ERROR("sequitur digram index: capacity past 2^32 slots");
     std::vector<Slot> Old = std::move(Slots);
-    Slots.assign(NewCapacity, Slot{0, 0, ValueT{}, 0, 0});
+    Slots.assign(NewCapacity, Slot{});
     Mask = NewCapacity - 1;
     for (const Slot &S : Old)
-      if (S.Dist != 0)
-        emplaceNoGrow(S.V1, S.V2, S.Tags, S.Value);
+      if (S.Node != Empty)
+        emplaceNoGrow(S);
   }
 
   std::vector<Slot> Slots;

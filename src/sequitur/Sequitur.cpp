@@ -13,6 +13,7 @@
 #include <functional>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 
 using namespace orp;
 using namespace orp::sequitur;
@@ -139,7 +140,7 @@ void SequiturGrammar::reclaimPending() {
 size_t SequiturGrammar::footprintBytes() const {
   return SymbolSlabs.size() * SymbolsPerSlab * sizeof(Symbol) +
          RuleSlabs.size() * RulesPerSlab * sizeof(Rule) +
-         Index.capacity() * DigramTable<NodeIdx>::SlotBytes;
+         Index.capacity() * DigramTable::SlotBytes;
 }
 
 //===----------------------------------------------------------------------===//
@@ -253,9 +254,10 @@ ORP_SEQ_INLINE void SequiturGrammar::removeDigramAt(NodeIdx A) {
   const Symbol &SA = sym(A);
   if (SA.isGuard() || SA.Next == NilIdx || sym(SA.Next).isGuard())
     return;
-  DigramKey K = keyOf(A);
-  size_t Slot = Index.findSlot(K.V1, K.V2, K.Tags);
-  if (Slot != DigramTable<NodeIdx>::Npos && Index.valueAt(Slot) == A)
+  // Only A's own entry is erased: when another occurrence is the
+  // indexed one, A has no entry and findEntry() finds nothing.
+  size_t Slot = Index.findEntry(keyOf(A), A);
+  if (Slot != DigramTable::Npos)
     Index.eraseSlot(Slot);
 }
 
@@ -287,11 +289,10 @@ bool SequiturGrammar::checkDigram(NodeIdx A) {
   NodeIdx B = sym(A).Next;
   if (sym(A).isGuard() || sym(B).isGuard())
     return false;
-  DigramKey K = keyOf(A);
-  size_t Slot = Index.findOrInsert(K.V1, K.V2, K.Tags, A);
-  if (Slot == DigramTable<NodeIdx>::Npos) // Newly indexed at A.
+  size_t Slot = Index.findOrInsert(keyOf(A), A, indexKeys());
+  if (Slot == DigramTable::Npos) // Newly indexed at A.
     return false;
-  NodeIdx M = Index.valueAt(Slot);
+  NodeIdx M = Index.nodeAt(Slot);
   if (M == A)
     return false;
   // Overlapping occurrences (e.g. the middle of "aaa") never substitute.
@@ -337,12 +338,10 @@ void SequiturGrammar::processMatch(NodeIdx A, NodeIdx M) {
   while (rule(R).Live && !sym(sym(Guard).Next).isGuard() &&
          !sym(sym(sym(Guard).Next).Next).isGuard()) {
     NodeIdx Body = sym(Guard).Next;
-    DigramKey BodyKey = keyOf(Body);
-    size_t Slot =
-        Index.findOrInsert(BodyKey.V1, BodyKey.V2, BodyKey.Tags, Body);
-    if (Slot == DigramTable<NodeIdx>::Npos) // Newly indexed at Body.
+    size_t Slot = Index.findOrInsert(keyOf(Body), Body, indexKeys());
+    if (Slot == DigramTable::Npos) // Newly indexed at Body.
       break;
-    NodeIdx Other = Index.valueAt(Slot);
+    NodeIdx Other = Index.nodeAt(Slot);
     if (Other == Body)
       break;
     substituteDigram(Other, R);
@@ -908,11 +907,14 @@ bool SequiturGrammar::checkInvariants() const {
   // Digram uniqueness: no digram occurs at two non-overlapping positions.
   std::unordered_map<DigramKey, std::vector<NodeIdx>, DigramKeyHash>
       Occurrences;
+  std::unordered_set<NodeIdx> DigramStarts;
   for (NodeIdx R = LiveRuleHead; R != NilIdx; R = rule(R).LiveNext) {
     NodeIdx Guard = rule(R).Guard;
     for (NodeIdx S = sym(Guard).Next; S != Guard; S = sym(S).Next)
-      if (!sym(sym(S).Next).isGuard())
+      if (!sym(sym(S).Next).isGuard()) {
         Occurrences[keyOf(S)].push_back(S);
+        DigramStarts.insert(S);
+      }
   }
   for (const auto &[Key, Positions] : Occurrences) {
     for (size_t I = 0; I != Positions.size(); ++I)
@@ -924,17 +926,22 @@ bool SequiturGrammar::checkInvariants() const {
       }
   }
 
-  // Index soundness: every entry points at a live symbol whose current
-  // digram matches the key.
-  bool IndexSound = true;
-  Index.forEach([&](uint64_t V1, uint64_t V2, uint8_t Tags, NodeIdx I) {
-    const Symbol &S = sym(I);
-    if (!S.Live || S.isGuard() || sym(S.Next).isGuard()) {
+  // Index soundness: every entry points at a live digram whose hash is
+  // the stored one, and a lookup of that digram reaches the entry (so no
+  // two entries share a key). With one entry per distinct digram, that
+  // also makes the index complete. Keys are read only from live
+  // digrams: a bad entry may name a freed node.
+  auto LiveKeys = [&](NodeIdx I) {
+    return DigramStarts.count(I) ? keyOf(I) : DigramKey{0, 0, 0xff};
+  };
+  bool IndexSound = Index.size() == Occurrences.size();
+  Index.forEach([&](size_t Slot, NodeIdx I, uint32_t Hash) {
+    if (!DigramStarts.count(I)) {
       IndexSound = false;
       return;
     }
     DigramKey K = keyOf(I);
-    if (K.V1 != V1 || K.V2 != V2 || K.Tags != Tags)
+    if (DigramTable::hash32(K) != Hash || Index.findSlot(K, LiveKeys) != Slot)
       IndexSound = false;
   });
   return IndexSound;

@@ -240,21 +240,6 @@ private:
   /// The null link. Slot 0 of each arena is never handed out.
   static constexpr NodeIdx NilIdx = 0;
 
-  /// Hashable identity of a digram (two adjacent symbols).
-  struct DigramKey {
-    uint64_t V1;
-    uint64_t V2;
-    uint8_t Tags; ///< Bit 0: V1 is a rule id; bit 1: V2 is a rule id.
-    bool operator==(const DigramKey &O) const {
-      return V1 == O.V1 && V2 == O.V2 && Tags == O.Tags;
-    }
-  };
-  struct DigramKeyHash {
-    size_t operator()(const DigramKey &K) const {
-      return static_cast<size_t>(hashDigram(K.V1, K.V2, K.Tags));
-    }
-  };
-
   /// \name Slab arena
   /// Symbols and rules come from grammar-owned slabs instead of the
   /// global heap: appending is the profiling hot path and pays for every
@@ -274,8 +259,9 @@ private:
   /// use-after-poison report. alloc* unpoison a node before reuse. See
   /// check/Check.h.
   /// @{
-  /// sym(), rule() and keyOf() are defined in SequiturNodes.h; the other
-  /// inline helpers only in Sequitur.cpp, the one file that calls them.
+  /// sym(), rule(), keyOf() and indexKeys() are defined in
+  /// SequiturNodes.h; the other inline helpers only in Sequitur.cpp, the
+  /// one file that calls them.
   inline Symbol &sym(NodeIdx I);
   inline const Symbol &sym(NodeIdx I) const;
   inline Rule &rule(NodeIdx I);
@@ -294,7 +280,11 @@ private:
   void destroyRule(NodeIdx R);
 
   inline void link(NodeIdx A, NodeIdx B);
+  /// The digram starting at \p A, read from A and its successor. The
+  /// digram index stores no keys; it reads them back through this.
   inline DigramKey keyOf(NodeIdx A) const;
+  /// keyOf as the digram index's key reader.
+  inline auto indexKeys() const;
   inline void removeDigramAt(NodeIdx A);
 
   /// Enforces digram uniqueness for the digram starting at \p A.
@@ -327,7 +317,7 @@ private:
   NodeIdx Start = NilIdx;
   uint64_t InputLen = 0;
   uint64_t NextRuleId = 0;
-  DigramTable<NodeIdx> Index;
+  DigramTable Index;
   std::vector<NodeIdx> MaybeUnderused;
 
   /// Symbols per arena slab (128 KiB of 32-byte symbols).

@@ -14,7 +14,9 @@
 /// goes through the public SequiturGrammar interface.
 ///
 /// Nodes link to each other by 32-bit arena index, not by pointer: a
-/// symbol is 32 bytes (two per cache line) and a digram-index slot 24.
+/// symbol is 32 bytes (two per cache line) and a digram-index slot 8
+/// (the first symbol's index and a 32-bit hash; the key is read back
+/// from the symbols through keyOf()).
 /// Index I lives in slab I >> SlabShift at slot I & SlabMask; index 0
 /// (NilIdx) is never handed out, so it doubles as the null link.
 ///
@@ -26,6 +28,7 @@
 #include "sequitur/Sequitur.h"
 
 #include <cassert>
+#include <type_traits>
 
 namespace orp {
 namespace sequitur {
@@ -71,8 +74,10 @@ struct SequiturGrammar::Rule {
 struct SequiturGrammar::LayoutPins {
   static_assert(sizeof(Symbol) == 32, "Symbol must stay 32 bytes");
   static_assert(sizeof(Rule) <= 32, "Rule must stay within 32 bytes");
-  static_assert(DigramTable<NodeIdx>::SlotBytes == 24,
-                "a digram-index slot must stay 24 bytes");
+  static_assert(DigramTable::SlotBytes == 8,
+                "a digram-index slot must stay 8 bytes");
+  static_assert(std::is_same_v<DigramTable::NodeIdx, NodeIdx>,
+                "the digram index names symbols by arena index");
   static_assert(sizeof(Symbol) * SymbolsPerSlab == 128 * 1024,
                 "a symbol slab must stay 128 KiB");
 };
@@ -92,7 +97,7 @@ inline const SequiturGrammar::Rule &SequiturGrammar::rule(NodeIdx I) const {
 
 /// A nonterminal's Value is its rule's Id, so the key is read from the
 /// two symbols alone.
-[[gnu::always_inline]] inline SequiturGrammar::DigramKey
+[[gnu::always_inline]] inline DigramKey
 SequiturGrammar::keyOf(NodeIdx A) const {
   const Symbol &SA = sym(A);
   const Symbol &SB = sym(SA.Next);
@@ -103,6 +108,10 @@ SequiturGrammar::keyOf(NodeIdx A) const {
   K.Tags = static_cast<uint8_t>((SA.isNonTerminal() ? 1 : 0) |
                                 (SB.isNonTerminal() ? 2 : 0));
   return K;
+}
+
+inline auto SequiturGrammar::indexKeys() const {
+  return [this](NodeIdx I) { return keyOf(I); };
 }
 
 } // namespace sequitur

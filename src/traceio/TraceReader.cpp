@@ -8,7 +8,12 @@
 #include "traceio/BlockCodec.h"
 #include "traceio/RegistryCodec.h"
 
-#include <cstdio>
+#include <cerrno>
+
+#include <fcntl.h>
+#include <sys/mman.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
 using namespace orp;
 using namespace orp::traceio;
@@ -19,50 +24,77 @@ bool TraceReader::failed(const std::string &Msg) {
   return false;
 }
 
-bool TraceReader::open(const std::string &Path) {
-  std::FILE *File = std::fopen(Path.c_str(), "rb");
-  if (!File) {
-    Name = Path;
-    return failed("cannot open file");
-  }
-  // Size the image from the file length and read it in one pass, so a
-  // large trace is neither copied on growth nor over-allocated.
-  std::vector<uint8_t> Image;
-  long Length = std::fseek(File, 0, SEEK_END) == 0 ? std::ftell(File) : -1;
-  std::rewind(File);
-  if (Length >= 0) {
-    Image.resize(static_cast<size_t>(Length));
-    Image.resize(std::fread(Image.data(), 1, Image.size(), File));
-  } else {
-    // Not seekable (a pipe): read it in chunks.
-    uint8_t Buf[64 * 1024];
-    size_t N;
-    while ((N = std::fread(Buf, 1, sizeof(Buf), File)) > 0)
-      Image.insert(Image.end(), Buf, Buf + N);
-  }
-  bool ReadErr = std::ferror(File) != 0;
-  std::fclose(File);
-  if (ReadErr) {
-    Name = Path;
-    return failed("read error");
-  }
-  return openImage(std::move(Image), Path);
+TraceReader::~TraceReader() {
+  if (Mapping)
+    ::munmap(Mapping, Size);
 }
 
-bool TraceReader::openImage(std::vector<uint8_t> Image,
-                            const std::string &FileName) {
+void TraceReader::reset(const std::string &FileName) {
+  if (Mapping)
+    ::munmap(Mapping, Size);
+  Mapping = nullptr;
+  Owned = std::vector<uint8_t>();
+  Data = nullptr;
+  Size = 0;
   Name = FileName;
-  Bytes = std::move(Image);
   Err.clear();
   Instrs.clear();
   Sites.clear();
   Blocks.clear();
   Info = TraceInfo{};
-  Info.FileBytes = Bytes.size();
+}
 
+bool TraceReader::open(const std::string &Path) {
+  reset(Path);
+  int Fd = ::open(Path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (Fd < 0)
+    return failed("cannot open file");
+  struct stat St;
+  if (::fstat(Fd, &St) == 0 && S_ISREG(St.st_mode) && St.st_size > 0) {
+    void *Map = ::mmap(nullptr, static_cast<size_t>(St.st_size), PROT_READ,
+                       MAP_PRIVATE, Fd, 0);
+    if (Map != MAP_FAILED) {
+      ::close(Fd);
+      Mapping = Map;
+      Data = static_cast<const uint8_t *>(Map);
+      Size = static_cast<size_t>(St.st_size);
+      return parseImage();
+    }
+  }
+  // A pipe, another non-regular input, an empty file, or a file that
+  // could not be mapped: read it in chunks.
+  std::vector<uint8_t> Image;
+  uint8_t Buf[64 * 1024];
+  bool ReadErr = false;
+  for (;;) {
+    ssize_t N = ::read(Fd, Buf, sizeof(Buf));
+    if (N > 0) {
+      Image.insert(Image.end(), Buf, Buf + N);
+    } else if (N == 0 || errno != EINTR) {
+      ReadErr = N < 0;
+      break;
+    }
+  }
+  ::close(Fd);
+  if (ReadErr)
+    return failed("read error");
+  return openImage(std::move(Image), Path);
+}
+
+bool TraceReader::openImage(std::vector<uint8_t> Image,
+                            const std::string &FileName) {
+  reset(FileName);
+  Owned = std::move(Image);
+  Data = Owned.data();
+  Size = Owned.size();
+  return parseImage();
+}
+
+bool TraceReader::parseImage() {
+  Info.FileBytes = Size;
   if (!parseHeader())
     return false;
-  uint64_t RegistryOffset = readLE64(Bytes.data() + 16);
+  uint64_t RegistryOffset = readLE64(Data + 16);
   if (!indexBlocks(RegistryOffset))
     return false;
   if (!parseRegistry(RegistryOffset))
@@ -74,27 +106,27 @@ bool TraceReader::openImage(std::vector<uint8_t> Image,
 }
 
 bool TraceReader::parseHeader() {
-  if (Bytes.size() < kHeaderSize)
+  if (Size < kHeaderSize)
     return failed("truncated file: shorter than the fixed header");
   for (unsigned I = 0; I != 4; ++I)
-    if (Bytes[I] != kMagic[I])
+    if (Data[I] != kMagic[I])
       return failed("bad magic: not an .orpt trace");
-  Info.Version = Bytes[4];
+  Info.Version = Data[4];
   if (Info.Version < kFormatVersionV1 || Info.Version > kFormatVersionV2)
     return failed("unsupported format version " +
                   std::to_string(Info.Version));
-  Info.Flags = Bytes[5];
-  Info.AllocPolicy = Bytes[6];
-  Info.Seed = readLE64(Bytes.data() + 8);
-  Info.TotalEvents = readLE64(Bytes.data() + 24);
-  uint32_t Want = readLE32(Bytes.data() + 32);
-  uint32_t Got = crc32(Bytes.data(), 32);
+  Info.Flags = Data[5];
+  Info.AllocPolicy = Data[6];
+  Info.Seed = readLE64(Data + 8);
+  Info.TotalEvents = readLE64(Data + 24);
+  uint32_t Want = readLE32(Data + 32);
+  uint32_t Got = crc32(Data, 32);
   if (Want != Got)
     return failed("header checksum mismatch (corrupted file)");
-  uint64_t RegistryOffset = readLE64(Bytes.data() + 16);
+  uint64_t RegistryOffset = readLE64(Data + 16);
   if (RegistryOffset == 0)
     return failed("unfinalized trace: the writer never close()d it");
-  if (RegistryOffset < kHeaderSize || RegistryOffset >= Bytes.size())
+  if (RegistryOffset < kHeaderSize || RegistryOffset >= Size)
     return failed("registry offset out of bounds (truncated file?)");
   return true;
 }
@@ -108,17 +140,17 @@ bool TraceReader::indexBlocks(uint64_t RegistryOffset) {
       return "block " + std::to_string(BlockIndex) + " at byte " +
              std::to_string(Pos);
     };
-    if (Bytes[Pos] != kBlockEvents)
+    if (Data[Pos] != kBlockEvents)
       return failed(Where() + ": unexpected section kind " +
-                    std::to_string(Bytes[Pos]));
+                    std::to_string(Data[Pos]));
     ++Pos;
     uint64_t PayloadLen, EventCount;
-    if (!tryDecodeULEB128(Bytes.data(), RegistryOffset, Pos, PayloadLen) ||
-        !tryDecodeULEB128(Bytes.data(), RegistryOffset, Pos, EventCount))
+    if (!tryDecodeULEB128(Data, RegistryOffset, Pos, PayloadLen) ||
+        !tryDecodeULEB128(Data, RegistryOffset, Pos, EventCount))
       return failed(Where() + ": truncated block header");
     if (RegistryOffset - Pos < 4)
       return failed(Where() + ": truncated block header");
-    uint32_t Crc = readLE32(Bytes.data() + Pos);
+    uint32_t Crc = readLE32(Data + Pos);
     Pos += 4;
     if (PayloadLen > RegistryOffset - Pos)
       return failed(Where() + ": payload extends past the registry "
@@ -137,30 +169,27 @@ bool TraceReader::indexBlocks(uint64_t RegistryOffset) {
 
 bool TraceReader::parseRegistry(uint64_t Offset) {
   size_t Pos = Offset;
-  const size_t Size = Bytes.size();
-  if (Bytes[Pos] != kBlockRegistry)
+  if (Data[Pos] != kBlockRegistry)
     return failed("registry section: unexpected kind " +
-                  std::to_string(Bytes[Pos]));
+                  std::to_string(Data[Pos]));
   ++Pos;
   uint64_t PayloadLen;
-  if (!tryDecodeULEB128(Bytes.data(), Size, Pos, PayloadLen) ||
-      Size - Pos < 4)
+  if (!tryDecodeULEB128(Data, Size, Pos, PayloadLen) || Size - Pos < 4)
     return failed("registry section: truncated header");
-  uint32_t Want = readLE32(Bytes.data() + Pos);
+  uint32_t Want = readLE32(Data + Pos);
   Pos += 4;
   if (PayloadLen > Size - Pos)
     return failed("registry section: truncated payload");
   const size_t End = Pos + PayloadLen;
-  if (crc32(Bytes.data() + Pos, PayloadLen) != Want)
+  if (crc32(Data + Pos, PayloadLen) != Want)
     return failed("registry section: checksum mismatch (corrupted file)");
-  if (End >= Size || Bytes[End] != kEndMarker)
+  if (End >= Size || Data[End] != kEndMarker)
     return failed("missing end marker (truncated file?)");
   if (End + 1 != Size)
     return failed("trailing garbage after end marker");
 
   std::string PayloadErr;
-  if (!parseRegistryPayload(Bytes.data() + Pos, PayloadLen, Instrs, Sites,
-                            PayloadErr))
+  if (!parseRegistryPayload(Data + Pos, PayloadLen, Instrs, Sites, PayloadErr))
     return failed("registry section at byte " + std::to_string(Pos) + ": " +
                   PayloadErr);
   return true;
@@ -171,9 +200,9 @@ bool TraceReader::forEachEvent(
   for (size_t B = 0; B != Blocks.size(); ++B) {
     const BlockRef &Ref = Blocks[B];
     std::string BlockErr;
-    if (!verifyBlockChecksum(Bytes.data() + Ref.PayloadPos, Ref.PayloadLen,
+    if (!verifyBlockChecksum(Data + Ref.PayloadPos, Ref.PayloadLen,
                              Ref.Crc, B, Ref.PayloadPos, BlockErr) ||
-        !decodeEventBlockAny(Info.Version, Bytes.data() + Ref.PayloadPos,
+        !decodeEventBlockAny(Info.Version, Data + Ref.PayloadPos,
                              Ref.PayloadLen, Ref.EventCount, Fn, BlockErr, B,
                              Ref.PayloadPos))
       return failed(BlockErr);
@@ -187,9 +216,9 @@ bool TraceReader::decodeBlockEvents(size_t Index,
   const BlockRef &Ref = Blocks[Index];
   Out.reserve(Ref.EventCount);
   std::string BlockErr;
-  if (!verifyBlockChecksum(Bytes.data() + Ref.PayloadPos, Ref.PayloadLen,
+  if (!verifyBlockChecksum(Data + Ref.PayloadPos, Ref.PayloadLen,
                            Ref.Crc, Index, Ref.PayloadPos, BlockErr) ||
-      !decodeEventBlockAny(Info.Version, Bytes.data() + Ref.PayloadPos,
+      !decodeEventBlockAny(Info.Version, Data + Ref.PayloadPos,
                            Ref.PayloadLen, Ref.EventCount,
                            [&](const TraceEvent &E) { Out.push_back(E); },
                            BlockErr, Index, Ref.PayloadPos))
@@ -200,9 +229,9 @@ bool TraceReader::decodeBlockEvents(size_t Index,
 bool TraceReader::decodeBlockColumns(size_t Index, DecodedBlock &Out) {
   const BlockRef &Ref = Blocks[Index];
   std::string BlockErr;
-  if (!verifyBlockChecksum(Bytes.data() + Ref.PayloadPos, Ref.PayloadLen,
+  if (!verifyBlockChecksum(Data + Ref.PayloadPos, Ref.PayloadLen,
                            Ref.Crc, Index, Ref.PayloadPos, BlockErr) ||
-      !decodeEventBlockV2(Bytes.data() + Ref.PayloadPos, Ref.PayloadLen,
+      !decodeEventBlockV2(Data + Ref.PayloadPos, Ref.PayloadLen,
                           Ref.EventCount, Out, BlockErr, Index,
                           Ref.PayloadPos))
     return failed(BlockErr);
@@ -211,7 +240,7 @@ bool TraceReader::decodeBlockColumns(size_t Index, DecodedBlock &Out) {
 
 TraceReader::RawBlock TraceReader::rawBlock(size_t Index) const {
   const BlockRef &Ref = Blocks[Index];
-  return RawBlock{Bytes.data() + Ref.PayloadPos, Ref.PayloadLen,
+  return RawBlock{Data + Ref.PayloadPos, Ref.PayloadLen,
                   Ref.EventCount, Ref.Crc, Ref.PayloadPos};
 }
 

@@ -14,6 +14,13 @@
 /// varints, trailing garbage) produces a clear error string instead of
 /// an assert or undefined behavior.
 ///
+/// open() maps a regular file read-only instead of copying it, so the
+/// image costs no heap and no up-front read; pipes and other
+/// non-regular inputs are read into an owned buffer, as openImage()
+/// images are. A mapped file that another process truncates while the
+/// reader holds it raises SIGBUS on the next access to the lost pages
+/// (the trade-off LLVM's MemoryBuffer makes for non-volatile files).
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef ORP_TRACEIO_TRACEREADER_H
@@ -30,12 +37,20 @@
 namespace orp {
 namespace traceio {
 
-/// Parses and validates one .orpt file.
+/// Parses and validates one .orpt file. Not copyable: the reader owns
+/// its image (a mapping or a buffer) and hands out pointers into it.
 class TraceReader {
 public:
-  /// Loads \p Path and validates everything except event payload
-  /// contents (those are checked checksum-first by forEachEvent).
-  /// Returns false with error() set on any problem.
+  TraceReader() = default;
+  ~TraceReader();
+  TraceReader(const TraceReader &) = delete;
+  TraceReader &operator=(const TraceReader &) = delete;
+
+  /// Maps (regular files) or reads (anything else) \p Path and
+  /// validates everything except event payload contents (those are
+  /// checked checksum-first by forEachEvent). Returns false with error()
+  /// set on any problem; the verdict and message are those openImage()
+  /// gives for the same bytes.
   [[nodiscard]] bool open(const std::string &Path);
 
   /// Structural validation of an in-memory image; used by open() and by
@@ -92,7 +107,8 @@ public:
   /// A still-encoded view of one event block, for forwarding the
   /// payload verbatim — e.g. as an EVENTS frame of the orp-traced wire
   /// protocol. The pointer aliases the reader's image and is valid
-  /// until the next open()/openImage(). \p Index must be in range.
+  /// until the next open()/openImage() or the reader's destruction.
+  /// \p Index must be in range.
   struct RawBlock {
     const uint8_t *Payload;
     size_t PayloadLen;
@@ -107,12 +123,20 @@ public:
 
 private:
   bool failed(const std::string &Msg);
+  /// Drops the current image (unmapping it) and every parse result.
+  void reset(const std::string &FileName);
+  /// Validates the image at [Data, Data + Size).
+  bool parseImage();
   bool parseHeader();
   bool parseRegistry(uint64_t Offset);
   bool indexBlocks(uint64_t RegistryOffset);
 
   std::string Name;
-  std::vector<uint8_t> Bytes;
+  /// The image: Mapping when open() mapped a file, else Owned.
+  const uint8_t *Data = nullptr;
+  size_t Size = 0;
+  void *Mapping = nullptr;
+  std::vector<uint8_t> Owned;
   TraceInfo Info;
   std::vector<trace::InstrInfo> Instrs;
   std::vector<trace::AllocSiteInfo> Sites;

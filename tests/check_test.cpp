@@ -21,6 +21,7 @@
 #include "gtest/gtest.h"
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 using namespace orp;
@@ -98,15 +99,41 @@ TEST(GrammarValidatorTest, CatchesDigramIndexDrop) {
       G, GrammarValidator::Corruption::DigramIndexDrop));
   check::CheckReport Report = GrammarValidator::validate(G);
   EXPECT_FALSE(Report.ok());
+  EXPECT_NE(Report.str().find("is not indexed"), std::string::npos)
+      << Report.str();
+  EXPECT_FALSE(G.checkInvariants());
 }
 
 TEST(GrammarValidatorTest, CatchesDigramIndexRetarget) {
+  // The entry keeps its stored hash but names another digram's symbol.
   sequitur::SequiturGrammar G;
   appendPeriodic(G);
   ASSERT_TRUE(GrammarValidator::injectForTest(
       G, GrammarValidator::Corruption::DigramIndexRetarget));
   check::CheckReport Report = GrammarValidator::validate(G);
   EXPECT_FALSE(Report.ok());
+  EXPECT_NE(Report.str().find("points at a different digram"),
+            std::string::npos)
+      << Report.str();
+  EXPECT_FALSE(G.checkInvariants());
+}
+
+TEST(GrammarValidatorTest, CatchesDigramIndexEntryOnFreedSymbol) {
+  // The index stores no keys, so an entry naming a freed symbol would
+  // make a careless checker read reclaimed (under ASan: poisoned)
+  // memory. Both checkers must flag the entry without reading it.
+  sequitur::SequiturGrammar G;
+  appendPeriodic(G);
+  ASSERT_TRUE(GrammarValidator::injectForTest(
+      G, GrammarValidator::Corruption::DigramIndexToFreedSymbol));
+  check::CheckReport Report = GrammarValidator::validate(G);
+  EXPECT_FALSE(Report.ok());
+  EXPECT_NE(Report.str().find("points outside the live grammar"),
+            std::string::npos)
+      << Report.str();
+  EXPECT_NE(Report.str().find("is not indexed"), std::string::npos)
+      << Report.str();
+  EXPECT_FALSE(G.checkInvariants());
 }
 
 TEST(GrammarValidatorTest, CatchesUseCountSkew) {

@@ -12,6 +12,7 @@
 #include "leap/LeapProfileData.h"
 #include "support/Checksum.h"
 #include "support/Endian.h"
+#include "support/WorkerPool.h"
 #include "support/VarInt.h"
 #include "traceio/BlockCodec.h"
 #include "traceio/TraceReader.h"
@@ -23,11 +24,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
+
+#include <sys/stat.h>
+#include <unistd.h>
 
 using namespace orp;
 
@@ -487,6 +493,188 @@ TEST_F(TraceIoCorruptionTest, OpenOnDiskReportsTheFileName) {
   EXPECT_FALSE(Ok);
   EXPECT_NE(Reader.error().find("ondisk_corrupt.orpt"), std::string::npos);
   std::remove(BadPath.c_str());
+}
+
+//===----------------------------------------------------------------------===//
+// open() maps regular files and reads everything else; either way it
+// judges a file exactly as openImage() judges the same bytes
+//===----------------------------------------------------------------------===//
+
+static_assert(!std::is_copy_constructible_v<traceio::TraceReader> &&
+                  !std::is_copy_assignable_v<traceio::TraceReader>,
+              "TraceReader owns its image and hands out pointers into it");
+
+namespace {
+
+/// Records a small multi-block v2 trace through the real writer.
+std::vector<uint8_t> recordSmallTrace(uint64_t Accesses = 40) {
+  std::string Path = tempPath("small.orpt");
+  trace::InstructionRegistry Registry;
+  trace::InstrId Load =
+      Registry.addInstruction("mapped: load", trace::AccessKind::Load);
+  trace::InstrId Store =
+      Registry.addInstruction("mapped: store", trace::AccessKind::Store);
+  trace::AllocSiteId Site = Registry.addAllocSite("mapped: alloc", "struct m");
+  {
+    traceio::TraceWriter Writer(Path, Registry, memsim::AllocPolicy::FirstFit,
+                                /*Seed=*/5, /*BlockBytes=*/128);
+    uint64_t Time = 0;
+    Writer.onAlloc({Site, /*Addr=*/0x2000, /*Size=*/64, ++Time,
+                    /*IsStatic=*/false});
+    for (uint64_t I = 0; I != Accesses; ++I)
+      Writer.onAccess({(I & 1) ? Store : Load, 0x2000 + (I % 8) * 8,
+                       /*Size=*/8, /*IsStore=*/(I & 1) != 0, ++Time});
+    Writer.onFree({0x2000, ++Time});
+    EXPECT_TRUE(Writer.close()) << Writer.error();
+  }
+  std::vector<uint8_t> Bytes = readFile(Path);
+  std::remove(Path.c_str());
+  return Bytes;
+}
+
+/// Everything a reader reports about an image: verdict, error, header
+/// info and, when it parsed, the decoded events and the decode verdict.
+std::vector<std::string> readerOutcome(traceio::TraceReader &R, bool Ok) {
+  const traceio::TraceInfo &I = R.info();
+  std::vector<std::string> Out = {
+      Ok ? "accepted" : "rejected", R.error(),
+      std::to_string(I.Version) + "/" + std::to_string(I.Flags) + "/" +
+          std::to_string(I.AllocPolicy) + "/" + std::to_string(I.Seed) +
+          "/" + std::to_string(I.TotalEvents) + "/" +
+          std::to_string(I.NumBlocks) + "/" + std::to_string(I.FileBytes) +
+          "/" + std::to_string(I.NumInstructions) + "/" +
+          std::to_string(I.NumAllocSites)};
+  if (!Ok)
+    return Out;
+  bool Decoded = R.forEachEvent([&](const traceio::TraceEvent &E) {
+    Out.push_back(std::to_string(static_cast<int>(E.K)) + ":" +
+                  std::to_string(E.InstrOrSite) + ":" +
+                  std::to_string(E.Addr) + ":" + std::to_string(E.Size) +
+                  ":" + std::to_string(E.Time) + ":" +
+                  std::to_string(E.IsStore) + std::to_string(E.IsStatic));
+  });
+  Out.push_back(Decoded ? "decoded" : "decode failed: " + R.error());
+  return Out;
+}
+
+/// Writes \p Bytes to \p Path and expects open(Path) to report exactly
+/// what openImage(Bytes, Path) reports.
+void expectFileMatchesImage(const std::vector<uint8_t> &Bytes,
+                            const std::string &Path, const std::string &What) {
+  writeFile(Path, Bytes);
+  traceio::TraceReader FromFile, FromImage;
+  bool FileOk = FromFile.open(Path);
+  bool ImageOk = FromImage.openImage(Bytes, Path);
+  EXPECT_EQ(readerOutcome(FromFile, FileOk), readerOutcome(FromImage, ImageOk))
+      << What;
+  std::remove(Path.c_str());
+}
+
+} // namespace
+
+TEST(TraceIoMappedOpenTest, EveryTruncationAndFlipMatchesOpenImage) {
+  std::vector<uint8_t> Good = recordSmallTrace();
+  ASSERT_GT(Good.size(), traceio::kHeaderSize + 64);
+  {
+    traceio::TraceReader R;
+    ASSERT_TRUE(R.openImage(Good, "small.orpt")) << R.error();
+    ASSERT_GE(R.numEventBlocks(), 2u) << "want a multi-block trace";
+  }
+  std::string Path = tempPath("mapped_sweep.orpt");
+  expectFileMatchesImage(Good, Path, "intact");
+  // Every proper prefix, the empty file included.
+  for (size_t Keep = 0; Keep != Good.size(); ++Keep)
+    expectFileMatchesImage(
+        std::vector<uint8_t>(Good.begin(), Good.begin() + Keep), Path,
+        "prefix of " + std::to_string(Keep) + " bytes");
+  // One flipped bit at every byte, plus trailing garbage.
+  for (size_t At = 0; At != Good.size(); ++At) {
+    std::vector<uint8_t> Bad = Good;
+    Bad[At] ^= static_cast<uint8_t>(1u << (At % 8));
+    expectFileMatchesImage(Bad, Path, "bit flip at byte " + std::to_string(At));
+  }
+  std::vector<uint8_t> Longer = Good;
+  Longer.push_back(0xAB);
+  expectFileMatchesImage(Longer, Path, "trailing garbage");
+}
+
+TEST(TraceIoMappedOpenTest, FifoIsReadThroughTheChunkedPath) {
+  // A FIFO cannot be mapped; open() must read it in chunks and still
+  // match openImage(). The trace spans several 64 KiB read chunks.
+  std::vector<uint8_t> Bytes = recordSmallTrace(/*Accesses=*/60000);
+  ASSERT_GT(Bytes.size(), 3u * 64 * 1024);
+  std::string Fifo = tempPath("mapped.fifo");
+  std::remove(Fifo.c_str());
+  ASSERT_EQ(::mkfifo(Fifo.c_str(), 0600), 0);
+  traceio::TraceReader FromFifo;
+  bool FifoOk = false;
+  {
+    support::ScopedThread Feeder([&] { writeFile(Fifo, Bytes); });
+    FifoOk = FromFifo.open(Fifo);
+  }
+  std::remove(Fifo.c_str());
+  traceio::TraceReader FromImage;
+  bool ImageOk = FromImage.openImage(Bytes, Fifo);
+  ASSERT_TRUE(FifoOk) << FromFifo.error();
+  EXPECT_EQ(readerOutcome(FromFifo, FifoOk), readerOutcome(FromImage, ImageOk));
+}
+
+TEST(TraceIoMappedOpenTest, UnreadablePathsKeepTheirMessages) {
+  std::string Empty = tempPath("mapped_empty.orpt");
+  writeFile(Empty, {});
+  traceio::TraceReader R;
+  EXPECT_FALSE(R.open(Empty));
+  EXPECT_EQ(R.error(),
+            Empty + ": truncated file: shorter than the fixed header");
+  std::remove(Empty.c_str());
+
+  // A directory opens but cannot be read.
+  std::string Dir = tempPath("mapped_dir");
+  ::rmdir(Dir.c_str());
+  ASSERT_EQ(::mkdir(Dir.c_str(), 0700), 0);
+  EXPECT_FALSE(R.open(Dir));
+  EXPECT_EQ(R.error(), Dir + ": read error");
+  ::rmdir(Dir.c_str());
+
+  std::string Missing = tempPath("mapped_missing.orpt");
+  std::remove(Missing.c_str());
+  ASSERT_TRUE(R.openImage(recordSmallTrace(), "good.orpt")) << R.error();
+  EXPECT_FALSE(R.open(Missing));
+  EXPECT_EQ(R.error(), Missing + ": cannot open file");
+  // A failed open leaves nothing of the previous one behind.
+  EXPECT_EQ(R.numEventBlocks(), 0u);
+  EXPECT_EQ(R.info().FileBytes, 0u);
+}
+
+TEST(TraceIoMappedOpenTest, RawBlocksStayValidUntilReopen) {
+  // rawBlock() points into the mapping. The mapping outlives the file's
+  // directory entry, so the payloads stay readable (and decodable) until
+  // the reader is reopened or destroyed.
+  std::vector<uint8_t> Bytes = recordSmallTrace();
+  std::string Path = tempPath("mapped_raw.orpt");
+  writeFile(Path, Bytes);
+  traceio::TraceReader R;
+  ASSERT_TRUE(R.open(Path)) << R.error();
+  std::remove(Path.c_str());
+  ASSERT_GT(R.numEventBlocks(), 1u);
+  for (size_t B = 0; B != R.numEventBlocks(); ++B) {
+    traceio::TraceReader::RawBlock Raw = R.rawBlock(B);
+    ASSERT_LE(Raw.FileOffset + Raw.PayloadLen, Bytes.size());
+    EXPECT_TRUE(std::equal(Raw.Payload, Raw.Payload + Raw.PayloadLen,
+                           Bytes.begin() + Raw.FileOffset))
+        << "block " << B;
+    EXPECT_EQ(crc32(Raw.Payload, Raw.PayloadLen), Raw.Crc) << "block " << B;
+  }
+  std::vector<traceio::TraceEvent> Events;
+  EXPECT_TRUE(R.readAllEvents(Events)) << R.error();
+  EXPECT_EQ(Events.size(), R.info().TotalEvents);
+
+  // Reopening swaps in the new image: its blocks, not the old ones.
+  std::vector<uint8_t> Other = recordSmallTrace(/*Accesses=*/400);
+  ASSERT_TRUE(R.openImage(Other, "other.orpt")) << R.error();
+  traceio::TraceReader::RawBlock First = R.rawBlock(0);
+  EXPECT_TRUE(std::equal(First.Payload, First.Payload + First.PayloadLen,
+                         Other.begin() + First.FileOffset));
 }
 
 //===----------------------------------------------------------------------===//
