@@ -42,58 +42,40 @@ CheckReport GrammarValidator::validate(const SequiturGrammar &G) {
   // nodes are poisoned under ASan, so each visit opens a scoped window.
   std::unordered_set<NodeIdx> DeadSymbols;
   std::unordered_set<NodeIdx> DeadRules;
-  for (NodeIdx I = G.SymbolFreeList; I != Nil;) {
-    if (!ValidSymbol(I)) {
-      Report.fail("arena: symbol free list links outside the arena");
-      break;
+  // Walks one reclaim list: every node in range, on no other list, and
+  // released; a cycle or an overlap ends the walk.
+  auto WalkDead = [&](const std::string &List, NodeIdx Head, auto Valid,
+                      std::unordered_set<NodeIdx> &Dead, auto &Node,
+                      auto Released, auto NextOf) {
+    for (NodeIdx I = Head; I != Nil;) {
+      if (!Valid(I)) {
+        Report.fail("arena: " + List + " links outside the arena");
+        break;
+      }
+      if (!Dead.insert(I).second) {
+        Report.fail("arena: " + List + " overlaps another list or "
+                    "contains a cycle");
+        break;
+      }
+      ScopedUnpoison Window(&Node(I), sizeof(Node(I)));
+      Report.require(Released(Node(I)), "arena: " + List + " node is live");
+      I = NextOf(Node(I));
     }
-    if (!DeadSymbols.insert(I).second) {
-      Report.fail("arena: symbol free list contains a cycle");
-      break;
-    }
-    ScopedUnpoison Window(&G.sym(I), sizeof(Symbol));
-    Report.require(!G.sym(I).Live, "arena: free-list symbol has Live tag set");
-    I = G.sym(I).Next;
-  }
-  for (NodeIdx I = G.SymbolPendingList; I != Nil; I = G.sym(I).Next) {
-    if (!ValidSymbol(I)) {
-      Report.fail("arena: symbol pending list links outside the arena");
-      break;
-    }
-    if (!DeadSymbols.insert(I).second) {
-      Report.fail("arena: symbol pending list overlaps free list or "
-                  "contains a cycle");
-      break;
-    }
-    Report.require(!G.sym(I).Live,
-                   "arena: pending-list symbol has Live tag set");
-  }
-  for (NodeIdx I = G.RuleFreeList; I != Nil;) {
-    if (!ValidRule(I)) {
-      Report.fail("arena: rule free list links outside the arena");
-      break;
-    }
-    if (!DeadRules.insert(I).second) {
-      Report.fail("arena: rule free list contains a cycle");
-      break;
-    }
-    ScopedUnpoison Window(&G.rule(I), sizeof(Rule));
-    Report.require(!G.rule(I).Live, "arena: free-list rule has Live tag set");
-    I = G.rule(I).LiveNext;
-  }
-  for (NodeIdx I = G.RulePendingList; I != Nil; I = G.rule(I).LiveNext) {
-    if (!ValidRule(I)) {
-      Report.fail("arena: rule pending list links outside the arena");
-      break;
-    }
-    if (!DeadRules.insert(I).second) {
-      Report.fail("arena: rule pending list overlaps free list or "
-                  "contains a cycle");
-      break;
-    }
-    Report.require(!G.rule(I).Live,
-                   "arena: pending-list rule has Live tag set");
-  }
+  };
+  auto Sym = [&](NodeIdx I) -> const Symbol & { return G.sym(I); };
+  auto Rul = [&](NodeIdx I) -> const Rule & { return G.rule(I); };
+  auto SymDead = [](const Symbol &S) { return !S.live(); };
+  auto RuleDead = [](const Rule &R) { return !R.Live; };
+  auto SymNext = [](const Symbol &S) { return S.Next; };
+  auto RuleNext = [](const Rule &R) { return R.LiveNext; };
+  WalkDead("symbol free list", G.SymbolFreeList, ValidSymbol, DeadSymbols,
+           Sym, SymDead, SymNext);
+  WalkDead("symbol pending list", G.SymbolPendingList, ValidSymbol,
+           DeadSymbols, Sym, SymDead, SymNext);
+  WalkDead("rule free list", G.RuleFreeList, ValidRule, DeadRules, Rul,
+           RuleDead, RuleNext);
+  WalkDead("rule pending list", G.RulePendingList, ValidRule, DeadRules, Rul,
+           RuleDead, RuleNext);
 
   // Live-rule list: well linked, tagged live, counted, disjoint from the
   // reclaimed sets, and anchored by the start rule.
@@ -110,14 +92,13 @@ CheckReport GrammarValidator::validate(const SequiturGrammar &G) {
       break;
     }
     const Rule &R = G.rule(RI);
-    Report.require(R.Live, "live-rule list: " + ruleName(R.Id) +
+    Report.require(R.Live, "live-rule list: " + ruleName(RI) +
                                " has a cleared Live tag");
-    Report.require(!DeadRules.count(RI), "live-rule list: " + ruleName(R.Id) +
+    Report.require(!DeadRules.count(RI), "live-rule list: " + ruleName(RI) +
                                              " is on an arena reclaim list");
     if (R.LiveNext != Nil &&
         (!ValidRule(R.LiveNext) || G.rule(R.LiveNext).LivePrev != RI))
-      Report.fail("live-rule list: broken back-link after " +
-                  ruleName(R.Id));
+      Report.fail("live-rule list: broken back-link after " + ruleName(RI));
   }
   Report.require(LiveListed.size() == G.NumLiveRules,
                  "live-rule list length disagrees with NumLiveRules");
@@ -129,104 +110,72 @@ CheckReport GrammarValidator::validate(const SequiturGrammar &G) {
   std::unordered_map<NodeIdx, NodeIdx> BodyOwner;
   for (NodeIdx RI : LiveListed) {
     const Rule &R = G.rule(RI);
-    if (!Report.require(ValidSymbol(R.Guard),
-                        ruleName(R.Id) + ": missing guard"))
+    if (!Report.require(ValidSymbol(R.Guard), ruleName(RI) + ": missing guard"))
       continue;
+    // A guard's tag excludes the released tag, so this also checks that
+    // the guard is live.
     const Symbol &Guard = G.sym(R.Guard);
-    Report.require(Guard.isGuard() && Guard.RuleRef == RI,
-                   ruleName(R.Id) + ": guard does not point back");
-    Report.require(Guard.Live,
-                   ruleName(R.Id) + ": guard has a cleared Live tag");
+    Report.require(Guard.isGuard() && Guard.ruleRef() == RI,
+                   ruleName(RI) + ": guard does not point back");
     Report.require(!DeadSymbols.count(R.Guard),
-                   ruleName(R.Id) + ": guard is on an arena reclaim list");
+                   ruleName(RI) + ": guard is on an arena reclaim list");
     size_t BodyLen = 0;
     bool RingOk = true;
     for (NodeIdx I = Guard.Next; I != R.Guard; I = G.sym(I).Next) {
       if (!ValidSymbol(I) || !BodyOwner.emplace(I, RI).second) {
-        Report.fail(ruleName(R.Id) +
-                    ": body ring is broken or shares a symbol");
+        Report.fail(ruleName(RI) + ": body ring is broken or shares a symbol");
         RingOk = false;
         break;
       }
       const Symbol &S = G.sym(I);
-      Report.require(S.Live, ruleName(R.Id) +
-                                 ": body symbol has a cleared Live tag");
+      Report.require(S.live(), ruleName(RI) + ": body symbol is released");
       Report.require(!S.isGuard(),
-                     ruleName(R.Id) + ": foreign guard inside the body");
+                     ruleName(RI) + ": foreign guard inside the body");
       Report.require(!DeadSymbols.count(I),
-                     ruleName(R.Id) +
+                     ruleName(RI) +
                          ": body symbol is on an arena reclaim list");
-      if (!ValidSymbol(S.Next) || G.sym(S.Next).Prev != I ||
-          !ValidSymbol(S.Prev) || G.sym(S.Prev).Next != I)
-        Report.fail(ruleName(R.Id) + ": body links are inconsistent");
-      if (S.isNonTerminal()) {
-        bool RefOk = ValidRule(S.RuleRef) && G.rule(S.RuleRef).Live &&
-                     LiveListed.count(S.RuleRef);
-        Report.require(RefOk, ruleName(R.Id) +
-                                  ": body references a dead rule");
-        if (RefOk)
-          Report.require(S.Value == G.rule(S.RuleRef).Id,
-                         ruleName(R.Id) + ": use of " +
-                             ruleName(G.rule(S.RuleRef).Id) +
-                             " carries a stale rule id");
-      }
+      if (!ValidSymbol(S.Next) || G.sym(S.Next).prev() != I ||
+          !ValidSymbol(S.prev()) || G.sym(S.prev()).Next != I)
+        Report.fail(ruleName(RI) + ": body links are inconsistent");
+      if (S.isNonTerminal())
+        Report.require(ValidRule(S.ruleRef()) && G.rule(S.ruleRef()).Live &&
+                           LiveListed.count(S.ruleRef()),
+                       ruleName(RI) + ": body references a dead rule");
       ++BodyLen;
     }
     if (RingOk && RI != G.Start)
-      Report.require(BodyLen >= 2, ruleName(R.Id) +
-                                       ": non-start body shorter than 2");
+      Report.require(BodyLen >= 2,
+                     ruleName(RI) + ": non-start body shorter than 2");
   }
   Report.require(BodyOwner.size() == G.totalBodySymbols(),
                  "live-symbol count disagrees with the rule bodies (" +
                      std::to_string(G.totalBodySymbols()) + " counted, " +
                      std::to_string(BodyOwner.size()) + " in bodies)");
 
-  // Use lists: counts agree, links are sane, every use is a live body
-  // member of some rule, and every nonterminal body symbol is listed.
-  std::unordered_set<NodeIdx> ListedUses;
+  // Use counts: recount each rule's uses, and the XOR of their symbol
+  // indices, from the bodies. Both must equal the rule's own UseCount
+  // and UseXor, and every non-start rule needs two uses.
+  std::unordered_map<NodeIdx, std::pair<uint32_t, NodeIdx>> Uses;
+  for (const auto &[I, Owner] : BodyOwner)
+    if (G.sym(I).isNonTerminal()) {
+      ++Uses[G.sym(I).ruleRef()].first;
+      Uses[G.sym(I).ruleRef()].second ^= I;
+    }
   for (NodeIdx RI : LiveListed) {
     const Rule &R = G.rule(RI);
-    size_t Uses = 0;
-    NodeIdx PrevUse = Nil;
-    for (NodeIdx U = R.UseHead; U != Nil; U = G.sym(U).UseNext) {
-      if (!ValidSymbol(U)) {
-        Report.fail(ruleName(R.Id) + ": use list links outside the arena");
-        break;
-      }
-      if (!ListedUses.insert(U).second) {
-        Report.fail(ruleName(R.Id) + ": use list contains a cycle");
-        break;
-      }
-      const Symbol &S = G.sym(U);
-      bool IsUse = S.isNonTerminal() && S.RuleRef == RI;
-      Report.require(IsUse,
-                     ruleName(R.Id) + ": use list entry references " +
-                         (S.isNonTerminal() && ValidRule(S.RuleRef)
-                              ? ruleName(G.rule(S.RuleRef).Id)
-                              : "nothing"));
-      Report.require(S.UsePrev == PrevUse,
-                     ruleName(R.Id) + ": use list back-link mismatch");
-      Report.require(BodyOwner.count(U) != 0,
-                     ruleName(R.Id) + ": use is not in any live body");
-      PrevUse = U;
-      ++Uses;
-    }
-    Report.require(Uses == R.UseCount,
-                   ruleName(R.Id) + ": UseCount " +
-                       std::to_string(R.UseCount) + " but use list holds " +
-                       std::to_string(Uses));
+    auto [Count, Xor] = Uses[RI];
+    Report.require(Count == R.UseCount,
+                   ruleName(RI) + ": UseCount " + std::to_string(R.UseCount) +
+                       " but the bodies hold " + std::to_string(Count) +
+                       " uses");
+    Report.require(Xor == R.UseXor,
+                   ruleName(RI) + ": UseXor " + std::to_string(R.UseXor) +
+                       " but the uses in the bodies XOR to " +
+                       std::to_string(Xor));
     if (RI != G.Start)
       Report.require(R.UseCount >= 2,
-                     ruleName(R.Id) + ": rule utility below 2 (" +
+                     ruleName(RI) + ": rule utility below 2 (" +
                          std::to_string(R.UseCount) + " uses)");
-  }
-  for (const auto &[I, Owner] : BodyOwner) {
-    const Symbol &S = G.sym(I);
-    if (S.isNonTerminal() && ValidRule(S.RuleRef))
-      Report.require(ListedUses.count(I) != 0,
-                     ruleName(G.rule(Owner).Id) +
-                         ": nonterminal body symbol missing from " +
-                         ruleName(G.rule(S.RuleRef).Id) + "'s use list");
   }
 
   // Only walk the rings again if the structural pass found them intact;
@@ -240,11 +189,11 @@ CheckReport GrammarValidator::validate(const SequiturGrammar &G) {
     std::unordered_set<NodeIdx> ReachSet(Reach.begin(), Reach.end());
     for (NodeIdx RI : LiveListed)
       Report.require(ReachSet.count(RI) != 0,
-                     ruleName(G.rule(RI).Id) +
+                     ruleName(RI) +
                          ": live rule unreachable from the start rule");
     for (NodeIdx RI : ReachSet)
       Report.require(LiveListed.count(RI) != 0,
-                     ruleName(G.rule(RI).Id) +
+                     ruleName(RI) +
                          ": reachable rule missing from the live-rule list");
   }
 
@@ -344,7 +293,7 @@ CheckReport GrammarValidator::validate(const SequiturGrammar &G) {
     uint64_t Len = 0;
     NodeIdx Guard = G.rule(RI).Guard;
     for (NodeIdx I = G.sym(Guard).Next; I != Guard; I = G.sym(I).Next)
-      Len += G.sym(I).isNonTerminal() ? Self(Self, G.sym(I).RuleRef) : 1;
+      Len += G.sym(I).isNonTerminal() ? Self(Self, G.sym(I).ruleRef()) : 1;
     Visiting.erase(RI);
     Lengths.emplace(RI, Len);
     return Len;
@@ -406,11 +355,18 @@ GrammarValidator::firstFreeSymbolForTest(const SequiturGrammar &G) {
   return &G.sym(G.SymbolFreeList);
 }
 
+const void *
+GrammarValidator::nextFreshSymbolForTest(const SequiturGrammar &G) {
+  if ((G.FreshSymbol >> SequiturGrammar::SymbolSlabShift) >=
+      G.SymbolSlabs.size())
+    return nullptr;
+  return &G.sym(static_cast<SequiturGrammar::NodeIdx>(G.FreshSymbol));
+}
+
 void GrammarValidator::exhaustSymbolIndexSpaceForTest(SequiturGrammar &G) {
-  G.FreshSymbol = uint64_t(1) << 32;
+  G.FreshSymbol = uint64_t(1) << 31;
   G.SymbolFreeList = SequiturGrammar::NilIdx;
-  G.SymbolSlabs.resize(G.FreshSymbol >> SequiturGrammar::SymbolSlabShift,
-                       nullptr);
+  G.SymbolSlabs.resize(G.FreshSymbol >> SequiturGrammar::SymbolSlabShift);
 }
 
 bool GrammarValidator::injectForTest(SequiturGrammar &G, Corruption K) {
@@ -453,20 +409,21 @@ bool GrammarValidator::injectForTest(SequiturGrammar &G, Corruption K) {
     G.Index.insert(Key, Target);
     return true;
   }
-  case Corruption::UseCountSkew: {
+  case Corruption::UseCountSkew:
+  case Corruption::UseXorSkew:
     for (NodeIdx RI = G.LiveRuleHead; RI != Nil; RI = G.rule(RI).LiveNext)
       if (RI != G.Start) {
         Rule &R = G.rule(RI);
-        ++R.UseCount;
+        (K == Corruption::UseCountSkew ? R.UseCount : R.UseXor) ^= 1;
         return true;
       }
     return false;
-  }
   case Corruption::LivenessTagClear: {
-    NodeIdx First = G.sym(G.rule(G.Start).Guard).Next;
-    if (G.sym(First).isGuard())
+    SequiturGrammar::Symbol &First = G.sym(G.sym(G.rule(G.Start).Guard).Next);
+    if (First.isGuard())
       return false;
-    G.sym(First).Live = false;
+    First.Value = SequiturGrammar::Symbol::ReleasedTag;
+    First.PrevTag |= SequiturGrammar::Symbol::RefBit;
     return true;
   }
   }

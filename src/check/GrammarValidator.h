@@ -15,7 +15,8 @@
 ///     hash and which a lookup reaches; completeness: every adjacency is
 ///     findable in the index);
 ///   * digram uniqueness across all rule bodies;
-///   * rule utility >= 2 and use-list/use-count agreement;
+///   * rule utility >= 2, and each rule's UseCount and UseXor equal to
+///     the count and index XOR of its uses recounted from the bodies;
 ///   * intrusive live-list membership == liveness tags == reachability
 ///     from the start rule;
 ///   * arena discipline: free-list/pending-list nodes are dead and
@@ -77,9 +78,15 @@ public:
   static const void *
   firstFreeSymbolForTest(const sequitur::SequiturGrammar &G);
 
+  /// Returns the address of the next never-used symbol (the bump
+  /// cursor) when it lies in an allocated slab, else null. For the death
+  /// test that proves a fresh slab is born poisoned past the cursor.
+  static const void *
+  nextFreshSymbolForTest(const sequitur::SequiturGrammar &G);
+
   /// Makes \p G's symbol arena look full: the slab table grows to the
-  /// 2^20 entries that 32-bit indices allow (null slabs) and the bump
-  /// cursor moves to 2^32, so the next fresh symbol must hit the
+  /// 2^19 entries that 31-bit indices allow (null slabs) and the bump
+  /// cursor moves to 2^31, so the next fresh symbol must hit the
   /// index-space cap. Only for a death test: the grammar must not be
   /// used or destroyed afterwards.
   static void exhaustSymbolIndexSpaceForTest(sequitur::SequiturGrammar &G);
@@ -90,7 +97,8 @@ public:
     DigramIndexRetarget, ///< Repoint an entry at a wrong occurrence.
     DigramIndexToFreedSymbol, ///< Repoint an entry at a freed symbol.
     UseCountSkew,        ///< Bump a rule's UseCount with no matching use.
-    LivenessTagClear,    ///< Clear the Live tag of an in-body symbol.
+    UseXorSkew,          ///< Flip a bit of a rule's UseXor.
+    LivenessTagClear,    ///< Tag an in-body symbol as released.
   };
 
   /// Injects \p K into \p G. Returns false when the grammar is too small

@@ -45,11 +45,11 @@ constexpr uint64_t OmcValidateIntervalMutations = 1024;
 
 } // namespace
 
-Cdc::Cdc(omc::ObjectManager &Omc, UnknownAddressPolicy Policy)
+Cdc::Cdc(omc::ObjectManager &Omc, UnknownAddressPolicy Policy,
+         telemetry::Registry &Collectors)
     : Omc(Omc), Policy(Policy),
-      NextOmcValidateAt(OmcValidateIntervalMutations),
       BatchCounter(telemetry::Registry::global().counter("cdc.batches")),
-      Collector(telemetry::Registry::global().addCollector(
+      Collector(Collectors.addCollector(
           [this](telemetry::Registry &R) {
             R.gauge("cdc.translated")
                 .set(static_cast<int64_t>(Stats.Translated));
@@ -69,7 +69,8 @@ Cdc::Cdc(omc::ObjectManager &Omc, UnknownAddressPolicy Policy)
                 .set(static_cast<int64_t>(this->Omc.numGroups()));
             R.gauge("omc.live_objects")
                 .set(static_cast<int64_t>(this->Omc.numLiveObjects()));
-          })) {}
+          })),
+      NextOmcValidateAt(OmcValidateIntervalMutations) {}
 
 void Cdc::validateOmc(const char *When) const {
   check::CheckReport Report = check::OmcValidator::validate(Omc);

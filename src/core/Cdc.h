@@ -47,8 +47,11 @@ public:
   /// Pseudo-group used by UnknownAddressPolicy::WildGroup.
   static constexpr omc::GroupId WildGroupId = ~static_cast<omc::GroupId>(0);
 
+  /// The cdc.* and omc.* gauges are published by a collector on
+  /// \p Collectors.
   explicit Cdc(omc::ObjectManager &Omc,
-               UnknownAddressPolicy Policy = UnknownAddressPolicy::Drop);
+               UnknownAddressPolicy Policy = UnknownAddressPolicy::Drop,
+               telemetry::Registry &Collectors = telemetry::Registry::global());
 
   /// Adds \p Consumer (not owned) to the object-relative output.
   void addConsumer(OrTupleConsumer *Consumer);

@@ -29,11 +29,13 @@ namespace core {
 class ProfilingSession {
 public:
   /// Creates the runtime/OMC/CDC stack. \p Policy and \p Seed configure
-  /// the simulated heap of this run.
+  /// the simulated heap of this run; the CDC's collector goes on
+  /// \p Collectors.
   explicit ProfilingSession(
       memsim::AllocPolicy Policy = memsim::AllocPolicy::FirstFit,
       uint64_t Seed = 0,
-      UnknownAddressPolicy Unknown = UnknownAddressPolicy::Drop);
+      UnknownAddressPolicy Unknown = UnknownAddressPolicy::Drop,
+      telemetry::Registry &Collectors = telemetry::Registry::global());
 
   /// The instrumented runtime the workload executes against.
   trace::MemoryInterface &memory() { return Memory; }

@@ -12,14 +12,15 @@
 using namespace orp;
 using namespace orp::leap;
 
-LeapProfiler::LeapProfiler(unsigned MaxLmads, unsigned Threads)
+LeapProfiler::LeapProfiler(unsigned MaxLmads, unsigned Threads,
+                           telemetry::Registry &Collectors)
     : MaxLmads(MaxLmads),
       Decomposer(
           [MaxLmads](core::VerticalKey) {
             return std::make_unique<LeapSubstream>(MaxLmads);
           },
           Threads),
-      Collector(telemetry::Registry::global().addCollector(
+      Collector(Collectors.addCollector(
           [this](telemetry::Registry &R) {
             R.gauge("leap.tuples").set(static_cast<int64_t>(Tuples));
             R.gauge("leap.instructions")

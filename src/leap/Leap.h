@@ -79,9 +79,11 @@ public:
   /// sharded by hash across that many worker threads (DESIGN.md
   /// section 10); the profile is identical either way. The accessors
   /// below must not be called before finish() in threaded mode.
+  /// The leap.* gauges are published by a collector on \p Collectors.
   explicit LeapProfiler(
       unsigned MaxLmads = lmad::LmadCompressor::DefaultMaxLmads,
-      unsigned Threads = 1);
+      unsigned Threads = 1,
+      telemetry::Registry &Collectors = telemetry::Registry::global());
 
   void consume(const core::OrTuple &Tuple) override;
   void finish() override { Decomposer.finish(); }

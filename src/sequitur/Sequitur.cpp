@@ -28,9 +28,9 @@ using namespace orp::sequitur;
 #define ORP_SEQ_INLINE [[gnu::always_inline]]
 
 namespace {
-/// Node indices are 32-bit: an arena refuses the slab that would hold
-/// index 2^32.
-constexpr uint64_t kIndexSpace = uint64_t(1) << 32;
+/// Node indices stay below 2^31 (bit 31 of a link is a tag): an arena
+/// refuses the slab that would hold index 2^31.
+constexpr uint64_t kIndexSpace = uint64_t(1) << 31;
 
 /// Decodes a symbol code that parseImageChecked already validated.
 [[gnu::always_inline]] inline uint64_t decodeValidated(const uint8_t *Data,
@@ -56,28 +56,27 @@ ORP_SEQ_INLINE SequiturGrammar::NodeIdx SequiturGrammar::allocSymbol() {
   } else {
     if ((FreshSymbol >> SymbolSlabShift) == SymbolSlabs.size()) {
       if (SymbolSlabs.size() == kIndexSpace / SymbolsPerSlab)
-        ORP_FATAL_ERROR("sequitur arena: symbol index space (2^32) exhausted");
-      // NOLINTNEXTLINE(cppcoreguidelines-owning-memory): slab arena owner.
-      Symbol *Slab = new Symbol[SymbolsPerSlab];
+        ORP_FATAL_ERROR("sequitur arena: symbol index space (2^31) exhausted");
+      SymbolSlabs.push_back(
+          std::make_unique_for_overwrite<Symbol[]>(SymbolsPerSlab));
       // A fresh slab is born poisoned past the bump cursor: reads ahead
       // of allocation are as illegal as reads after reclamation.
-      check::poisonRegion(Slab, sizeof(Symbol) * SymbolsPerSlab);
-      SymbolSlabs.push_back(Slab);
+      check::poisonRegion(SymbolSlabs.back().get(),
+                          sizeof(Symbol) * SymbolsPerSlab);
     }
     I = static_cast<NodeIdx>(FreshSymbol++);
     check::unpoisonRegion(&sym(I), sizeof(Symbol));
   }
-  Symbol &S = sym(I);
-  S = Symbol{};
-  S.Live = true;
+  sym(I) = Symbol{};
   ++NumLiveSymbols;
   return I;
 }
 
 ORP_SEQ_INLINE void SequiturGrammar::releaseSymbol(NodeIdx I) {
   Symbol &S = sym(I);
-  ORP_CHECK1(S.Live, "sequitur arena: symbol double release");
-  S.Live = false;
+  ORP_CHECK1(S.live(), "sequitur arena: symbol double release");
+  S.Value = Symbol::ReleasedTag;
+  S.PrevTag = Symbol::RefBit;
   --NumLiveSymbols;
   S.Next = SymbolPendingList;
   SymbolPendingList = I;
@@ -92,11 +91,9 @@ SequiturGrammar::NodeIdx SequiturGrammar::allocRule() {
   } else {
     if ((FreshRule >> RuleSlabShift) == RuleSlabs.size()) {
       if (RuleSlabs.size() == kIndexSpace / RulesPerSlab)
-        ORP_FATAL_ERROR("sequitur arena: rule index space (2^32) exhausted");
-      // NOLINTNEXTLINE(cppcoreguidelines-owning-memory): slab arena owner.
-      Rule *Slab = new Rule[RulesPerSlab];
-      check::poisonRegion(Slab, sizeof(Rule) * RulesPerSlab);
-      RuleSlabs.push_back(Slab);
+        ORP_FATAL_ERROR("sequitur arena: rule index space (2^31) exhausted");
+      RuleSlabs.push_back(std::make_unique_for_overwrite<Rule[]>(RulesPerSlab));
+      check::poisonRegion(RuleSlabs.back().get(), sizeof(Rule) * RulesPerSlab);
     }
     I = static_cast<NodeIdx>(FreshRule++);
     check::unpoisonRegion(&rule(I), sizeof(Rule));
@@ -153,14 +150,10 @@ SequiturGrammar::~SequiturGrammar() {
   // Nodes are trivially destructible; dropping the slabs releases
   // everything (live, pending and free alike). Unpoison each slab first
   // so the allocator may touch the memory while recycling it.
-  for (Symbol *Slab : SymbolSlabs) {
-    check::unpoisonRegion(Slab, sizeof(Symbol) * SymbolsPerSlab);
-    delete[] Slab; // NOLINT(cppcoreguidelines-owning-memory)
-  }
-  for (Rule *Slab : RuleSlabs) {
-    check::unpoisonRegion(Slab, sizeof(Rule) * RulesPerSlab);
-    delete[] Slab; // NOLINT(cppcoreguidelines-owning-memory)
-  }
+  for (const auto &Slab : SymbolSlabs)
+    check::unpoisonRegion(Slab.get(), sizeof(Symbol) * SymbolsPerSlab);
+  for (const auto &Slab : RuleSlabs)
+    check::unpoisonRegion(Slab.get(), sizeof(Rule) * RulesPerSlab);
 }
 
 ORP_SEQ_INLINE SequiturGrammar::NodeIdx
@@ -175,13 +168,9 @@ SequiturGrammar::newNonTerminal(NodeIdx RI) {
   NodeIdx I = allocSymbol();
   Symbol &S = sym(I);
   Rule &R = rule(RI);
-  S.K = Symbol::NonTerminal;
-  S.Value = R.Id;
-  S.RuleRef = RI;
-  S.UseNext = R.UseHead;
-  if (R.UseHead != NilIdx)
-    sym(R.UseHead).UsePrev = I;
-  R.UseHead = I;
+  S.Value = RI;
+  S.PrevTag = Symbol::RefBit;
+  R.UseXor ^= I;
   ++R.UseCount;
   return I;
 }
@@ -190,16 +179,11 @@ ORP_SEQ_INLINE void SequiturGrammar::destroySymbol(NodeIdx I) {
   Symbol &S = sym(I);
   ORP_CHECK1(!S.isGuard(), "guards are destroyed with their rule");
   if (S.isNonTerminal()) {
-    Rule &R = rule(S.RuleRef);
-    if (S.UsePrev != NilIdx)
-      sym(S.UsePrev).UseNext = S.UseNext;
-    else
-      R.UseHead = S.UseNext;
-    if (S.UseNext != NilIdx)
-      sym(S.UseNext).UsePrev = S.UsePrev;
+    Rule &R = rule(S.ruleRef());
+    R.UseXor ^= I;
     --R.UseCount;
-    if (R.UseCount <= 1 && S.RuleRef != Start)
-      MaybeUnderused.push_back(S.RuleRef);
+    if (R.UseCount <= 1 && S.ruleRef() != Start)
+      MaybeUnderused.push_back(S.ruleRef());
   }
   releaseSymbol(I);
 }
@@ -209,12 +193,10 @@ SequiturGrammar::NodeIdx SequiturGrammar::newRule() {
   NodeIdx GI = allocSymbol();
   Rule &R = rule(RI);
   Symbol &G = sym(GI);
-  R.Id = NextRuleId++;
   R.Guard = GI;
-  G.K = Symbol::Guard;
-  G.RuleRef = RI;
+  G.Value = Symbol::GuardTag | RI;
   G.Next = GI;
-  G.Prev = GI;
+  G.PrevTag = GI | Symbol::RefBit;
   R.LiveNext = LiveRuleHead;
   if (LiveRuleHead != NilIdx)
     rule(LiveRuleHead).LivePrev = RI;
@@ -226,7 +208,7 @@ SequiturGrammar::NodeIdx SequiturGrammar::newRule() {
 void SequiturGrammar::destroyRule(NodeIdx RI) {
   Rule &R = rule(RI);
   ORP_CHECK1(RI != Start, "cannot destroy the start rule");
-  ORP_CHECK1(R.UseCount == 0 && R.UseHead == NilIdx,
+  ORP_CHECK1(R.UseCount == 0 && R.UseXor == NilIdx,
              "destroying a rule in use");
   if (R.LivePrev != NilIdx)
     rule(R.LivePrev).LiveNext = R.LiveNext;
@@ -245,7 +227,7 @@ void SequiturGrammar::destroyRule(NodeIdx RI) {
 
 ORP_SEQ_INLINE void SequiturGrammar::link(NodeIdx A, NodeIdx B) {
   sym(A).Next = B;
-  sym(B).Prev = A;
+  sym(B).setPrev(A);
 }
 
 ORP_SEQ_INLINE void SequiturGrammar::removeDigramAt(NodeIdx A) {
@@ -271,7 +253,7 @@ void SequiturGrammar::append(uint64_t Value) {
   reclaimPending();
   NodeIdx S = newTerminal(Value);
   NodeIdx Guard = rule(Start).Guard;
-  NodeIdx Tail = sym(Guard).Prev;
+  NodeIdx Tail = sym(Guard).prev();
   link(Tail, S);
   link(S, Guard);
   if (!sym(Tail).isGuard())
@@ -286,6 +268,7 @@ void SequiturGrammar::appendAll(const std::vector<uint64_t> &Values) {
 }
 
 bool SequiturGrammar::checkDigram(NodeIdx A) {
+  ++Counters.DigramChecks;
   NodeIdx B = sym(A).Next;
   if (sym(A).isGuard() || sym(B).isGuard())
     return false;
@@ -303,18 +286,20 @@ bool SequiturGrammar::checkDigram(NodeIdx A) {
 }
 
 void SequiturGrammar::processMatch(NodeIdx A, NodeIdx M) {
+  ++Counters.Matches;
   const Symbol &SM = sym(M);
-  if (sym(SM.Prev).isGuard() && sym(sym(SM.Next).Next).isGuard()) {
+  if (sym(SM.prev()).isGuard() && sym(sym(SM.Next).Next).isGuard()) {
     // The indexed occurrence is a complete rule body: reuse that rule.
-    substituteDigram(A, sym(SM.Prev).RuleRef);
+    substituteDigram(A, sym(SM.prev()).ruleRef());
     return;
   }
 
   // Otherwise create a new rule from copies of the digram. The copies
   // are taken from A before any substitution can destroy it.
   NodeIdx R = newRule();
+  ++Counters.RulesCreated;
   auto CopyOf = [&](NodeIdx S) {
-    return sym(S).isNonTerminal() ? newNonTerminal(sym(S).RuleRef)
+    return sym(S).isNonTerminal() ? newNonTerminal(sym(S).ruleRef())
                                   : newTerminal(sym(S).Value);
   };
   NodeIdx C1 = CopyOf(A);
@@ -328,7 +313,7 @@ void SequiturGrammar::processMatch(NodeIdx A, NodeIdx M) {
   // Substituting at M can cascade through the grammar; only substitute
   // the second occurrence if it survived with its digram intact. (When it
   // did not, R may be left under-used, which repairUtility() then fixes.)
-  if (sym(A).Live && !sym(sym(A).Next).isGuard() &&
+  if (sym(A).live() && !sym(sym(A).Next).isGuard() &&
       keyOf(A) == keyOf(sym(Guard).Next))
     substituteDigram(A, R);
   // Index the rule body as the canonical occurrence of its digram. The
@@ -357,10 +342,10 @@ void SequiturGrammar::substituteDigram(NodeIdx First, NodeIdx R) {
   NodeIdx Second = sym(First).Next;
   ORP_CHECK1(!sym(First).isGuard() && !sym(Second).isGuard(),
              "substituting a guard");
-  NodeIdx Prev = sym(First).Prev;
+  NodeIdx Prev = sym(First).prev();
   NodeIdx Next = sym(Second).Next;
   bool PrevIsGuard = sym(Prev).isGuard();
-  NodeIdx PrevPrev = PrevIsGuard ? NilIdx : sym(Prev).Prev;
+  NodeIdx PrevPrev = PrevIsGuard ? NilIdx : sym(Prev).prev();
 
   if (!PrevIsGuard)
     removeDigramAt(Prev);
@@ -377,7 +362,7 @@ void SequiturGrammar::substituteDigram(NodeIdx First, NodeIdx R) {
   // Re-establish digram uniqueness on both new junctions. If the left
   // junction substituted, Use is gone and the cascade already covered
   // the neighborhood.
-  if (!checkDigram(Prev) && sym(Use).Live)
+  if (!checkDigram(Prev) && sym(Use).live())
     checkDigram(Use);
 
   // Twin repair. In a run of one repeated symbol ("aaa"-style) only one
@@ -386,20 +371,21 @@ void SequiturGrammar::substituteDigram(NodeIdx First, NodeIdx R) {
   // overlapping twin just outside the replaced region survived. Re-check
   // the surviving neighbors so the twin is re-indexed (or folded into an
   // existing rule).
-  if (Next != NilIdx && sym(Next).Live)
+  if (Next != NilIdx && sym(Next).live())
     checkDigram(Next);
-  if (PrevPrev != NilIdx && sym(PrevPrev).Live)
+  if (PrevPrev != NilIdx && sym(PrevPrev).live())
     checkDigram(PrevPrev);
 }
 
 void SequiturGrammar::expandSingleUse(NodeIdx RI) {
   const Rule &R = rule(RI);
-  ORP_CHECK1(R.UseCount == 1 && R.UseHead != NilIdx, "not a single-use rule");
-  NodeIdx Use = R.UseHead;
-  NodeIdx Prev = sym(Use).Prev;
+  ORP_CHECK1(R.UseCount == 1, "not a single-use rule");
+  ++Counters.RulesInlined;
+  NodeIdx Use = R.UseXor; // The XOR of a single use is that use.
+  NodeIdx Prev = sym(Use).prev();
   NodeIdx Next = sym(Use).Next;
   NodeIdx First = sym(R.Guard).Next;
-  NodeIdx Last = sym(R.Guard).Prev;
+  NodeIdx Last = sym(R.Guard).prev();
   assert(First != R.Guard && "expanding an empty rule");
 
   removeDigramAt(Prev);
@@ -414,7 +400,7 @@ void SequiturGrammar::expandSingleUse(NodeIdx RI) {
   // Check the two junction digrams; the body's interior digrams keep
   // their existing index entries (the symbols were moved, not copied).
   checkDigram(Prev);
-  if (sym(Last).Live)
+  if (sym(Last).live())
     checkDigram(Last);
 }
 
@@ -458,9 +444,9 @@ SequiturGrammar::reachableRules(std::vector<uint64_t> *DenseIds) const {
     NodeIdx Guard = rule(Order[I]).Guard;
     for (NodeIdx S = sym(Guard).Next; S != Guard; S = sym(S).Next) {
       const Symbol &Sym = sym(S);
-      if (Sym.isNonTerminal() && Ids[Sym.RuleRef] == Unseen) {
-        Ids[Sym.RuleRef] = Order.size();
-        Order.push_back(Sym.RuleRef);
+      if (Sym.isNonTerminal() && Ids[Sym.ruleRef()] == Unseen) {
+        Ids[Sym.ruleRef()] = Order.size();
+        Order.push_back(Sym.ruleRef());
       }
     }
   }
@@ -482,7 +468,7 @@ std::vector<uint64_t> SequiturGrammar::expandAll() const {
     }
     Stack.back() = S.Next;
     if (S.isNonTerminal())
-      Stack.push_back(sym(rule(S.RuleRef).Guard).Next);
+      Stack.push_back(sym(rule(S.ruleRef()).Guard).Next);
     else
       Out.push_back(S.Value);
   }
@@ -505,7 +491,7 @@ void SequiturGrammar::forEachImageCode(EmitFn &&Emit) const {
     for (NodeIdx I = sym(Guard).Next; I != Guard; I = sym(I).Next) {
       const Symbol &S = sym(I);
       if (S.isNonTerminal()) {
-        Emit((Ids[S.RuleRef] << 1) | 1);
+        Emit((Ids[S.ruleRef()] << 1) | 1);
       } else {
         assert(S.Value < (1ULL << 63) &&
                "terminal too large for tagged encoding");
@@ -773,7 +759,7 @@ std::string SequiturGrammar::dump() const {
       const Symbol &S = sym(I);
       if (S.isNonTerminal())
         std::snprintf(Buf, sizeof(Buf), " R%llu",
-                      static_cast<unsigned long long>(Ids[S.RuleRef]));
+                      static_cast<unsigned long long>(Ids[S.ruleRef()]));
       else
         std::snprintf(Buf, sizeof(Buf), " %llu",
                       static_cast<unsigned long long>(S.Value));
@@ -798,7 +784,7 @@ SequiturGrammar::ruleStats(size_t PrefixCap) const {
     uint64_t Len = 0;
     NodeIdx Guard = rule(Order[Idx]).Guard;
     for (NodeIdx I = sym(Guard).Next; I != Guard; I = sym(I).Next)
-      Len += sym(I).isNonTerminal() ? LengthOf(Ids[sym(I).RuleRef]) : 1;
+      Len += sym(I).isNonTerminal() ? LengthOf(Ids[sym(I).ruleRef()]) : 1;
     Expanded[Idx] = Len;
     return Len;
   };
@@ -819,7 +805,7 @@ SequiturGrammar::ruleStats(size_t PrefixCap) const {
       NodeIdx Guard = rule(Order[I]).Guard;
       for (NodeIdx S = sym(Guard).Next; S != Guard; S = sym(S).Next)
         if (sym(S).isNonTerminal())
-          Next[Ids[sym(S).RuleRef]] += Count[I];
+          Next[Ids[sym(S).ruleRef()]] += Count[I];
     }
     Changed = Next != Count;
     Count = std::move(Next);
@@ -847,7 +833,7 @@ SequiturGrammar::ruleStats(size_t PrefixCap) const {
       }
       Stack.back() = S.Next;
       if (S.isNonTerminal())
-        Stack.push_back(sym(rule(S.RuleRef).Guard).Next);
+        Stack.push_back(sym(rule(S.ruleRef()).Guard).Next);
       else
         RS.Prefix.push_back(S.Value);
     }
@@ -871,30 +857,25 @@ bool SequiturGrammar::checkInvariants() const {
   if (Listed != NumLiveRules || rule(LiveRuleHead).LivePrev != NilIdx)
     return false;
 
-  // Utility: every non-start rule has at least two uses; use lists are
-  // consistent with the counts and point back at the rule. The bodies
-  // hold every live symbol but the guards.
+  // The bodies hold every live symbol but the guards; each nonterminal
+  // names a live rule. Uses are recounted from the bodies: every rule's
+  // UseCount and UseXor must match, and every non-start rule has at
+  // least two uses.
   size_t BodySymbols = 0;
+  std::vector<std::pair<uint32_t, NodeIdx>> Uses(FreshRule);
   for (NodeIdx RI = LiveRuleHead; RI != NilIdx; RI = rule(RI).LiveNext) {
     const Rule &R = rule(RI);
-    size_t Uses = 0;
-    for (NodeIdx U = R.UseHead; U != NilIdx; U = sym(U).UseNext) {
-      if (!sym(U).isNonTerminal() || sym(U).RuleRef != RI)
-        return false;
-      ++Uses;
-    }
-    if (Uses != R.UseCount)
-      return false;
-    if (RI != Start && R.UseCount < 2)
-      return false;
     size_t BodyLen = 0;
     for (NodeIdx I = sym(R.Guard).Next; I != R.Guard; I = sym(I).Next) {
       const Symbol &S = sym(I);
-      if (S.isGuard() || !S.Live)
+      if (S.isGuard() || !S.live())
         return false;
-      if (S.isNonTerminal() &&
-          (!rule(S.RuleRef).Live || S.Value != rule(S.RuleRef).Id))
-        return false;
+      if (S.isNonTerminal()) {
+        if (S.ruleRef() >= FreshRule || !rule(S.ruleRef()).Live)
+          return false;
+        ++Uses[S.ruleRef()].first;
+        Uses[S.ruleRef()].second ^= I;
+      }
       ++BodyLen;
     }
     if (RI != Start && BodyLen < 2)
@@ -903,6 +884,12 @@ bool SequiturGrammar::checkInvariants() const {
   }
   if (BodySymbols != totalBodySymbols())
     return false;
+  for (NodeIdx RI = LiveRuleHead; RI != NilIdx; RI = rule(RI).LiveNext) {
+    const Rule &R = rule(RI);
+    if (Uses[RI] != std::make_pair(R.UseCount, R.UseXor) ||
+        (RI != Start && R.UseCount < 2))
+      return false;
+  }
 
   // Digram uniqueness: no digram occurs at two non-overlapping positions.
   std::unordered_map<DigramKey, std::vector<NodeIdx>, DigramKeyHash>

@@ -22,10 +22,9 @@
 ///   S -> A A ;  A -> a B B ;  B -> b c
 ///
 /// This implementation differs from the reference code in one
-/// robustness-motivated way: each rule keeps an intrusive list of its
-/// uses, and utility repair is driven from a worklist drained after each
-/// append, instead of the reference implementation's single
-/// first-body-symbol check. The produced grammars satisfy both
+/// robustness-motivated way: utility repair is driven from a worklist
+/// drained after each append, instead of the reference implementation's
+/// single first-body-symbol check. The produced grammars satisfy both
 /// invariants (checkInvariants() verifies them directly).
 ///
 //===----------------------------------------------------------------------===//
@@ -37,6 +36,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -209,8 +209,9 @@ public:
   /// the input via the grammar structure (the start rule occurs once).
   std::vector<RuleStats> ruleStats(size_t PrefixCap = 16) const;
 
-  /// Verifies digram uniqueness, rule utility, use-list consistency and
-  /// index consistency. For tests; returns true when healthy.
+  /// Verifies digram uniqueness, rule utility, use counts (recounted
+  /// from the bodies) and index consistency. For tests; returns true
+  /// when healthy.
   bool checkInvariants() const;
 
   /// \name Introspection for the telemetry layer
@@ -223,11 +224,20 @@ public:
   /// Resident bytes of the grammar's bulk storage: symbol and rule slabs
   /// plus the digram index's slot array (capacity, not occupancy).
   size_t footprintBytes() const;
+
+  /// Exact work counters since construction.
+  struct Churn {
+    uint64_t RulesCreated = 0; ///< Rules made from a repeated digram.
+    uint64_t RulesInlined = 0; ///< Rules inlined by the utility rule.
+    uint64_t DigramChecks = 0; ///< checkDigram() calls.
+    uint64_t Matches = 0;      ///< processMatch() calls.
+  };
+  const Churn &churn() const { return Counters; }
   /// @}
 
 private:
   /// The deep invariant checker (src/check/GrammarValidator.h) walks
-  /// rule bodies, use lists and the arena free lists directly, and
+  /// rule bodies, use counts and the arena free lists directly, and
   /// injects corruptions for its own negative tests.
   friend class ::orp::check::GrammarValidator;
 
@@ -246,7 +256,8 @@ private:
   /// malloc/free twice (allocation plus the liveness bookkeeping the old
   /// unordered_sets did per node). Nodes are addressed by 32-bit index
   /// through the slab tables (sym()/rule()); alloc* die with a fatal
-  /// error rather than let an index wrap at 2^32. Freed nodes go onto a
+  /// error rather than let an index reach 2^31 (the top bit of a link
+  /// is a tag, see SequiturNodes.h). Freed nodes go onto a
   /// *pending* list first and only become reusable at the next top-level
   /// append() — within one append cascade a stale index therefore still
   /// reads as dead, exactly matching the pointer-set semantics this
@@ -316,20 +327,22 @@ private:
 
   NodeIdx Start = NilIdx;
   uint64_t InputLen = 0;
-  uint64_t NextRuleId = 0;
+  Churn Counters;
   DigramTable Index;
   std::vector<NodeIdx> MaybeUnderused;
 
-  /// Symbols per arena slab (128 KiB of 32-byte symbols).
+  /// Symbols per arena slab (64 KiB of 16-byte symbols).
   static constexpr unsigned SymbolSlabShift = 12;
   static constexpr size_t SymbolsPerSlab = size_t(1) << SymbolSlabShift;
   /// Rules per arena slab.
   static constexpr unsigned RuleSlabShift = 8;
   static constexpr size_t RulesPerSlab = size_t(1) << RuleSlabShift;
-  std::vector<Symbol *> SymbolSlabs; ///< Each: new Symbol[SymbolsPerSlab].
-  std::vector<Rule *> RuleSlabs;     ///< Each: new Rule[RulesPerSlab].
+  /// Slabs are allocated uninitialized: a node is written only when it
+  /// is handed out, so a barely used slab stays barely resident.
+  std::vector<std::unique_ptr<Symbol[]>> SymbolSlabs;
+  std::vector<std::unique_ptr<Rule[]>> RuleSlabs;
   /// Next never-used index of each arena (the bump cursor); starts past
-  /// the reserved NilIdx. 64-bit so reaching 2^32 is observable.
+  /// the reserved NilIdx.
   uint64_t FreshSymbol = 1;
   uint64_t FreshRule = 1;
   NodeIdx SymbolFreeList = NilIdx;    ///< Reusable slots (chained via Next).

@@ -9,16 +9,31 @@
 /// Definitions of SequiturGrammar's private node types. These live in
 /// their own header (instead of Sequitur.cpp) so that the deep invariant
 /// checker — check::GrammarValidator, a friend of SequiturGrammar — can
-/// walk rule bodies, use lists and the arena free lists directly. Only
+/// walk rule bodies, use counts and the arena free lists directly. Only
 /// Sequitur.cpp and src/check/ may include this header; everything else
 /// goes through the public SequiturGrammar interface.
 ///
 /// Nodes link to each other by 32-bit arena index, not by pointer: a
-/// symbol is 32 bytes (two per cache line) and a digram-index slot 8
-/// (the first symbol's index and a 32-bit hash; the key is read back
-/// from the symbols through keyOf()).
+/// symbol is 16 bytes (four per cache line), a rule 24, and a
+/// digram-index slot 8 (the first symbol's index and a 32-bit hash; the
+/// key is read back from the symbols through keyOf()).
 /// Index I lives in slab I >> SlabShift at slot I & SlabMask; index 0
-/// (NilIdx) is never handed out, so it doubles as the null link.
+/// (NilIdx) is never handed out, so it doubles as the null link. Indices
+/// stay below 2^31, which frees the top bit of a link for a tag.
+///
+/// Symbol encoding. Bit 31 of PrevTag (RefBit) says how to read Value:
+///
+///   RefBit clear: a terminal; Value is the terminal, all 64 bits.
+///   RefBit set, Value < 2^32: a nonterminal; Value is its rule's index.
+///   RefBit set, Value == GuardTag | R: the guard of rule R.
+///   RefBit set, Value == ReleasedTag: a released (dead) symbol.
+///
+/// A rule is named by its arena index. That index is the nonterminal's
+/// Value, so it is also what a digram key holds. Rule slots are reused
+/// only after reclaimPending(), when no use and no index entry of the
+/// old rule is left. Rules keep no use list: UseCount counts the uses
+/// and UseXor is the XOR of their symbol indices, so a single use is
+/// UseXor itself.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -33,53 +48,56 @@
 namespace orp {
 namespace sequitur {
 
-/// One symbol node. A symbol is exactly one of: a terminal, a use of a
-/// rule (nonterminal), or the guard sentinel of a rule. Guards close each
-/// rule body into a ring: the guard's Next is the first body symbol and
-/// its Prev the last. Live is the intrusive liveness tag.
+/// One symbol node: a terminal, a use of a rule (nonterminal), or the
+/// guard sentinel of a rule. Guards close each rule body into a ring:
+/// the guard's Next is the first body symbol and its Prev the last. The
+/// arena allocates slabs uninitialized, so the fields have no default
+/// member initializers; alloc* reset each node they hand out.
 struct SequiturGrammar::Symbol {
-  enum Kind : uint8_t { Terminal, NonTerminal, Guard };
+  static constexpr NodeIdx RefBit = NodeIdx(1) << 31;
+  static constexpr uint64_t GuardTag = uint64_t(1) << 62;
+  static constexpr uint64_t ReleasedTag = uint64_t(1) << 63;
 
-  /// The terminal value. A nonterminal holds a copy of its rule's Id
-  /// here, so a digram key is read from the two symbols alone.
-  uint64_t Value = 0;
-  NodeIdx Next = NilIdx;
-  NodeIdx Prev = NilIdx;
-  NodeIdx UseNext = NilIdx; ///< Next use of RuleRef (intrusive list).
-  NodeIdx UsePrev = NilIdx;
+  uint64_t Value;
+  NodeIdx Next;
+  NodeIdx PrevTag; ///< Prev link | RefBit.
+
+  NodeIdx prev() const { return PrevTag & ~RefBit; }
+  void setPrev(NodeIdx P) { PrevTag = (PrevTag & RefBit) | P; }
+  bool isRef() const { return PrevTag & RefBit; }
+  bool isNonTerminal() const { return isRef() && (Value >> 32) == 0; }
+  bool isGuard() const { return isRef() && (Value & GuardTag); }
+  bool live() const { return !isRef() || !(Value & ReleasedTag); }
   /// The used rule of a nonterminal, or the owning rule of a guard.
-  NodeIdx RuleRef = NilIdx;
-  Kind K = Terminal;
-  bool Live = false;
-
-  bool isGuard() const { return K == Guard; }
-  bool isNonTerminal() const { return K == NonTerminal; }
+  NodeIdx ruleRef() const { return static_cast<NodeIdx>(Value); }
 };
 
 /// One grammar rule. LivePrev/LiveNext thread the live-rule list while
 /// the rule is live and the arena free list once it is released.
 struct SequiturGrammar::Rule {
-  uint64_t Id = 0;
-  NodeIdx Guard = NilIdx;
-  NodeIdx UseHead = NilIdx; ///< Intrusive list of nonterminal uses.
-  uint32_t UseCount = 0;    ///< Bounded by the symbol index space.
-  NodeIdx LivePrev = NilIdx;
-  NodeIdx LiveNext = NilIdx;
-  bool Live = false;
+  NodeIdx Guard;
+  uint32_t UseCount; ///< Bounded by the symbol index space.
+  NodeIdx UseXor;    ///< XOR of the uses' symbol indices.
+  NodeIdx LivePrev;
+  NodeIdx LiveNext;
+  bool Live;
 };
 
 /// Compile-time pins on the node and index-slot sizes: the slab sizes
 /// and the memory estimate assume them, so a new field must not regrow
 /// a node silently.
 struct SequiturGrammar::LayoutPins {
-  static_assert(sizeof(Symbol) == 32, "Symbol must stay 32 bytes");
-  static_assert(sizeof(Rule) <= 32, "Rule must stay within 32 bytes");
+  static_assert(sizeof(Symbol) == 16, "Symbol must stay 16 bytes");
+  static_assert(sizeof(Rule) <= 24, "Rule must stay within 24 bytes");
+  static_assert(std::is_trivially_default_constructible_v<Symbol> &&
+                    std::is_trivially_default_constructible_v<Rule>,
+                "slabs are allocated uninitialized");
   static_assert(DigramTable::SlotBytes == 8,
                 "a digram-index slot must stay 8 bytes");
   static_assert(std::is_same_v<DigramTable::NodeIdx, NodeIdx>,
                 "the digram index names symbols by arena index");
-  static_assert(sizeof(Symbol) * SymbolsPerSlab == 128 * 1024,
-                "a symbol slab must stay 128 KiB");
+  static_assert(sizeof(Symbol) * SymbolsPerSlab == 64 * 1024,
+                "a symbol slab must stay 64 KiB");
 };
 
 inline SequiturGrammar::Symbol &SequiturGrammar::sym(NodeIdx I) {
@@ -95,8 +113,8 @@ inline const SequiturGrammar::Rule &SequiturGrammar::rule(NodeIdx I) const {
   return RuleSlabs[I >> RuleSlabShift][I & (RulesPerSlab - 1)];
 }
 
-/// A nonterminal's Value is its rule's Id, so the key is read from the
-/// two symbols alone.
+/// A nonterminal's Value is its rule's index, so the key is read from
+/// the two symbols alone; neither is a guard, so RefBit is the kind.
 [[gnu::always_inline]] inline DigramKey
 SequiturGrammar::keyOf(NodeIdx A) const {
   const Symbol &SA = sym(A);
@@ -105,8 +123,7 @@ SequiturGrammar::keyOf(NodeIdx A) const {
   DigramKey K;
   K.V1 = SA.Value;
   K.V2 = SB.Value;
-  K.Tags = static_cast<uint8_t>((SA.isNonTerminal() ? 1 : 0) |
-                                (SB.isNonTerminal() ? 2 : 0));
+  K.Tags = static_cast<uint8_t>((SA.PrevTag >> 31) | (SB.PrevTag >> 31) << 1);
   return K;
 }
 

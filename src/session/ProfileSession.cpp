@@ -16,17 +16,20 @@
 using namespace orp;
 using namespace orp::session;
 
-ProfileSession::ProfileSession(std::string Name, const SessionConfig &Config)
+ProfileSession::ProfileSession(std::string Name, const SessionConfig &Config,
+                               telemetry::Registry &Collectors)
     : Name(std::move(Name)), Config(Config),
-      Core(std::make_unique<core::ProfilingSession>(Config.Policy,
-                                                    Config.Seed)) {
+      Core(std::make_unique<core::ProfilingSession>(
+          Config.Policy, Config.Seed, core::UnknownAddressPolicy::Drop,
+          Collectors)) {
   if (Config.EnableWhomp) {
-    Whomp = std::make_unique<whomp::WhompProfiler>(Config.ProfilerThreads);
+    Whomp = std::make_unique<whomp::WhompProfiler>(Config.ProfilerThreads,
+                                                   Collectors);
     Core->addConsumer(Whomp.get());
   }
   if (Config.EnableLeap) {
-    Leap = std::make_unique<leap::LeapProfiler>(Config.MaxLmads,
-                                                Config.ProfilerThreads);
+    Leap = std::make_unique<leap::LeapProfiler>(
+        Config.MaxLmads, Config.ProfilerThreads, Collectors);
     Core->addConsumer(Leap.get());
   }
 }

@@ -63,7 +63,11 @@ struct SessionArtifacts {
 /// One profiling session: pipeline, profilers, artifacts.
 class ProfileSession {
 public:
-  ProfileSession(std::string Name, const SessionConfig &Config);
+  /// The module collectors (CDC/OMC, WHOMP, LEAP) are registered on
+  /// \p Collectors; only the owning thread may snapshot that registry.
+  ProfileSession(
+      std::string Name, const SessionConfig &Config,
+      telemetry::Registry &Collectors = telemetry::Registry::global());
   ~ProfileSession();
 
   ProfileSession(const ProfileSession &) = delete;

@@ -54,8 +54,10 @@ SessionId SessionManager::open(
   std::string SessionName = Name.empty() ? "s" + std::to_string(Id) : Name;
   // Built on the control thread; the queue handoff of the first token
   // publishes it to the shard worker.
-  S->Engine = std::make_unique<ProfileSession>(SessionName, SessionCfg);
+  S->Engine =
+      std::make_unique<ProfileSession>(SessionName, SessionCfg, S->Modules);
   S->Engine->registerProbeTables(Instrs, Sites);
+  S->captureModuleGauges();
   S->MemEstimate.store(S->Engine->memoryEstimateBytes(),
                        std::memory_order_relaxed);
   S->LastUsed = ++UseClock;
@@ -143,6 +145,7 @@ void SessionManager::processToken(Token &T) {
       S.Blocks.fetch_add(1, std::memory_order_relaxed);
       S.MemEstimate.store(S.Engine->memoryEstimateBytes(),
                           std::memory_order_relaxed);
+      S.captureModuleGauges();
     } else {
       // error() is written before this release store and never again;
       // the control thread reads it only after an acquire load.
@@ -255,6 +258,14 @@ size_t SessionManager::enforceBudget() {
   return Evicted;
 }
 
+void SessionManager::Managed::captureModuleGauges() {
+  if (!telemetry::enabled())
+    return;
+  telemetry::MetricsSnapshot Snap = Modules.snapshot();
+  support::MutexLock Lock(GaugeLock);
+  ModuleGauges = std::move(Snap.Gauges);
+}
+
 void SessionManager::publishMetrics(telemetry::Registry &Reg) {
   // Runs at snapshot() time on the control thread (the registry's
   // snapshot discipline), so control-side state is safe to read here.
@@ -264,7 +275,7 @@ void SessionManager::publishMetrics(telemetry::Registry &Reg) {
   Reg.gauge("session.shards")
       .set(static_cast<int64_t>(Shards.size()));
   for (const auto &Entry : Sessions) {
-    const Managed &S = *Entry.second;
+    Managed &S = *Entry.second;
     const std::string Prefix = "session." + S.Engine->name() + ".";
     Reg.gauge(Prefix + "events")
         .set(static_cast<int64_t>(S.Events.load(std::memory_order_relaxed)));
@@ -284,5 +295,10 @@ void SessionManager::publishMetrics(telemetry::Registry &Reg) {
         .set(static_cast<int64_t>(QT.Capacity));
     Reg.gauge(Prefix + "ingest_high_watermark")
         .set(static_cast<int64_t>(QT.HighWatermark));
+    // The module gauges carry no session prefix: as when each session's
+    // collectors ran here, the last-opened session's values win.
+    support::MutexLock Lock(S.GaugeLock);
+    for (const telemetry::MetricsSnapshot::GaugeValue &G : S.ModuleGauges)
+      Reg.gauge(G.Name).set(G.Value);
   }
 }

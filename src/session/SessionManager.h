@@ -26,11 +26,14 @@
 /// thread (the daemon's poll loop, or a test's main thread). The shards
 /// are the only other threads, and all control<->shard traffic flows
 /// through SpscQueues; counters the control thread may read mid-flight
-/// are atomics. The discipline is machine-checked under Clang's
-/// -Wthread-safety: public methods require the SessionControlRole
-/// capability, the shard handler requires SessionShardRole, and the
-/// control-side members are ORP_GUARDED_BY the control role (see
-/// support/ThreadSafety.h and DESIGN.md section 16).
+/// are atomics. Each session's module collectors (CDC/OMC, WHOMP, LEAP)
+/// live on a per-session registry that only the owning shard snapshots,
+/// after each block; the control thread's telemetry snapshot republishes
+/// the copy under a lock, never reading the modules. The discipline is
+/// machine-checked under Clang's -Wthread-safety: public methods require
+/// the SessionControlRole capability, the shard handler requires
+/// SessionShardRole, and the control-side members are ORP_GUARDED_BY the
+/// control role (see support/ThreadSafety.h and DESIGN.md section 16).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -185,11 +188,23 @@ private:
     Managed(SessionId Id, unsigned Shard, size_t QueueCapacity)
         : Id(Id), Shard(Shard), Ingest(QueueCapacity), Result(1) {}
 
+    /// Snapshots the module collectors into ModuleGauges. Runs on the
+    /// thread that owns Engine (the shard, or open() before the first
+    /// token).
+    void captureModuleGauges();
+
     SessionId Id;
     unsigned Shard;
+    /// The collectors of Engine's modules. Declared before Engine, which
+    /// must be destroyed first.
+    telemetry::Registry Modules;
     /// Touched only by the owning shard worker between open() and the
     /// Result handshake of close().
     std::unique_ptr<ProfileSession> Engine;
+    support::Mutex GaugeLock;
+    /// The module gauges as of the last block.
+    std::vector<telemetry::MetricsSnapshot::GaugeValue>
+        ModuleGauges ORP_GUARDED_BY(GaugeLock);
     support::SpscQueue<IngestItem> Ingest;
     support::SpscQueue<SessionArtifacts> Result;
     /// Set by the shard worker *after* the Result push: the worker's

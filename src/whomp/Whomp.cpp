@@ -19,14 +19,15 @@ constexpr uint64_t ValidateIntervalTuples = 1 << 16;
 
 } // namespace
 
-WhompProfiler::WhompProfiler(unsigned Threads)
+WhompProfiler::WhompProfiler(unsigned Threads,
+                             telemetry::Registry &Collectors)
     : Decomposer(
           {core::Dimension::Instruction, core::Dimension::Group,
            core::Dimension::Object, core::Dimension::Offset},
           [] { return std::make_unique<SequiturStreamCompressor>(); },
           Threads),
       NextValidateAt(ValidateIntervalTuples),
-      Collector(telemetry::Registry::global().addCollector(
+      Collector(Collectors.addCollector(
           [this](telemetry::Registry &R) {
             R.gauge("whomp.tuples").set(static_cast<int64_t>(Tuples));
             // Grammar internals may only be read while this thread owns
@@ -47,6 +48,14 @@ WhompProfiler::WhompProfiler(unsigned Threads)
                     .set(static_cast<int64_t>(G.numSymbolSlabs()));
                 R.gauge(P + "rule_slabs")
                     .set(static_cast<int64_t>(G.numRuleSlabs()));
+                const sequitur::SequiturGrammar::Churn &C = G.churn();
+                R.gauge(P + "rules_created")
+                    .set(static_cast<int64_t>(C.RulesCreated));
+                R.gauge(P + "rules_inlined")
+                    .set(static_cast<int64_t>(C.RulesInlined));
+                R.gauge(P + "digram_checks")
+                    .set(static_cast<int64_t>(C.DigramChecks));
+                R.gauge(P + "matches").set(static_cast<int64_t>(C.Matches));
               }
             }
             std::vector<support::WorkerTelemetry> WT =

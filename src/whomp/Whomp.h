@@ -72,8 +72,11 @@ public:
   /// byte-identical either way; at most four workers are ever used,
   /// larger values are equivalent to 4. Periodic level-2 grammar
   /// validation is deferred to finish() in threaded mode — the workers
-  /// own the grammars until then.
-  explicit WhompProfiler(unsigned Threads = 1);
+  /// own the grammars until then. The whomp.* gauges are published by a
+  /// collector on \p Collectors.
+  explicit WhompProfiler(
+      unsigned Threads = 1,
+      telemetry::Registry &Collectors = telemetry::Registry::global());
 
   void consume(const core::OrTuple &Tuple) override;
   void consumeBatch(std::span<const core::OrTuple> Tuples) override;

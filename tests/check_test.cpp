@@ -31,7 +31,7 @@ using check::OmcValidator;
 namespace {
 
 /// Appends the first \p N values of i % \p Mod to \p G — enough
-/// structure for every corruption class (rules, digrams, use lists).
+/// structure for every corruption class (rules, digrams, use counts).
 void appendPeriodic(sequitur::SequiturGrammar &G, uint64_t Mod = 7,
                     uint32_t N = 4000) {
   for (uint32_t I = 0; I != N; ++I)
@@ -143,6 +143,24 @@ TEST(GrammarValidatorTest, CatchesUseCountSkew) {
       G, GrammarValidator::Corruption::UseCountSkew));
   check::CheckReport Report = GrammarValidator::validate(G);
   EXPECT_FALSE(Report.ok());
+  EXPECT_NE(Report.str().find("but the bodies hold"), std::string::npos)
+      << Report.str();
+  EXPECT_FALSE(G.checkInvariants());
+}
+
+TEST(GrammarValidatorTest, CatchesUseXorSkew) {
+  // The count still agrees; only the XOR of the use indices, which names
+  // the use a single-use rule inlines, is wrong.
+  sequitur::SequiturGrammar G;
+  appendPeriodic(G);
+  ASSERT_TRUE(GrammarValidator::injectForTest(
+      G, GrammarValidator::Corruption::UseXorSkew));
+  check::CheckReport Report = GrammarValidator::validate(G);
+  EXPECT_FALSE(Report.ok());
+  EXPECT_NE(Report.str().find("UseXor"), std::string::npos) << Report.str();
+  EXPECT_EQ(Report.str().find("but the bodies hold"), std::string::npos)
+      << Report.str();
+  EXPECT_FALSE(G.checkInvariants());
 }
 
 TEST(GrammarValidatorTest, CatchesLivenessTagClear) {
@@ -152,6 +170,9 @@ TEST(GrammarValidatorTest, CatchesLivenessTagClear) {
       G, GrammarValidator::Corruption::LivenessTagClear));
   check::CheckReport Report = GrammarValidator::validate(G);
   EXPECT_FALSE(Report.ok());
+  EXPECT_NE(Report.str().find("body symbol is released"), std::string::npos)
+      << Report.str();
+  EXPECT_FALSE(G.checkInvariants());
 }
 
 //===----------------------------------------------------------------------===//
@@ -234,9 +255,9 @@ TEST(ArenaPoisonDeathTest, StaleNodeReadIsAnAsanReport) {
 }
 
 TEST(ArenaIndexDeathTest, SymbolIndexSpaceExhaustionIsFatal) {
-  // Nodes are addressed by 32-bit index: the arena must stop with a
-  // fatal error before an index would wrap at 2^32, never hand out a
-  // wrapped index that aliases a live node.
+  // Node indices stay below 2^31, because bit 31 of a link is a tag:
+  // the arena must stop with a fatal error before an index would reach
+  // 2^31, never hand out an index whose top bit aliases the tag.
   EXPECT_DEATH(
       {
         sequitur::SequiturGrammar G;
@@ -244,12 +265,12 @@ TEST(ArenaIndexDeathTest, SymbolIndexSpaceExhaustionIsFatal) {
         GrammarValidator::exhaustSymbolIndexSpaceForTest(G);
         G.append(2); // Must die here, before G is destroyed.
       },
-      "symbol index space \\(2\\^32\\) exhausted");
+      "symbol index space \\(2\\^31\\) exhausted");
 }
 
 TEST(ArenaPoisonDeathTest, StaleSequiturSymbolReadIsAnAsanReport) {
   // The same contract for a grammar node: symbols are addressed by
-  // 32-bit index through the slab table, and a recycled one resolved
+  // 31-bit index through the slab table, and a recycled one resolved
   // that way must be poisoned, so reading it dies under ASan.
   if (!check::asanActive())
     GTEST_SKIP() << "poisoning is a no-op without ASan";
@@ -263,6 +284,20 @@ TEST(ArenaPoisonDeathTest, StaleSequiturSymbolReadIsAnAsanReport) {
       GrammarValidator::firstFreeSymbolForTest(G));
   ASSERT_NE(Stale, nullptr) << "stream recycled no symbols";
   EXPECT_DEATH({ [[maybe_unused]] uint8_t Byte = *Stale; }, "use-after-poison");
+}
+
+TEST(ArenaPoisonDeathTest, SymbolPastTheBumpCursorIsAnAsanReport) {
+  // Slabs are allocated uninitialized, and a fresh slab is born poisoned
+  // past the bump cursor: a read of a symbol no allocation has handed
+  // out yet dies under ASan instead of returning stale heap bytes.
+  if (!check::asanActive())
+    GTEST_SKIP() << "poisoning is a no-op without ASan";
+  sequitur::SequiturGrammar G;
+  appendPeriodic(G, 7, 100);
+  const auto *Fresh = static_cast<const volatile uint8_t *>(
+      GrammarValidator::nextFreshSymbolForTest(G));
+  ASSERT_NE(Fresh, nullptr) << "the first slab is already full";
+  EXPECT_DEATH({ [[maybe_unused]] uint8_t Byte = *Fresh; }, "use-after-poison");
 }
 #endif
 

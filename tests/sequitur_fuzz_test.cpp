@@ -72,6 +72,28 @@ TEST(SequiturFuzzTest, GoldenSuiteByteIdentical) {
   }
 }
 
+TEST(SequiturFuzzTest, GoldenStreamChurnCounters) {
+  // The work counters are exact and depend on the input alone (never on
+  // hash values or slot layout), so they are pinned like the images.
+  // phrases_a4 creates and inlines rules throughout.
+  size_t Count = 0;
+  const StreamCase *Cases = streamCases(Count);
+  for (size_t C = 0; C != Count; ++C) {
+    if (std::string(Cases[C].Name) != "phrases_a4")
+      continue;
+    SequiturGrammar G;
+    G.appendAll(makeStream(Cases[C]));
+    const SequiturGrammar::Churn &Churn = G.churn();
+    EXPECT_EQ(Churn.RulesCreated, 317u);
+    EXPECT_EQ(Churn.RulesInlined, 18u);
+    EXPECT_EQ(Churn.Matches, 4647u);
+    EXPECT_EQ(Churn.DigramChecks, 25003u);
+    EXPECT_EQ(G.numRules(), 1 + Churn.RulesCreated - Churn.RulesInlined);
+    return;
+  }
+  FAIL() << "phrases_a4 is missing from the stream suite";
+}
+
 TEST(SequiturFuzzTest, InvariantsHoldMidStream) {
   // The goldens only pin the final grammar; also probe intermediate
   // states on a couple of structurally different cases.

@@ -55,6 +55,20 @@ TEST(SequiturTest, PaperExampleAbcbcabcbc) {
   EXPECT_EQ(G.totalBodySymbols(), 7u);
 }
 
+TEST(SequiturTest, PaperExampleChurnCounters) {
+  // Hand-traced on "abcbcabcbc": rules B=bc, then A=aB, then C=AB are
+  // created from repeated digrams, A is inlined into C once its second
+  // use goes, and five repeats reach processMatch (two reuse B whole).
+  SequiturGrammar G;
+  G.appendAll(fromString("abcbcabcbc"));
+  const SequiturGrammar::Churn &C = G.churn();
+  EXPECT_EQ(C.RulesCreated, 3u);
+  EXPECT_EQ(C.RulesInlined, 1u);
+  EXPECT_EQ(C.Matches, 5u);
+  EXPECT_EQ(C.DigramChecks, 38u);
+  EXPECT_EQ(G.numRules(), 1 + C.RulesCreated - C.RulesInlined);
+}
+
 TEST(SequiturTest, RepeatedPairFormsRule) {
   SequiturGrammar G;
   G.appendAll(fromString("ababab"));
@@ -123,6 +137,56 @@ TEST(SequiturTest, LargeTerminalValues) {
     V.push_back(0x2000'0000ULL + I * 16);
   }
   roundTrip(V, "large-terminals");
+}
+
+TEST(SequiturTest, TerminalsSharingTagBitsOrRuleIndices) {
+  // A nonterminal's Value is its rule's arena index, and a guard's or a
+  // released symbol's Value carries tag bits high up. A terminal is told
+  // apart by a link bit alone, so any 64-bit value must stay a terminal:
+  // 0, the tag bits themselves, 2^64-1, and the small values that equal
+  // the indices of live rules (the start rule is index 1, later rules
+  // follow). The tagged image encoding holds terminals below 2^63.
+  const uint64_t Extremes[] = {0,
+                               uint64_t(1) << 62,
+                               (uint64_t(1) << 62) | 2,
+                               uint64_t(1) << 63,
+                               ~uint64_t(0),
+                               uint64_t(1) << 32,
+                               (uint64_t(1) << 31) - 1};
+  Rng R(2027);
+  std::vector<uint64_t> Small, Wide;
+  for (int I = 0; I != 3000; ++I) {
+    uint64_t V = R.nextBelow(6);
+    Small.push_back(V);
+    Wide.push_back(R.nextBool(0.5) ? Extremes[V] : V);
+  }
+  roundTrip(Small, "rule-index terminals");
+  SequiturGrammar G;
+  G.appendAll(Wide);
+  ASSERT_TRUE(G.checkInvariants());
+  EXPECT_EQ(G.expandAll(), Wide);
+  std::vector<uint64_t> Encodable;
+  for (uint64_t V : Wide)
+    Encodable.push_back(V >> 1);
+  roundTrip(Encodable, "encodable tagged-value terminals");
+
+  // The grammar's shape cannot depend on whether terminal values collide
+  // with rule indices: shifting every value far past them gives the same
+  // rules, body lengths and expansion lengths.
+  std::vector<uint64_t> Shifted;
+  for (uint64_t V : Small)
+    Shifted.push_back(V + 1000000);
+  SequiturGrammar A, B;
+  A.appendAll(Small);
+  B.appendAll(Shifted);
+  std::vector<SequiturGrammar::RuleStats> SA = A.ruleStats(0),
+                                          SB = B.ruleStats(0);
+  ASSERT_EQ(SA.size(), SB.size());
+  for (size_t I = 0; I != SA.size(); ++I) {
+    EXPECT_EQ(SA[I].BodyLength, SB[I].BodyLength) << "rule " << I;
+    EXPECT_EQ(SA[I].ExpandedLength, SB[I].ExpandedLength) << "rule " << I;
+  }
+  EXPECT_EQ(A.totalBodySymbols(), B.totalBodySymbols());
 }
 
 TEST(SequiturTest, DumpShowsRules) {

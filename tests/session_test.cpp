@@ -212,6 +212,65 @@ TEST(SessionManagerTest, InterleavedSessionsMatchSerialReplay) {
   std::remove(PathB.c_str());
 }
 
+TEST(SessionManagerTest, SnapshotsReadModuleGaugesPublishedByShards) {
+  // A telemetry snapshot runs on the control thread while shards append.
+  // It must see each session's CDC/OMC, WHOMP and LEAP gauges only as
+  // the owning shard published them after a block (a TSan build checks
+  // that no module state is read across threads), and once the session
+  // is drained those gauges equal a serial replay's.
+  ScopedRole Role(session::SessionControlRole);
+  std::string Path = tempPath("gauges.orpt");
+  recordTrace("list-traversal", Path, /*Scale=*/2);
+  const std::vector<std::string> Names = {"cdc.translated",
+                                         "omc.translations",
+                                         "omc.live_objects",
+                                         "whomp.tuples",
+                                         "whomp.offset.rules",
+                                         "whomp.offset.rules_created",
+                                         "whomp.offset.rules_inlined",
+                                         "whomp.offset.digram_checks",
+                                         "whomp.offset.matches",
+                                         "whomp.instr.matches",
+                                         "leap.tuples",
+                                         "leap.substreams"};
+  std::map<std::string, int64_t> Serial;
+  {
+    traceio::TraceReader Reader;
+    ASSERT_TRUE(Reader.open(Path)) << Reader.error();
+    telemetry::Registry Local;
+    session::ProfileSession Session("serial", configFor(Reader), Local);
+    ASSERT_TRUE(Session.replayFrom(Reader)) << Session.error();
+    telemetry::MetricsSnapshot Snap = Local.snapshot();
+    for (const std::string &N : Names)
+      Serial[N] = Snap.gauge(N);
+  }
+  ASSERT_GT(Serial["whomp.tuples"], 0);
+  ASSERT_GT(Serial["whomp.offset.rules_created"], 0);
+  ASSERT_GT(Serial["whomp.offset.digram_checks"], Serial["whomp.tuples"]);
+
+  traceio::TraceReader Reader;
+  ASSERT_TRUE(Reader.open(Path)) << Reader.error();
+  session::ManagerConfig Config;
+  Config.Threads = 2;
+  session::SessionManager Mgr(Config);
+  SessionId Id = openFor(Mgr, Reader, "gauges");
+  for (size_t I = 0; I != Reader.numEventBlocks(); ++I) {
+    submitBlock(Mgr, Id, Reader, I);
+    // Mid-flight: the shard is appending this block right now.
+    telemetry::MetricsSnapshot Snap = telemetry::Registry::global().snapshot();
+    EXPECT_LE(Snap.gauge("whomp.tuples"), Serial["whomp.tuples"]);
+  }
+  session::SessionStats Stats;
+  do
+    ASSERT_TRUE(Mgr.stats(Id, Stats));
+  while (Stats.Pending != 0);
+  telemetry::MetricsSnapshot Snap = telemetry::Registry::global().snapshot();
+  for (const std::string &N : Names)
+    EXPECT_EQ(Snap.gauge(N), Serial[N]) << N;
+  Mgr.abort(Id);
+  std::remove(Path.c_str());
+}
+
 //===----------------------------------------------------------------------===//
 // Backpressure
 //===----------------------------------------------------------------------===//
@@ -349,8 +408,8 @@ TEST(ProfileSessionTest, MemoryEstimateCountsGrammarFootprints) {
   EXPECT_GT(Estimates.back(), Estimates.front());
   EXPECT_GT(Estimates.front(), Initial);
   // Every grammar has at least one symbol slab by now, so the grammar
-  // share alone exceeds four 128 KiB slabs.
-  EXPECT_GE(GrammarBytes(), 4u * 128 * 1024);
+  // share alone exceeds four 64 KiB slabs.
+  EXPECT_GE(GrammarBytes(), 4u * 64 * 1024);
   std::remove(Path.c_str());
 }
 
