@@ -4,10 +4,14 @@
 // no crash, no sanitizer report, no unbounded work. A parse that
 // succeeds must also decode every event without tripping the hardened
 // varint layer. Each input is also written to a temporary file and
-// opened through open(), which maps it: the mapped path must reach the
-// same verdict, error string and header info as openImage(). Seeds are
-// real .orpt images produced by TraceWriter so mutations explore the
-// format's interior, not just the header checks.
+// opened through open(), which indexes it with pread and maps it for
+// payload reads: the mapped path must reach the same verdict, error
+// string and header info as openImage(), decode the same event
+// sequence, hand out byte-equal rawBlock() payloads, and decode every
+// block alone (walked last block first, against any replay's order) to
+// the same result. Seeds are real .orpt images produced by TraceWriter
+// so mutations explore the format's interior, not just the header
+// checks.
 //
 //===----------------------------------------------------------------------===//
 
@@ -19,10 +23,12 @@
 #include "traceio/TraceReader.h"
 #include "traceio/TraceWriter.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include <unistd.h>
@@ -37,6 +43,47 @@ std::vector<uint64_t> infoOf(const traceio::TraceReader &R) {
   return {I.Version,   I.Flags,     I.AllocPolicy,
           I.Seed,      I.TotalEvents, I.NumBlocks,
           I.FileBytes, I.NumInstructions, I.NumAllocSites};
+}
+
+/// One decoded event, flattened for comparison.
+using EventKey =
+    std::tuple<int, uint32_t, uint64_t, uint64_t, uint64_t, bool, bool>;
+
+EventKey keyOf(const traceio::TraceEvent &E) {
+  return {static_cast<int>(E.K), E.InstrOrSite, E.Addr, E.Size,
+          E.Time,                E.IsStore,     E.IsStatic};
+}
+
+std::vector<EventKey> keysOf(const std::vector<traceio::TraceEvent> &Events) {
+  std::vector<EventKey> Keys;
+  for (const traceio::TraceEvent &E : Events)
+    Keys.push_back(keyOf(E));
+  return Keys;
+}
+
+/// Decodes block \p B alone, through the columnar decoder for v2 and
+/// the per-event decoder for v1, and flattens the result: the verdict,
+/// then the events (for v2, each boundary's position and event, then
+/// the access column).
+std::vector<EventKey> decodeBlockAlone(traceio::TraceReader &R, size_t B) {
+  std::vector<EventKey> Keys;
+  if (R.info().Version >= traceio::kFormatVersionV2) {
+    traceio::DecodedBlock Block;
+    bool Ok = R.decodeBlockColumns(B, Block);
+    Keys.push_back({Ok, 0, 0, 0, 0, false, false});
+    for (const traceio::DecodedBlock::Boundary &Bd : Block.Boundaries) {
+      Keys.push_back({-1, 0, Bd.AccessesBefore, 0, 0, false, false});
+      Keys.push_back(keyOf(Bd.E));
+    }
+    for (const trace::AccessEvent &A : Block.Accesses)
+      Keys.push_back({0, A.Instr, A.Addr, A.Size, A.Time, A.IsStore, false});
+  } else {
+    std::vector<traceio::TraceEvent> Events;
+    bool Ok = R.decodeBlockEvents(B, Events);
+    Keys = keysOf(Events);
+    Keys.insert(Keys.begin(), EventKey{Ok, 0, 0, 0, 0, false, false});
+  }
+  return Keys;
 }
 
 /// A per-process temporary file for the mapped-open half of the check.
@@ -83,9 +130,29 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t *Data, size_t Size) {
                      "failed decode without an error message");
   std::vector<traceio::TraceEvent> MappedEvents;
   ORP_FUZZ_REQUIRE(Mapped.readAllEvents(MappedEvents) == Decoded &&
-                       MappedEvents.size() == Events.size() &&
+                       keysOf(MappedEvents) == keysOf(Events) &&
                        Mapped.error() == Reader.error(),
                    "mapped and in-memory images decode differently");
+
+  // Block by block, last first: the same raw payloads, and each block
+  // decodes alone to the same events and verdict.
+  ORP_FUZZ_REQUIRE(Mapped.numEventBlocks() == Reader.numEventBlocks(),
+                   "mapped and in-memory images index different blocks");
+  for (size_t B = Reader.numEventBlocks(); B-- != 0;) {
+    traceio::TraceReader::RawBlock Want = Reader.rawBlock(B);
+    traceio::TraceReader::RawBlock Got = Mapped.rawBlock(B);
+    ORP_FUZZ_REQUIRE(Got.PayloadLen == Want.PayloadLen &&
+                         Got.EventCount == Want.EventCount &&
+                         Got.Crc == Want.Crc &&
+                         Got.FileOffset == Want.FileOffset &&
+                         std::equal(Got.Payload, Got.Payload + Got.PayloadLen,
+                                    Want.Payload),
+                     "mapped and in-memory raw blocks differ");
+    ORP_FUZZ_REQUIRE(decodeBlockAlone(Mapped, B) ==
+                             decodeBlockAlone(Reader, B) &&
+                         Mapped.error() == Reader.error(),
+                     "mapped and in-memory blocks decode differently");
+  }
   return 0;
 }
 

@@ -8,7 +8,9 @@
 #include "traceio/BlockCodec.h"
 #include "traceio/RegistryCodec.h"
 
+#include <algorithm>
 #include <cerrno>
+#include <cstring>
 
 #include <fcntl.h>
 #include <sys/mman.h>
@@ -23,6 +25,22 @@ bool TraceReader::failed(const std::string &Msg) {
     Err = Name + ": " + Msg;
   return false;
 }
+
+namespace {
+
+/// Payload pages are released in whole windows of this many bytes, so
+/// a forward walk keeps at most about one window (plus the block being
+/// read) of a mapped trace resident.
+constexpr size_t kReleaseWindow = 256 * 1024;
+
+/// The most bytes an event block header can take: kind byte, two
+/// ULEB128 fields of at most 10 bytes each, and the CRC-32.
+constexpr size_t kMaxBlockHeader = 1 + 10 + 10 + 4;
+
+/// The same for the registry section header: kind, ULEB128 length, CRC.
+constexpr size_t kMaxRegistryHeader = 1 + 10 + 4;
+
+} // namespace
 
 TraceReader::~TraceReader() {
   if (Mapping)
@@ -46,19 +64,25 @@ void TraceReader::reset(const std::string &FileName) {
 
 bool TraceReader::open(const std::string &Path) {
   reset(Path);
-  int Fd = ::open(Path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (Fd < 0)
+  int File = ::open(Path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (File < 0)
     return failed("cannot open file");
   struct stat St;
-  if (::fstat(Fd, &St) == 0 && S_ISREG(St.st_mode) && St.st_size > 0) {
+  if (::fstat(File, &St) == 0 && S_ISREG(St.st_mode) && St.st_size > 0) {
     void *Map = ::mmap(nullptr, static_cast<size_t>(St.st_size), PROT_READ,
-                       MAP_PRIVATE, Fd, 0);
+                       MAP_PRIVATE, File, 0);
     if (Map != MAP_FAILED) {
-      ::close(Fd);
+      // The mapping backs payload reads only. The validator reads the
+      // header, block index and registry with pread on the open file,
+      // so open() faults in no page of the mapping.
       Mapping = Map;
       Data = static_cast<const uint8_t *>(Map);
       Size = static_cast<size_t>(St.st_size);
-      return parseImage();
+      Fd = File;
+      bool Ok = parseImage();
+      Fd = -1;
+      ::close(File);
+      return Ok;
     }
   }
   // A pipe, another non-regular input, an empty file, or a file that
@@ -67,7 +91,7 @@ bool TraceReader::open(const std::string &Path) {
   uint8_t Buf[64 * 1024];
   bool ReadErr = false;
   for (;;) {
-    ssize_t N = ::read(Fd, Buf, sizeof(Buf));
+    ssize_t N = ::read(File, Buf, sizeof(Buf));
     if (N > 0) {
       Image.insert(Image.end(), Buf, Buf + N);
     } else if (N == 0 || errno != EINTR) {
@@ -75,7 +99,7 @@ bool TraceReader::open(const std::string &Path) {
       break;
     }
   }
-  ::close(Fd);
+  ::close(File);
   if (ReadErr)
     return failed("read error");
   return openImage(std::move(Image), Path);
@@ -90,11 +114,45 @@ bool TraceReader::openImage(std::vector<uint8_t> Image,
   return parseImage();
 }
 
+bool TraceReader::readAt(uint64_t Offset, size_t Len, uint8_t *Buf) const {
+  if (Fd < 0) {
+    std::memcpy(Buf, Data + Offset, Len);
+    return true;
+  }
+  while (Len) {
+    ssize_t N = ::pread(Fd, Buf, Len, static_cast<off_t>(Offset));
+    if (N > 0) {
+      Buf += N;
+      Offset += static_cast<uint64_t>(N);
+      Len -= static_cast<size_t>(N);
+    } else if (N == 0 || errno != EINTR) {
+      return false; // An I/O error, or the file shrank since fstat.
+    }
+  }
+  return true;
+}
+
+const uint8_t *TraceReader::payloadOf(size_t Index) const {
+  const BlockRef &Ref = Blocks[Index];
+  size_t Window = Ref.PayloadPos & ~(kReleaseWindow - 1);
+  // Only the first block that starts in a window releases what lies
+  // behind it, so a forward walk makes one call per window, not one per
+  // read (a daemon client re-reads each block it is refused). Block 0
+  // starts in window 0, so Index - 1 is valid here. The mapping is
+  // private and read-only: a released page refaults from the page cache
+  // with the same bytes, and pointers handed out earlier stay valid.
+  // Releasing is only an optimization, so a failure is ignored.
+  if (Mapping && Window &&
+      (Blocks[Index - 1].PayloadPos & ~(kReleaseWindow - 1)) != Window)
+    (void)::madvise(Mapping, Window, MADV_DONTNEED);
+  return Data + Ref.PayloadPos;
+}
+
 bool TraceReader::parseImage() {
   Info.FileBytes = Size;
-  if (!parseHeader())
+  uint64_t RegistryOffset;
+  if (!parseHeader(RegistryOffset))
     return false;
-  uint64_t RegistryOffset = readLE64(Data + 16);
   if (!indexBlocks(RegistryOffset))
     return false;
   if (!parseRegistry(RegistryOffset))
@@ -105,25 +163,28 @@ bool TraceReader::parseImage() {
   return true;
 }
 
-bool TraceReader::parseHeader() {
+bool TraceReader::parseHeader(uint64_t &RegistryOffset) {
   if (Size < kHeaderSize)
     return failed("truncated file: shorter than the fixed header");
+  uint8_t Hdr[kHeaderSize];
+  if (!readAt(0, kHeaderSize, Hdr))
+    return failed("read error");
   for (unsigned I = 0; I != 4; ++I)
-    if (Data[I] != kMagic[I])
+    if (Hdr[I] != kMagic[I])
       return failed("bad magic: not an .orpt trace");
-  Info.Version = Data[4];
+  Info.Version = Hdr[4];
   if (Info.Version < kFormatVersionV1 || Info.Version > kFormatVersionV2)
     return failed("unsupported format version " +
                   std::to_string(Info.Version));
-  Info.Flags = Data[5];
-  Info.AllocPolicy = Data[6];
-  Info.Seed = readLE64(Data + 8);
-  Info.TotalEvents = readLE64(Data + 24);
-  uint32_t Want = readLE32(Data + 32);
-  uint32_t Got = crc32(Data, 32);
+  Info.Flags = Hdr[5];
+  Info.AllocPolicy = Hdr[6];
+  Info.Seed = readLE64(Hdr + 8);
+  Info.TotalEvents = readLE64(Hdr + 24);
+  uint32_t Want = readLE32(Hdr + 32);
+  uint32_t Got = crc32(Hdr, 32);
   if (Want != Got)
     return failed("header checksum mismatch (corrupted file)");
-  uint64_t RegistryOffset = readLE64(Data + 16);
+  RegistryOffset = readLE64(Hdr + 16);
   if (RegistryOffset == 0)
     return failed("unfinalized trace: the writer never close()d it");
   if (RegistryOffset < kHeaderSize || RegistryOffset >= Size)
@@ -140,18 +201,24 @@ bool TraceReader::indexBlocks(uint64_t RegistryOffset) {
       return "block " + std::to_string(BlockIndex) + " at byte " +
              std::to_string(Pos);
     };
-    if (Data[Pos] != kBlockEvents)
+    // One read covers the longest header the section can still hold;
+    // every field check below stays within the bytes read.
+    uint8_t Hdr[kMaxBlockHeader];
+    size_t HdrLen = std::min<uint64_t>(kMaxBlockHeader, RegistryOffset - Pos);
+    if (!readAt(Pos, HdrLen, Hdr))
+      return failed("read error");
+    if (Hdr[0] != kBlockEvents)
       return failed(Where() + ": unexpected section kind " +
-                    std::to_string(Data[Pos]));
-    ++Pos;
+                    std::to_string(Hdr[0]));
+    size_t At = 1;
     uint64_t PayloadLen, EventCount;
-    if (!tryDecodeULEB128(Data, RegistryOffset, Pos, PayloadLen) ||
-        !tryDecodeULEB128(Data, RegistryOffset, Pos, EventCount))
+    if (!tryDecodeULEB128(Hdr, HdrLen, At, PayloadLen) ||
+        !tryDecodeULEB128(Hdr, HdrLen, At, EventCount))
       return failed(Where() + ": truncated block header");
-    if (RegistryOffset - Pos < 4)
+    if (HdrLen - At < 4)
       return failed(Where() + ": truncated block header");
-    uint32_t Crc = readLE32(Data + Pos);
-    Pos += 4;
+    uint32_t Crc = readLE32(Hdr + At);
+    Pos += At + 4;
     if (PayloadLen > RegistryOffset - Pos)
       return failed(Where() + ": payload extends past the registry "
                               "section (truncated file?)");
@@ -168,28 +235,37 @@ bool TraceReader::indexBlocks(uint64_t RegistryOffset) {
 }
 
 bool TraceReader::parseRegistry(uint64_t Offset) {
-  size_t Pos = Offset;
-  if (Data[Pos] != kBlockRegistry)
+  uint8_t Hdr[kMaxRegistryHeader];
+  size_t HdrLen = std::min<uint64_t>(kMaxRegistryHeader, Size - Offset);
+  if (!readAt(Offset, HdrLen, Hdr))
+    return failed("read error");
+  if (Hdr[0] != kBlockRegistry)
     return failed("registry section: unexpected kind " +
-                  std::to_string(Data[Pos]));
-  ++Pos;
+                  std::to_string(Hdr[0]));
+  size_t At = 1;
   uint64_t PayloadLen;
-  if (!tryDecodeULEB128(Data, Size, Pos, PayloadLen) || Size - Pos < 4)
+  if (!tryDecodeULEB128(Hdr, HdrLen, At, PayloadLen) || HdrLen - At < 4)
     return failed("registry section: truncated header");
-  uint32_t Want = readLE32(Data + Pos);
-  Pos += 4;
+  uint32_t Want = readLE32(Hdr + At);
+  const size_t Pos = Offset + At + 4;
   if (PayloadLen > Size - Pos)
     return failed("registry section: truncated payload");
   const size_t End = Pos + PayloadLen;
-  if (crc32(Data + Pos, PayloadLen) != Want)
+  // The payload and, when the file has it, the byte after it (the end
+  // marker).
+  std::vector<uint8_t> Payload(PayloadLen + (End < Size ? 1 : 0));
+  if (!readAt(Pos, Payload.size(), Payload.data()))
+    return failed("read error");
+  if (crc32(Payload.data(), PayloadLen) != Want)
     return failed("registry section: checksum mismatch (corrupted file)");
-  if (End >= Size || Data[End] != kEndMarker)
+  if (End >= Size || Payload[PayloadLen] != kEndMarker)
     return failed("missing end marker (truncated file?)");
   if (End + 1 != Size)
     return failed("trailing garbage after end marker");
 
   std::string PayloadErr;
-  if (!parseRegistryPayload(Data + Pos, PayloadLen, Instrs, Sites, PayloadErr))
+  if (!parseRegistryPayload(Payload.data(), PayloadLen, Instrs, Sites,
+                            PayloadErr))
     return failed("registry section at byte " + std::to_string(Pos) + ": " +
                   PayloadErr);
   return true;
@@ -199,10 +275,11 @@ bool TraceReader::forEachEvent(
     const std::function<void(const TraceEvent &)> &Fn) {
   for (size_t B = 0; B != Blocks.size(); ++B) {
     const BlockRef &Ref = Blocks[B];
+    const uint8_t *Payload = payloadOf(B);
     std::string BlockErr;
-    if (!verifyBlockChecksum(Data + Ref.PayloadPos, Ref.PayloadLen,
-                             Ref.Crc, B, Ref.PayloadPos, BlockErr) ||
-        !decodeEventBlockAny(Info.Version, Data + Ref.PayloadPos,
+    if (!verifyBlockChecksum(Payload, Ref.PayloadLen, Ref.Crc, B,
+                             Ref.PayloadPos, BlockErr) ||
+        !decodeEventBlockAny(Info.Version, Payload,
                              Ref.PayloadLen, Ref.EventCount, Fn, BlockErr, B,
                              Ref.PayloadPos))
       return failed(BlockErr);
@@ -215,10 +292,11 @@ bool TraceReader::decodeBlockEvents(size_t Index,
   Out.clear();
   const BlockRef &Ref = Blocks[Index];
   Out.reserve(Ref.EventCount);
+  const uint8_t *Payload = payloadOf(Index);
   std::string BlockErr;
-  if (!verifyBlockChecksum(Data + Ref.PayloadPos, Ref.PayloadLen,
-                           Ref.Crc, Index, Ref.PayloadPos, BlockErr) ||
-      !decodeEventBlockAny(Info.Version, Data + Ref.PayloadPos,
+  if (!verifyBlockChecksum(Payload, Ref.PayloadLen, Ref.Crc, Index,
+                           Ref.PayloadPos, BlockErr) ||
+      !decodeEventBlockAny(Info.Version, Payload,
                            Ref.PayloadLen, Ref.EventCount,
                            [&](const TraceEvent &E) { Out.push_back(E); },
                            BlockErr, Index, Ref.PayloadPos))
@@ -228,10 +306,11 @@ bool TraceReader::decodeBlockEvents(size_t Index,
 
 bool TraceReader::decodeBlockColumns(size_t Index, DecodedBlock &Out) {
   const BlockRef &Ref = Blocks[Index];
+  const uint8_t *Payload = payloadOf(Index);
   std::string BlockErr;
-  if (!verifyBlockChecksum(Data + Ref.PayloadPos, Ref.PayloadLen,
-                           Ref.Crc, Index, Ref.PayloadPos, BlockErr) ||
-      !decodeEventBlockV2(Data + Ref.PayloadPos, Ref.PayloadLen,
+  if (!verifyBlockChecksum(Payload, Ref.PayloadLen, Ref.Crc, Index,
+                           Ref.PayloadPos, BlockErr) ||
+      !decodeEventBlockV2(Payload, Ref.PayloadLen,
                           Ref.EventCount, Out, BlockErr, Index,
                           Ref.PayloadPos))
     return failed(BlockErr);
@@ -240,7 +319,7 @@ bool TraceReader::decodeBlockColumns(size_t Index, DecodedBlock &Out) {
 
 TraceReader::RawBlock TraceReader::rawBlock(size_t Index) const {
   const BlockRef &Ref = Blocks[Index];
-  return RawBlock{Data + Ref.PayloadPos, Ref.PayloadLen,
+  return RawBlock{payloadOf(Index), Ref.PayloadLen,
                   Ref.EventCount, Ref.Crc, Ref.PayloadPos};
 }
 

@@ -14,12 +14,23 @@
 /// varints, trailing garbage) produces a clear error string instead of
 /// an assert or undefined behavior.
 ///
-/// open() maps a regular file read-only instead of copying it, so the
-/// image costs no heap and no up-front read; pipes and other
+/// open() maps a regular file read-only instead of copying it, and
+/// validates it without touching the mapping: the header, block index
+/// and registry are read with pread on the still-open file, so an open
+/// trace costs its block table, not its size. Payload reads go through
+/// the mapping, and reading the first block of each 256 KiB window first
+/// releases (MADV_DONTNEED) the whole windows behind it, so a forward
+/// replay keeps about one window of the trace resident however long
+/// the file is.
+/// The mapping is private and read-only: a released page refaults from
+/// the page cache with the same bytes, so rawBlock() pointers stay valid
+/// and every decode still checks its CRC first. Pipes and other
 /// non-regular inputs are read into an owned buffer, as openImage()
-/// images are. A mapped file that another process truncates while the
-/// reader holds it raises SIGBUS on the next access to the lost pages
-/// (the trade-off LLVM's MemoryBuffer makes for non-volatile files).
+/// images are, and the validator reads that buffer the same way, so
+/// both paths give the same verdicts and messages. A mapped file that
+/// another process truncates while the reader holds it raises SIGBUS on
+/// the next access to the lost pages (the trade-off LLVM's MemoryBuffer
+/// makes for non-volatile files).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -107,8 +118,9 @@ public:
   /// A still-encoded view of one event block, for forwarding the
   /// payload verbatim — e.g. as an EVENTS frame of the orp-traced wire
   /// protocol. The pointer aliases the reader's image and is valid
-  /// until the next open()/openImage() or the reader's destruction.
-  /// \p Index must be in range.
+  /// until the next open()/openImage() or the reader's destruction,
+  /// even after later payload reads release its pages (they refault
+  /// with the same bytes). \p Index must be in range.
   struct RawBlock {
     const uint8_t *Payload;
     size_t PayloadLen;
@@ -125,11 +137,16 @@ private:
   bool failed(const std::string &Msg);
   /// Drops the current image (unmapping it) and every parse result.
   void reset(const std::string &FileName);
-  /// Validates the image at [Data, Data + Size).
+  /// Validates the image at [Data, Data + Size), reading it through
+  /// readAt() only.
   bool parseImage();
-  bool parseHeader();
+  bool parseHeader(uint64_t &RegistryOffset);
   bool parseRegistry(uint64_t Offset);
   bool indexBlocks(uint64_t RegistryOffset);
+  /// Copies image bytes [Offset, Offset + Len) into \p Buf: pread on Fd
+  /// while open() validates a mapped file, else a copy from Owned.
+  /// False on an I/O error or a file that shrank since it was mapped.
+  bool readAt(uint64_t Offset, size_t Len, uint8_t *Buf) const;
 
   std::string Name;
   /// The image: Mapping when open() mapped a file, else Owned.
@@ -137,6 +154,8 @@ private:
   size_t Size = 0;
   void *Mapping = nullptr;
   std::vector<uint8_t> Owned;
+  /// The mapped file, open only while open() validates it.
+  int Fd = -1;
   TraceInfo Info;
   std::vector<trace::InstrInfo> Instrs;
   std::vector<trace::AllocSiteInfo> Sites;
@@ -150,6 +169,12 @@ private:
     uint32_t Crc;
   };
   std::vector<BlockRef> Blocks;
+  /// The payload of block \p Index; every payload read goes through
+  /// here. On a mapped image, when the block is the first to start in
+  /// its 256 KiB-aligned window, it first releases the whole windows
+  /// before that one. Stateless, and the block table is immutable after
+  /// open(), so the replayer's decode-ahead worker may call it.
+  const uint8_t *payloadOf(size_t Index) const;
   std::string Err;
 };
 

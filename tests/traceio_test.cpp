@@ -10,6 +10,7 @@
 #include "baseline/RasgProfiler.h"
 #include "core/ProfilingSession.h"
 #include "leap/LeapProfileData.h"
+#include "session/ProfileSession.h"
 #include "support/Checksum.h"
 #include "support/Endian.h"
 #include "support/WorkerPool.h"
@@ -675,6 +676,146 @@ TEST(TraceIoMappedOpenTest, RawBlocksStayValidUntilReopen) {
   traceio::TraceReader::RawBlock First = R.rawBlock(0);
   EXPECT_TRUE(std::equal(First.Payload, First.Payload + First.PayloadLen,
                          Other.begin() + First.FileOffset));
+}
+
+namespace {
+
+/// Resident bytes of the mapping that contains \p Addr, read from the
+/// mapping's `Rss:` line in /proc/self/smaps; -1 when the file or the
+/// mapping is missing.
+int64_t mappingRssBytes(const void *Addr) {
+  std::ifstream In("/proc/self/smaps");
+  const uintptr_t At = reinterpret_cast<uintptr_t>(Addr);
+  bool Inside = false;
+  std::string Line;
+  while (std::getline(In, Line)) {
+    unsigned long long Lo, Hi, Kb;
+    if (std::sscanf(Line.c_str(), "%llx-%llx ", &Lo, &Hi) == 2)
+      Inside = Lo <= At && At < Hi;
+    else if (Inside && std::sscanf(Line.c_str(), "Rss: %llu kB", &Kb) == 1)
+      return static_cast<int64_t>(Kb * 1024);
+  }
+  return -1;
+}
+
+/// Records a v2 trace of pseudo-random accesses over 256 objects, with
+/// 64 KiB blocks, to \p Path.
+void recordLargeTrace(const std::string &Path, uint64_t Accesses) {
+  trace::InstructionRegistry Registry;
+  trace::InstrId Load =
+      Registry.addInstruction("large: load", trace::AccessKind::Load);
+  trace::InstrId Store =
+      Registry.addInstruction("large: store", trace::AccessKind::Store);
+  trace::AllocSiteId Site = Registry.addAllocSite("large: alloc", "struct l");
+  traceio::TraceWriter Writer(Path, Registry, memsim::AllocPolicy::FirstFit,
+                              /*Seed=*/11, /*BlockBytes=*/64 * 1024);
+  constexpr uint64_t Base = 0x10000000, Stride = 1 << 20, Objects = 256;
+  uint64_t Time = 0;
+  for (uint64_t O = 0; O != Objects; ++O)
+    Writer.onAlloc({Site, Base + O * Stride, /*Size=*/Stride / 4, ++Time,
+                    /*IsStatic=*/false});
+  uint64_t X = 0x9e3779b97f4a7c15ULL;
+  for (uint64_t I = 0; I != Accesses; ++I) {
+    X = X * 6364136223846793005ULL + 1442695040888963407ULL;
+    uint64_t Addr = Base + ((X >> 33) % Objects) * Stride +
+                    ((X >> 13) % (Stride / 4)) / 8 * 8;
+    bool IsStore = (X >> 62) == 0;
+    Time += 1 + (X >> 50) % 64;
+    Writer.onAccess({IsStore ? Store : Load, Addr, /*Size=*/8, IsStore, Time});
+  }
+  for (uint64_t O = 0; O != Objects; ++O)
+    Writer.onFree({Base + O * Stride, ++Time});
+  EXPECT_TRUE(Writer.close()) << Writer.error();
+}
+
+} // namespace
+
+TEST(TraceIoMappedOpenTest, ReplayKeepsTraceResidencyBounded) {
+  // A mapped trace is indexed with pread and its payload pages are
+  // released behind the reader, so no walk over it keeps more than a
+  // bounded window resident, however long the file.
+  constexpr int64_t kBound = 1 << 20;
+  std::string Path = tempPath("mapped_large.orpt");
+  recordLargeTrace(Path, /*Accesses=*/1300000);
+  traceio::TraceReader Image, R;
+  ASSERT_TRUE(Image.openImage(readFile(Path), Path)) << Image.error();
+  ASSERT_TRUE(R.open(Path)) << R.error();
+  std::remove(Path.c_str());
+  ASSERT_GE(R.info().FileBytes, 8u << 20);
+  ASSERT_GT(R.numEventBlocks(), 100u);
+
+  const traceio::TraceReader::RawBlock First = R.rawBlock(0);
+  if (mappingRssBytes(First.Payload) < 0)
+    GTEST_SKIP() << "/proc/self/smaps does not show the trace mapping";
+  EXPECT_EQ(mappingRssBytes(First.Payload), 0) << "open() faulted pages in";
+
+  int64_t Peak = 0;
+  auto Sample = [&] {
+    Peak = std::max(Peak, mappingRssBytes(First.Payload));
+  };
+
+  std::vector<traceio::TraceEvent> Want;
+  ASSERT_TRUE(Image.readAllEvents(Want)) << Image.error();
+  uint64_t Seen = 0, Mismatches = 0;
+  ASSERT_TRUE(R.forEachEvent([&](const traceio::TraceEvent &E) {
+    if (Seen == Want.size()) {
+      ++Mismatches;
+      return;
+    }
+    const traceio::TraceEvent &W = Want[Seen++];
+    Mismatches += E.K != W.K || E.InstrOrSite != W.InstrOrSite ||
+                  E.Addr != W.Addr || E.Size != W.Size || E.Time != W.Time ||
+                  E.IsStore != W.IsStore || E.IsStatic != W.IsStatic;
+    if (Seen % 4096 == 0)
+      Sample();
+  })) << R.error();
+  EXPECT_EQ(Seen, Want.size());
+  EXPECT_EQ(Mismatches, 0u);
+  EXPECT_LE(Peak, kBound) << "forEachEvent";
+
+  Peak = 0;
+  traceio::DecodedBlock Block;
+  for (size_t B = 0; B != R.numEventBlocks(); ++B) {
+    ASSERT_TRUE(R.decodeBlockColumns(B, Block)) << R.error();
+    Sample();
+  }
+  EXPECT_LE(Peak, kBound) << "decodeBlockColumns";
+
+  session::SessionConfig Config;
+  Config.EnableWhomp = false; // LEAP alone keeps the replay quick.
+  session::ProfileSession FromImage("image", Config);
+  ASSERT_TRUE(FromImage.replayFrom(Image)) << FromImage.error();
+  Peak = 0;
+  session::ProfileSession FromMapped("mapped", Config);
+  ASSERT_TRUE(FromMapped.replayFrom(R, /*DecodeThreads=*/2, 0,
+                                    ~static_cast<uint64_t>(0),
+                                    [&](uint64_t) { Sample(); }))
+      << FromMapped.error();
+  EXPECT_LE(Peak, kBound) << "replayFrom";
+  session::SessionArtifacts Got = FromMapped.finalize();
+  session::SessionArtifacts Expected = FromImage.finalize();
+  EXPECT_EQ(Got.Events, Expected.Events);
+  EXPECT_FALSE(Got.Leap.empty());
+  EXPECT_EQ(Got.Leap, Expected.Leap);
+  EXPECT_EQ(Got.Omsg, Expected.Omsg);
+
+  Peak = 0;
+  for (size_t B = 0; B != R.numEventBlocks(); ++B) {
+    traceio::TraceReader::RawBlock Raw = R.rawBlock(B);
+    std::string Err;
+    EXPECT_TRUE(traceio::verifyBlockChecksum(Raw.Payload, Raw.PayloadLen,
+                                             Raw.Crc, B, Raw.FileOffset, Err))
+        << Err;
+    Sample();
+  }
+  EXPECT_LE(Peak, kBound) << "rawBlock walk";
+
+  // Block 0's pages were released long ago; they refault with the same
+  // bytes, so the pointer taken before the walks is still good.
+  std::string Err;
+  EXPECT_TRUE(traceio::verifyBlockChecksum(First.Payload, First.PayloadLen,
+                                           First.Crc, 0, First.FileOffset, Err))
+      << Err;
 }
 
 //===----------------------------------------------------------------------===//

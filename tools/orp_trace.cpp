@@ -42,7 +42,6 @@
 #include "support/Version.h"
 #include "telemetry/Registry.h"
 #include "trace/MetricsTicker.h"
-#include "traceio/TraceReplayer.h"
 #include "traceio/TraceWriter.h"
 #include "whomp/OmsgArchive.h"
 #include "whomp/OmsgStats.h"
