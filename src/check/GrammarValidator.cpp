@@ -18,7 +18,11 @@ using sequitur::SequiturGrammar;
 
 namespace {
 
-std::string ruleName(uint64_t Id) { return "R" + std::to_string(Id); }
+// Appended, not prepended: GCC 12 reports a false -Wrestrict for
+// "R" + std::to_string(Id) in optimized builds.
+std::string ruleName(uint64_t Id) {
+  return std::string("R").append(std::to_string(Id));
+}
 
 } // namespace
 
@@ -203,7 +207,9 @@ CheckReport GrammarValidator::validate(const SequiturGrammar &G) {
   // must point at a live occurrence whose hash is the stored one and
   // which a lookup of its key reaches (soundness). The index stores no
   // keys, so lookups read them back from the symbols — but only from
-  // live digram starts: a corrupt entry may name any node.
+  // live digram starts: a corrupt entry may name any node. A sealed
+  // grammar has no index: uniqueness is then checked on the occurrence
+  // map alone, and the index must be gone.
   std::unordered_map<DigramKey, std::vector<NodeIdx>, DigramKeyHash>
       Occurrences;
   std::unordered_set<NodeIdx> DigramStarts;
@@ -238,6 +244,8 @@ CheckReport GrammarValidator::validate(const SequiturGrammar &G) {
           Report.fail("digram uniqueness violated: key " + KeyStr(Key) +
                       " occurs at two non-overlapping positions");
       }
+    if (G.Sealed)
+      continue;
     size_t Slot = G.Index.findSlot(Key, LiveKeys);
     if (Slot == DigramTable::Npos) {
       Report.fail("digram index desync: key " + KeyStr(Key) +
@@ -252,7 +260,20 @@ CheckReport GrammarValidator::validate(const SequiturGrammar &G) {
                    "digram index desync: indexed occurrence of key " +
                        KeyStr(Key) + " is not where the key occurs");
   }
-  if (StructureOk) {
+  if (G.Sealed) {
+    Report.require(G.Index.size() == 0 && G.Index.capacity() == 0,
+                   "sealed grammar still holds a digram index of " +
+                       std::to_string(G.Index.capacity()) + " slots");
+    Report.require(G.MaybeUnderused.capacity() == 0,
+                   "sealed grammar still holds its utility worklist");
+    if (StructureOk)
+      Report.require(G.SealedDigrams == Occurrences.size(),
+                     "sealed grammar reports " +
+                         std::to_string(G.SealedDigrams) +
+                         " digrams but has " +
+                         std::to_string(Occurrences.size()) +
+                         " distinct digrams");
+  } else if (StructureOk) {
     G.Index.forEach([&](size_t Slot, NodeIdx I, uint32_t Hash) {
       std::string Entry = "entry " + std::to_string(Slot) + " (symbol " +
                           std::to_string(I) + ", hash " +
@@ -407,6 +428,29 @@ bool GrammarValidator::injectForTest(SequiturGrammar &G, Corruption K) {
     sequitur::DigramKey Key = G.keyOf(Entries[0].second);
     G.Index.eraseSlot(Entries[0].first);
     G.Index.insert(Key, Target);
+    return true;
+  }
+  case Corruption::DigramDuplicate: {
+    // Relabel the second all-terminal digram as a copy of the first. The
+    // expansion length and every use count stay as they were.
+    std::vector<NodeIdx> Found;
+    for (NodeIdx RI = G.LiveRuleHead; RI != Nil && Found.size() != 2;
+         RI = G.rule(RI).LiveNext) {
+      NodeIdx Guard = G.rule(RI).Guard;
+      for (NodeIdx I = G.sym(Guard).Next;
+           I != Guard && G.sym(I).Next != Guard && Found.size() != 2;
+           I = G.sym(I).Next) {
+        NodeIdx Next = G.sym(I).Next;
+        bool Disjoint = Found.empty() || (I != G.sym(Found[0]).Next &&
+                                          Next != Found[0]);
+        if (!G.sym(I).isRef() && !G.sym(Next).isRef() && Disjoint)
+          Found.push_back(I);
+      }
+    }
+    if (Found.size() != 2)
+      return false;
+    G.sym(Found[1]).Value = G.sym(Found[0]).Value;
+    G.sym(G.sym(Found[1]).Next).Value = G.sym(G.sym(Found[0]).Next).Value;
     return true;
   }
   case Corruption::UseCountSkew:

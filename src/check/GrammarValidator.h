@@ -13,8 +13,10 @@
 ///   * digram index <-> linked-list coherence (soundness: every index
 ///     entry points at a live digram whose hash is the entry's stored
 ///     hash and which a lookup reaches; completeness: every adjacency is
-///     findable in the index);
-///   * digram uniqueness across all rule bodies;
+///     findable in the index); for a sealed grammar, that the index and
+///     the utility worklist are gone and the kept digram count is exact;
+///   * digram uniqueness across all rule bodies, through the validator's
+///     own occurrence map (so it holds sealed or not);
 ///   * rule utility >= 2, and each rule's UseCount and UseXor equal to
 ///     the count and index XOR of its uses recounted from the bodies;
 ///   * intrusive live-list membership == liveness tags == reachability
@@ -98,6 +100,7 @@ public:
     DigramIndexToFreedSymbol, ///< Repoint an entry at a freed symbol.
     UseCountSkew,        ///< Bump a rule's UseCount with no matching use.
     UseXorSkew,          ///< Flip a bit of a rule's UseXor.
+    DigramDuplicate,     ///< Relabel a digram as a copy of another.
     LivenessTagClear,    ///< Tag an in-body symbol as released.
   };
 

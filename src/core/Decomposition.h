@@ -34,6 +34,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <utility>
 #include <vector>
 
 namespace orp {
@@ -81,6 +82,10 @@ public:
 
   /// Returns the compressor for \p D; must be one of dimensions().
   const StreamCompressor &compressorFor(Dimension D) const;
+  StreamCompressor &compressorFor(Dimension D) {
+    return const_cast<StreamCompressor &>(
+        std::as_const(*this).compressorFor(D));
+  }
 
   /// Returns the summed serialized size of all dimension streams.
   size_t totalSerializedSizeBytes() const;

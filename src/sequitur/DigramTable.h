@@ -202,6 +202,15 @@ public:
     --Count;
   }
 
+  /// Frees the slot array, leaving an empty table of capacity 0. A
+  /// released table answers only size(), capacity(), maxProbeLength()
+  /// and forEach(); lookups and insertions need slots again.
+  void release() {
+    std::vector<Slot>().swap(Slots);
+    Mask = 0;
+    Count = 0;
+  }
+
   /// Returns the number of entries.
   size_t size() const { return Count; }
 

@@ -248,6 +248,8 @@ ORP_SEQ_INLINE void SequiturGrammar::removeDigramAt(NodeIdx A) {
 //===----------------------------------------------------------------------===//
 
 void SequiturGrammar::append(uint64_t Value) {
+  if (Sealed) [[unlikely]]
+    ORP_FATAL_ERROR("sequitur: append to a sealed grammar");
   // No references into the grammar are held across appends, so nodes
   // freed during the previous append are now safe to recycle.
   reclaimPending();
@@ -265,6 +267,15 @@ void SequiturGrammar::append(uint64_t Value) {
 void SequiturGrammar::appendAll(const std::vector<uint64_t> &Values) {
   for (uint64_t V : Values)
     append(V);
+}
+
+void SequiturGrammar::seal() {
+  if (Sealed)
+    return;
+  Sealed = true;
+  SealedDigrams = Index.size();
+  Index.release();
+  std::vector<NodeIdx>().swap(MaybeUnderused);
 }
 
 bool SequiturGrammar::checkDigram(NodeIdx A) {
@@ -912,6 +923,13 @@ bool SequiturGrammar::checkInvariants() const {
           return false;
       }
   }
+
+  // A sealed grammar gave its index back: nothing may remain of it, and
+  // the count kept for numDigrams() is the number of distinct digrams.
+  if (Sealed)
+    return Index.size() == 0 && Index.capacity() == 0 &&
+           MaybeUnderused.capacity() == 0 &&
+           SealedDigrams == Occurrences.size();
 
   // Index soundness: every entry points at a live digram whose hash is
   // the stored one, and a lookup of that digram reaches the entry (so no

@@ -137,6 +137,17 @@ public:
   /// Appends every element of \p Values in order.
   void appendAll(const std::vector<uint64_t> &Values);
 
+  /// Declares the input complete. Digram uniqueness is enforced on
+  /// append, so only appending needs the digram index and the utility
+  /// worklist; sealing frees both. Every read-only call (serialize,
+  /// expandAll, ruleStats, dump, the counters) answers exactly as before,
+  /// and numDigrams() keeps the count at the seal. Appending to a sealed
+  /// grammar is a fatal error. Sealing twice is a no-op.
+  void seal();
+
+  /// True once seal() ran.
+  bool sealed() const { return Sealed; }
+
   /// Returns the number of terminals appended so far.
   uint64_t inputLength() const { return InputLen; }
 
@@ -210,8 +221,8 @@ public:
   std::vector<RuleStats> ruleStats(size_t PrefixCap = 16) const;
 
   /// Verifies digram uniqueness, rule utility, use counts (recounted
-  /// from the bodies) and index consistency. For tests; returns true
-  /// when healthy.
+  /// from the bodies) and index consistency; a sealed grammar must hold
+  /// no index at all. For tests; returns true when healthy.
   bool checkInvariants() const;
 
   /// \name Introspection for the telemetry layer
@@ -220,7 +231,10 @@ public:
   /// @{
   size_t numSymbolSlabs() const { return SymbolSlabs.size(); }
   size_t numRuleSlabs() const { return RuleSlabs.size(); }
-  size_t numDigrams() const { return Index.size(); }
+  /// Distinct digrams in the grammar (the count at the seal once sealed).
+  size_t numDigrams() const { return Sealed ? SealedDigrams : Index.size(); }
+  /// Slots of the digram index (0 once sealed).
+  size_t indexCapacity() const { return Index.capacity(); }
   /// Resident bytes of the grammar's bulk storage: symbol and rule slabs
   /// plus the digram index's slot array (capacity, not occupancy).
   size_t footprintBytes() const;
@@ -330,6 +344,8 @@ private:
   Churn Counters;
   DigramTable Index;
   std::vector<NodeIdx> MaybeUnderused;
+  bool Sealed = false;
+  size_t SealedDigrams = 0; ///< Index.size() when seal() released it.
 
   /// Symbols per arena slab (64 KiB of 16-byte symbols).
   static constexpr unsigned SymbolSlabShift = 12;

@@ -2,10 +2,12 @@
 
 #include "session/ProfileSession.h"
 
+#include "check/OmcValidator.h"
 #include "leap/LeapProfileData.h"
 #include "omc/OmcCheckpoint.h"
 #include "support/Checksum.h"
 #include "support/Endian.h" // orp-lint: allow(endian-io): artifact framing
+#include "support/Error.h"
 #include "support/VarInt.h"
 #include "traceio/BlockCodec.h"
 #include "traceio/TraceReplayer.h"
@@ -55,7 +57,7 @@ bool ProfileSession::injectBlock(const uint8_t *Payload, size_t Len,
                                  uint64_t EventCount, uint32_t Crc,
                                  uint64_t BlockIndex,
                                  uint8_t FormatVersion) {
-  if (Failed)
+  if (Failed || rejectFinalized())
     return false;
   if (FormatVersion < traceio::kFormatVersionV1 ||
       FormatVersion > traceio::kFormatVersionV2) {
@@ -104,10 +106,21 @@ bool ProfileSession::injectBlock(const uint8_t *Payload, size_t Len,
   return true;
 }
 
+bool ProfileSession::rejectFinalized() {
+  if (!Finished)
+    return false;
+  // The profilers are finished (WHOMP's grammars sealed): nothing may be
+  // appended. The session itself is sound, so failed() stays as it was.
+  Err = "session already finalized";
+  return true;
+}
+
 bool ProfileSession::replayFrom(
     traceio::TraceReader &Reader, unsigned DecodeThreads,
     uint64_t FirstBlock, uint64_t EndBlock,
     const std::function<void(uint64_t)> &BlockDone) {
+  if (rejectFinalized())
+    return false;
   traceio::TraceReplayer Replayer(Reader);
   Replayer.setThreads(DecodeThreads);
   size_t End = ~static_cast<size_t>(0);
@@ -132,8 +145,9 @@ bool ProfileSession::replayFrom(
 std::vector<uint8_t>
 ProfileSession::checkpoint(const traceio::TraceReader &Reader,
                            uint64_t NextBlock) {
-  std::vector<uint8_t> Out;
-  Out.insert(Out.end(), kCheckpointMagic, kCheckpointMagic + 4);
+  // Built from the magic rather than inserted into an empty vector: GCC
+  // 12 reports a false -Wstringop-overflow for the insert.
+  std::vector<uint8_t> Out(kCheckpointMagic, kCheckpointMagic + 4);
   Out.push_back(kCheckpointVersion);
   size_t CrcAt = Out.size();
   appendLE32(0, Out); // Patched below.
@@ -245,12 +259,28 @@ bool ProfileSession::restoreCheckpoint(const std::vector<uint8_t> &Bytes,
     return false;
   }
 
-  if (!omc::OmcCheckpoint::restore(Data, Size, Pos, Core->omc(), Err))
+  // The OMC section is restored into a scratch manager first, so a
+  // rejected image leaves this session's OMC fresh (its destructor still
+  // finishes, and level-2 builds validate, the pipeline). The CRC
+  // catches accidents, not forgeries: an image built to pass it can
+  // restore records whose groups or serials contradict each other, so
+  // the deep validator audits the state before the session adopts it.
+  const size_t OmcAt = Pos;
+  omc::ObjectManager Scratch;
+  if (!omc::OmcCheckpoint::restore(Data, Size, Pos, Scratch, Err))
     return false;
   if (Pos != Size) {
     Err = "checkpoint: trailing bytes after payload";
     return false;
   }
+  check::CheckReport Report = check::OmcValidator::validate(Scratch);
+  if (!Report.ok()) {
+    Err = "checkpoint: inconsistent OMC state: " + Report.failures().front();
+    return false;
+  }
+  Pos = OmcAt;
+  if (!omc::OmcCheckpoint::restore(Data, Size, Pos, Core->omc(), Err))
+    ORP_FATAL_ERROR("checkpoint: validated OMC section failed to restore");
   Events = EventsSoFar;
   NextBlock = Next;
   return true;
@@ -265,7 +295,7 @@ SessionArtifacts ProfileSession::finalize() {
   A.Name = Name;
   A.Events = Events;
   A.Failed = Failed;
-  A.Error = Err;
+  A.Error = Failed ? Err : std::string();
   if (Whomp)
     A.Omsg = whomp::OmsgArchive::build(*Whomp, &Core->omc()).serialize();
   if (Leap)
@@ -275,9 +305,9 @@ SessionArtifacts ProfileSession::finalize() {
 
 size_t ProfileSession::memoryEstimateBytes() {
   // The grammars report their real resident bytes (slabs plus digram
-  // index capacity); the OMC and LEAP terms are nominal weights that
-  // only need to grow with real usage. The budget these are compared
-  // against is configured in the same units.
+  // index capacity, which finalize() gives back); the OMC and LEAP terms
+  // are nominal weights that only need to grow with real usage. The
+  // budget these are compared against is configured in the same units.
   constexpr size_t kLiveObjectBytes = 96;
   constexpr size_t kGroupBytes = 64;
 

@@ -102,6 +102,9 @@ public:
   /// labels diagnostics (the sender's running block count). Returns
   /// false — latching failed()/error() — on a corrupt block; the
   /// session then rejects further injection but can still be finalized.
+  /// After finalize() it returns false with error() "session already
+  /// finalized" and changes nothing: failed() and the artifacts stay as
+  /// they were.
   bool injectBlock(const uint8_t *Payload, size_t Len, uint64_t EventCount,
                    uint32_t Crc, uint64_t BlockIndex,
                    uint8_t FormatVersion);
@@ -112,7 +115,8 @@ public:
   /// artifacts are identical either way). \p BlockDone, when set, runs
   /// on the calling thread after each block with the index of the next
   /// block — the resume point a checkpoint() taken from inside the
-  /// callback would encode. Returns false on corruption.
+  /// callback would encode. Returns false on corruption, and after
+  /// finalize() just as injectBlock() does.
   bool replayFrom(traceio::TraceReader &Reader, unsigned DecodeThreads = 1,
                   uint64_t FirstBlock = 0,
                   uint64_t EndBlock = ~static_cast<uint64_t>(0),
@@ -134,8 +138,9 @@ public:
   /// session, validating it against this session's configuration and
   /// \p Reader's identity. On success \p NextBlock is the first block
   /// still to replay and eventsInjected() already counts the events
-  /// before it. Returns false with \p Err set on malformed input or a
-  /// config/trace mismatch; the session must then be discarded.
+  /// before it. Returns false with \p Err set on malformed input, a
+  /// config/trace mismatch, or an OMC state the deep validator
+  /// (check::OmcValidator) rejects; the session is then left as it was.
   [[nodiscard]] bool restoreCheckpoint(const std::vector<uint8_t> &Bytes,
                                        const traceio::TraceReader &Reader,
                                        uint64_t &NextBlock,
@@ -146,8 +151,9 @@ public:
   static constexpr uint8_t kCheckpointVersion = 1;
 
   /// Finishes the pipeline (once) and builds the detached artifacts.
-  /// Idempotent in effect but rebuilds the artifact bytes each call —
-  /// call once at end of life.
+  /// Finishing seals WHOMP's grammars, so the artifacts are built after
+  /// their digram indexes are freed. Idempotent in effect but rebuilds
+  /// the artifact bytes each call — call once at end of life.
   SessionArtifacts finalize();
 
   bool failed() const { return Failed; }
@@ -158,11 +164,15 @@ public:
   /// quantity SessionManager's memory budget and LRU eviction operate
   /// on. The four WHOMP grammars count their real bytes
   /// (SequiturGrammar::footprintBytes: slabs plus digram-index
-  /// capacity); OMC groups/live objects and the LEAP profile size add
-  /// nominal weights that grow with real usage.
+  /// capacity, which drops to 0 at finalize()); OMC groups/live objects
+  /// and the LEAP profile size add nominal weights that grow with real
+  /// usage.
   size_t memoryEstimateBytes();
 
 private:
+  /// After finalize(): sets error() and returns true.
+  bool rejectFinalized();
+
   std::string Name;
   SessionConfig Config;
   std::unique_ptr<core::ProfilingSession> Core;

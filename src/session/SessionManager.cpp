@@ -51,7 +51,10 @@ SessionId SessionManager::open(
   unsigned Shard = NextShard++ % static_cast<unsigned>(Shards.size());
   auto S = std::make_unique<Managed>(Id, Shard,
                                      Config.IngestQueueCapacity);
-  std::string SessionName = Name.empty() ? "s" + std::to_string(Id) : Name;
+  // Appended, not prepended: GCC 12 reports a false -Wrestrict for
+  // "s" + std::to_string(Id) in optimized builds.
+  std::string SessionName =
+      Name.empty() ? std::string("s").append(std::to_string(Id)) : Name;
   // Built on the control thread; the queue handoff of the first token
   // publishes it to the shard worker.
   S->Engine =

@@ -120,8 +120,13 @@ void WhompProfiler::consumeBatch(std::span<const core::OrTuple> Batch) {
 
 void WhompProfiler::finish() {
   Decomposer.finish();
+  // The last check of each digram index, then the index goes: finalize
+  // serializes and archives grammars that no longer carry it.
   if constexpr (check::Level >= 2)
     validateGrammars("finish");
+  for (core::Dimension D : Decomposer.dimensions())
+    static_cast<SequiturStreamCompressor &>(Decomposer.compressorFor(D))
+        .seal();
 }
 
 const sequitur::SequiturGrammar &

@@ -45,6 +45,9 @@ public:
     return Grammar.serializedSizeBytes();
   }
 
+  /// Frees the grammar's append-only state (SequiturGrammar::seal).
+  void seal() { Grammar.seal(); }
+
   /// Returns the underlying grammar.
   const sequitur::SequiturGrammar &grammar() const { return Grammar; }
 
@@ -80,6 +83,8 @@ public:
 
   void consume(const core::OrTuple &Tuple) override;
   void consumeBatch(std::span<const core::OrTuple> Tuples) override;
+  /// Joins the workers, validates the grammars (level 2) and seals all
+  /// four: the finished OMSG keeps no digram index. No tuple may follow.
   void finish() override;
 
   /// Returns the number of tuples compressed.

@@ -175,6 +175,82 @@ TEST(GrammarValidatorTest, CatchesLivenessTagClear) {
   EXPECT_FALSE(G.checkInvariants());
 }
 
+TEST(GrammarValidatorTest, CatchesDigramDuplicate) {
+  sequitur::SequiturGrammar G;
+  appendPeriodic(G);
+  ASSERT_TRUE(GrammarValidator::injectForTest(
+      G, GrammarValidator::Corruption::DigramDuplicate));
+  check::CheckReport Report = GrammarValidator::validate(G);
+  EXPECT_FALSE(Report.ok());
+  EXPECT_NE(Report.str().find("digram uniqueness violated"), std::string::npos)
+      << Report.str();
+  EXPECT_FALSE(G.checkInvariants());
+}
+
+//===----------------------------------------------------------------------===//
+// GrammarValidator: sealed grammars
+//===----------------------------------------------------------------------===//
+
+TEST(GrammarValidatorTest, SealedGrammarsValidate) {
+  // A sealed grammar has no index; both checkers must accept it and
+  // still audit everything else.
+  size_t Count = 0;
+  const seqstreams::StreamCase *Cases = seqstreams::streamCases(Count);
+  for (size_t I = 0; I != Count; ++I) {
+    sequitur::SequiturGrammar G;
+    G.appendAll(seqstreams::makeStream(Cases[I]));
+    G.seal();
+    check::CheckReport Report = GrammarValidator::validate(G);
+    EXPECT_TRUE(Report.ok()) << Cases[I].Name << ":\n" << Report.str();
+    EXPECT_TRUE(G.checkInvariants()) << Cases[I].Name;
+  }
+  sequitur::SequiturGrammar Empty;
+  Empty.seal();
+  EXPECT_TRUE(GrammarValidator::validate(Empty).ok())
+      << GrammarValidator::validate(Empty).str();
+  EXPECT_TRUE(Empty.checkInvariants());
+}
+
+TEST(GrammarValidatorTest, SealedGrammarHasNoIndexToCorrupt) {
+  sequitur::SequiturGrammar G;
+  appendPeriodic(G);
+  G.seal();
+  EXPECT_FALSE(GrammarValidator::injectForTest(
+      G, GrammarValidator::Corruption::DigramIndexDrop));
+  EXPECT_FALSE(GrammarValidator::injectForTest(
+      G, GrammarValidator::Corruption::DigramIndexRetarget));
+  EXPECT_TRUE(GrammarValidator::validate(G).ok());
+}
+
+TEST(GrammarValidatorTest, CatchesUseXorSkewAfterSeal) {
+  sequitur::SequiturGrammar G;
+  appendPeriodic(G);
+  G.seal();
+  ASSERT_TRUE(GrammarValidator::injectForTest(
+      G, GrammarValidator::Corruption::UseXorSkew));
+  check::CheckReport Report = GrammarValidator::validate(G);
+  EXPECT_FALSE(Report.ok());
+  EXPECT_NE(Report.str().find("UseXor"), std::string::npos) << Report.str();
+  EXPECT_FALSE(G.checkInvariants());
+}
+
+TEST(GrammarValidatorTest, CatchesDigramDuplicateAfterSeal) {
+  // Without an index, uniqueness rests on the checkers' own occurrence
+  // maps alone.
+  sequitur::SequiturGrammar G;
+  appendPeriodic(G);
+  G.seal();
+  ASSERT_TRUE(GrammarValidator::injectForTest(
+      G, GrammarValidator::Corruption::DigramDuplicate));
+  check::CheckReport Report = GrammarValidator::validate(G);
+  EXPECT_FALSE(Report.ok());
+  EXPECT_NE(Report.str().find("digram uniqueness violated"), std::string::npos)
+      << Report.str();
+  EXPECT_EQ(Report.str().find("digram index"), std::string::npos)
+      << Report.str();
+  EXPECT_FALSE(G.checkInvariants());
+}
+
 //===----------------------------------------------------------------------===//
 // Sequitur arena poisoning (the use-after-free detector)
 //===----------------------------------------------------------------------===//

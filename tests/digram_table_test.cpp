@@ -390,4 +390,21 @@ TEST(DigramTableTest, ForEachVisitsEveryEntry) {
     EXPECT_TRUE(Seen[I]) << I;
 }
 
+TEST(DigramTableTest, ReleaseFreesEverySlot) {
+  KeyStore Store;
+  DigramTable T;
+  for (uint64_t I = 0; I != 1000; ++I) {
+    DigramKey K{I, I + 1, 0};
+    T.insert(K, Store.add(K));
+  }
+  ASSERT_EQ(T.capacity(), 2048u);
+  T.release();
+  EXPECT_EQ(T.size(), 0u);
+  EXPECT_EQ(T.capacity(), 0u);
+  EXPECT_EQ(T.maxProbeLength(), 0u);
+  size_t Visited = 0;
+  T.forEach([&](size_t, NodeIdx, uint32_t) { ++Visited; });
+  EXPECT_EQ(Visited, 0u);
+}
+
 } // namespace

@@ -17,6 +17,7 @@
 #include "omc/ObjectManager.h"
 #include "omc/OmcCheckpoint.h"
 #include "session/ProfileSession.h"
+#include "support/Checksum.h"
 #include "traceio/TraceReader.h"
 #include "traceio/TraceWriter.h"
 #include "whomp/OmsgArchive.h"
@@ -730,5 +731,44 @@ TEST(SessionCheckpointTest, RestoreValidatesConfigTraceAndBytes) {
     EXPECT_FALSE(Other.restoreCheckpoint(Flipped, Reader, Next, Err));
     EXPECT_NE(Err.find("checksum"), std::string::npos) << Err;
   }
+  std::remove(Path.c_str());
+}
+
+TEST(SessionCheckpointTest, ForgedImageLeavesSessionFresh) {
+  // The CRC is no authentication. Every one-byte change after the
+  // header, re-checksummed, is either accepted or rejected with the
+  // session left as constructed: the genuine image then restores into
+  // the same session. Some changes parse but describe an OMC the deep
+  // validator rejects; those must be refused too.
+  std::string Path = tempPath("forged.orpt");
+  recordTrace("list-traversal", Path);
+  traceio::TraceReader Reader;
+  ASSERT_TRUE(Reader.open(Path)) << Reader.error();
+  session::ProfileSession Source("ck", configFor(Reader, 30));
+  ASSERT_TRUE(Source.replayFrom(Reader, 1, 0, 2));
+  const std::vector<uint8_t> Ck = Source.checkpoint(Reader, 2);
+
+  constexpr size_t kHeaderSize = 9; // Magic, version, CRC-32.
+  size_t Inconsistent = 0;
+  for (size_t At = kHeaderSize; At != Ck.size(); ++At) {
+    std::vector<uint8_t> Forged = Ck;
+    ++Forged[At];
+    uint32_t Crc = crc32(Forged.data() + kHeaderSize,
+                         Forged.size() - kHeaderSize);
+    for (unsigned I = 0; I != 4; ++I)
+      Forged[5 + I] = static_cast<uint8_t>(Crc >> (8 * I));
+    session::ProfileSession Target("forged", configFor(Reader, 30));
+    uint64_t Next = 0;
+    std::string Err;
+    if (Target.restoreCheckpoint(Forged, Reader, Next, Err))
+      continue;
+    EXPECT_FALSE(Err.empty()) << "byte " << At;
+    Inconsistent += Err.find("inconsistent OMC state") != std::string::npos;
+    ASSERT_TRUE(Target.restoreCheckpoint(Ck, Reader, Next, Err))
+        << "byte " << At << ": " << Err;
+    EXPECT_EQ(Next, 2u);
+    EXPECT_EQ(Target.eventsInjected(), Source.eventsInjected());
+  }
+  EXPECT_GT(Inconsistent, 0u);
   std::remove(Path.c_str());
 }

@@ -1,11 +1,14 @@
 //===- tests/sequitur_test.cpp - Sequitur compression unit tests ---------===//
 
+#include "SequiturStreams.h"
 #include "sequitur/Sequitur.h"
+#include "support/Checksum.h"
 #include "support/Random.h"
 
 #include <gtest/gtest.h>
 
 #include <string>
+#include <tuple>
 #include <vector>
 
 using namespace orp;
@@ -265,3 +268,101 @@ TEST(SequiturTest, IncrementalAppendMatchesBatch) {
   }
   EXPECT_EQ(G.expandAll(), V);
 }
+
+//===----------------------------------------------------------------------===//
+// Sealed grammars
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Everything a grammar answers without appending, for before/after
+/// comparisons.
+struct ReadOnlyView {
+  std::vector<uint8_t> Image;
+  size_t ImageSize;
+  std::vector<uint64_t> Expansion;
+  std::string Dump;
+  std::vector<std::tuple<uint64_t, size_t, uint64_t, uint64_t,
+                         std::vector<uint64_t>>>
+      Rules;
+  std::tuple<uint64_t, size_t, size_t, size_t> Counts;
+  std::tuple<uint64_t, uint64_t, uint64_t, uint64_t> Churn;
+  bool operator==(const ReadOnlyView &) const = default;
+};
+
+ReadOnlyView readOnlyView(const SequiturGrammar &G) {
+  ReadOnlyView V;
+  V.Image = G.serialize();
+  V.ImageSize = G.serializedSizeBytes();
+  V.Expansion = G.expandAll();
+  V.Dump = G.dump();
+  for (const SequiturGrammar::RuleStats &R : G.ruleStats())
+    V.Rules.emplace_back(R.Id, R.BodyLength, R.ExpandedLength, R.Occurrences,
+                         R.Prefix);
+  V.Counts = {G.inputLength(), G.numRules(), G.totalBodySymbols(),
+              G.numDigrams()};
+  const SequiturGrammar::Churn &C = G.churn();
+  V.Churn = {C.RulesCreated, C.RulesInlined, C.DigramChecks, C.Matches};
+  return V;
+}
+
+/// Seals \p G and checks that every read-only answer is unchanged and
+/// that exactly the index's slot array left footprintBytes().
+void expectSealKeepsReads(SequiturGrammar &G, const std::string &Label) {
+  const ReadOnlyView Before = readOnlyView(G);
+  const size_t Footprint = G.footprintBytes();
+  const size_t IndexBytes = G.indexCapacity() * DigramTable::SlotBytes;
+  ASSERT_GT(IndexBytes, 0u) << Label;
+  G.seal();
+  EXPECT_TRUE(G.sealed()) << Label;
+  EXPECT_EQ(G.indexCapacity(), 0u) << Label;
+  EXPECT_EQ(G.footprintBytes(), Footprint - IndexBytes) << Label;
+  EXPECT_TRUE(readOnlyView(G) == Before) << Label;
+  EXPECT_TRUE(G.checkInvariants()) << Label;
+  G.seal(); // A second seal changes nothing.
+  EXPECT_EQ(G.footprintBytes(), Footprint - IndexBytes) << Label;
+  EXPECT_TRUE(readOnlyView(G) == Before) << Label;
+}
+
+} // namespace
+
+TEST(SequiturSealTest, PaperExampleReadsUnchanged) {
+  SequiturGrammar G;
+  G.appendAll(fromString("abcbcabcbc"));
+  ASSERT_EQ(G.numDigrams(), 4u); // aB, BB, bc and AA.
+  expectSealKeepsReads(G, "abcbcabcbc");
+  EXPECT_EQ(G.numDigrams(), 4u);
+  EXPECT_EQ(G.expandAll(), fromString("abcbcabcbc"));
+}
+
+TEST(SequiturSealTest, GoldenStreamsReadsAndCrcsUnchanged) {
+  // The CRC-pinned images of the golden suite hold after the seal too.
+  size_t Count = 0;
+  const seqstreams::StreamCase *Cases = seqstreams::streamCases(Count);
+  ASSERT_GT(Count, 0u);
+  for (size_t I = 0; I != Count; ++I) {
+    SequiturGrammar G;
+    G.appendAll(seqstreams::makeStream(Cases[I]));
+    expectSealKeepsReads(G, Cases[I].Name);
+    EXPECT_EQ(crc32(G.serialize()), Cases[I].GoldenCrc) << Cases[I].Name;
+  }
+}
+
+TEST(SequiturSealTest, EmptyGrammarSeals) {
+  SequiturGrammar G;
+  expectSealKeepsReads(G, "empty");
+  EXPECT_EQ(G.numDigrams(), 0u);
+}
+
+#if GTEST_HAS_DEATH_TEST
+TEST(SequiturSealDeathTest, AppendAfterSealIsFatal) {
+  EXPECT_DEATH(
+      {
+        SequiturGrammar G;
+        G.appendAll(fromString("abcbc"));
+        G.seal();
+        G.append('a');
+      },
+      "append to a sealed grammar");
+}
+#endif

@@ -413,6 +413,87 @@ TEST(ProfileSessionTest, MemoryEstimateCountsGrammarFootprints) {
   std::remove(Path.c_str());
 }
 
+TEST(ProfileSessionTest, FinalizeGivesBackTheDigramIndexes) {
+  // finalize() seals the four WHOMP grammars: the estimate drops by at
+  // least the bytes of their four digram indexes, and their digram
+  // counts survive for the gauges.
+  std::string Path = tempPath("sealed.orpt");
+  recordTrace("164.gzip-a", Path);
+  traceio::TraceReader Reader;
+  ASSERT_TRUE(Reader.open(Path)) << Reader.error();
+  session::ProfileSession Session("sealed", configFor(Reader));
+  ASSERT_TRUE(Session.replayFrom(Reader)) << Session.error();
+
+  const core::Dimension Dims[] = {
+      core::Dimension::Instruction, core::Dimension::Group,
+      core::Dimension::Object, core::Dimension::Offset};
+  size_t IndexBytes = 0;
+  std::vector<size_t> Digrams;
+  for (core::Dimension D : Dims) {
+    const sequitur::SequiturGrammar &G = Session.whomp()->grammarFor(D);
+    IndexBytes += G.indexCapacity() * sequitur::DigramTable::SlotBytes;
+    Digrams.push_back(G.numDigrams());
+  }
+  const size_t Before = Session.memoryEstimateBytes();
+  ASSERT_GT(IndexBytes, 0u);
+  SessionArtifacts A = Session.finalize();
+  ASSERT_FALSE(A.Failed) << A.Error;
+  const size_t After = Session.memoryEstimateBytes();
+  EXPECT_LE(After + IndexBytes, Before)
+      << "before " << Before << ", after " << After << ", indexes "
+      << IndexBytes;
+  for (size_t I = 0; I != 4; ++I) {
+    const sequitur::SequiturGrammar &G = Session.whomp()->grammarFor(Dims[I]);
+    EXPECT_TRUE(G.sealed());
+    EXPECT_EQ(G.indexCapacity(), 0u);
+    EXPECT_EQ(G.numDigrams(), Digrams[I]);
+  }
+  std::remove(Path.c_str());
+}
+
+TEST(ProfileSessionTest, InjectAfterFinalizeIsRejected) {
+  // A block after finalize() must not reach the sealed grammars: it is
+  // refused with an error, and the session and its artifacts stay as
+  // they were.
+  std::string Path = tempPath("late_inject.orpt");
+  recordTrace("list-traversal", Path);
+  traceio::TraceReader Reader;
+  ASSERT_TRUE(Reader.open(Path)) << Reader.error();
+  session::ProfileSession Session("late", configFor(Reader));
+  ASSERT_TRUE(Session.replayFrom(Reader)) << Session.error();
+  const SessionArtifacts First = Session.finalize();
+
+  traceio::TraceReader::RawBlock B = Reader.rawBlock(0);
+  EXPECT_FALSE(Session.injectBlock(B.Payload, B.PayloadLen, B.EventCount,
+                                   B.Crc, 0, Reader.info().Version));
+  EXPECT_EQ(Session.error(), "session already finalized");
+  EXPECT_FALSE(Session.failed());
+  EXPECT_EQ(Session.eventsInjected(), First.Events);
+  const SessionArtifacts Again = Session.finalize();
+  expectSameProfile(First, Again);
+  EXPECT_EQ(Again.Error, First.Error);
+  std::remove(Path.c_str());
+}
+
+TEST(ProfileSessionTest, ReplayAfterFinalizeIsRejected) {
+  std::string Path = tempPath("late_replay.orpt");
+  recordTrace("list-traversal", Path);
+  traceio::TraceReader Reader;
+  ASSERT_TRUE(Reader.open(Path)) << Reader.error();
+  session::ProfileSession Session("late", configFor(Reader));
+  ASSERT_TRUE(Session.replayFrom(Reader, 1, 0, 2)) << Session.error();
+  const SessionArtifacts First = Session.finalize();
+
+  EXPECT_FALSE(Session.replayFrom(Reader, 1, 2));
+  EXPECT_EQ(Session.error(), "session already finalized");
+  EXPECT_FALSE(Session.failed());
+  EXPECT_EQ(Session.eventsInjected(), First.Events);
+  const SessionArtifacts Again = Session.finalize();
+  expectSameProfile(First, Again);
+  EXPECT_EQ(Again.Error, First.Error);
+  std::remove(Path.c_str());
+}
+
 //===----------------------------------------------------------------------===//
 // Corruption isolation
 //===----------------------------------------------------------------------===//
