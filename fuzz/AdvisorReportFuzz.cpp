@@ -23,10 +23,11 @@ using namespace orp;
 /// Frames \p Payload with a valid .orpa header (magic, version, CRC) so
 /// the payload decoder itself is reached.
 static std::vector<uint8_t> wrapAsOrpa(const uint8_t *Payload, size_t Size) {
-  std::vector<uint8_t> Bytes;
+  // Built from the magic's range rather than inserted into a reserved
+  // vector, which GCC 12 misreads as an overflow at -O2.
+  std::vector<uint8_t> Bytes(advisor::AdvisorReport::kMagic,
+                             advisor::AdvisorReport::kMagic + 4);
   Bytes.reserve(advisor::AdvisorReport::kHeaderSize + Size);
-  Bytes.insert(Bytes.end(), advisor::AdvisorReport::kMagic,
-               advisor::AdvisorReport::kMagic + 4);
   Bytes.push_back(advisor::AdvisorReport::kFormatVersion);
   appendLE32(crc32(Payload, Size), Bytes);
   Bytes.insert(Bytes.end(), Payload, Payload + Size);

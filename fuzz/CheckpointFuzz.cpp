@@ -10,12 +10,15 @@
 // Round trip: an accepted image must describe a session that
 // checkpoints again, and that image must restore in a fresh session to
 // the same NextBlock and event count and re-checkpoint to the same
-// bytes, and the restored session must finalize. Seeds are checkpoint()
-// images taken at several block boundaries.
+// bytes. Seeds are checkpoint() images taken at several block
+// boundaries.
 //
-// Not a property: replaying the rest of the trace. The CRC is no
-// authentication, so a forged image can claim live objects that the
-// trace allocates again, and the OMC aborts on the overlapping insert.
+// Resume: the restored session then replays the rest of the trace. The
+// CRC is no authentication, so a forged image can claim live objects
+// that the trace allocates again; the replay must then fail with an
+// error (the allocation is refused before it reaches the OMC), never
+// crash. A replay that finishes leaves a session that finalizes; one
+// that fails leaves a failed session whose artifacts say so.
 //
 //===----------------------------------------------------------------------===//
 
@@ -124,8 +127,13 @@ void checkImage(const std::vector<uint8_t> &Image) {
   ORP_FUZZ_REQUIRE(Twin.checkpoint(Reader, TwinNext) == Again,
                    "checkpoint round trip changes the image");
 
+  const bool Resumed = Session.replayFrom(Reader, /*DecodeThreads=*/1, Next);
+  ORP_FUZZ_REQUIRE(Resumed || (Session.failed() && !Session.error().empty()),
+                   "resumed replay fails without an error");
   session::SessionArtifacts A = Session.finalize();
-  ORP_FUZZ_REQUIRE(!A.Failed, "restored session fails to finalize");
+  ORP_FUZZ_REQUIRE(A.Failed == !Resumed,
+                   Resumed ? "resumed session fails to finalize"
+                           : "failed resume finalizes as healthy");
 }
 
 /// \p Image with its CRC field matching the bytes after the header.

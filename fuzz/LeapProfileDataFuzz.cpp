@@ -24,10 +24,11 @@ using namespace orp;
 /// Frames \p Payload with a valid LEAP header (magic, version, CRC) so
 /// the payload decoder itself is reached.
 static std::vector<uint8_t> wrapAsLeap(const uint8_t *Payload, size_t Size) {
-  std::vector<uint8_t> Bytes;
+  // Built from the magic's range rather than inserted into a reserved
+  // vector, which GCC 12 misreads as an overflow at -O2.
+  std::vector<uint8_t> Bytes(leap::LeapProfileData::kMagic,
+                             leap::LeapProfileData::kMagic + 4);
   Bytes.reserve(leap::LeapProfileData::kHeaderSize + Size);
-  Bytes.insert(Bytes.end(), leap::LeapProfileData::kMagic,
-               leap::LeapProfileData::kMagic + 4);
   Bytes.push_back(leap::LeapProfileData::kFormatVersion);
   appendLE32(crc32(Payload, Size), Bytes);
   Bytes.insert(Bytes.end(), Payload, Payload + Size);

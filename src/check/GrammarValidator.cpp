@@ -69,9 +69,9 @@ CheckReport GrammarValidator::validate(const SequiturGrammar &G) {
   auto Sym = [&](NodeIdx I) -> const Symbol & { return G.sym(I); };
   auto Rul = [&](NodeIdx I) -> const Rule & { return G.rule(I); };
   auto SymDead = [](const Symbol &S) { return !S.live(); };
-  auto RuleDead = [](const Rule &R) { return !R.Live; };
+  auto RuleDead = [](const Rule &R) { return !R.live(); };
   auto SymNext = [](const Symbol &S) { return S.Next; };
-  auto RuleNext = [](const Rule &R) { return R.LiveNext; };
+  auto RuleNext = [](const Rule &R) { return R.UseXor; };
   WalkDead("symbol free list", G.SymbolFreeList, ValidSymbol, DeadSymbols,
            Sym, SymDead, SymNext);
   WalkDead("symbol pending list", G.SymbolPendingList, ValidSymbol,
@@ -81,38 +81,25 @@ CheckReport GrammarValidator::validate(const SequiturGrammar &G) {
   WalkDead("rule pending list", G.RulePendingList, ValidRule, DeadRules, Rul,
            RuleDead, RuleNext);
 
-  // Live-rule list: well linked, tagged live, counted, disjoint from the
-  // reclaimed sets, and anchored by the start rule.
-  std::unordered_set<NodeIdx> LiveListed;
-  if (ValidRule(G.LiveRuleHead) && G.rule(G.LiveRuleHead).LivePrev != Nil)
-    Report.fail("live-rule list: head has a LivePrev");
-  for (NodeIdx RI = G.LiveRuleHead; RI != Nil; RI = G.rule(RI).LiveNext) {
-    if (!ValidRule(RI)) {
-      Report.fail("live-rule list links outside the arena");
-      break;
-    }
-    if (!LiveListed.insert(RI).second) {
-      Report.fail("live-rule list contains a cycle");
-      break;
-    }
-    const Rule &R = G.rule(RI);
-    Report.require(R.Live, "live-rule list: " + ruleName(RI) +
-                               " has a cleared Live tag");
-    Report.require(!DeadRules.count(RI), "live-rule list: " + ruleName(RI) +
-                                             " is on an arena reclaim list");
-    if (R.LiveNext != Nil &&
-        (!ValidRule(R.LiveNext) || G.rule(R.LiveNext).LivePrev != RI))
-      Report.fail("live-rule list: broken back-link after " + ruleName(RI));
-  }
-  Report.require(LiveListed.size() == G.NumLiveRules,
-                 "live-rule list length disagrees with NumLiveRules");
-  Report.require(G.Start != Nil && LiveListed.count(G.Start),
-                 "start rule is not on the live-rule list");
-
-  // Rule bodies: guard rings intact, member symbols live and owned by
-  // exactly one body, referenced rules live.
+  // Rules reachable from the start rule, walked breadth first: each in
+  // range, live, off the reclaim lists, and with its guard ring intact,
+  // its member symbols live and owned by exactly one body, and its wide
+  // codes inside the table. A nonterminal only leads on to a rule that
+  // passes the same checks, so the walk reads live nodes alone.
+  std::vector<NodeIdx> Reachable;
+  std::unordered_set<NodeIdx> ReachSet;
+  auto Reach = [&](NodeIdx RI) {
+    if (ReachSet.insert(RI).second)
+      Reachable.push_back(RI);
+  };
+  auto LiveRule = [&](NodeIdx RI) {
+    return ValidRule(RI) && !DeadRules.count(RI) && G.rule(RI).live();
+  };
+  if (Report.require(LiveRule(G.Start), "start rule is not live"))
+    Reach(G.Start);
   std::unordered_map<NodeIdx, NodeIdx> BodyOwner;
-  for (NodeIdx RI : LiveListed) {
+  for (size_t Next = 0; Next != Reachable.size(); ++Next) {
+    const NodeIdx RI = Reachable[Next];
     const Rule &R = G.rule(RI);
     if (!Report.require(ValidSymbol(R.Guard), ruleName(RI) + ": missing guard"))
       continue;
@@ -141,16 +128,60 @@ CheckReport GrammarValidator::validate(const SequiturGrammar &G) {
       if (!ValidSymbol(S.Next) || G.sym(S.Next).prev() != I ||
           !ValidSymbol(S.prev()) || G.sym(S.prev()).Next != I)
         Report.fail(ruleName(RI) + ": body links are inconsistent");
-      if (S.isNonTerminal())
-        Report.require(ValidRule(S.ruleRef()) && G.rule(S.ruleRef()).Live &&
-                           LiveListed.count(S.ruleRef()),
-                       ruleName(RI) + ": body references a dead rule");
+      if (S.isNonTerminal()) {
+        if (Report.require(LiveRule(S.ruleRef()),
+                           ruleName(RI) + ": body references a dead rule"))
+          Reach(S.ruleRef());
+      } else if (!S.isRef() && S.Value >= Symbol::WideBit) {
+        const uint32_t W = S.Value & ~Symbol::WideBit;
+        Report.require(W < G.WideValues.size(),
+                       ruleName(RI) + ": wide code " + std::to_string(W) +
+                           " past the table of " +
+                           std::to_string(G.WideValues.size()));
+      }
       ++BodyLen;
     }
     if (RingOk && RI != G.Start)
       Report.require(BodyLen >= 2,
                      ruleName(RI) + ": non-start body shorter than 2");
   }
+  // A live rule no walk reaches is leaked garbage: the reachable rules
+  // must be all the live ones. Every index either arena handed out is
+  // live, pending or free.
+  Report.require(Reachable.size() == G.NumLiveRules,
+                 std::to_string(G.NumLiveRules) + " live rules but " +
+                     std::to_string(Reachable.size()) +
+                     " reachable from the start rule");
+  Report.require(G.NumLiveRules + DeadRules.size() == G.FreshRule - 1,
+                 "rule arena: live, pending and free rules do not add up "
+                 "to the " +
+                     std::to_string(G.FreshRule - 1) + " handed out");
+  Report.require(G.NumLiveSymbols + DeadSymbols.size() == G.FreshSymbol - 1,
+                 "symbol arena: live, pending and free symbols do not add "
+                 "up to the " +
+                     std::to_string(G.FreshSymbol - 1) + " handed out");
+
+  // The wide-terminal table: every entry wide, below 2^63 and distinct,
+  // so that a terminal has exactly one code. Until the seal the interning
+  // set indexes exactly the table; after it, the set is gone.
+  std::unordered_set<uint64_t> WideSeen;
+  for (size_t W = 0; W != G.WideValues.size(); ++W) {
+    const uint64_t V = G.WideValues[W];
+    const std::string Entry = "wide table: entry " + std::to_string(W);
+    Report.require(V >= Symbol::WideBit,
+                   Entry + " holds the narrow value " + std::to_string(V));
+    Report.require(!(V >> 63), Entry + " holds " + std::to_string(V) +
+                                   ", past the 63-bit image domain");
+    Report.require(WideSeen.insert(V).second,
+                   Entry + " repeats the value " + std::to_string(V));
+  }
+  if (G.Sealed)
+    Report.require(G.WideSlots.capacity() == 0,
+                   "sealed grammar still holds its wide-terminal set");
+  else
+    Report.require(G.wideSetConsistent(),
+                   "wide set does not index exactly the wide table");
+
   Report.require(BodyOwner.size() == G.totalBodySymbols(),
                  "live-symbol count disagrees with the rule bodies (" +
                      std::to_string(G.totalBodySymbols()) + " counted, " +
@@ -165,7 +196,7 @@ CheckReport GrammarValidator::validate(const SequiturGrammar &G) {
       ++Uses[G.sym(I).ruleRef()].first;
       Uses[G.sym(I).ruleRef()].second ^= I;
     }
-  for (NodeIdx RI : LiveListed) {
+  for (NodeIdx RI : Reachable) {
     const Rule &R = G.rule(RI);
     auto [Count, Xor] = Uses[RI];
     Report.require(Count == R.UseCount,
@@ -186,21 +217,6 @@ CheckReport GrammarValidator::validate(const SequiturGrammar &G) {
   // a broken ring has no safe termination condition.
   const bool StructureOk = Report.ok();
 
-  // Liveness tags must equal reachability from the start rule: a live
-  // rule no walk can reach is leaked garbage.
-  if (StructureOk) {
-    std::vector<NodeIdx> Reach = G.reachableRules();
-    std::unordered_set<NodeIdx> ReachSet(Reach.begin(), Reach.end());
-    for (NodeIdx RI : LiveListed)
-      Report.require(ReachSet.count(RI) != 0,
-                     ruleName(RI) +
-                         ": live rule unreachable from the start rule");
-    for (NodeIdx RI : ReachSet)
-      Report.require(LiveListed.count(RI) != 0,
-                     ruleName(RI) +
-                         ": reachable rule missing from the live-rule list");
-  }
-
   // Digram uniqueness plus index coherence. Occurrences of one key may
   // only coexist when they overlap (the "aaa" run case); the index must
   // contain exactly the occurring keys (completeness), and each entry
@@ -214,7 +230,7 @@ CheckReport GrammarValidator::validate(const SequiturGrammar &G) {
       Occurrences;
   std::unordered_set<NodeIdx> DigramStarts;
   if (StructureOk)
-    for (NodeIdx RI : LiveListed) {
+    for (NodeIdx RI : Reachable) {
       NodeIdx Guard = G.rule(RI).Guard;
       for (NodeIdx I = G.sym(Guard).Next; I != Guard; I = G.sym(I).Next)
         if (!G.sym(G.sym(I).Next).isGuard()) {
@@ -359,9 +375,9 @@ GrammarValidator::auditArenaPoisoning(const SequiturGrammar &G) {
     if (isPoisoned(&R))
       ++Audit.PoisonedFreeRules;
     ScopedUnpoison Window(&R, sizeof(Rule));
-    I = R.LiveNext;
+    I = R.UseXor;
   }
-  for (NodeIdx I = G.RulePendingList; I != Nil; I = G.rule(I).LiveNext) {
+  for (NodeIdx I = G.RulePendingList; I != Nil; I = G.rule(I).UseXor) {
     ++Audit.PendingRules;
     if (isPoisoned(&G.rule(I)))
       ++Audit.PoisonedPendingRules;
@@ -434,8 +450,9 @@ bool GrammarValidator::injectForTest(SequiturGrammar &G, Corruption K) {
     // Relabel the second all-terminal digram as a copy of the first. The
     // expansion length and every use count stay as they were.
     std::vector<NodeIdx> Found;
-    for (NodeIdx RI = G.LiveRuleHead; RI != Nil && Found.size() != 2;
-         RI = G.rule(RI).LiveNext) {
+    for (NodeIdx RI : G.reachableRules()) {
+      if (Found.size() == 2)
+        break;
       NodeIdx Guard = G.rule(RI).Guard;
       for (NodeIdx I = G.sym(Guard).Next;
            I != Guard && G.sym(I).Next != Guard && Found.size() != 2;
@@ -455,7 +472,7 @@ bool GrammarValidator::injectForTest(SequiturGrammar &G, Corruption K) {
   }
   case Corruption::UseCountSkew:
   case Corruption::UseXorSkew:
-    for (NodeIdx RI = G.LiveRuleHead; RI != Nil; RI = G.rule(RI).LiveNext)
+    for (NodeIdx RI : G.reachableRules())
       if (RI != G.Start) {
         Rule &R = G.rule(RI);
         (K == Corruption::UseCountSkew ? R.UseCount : R.UseXor) ^= 1;
@@ -470,6 +487,31 @@ bool GrammarValidator::injectForTest(SequiturGrammar &G, Corruption K) {
     First.PrevTag |= SequiturGrammar::Symbol::RefBit;
     return true;
   }
+  case Corruption::NarrowValueInterned:
+  case Corruption::WideCodePastTable: {
+    // Recode the first narrow terminal: as a wide code for its own value
+    // (so the value has two codes), or as a wide code one past the table.
+    using Symbol = SequiturGrammar::Symbol;
+    for (NodeIdx RI : G.reachableRules()) {
+      NodeIdx Guard = G.rule(RI).Guard;
+      for (NodeIdx I = G.sym(Guard).Next; I != Guard; I = G.sym(I).Next) {
+        Symbol &S = G.sym(I);
+        if (S.isRef() || S.Value >= Symbol::WideBit)
+          continue;
+        if (K == Corruption::NarrowValueInterned)
+          G.WideValues.push_back(S.Value);
+        S.Value = Symbol::WideBit |
+                  static_cast<uint32_t>(G.WideValues.size() -
+                                        (K == Corruption::NarrowValueInterned));
+        return true;
+      }
+    }
+    return false;
+  }
+  case Corruption::UnreachableLiveRule:
+    // A fresh rule no body uses: live, counted, and unreachable.
+    G.newRule();
+    return true;
   }
   return false;
 }

@@ -19,12 +19,17 @@
 ///     own occurrence map (so it holds sealed or not);
 ///   * rule utility >= 2, and each rule's UseCount and UseXor equal to
 ///     the count and index XOR of its uses recounted from the bodies;
-///   * intrusive live-list membership == liveness tags == reachability
-///     from the start rule;
+///   * liveness == reachability from the start rule: the walk from the
+///     start rule reaches only live rules, and exactly NumLiveRules of
+///     them (the grammar keeps no list of live rules);
 ///   * arena discipline: free-list/pending-list nodes are dead and
-///     never reachable from live rules, and (under ASan) free-list
-///     nodes are poisoned while pending-list nodes — the sanctioned
-///     mid-cascade dead-check window — are not;
+///     never reachable from live rules, live + pending + free nodes
+///     account for every index each arena handed out, and (under ASan)
+///     free-list nodes are poisoned while pending-list nodes — the
+///     sanctioned mid-cascade dead-check window — are not;
+///   * the wide-terminal table: entries are wide, below 2^63 and
+///     distinct, every wide code names an entry, and until the seal the
+///     interning set indexes exactly the table;
 ///   * the memoized expansion length of the start rule equals the
 ///     number of appended terminals;
 ///   * the live-symbol count behind totalBodySymbols() equals the
@@ -102,6 +107,9 @@ public:
     UseXorSkew,          ///< Flip a bit of a rule's UseXor.
     DigramDuplicate,     ///< Relabel a digram as a copy of another.
     LivenessTagClear,    ///< Tag an in-body symbol as released.
+    NarrowValueInterned, ///< Intern a narrow terminal and use its code.
+    WideCodePastTable,   ///< Give a terminal a wide code past the table.
+    UnreachableLiveRule, ///< Create a live rule that nothing uses.
   };
 
   /// Injects \p K into \p G. Returns false when the grammar is too small

@@ -21,6 +21,7 @@
 #include "trace/MemoryInterface.h"
 
 #include <memory>
+#include <string>
 
 namespace orp {
 namespace core {
@@ -57,6 +58,15 @@ public:
   /// Attaches an extra raw-event sink next to the CDC (e.g. a
   /// raw-address baseline profiler or a CountingSink).
   void addRawSink(trace::TraceSink *Sink) { Memory.attachSink(Sink); }
+
+  /// Replay hook for a recorded allocation: injects \p Event into
+  /// memory() unless the OMC cannot register it (see
+  /// omc::ObjectManager::allocError). Then nothing reaches the sinks and
+  /// false is returned with \p Err naming block \p BlockIndex and the
+  /// reason. Recorded traces and wire frames are untrusted input, so the
+  /// check runs at every check level.
+  [[nodiscard]] bool injectAlloc(const trace::AllocEvent &Event,
+                                 uint64_t BlockIndex, std::string &Err);
 
   /// Finishes the run (static frees + finish notifications).
   void finish() { Memory.finish(); }

@@ -41,6 +41,18 @@ void ObjectManager::splitPoolSite(trace::AllocSiteId Site,
   PoolElementSize[Site] = ElementSize;
 }
 
+const char *ObjectManager::allocError(const trace::AllocEvent &Event) const {
+  if (Event.Size == 0)
+    return "zero-sized allocation";
+  if (Event.Size >> 63)
+    return "allocation of 2^63 bytes or more";
+  if (Event.Addr + Event.Size <= Event.Addr)
+    return "allocation wraps past 2^64";
+  if (LiveIndex.overlapsRange(Event.Addr, Event.Addr + Event.Size))
+    return "allocation overlaps a live object";
+  return nullptr;
+}
+
 void ObjectManager::onAlloc(const trace::AllocEvent &Event) {
   ORP_CHECK1(Event.Size > 0, "omc: zero-sized object allocated");
   GroupId Group = groupForSite(Event.Site);

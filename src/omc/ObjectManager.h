@@ -90,8 +90,16 @@ public:
   /// element. Must be set before the site's first allocation.
   void splitPoolSite(trace::AllocSiteId Site, uint64_t ElementSize);
 
-  /// Registers the object created by \p Event (object probe).
+  /// Registers the object created by \p Event (object probe). The
+  /// event must pass allocError().
   void onAlloc(const trace::AllocEvent &Event);
+
+  /// Why \p Event cannot be registered, or null when it can: a
+  /// zero-sized object, a size of 2^63 or more (object offsets must stay
+  /// inside a grammar's terminal domain), a range that wraps past 2^64,
+  /// or one that overlaps a live object. A live run's allocator never
+  /// produces these; a recorded trace or a wire frame may.
+  const char *allocError(const trace::AllocEvent &Event) const;
 
   /// Retires the live object starting at Event.Addr. Unknown addresses
   /// are counted in stats().UnknownFrees and otherwise ignored.

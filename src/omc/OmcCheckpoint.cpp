@@ -180,8 +180,11 @@ bool OmcCheckpoint::restore(const uint8_t *Data, size_t Size, size_t &Pos,
         return false;
       }
     }
-    if (Rec.Size == 0 || Rec.Base + Rec.Size < Rec.Base) {
-      Err = "omc checkpoint: record with empty or wrapping range";
+    // The ranges injection admits (ObjectManager::allocError): sizes
+    // of 2^63 or more would put offsets past a grammar's terminals.
+    if (Rec.Size == 0 || (Rec.Size >> 63) || Rec.Base + Rec.Size < Rec.Base) {
+      Err = "omc checkpoint: record with an empty, wrapping or 2^63-byte "
+            "range";
       return false;
     }
     if (Rec.FreeTime == ObjectManager::kLiveForever) {

@@ -87,7 +87,7 @@ SequiturGrammar::NodeIdx SequiturGrammar::allocRule() {
   if (RuleFreeList != NilIdx) {
     I = RuleFreeList;
     check::unpoisonRegion(&rule(I), sizeof(Rule));
-    RuleFreeList = rule(I).LiveNext;
+    RuleFreeList = rule(I).UseXor;
   } else {
     if ((FreshRule >> RuleSlabShift) == RuleSlabs.size()) {
       if (RuleSlabs.size() == kIndexSpace / RulesPerSlab)
@@ -98,17 +98,15 @@ SequiturGrammar::NodeIdx SequiturGrammar::allocRule() {
     I = static_cast<NodeIdx>(FreshRule++);
     check::unpoisonRegion(&rule(I), sizeof(Rule));
   }
-  Rule &R = rule(I);
-  R = Rule{};
-  R.Live = true;
+  rule(I) = Rule{};
   return I;
 }
 
 void SequiturGrammar::releaseRule(NodeIdx I) {
   Rule &R = rule(I);
-  ORP_CHECK1(R.Live, "sequitur arena: rule double release");
-  R.Live = false;
-  R.LiveNext = RulePendingList;
+  ORP_CHECK1(R.live(), "sequitur arena: rule double release");
+  R.Guard = NilIdx;
+  R.UseXor = RulePendingList;
   RulePendingList = I;
 }
 
@@ -127,17 +125,79 @@ void SequiturGrammar::reclaimPending() {
   while (RulePendingList != NilIdx) {
     NodeIdx I = RulePendingList;
     Rule &R = rule(I);
-    RulePendingList = R.LiveNext;
-    R.LiveNext = RuleFreeList;
+    RulePendingList = R.UseXor;
+    R.UseXor = RuleFreeList;
     RuleFreeList = I;
     check::poisonRegion(&R, sizeof(Rule));
   }
 }
 
 size_t SequiturGrammar::footprintBytes() const {
-  return SymbolSlabs.size() * SymbolsPerSlab * sizeof(Symbol) +
-         RuleSlabs.size() * RulesPerSlab * sizeof(Rule) +
-         Index.capacity() * DigramTable::SlotBytes;
+  return SymbolSlabs.size() * SymbolSlabBytes +
+         RuleSlabs.size() * RuleSlabBytes +
+         Index.capacity() * DigramTable::SlotBytes + wideTableBytes();
+}
+
+//===----------------------------------------------------------------------===//
+// Terminal codes
+//===----------------------------------------------------------------------===//
+
+ORP_SEQ_INLINE uint32_t SequiturGrammar::codeOf(uint64_t Value) {
+  if (Value < Symbol::WideBit) [[likely]]
+    return static_cast<uint32_t>(Value);
+  return internWide(Value);
+}
+
+uint32_t SequiturGrammar::internWide(uint64_t Value) {
+  if (Value >> 63)
+    ORP_FATAL_ERROR("sequitur: terminal of 2^63 or more (the image "
+                    "encoding holds 63 bits)");
+  // Grow at load 1/2, so a probe walk always ends at an empty slot.
+  if ((WideValues.size() + 1) * 2 > WideSlots.size()) {
+    std::vector<uint32_t> Old = std::move(WideSlots);
+    WideSlots.assign(std::max<size_t>(16, Old.size() * 2), 0);
+    for (uint32_t Slot : Old)
+      if (Slot != 0)
+        WideSlots[wideSlotOf(WideValues[Slot - 1])] = Slot;
+  }
+  uint32_t &Slot = WideSlots[wideSlotOf(Value)];
+  if (Slot == 0) {
+    // Wide terminals are distinct symbols, so their count stays below
+    // the symbol index space (2^31) and an index fits beside WideBit.
+    WideValues.push_back(Value);
+    Slot = static_cast<uint32_t>(WideValues.size());
+  }
+  return Symbol::WideBit | (Slot - 1);
+}
+
+size_t SequiturGrammar::wideSlotOf(uint64_t Value) const {
+  const size_t Mask = WideSlots.size() - 1;
+  size_t I = avalanche64(Value) & Mask;
+  while (WideSlots[I] != 0 && WideValues[WideSlots[I] - 1] != Value)
+    I = (I + 1) & Mask;
+  return I;
+}
+
+bool SequiturGrammar::wideSetConsistent() const {
+  // Checked in this order, so that every lookup below reads only table
+  // entries and finds an empty slot to stop at.
+  size_t Indexed = 0;
+  for (uint32_t Slot : WideSlots) {
+    if (Slot > WideValues.size())
+      return false;
+    Indexed += Slot != 0;
+  }
+  if (Indexed != WideValues.size() || Indexed * 2 > WideSlots.size())
+    return false;
+  for (size_t W = 0; W != WideValues.size(); ++W)
+    if (WideSlots[wideSlotOf(WideValues[W])] != W + 1)
+      return false;
+  return true;
+}
+
+ORP_SEQ_INLINE uint64_t SequiturGrammar::terminalOf(const Symbol &S) const {
+  return S.Value < Symbol::WideBit ? S.Value
+                                   : WideValues[S.Value & ~Symbol::WideBit];
 }
 
 //===----------------------------------------------------------------------===//
@@ -157,9 +217,9 @@ SequiturGrammar::~SequiturGrammar() {
 }
 
 ORP_SEQ_INLINE SequiturGrammar::NodeIdx
-SequiturGrammar::newTerminal(uint64_t Value) {
+SequiturGrammar::newTerminal(uint32_t Code) {
   NodeIdx I = allocSymbol();
-  sym(I).Value = Value;
+  sym(I).Value = Code;
   return I;
 }
 
@@ -197,10 +257,6 @@ SequiturGrammar::NodeIdx SequiturGrammar::newRule() {
   G.Value = Symbol::GuardTag | RI;
   G.Next = GI;
   G.PrevTag = GI | Symbol::RefBit;
-  R.LiveNext = LiveRuleHead;
-  if (LiveRuleHead != NilIdx)
-    rule(LiveRuleHead).LivePrev = RI;
-  LiveRuleHead = RI;
   ++NumLiveRules;
   return RI;
 }
@@ -210,12 +266,6 @@ void SequiturGrammar::destroyRule(NodeIdx RI) {
   ORP_CHECK1(RI != Start, "cannot destroy the start rule");
   ORP_CHECK1(R.UseCount == 0 && R.UseXor == NilIdx,
              "destroying a rule in use");
-  if (R.LivePrev != NilIdx)
-    rule(R.LivePrev).LiveNext = R.LiveNext;
-  else
-    LiveRuleHead = R.LiveNext;
-  if (R.LiveNext != NilIdx)
-    rule(R.LiveNext).LivePrev = R.LivePrev;
   --NumLiveRules;
   releaseSymbol(R.Guard);
   releaseRule(RI);
@@ -253,7 +303,7 @@ void SequiturGrammar::append(uint64_t Value) {
   // No references into the grammar are held across appends, so nodes
   // freed during the previous append are now safe to recycle.
   reclaimPending();
-  NodeIdx S = newTerminal(Value);
+  NodeIdx S = newTerminal(codeOf(Value));
   NodeIdx Guard = rule(Start).Guard;
   NodeIdx Tail = sym(Guard).prev();
   link(Tail, S);
@@ -276,6 +326,7 @@ void SequiturGrammar::seal() {
   SealedDigrams = Index.size();
   Index.release();
   std::vector<NodeIdx>().swap(MaybeUnderused);
+  std::vector<uint32_t>().swap(WideSlots);
 }
 
 bool SequiturGrammar::checkDigram(NodeIdx A) {
@@ -331,7 +382,7 @@ void SequiturGrammar::processMatch(NodeIdx A, NodeIdx M) {
   // substitution cascades above may have created (and indexed) fresh
   // occurrences of the same digram elsewhere; fold every such occurrence
   // into R first, or digram uniqueness would be silently violated.
-  while (rule(R).Live && !sym(sym(Guard).Next).isGuard() &&
+  while (rule(R).live() && !sym(sym(Guard).Next).isGuard() &&
          !sym(sym(sym(Guard).Next).Next).isGuard()) {
     NodeIdx Body = sym(Guard).Next;
     size_t Slot = Index.findOrInsert(keyOf(Body), Body, indexKeys());
@@ -345,7 +396,7 @@ void SequiturGrammar::processMatch(NodeIdx A, NodeIdx M) {
   // A freshly created rule that gained only one use (second substitution
   // skipped) must be queued for utility repair: it was never decremented,
   // so destroySymbol() has not queued it.
-  if (rule(R).Live && rule(R).UseCount <= 1)
+  if (rule(R).live() && rule(R).UseCount <= 1)
     MaybeUnderused.push_back(R);
 }
 
@@ -420,7 +471,7 @@ void SequiturGrammar::repairUtility() {
     NodeIdx RI = MaybeUnderused.back();
     MaybeUnderused.pop_back();
     const Rule &R = rule(RI);
-    if (!R.Live)
+    if (!R.live())
       continue;
     if (R.UseCount == 1) {
       expandSingleUse(RI);
@@ -481,7 +532,7 @@ std::vector<uint64_t> SequiturGrammar::expandAll() const {
     if (S.isNonTerminal())
       Stack.push_back(sym(rule(S.ruleRef()).Guard).Next);
     else
-      Out.push_back(S.Value);
+      Out.push_back(terminalOf(S));
   }
   return Out;
 }
@@ -501,13 +552,12 @@ void SequiturGrammar::forEachImageCode(EmitFn &&Emit) const {
     Emit(BodyLen);
     for (NodeIdx I = sym(Guard).Next; I != Guard; I = sym(I).Next) {
       const Symbol &S = sym(I);
-      if (S.isNonTerminal()) {
+      // append() refused terminals of 2^63 or more, so the shift
+      // keeps every bit.
+      if (S.isNonTerminal())
         Emit((Ids[S.ruleRef()] << 1) | 1);
-      } else {
-        assert(S.Value < (1ULL << 63) &&
-               "terminal too large for tagged encoding");
-        Emit(S.Value << 1);
-      }
+      else
+        Emit(terminalOf(S) << 1);
     }
   }
 }
@@ -773,7 +823,7 @@ std::string SequiturGrammar::dump() const {
                       static_cast<unsigned long long>(Ids[S.ruleRef()]));
       else
         std::snprintf(Buf, sizeof(Buf), " %llu",
-                      static_cast<unsigned long long>(S.Value));
+                      static_cast<unsigned long long>(terminalOf(S)));
       Out += Buf;
     }
     Out += '\n';
@@ -846,7 +896,7 @@ SequiturGrammar::ruleStats(size_t PrefixCap) const {
       if (S.isNonTerminal())
         Stack.push_back(sym(rule(S.ruleRef()).Guard).Next);
       else
-        RS.Prefix.push_back(S.Value);
+        RS.Prefix.push_back(terminalOf(S));
     }
     Stats.push_back(std::move(RS));
   }
@@ -854,27 +904,44 @@ SequiturGrammar::ruleStats(size_t PrefixCap) const {
 }
 
 bool SequiturGrammar::checkInvariants() const {
-  // Live-rule list consistency: the intrusive list is well linked and
-  // its length matches the live-rule counter.
-  size_t Listed = 0;
-  for (NodeIdx R = LiveRuleHead; R != NilIdx; R = rule(R).LiveNext) {
-    if (!rule(R).Live)
+  // Every live rule is reachable from the start rule: the walk reads only
+  // live nodes, and what it reaches must be all NumLiveRules of them. The
+  // arena accounts for every rule index it handed out: live, pending or
+  // free. Free-list rules are poisoned under ASan, so each is read
+  // through a scoped window, and a walk longer than the arena is a cycle.
+  const std::vector<NodeIdx> Rules = reachableRules();
+  if (Rules.size() != NumLiveRules)
+    return false;
+  uint64_t DeadRules = 0;
+  for (NodeIdx List : {RulePendingList, RuleFreeList})
+    for (NodeIdx R = List; R != NilIdx; ++DeadRules) {
+      if (R >= FreshRule || DeadRules >= FreshRule)
+        return false;
+      check::ScopedUnpoison Window(&rule(R), sizeof(Rule));
+      if (rule(R).live())
+        return false;
+      R = rule(R).UseXor;
+    }
+  if (NumLiveRules + DeadRules != FreshRule - 1)
+    return false;
+
+  // The wide-terminal table: each entry is wide, below 2^63 and distinct
+  // (so a terminal has one code), and until the seal the interning set
+  // indexes exactly the table.
+  std::unordered_set<uint64_t> Wide;
+  for (uint64_t V : WideValues)
+    if (V < Symbol::WideBit || (V >> 63) || !Wide.insert(V).second)
       return false;
-    NodeIdx Next = rule(R).LiveNext;
-    if (Next != NilIdx && rule(Next).LivePrev != R)
-      return false;
-    ++Listed;
-  }
-  if (Listed != NumLiveRules || rule(LiveRuleHead).LivePrev != NilIdx)
+  if (Sealed ? WideSlots.capacity() != 0 : !wideSetConsistent())
     return false;
 
   // The bodies hold every live symbol but the guards; each nonterminal
-  // names a live rule. Uses are recounted from the bodies: every rule's
-  // UseCount and UseXor must match, and every non-start rule has at
-  // least two uses.
+  // names a live rule and each wide code a table entry. Uses are
+  // recounted from the bodies: every rule's UseCount and UseXor must
+  // match, and every non-start rule has at least two uses.
   size_t BodySymbols = 0;
   std::vector<std::pair<uint32_t, NodeIdx>> Uses(FreshRule);
-  for (NodeIdx RI = LiveRuleHead; RI != NilIdx; RI = rule(RI).LiveNext) {
+  for (NodeIdx RI : Rules) {
     const Rule &R = rule(RI);
     size_t BodyLen = 0;
     for (NodeIdx I = sym(R.Guard).Next; I != R.Guard; I = sym(I).Next) {
@@ -882,10 +949,11 @@ bool SequiturGrammar::checkInvariants() const {
       if (S.isGuard() || !S.live())
         return false;
       if (S.isNonTerminal()) {
-        if (S.ruleRef() >= FreshRule || !rule(S.ruleRef()).Live)
-          return false;
         ++Uses[S.ruleRef()].first;
         Uses[S.ruleRef()].second ^= I;
+      } else if (S.Value >= Symbol::WideBit &&
+                 (S.Value & ~Symbol::WideBit) >= WideValues.size()) {
+        return false;
       }
       ++BodyLen;
     }
@@ -895,7 +963,7 @@ bool SequiturGrammar::checkInvariants() const {
   }
   if (BodySymbols != totalBodySymbols())
     return false;
-  for (NodeIdx RI = LiveRuleHead; RI != NilIdx; RI = rule(RI).LiveNext) {
+  for (NodeIdx RI : Rules) {
     const Rule &R = rule(RI);
     if (Uses[RI] != std::make_pair(R.UseCount, R.UseXor) ||
         (RI != Start && R.UseCount < 2))
@@ -906,7 +974,7 @@ bool SequiturGrammar::checkInvariants() const {
   std::unordered_map<DigramKey, std::vector<NodeIdx>, DigramKeyHash>
       Occurrences;
   std::unordered_set<NodeIdx> DigramStarts;
-  for (NodeIdx R = LiveRuleHead; R != NilIdx; R = rule(R).LiveNext) {
+  for (NodeIdx R : Rules) {
     NodeIdx Guard = rule(R).Guard;
     for (NodeIdx S = sym(Guard).Next; S != Guard; S = sym(S).Next)
       if (!sym(sym(S).Next).isGuard()) {

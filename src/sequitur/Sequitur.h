@@ -122,7 +122,7 @@ private:
 /// True when \p A and \p B expand to the same terminal sequence.
 bool sameExpansion(const ParsedImage &A, const ParsedImage &B);
 
-/// Incremental Sequitur grammar over uint64 terminal symbols.
+/// Incremental Sequitur grammar over 64-bit terminal symbols below 2^63.
 class SequiturGrammar {
 public:
   SequiturGrammar();
@@ -131,15 +131,17 @@ public:
   SequiturGrammar(const SequiturGrammar &) = delete;
   SequiturGrammar &operator=(const SequiturGrammar &) = delete;
 
-  /// Appends one terminal to the input sequence.
+  /// Appends one terminal to the input sequence. The image encoding
+  /// holds terminals below 2^63; a larger one is a fatal error.
   void append(uint64_t Value);
 
   /// Appends every element of \p Values in order.
   void appendAll(const std::vector<uint64_t> &Values);
 
   /// Declares the input complete. Digram uniqueness is enforced on
-  /// append, so only appending needs the digram index and the utility
-  /// worklist; sealing frees both. Every read-only call (serialize,
+  /// append, so only appending needs the digram index, the utility
+  /// worklist and the wide-terminal interning set; sealing frees all
+  /// three (the wide terminals themselves stay). Every read-only call (serialize,
   /// expandAll, ruleStats, dump, the counters) answers exactly as before,
   /// and numDigrams() keeps the count at the seal. Appending to a sealed
   /// grammar is a fatal error. Sealing twice is a no-op.
@@ -221,22 +223,36 @@ public:
   std::vector<RuleStats> ruleStats(size_t PrefixCap = 16) const;
 
   /// Verifies digram uniqueness, rule utility, use counts (recounted
-  /// from the bodies) and index consistency; a sealed grammar must hold
-  /// no index at all. For tests; returns true when healthy.
+  /// from the bodies), that every live rule is reachable, the wide
+  /// terminal table and index consistency; a sealed grammar must hold no
+  /// index at all. For tests; returns true when healthy.
   bool checkInvariants() const;
 
   /// \name Introspection for the telemetry layer
   /// Arena and index occupancy, read from the owning thread (or after
   /// the owning worker finished).
   /// @{
+  /// Bytes of one symbol slab and of one rule slab.
+  static constexpr size_t SymbolSlabBytes = 48 * 1024;
+  static constexpr size_t RuleSlabBytes = 3 * 1024;
   size_t numSymbolSlabs() const { return SymbolSlabs.size(); }
   size_t numRuleSlabs() const { return RuleSlabs.size(); }
+  /// Distinct terminals of 2^31 or more (each is interned once).
+  size_t numWideValues() const { return WideValues.size(); }
+  /// Resident bytes of the wide-terminal table: the interned values plus
+  /// the interning set's slots (capacity, not occupancy; the set is gone
+  /// once sealed).
+  size_t wideTableBytes() const {
+    return WideValues.capacity() * sizeof(uint64_t) +
+           WideSlots.capacity() * sizeof(uint32_t);
+  }
   /// Distinct digrams in the grammar (the count at the seal once sealed).
   size_t numDigrams() const { return Sealed ? SealedDigrams : Index.size(); }
   /// Slots of the digram index (0 once sealed).
   size_t indexCapacity() const { return Index.capacity(); }
-  /// Resident bytes of the grammar's bulk storage: symbol and rule slabs
-  /// plus the digram index's slot array (capacity, not occupancy).
+  /// Resident bytes of the grammar's bulk storage: symbol and rule slabs,
+  /// the digram index's slot array (capacity, not occupancy) and the
+  /// wide-terminal table.
   size_t footprintBytes() const;
 
   /// Exact work counters since construction.
@@ -298,7 +314,21 @@ private:
   void reclaimPending();
   /// @}
 
-  inline NodeIdx newTerminal(uint64_t Value);
+  /// The code of terminal \p Value: the value itself below 2^31, else
+  /// WideBit | its index in WideValues (see SequiturNodes.h).
+  inline uint32_t codeOf(uint64_t Value);
+  /// codeOf's slow path: finds or interns a wide terminal.
+  uint32_t internWide(uint64_t Value);
+  /// The WideSlots slot holding \p Value, else the empty slot where
+  /// interning it would go. Requires a set with an empty slot.
+  size_t wideSlotOf(uint64_t Value) const;
+  /// True when the interning set indexes exactly WideValues, each value
+  /// in its own probe sequence, at a load of at most 1/2.
+  bool wideSetConsistent() const;
+  /// The terminal a terminal symbol's code stands for.
+  inline uint64_t terminalOf(const Symbol &S) const;
+
+  inline NodeIdx newTerminal(uint32_t Code);
   inline NodeIdx newNonTerminal(NodeIdx R);
   inline void destroySymbol(NodeIdx S);
   NodeIdx newRule();
@@ -347,7 +377,18 @@ private:
   bool Sealed = false;
   size_t SealedDigrams = 0; ///< Index.size() when seal() released it.
 
-  /// Symbols per arena slab (64 KiB of 16-byte symbols).
+  /// \name Wide terminals
+  /// Terminals of 2^31 or more, in first-append order; a wide code
+  /// indexes this table. WideSlots is a key-less open-addressing set over
+  /// it, the digram index's trick: a slot holds an index + 1 (0 = empty)
+  /// and the key is read back from WideValues. Grown at load 1/2; empty
+  /// until the first wide terminal, and freed by seal().
+  /// @{
+  std::vector<uint64_t> WideValues;
+  std::vector<uint32_t> WideSlots;
+  /// @}
+
+  /// Symbols per arena slab (48 KiB of 12-byte symbols).
   static constexpr unsigned SymbolSlabShift = 12;
   static constexpr size_t SymbolsPerSlab = size_t(1) << SymbolSlabShift;
   /// Rules per arena slab.
@@ -363,11 +404,8 @@ private:
   uint64_t FreshRule = 1;
   NodeIdx SymbolFreeList = NilIdx;    ///< Reusable slots (chained via Next).
   NodeIdx SymbolPendingList = NilIdx; ///< Freed since the last append().
-  NodeIdx RuleFreeList = NilIdx;      ///< Chained via LiveNext.
+  NodeIdx RuleFreeList = NilIdx;      ///< Chained via UseXor.
   NodeIdx RulePendingList = NilIdx;
-  /// Intrusive doubly-linked list of live rules (unordered), for the
-  /// whole-grammar walks (checkInvariants, the validator).
-  NodeIdx LiveRuleHead = NilIdx;
   size_t NumLiveRules = 0;
   size_t NumLiveSymbols = 0; ///< Body symbols plus one guard per rule.
 };

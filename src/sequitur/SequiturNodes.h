@@ -14,26 +14,36 @@
 /// goes through the public SequiturGrammar interface.
 ///
 /// Nodes link to each other by 32-bit arena index, not by pointer: a
-/// symbol is 16 bytes (four per cache line), a rule 24, and a
-/// digram-index slot 8 (the first symbol's index and a 32-bit hash; the
-/// key is read back from the symbols through keyOf()).
+/// symbol is 12 bytes, a rule 12, and a digram-index slot 8 (the first
+/// symbol's index and a 32-bit hash; the key is read back from the
+/// symbols through keyOf()).
 /// Index I lives in slab I >> SlabShift at slot I & SlabMask; index 0
 /// (NilIdx) is never handed out, so it doubles as the null link. Indices
 /// stay below 2^31, which frees the top bit of a link for a tag.
 ///
-/// Symbol encoding. Bit 31 of PrevTag (RefBit) says how to read Value:
+/// Symbol encoding. Value is a 32-bit code; bit 31 of PrevTag (RefBit)
+/// says how to read it:
 ///
-///   RefBit clear: a terminal; Value is the terminal, all 64 bits.
-///   RefBit set, Value < 2^32: a nonterminal; Value is its rule's index.
-///   RefBit set, Value == GuardTag | R: the guard of rule R.
-///   RefBit set, Value == ReleasedTag: a released (dead) symbol.
+///   RefBit clear, Value < 2^31: a narrow terminal; Value is the terminal.
+///   RefBit clear, Value == WideBit | W: a wide terminal (2^31 or more,
+///     below 2^63); the terminal is WideValues[W].
+///   RefBit set, Value < 2^31: a nonterminal; Value is its rule's index.
+///   RefBit set, Value == GuardTag | R, R != 0: the guard of rule R.
+///   RefBit set, Value == GuardTag: a released (dead) symbol. That is the
+///     guard of rule 0, which is never handed out.
+///
+/// A wide terminal is interned once per grammar, so a terminal's code is
+/// a pure function of its value: copying a symbol copies its code, and
+/// digram keys compare and hash codes. For a stream whose terminals all
+/// stay below 2^31 the codes are the values themselves.
 ///
 /// A rule is named by its arena index. That index is the nonterminal's
 /// Value, so it is also what a digram key holds. Rule slots are reused
 /// only after reclaimPending(), when no use and no index entry of the
 /// old rule is left. Rules keep no use list: UseCount counts the uses
 /// and UseXor is the XOR of their symbol indices, so a single use is
-/// UseXor itself.
+/// UseXor itself. A rule is live while it has a guard; once released,
+/// its UseXor chains the pending and free lists.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -55,40 +65,42 @@ namespace sequitur {
 /// member initializers; alloc* reset each node they hand out.
 struct SequiturGrammar::Symbol {
   static constexpr NodeIdx RefBit = NodeIdx(1) << 31;
-  static constexpr uint64_t GuardTag = uint64_t(1) << 62;
-  static constexpr uint64_t ReleasedTag = uint64_t(1) << 63;
+  /// Marks a wide terminal's code (RefBit clear).
+  static constexpr uint32_t WideBit = uint32_t(1) << 31;
+  /// Marks a guard's code (RefBit set); alone, a released symbol.
+  static constexpr uint32_t GuardTag = uint32_t(1) << 31;
+  static constexpr uint32_t ReleasedTag = GuardTag;
 
-  uint64_t Value;
+  uint32_t Value;
   NodeIdx Next;
   NodeIdx PrevTag; ///< Prev link | RefBit.
 
   NodeIdx prev() const { return PrevTag & ~RefBit; }
   void setPrev(NodeIdx P) { PrevTag = (PrevTag & RefBit) | P; }
   bool isRef() const { return PrevTag & RefBit; }
-  bool isNonTerminal() const { return isRef() && (Value >> 32) == 0; }
-  bool isGuard() const { return isRef() && (Value & GuardTag); }
-  bool live() const { return !isRef() || !(Value & ReleasedTag); }
+  bool isNonTerminal() const { return isRef() && Value < GuardTag; }
+  bool isGuard() const { return isRef() && Value > GuardTag; }
+  bool live() const { return !isRef() || Value != ReleasedTag; }
   /// The used rule of a nonterminal, or the owning rule of a guard.
-  NodeIdx ruleRef() const { return static_cast<NodeIdx>(Value); }
+  NodeIdx ruleRef() const { return Value & ~GuardTag; }
 };
 
-/// One grammar rule. LivePrev/LiveNext thread the live-rule list while
-/// the rule is live and the arena free list once it is released.
+/// One grammar rule. Live while Guard is set; a released rule's UseXor
+/// chains the arena's pending and free lists.
 struct SequiturGrammar::Rule {
   NodeIdx Guard;
   uint32_t UseCount; ///< Bounded by the symbol index space.
   NodeIdx UseXor;    ///< XOR of the uses' symbol indices.
-  NodeIdx LivePrev;
-  NodeIdx LiveNext;
-  bool Live;
+
+  bool live() const { return Guard != NilIdx; }
 };
 
 /// Compile-time pins on the node and index-slot sizes: the slab sizes
 /// and the memory estimate assume them, so a new field must not regrow
 /// a node silently.
 struct SequiturGrammar::LayoutPins {
-  static_assert(sizeof(Symbol) == 16, "Symbol must stay 16 bytes");
-  static_assert(sizeof(Rule) <= 24, "Rule must stay within 24 bytes");
+  static_assert(sizeof(Symbol) == 12, "Symbol must stay 12 bytes");
+  static_assert(sizeof(Rule) == 12, "Rule must stay 12 bytes");
   static_assert(std::is_trivially_default_constructible_v<Symbol> &&
                     std::is_trivially_default_constructible_v<Rule>,
                 "slabs are allocated uninitialized");
@@ -96,8 +108,11 @@ struct SequiturGrammar::LayoutPins {
                 "a digram-index slot must stay 8 bytes");
   static_assert(std::is_same_v<DigramTable::NodeIdx, NodeIdx>,
                 "the digram index names symbols by arena index");
-  static_assert(sizeof(Symbol) * SymbolsPerSlab == 64 * 1024,
-                "a symbol slab must stay 64 KiB");
+  static_assert(sizeof(Symbol) * SymbolsPerSlab == SymbolSlabBytes &&
+                    SymbolSlabBytes == 48 * 1024,
+                "a symbol slab must stay 48 KiB");
+  static_assert(sizeof(Rule) * RulesPerSlab == RuleSlabBytes,
+                "RuleSlabBytes must match the rule slab");
 };
 
 inline SequiturGrammar::Symbol &SequiturGrammar::sym(NodeIdx I) {
@@ -113,8 +128,9 @@ inline const SequiturGrammar::Rule &SequiturGrammar::rule(NodeIdx I) const {
   return RuleSlabs[I >> RuleSlabShift][I & (RulesPerSlab - 1)];
 }
 
-/// A nonterminal's Value is its rule's index, so the key is read from
-/// the two symbols alone; neither is a guard, so RefBit is the kind.
+/// A nonterminal's Value is its rule's index and a terminal's is its
+/// code, so the key is read from the two symbols alone; neither is a
+/// guard, so RefBit is the kind.
 [[gnu::always_inline]] inline DigramKey
 SequiturGrammar::keyOf(NodeIdx A) const {
   const Symbol &SA = sym(A);

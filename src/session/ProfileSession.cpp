@@ -66,40 +66,36 @@ bool ProfileSession::injectBlock(const uint8_t *Payload, size_t Len,
     Failed = true;
     return false;
   }
-  trace::MemoryInterface &Memory = Core->memory();
   if (FormatVersion >= traceio::kFormatVersionV2) {
     traceio::DecodedBlock Block;
     if (!traceio::verifyBlockChecksum(Payload, Len, Crc, BlockIndex,
                                       /*BaseOffset=*/0, Err) ||
         !traceio::decodeEventBlockV2(Payload, Len, EventCount, Block, Err,
-                                     BlockIndex, /*BaseOffset=*/0)) {
+                                     BlockIndex, /*BaseOffset=*/0) ||
+        !traceio::injectDecodedBlock(*Core, Block, BlockIndex, Events, Err)) {
       Failed = true;
       return false;
     }
-    Events += traceio::injectDecodedBlock(Memory, Block);
     return true;
   }
+  // A refused allocation ends injection; the decoder still walks (and
+  // checks) the rest of the block.
+  std::string InjectErr;
   auto Inject = [&](const traceio::TraceEvent &E) {
-    switch (E.K) {
-    case traceio::TraceEvent::Kind::Access:
-      Memory.injectAccess(trace::AccessEvent{E.InstrOrSite, E.Addr,
-                                             static_cast<uint32_t>(E.Size),
-                                             E.IsStore, E.Time});
-      break;
-    case traceio::TraceEvent::Kind::Alloc:
-      Memory.injectAlloc(trace::AllocEvent{E.InstrOrSite, E.Addr, E.Size,
-                                           E.Time, E.IsStatic});
-      break;
-    case traceio::TraceEvent::Kind::Free:
-      Memory.injectFree(trace::FreeEvent{E.Addr, E.Time});
-      break;
-    }
-    ++Events;
+    if (!InjectErr.empty())
+      return;
+    if (traceio::injectEvent(*Core, E, BlockIndex, InjectErr))
+      ++Events;
   };
   if (!traceio::verifyBlockChecksum(Payload, Len, Crc, BlockIndex,
                                     /*BaseOffset=*/0, Err) ||
       !traceio::decodeEventBlock(Payload, Len, EventCount, Inject, Err,
                                  BlockIndex, /*BaseOffset=*/0)) {
+    Failed = true;
+    return false;
+  }
+  if (!InjectErr.empty()) {
+    Err = std::move(InjectErr);
     Failed = true;
     return false;
   }
@@ -135,7 +131,7 @@ bool ProfileSession::replayFrom(
   if (!Replayer.replayInto(*Core, /*CallFinish=*/false)) {
     Events += Replayer.eventsReplayed();
     Failed = true;
-    Err = Reader.error();
+    Err = Replayer.error();
     return false;
   }
   Events += Replayer.eventsReplayed();

@@ -2,6 +2,7 @@
 
 #include "traceio/BlockCodec.h"
 
+#include "core/ProfilingSession.h"
 #include "support/Checksum.h"
 #include "support/VarInt.h"
 #include "telemetry/Registry.h"
@@ -378,24 +379,54 @@ bool traceio::decodeEventBlockAny(
   return true;
 }
 
-uint64_t traceio::injectDecodedBlock(trace::MemoryInterface &Memory,
-                                     const DecodedBlock &Block) {
+bool traceio::injectDecodedBlock(core::ProfilingSession &Session,
+                                 const DecodedBlock &Block,
+                                 uint64_t BlockIndex, uint64_t &Injected,
+                                 std::string &Err) {
+  trace::MemoryInterface &Memory = Session.memory();
   const trace::AccessEvent *Accesses = Block.Accesses.data();
   size_t Cursor = 0;
-  for (const DecodedBlock::Boundary &B : Block.Boundaries) {
+  for (size_t I = 0; I != Block.Boundaries.size(); ++I) {
+    const DecodedBlock::Boundary &B = Block.Boundaries[I];
     if (B.AccessesBefore > Cursor) {
       Memory.injectAccessBatch(std::span<const trace::AccessEvent>(
           Accesses + Cursor, B.AccessesBefore - Cursor));
       Cursor = B.AccessesBefore;
     }
-    if (B.E.K == TraceEvent::Kind::Alloc)
-      Memory.injectAlloc(trace::AllocEvent{B.E.InstrOrSite, B.E.Addr,
-                                           B.E.Size, B.E.Time, B.E.IsStatic});
-    else
+    if (B.E.K == TraceEvent::Kind::Free) {
       Memory.injectFree(trace::FreeEvent{B.E.Addr, B.E.Time});
+    } else if (!Session.injectAlloc(
+                   trace::AllocEvent{B.E.InstrOrSite, B.E.Addr, B.E.Size,
+                                     B.E.Time, B.E.IsStatic},
+                   BlockIndex, Err)) {
+      Injected += Cursor + I; // The accesses and boundaries before it.
+      return false;
+    }
   }
   if (Cursor < Block.Accesses.size())
     Memory.injectAccessBatch(std::span<const trace::AccessEvent>(
         Accesses + Cursor, Block.Accesses.size() - Cursor));
-  return Block.events();
+  Injected += Block.events();
+  return true;
+}
+
+bool traceio::injectEvent(core::ProfilingSession &Session,
+                          const TraceEvent &E, uint64_t BlockIndex,
+                          std::string &Err) {
+  trace::MemoryInterface &Memory = Session.memory();
+  switch (E.K) {
+  case TraceEvent::Kind::Access:
+    Memory.injectAccess(trace::AccessEvent{E.InstrOrSite, E.Addr,
+                                           static_cast<uint32_t>(E.Size),
+                                           E.IsStore, E.Time});
+    return true;
+  case TraceEvent::Kind::Alloc:
+    return Session.injectAlloc(trace::AllocEvent{E.InstrOrSite, E.Addr,
+                                                 E.Size, E.Time, E.IsStatic},
+                               BlockIndex, Err);
+  case TraceEvent::Kind::Free:
+    Memory.injectFree(trace::FreeEvent{E.Addr, E.Time});
+    return true;
+  }
+  return true;
 }

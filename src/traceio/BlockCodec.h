@@ -30,9 +30,9 @@
 #include <vector>
 
 namespace orp {
-namespace trace {
-class MemoryInterface;
-} // namespace trace
+namespace core {
+class ProfilingSession;
+} // namespace core
 
 namespace traceio {
 
@@ -108,12 +108,22 @@ void forEachDecodedEvent(const DecodedBlock &Block,
                          std::string &Err, uint64_t BlockIndex = 0,
                          uint64_t BaseOffset = 0);
 
-/// Injects \p Block into \p Memory in delivery order: every run of
-/// accesses between boundaries travels as one injectAccessBatch span,
-/// allocs/frees go through injectAlloc/injectFree. Returns the number
-/// of events injected (always Block.events()).
-[[nodiscard]] uint64_t injectDecodedBlock(trace::MemoryInterface &Memory,
-                            const DecodedBlock &Block);
+/// Injects \p Block (block \p BlockIndex) into \p Session's memory in
+/// delivery order: every run of accesses between boundaries travels as
+/// one injectAccessBatch span, frees go through injectFree and allocs
+/// through the session's checked injectAlloc. Adds the events injected
+/// to \p Injected. An allocation the OMC cannot register ends the block
+/// before it: returns false with \p Err set.
+[[nodiscard]] bool injectDecodedBlock(core::ProfilingSession &Session,
+                                      const DecodedBlock &Block,
+                                      uint64_t BlockIndex, uint64_t &Injected,
+                                      std::string &Err);
+
+/// Injects one v1-shaped event of block \p BlockIndex into \p Session,
+/// with the same allocation check as injectDecodedBlock.
+[[nodiscard]] bool injectEvent(core::ProfilingSession &Session,
+                               const TraceEvent &E, uint64_t BlockIndex,
+                               std::string &Err);
 
 } // namespace traceio
 } // namespace orp

@@ -27,27 +27,19 @@ bool TraceReplayer::replayInto(core::ProfilingSession &Session,
   for (const trace::AllocSiteInfo &Info : Reader.allocSites())
     Registry.addAllocSite(Info.Name, Info.TypeName);
 
-  trace::MemoryInterface &Memory = Session.memory();
   telemetry::Registry &Reg = telemetry::Registry::global();
   telemetry::ScopedTimer ReplayTiming(Reg.timer("replay.total"));
   Replayed = 0;
-  auto Inject = [&](const TraceEvent &E) {
-    switch (E.K) {
-    case TraceEvent::Kind::Access:
-      Memory.injectAccess(trace::AccessEvent{
-          E.InstrOrSite, E.Addr, static_cast<uint32_t>(E.Size), E.IsStore,
-          E.Time});
-      break;
-    case TraceEvent::Kind::Alloc:
-      Memory.injectAlloc(
-          trace::AllocEvent{E.InstrOrSite, E.Addr, E.Size, E.Time,
-                            E.IsStatic});
-      break;
-    case TraceEvent::Kind::Free:
-      Memory.injectFree(trace::FreeEvent{E.Addr, E.Time});
-      break;
+  Err.clear();
+  // Injects one decoded v1 block; false at an allocation the OMC cannot
+  // register, which ends the replay.
+  auto InjectEvents = [&](const std::vector<TraceEvent> &Events, size_t B) {
+    for (const TraceEvent &E : Events) {
+      if (!injectEvent(Session, E, B, Err))
+        return false;
+      ++Replayed;
     }
-    ++Replayed;
+    return true;
   };
 
   // Replay covers blocks [B0, B1); checkpoint/resume callers restrict
@@ -68,11 +60,11 @@ bool TraceReplayer::replayInto(core::ProfilingSession &Session,
       DecodedBlock Block;
       Ok = true;
       for (size_t B = B0; B != B1; ++B) {
-        if (!Reader.decodeBlockColumns(B, Block)) {
+        if (!Reader.decodeBlockColumns(B, Block) ||
+            !injectDecodedBlock(Session, Block, B, Replayed, Err)) {
           Ok = false;
           break;
         }
-        Replayed += injectDecodedBlock(Memory, Block);
         if (BlockDone)
           BlockDone(B + 1);
       }
@@ -97,8 +89,13 @@ bool TraceReplayer::replayInto(core::ProfilingSession &Session,
       // the block just injected; the callback runs on this (injecting)
       // thread, as the session is single-threaded.
       size_t NextBlock = B0;
+      bool InjectOk = true;
       while (Decoded.pop(Block)) {
-        Replayed += injectDecodedBlock(Memory, Block);
+        if (!injectDecodedBlock(Session, Block, NextBlock, Replayed, Err)) {
+          InjectOk = false;
+          Decoded.close(); // Stops the decoder.
+          break;
+        }
         ++NextBlock;
         if (BlockDone)
           BlockDone(NextBlock);
@@ -113,24 +110,18 @@ bool TraceReplayer::replayInto(core::ProfilingSession &Session,
           .set(static_cast<int64_t>(QT.Pushes));
       Reg.gauge("replay.decode_queue.push_stalls")
           .set(static_cast<int64_t>(QT.PushStalls));
-      Ok = DecodeOk.load(std::memory_order_acquire);
+      Ok = InjectOk && DecodeOk.load(std::memory_order_acquire);
     }
   } else if (Threads <= 1 || B1 - B0 < 2) {
-    if (B0 == 0 && B1 == NumBlocks && !BlockDone) {
-      Ok = Reader.forEachEvent(Inject);
-    } else {
-      std::vector<TraceEvent> Events;
-      Ok = true;
-      for (size_t B = B0; B != B1; ++B) {
-        if (!Reader.decodeBlockEvents(B, Events)) {
-          Ok = false;
-          break;
-        }
-        for (const TraceEvent &E : Events)
-          Inject(E);
-        if (BlockDone)
-          BlockDone(B + 1);
+    std::vector<TraceEvent> Events;
+    Ok = true;
+    for (size_t B = B0; B != B1; ++B) {
+      if (!Reader.decodeBlockEvents(B, Events) || !InjectEvents(Events, B)) {
+        Ok = false;
+        break;
       }
+      if (BlockDone)
+        BlockDone(B + 1);
     }
   } else {
     // Double-buffered replay: a worker decodes blocks ahead through a
@@ -156,9 +147,13 @@ bool TraceReplayer::replayInto(core::ProfilingSession &Session,
     });
     std::vector<TraceEvent> Block;
     size_t NextBlock = B0;
+    bool InjectOk = true;
     while (Decoded.pop(Block)) {
-      for (const TraceEvent &E : Block)
-        Inject(E);
+      if (!InjectEvents(Block, NextBlock)) {
+        InjectOk = false;
+        Decoded.close(); // Stops the decoder.
+        break;
+      }
       ++NextBlock;
       if (BlockDone)
         BlockDone(NextBlock);
@@ -176,7 +171,7 @@ bool TraceReplayer::replayInto(core::ProfilingSession &Session,
         .set(static_cast<int64_t>(QT.Pushes));
     Reg.gauge("replay.decode_queue.push_stalls")
         .set(static_cast<int64_t>(QT.PushStalls));
-    Ok = DecodeOk.load(std::memory_order_acquire);
+    Ok = InjectOk && DecodeOk.load(std::memory_order_acquire);
   }
   Reg.counter("replay.events").add(Replayed);
   if (Ok && CallFinish)

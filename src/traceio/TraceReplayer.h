@@ -75,17 +75,24 @@ public:
   /// and injects the full event stream. When \p CallFinish is set the
   /// session is finish()ed afterwards (the trace already contains the
   /// recorded run's static frees, so finishing only notifies sinks).
-  /// Returns false with error() set when the trace is corrupt.
+  /// Returns false with error() set when the trace is corrupt or holds
+  /// an allocation the OMC cannot register (see
+  /// core::ProfilingSession::injectAlloc); events before the bad one
+  /// stay injected.
   [[nodiscard]] bool replayInto(core::ProfilingSession &Session, bool CallFinish = true);
 
   /// Events delivered by the last replayInto().
   uint64_t eventsReplayed() const { return Replayed; }
 
-  /// The reader's error, or empty.
-  const std::string &error() const { return Reader.error(); }
+  /// Why the last replayInto() failed: a refused allocation, else the
+  /// reader's error; empty after a success.
+  const std::string &error() const {
+    return Err.empty() ? Reader.error() : Err;
+  }
 
 private:
   TraceReader &Reader;
+  std::string Err;
   uint64_t Replayed = 0;
   unsigned Threads = 1;
   size_t FirstBlock = 0;

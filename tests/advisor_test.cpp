@@ -71,8 +71,9 @@ void profileWorkload(const std::string &WorkloadName,
   workloads::WorkloadConfig Config;
   W->run(Session.memory(), Session.registry(), Config);
   Session.finish();
-  if (Writer)
+  if (Writer) {
     ASSERT_TRUE(Writer->close()) << Writer->error();
+  }
   Leap = leap::LeapProfileData::fromProfiler(LeapProf);
   Omsg = whomp::OmsgArchive::build(Whomp, &Session.omc());
 }

@@ -187,6 +187,64 @@ TEST(GrammarValidatorTest, CatchesDigramDuplicate) {
   EXPECT_FALSE(G.checkInvariants());
 }
 
+TEST(GrammarValidatorTest, WideTerminalGrammarsValidate) {
+  // Terminals of 2^31 or more live in the wide-terminal table; a grammar
+  // mixing them with narrow ones validates before and after the seal.
+  sequitur::SequiturGrammar G;
+  for (uint32_t I = 0; I != 4000; ++I)
+    G.append(I % 3 == 0 ? (uint64_t(1) << 40) + I % 9 : I % 5);
+  ASSERT_EQ(G.numWideValues(), 3u);
+  check::CheckReport Report = GrammarValidator::validate(G);
+  EXPECT_TRUE(Report.ok()) << Report.str();
+  EXPECT_TRUE(G.checkInvariants());
+  G.seal();
+  Report = GrammarValidator::validate(G);
+  EXPECT_TRUE(Report.ok()) << Report.str();
+  EXPECT_TRUE(G.checkInvariants());
+}
+
+TEST(GrammarValidatorTest, CatchesNarrowValueInterned) {
+  // A narrow terminal with a wide code has two codes: its digrams would
+  // no longer match their copies.
+  sequitur::SequiturGrammar G;
+  appendPeriodic(G);
+  ASSERT_TRUE(GrammarValidator::injectForTest(
+      G, GrammarValidator::Corruption::NarrowValueInterned));
+  check::CheckReport Report = GrammarValidator::validate(G);
+  EXPECT_FALSE(Report.ok());
+  EXPECT_NE(Report.str().find("holds the narrow value"), std::string::npos)
+      << Report.str();
+  EXPECT_FALSE(G.checkInvariants());
+}
+
+TEST(GrammarValidatorTest, CatchesWideCodePastTable) {
+  sequitur::SequiturGrammar G;
+  appendPeriodic(G);
+  G.append(uint64_t(1) << 45);
+  ASSERT_TRUE(GrammarValidator::injectForTest(
+      G, GrammarValidator::Corruption::WideCodePastTable));
+  check::CheckReport Report = GrammarValidator::validate(G);
+  EXPECT_FALSE(Report.ok());
+  EXPECT_NE(Report.str().find("past the table of 1"), std::string::npos)
+      << Report.str();
+  EXPECT_FALSE(G.checkInvariants());
+}
+
+TEST(GrammarValidatorTest, CatchesUnreachableLiveRule) {
+  // The grammar keeps no list of live rules: a leaked rule shows up only
+  // as a live count the walk from the start rule does not reach.
+  sequitur::SequiturGrammar G;
+  appendPeriodic(G);
+  ASSERT_TRUE(GrammarValidator::injectForTest(
+      G, GrammarValidator::Corruption::UnreachableLiveRule));
+  check::CheckReport Report = GrammarValidator::validate(G);
+  EXPECT_FALSE(Report.ok());
+  EXPECT_NE(Report.str().find("reachable from the start rule"),
+            std::string::npos)
+      << Report.str();
+  EXPECT_FALSE(G.checkInvariants());
+}
+
 //===----------------------------------------------------------------------===//
 // GrammarValidator: sealed grammars
 //===----------------------------------------------------------------------===//

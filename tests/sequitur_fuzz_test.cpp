@@ -26,6 +26,7 @@
 #include "support/Random.h"
 #include "support/VarInt.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -129,6 +130,75 @@ TEST(SequiturFuzzTest, RandomSeedsRoundTrip) {
     ASSERT_TRUE(G.checkInvariants()) << "alphabet " << Case.Alphabet;
     ASSERT_EQ(G.expandAll(), Input) << "alphabet " << Case.Alphabet;
     ASSERT_EQ(SequiturGrammar::deserializeAndExpand(G.serialize()), Input);
+  }
+}
+
+TEST(SequiturFuzzTest, RandomWideSeedsMatchTheirNarrowRenaming) {
+  // Wide terminals (2^31 and up) are interned, narrow ones stored inline.
+  // Sequitur only compares terminals for equality, so renaming every
+  // value to its first-appearance rank must give a grammar of the same
+  // shape and churn; and the wide grammar must stay lossless.
+  Rng Meta(0x31deULL);
+  for (int Round = 0; Round != 8; ++Round) {
+    std::vector<uint64_t> Pool;
+    const uint64_t PoolSize = 1 + Meta.nextBelow(40);
+    for (uint64_t I = 0; I != PoolSize; ++I) {
+      unsigned Bits = 31 + static_cast<unsigned>(Meta.nextBelow(32));
+      Pool.push_back((uint64_t(1) << Bits) | Meta.nextBelow(uint64_t(1) << 31));
+    }
+    Pool.push_back((uint64_t(1) << 63) - 1);
+    Pool.push_back(uint64_t(1) << 31);
+    const double WideShare = 0.1 * (1 + Meta.nextBelow(9));
+    const size_t Length = 500 + Meta.nextBelow(4000);
+    std::vector<uint64_t> Input;
+    while (Input.size() < Length) {
+      if (Input.size() > 16 && Meta.nextBool(0.4)) {
+        size_t From = Meta.nextBelow(Input.size() - 16);
+        Input.insert(Input.end(), Input.begin() + From,
+                     Input.begin() + From + 2 + Meta.nextBelow(14));
+      } else {
+        Input.push_back(Meta.nextBool(WideShare)
+                            ? Pool[Meta.nextBelow(Pool.size())]
+                            : Meta.nextBelow(8));
+      }
+    }
+    std::vector<uint64_t> Renamed;
+    std::vector<uint64_t> Seen;
+    for (uint64_t V : Input) {
+      size_t Rank = std::find(Seen.begin(), Seen.end(), V) - Seen.begin();
+      if (Rank == Seen.size())
+        Seen.push_back(V);
+      Renamed.push_back(Rank);
+    }
+
+    SequiturGrammar Wide, Narrow;
+    Wide.appendAll(Input);
+    Narrow.appendAll(Renamed);
+    ASSERT_TRUE(Wide.checkInvariants()) << "round " << Round;
+    ASSERT_EQ(Wide.expandAll(), Input) << "round " << Round;
+    ASSERT_EQ(SequiturGrammar::deserializeAndExpand(Wide.serialize()), Input)
+        << "round " << Round;
+    size_t WideDistinct = 0;
+    for (uint64_t V : Seen)
+      WideDistinct += V >= (uint64_t(1) << 31);
+    EXPECT_EQ(Wide.numWideValues(), WideDistinct) << "round " << Round;
+    EXPECT_EQ(Narrow.numWideValues(), 0u);
+
+    const SequiturGrammar::Churn &CW = Wide.churn(), &CN = Narrow.churn();
+    EXPECT_EQ(CW.RulesCreated, CN.RulesCreated) << "round " << Round;
+    EXPECT_EQ(CW.RulesInlined, CN.RulesInlined) << "round " << Round;
+    EXPECT_EQ(CW.DigramChecks, CN.DigramChecks) << "round " << Round;
+    EXPECT_EQ(CW.Matches, CN.Matches) << "round " << Round;
+    std::vector<SequiturGrammar::RuleStats> SW = Wide.ruleStats(4),
+                                            SN = Narrow.ruleStats(4);
+    ASSERT_EQ(SW.size(), SN.size()) << "round " << Round;
+    for (size_t I = 0; I != SW.size(); ++I) {
+      EXPECT_EQ(SW[I].BodyLength, SN[I].BodyLength);
+      EXPECT_EQ(SW[I].ExpandedLength, SN[I].ExpandedLength);
+      EXPECT_EQ(SW[I].Occurrences, SN[I].Occurrences);
+      for (size_t P = 0; P != SW[I].Prefix.size(); ++P)
+        EXPECT_EQ(SW[I].Prefix[P], Seen[SN[I].Prefix[P]]);
+    }
   }
 }
 

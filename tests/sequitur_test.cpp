@@ -143,17 +143,17 @@ TEST(SequiturTest, LargeTerminalValues) {
 }
 
 TEST(SequiturTest, TerminalsSharingTagBitsOrRuleIndices) {
-  // A nonterminal's Value is its rule's arena index, and a guard's or a
-  // released symbol's Value carries tag bits high up. A terminal is told
-  // apart by a link bit alone, so any 64-bit value must stay a terminal:
-  // 0, the tag bits themselves, 2^64-1, and the small values that equal
-  // the indices of live rules (the start rule is index 1, later rules
-  // follow). The tagged image encoding holds terminals below 2^63.
+  // A nonterminal's Value is its rule's arena index, a guard's carries
+  // a tag bit, and a wide terminal's code the same bit. A terminal is
+  // told apart by a link bit alone, so every value below 2^63 (the
+  // tagged image encoding's domain) must stay a terminal: 0, the tag
+  // bit itself, 2^63-1, and the small values that equal the indices of
+  // live rules (the start rule is index 1, later rules follow).
   const uint64_t Extremes[] = {0,
                                uint64_t(1) << 62,
                                (uint64_t(1) << 62) | 2,
-                               uint64_t(1) << 63,
-                               ~uint64_t(0),
+                               uint64_t(1) << 31,
+                               (uint64_t(1) << 63) - 1,
                                uint64_t(1) << 32,
                                (uint64_t(1) << 31) - 1};
   Rng R(2027);
@@ -164,10 +164,7 @@ TEST(SequiturTest, TerminalsSharingTagBitsOrRuleIndices) {
     Wide.push_back(R.nextBool(0.5) ? Extremes[V] : V);
   }
   roundTrip(Small, "rule-index terminals");
-  SequiturGrammar G;
-  G.appendAll(Wide);
-  ASSERT_TRUE(G.checkInvariants());
-  EXPECT_EQ(G.expandAll(), Wide);
+  roundTrip(Wide, "tagged-value terminals");
   std::vector<uint64_t> Encodable;
   for (uint64_t V : Wide)
     Encodable.push_back(V >> 1);
@@ -307,20 +304,30 @@ ReadOnlyView readOnlyView(const SequiturGrammar &G) {
 }
 
 /// Seals \p G and checks that every read-only answer is unchanged and
-/// that exactly the index's slot array left footprintBytes().
+/// that exactly the index's slot array and the wide-terminal interning
+/// set left footprintBytes(); the interned values stay.
 void expectSealKeepsReads(SequiturGrammar &G, const std::string &Label) {
   const ReadOnlyView Before = readOnlyView(G);
   const size_t Footprint = G.footprintBytes();
   const size_t IndexBytes = G.indexCapacity() * DigramTable::SlotBytes;
+  const size_t WideBytes = G.wideTableBytes();
   ASSERT_GT(IndexBytes, 0u) << Label;
   G.seal();
   EXPECT_TRUE(G.sealed()) << Label;
   EXPECT_EQ(G.indexCapacity(), 0u) << Label;
-  EXPECT_EQ(G.footprintBytes(), Footprint - IndexBytes) << Label;
+  // The set holds at least two slots per value; the values stay.
+  const size_t SetBytes = WideBytes - G.wideTableBytes();
+  EXPECT_GE(SetBytes, G.numWideValues() * 2 * sizeof(uint32_t)) << Label;
+  EXPECT_GE(G.wideTableBytes(), G.numWideValues() * sizeof(uint64_t))
+      << Label;
+  if (G.numWideValues() == 0) {
+    EXPECT_EQ(WideBytes, 0u) << Label;
+  }
+  EXPECT_EQ(G.footprintBytes(), Footprint - IndexBytes - SetBytes) << Label;
   EXPECT_TRUE(readOnlyView(G) == Before) << Label;
   EXPECT_TRUE(G.checkInvariants()) << Label;
   G.seal(); // A second seal changes nothing.
-  EXPECT_EQ(G.footprintBytes(), Footprint - IndexBytes) << Label;
+  EXPECT_EQ(G.footprintBytes(), Footprint - IndexBytes - SetBytes) << Label;
   EXPECT_TRUE(readOnlyView(G) == Before) << Label;
 }
 
@@ -364,5 +371,141 @@ TEST(SequiturSealDeathTest, AppendAfterSealIsFatal) {
         G.append('a');
       },
       "append to a sealed grammar");
+}
+#endif
+
+//===----------------------------------------------------------------------===//
+// Narrow and wide terminals
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Terminals at both sides of 2^31, where a symbol's inline code ends
+/// and the wide-terminal table begins, up to the largest value the
+/// image encoding holds.
+constexpr uint64_t kWideEdges[] = {(uint64_t(1) << 31) - 1, uint64_t(1) << 31,
+                                   uint64_t(1) << 32, uint64_t(1) << 62,
+                                   (uint64_t(1) << 63) - 1};
+
+/// The edges mixed with the narrow values 0..5, with earlier phrases
+/// re-emitted, so that both kinds end up inside (nested) rules.
+std::vector<uint64_t> narrowWideMix(uint64_t Seed, size_t Length) {
+  Rng R(Seed);
+  std::vector<uint64_t> V;
+  while (V.size() < Length) {
+    if (V.size() > 8 && R.nextBool(0.5)) {
+      size_t From = R.nextBelow(V.size() - 8);
+      size_t Len = 2 + R.nextBelow(7);
+      for (size_t I = From; I != From + Len; ++I)
+        V.push_back(V[I]);
+    } else {
+      uint64_t Pick = R.nextBelow(11);
+      V.push_back(Pick < 5 ? kWideEdges[Pick] : Pick - 5);
+    }
+  }
+  V.resize(Length);
+  return V;
+}
+
+/// CRC-32 of every ruleStats() field, little-endian.
+uint32_t ruleStatsCrc(const SequiturGrammar &G) {
+  std::vector<uint8_t> Bytes;
+  auto Put = [&](uint64_t X) {
+    for (unsigned B = 0; B != 8; ++B)
+      Bytes.push_back(static_cast<uint8_t>(X >> (8 * B)));
+  };
+  for (const SequiturGrammar::RuleStats &R : G.ruleStats()) {
+    Put(R.Id);
+    Put(R.BodyLength);
+    Put(R.ExpandedLength);
+    Put(R.Occurrences);
+    Put(R.Prefix.size());
+    for (uint64_t P : R.Prefix)
+      Put(P);
+  }
+  return crc32(Bytes);
+}
+
+uint32_t dumpCrc(const SequiturGrammar &G) {
+  std::string D = G.dump();
+  return crc32(reinterpret_cast<const uint8_t *>(D.data()), D.size());
+}
+
+} // namespace
+
+TEST(SequiturWideTest, NarrowWideMixMatchesGoldens) {
+  // The goldens were recorded from the 16-byte-symbol grammar, which
+  // stored every terminal inline: interning wide terminals must not
+  // change the image, the dump or the rule statistics.
+  struct Case {
+    uint64_t Seed;
+    size_t Length;
+    uint32_t ImageCrc, DumpCrc, StatsCrc;
+  };
+  const Case Cases[] = {
+      {1931, 4000, 0xa25295f3u, 0x4a96fdb4u, 0x8f6e6a77u},
+      {2063, 12000, 0x7c317af0u, 0x647086b9u, 0xeb833c7bu},
+  };
+  for (const Case &C : Cases) {
+    const std::vector<uint64_t> V = narrowWideMix(C.Seed, C.Length);
+    SequiturGrammar G;
+    G.appendAll(V);
+    ASSERT_TRUE(G.checkInvariants()) << C.Seed;
+    EXPECT_EQ(G.numWideValues(), 4u) << C.Seed;
+    EXPECT_EQ(G.expandAll(), V) << C.Seed;
+    EXPECT_EQ(SequiturGrammar::deserializeAndExpand(G.serialize()), V)
+        << C.Seed;
+    EXPECT_EQ(crc32(G.serialize()), C.ImageCrc) << C.Seed;
+    EXPECT_EQ(dumpCrc(G), C.DumpCrc) << C.Seed;
+    EXPECT_EQ(ruleStatsCrc(G), C.StatsCrc) << C.Seed;
+    // Every edge sits inside some rule other than the start rule.
+    const std::vector<SequiturGrammar::RuleStats> Stats = G.ruleStats();
+    for (uint64_t Edge : kWideEdges) {
+      bool InRule = false;
+      for (const SequiturGrammar::RuleStats &R : Stats)
+        for (uint64_t P : R.Prefix)
+          InRule |= R.Id != 0 && P == Edge;
+      EXPECT_TRUE(InRule) << C.Seed << ": " << Edge;
+    }
+    // Sealing frees the interning set but keeps every answer.
+    expectSealKeepsReads(G, "narrow/wide mix");
+    EXPECT_EQ(crc32(G.serialize()), C.ImageCrc) << C.Seed;
+  }
+}
+
+TEST(SequiturWideTest, FootprintIsSlabsIndexAndWideTable) {
+  auto Bulk = [](const SequiturGrammar &G) {
+    return G.numSymbolSlabs() * SequiturGrammar::SymbolSlabBytes +
+           G.numRuleSlabs() * SequiturGrammar::RuleSlabBytes +
+           G.indexCapacity() * DigramTable::SlotBytes;
+  };
+  SequiturGrammar Narrow;
+  for (uint64_t I = 0; I != 20000; ++I)
+    Narrow.append(I % 97 + (I / 1000) * 3);
+  EXPECT_EQ(Narrow.numWideValues(), 0u);
+  EXPECT_EQ(Narrow.wideTableBytes(), 0u);
+  EXPECT_EQ(Narrow.footprintBytes(), Bulk(Narrow));
+
+  SequiturGrammar Wide;
+  Wide.appendAll(narrowWideMix(7, 20000));
+  ASSERT_EQ(Wide.numWideValues(), 4u);
+  // Four values and their interning set of at least 2 slots per value.
+  EXPECT_GE(Wide.wideTableBytes(), 4 * (8 + 2 * 4));
+  EXPECT_EQ(Wide.footprintBytes(), Bulk(Wide) + Wide.wideTableBytes());
+  Wide.seal();
+  EXPECT_GE(Wide.wideTableBytes(), 4 * 8u);
+  EXPECT_EQ(Wide.footprintBytes(), Bulk(Wide) + Wide.wideTableBytes());
+}
+
+#if GTEST_HAS_DEATH_TEST
+TEST(SequiturWideDeathTest, TerminalPast63BitsIsFatal) {
+  // The image encodes a terminal as (value << 1): bit 63 would be lost.
+  EXPECT_DEATH(
+      {
+        SequiturGrammar G;
+        G.appendAll(fromString("abcbc"));
+        G.append(uint64_t(1) << 63);
+      },
+      "terminal of 2\\^63 or more");
 }
 #endif

@@ -25,6 +25,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <map>
@@ -553,6 +554,172 @@ TEST(SessionManagerTest, CorruptBlockFailsOnlyItsOwnSession) {
 }
 
 //===----------------------------------------------------------------------===//
+// Malformed allocations
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// One allocation the OMC cannot register, and the reason it gives.
+struct BadAlloc {
+  const char *Name;
+  uint64_t Addr;
+  uint64_t Size;
+  const char *Reason;
+};
+
+/// The live object every bad-allocation trace starts with.
+constexpr uint64_t kLiveBase = 0x2000'0000;
+constexpr uint64_t kLiveSize = 64;
+
+const BadAlloc kBadAllocs[] = {
+    {"zero_sized", 0x3000'0000, 0, "zero-sized allocation"},
+    {"wrapping", ~uint64_t(0) - 15, 32, "wraps past 2^64"},
+    {"overlapping", kLiveBase + 16, kLiveSize, "overlaps a live object"},
+    {"huge", 0x1000, uint64_t(1) << 63, "2^63 bytes or more"},
+};
+
+/// Records a live object, 200 accesses to it, \p Bad, then 50 more
+/// accesses, in blocks of \p BlockBytes. Returns the index of the block
+/// that holds \p Bad.
+size_t recordBadAllocTrace(const std::string &Path, const BadAlloc &Bad,
+                           uint8_t Version, size_t BlockBytes = 256) {
+  trace::InstructionRegistry Registry;
+  trace::AllocSiteId Site = Registry.addAllocSite("node");
+  trace::InstrId Load = Registry.addInstruction("load", trace::AccessKind::Load);
+  traceio::TraceWriter Writer(Path, Registry, memsim::AllocPolicy::FirstFit,
+                              /*Seed=*/7, BlockBytes, Version);
+  EXPECT_TRUE(Writer.ok()) << Writer.error();
+  uint64_t Time = 0;
+  Writer.onAlloc(trace::AllocEvent{Site, kLiveBase, kLiveSize, Time, false});
+  for (int I = 0; I != 200; ++I, ++Time)
+    Writer.onAccess(trace::AccessEvent{Load, kLiveBase + (I % 8) * 8, 8,
+                                       false, Time});
+  Writer.onAlloc(trace::AllocEvent{Site, Bad.Addr, Bad.Size, Time, false});
+  for (int I = 0; I != 50; ++I, ++Time)
+    Writer.onAccess(trace::AccessEvent{Load, kLiveBase + (I % 8) * 8, 8,
+                                       false, Time});
+  EXPECT_TRUE(Writer.close()) << Writer.error();
+
+  traceio::TraceReader Reader;
+  EXPECT_TRUE(Reader.open(Path)) << Reader.error();
+  uint64_t Before = 0;
+  for (size_t B = 0; B != Reader.numEventBlocks(); ++B) {
+    Before += Reader.rawBlock(B).EventCount;
+    if (Before > 201) // The bad allocation is event 201.
+      return B;
+  }
+  ADD_FAILURE() << "the trace lost its bad allocation";
+  return 0;
+}
+
+} // namespace
+
+TEST(ProfileSessionTest, MalformedAllocationFailsTheSession) {
+  // Each malformed allocation ends the replay at that event with a
+  // "block N: reason" error, on every replay path (v1 and v2 blocks,
+  // serial and decode-ahead): it never reaches the OMC, and the process
+  // lives on.
+  for (uint8_t Version : {traceio::kFormatVersionV1,
+                          traceio::kFormatVersionV2})
+    for (unsigned Threads : {1u, 2u})
+      for (const BadAlloc &Bad : kBadAllocs) {
+        std::string Label = std::string(Bad.Name) + " v" +
+                            std::to_string(Version) + " threads " +
+                            std::to_string(Threads);
+        std::string Path = tempPath(std::string("bad_alloc_") + Bad.Name);
+        size_t Block = recordBadAllocTrace(Path, Bad, Version);
+        ASSERT_GT(Block, 0u) << Label;
+        traceio::TraceReader Reader;
+        ASSERT_TRUE(Reader.open(Path)) << Reader.error();
+        session::ProfileSession Session("bad_alloc", configFor(Reader));
+        EXPECT_FALSE(Session.replayFrom(Reader, Threads)) << Label;
+        EXPECT_TRUE(Session.failed()) << Label;
+        EXPECT_EQ(Session.error().rfind(
+                      "block " + std::to_string(Block) + ": ", 0),
+                  0u)
+            << Label << ": " << Session.error();
+        EXPECT_NE(Session.error().find(Bad.Reason), std::string::npos)
+            << Label << ": " << Session.error();
+        EXPECT_EQ(Session.eventsInjected(), 201u) << Label;
+        EXPECT_EQ(Session.core().omc().numLiveObjects(), 1u) << Label;
+        SessionArtifacts A = Session.finalize();
+        EXPECT_TRUE(A.Failed) << Label;
+        EXPECT_EQ(A.Error, Session.error()) << Label;
+        std::remove(Path.c_str());
+      }
+}
+
+TEST(SessionManagerTest, MalformedAllocationFailsOnlyItsOwnSession) {
+  // A session fed a malformed allocation over submitBlock (the daemon's
+  // EVENTS path) fails alone; sessions beside it keep their bytes.
+  ScopedRole Role(session::SessionControlRole);
+  std::string GoodPath = tempPath("bad_alloc_neighbor.orpt");
+  recordTrace("list-traversal", GoodPath);
+  SessionArtifacts Serial = serialArtifacts(GoodPath);
+  traceio::TraceReader GoodReader;
+  ASSERT_TRUE(GoodReader.open(GoodPath)) << GoodReader.error();
+
+  for (uint8_t Version : {traceio::kFormatVersionV1,
+                          traceio::kFormatVersionV2}) {
+    session::ManagerConfig Config;
+    Config.Threads = 2;
+    session::SessionManager Mgr(Config);
+    SessionId GoodA = openFor(Mgr, GoodReader, "good_a");
+    std::vector<std::string> BadPaths;
+    std::vector<traceio::TraceReader> BadReaders(std::size(kBadAllocs));
+    std::vector<SessionId> Bad;
+    std::vector<size_t> BadBlock;
+    for (size_t K = 0; K != std::size(kBadAllocs); ++K) {
+      BadPaths.push_back(tempPath(std::string("bad_alloc_mgr_") +
+                                  kBadAllocs[K].Name));
+      BadBlock.push_back(
+          recordBadAllocTrace(BadPaths[K], kBadAllocs[K], Version));
+      ASSERT_TRUE(BadReaders[K].open(BadPaths[K])) << BadReaders[K].error();
+      Bad.push_back(openFor(Mgr, BadReaders[K], kBadAllocs[K].Name));
+    }
+    SessionId GoodB = openFor(Mgr, GoodReader, "good_b");
+
+    // Interleave every session's blocks. A failed session refuses the
+    // blocks after its failure, which is all the daemon would see.
+    size_t MaxBlocks = GoodReader.numEventBlocks();
+    for (const traceio::TraceReader &R : BadReaders)
+      MaxBlocks = std::max(MaxBlocks, R.numEventBlocks());
+    for (size_t I = 0; I != MaxBlocks; ++I) {
+      if (I < GoodReader.numEventBlocks()) {
+        submitBlock(Mgr, GoodA, GoodReader, I);
+        submitBlock(Mgr, GoodB, GoodReader, I);
+      }
+      for (size_t K = 0; K != Bad.size(); ++K) {
+        if (I >= BadReaders[K].numEventBlocks())
+          continue;
+        traceio::TraceReader::RawBlock B = BadReaders[K].rawBlock(I);
+        SubmitStatus St;
+        while ((St = Mgr.submitBlock(Bad[K], B.Payload, B.PayloadLen,
+                                     B.EventCount, B.Crc, Version)) ==
+               SubmitStatus::WouldBlock) {
+        }
+        ASSERT_TRUE(St == SubmitStatus::Ok || St == SubmitStatus::Failed);
+      }
+    }
+
+    for (size_t K = 0; K != Bad.size(); ++K) {
+      SessionArtifacts A = Mgr.close(Bad[K]);
+      EXPECT_TRUE(A.Failed) << kBadAllocs[K].Name;
+      EXPECT_EQ(A.Error.rfind(
+                    "block " + std::to_string(BadBlock[K]) + ": ", 0),
+                0u)
+          << A.Error;
+      EXPECT_NE(A.Error.find(kBadAllocs[K].Reason), std::string::npos)
+          << A.Error;
+      std::remove(BadPaths[K].c_str());
+    }
+    expectSameProfile(Mgr.close(GoodA), Serial);
+    expectSameProfile(Mgr.close(GoodB), Serial);
+  }
+  std::remove(GoodPath.c_str());
+}
+
+//===----------------------------------------------------------------------===//
 // Wire protocol codecs
 //===----------------------------------------------------------------------===//
 
@@ -781,14 +948,16 @@ TEST(DaemonTest, TwoClientsInterleavedMatchSerialReplay) {
   // Interleave at block granularity across the two connections.
   size_t NumA = ReaderA.numEventBlocks(), NumB = ReaderB.numEventBlocks();
   for (size_t I = 0; I < NumA || I < NumB; ++I) {
-    if (I < NumA)
+    if (I < NumA) {
       ASSERT_TRUE(ClientA.submitBlock(IdA, ReaderA.rawBlock(I),
                                       ReaderA.info().Version, Err))
           << Err;
-    if (I < NumB)
+    }
+    if (I < NumB) {
       ASSERT_TRUE(ClientB.submitBlock(IdB, ReaderB.rawBlock(I),
                                       ReaderB.info().Version, Err))
           << Err;
+    }
   }
 
   session::CloseSummary SummaryA, SummaryB;
