@@ -220,7 +220,8 @@ CheckReport GrammarValidator::validate(const SequiturGrammar &G) {
   // Digram uniqueness plus index coherence. Occurrences of one key may
   // only coexist when they overlap (the "aaa" run case); the index must
   // contain exactly the occurring keys (completeness), and each entry
-  // must point at a live occurrence whose hash is the stored one and
+  // must point at a live occurrence whose hash gives the entry's home
+  // (slot minus stored displacement) and its valid extension bits, and
   // which a lookup of its key reaches (soundness). The index stores no
   // keys, so lookups read them back from the symbols — but only from
   // live digram starts: a corrupt entry may name any node. A sealed
@@ -290,18 +291,20 @@ CheckReport GrammarValidator::validate(const SequiturGrammar &G) {
                          std::to_string(Occurrences.size()) +
                          " distinct digrams");
   } else if (StructureOk) {
-    G.Index.forEach([&](size_t Slot, NodeIdx I, uint32_t Hash) {
+    G.Index.forEach([&](size_t Slot, NodeIdx I) {
       std::string Entry = "entry " + std::to_string(Slot) + " (symbol " +
-                          std::to_string(I) + ", hash " +
-                          std::to_string(Hash) + ")";
+                          std::to_string(I) + ", home " +
+                          std::to_string(G.Index.homeOf(Slot)) + ")";
       if (!Report.require(DigramStarts.count(I) != 0,
                           "digram index desync: " + Entry +
                               " points outside the live grammar"))
         return;
       DigramKey K = G.keyOf(I);
-      if (!Report.require(DigramTable::hash32(K) == Hash,
+      if (!Report.require(G.Index.matchesHash(Slot, K),
                           "digram index desync: " + Entry +
-                              " points at a different digram " + KeyStr(K)))
+                              " points at a different digram " + KeyStr(K) +
+                              " or is skewed: its home or extension bits "
+                              "disagree with the key's hash"))
         return;
       Report.require(G.Index.findSlot(K, LiveKeys) == Slot,
                      "digram index desync: " + Entry + " for " + KeyStr(K) +
@@ -417,7 +420,7 @@ bool GrammarValidator::injectForTest(SequiturGrammar &G, Corruption K) {
     if (G.Index.size() == 0)
       return false;
     size_t First = Table::Npos;
-    G.Index.forEach([&](size_t Slot, NodeIdx, uint32_t) {
+    G.Index.forEach([&](size_t Slot, NodeIdx) {
       if (First == Table::Npos)
         First = Slot;
     });
@@ -429,7 +432,7 @@ bool GrammarValidator::injectForTest(SequiturGrammar &G, Corruption K) {
     // Re-index the first entry's key at another node: the occurrence of
     // a *different* key, or a symbol on an arena reclaim list.
     std::vector<std::pair<size_t, NodeIdx>> Entries;
-    G.Index.forEach([&](size_t Slot, NodeIdx I, uint32_t) {
+    G.Index.forEach([&](size_t Slot, NodeIdx I) {
       if (Entries.size() < 2)
         Entries.emplace_back(Slot, I);
     });
@@ -443,7 +446,27 @@ bool GrammarValidator::injectForTest(SequiturGrammar &G, Corruption K) {
       return false;
     sequitur::DigramKey Key = G.keyOf(Entries[0].second);
     G.Index.eraseSlot(Entries[0].first);
-    G.Index.insert(Key, Target);
+    // Should the insertion rebuild the index, Target reads as Key: the
+    // corruption is the validator's to find, not the rebuild's.
+    G.Index.insert(Key, Target, [&](NodeIdx I) {
+      return I == Target ? Key : G.keyOf(I);
+    });
+    return true;
+  }
+  case Corruption::DigramDisplacementSkew: {
+    // The first entry claims a home one slot off; the second, when there
+    // is one, flips its lowest extension bit (a bit the table does not
+    // hold as valid must be 0, so this is caught at any valid count).
+    std::vector<size_t> Entries;
+    G.Index.forEach([&](size_t Slot, NodeIdx) {
+      if (Entries.size() < 2)
+        Entries.push_back(Slot);
+    });
+    if (Entries.empty())
+      return false;
+    G.Index.Slots[Entries[0]].Tag ^= 0x001; // Displacement bit 0.
+    if (Entries.size() == 2)
+      G.Index.Slots[Entries[1]].Tag ^= 0x100; // Extension bit 0.
     return true;
   }
   case Corruption::DigramDuplicate: {

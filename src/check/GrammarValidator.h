@@ -11,8 +11,9 @@
 /// grammar it audits what the public interface cannot see:
 ///
 ///   * digram index <-> linked-list coherence (soundness: every index
-///     entry points at a live digram whose hash is the entry's stored
-///     hash and which a lookup reaches; completeness: every adjacency is
+///     entry points at a live digram whose hash gives the entry's home
+///     slot (slot minus stored displacement) and its valid extension
+///     bits, and which a lookup reaches; completeness: every adjacency is
 ///     findable in the index); for a sealed grammar, that the index and
 ///     the utility worklist are gone and the kept digram count is exact;
 ///   * digram uniqueness across all rule bodies, through the validator's
@@ -103,6 +104,7 @@ public:
     DigramIndexDrop,     ///< Remove an index entry (completeness desync).
     DigramIndexRetarget, ///< Repoint an entry at a wrong occurrence.
     DigramIndexToFreedSymbol, ///< Repoint an entry at a freed symbol.
+    DigramDisplacementSkew, ///< Skew an entry's displacement/extension.
     UseCountSkew,        ///< Bump a rule's UseCount with no matching use.
     UseXorSkew,          ///< Flip a bit of a rule's UseXor.
     DigramDuplicate,     ///< Relabel a digram as a copy of another.

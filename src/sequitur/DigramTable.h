@@ -24,12 +24,27 @@
 ///
 /// The table stores no keys. Like the reference Sequitur, which indexes
 /// a digram by a pointer to its first symbol, a slot holds the 32-bit
-/// arena index of the digram's first symbol plus the low 32 bits of its
-/// hash (8 bytes). A lookup compares stored hashes first and reads a
-/// key back from the grammar — through the caller's key reader — only
-/// when a hash matches. The stored hash also gives every entry its home
-/// slot, so growth never reads a key; that caps the capacity at 2^32
-/// slots, the same bound the 32-bit node indices already impose.
+/// arena index of the digram's first symbol, its displacement from its
+/// home slot (one byte) and one byte of *extension bits*: hash bits
+/// [k, k+8), the bits just above the home of a 2^k-slot table. That is
+/// 6 bytes a slot. The table keeps one count of how many extension bits
+/// are still valid. A lookup reads a key back from the grammar, through
+/// the caller's key reader, only when an entry's home and its valid
+/// extension bits both match the query's.
+///
+/// Growth doubles the table. The new home bit of an entry is its
+/// extension bit 0, and the rest shift down one place, so a doubling
+/// reads no key and leaves one valid bit fewer. Fewer valid bits mean
+/// more entries that pass the home-and-bits test with a different key,
+/// and each such false match costs a key read. So the doubling that
+/// would leave fewer than MinValidBits (4) rebuilds the table from the
+/// keys instead: it reads each entry's key once, checks that the key
+/// still hashes to the entry's home (a stale entry is a fatal error),
+/// and restores all 8 extension bits. A table that starts at 2^6 slots
+/// rebuilds at 2^10 -> 2^11, then every fifth doubling. (Rebuilding only
+/// once no bit is left, at 2^14 -> 2^15, read 0.19-0.34 extra keys per
+/// appended symbol on the perfbench traces; this policy reads 0.03-0.08,
+/// rebuilds included. EXPERIMENTS.md "6-byte digram slots".)
 ///
 //===----------------------------------------------------------------------===//
 
@@ -45,6 +60,11 @@
 #include <vector>
 
 namespace orp {
+
+namespace check {
+class GrammarValidator;
+} // namespace check
+
 namespace sequitur {
 
 /// Finalizing 64-bit avalanche (murmur3 fmix64): every input bit affects
@@ -94,18 +114,25 @@ struct DigramKeyHash {
 /// it marks an empty slot. Keys are unique, and a slot index returned by
 /// a lookup is invalidated by any mutation.
 ///
-/// Lookups take a key reader, KeyOf(NodeIdx) -> DigramKey, which must
-/// return the current key of every indexed node the walk meets; the
-/// table calls it only for entries whose stored hash equals the query's.
+/// Lookups and insertions take a key reader, KeyOf(NodeIdx) ->
+/// DigramKey, which must return the current key of every indexed node.
+/// Lookups call it only for entries whose home and valid extension bits
+/// match the query's; insertions call it once per entry when they
+/// trigger a rebuilding growth, and never otherwise.
 class DigramTable {
 public:
   using NodeIdx = uint32_t;
   static constexpr size_t Npos = ~static_cast<size_t>(0);
-  /// Slots a table may grow to: a stored 32-bit hash names a home slot
-  /// only while the slot index fits in 32 bits.
+  /// Slots a table may grow to. Node indices are 32-bit, so no table
+  /// needs more.
   static constexpr uint64_t MaxCapacity = uint64_t(1) << 32;
+  /// Hash bits above the home that a rebuilt table keeps per entry.
+  static constexpr unsigned ExtensionBits = 8;
+  /// Valid extension bits a key-free doubling may leave; a doubling that
+  /// would leave fewer rebuilds.
+  static constexpr unsigned MinValidBits = 4;
 
-  DigramTable() { rehash(InitialCapacity); }
+  DigramTable() { reset(InitialShift, ExtensionBits); }
 
   DigramTable(const DigramTable &) = delete;
   DigramTable &operator=(const DigramTable &) = delete;
@@ -113,28 +140,29 @@ public:
   /// Returns the slot holding key \p K, or Npos.
   template <typename KeyReader>
   size_t findSlot(const DigramKey &K, const KeyReader &KeyOf) const {
-    const uint32_t H = hash32(K);
+    const uint64_t H = hashDigram(K);
     size_t Idx = H & Mask;
-    for (size_t Dist = 0;; ++Dist) {
+    for (unsigned Want = tag(0, extensionOf(H));; ++Want) {
       const Slot &S = Slots[Idx];
-      if (S.Node == Empty || displacement(Idx, S.Hash) < Dist)
+      if (S.Node == Empty || S.disp() < (Want & 0xff))
         return Npos;
-      if (S.Hash == H && KeyOf(S.Node) == K)
+      if (S.Tag == Want && KeyOf(S.Node) == K)
         return Idx;
       Idx = (Idx + 1) & Mask;
     }
   }
 
   /// Returns the slot whose entry is \p Node, indexed under key \p K, or
-  /// Npos. Reads no key: node and hash identify the entry.
+  /// Npos. Reads no key: the node, its home and its extension bits
+  /// identify the entry.
   size_t findEntry(const DigramKey &K, NodeIdx Node) const {
-    const uint32_t H = hash32(K);
+    const uint64_t H = hashDigram(K);
     size_t Idx = H & Mask;
-    for (size_t Dist = 0;; ++Dist) {
+    for (unsigned Want = tag(0, extensionOf(H));; ++Want) {
       const Slot &S = Slots[Idx];
-      if (S.Node == Empty || displacement(Idx, S.Hash) < Dist)
+      if (S.Node == Empty || S.disp() < (Want & 0xff))
         return Npos;
-      if (S.Node == Node && S.Hash == H)
+      if (S.Node == Node && S.Tag == Want)
         return Idx;
       Idx = (Idx + 1) & Mask;
     }
@@ -147,11 +175,13 @@ public:
   }
 
   /// Indexes \p Node under key \p K. The key must not be present.
-  void insert(const DigramKey &K, NodeIdx Node) {
+  template <typename KeyReader>
+  void insert(const DigramKey &K, NodeIdx Node, const KeyReader &KeyOf) {
     assert(Node != Empty && "node index 0 marks an empty slot");
-    if ((Count + 1) * 10 >= Slots.size() * 7) // Load factor 0.7.
-      rehash(Slots.size() * 2);
-    emplaceNoGrow(Slot{Node, hash32(K)});
+    if ((Count + 1) * 10 >= (Mask + 1) * 7) [[unlikely]] // Load factor 0.7.
+      grow(KeyOf);
+    const uint64_t H = hashDigram(K);
+    place(H & Mask, Slot{Node, tag(0, extensionOf(H))}, KeyOf);
     ++Count;
   }
 
@@ -163,22 +193,23 @@ public:
   size_t findOrInsert(const DigramKey &K, NodeIdx Node,
                       const KeyReader &KeyOf) {
     assert(Node != Empty && "node index 0 marks an empty slot");
-    const uint32_t H = hash32(K);
+    const uint64_t H = hashDigram(K);
     size_t Idx = H & Mask;
-    size_t Dist = 0;
-    for (;; ++Dist) {
+    unsigned Want = tag(0, extensionOf(H));
+    for (;; ++Want) {
       const Slot &S = Slots[Idx];
-      if (S.Node == Empty || displacement(Idx, S.Hash) < Dist)
+      if (S.Node == Empty || S.disp() < (Want & 0xff))
         break; // Absent: insert() would place or rob here.
-      if (S.Hash == H && KeyOf(S.Node) == K)
+      if (S.Tag == Want && KeyOf(S.Node) == K)
         return Idx;
       Idx = (Idx + 1) & Mask;
     }
-    if ((Count + 1) * 10 >= Slots.size() * 7 || Dist == MaxDisplacement) {
-      insert(K, Node); // Grows first; the walk is stale.
+    if ((Count + 1) * 10 >= (Mask + 1) * 7 ||
+        (Want & 0xff) == MaxDisplacement) [[unlikely]] {
+      insert(K, Node, KeyOf); // Grows first; the walk is stale.
       return Npos;
     }
-    emplaceFrom(Idx, Slot{Node, H}, Dist);
+    place(Idx, Slot{Node, static_cast<uint16_t>(Want)}, KeyOf);
     ++Count;
     return Npos;
   }
@@ -191,12 +222,12 @@ public:
       size_t NextIdx = (Idx + 1) & Mask;
       const Slot &NextSlot = Slots[NextIdx];
       // Stop at an empty slot or an entry already in its home slot.
-      if (NextSlot.Node == Empty ||
-          displacement(NextIdx, NextSlot.Hash) == 0) {
+      if (NextSlot.Node == Empty || NextSlot.disp() == 0) {
         Slots[Idx] = Slot{};
         break;
       }
       Slots[Idx] = NextSlot;
+      --Slots[Idx].Tag; // One slot nearer home.
       Idx = NextIdx;
     }
     --Count;
@@ -218,93 +249,169 @@ public:
   /// resident size is capacity() * SlotBytes.
   size_t capacity() const { return Slots.size(); }
 
+  /// Returns how many of an entry's extension bits are valid (8 after a
+  /// rebuild, one fewer after each key-free doubling, never fewer than
+  /// MinValidBits).
+  unsigned validExtensionBits() const { return ExtBits; }
+
   /// Returns the longest current probe sequence, in slots (1 = every
   /// entry sits in its home slot, 0 = empty table). Exposed for the
   /// collision regression tests; O(capacity).
   size_t maxProbeLength() const {
     size_t Max = 0;
-    for (size_t Idx = 0; Idx != Slots.size(); ++Idx)
-      if (Slots[Idx].Node != Empty &&
-          displacement(Idx, Slots[Idx].Hash) >= Max)
-        Max = displacement(Idx, Slots[Idx].Hash) + 1;
+    for (const Slot &S : Slots)
+      if (S.Node != Empty && S.disp() >= Max)
+        Max = S.disp() + 1;
     return Max;
   }
 
-  /// Calls Visit(SlotIdx, Node, StoredHash) for every entry, in table
-  /// order. StoredHash is the low 32 bits of the key's hashDigram().
+  /// Calls Visit(SlotIdx, Node) for every entry, in table order.
   template <typename Fn> void forEach(Fn &&Visit) const {
     for (size_t Idx = 0; Idx != Slots.size(); ++Idx)
       if (Slots[Idx].Node != Empty)
-        Visit(Idx, Slots[Idx].Node, Slots[Idx].Hash);
+        Visit(Idx, Slots[Idx].Node);
   }
 
-  /// The part of hashDigram(K) a slot stores.
-  static uint32_t hash32(const DigramKey &K) {
-    return static_cast<uint32_t>(hashDigram(K));
+  /// Returns the home slot the entry in \p SlotIdx records: its slot
+  /// minus its stored displacement.
+  size_t homeOf(size_t SlotIdx) const {
+    assert(SlotIdx < Slots.size() && Slots[SlotIdx].Node != Empty);
+    return (SlotIdx - Slots[SlotIdx].disp()) & Mask;
+  }
+
+  /// True when the entry in \p SlotIdx agrees with key \p K's hash: its
+  /// recorded home is K's home, and its extension bits are exactly K's
+  /// valid ones (the bits past them are zero).
+  bool matchesHash(size_t SlotIdx, const DigramKey &K) const {
+    const uint64_t H = hashDigram(K);
+    return homeOf(SlotIdx) == (H & Mask) &&
+           Slots[SlotIdx].ext() == extensionOf(H);
   }
 
 private:
-  struct Slot {
+  /// The corruption injector of the deep validator skews a slot.
+  friend class ::orp::check::GrammarValidator;
+
+  struct [[gnu::packed]] Slot {
     NodeIdx Node = 0; ///< First symbol of the digram; 0 = empty.
-    uint32_t Hash = 0;
+    /// Low byte: slots past the home slot. High byte: the valid
+    /// extension bits (the rest are 0). A probe compares both at once.
+    uint16_t Tag = 0;
+
+    unsigned disp() const { return Tag & 0xff; }
+    uint8_t ext() const { return static_cast<uint8_t>(Tag >> 8); }
   };
 
+  static uint16_t tag(unsigned Disp, uint8_t Ext) {
+    return static_cast<uint16_t>(Disp | unsigned(Ext) << 8);
+  }
+
 public:
-  /// Bytes per slot: a node index and a 32-bit hash.
+  /// Bytes per slot: a node index, a displacement and extension bits.
   static constexpr size_t SlotBytes = sizeof(Slot);
 
 private:
   static constexpr NodeIdx Empty = 0;
-  static constexpr size_t InitialCapacity = 64;
+  static constexpr unsigned InitialShift = 6; ///< 64 slots.
   /// An entry this far from its home slot forces growth instead.
-  static constexpr size_t MaxDisplacement = 254;
+  static constexpr unsigned MaxDisplacement = 254;
 
-  /// Distance of the entry in slot \p Idx from its home slot.
-  size_t displacement(size_t Idx, uint32_t Hash) const {
-    return (Idx - Hash) & Mask;
+  /// The valid extension bits of hash \p H in this table.
+  uint8_t extensionOf(uint64_t H) const {
+    return static_cast<uint8_t>((H >> Shift) & ExtMask);
   }
 
-  void emplaceNoGrow(Slot Carry) { emplaceFrom(Carry.Hash & Mask, Carry, 0); }
+  /// Makes the slot array empty, 2^NewShift slots long, with
+  /// \p ValidBits valid extension bits.
+  void reset(unsigned NewShift, unsigned ValidBits) {
+    if ((uint64_t(1) << NewShift) > MaxCapacity)
+      ORP_FATAL_ERROR("sequitur digram index: capacity past 2^32 slots");
+    Slots.assign(size_t(1) << NewShift, Slot{});
+    Mask = (size_t(1) << NewShift) - 1;
+    Shift = NewShift;
+    ExtBits = ValidBits;
+    ExtMask = static_cast<uint8_t>((1u << ValidBits) - 1);
+  }
 
-  /// Robin-hood placement of \p Carry, which sits \p Dist slots past its
-  /// home when placed at slot \p Idx.
-  void emplaceFrom(size_t Idx, Slot Carry, size_t Dist) {
+  /// Robin-hood placement of \p Carry, which sits Carry.disp() slots past
+  /// its home when placed at slot \p Idx.
+  template <typename KeyReader>
+  void place(size_t Idx, Slot Carry, const KeyReader &KeyOf) {
     for (;;) {
       Slot &S = Slots[Idx];
       if (S.Node == Empty) {
         S = Carry;
         return;
       }
-      size_t SDist = displacement(Idx, S.Hash);
-      if (SDist < Dist) { // Rob from the rich.
+      if (S.disp() < Carry.disp()) // Rob from the rich.
         std::swap(S, Carry);
-        Dist = SDist;
-      }
       Idx = (Idx + 1) & Mask;
-      if (++Dist == MaxDisplacement) {
-        // Pathological clustering: grow and retry the displaced entry.
-        rehash(Slots.size() * 2);
-        Dist = 0;
-        Idx = Carry.Hash & Mask;
+      ++Carry.Tag; // One slot further from home.
+      if (Carry.disp() == MaxDisplacement) [[unlikely]] {
+        growPlacing(Carry, (Idx - MaxDisplacement) & Mask, KeyOf);
+        return;
       }
     }
   }
 
-  void rehash(size_t NewCapacity) {
-    assert((NewCapacity & (NewCapacity - 1)) == 0 && "capacity not 2^k");
-    if (NewCapacity > MaxCapacity)
-      ORP_FATAL_ERROR("sequitur digram index: capacity past 2^32 slots");
+  /// Pathological clustering: grows the table, then re-places \p Carry,
+  /// the entry displaced from home slot \p Home.
+  template <typename KeyReader>
+  [[gnu::noinline, gnu::cold]] void
+  growPlacing(Slot Carry, size_t Home, const KeyReader &KeyOf) {
+    const unsigned FromShift = Shift, FromBits = ExtBits;
+    grow(KeyOf);
+    rehome(Carry.Node, Carry.ext(), Home, FromShift, FromBits, KeyOf);
+  }
+
+  /// Doubles the table and re-homes every entry: from its extension
+  /// bits while more than MinValidBits are valid, else from its key (a
+  /// rebuild, which restores all the extension bits).
+  template <typename KeyReader>
+  [[gnu::noinline]] void grow(const KeyReader &KeyOf) {
     std::vector<Slot> Old = std::move(Slots);
-    Slots.assign(NewCapacity, Slot{});
-    Mask = NewCapacity - 1;
-    for (const Slot &S : Old)
-      if (S.Node != Empty)
-        emplaceNoGrow(S);
+    const size_t OldMask = Mask;
+    const unsigned OldShift = Shift, OldBits = ExtBits;
+    reset(OldShift + 1, OldBits > MinValidBits ? OldBits - 1 : ExtensionBits);
+    for (size_t I = 0; I != Old.size(); ++I)
+      if (Old[I].Node != Empty)
+        rehome(Old[I].Node, Old[I].ext(), (I - Old[I].disp()) & OldMask,
+               OldShift, OldBits, KeyOf);
+  }
+
+  /// Places the entry of \p Node, whose extension bits are \p Ext and
+  /// whose home was \p FromHome in a table of 2^FromShift slots with
+  /// \p FromBits valid extension bits. The table may have doubled more
+  /// than once since (a re-placement can hit the displacement cap and
+  /// grow it again), so the key is read whenever the entry's valid bits
+  /// do not reach this table's.
+  template <typename KeyReader>
+  void rehome(NodeIdx Node, uint8_t Ext, size_t FromHome, unsigned FromShift,
+              unsigned FromBits, const KeyReader &KeyOf) {
+    const unsigned Levels = Shift - FromShift;
+    size_t Home;
+    if (Shift + ExtBits <= FromShift + FromBits) {
+      Home = FromHome | (size_t(Ext) & ((size_t(1) << Levels) - 1))
+                            << FromShift;
+      Ext = static_cast<uint8_t>((Ext >> Levels) & ExtMask);
+    } else {
+      const uint64_t H = hashDigram(KeyOf(Node));
+      if ((H & ((size_t(1) << FromShift) - 1)) != FromHome ||
+          ((H >> FromShift) & ((1u << FromBits) - 1)) != Ext)
+        ORP_FATAL_ERROR("sequitur digram index: stale entry (its key no "
+                        "longer hashes to its home slot)");
+      Home = H & Mask;
+      Ext = extensionOf(H);
+    }
+    place(Home, Slot{Node, tag(0, Ext)}, KeyOf);
   }
 
   std::vector<Slot> Slots;
   size_t Mask = 0;
   size_t Count = 0;
+  unsigned Shift = 0;   ///< log2 of the capacity.
+  unsigned ExtBits = 0; ///< Valid extension bits.
+  uint8_t ExtMask = 0;  ///< (1 << ExtBits) - 1.
 };
 
 } // namespace sequitur

@@ -324,6 +324,7 @@ void SequiturGrammar::seal() {
     return;
   Sealed = true;
   SealedDigrams = Index.size();
+  SealedIndexSlots = Index.capacity();
   Index.release();
   std::vector<NodeIdx>().swap(MaybeUnderused);
   std::vector<uint32_t>().swap(WideSlots);
@@ -999,8 +1000,9 @@ bool SequiturGrammar::checkInvariants() const {
            MaybeUnderused.capacity() == 0 &&
            SealedDigrams == Occurrences.size();
 
-  // Index soundness: every entry points at a live digram whose hash is
-  // the stored one, and a lookup of that digram reaches the entry (so no
+  // Index soundness: every entry points at a live digram whose hash
+  // gives the entry's home (slot minus displacement) and its valid
+  // extension bits, and a lookup of that digram reaches the entry (so no
   // two entries share a key). With one entry per distinct digram, that
   // also makes the index complete. Keys are read only from live
   // digrams: a bad entry may name a freed node.
@@ -1008,13 +1010,13 @@ bool SequiturGrammar::checkInvariants() const {
     return DigramStarts.count(I) ? keyOf(I) : DigramKey{0, 0, 0xff};
   };
   bool IndexSound = Index.size() == Occurrences.size();
-  Index.forEach([&](size_t Slot, NodeIdx I, uint32_t Hash) {
+  Index.forEach([&](size_t Slot, NodeIdx I) {
     if (!DigramStarts.count(I)) {
       IndexSound = false;
       return;
     }
     DigramKey K = keyOf(I);
-    if (DigramTable::hash32(K) != Hash || Index.findSlot(K, LiveKeys) != Slot)
+    if (!Index.matchesHash(Slot, K) || Index.findSlot(K, LiveKeys) != Slot)
       IndexSound = false;
   });
   return IndexSound;

@@ -141,9 +141,10 @@ public:
   /// Declares the input complete. Digram uniqueness is enforced on
   /// append, so only appending needs the digram index, the utility
   /// worklist and the wide-terminal interning set; sealing frees all
-  /// three (the wide terminals themselves stay). Every read-only call (serialize,
-  /// expandAll, ruleStats, dump, the counters) answers exactly as before,
-  /// and numDigrams() keeps the count at the seal. Appending to a sealed
+  /// three (the wide terminals themselves stay). Every read-only call
+  /// (serialize, expandAll, ruleStats, dump, the counters) answers
+  /// exactly as before, and numDigrams() and indexSlots() keep the
+  /// index's count and capacity at the seal. Appending to a sealed
   /// grammar is a fatal error. Sealing twice is a no-op.
   void seal();
 
@@ -250,6 +251,10 @@ public:
   size_t numDigrams() const { return Sealed ? SealedDigrams : Index.size(); }
   /// Slots of the digram index (0 once sealed).
   size_t indexCapacity() const { return Index.capacity(); }
+  /// Slots of the digram index; once sealed, the capacity the seal freed.
+  size_t indexSlots() const {
+    return Sealed ? SealedIndexSlots : Index.capacity();
+  }
   /// Resident bytes of the grammar's bulk storage: symbol and rule slabs,
   /// the digram index's slot array (capacity, not occupancy) and the
   /// wide-terminal table.
@@ -375,7 +380,8 @@ private:
   DigramTable Index;
   std::vector<NodeIdx> MaybeUnderused;
   bool Sealed = false;
-  size_t SealedDigrams = 0; ///< Index.size() when seal() released it.
+  size_t SealedDigrams = 0;    ///< Index.size() when seal() released it.
+  size_t SealedIndexSlots = 0; ///< Index.capacity() when seal() released it.
 
   /// \name Wide terminals
   /// Terminals of 2^31 or more, in first-append order; a wide code

@@ -14,9 +14,9 @@
 /// goes through the public SequiturGrammar interface.
 ///
 /// Nodes link to each other by 32-bit arena index, not by pointer: a
-/// symbol is 12 bytes, a rule 12, and a digram-index slot 8 (the first
-/// symbol's index and a 32-bit hash; the key is read back from the
-/// symbols through keyOf()).
+/// symbol is 12 bytes, a rule 12, and a digram-index slot 6 (the first
+/// symbol's index, a displacement byte and a byte of hash extension
+/// bits; the key is read back from the symbols through keyOf()).
 /// Index I lives in slab I >> SlabShift at slot I & SlabMask; index 0
 /// (NilIdx) is never handed out, so it doubles as the null link. Indices
 /// stay below 2^31, which frees the top bit of a link for a tag.
@@ -104,8 +104,8 @@ struct SequiturGrammar::LayoutPins {
   static_assert(std::is_trivially_default_constructible_v<Symbol> &&
                     std::is_trivially_default_constructible_v<Rule>,
                 "slabs are allocated uninitialized");
-  static_assert(DigramTable::SlotBytes == 8,
-                "a digram-index slot must stay 8 bytes");
+  static_assert(DigramTable::SlotBytes == 6,
+                "a digram-index slot must stay 6 bytes");
   static_assert(std::is_same_v<DigramTable::NodeIdx, NodeIdx>,
                 "the digram index names symbols by arena index");
   static_assert(sizeof(Symbol) * SymbolsPerSlab == SymbolSlabBytes &&

@@ -48,6 +48,8 @@ WhompProfiler::WhompProfiler(unsigned Threads,
                     .set(static_cast<int64_t>(G.numSymbolSlabs()));
                 R.gauge(P + "rule_slabs")
                     .set(static_cast<int64_t>(G.numRuleSlabs()));
+                R.gauge(P + "index_slots")
+                    .set(static_cast<int64_t>(G.indexSlots()));
                 const sequitur::SequiturGrammar::Churn &C = G.churn();
                 R.gauge(P + "rules_created")
                     .set(static_cast<int64_t>(C.RulesCreated));

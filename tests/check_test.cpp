@@ -92,6 +92,48 @@ TEST(GrammarValidatorTest, ValidationIsReadOnly) {
 // GrammarValidator: injected corruptions are caught
 //===----------------------------------------------------------------------===//
 
+/// Appends distinct random terminals to \p G until its digram index
+/// reaches \p Slots slots, so the growth to them has just happened.
+void appendUntilIndexSlots(sequitur::SequiturGrammar &G, size_t Slots) {
+  Rng R(5);
+  while (G.indexCapacity() < Slots)
+    G.append(R.nextBelow(uint64_t(1) << 30));
+}
+
+TEST(GrammarValidatorTest, CatchesDisplacementSkewAfterKeyFreeGrowth) {
+  // The doubling to 128 slots re-homed every entry from its extension
+  // bits. A skewed displacement names another home and a flipped
+  // extension bit another hash; both checkers must see the mismatch.
+  sequitur::SequiturGrammar G;
+  appendUntilIndexSlots(G, 128);
+  ASSERT_TRUE(GrammarValidator::validate(G).ok());
+  ASSERT_TRUE(GrammarValidator::injectForTest(
+      G, GrammarValidator::Corruption::DigramDisplacementSkew));
+  check::CheckReport Report = GrammarValidator::validate(G);
+  EXPECT_FALSE(Report.ok());
+  EXPECT_NE(Report.str().find("disagree with the key's hash"),
+            std::string::npos)
+      << Report.str();
+  EXPECT_FALSE(G.checkInvariants());
+}
+
+TEST(GrammarValidatorTest, CatchesDisplacementSkewAfterRebuildingGrowth) {
+  // The doubling to 2^11 slots would have left fewer than MinValidBits
+  // extension bits, so it rebuilt the index from the keys.
+  sequitur::SequiturGrammar G;
+  appendUntilIndexSlots(G, size_t(1) << 11);
+  ASSERT_TRUE(GrammarValidator::validate(G).ok());
+  ASSERT_TRUE(G.checkInvariants());
+  ASSERT_TRUE(GrammarValidator::injectForTest(
+      G, GrammarValidator::Corruption::DigramDisplacementSkew));
+  check::CheckReport Report = GrammarValidator::validate(G);
+  EXPECT_FALSE(Report.ok());
+  EXPECT_NE(Report.str().find("disagree with the key's hash"),
+            std::string::npos)
+      << Report.str();
+  EXPECT_FALSE(G.checkInvariants());
+}
+
 TEST(GrammarValidatorTest, CatchesDigramIndexDrop) {
   sequitur::SequiturGrammar G;
   appendPeriodic(G);
@@ -277,6 +319,8 @@ TEST(GrammarValidatorTest, SealedGrammarHasNoIndexToCorrupt) {
       G, GrammarValidator::Corruption::DigramIndexDrop));
   EXPECT_FALSE(GrammarValidator::injectForTest(
       G, GrammarValidator::Corruption::DigramIndexRetarget));
+  EXPECT_FALSE(GrammarValidator::injectForTest(
+      G, GrammarValidator::Corruption::DigramDisplacementSkew));
   EXPECT_TRUE(GrammarValidator::validate(G).ok());
 }
 

@@ -116,38 +116,129 @@ struct KeyStore {
   }
 };
 
-/// Returns \p N distinct keys whose stored hashes agree in the low
-/// \p Bits bits: they share a home slot in every table of at most
-/// 2^Bits slots.
+/// Returns \p N distinct keys whose hashes agree in the low \p Bits
+/// bits: they share a home slot in every table of at most 2^Bits slots.
 std::vector<DigramKey> keysSharingHome(size_t N, unsigned Bits) {
   std::vector<DigramKey> Out;
-  const uint32_t Want = DigramTable::hash32(DigramKey{0, 1, 0}) &
-                        ((uint32_t(1) << Bits) - 1);
+  const uint64_t Low = (uint64_t(1) << Bits) - 1;
+  const uint64_t Want = hashDigram(DigramKey{0, 1, 0}) & Low;
   for (uint64_t V = 0; Out.size() != N; ++V) {
     DigramKey K{V, V + 1, 0};
-    if ((DigramTable::hash32(K) & ((uint32_t(1) << Bits) - 1)) == Want)
+    if ((hashDigram(K) & Low) == Want)
       Out.push_back(K);
   }
   return Out;
 }
 
+/// Inserts keys {I, I + 1, 0} for I = First .. First + N - 1.
+void insertRun(DigramTable &T, KeyStore &Store, uint64_t First, uint64_t N) {
+  for (uint64_t I = First; I != First + N; ++I) {
+    DigramKey K{I, I + 1, 0};
+    T.insert(K, Store.add(K), Store.reader());
+  }
+}
+
+/// True when every entry agrees with its node's key: its home and its
+/// extension bits, and a lookup of the key reaches it.
+bool entriesMatchKeys(const DigramTable &T, const KeyStore &Store) {
+  bool Ok = true;
+  T.forEach([&](size_t Slot, NodeIdx Node) {
+    const DigramKey &K = Store.Keys.at(Node);
+    Ok &= T.matchesHash(Slot, K) && T.findSlot(K, Store.reader()) == Slot;
+  });
+  return Ok;
+}
+
+/// Entries at which a table of initial capacity 64 reaches 2^10 slots,
+/// and the most it holds there before the next doubling (load 0.7).
+constexpr uint64_t FillsTo2Pow10 = 359;
+constexpr uint64_t FullAt2Pow10 = 716;
+
 TEST(DigramTableLayoutTest, SlotBytes) {
-  // A slot is the first symbol's 32-bit index and 32 bits of hash.
-  EXPECT_EQ(DigramTable::SlotBytes, 8u);
+  // A slot is the first symbol's 32-bit index, a displacement byte and
+  // a byte of extension bits.
+  EXPECT_EQ(DigramTable::SlotBytes, 6u);
   EXPECT_EQ(DigramTable::MaxCapacity, uint64_t(1) << 32);
   KeyStore Store;
   DigramTable T;
   EXPECT_EQ(T.capacity(), 64u);
-  for (uint64_t I = 0; I != 1000; ++I) {
-    DigramKey K{I, I + 1, 0};
-    T.insert(K, Store.add(K));
-  }
+  EXPECT_EQ(T.validExtensionBits(), 8u);
+  insertRun(T, Store, 0, 1000);
   // Load factor 0.7 on a power-of-two capacity.
   EXPECT_EQ(T.capacity(), 2048u);
   EXPECT_EQ(T.size(), 1000u);
-  // Growth rehashes from the stored hashes alone.
-  EXPECT_EQ(Store.Reads, 0u);
 }
+
+TEST(DigramTableTest, KeyFreeGrowthReadsNoKey) {
+  // Each doubling from 2^6 to 2^10 slots takes the new home bit from an
+  // entry's extension bits: no key is read, and one bit fewer is valid.
+  KeyStore Store;
+  DigramTable T;
+  size_t Capacity = T.capacity();
+  unsigned Bits = T.validExtensionBits();
+  for (uint64_t I = 0; I != FullAt2Pow10; ++I) {
+    insertRun(T, Store, I, 1);
+    if (T.capacity() != Capacity) {
+      EXPECT_EQ(T.capacity(), Capacity * 2);
+      EXPECT_EQ(T.validExtensionBits(), Bits - 1);
+      Capacity = T.capacity();
+      Bits = T.validExtensionBits();
+    }
+  }
+  EXPECT_EQ(T.capacity(), size_t(1) << 10);
+  EXPECT_EQ(T.validExtensionBits(), DigramTable::MinValidBits);
+  EXPECT_EQ(Store.Reads, 0u);
+  EXPECT_TRUE(entriesMatchKeys(T, Store));
+}
+
+TEST(DigramTableTest, RebuildingGrowthReadsEachKeyOnce) {
+  // With MinValidBits left, the doubling to 2^11 rebuilds from the keys:
+  // one read per entry, and all 8 bits valid again. The next four
+  // doublings are key-free, and the one after rebuilds again.
+  KeyStore Store;
+  DigramTable T;
+  insertRun(T, Store, 0, FullAt2Pow10);
+  ASSERT_EQ(T.capacity(), size_t(1) << 10);
+  ASSERT_EQ(Store.Reads, 0u);
+  insertRun(T, Store, FullAt2Pow10, 1);
+  EXPECT_EQ(T.capacity(), size_t(1) << 11);
+  EXPECT_EQ(T.validExtensionBits(), 8u);
+  EXPECT_EQ(Store.Reads, FullAt2Pow10);
+  EXPECT_TRUE(entriesMatchKeys(T, Store));
+
+  Store.Reads = 0;
+  uint64_t Next = FullAt2Pow10 + 1;
+  size_t Entries = T.size();
+  while (T.capacity() != (size_t(1) << 16)) {
+    Entries = T.size();
+    insertRun(T, Store, Next++, 1);
+    if (T.capacity() == (size_t(1) << 15)) {
+      EXPECT_EQ(Store.Reads, 0u);
+      EXPECT_EQ(T.validExtensionBits(), DigramTable::MinValidBits);
+    }
+  }
+  EXPECT_EQ(T.validExtensionBits(), 8u);
+  EXPECT_EQ(Store.Reads, Entries);
+  EXPECT_TRUE(entriesMatchKeys(T, Store));
+}
+
+#if GTEST_HAS_DEATH_TEST
+/// Fills a table to 2^10 slots, changes one indexed node's key, and
+/// inserts once more: the insertion rebuilds.
+void rebuildOverStaleEntry() {
+  KeyStore Store;
+  DigramTable T;
+  insertRun(T, Store, 0, FullAt2Pow10);
+  Store.Keys[FullAt2Pow10 / 2] = DigramKey{7, 7, 3};
+  insertRun(T, Store, FullAt2Pow10, 1);
+}
+
+TEST(DigramTableDeathTest, StaleEntryAtRebuildIsFatal) {
+  // An entry whose node's key changed after it was indexed no longer
+  // hashes to its home; the rebuilding growth reads that key and dies.
+  EXPECT_DEATH(rebuildOverStaleEntry(), "stale entry");
+}
+#endif
 
 TEST(DigramTableTest, InsertFindErase) {
   KeyStore Store;
@@ -155,7 +246,7 @@ TEST(DigramTableTest, InsertFindErase) {
   DigramKey K{1, 2, 0};
   EXPECT_EQ(T.findSlot(K, Store.reader()), DigramTable::Npos);
   NodeIdx N = Store.add(K);
-  T.insert(K, N);
+  T.insert(K, N, Store.reader());
   size_t Slot = T.findSlot(K, Store.reader());
   ASSERT_NE(Slot, DigramTable::Npos);
   EXPECT_EQ(T.nodeAt(Slot), N);
@@ -167,15 +258,15 @@ TEST(DigramTableTest, InsertFindErase) {
 }
 
 TEST(DigramTableTest, FindEntryMatchesNodeWithoutReadingKeys) {
-  // findEntry names an entry by node and key hash, so it tells the
-  // indexed occurrence of a digram from an unindexed twin without a
-  // key read.
+  // findEntry names an entry by node, home and extension bits, so it
+  // tells the indexed occurrence of a digram from an unindexed twin
+  // without a key read.
   KeyStore Store;
   DigramTable T;
   DigramKey K{7, 9, 2};
   NodeIdx Indexed = Store.add(K);
   NodeIdx Twin = Store.add(K);
-  T.insert(K, Indexed);
+  T.insert(K, Indexed, Store.reader());
   size_t Slot = T.findEntry(K, Indexed);
   ASSERT_NE(Slot, DigramTable::Npos);
   EXPECT_EQ(T.nodeAt(Slot), Indexed);
@@ -184,41 +275,56 @@ TEST(DigramTableTest, FindEntryMatchesNodeWithoutReadingKeys) {
   EXPECT_EQ(Store.Reads, 0u);
 }
 
-TEST(DigramTableTest, KeysAreReadOnlyOnHashMatch) {
-  // Two keys with equal stored hashes must still be told apart by the
-  // key reader, and the reader must not run for entries whose stored
-  // hash differs from the query's.
-  std::unordered_map<uint32_t, DigramKey> Seen;
+TEST(DigramTableTest, KeysAreReadOnlyOnHomeAndExtensionMatch) {
+  // In a 2^6-slot table with all 8 extension bits valid, a lookup reads
+  // an entry's key only when the low 6 + 8 hash bits agree with the
+  // query's. Find A and B that agree there, and C that shares only A's
+  // home.
+  constexpr uint64_t Home = 63, Match = (uint64_t(1) << 14) - 1;
+  std::unordered_map<uint64_t, DigramKey> Seen;
   DigramKey A{0, 0, 0}, B{0, 0, 0};
   for (uint64_t V = 1;; ++V) {
     DigramKey K{V * 64, V * 64 + 8, 0};
-    auto [It, New] = Seen.emplace(DigramTable::hash32(K), K);
+    auto [It, New] = Seen.emplace(hashDigram(K) & Match, K);
     if (!New) {
       A = It->second;
       B = K;
       break;
     }
   }
-  ASSERT_EQ(DigramTable::hash32(A), DigramTable::hash32(B));
   ASSERT_FALSE(A == B);
+  DigramKey C{0, 0, 0};
+  for (uint64_t V = 1;; ++V) {
+    DigramKey K{V, V * 3, 1};
+    if ((hashDigram(K) & Home) == (hashDigram(A) & Home) &&
+        (hashDigram(K) & Match) != (hashDigram(A) & Match)) {
+      C = K;
+      break;
+    }
+  }
 
   KeyStore Store;
   DigramTable T;
   NodeIdx NA = Store.add(A);
-  T.insert(A, NA);
-  // B hashes like A: the walk reads A's key, sees it differ, and misses.
-  Store.Reads = 0;
+  T.insert(A, NA, Store.reader());
+  ASSERT_EQ(T.validExtensionBits(), 8u);
+  // B matches A's home and extension bits: the walk reads A's key, sees
+  // it differ, and misses.
   EXPECT_EQ(T.findSlot(B, Store.reader()), DigramTable::Npos);
   EXPECT_EQ(Store.Reads, 1u);
+  // C shares A's home but not its extension bits: no read.
+  Store.Reads = 0;
+  EXPECT_EQ(T.findSlot(C, Store.reader()), DigramTable::Npos);
+  EXPECT_EQ(Store.Reads, 0u);
   NodeIdx NB = Store.add(B);
   EXPECT_EQ(T.findOrInsert(B, NB, Store.reader()), DigramTable::Npos);
   EXPECT_EQ(T.nodeAt(T.findSlot(A, Store.reader())), NA);
   EXPECT_EQ(T.nodeAt(T.findSlot(B, Store.reader())), NB);
 
-  // A key with a different hash meets neither entry's key.
+  // A key with another home meets neither entry's key.
   for (uint64_t I = 0; I != 200; ++I) {
     DigramKey K{I, I * 5, 1};
-    if (DigramTable::hash32(K) == DigramTable::hash32(A))
+    if ((hashDigram(K) & Home) == (hashDigram(A) & Home))
       continue;
     Store.Reads = 0;
     EXPECT_EQ(T.findSlot(K, Store.reader()), DigramTable::Npos);
@@ -235,7 +341,7 @@ TEST(DigramTableTest, SurvivesGrowthAndChurn) {
     return DigramKey{I, I * 3, static_cast<uint8_t>(I & 3)};
   };
   for (uint64_t I = 0; I != N; ++I)
-    T.insert(KeyOf(I), Store.add(KeyOf(I)));
+    T.insert(KeyOf(I), Store.add(KeyOf(I)), Store.reader());
   EXPECT_EQ(T.size(), N);
   // Erase a random half, then verify every membership answer.
   std::vector<bool> Erased(N, false);
@@ -255,6 +361,7 @@ TEST(DigramTableTest, SurvivesGrowthAndChurn) {
       EXPECT_EQ(T.nodeAt(Slot), static_cast<NodeIdx>(I + 1));
     }
   }
+  EXPECT_TRUE(entriesMatchKeys(T, Store));
 }
 
 TEST(DigramTableTest, BackwardShiftDeletionCompactsProbeRuns) {
@@ -265,7 +372,7 @@ TEST(DigramTableTest, BackwardShiftDeletionCompactsProbeRuns) {
   DigramTable T;
   std::vector<DigramKey> Keys = keysSharingHome(6, 6); // Capacity 64.
   for (const DigramKey &K : Keys)
-    T.insert(K, Store.add(K));
+    T.insert(K, Store.add(K), Store.reader());
   ASSERT_EQ(T.capacity(), 64u);
   EXPECT_EQ(T.maxProbeLength(), 6u);
   size_t Home = T.findSlot(Keys[0], Store.reader());
@@ -277,11 +384,12 @@ TEST(DigramTableTest, BackwardShiftDeletionCompactsProbeRuns) {
     size_t Slot = T.findSlot(Keys[I], Store.reader());
     ASSERT_NE(Slot, DigramTable::Npos) << I;
     EXPECT_EQ(T.nodeAt(Slot), static_cast<NodeIdx>(I + 1));
+    EXPECT_EQ(T.homeOf(Slot), Home) << I;
   }
   // The survivors now fill Home .. Home+4: the freed slot at the end of
   // the run is empty again.
   std::vector<bool> Used(T.capacity(), false);
-  T.forEach([&](size_t Slot, NodeIdx, uint32_t) { Used[Slot] = true; });
+  T.forEach([&](size_t Slot, NodeIdx) { Used[Slot] = true; });
   for (size_t D = 0; D != 5; ++D)
     EXPECT_TRUE(Used[(Home + D) & 63]) << D;
   EXPECT_FALSE(Used[(Home + 5) & 63]);
@@ -292,7 +400,9 @@ TEST(DigramTableTest, GrowsUnderPathologicalClustering) {
   // 300 keys share a home slot in every table of up to 2^12 slots, so
   // probe runs reach the displacement cap long before the load factor
   // asks for growth. The table must grow until the keys spread, and
-  // keep every key findable.
+  // keep every key findable. findOrInsert walks the shared home's run on
+  // every insertion and must treat each colliding distinct key as
+  // absent; its growth crosses the rebuild at 2^10 -> 2^11.
   KeyStore Store;
   DigramTable T;
   std::vector<DigramKey> Keys = keysSharingHome(300, 12);
@@ -301,12 +411,65 @@ TEST(DigramTableTest, GrowsUnderPathologicalClustering) {
               DigramTable::Npos);
   EXPECT_EQ(T.size(), Keys.size());
   EXPECT_GT(T.capacity(), 512u) << "load factor alone stops at 512";
+  EXPECT_GT(T.capacity(), size_t(1) << 12) << "the keys share a home there";
   EXPECT_LT(T.maxProbeLength(), 255u);
   for (size_t I = 0; I != Keys.size(); ++I) {
     size_t Slot = T.findSlot(Keys[I], Store.reader());
     ASSERT_NE(Slot, DigramTable::Npos) << I;
     EXPECT_EQ(T.nodeAt(Slot), static_cast<NodeIdx>(I + 1));
   }
+  EXPECT_TRUE(entriesMatchKeys(T, Store));
+}
+
+TEST(DigramTableTest, ClusteredKeyFreeGrowthReadsNoKey) {
+  // 300 keys share a home slot in every table of up to 2^9 slots, so
+  // the displacement cap grows the table before the load factor does.
+  // Every doubling up to 2^10 is key-free, so insertion reads no key,
+  // and the displaced entry each growth carries is re-homed from its
+  // extension bits.
+  KeyStore Store;
+  DigramTable T;
+  std::vector<DigramKey> Keys = keysSharingHome(300, 9);
+  for (const DigramKey &K : Keys)
+    T.insert(K, Store.add(K), Store.reader());
+  EXPECT_EQ(Store.Reads, 0u);
+  EXPECT_EQ(T.size(), Keys.size());
+  EXPECT_GT(T.capacity(), 512u) << "load factor alone stops at 512";
+  EXPECT_GE(T.validExtensionBits(), DigramTable::MinValidBits);
+  EXPECT_LT(T.maxProbeLength(), 255u);
+  for (size_t I = 0; I != Keys.size(); ++I) {
+    size_t Slot = T.findSlot(Keys[I], Store.reader());
+    ASSERT_NE(Slot, DigramTable::Npos) << I;
+    EXPECT_EQ(T.nodeAt(Slot), static_cast<NodeIdx>(I + 1));
+  }
+  EXPECT_TRUE(entriesMatchKeys(T, Store));
+}
+
+TEST(DigramTableTest, DisplacementCapRebuildsAndRehomesTheCarriedEntry) {
+  // At 2^10 slots only MinValidBits extension bits are valid. 300 keys
+  // that share a home in every table of up to 2^11 slots hit the
+  // displacement cap there: the growth that follows rebuilds from the
+  // keys, and the next one (the keys still share a home at 2^11) is
+  // key-free again. The entry each growth carries must land on its key's
+  // home.
+  KeyStore Store;
+  DigramTable T;
+  insertRun(T, Store, uint64_t(1) << 40, FillsTo2Pow10);
+  ASSERT_EQ(T.capacity(), size_t(1) << 10);
+  ASSERT_EQ(T.validExtensionBits(), DigramTable::MinValidBits);
+  std::vector<DigramKey> Keys = keysSharingHome(300, 11);
+  for (const DigramKey &K : Keys)
+    T.insert(K, Store.add(K), Store.reader());
+  // Below the load factor: only the cap grew the table, past 2^11.
+  ASSERT_LT((T.size() + 1) * 10, (size_t(1) << 10) * 7);
+  EXPECT_EQ(T.capacity(), size_t(1) << 12);
+  EXPECT_EQ(T.validExtensionBits(), 7u);
+  // One rebuild: each entry indexed then, the carried one included, was
+  // read once.
+  EXPECT_GE(Store.Reads, FillsTo2Pow10 + 254);
+  EXPECT_LE(Store.Reads, T.size());
+  EXPECT_LT(T.maxProbeLength(), 255u);
+  EXPECT_TRUE(entriesMatchKeys(T, Store));
 }
 
 TEST(DigramTableTest, CollisionHeavyKeysKeepShortProbes) {
@@ -330,7 +493,7 @@ TEST(DigramTableTest, CollisionHeavyKeysKeepShortProbes) {
     DigramTable T;
     for (uint64_t I = 0; I != 8192; ++I) {
       DigramKey K{F.Base + I * F.Stride, F.Base + (I + 1) * F.Stride, 0};
-      T.insert(K, Store.add(K));
+      T.insert(K, Store.add(K), Store.reader());
     }
     EXPECT_LE(T.maxProbeLength(), 12u) << F.Name;
   }
@@ -342,13 +505,13 @@ TEST(DigramTableTest, FindOrInsertMatchesFindThenInsert) {
   KeyStore Store;
   DigramTable Split, Fused;
   Rng R(11);
-  for (uint64_t I = 0; I != 5000; ++I) {
-    DigramKey K{R.nextBelow(3000) * 64, R.nextBelow(4),
+  for (uint64_t I = 0; I != 20000; ++I) {
+    DigramKey K{R.nextBelow(30000) * 64, R.nextBelow(4),
                 static_cast<uint8_t>(R.nextBelow(4))};
     NodeIdx N = Store.add(K);
     size_t Slot = Split.findSlot(K, Store.reader());
     if (Slot == DigramTable::Npos)
-      Split.insert(K, N);
+      Split.insert(K, N, Store.reader());
     size_t FusedSlot = Fused.findOrInsert(K, N, Store.reader());
     ASSERT_EQ(FusedSlot, Slot) << I;
     if (Slot != DigramTable::Npos) {
@@ -357,12 +520,13 @@ TEST(DigramTableTest, FindOrInsertMatchesFindThenInsert) {
   }
   EXPECT_EQ(Fused.size(), Split.size());
   EXPECT_EQ(Fused.capacity(), Split.capacity());
+  EXPECT_GT(Fused.capacity(), size_t(1) << 11) << "past a rebuild";
   std::vector<uint64_t> A, B;
-  Split.forEach([&](size_t Slot, NodeIdx N, uint32_t H) {
-    A.insert(A.end(), {Slot, N, H});
+  Split.forEach([&](size_t Slot, NodeIdx N) {
+    A.insert(A.end(), {Slot, N, Split.homeOf(Slot)});
   });
-  Fused.forEach([&](size_t Slot, NodeIdx N, uint32_t H) {
-    B.insert(B.end(), {Slot, N, H});
+  Fused.forEach([&](size_t Slot, NodeIdx N) {
+    B.insert(B.end(), {Slot, N, Fused.homeOf(Slot)});
   });
   EXPECT_EQ(A, B);
 }
@@ -371,17 +535,14 @@ TEST(DigramTableTest, ForEachVisitsEveryEntry) {
   KeyStore Store;
   DigramTable T;
   constexpr uint64_t N = 1000;
-  for (uint64_t I = 0; I != N; ++I) {
-    DigramKey K{I, I + 1, 0};
-    T.insert(K, Store.add(K));
-  }
+  insertRun(T, Store, 0, N);
   std::vector<bool> Seen(N + 1, false);
-  T.forEach([&](size_t Slot, NodeIdx Node, uint32_t Hash) {
+  T.forEach([&](size_t Slot, NodeIdx Node) {
     ASSERT_GE(Node, 1u);
     ASSERT_LE(Node, N);
     const DigramKey &K = Store.Keys[Node];
     EXPECT_EQ(K.V2, K.V1 + 1);
-    EXPECT_EQ(Hash, DigramTable::hash32(K));
+    EXPECT_TRUE(T.matchesHash(Slot, K));
     EXPECT_EQ(T.nodeAt(Slot), Node);
     EXPECT_FALSE(Seen[Node]);
     Seen[Node] = true;
@@ -393,17 +554,14 @@ TEST(DigramTableTest, ForEachVisitsEveryEntry) {
 TEST(DigramTableTest, ReleaseFreesEverySlot) {
   KeyStore Store;
   DigramTable T;
-  for (uint64_t I = 0; I != 1000; ++I) {
-    DigramKey K{I, I + 1, 0};
-    T.insert(K, Store.add(K));
-  }
+  insertRun(T, Store, 0, 1000);
   ASSERT_EQ(T.capacity(), 2048u);
   T.release();
   EXPECT_EQ(T.size(), 0u);
   EXPECT_EQ(T.capacity(), 0u);
   EXPECT_EQ(T.maxProbeLength(), 0u);
   size_t Visited = 0;
-  T.forEach([&](size_t, NodeIdx, uint32_t) { ++Visited; });
+  T.forEach([&](size_t, NodeIdx) { ++Visited; });
   EXPECT_EQ(Visited, 0u);
 }
 

@@ -310,11 +310,15 @@ void expectSealKeepsReads(SequiturGrammar &G, const std::string &Label) {
   const ReadOnlyView Before = readOnlyView(G);
   const size_t Footprint = G.footprintBytes();
   const size_t IndexBytes = G.indexCapacity() * DigramTable::SlotBytes;
+  const size_t IndexSlots = G.indexCapacity();
   const size_t WideBytes = G.wideTableBytes();
   ASSERT_GT(IndexBytes, 0u) << Label;
+  ASSERT_EQ(G.indexSlots(), IndexSlots) << Label;
   G.seal();
   EXPECT_TRUE(G.sealed()) << Label;
   EXPECT_EQ(G.indexCapacity(), 0u) << Label;
+  // The gauge keeps the capacity the seal freed.
+  EXPECT_EQ(G.indexSlots(), IndexSlots) << Label;
   // The set holds at least two slots per value; the values stay.
   const size_t SetBytes = WideBytes - G.wideTableBytes();
   EXPECT_GE(SetBytes, G.numWideValues() * 2 * sizeof(uint32_t)) << Label;

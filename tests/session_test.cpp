@@ -232,6 +232,8 @@ TEST(SessionManagerTest, SnapshotsReadModuleGaugesPublishedByShards) {
                                          "whomp.offset.digram_checks",
                                          "whomp.offset.matches",
                                          "whomp.instr.matches",
+                                         "whomp.offset.index_slots",
+                                         "whomp.instr.index_slots",
                                          "leap.tuples",
                                          "leap.substreams"};
   std::map<std::string, int64_t> Serial;
@@ -248,6 +250,7 @@ TEST(SessionManagerTest, SnapshotsReadModuleGaugesPublishedByShards) {
   ASSERT_GT(Serial["whomp.tuples"], 0);
   ASSERT_GT(Serial["whomp.offset.rules_created"], 0);
   ASSERT_GT(Serial["whomp.offset.digram_checks"], Serial["whomp.tuples"]);
+  ASSERT_GE(Serial["whomp.offset.index_slots"], 64);
 
   traceio::TraceReader Reader;
   ASSERT_TRUE(Reader.open(Path)) << Reader.error();
@@ -417,7 +420,7 @@ TEST(ProfileSessionTest, MemoryEstimateCountsGrammarFootprints) {
 TEST(ProfileSessionTest, FinalizeGivesBackTheDigramIndexes) {
   // finalize() seals the four WHOMP grammars: the estimate drops by at
   // least the bytes of their four digram indexes, and their digram
-  // counts survive for the gauges.
+  // counts and index capacities survive for the gauges.
   std::string Path = tempPath("sealed.orpt");
   recordTrace("164.gzip-a", Path);
   traceio::TraceReader Reader;
@@ -429,11 +432,12 @@ TEST(ProfileSessionTest, FinalizeGivesBackTheDigramIndexes) {
       core::Dimension::Instruction, core::Dimension::Group,
       core::Dimension::Object, core::Dimension::Offset};
   size_t IndexBytes = 0;
-  std::vector<size_t> Digrams;
+  std::vector<size_t> Digrams, Slots;
   for (core::Dimension D : Dims) {
     const sequitur::SequiturGrammar &G = Session.whomp()->grammarFor(D);
     IndexBytes += G.indexCapacity() * sequitur::DigramTable::SlotBytes;
     Digrams.push_back(G.numDigrams());
+    Slots.push_back(G.indexCapacity());
   }
   const size_t Before = Session.memoryEstimateBytes();
   ASSERT_GT(IndexBytes, 0u);
@@ -448,6 +452,7 @@ TEST(ProfileSessionTest, FinalizeGivesBackTheDigramIndexes) {
     EXPECT_TRUE(G.sealed());
     EXPECT_EQ(G.indexCapacity(), 0u);
     EXPECT_EQ(G.numDigrams(), Digrams[I]);
+    EXPECT_EQ(G.indexSlots(), Slots[I]);
   }
   std::remove(Path.c_str());
 }
