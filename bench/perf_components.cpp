@@ -15,13 +15,13 @@
 #include "leap/LeapProfileData.h"
 #include "lmad/LmadCompressor.h"
 #include "omc/ObjectManager.h"
+#include "session/ProfileSession.h"
 #include "sequitur/Sequitur.h"
 #include "support/Random.h"
 #include "support/VarInt.h"
 #include "telemetry/Metric.h"
 #include "traceio/BlockCodec.h"
 #include "traceio/TraceReader.h"
-#include "traceio/TraceReplayer.h"
 #include "traceio/TraceWriter.h"
 #include "whomp/Whomp.h"
 #include "workloads/Workload.h"
@@ -201,17 +201,11 @@ void BM_BlockDecode(benchmark::State &State) {
   traceio::DecodedBlock Block;
   uint64_t Sink = 0;
   for (auto _ : State) {
-    bool Ok;
-    if (Version == 1) {
-      Ok = traceio::decodeEventBlock(
-          Payload.data(), Payload.size(), NumEvents,
-          [&](const traceio::TraceEvent &E) { Sink += E.Addr; }, Err);
-    } else {
-      Ok = traceio::decodeEventBlockV2(Payload.data(), Payload.size(),
-                                       NumEvents, Block, Err);
-      for (const trace::AccessEvent &E : Block.Accesses)
-        Sink += E.Addr;
-    }
+    bool Ok = traceio::decodeEventBlock(static_cast<uint8_t>(Version),
+                                        Payload.data(), Payload.size(),
+                                        NumEvents, Block, Err);
+    for (const trace::AccessEvent &E : Block.Accesses)
+      Sink += E.Addr;
     if (!Ok) {
       State.SkipWithError(Err.c_str());
       return;
@@ -365,22 +359,18 @@ void BM_PipelineReplayThreads(benchmark::State &State) {
   }
   telemetry::setEnabled(Telemetry);
   uint64_t Events = 0;
+  session::SessionConfig Config = session::recordedConfig(Reader);
+  Config.ProfilerThreads = Threads;
   for (auto _ : State) {
-    traceio::TraceReplayer Replayer(Reader);
-    Replayer.setThreads(Threads);
-    auto Session = Replayer.makeSession();
-    whomp::WhompProfiler Whomp(Threads);
-    leap::LeapProfiler Leap(lmad::LmadCompressor::DefaultMaxLmads,
-                            Threads);
-    Session->addConsumer(&Whomp);
-    Session->addConsumer(&Leap);
-    if (!Replayer.replayInto(*Session)) {
+    session::ProfileSession Session("replay", Config);
+    if (!Session.replayFrom(Reader, Threads)) {
       State.SkipWithError("replay failed on a valid trace");
       return;
     }
-    Events += Replayer.eventsReplayed();
-    benchmark::DoNotOptimize(Whomp.sizes().total());
-    benchmark::DoNotOptimize(Leap.serializedSizeBytes());
+    session::SessionArtifacts A = Session.finalize();
+    Events += A.Events;
+    benchmark::DoNotOptimize(A.Omsg.size());
+    benchmark::DoNotOptimize(A.Leap.size());
   }
   telemetry::setEnabled(true);
   State.SetItemsProcessed(static_cast<int64_t>(Events));
@@ -428,17 +418,14 @@ void BM_TieredSim(benchmark::State &State) {
   // Profile once, outside the timed region, so the advised policy has a
   // real report to place from.
   static const advisor::AdvisorReport Report = [&Reader] {
-    whomp::WhompProfiler Whomp;
-    leap::LeapProfiler Leap;
-    traceio::TraceReplayer Replayer(Reader);
-    auto Session = Replayer.makeSession();
-    Session->addConsumer(&Whomp);
-    Session->addConsumer(&Leap);
-    (void)Replayer.replayInto(*Session);
+    session::ProfileSession Session("profile",
+                                    session::recordedConfig(Reader));
+    (void)Session.replayFrom(Reader);
+    (void)Session.finalize();
     advisor::HotColdClassifier Classifier;
     return Classifier.classify(
-        leap::LeapProfileData::fromProfiler(Leap),
-        whomp::OmsgArchive::build(Whomp, &Session->omc()));
+        leap::LeapProfileData::fromProfiler(*Session.leap()),
+        whomp::OmsgArchive::build(*Session.whomp(), &Session.core().omc()));
   }();
   advisor::TieredSimOptions Opts;
   Opts.Policy = static_cast<memsim::TierPolicy>(State.range(0));

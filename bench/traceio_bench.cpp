@@ -11,9 +11,9 @@
 
 #include "common/BenchCommon.h"
 #include "core/ProfilingSession.h"
+#include "session/ProfileSession.h"
 #include "support/TablePrinter.h"
 #include "support/Timer.h"
-#include "traceio/TraceReplayer.h"
 #include "traceio/TraceWriter.h"
 #include "whomp/Whomp.h"
 #include "workloads/Workload.h"
@@ -121,32 +121,25 @@ int main(int Argc, char **Argv) {
         GzBytes = fileSize(TextPath + ".gz");
     }
 
-    // Replay throughput, bare (decode + inject only).
+    // Replay throughput, bare (decode + inject only) and with a WHOMP
+    // profiler downstream.
     uint64_t Events = Reader.info().TotalEvents;
-    traceio::TraceReplayer Replayer(Reader);
-    double BareSecs;
-    {
-      auto Fresh = Replayer.makeSession();
+    auto TimeReplay = [&](bool WithWhomp, double &Secs) {
+      session::SessionConfig Config = session::recordedConfig(Reader);
+      Config.EnableWhomp = WithWhomp;
+      Config.EnableLeap = false;
+      session::ProfileSession Fresh(Name, Config);
       Timer Clock;
-      if (!Replayer.replayInto(*Fresh)) {
-        std::fprintf(stderr, "replay failed: %s\n", Replayer.error().c_str());
-        return 1;
-      }
-      BareSecs = Clock.seconds();
-    }
-    // Replay throughput with a WHOMP profiler downstream.
-    double WhompSecs;
-    {
-      auto Fresh = Replayer.makeSession();
-      whomp::WhompProfiler Whomp;
-      Fresh->addConsumer(&Whomp);
-      Timer Clock;
-      if (!Replayer.replayInto(*Fresh)) {
-        std::fprintf(stderr, "replay failed: %s\n", Replayer.error().c_str());
-        return 1;
-      }
-      WhompSecs = Clock.seconds();
-    }
+      bool Ok = Fresh.replayFrom(Reader);
+      (void)Fresh.finalize();
+      Secs = Clock.seconds();
+      if (!Ok)
+        std::fprintf(stderr, "replay failed: %s\n", Fresh.error().c_str());
+      return Ok;
+    };
+    double BareSecs, WhompSecs;
+    if (!TimeReplay(false, BareSecs) || !TimeReplay(true, WhompSecs))
+      return 1;
 
     T.addRow({Name, TablePrinter::fmt(Events), TablePrinter::fmt(OrptBytes),
               TablePrinter::fmt(

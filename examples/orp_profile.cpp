@@ -195,6 +195,14 @@ int main(int Argc, char **Argv) {
     return 1;
   }
 
+  // The extra sinks and consumers are declared before the session that
+  // calls their onFinish() when it is destroyed, so every early return
+  // below frees them after it.
+  analysis::PhaseDetector Phases;
+  trace::CountingSink Counter;
+  std::unique_ptr<traceio::TraceWriter> Recorder;
+  std::unique_ptr<trace::MetricsTicker> Ticker;
+
   // The pipeline is one ProfileSession — the same engine the trace
   // replay CLI and the orp-traced daemon run — fed live here.
   session::SessionConfig SessionCfg;
@@ -207,10 +215,7 @@ int main(int Argc, char **Argv) {
   session::ProfileSession Profile(Opt.Workload, SessionCfg);
   core::ProfilingSession &Session = Profile.core();
 
-  analysis::PhaseDetector Phases;
-  trace::CountingSink Counter;
   Session.addRawSink(&Counter);
-  std::unique_ptr<traceio::TraceWriter> Recorder;
   if (!Opt.RecordPath.empty()) {
     Recorder = std::make_unique<traceio::TraceWriter>(
         Opt.RecordPath, Session.registry(), Opt.Policy, Opt.EnvSeed);
@@ -220,7 +225,6 @@ int main(int Argc, char **Argv) {
     }
     Session.addRawSink(Recorder.get());
   }
-  std::unique_ptr<trace::MetricsTicker> Ticker;
   if (Opt.MetricsInterval && !Opt.MetricsPath.empty()) {
     if (Opt.MetricsPath != "-") {
       // Truncate up front so the periodic appends start clean.

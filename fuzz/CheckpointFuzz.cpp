@@ -95,18 +95,11 @@ traceio::TraceReader &traceReader() {
   return Reader;
 }
 
-session::SessionConfig configFor(const traceio::TraceReader &Reader) {
-  session::SessionConfig Config;
-  Config.Policy = static_cast<memsim::AllocPolicy>(Reader.info().AllocPolicy);
-  Config.Seed = Reader.info().Seed;
-  return Config;
-}
-
 /// Restores \p Image into a fresh session and checks the properties
 /// above.
 void checkImage(const std::vector<uint8_t> &Image) {
   traceio::TraceReader &Reader = traceReader();
-  session::ProfileSession Session("fuzz", configFor(Reader));
+  session::ProfileSession Session("fuzz", session::recordedConfig(Reader));
   uint64_t Next = 0;
   std::string Err;
   if (!Session.restoreCheckpoint(Image, Reader, Next, Err)) {
@@ -117,7 +110,7 @@ void checkImage(const std::vector<uint8_t> &Image) {
                    "accepted checkpoint resumes past the trace");
 
   std::vector<uint8_t> Again = Session.checkpoint(Reader, Next);
-  session::ProfileSession Twin("fuzz-twin", configFor(Reader));
+  session::ProfileSession Twin("fuzz-twin", session::recordedConfig(Reader));
   uint64_t TwinNext = 0;
   ORP_FUZZ_REQUIRE(Twin.restoreCheckpoint(Again, Reader, TwinNext, Err),
                    "re-checkpoint of an accepted image is rejected");
@@ -162,7 +155,7 @@ std::vector<std::vector<uint8_t>> orpFuzzSeedInputs() {
   // A checkpoint at the start, after the first block, mid-trace (live
   // objects, one freed) and at the end.
   for (uint64_t At : {uint64_t(0), uint64_t(1), Blocks / 2, Blocks}) {
-    session::ProfileSession Session("seed", configFor(Reader));
+    session::ProfileSession Session("seed", session::recordedConfig(Reader));
     ORP_FUZZ_REQUIRE(Session.replayFrom(Reader, 1, 0, At),
                      "seed replay failed");
     Seeds.push_back(Session.checkpoint(Reader, At));

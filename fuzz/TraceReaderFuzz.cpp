@@ -61,28 +61,18 @@ std::vector<EventKey> keysOf(const std::vector<traceio::TraceEvent> &Events) {
   return Keys;
 }
 
-/// Decodes block \p B alone, through the columnar decoder for v2 and
-/// the per-event decoder for v1, and flattens the result: the verdict,
-/// then the events (for v2, each boundary's position and event, then
-/// the access column).
+/// Decodes block \p B alone and flattens the result: the verdict, then
+/// each boundary's position and event, then the access column.
 std::vector<EventKey> decodeBlockAlone(traceio::TraceReader &R, size_t B) {
-  std::vector<EventKey> Keys;
-  if (R.info().Version >= traceio::kFormatVersionV2) {
-    traceio::DecodedBlock Block;
-    bool Ok = R.decodeBlockColumns(B, Block);
-    Keys.push_back({Ok, 0, 0, 0, 0, false, false});
-    for (const traceio::DecodedBlock::Boundary &Bd : Block.Boundaries) {
-      Keys.push_back({-1, 0, Bd.AccessesBefore, 0, 0, false, false});
-      Keys.push_back(keyOf(Bd.E));
-    }
-    for (const trace::AccessEvent &A : Block.Accesses)
-      Keys.push_back({0, A.Instr, A.Addr, A.Size, A.Time, A.IsStore, false});
-  } else {
-    std::vector<traceio::TraceEvent> Events;
-    bool Ok = R.decodeBlockEvents(B, Events);
-    Keys = keysOf(Events);
-    Keys.insert(Keys.begin(), EventKey{Ok, 0, 0, 0, 0, false, false});
+  traceio::DecodedBlock Block;
+  bool Ok = R.decodeBlockColumns(B, Block);
+  std::vector<EventKey> Keys{{Ok, 0, 0, 0, 0, false, false}};
+  for (const traceio::DecodedBlock::Boundary &Bd : Block.Boundaries) {
+    Keys.push_back({-1, 0, Bd.AccessesBefore, 0, 0, false, false});
+    Keys.push_back(keyOf(Bd.E));
   }
+  for (const trace::AccessEvent &A : Block.Accesses)
+    Keys.push_back({0, A.Instr, A.Addr, A.Size, A.Time, A.IsStore, false});
   return Keys;
 }
 

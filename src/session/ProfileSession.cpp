@@ -9,14 +9,67 @@
 #include "support/Endian.h" // orp-lint: allow(endian-io): artifact framing
 #include "support/Error.h"
 #include "support/VarInt.h"
+#include "support/WorkerPool.h"
+#include "telemetry/Registry.h"
 #include "traceio/BlockCodec.h"
-#include "traceio/TraceReplayer.h"
 #include "whomp/OmsgArchive.h"
 
 #include <algorithm>
+#include <optional>
 
 using namespace orp;
 using namespace orp::session;
+
+namespace {
+
+/// Blocks the replay decode-ahead worker may buffer ahead of injection.
+constexpr size_t kDecodeQueueDepth = 2;
+
+/// Injects \p Block (block \p BlockIndex) into \p Session's memory in
+/// delivery order: every run of accesses between boundaries travels as
+/// one injectAccessBatch span, frees go through injectFree and allocs
+/// through the session's checked injectAlloc. Adds the events injected
+/// to \p Injected. An allocation the OMC cannot register ends the block
+/// before it: returns false with \p Err set.
+bool injectDecodedBlock(core::ProfilingSession &Session,
+                        const traceio::DecodedBlock &Block,
+                        uint64_t BlockIndex, uint64_t &Injected,
+                        std::string &Err) {
+  trace::MemoryInterface &Memory = Session.memory();
+  const trace::AccessEvent *Accesses = Block.Accesses.data();
+  size_t Cursor = 0;
+  for (size_t I = 0; I != Block.Boundaries.size(); ++I) {
+    const traceio::DecodedBlock::Boundary &B = Block.Boundaries[I];
+    if (B.AccessesBefore > Cursor) {
+      Memory.injectAccessBatch(std::span<const trace::AccessEvent>(
+          Accesses + Cursor, B.AccessesBefore - Cursor));
+      Cursor = B.AccessesBefore;
+    }
+    if (B.E.K == traceio::TraceEvent::Kind::Free) {
+      Memory.injectFree(trace::FreeEvent{B.E.Addr, B.E.Time});
+    } else if (!Session.injectAlloc(
+                   trace::AllocEvent{B.E.InstrOrSite, B.E.Addr, B.E.Size,
+                                     B.E.Time, B.E.IsStatic},
+                   BlockIndex, Err)) {
+      Injected += Cursor + I; // The accesses and boundaries before it.
+      return false;
+    }
+  }
+  if (Cursor < Block.Accesses.size())
+    Memory.injectAccessBatch(std::span<const trace::AccessEvent>(
+        Accesses + Cursor, Block.Accesses.size() - Cursor));
+  Injected += Block.events();
+  return true;
+}
+
+} // namespace
+
+SessionConfig session::recordedConfig(const traceio::TraceReader &Reader) {
+  SessionConfig Config;
+  Config.Policy = static_cast<memsim::AllocPolicy>(Reader.info().AllocPolicy);
+  Config.Seed = Reader.info().Seed;
+  return Config;
+}
 
 ProfileSession::ProfileSession(std::string Name, const SessionConfig &Config,
                                telemetry::Registry &Collectors)
@@ -66,36 +119,12 @@ bool ProfileSession::injectBlock(const uint8_t *Payload, size_t Len,
     Failed = true;
     return false;
   }
-  if (FormatVersion >= traceio::kFormatVersionV2) {
-    traceio::DecodedBlock Block;
-    if (!traceio::verifyBlockChecksum(Payload, Len, Crc, BlockIndex,
-                                      /*BaseOffset=*/0, Err) ||
-        !traceio::decodeEventBlockV2(Payload, Len, EventCount, Block, Err,
-                                     BlockIndex, /*BaseOffset=*/0) ||
-        !traceio::injectDecodedBlock(*Core, Block, BlockIndex, Events, Err)) {
-      Failed = true;
-      return false;
-    }
-    return true;
-  }
-  // A refused allocation ends injection; the decoder still walks (and
-  // checks) the rest of the block.
-  std::string InjectErr;
-  auto Inject = [&](const traceio::TraceEvent &E) {
-    if (!InjectErr.empty())
-      return;
-    if (traceio::injectEvent(*Core, E, BlockIndex, InjectErr))
-      ++Events;
-  };
+  traceio::DecodedBlock Block;
   if (!traceio::verifyBlockChecksum(Payload, Len, Crc, BlockIndex,
                                     /*BaseOffset=*/0, Err) ||
-      !traceio::decodeEventBlock(Payload, Len, EventCount, Inject, Err,
-                                 BlockIndex, /*BaseOffset=*/0)) {
-    Failed = true;
-    return false;
-  }
-  if (!InjectErr.empty()) {
-    Err = std::move(InjectErr);
+      !traceio::decodeEventBlock(FormatVersion, Payload, Len, EventCount,
+                                 Block, Err, BlockIndex, /*BaseOffset=*/0) ||
+      !injectDecodedBlock(*Core, Block, BlockIndex, Events, Err)) {
     Failed = true;
     return false;
   }
@@ -117,25 +146,65 @@ bool ProfileSession::replayFrom(
     const std::function<void(uint64_t)> &BlockDone) {
   if (rejectFinalized())
     return false;
-  traceio::TraceReplayer Replayer(Reader);
-  Replayer.setThreads(DecodeThreads);
-  size_t End = ~static_cast<size_t>(0);
-  if (EndBlock < End)
-    End = static_cast<size_t>(EndBlock);
-  Replayer.setBlockRange(static_cast<size_t>(FirstBlock), End);
-  if (BlockDone)
-    Replayer.setBlockCallback(
-        [&BlockDone](size_t Next) { BlockDone(Next); });
-  // finalize() finishes the pipeline exactly once, whichever path fed
-  // it; the replayer must not finish it early.
-  if (!Replayer.replayInto(*Core, /*CallFinish=*/false)) {
-    Events += Replayer.eventsReplayed();
-    Failed = true;
-    Err = Replayer.error();
-    return false;
+  registerProbeTables(Reader.instructions(), Reader.allocSites());
+  telemetry::Registry &Reg = telemetry::Registry::global();
+  telemetry::ScopedTimer ReplayTiming(Reg.timer("replay.total"));
+  const uint64_t NumBlocks = Reader.numEventBlocks();
+  const uint64_t B0 = std::min(FirstBlock, NumBlocks);
+  const uint64_t B1 = std::clamp(EndBlock, B0, NumBlocks);
+  const uint64_t EventsBefore = Events;
+
+  // Decode-ahead: one worker decodes the blocks in order into a bounded
+  // queue while this thread injects, so delivery order is the serial
+  // order. It only reads the reader; the pipeline, which is not
+  // thread-safe, is only ever touched from this thread. The worker
+  // pushes every block it decodes, so a pop that fails before the range
+  // ends means it stopped at a corrupt block.
+  support::SpscQueue<traceio::DecodedBlock> Decoded(kDecodeQueueDepth);
+  std::optional<support::ScopedThread> Decoder;
+  if (DecodeThreads > 1 && B1 - B0 >= 2)
+    Decoder.emplace([&Reader, &Decoded, B0, B1] {
+      traceio::DecodedBlock Block;
+      for (uint64_t B = B0; B != B1; ++B) {
+        if (!Reader.decodeBlockColumns(B, Block) ||
+            !Decoded.push(std::move(Block)))
+          break; // A corrupt block, or the consumer stopped.
+        Block = traceio::DecodedBlock();
+      }
+      Decoded.close();
+    });
+
+  traceio::DecodedBlock Block;
+  std::string InjectErr;
+  bool Ok = true;
+  for (uint64_t B = B0; Ok && B != B1; ++B) {
+    Ok = (Decoder ? Decoded.pop(Block)
+                  : Reader.decodeBlockColumns(B, Block)) &&
+         injectDecodedBlock(*Core, Block, B, Events, InjectErr);
+    if (Ok && BlockDone)
+      BlockDone(B + 1);
   }
-  Events += Replayer.eventsReplayed();
-  return true;
+  if (Decoder) {
+    Decoded.close(); // Stops a worker still ahead of a failed injection.
+    Decoder->join(); // Publishes the reader's error to this thread.
+    // The queue's high watermark vs capacity says whether the worker
+    // kept ahead of injection; PushStalls counts the times it outran it.
+    support::QueueTelemetry QT = Decoded.telemetry();
+    Reg.gauge("replay.decode_queue.capacity")
+        .set(static_cast<int64_t>(QT.Capacity));
+    Reg.gauge("replay.decode_queue.high_watermark")
+        .set(static_cast<int64_t>(QT.HighWatermark));
+    Reg.gauge("replay.decode_queue.pushes")
+        .set(static_cast<int64_t>(QT.Pushes));
+    Reg.gauge("replay.decode_queue.push_stalls")
+        .set(static_cast<int64_t>(QT.PushStalls));
+  }
+  Reg.counter("replay.events").add(Events - EventsBefore);
+  if (!Ok) {
+    Failed = true;
+    Err = InjectErr.empty() ? Reader.error() : InjectErr;
+  }
+  return Ok;
 }
 
 std::vector<uint8_t>

@@ -50,6 +50,11 @@ struct SessionConfig {
   unsigned ProfilerThreads = 1;
 };
 
+/// The configuration of the run \p Reader's trace was recorded from:
+/// the allocator policy and environment seed of its header, every other
+/// field at its default.
+SessionConfig recordedConfig(const traceio::TraceReader &Reader);
+
 /// The finished products of one session.
 struct SessionArtifacts {
   std::string Name;
@@ -78,7 +83,9 @@ public:
 
   /// The underlying pipeline, for front ends that attach extra sinks
   /// (RASG baseline, metrics tickers) or run a live workload against
-  /// memory()/registry().
+  /// memory()/registry(). Sinks and consumers attached here must outlive
+  /// the session: an unfinalized session's destructor finishes the
+  /// pipeline, which calls their onFinish().
   core::ProfilingSession &core() { return *Core; }
 
   /// The enabled profilers (nullptr when disabled), for front ends that
@@ -97,11 +104,13 @@ public:
   /// Verifies and decodes one still-encoded .orpt event block payload
   /// and injects its events into the pipeline. \p FormatVersion is the
   /// payload's .orpt format version (EVENTS frames carry it; a file
-  /// replay uses the header's): v1 blocks stream per event, v2 blocks
-  /// decode columnar and inject whole access slices. \p BlockIndex
-  /// labels diagnostics (the sender's running block count). Returns
-  /// false — latching failed()/error() — on a corrupt block; the
-  /// session then rejects further injection but can still be finalized.
+  /// replay uses the header's); either way the block decodes into a
+  /// traceio::DecodedBlock and its accesses are injected a whole slice
+  /// at a time, and a block that fails to decode injects none of its
+  /// events. \p BlockIndex labels diagnostics (the sender's running
+  /// block count). Returns false — latching failed()/error() — on a
+  /// corrupt block; the session then rejects further injection but can
+  /// still be finalized.
   /// After finalize() it returns false with error() "session already
   /// finalized" and changes nothing: failed() and the artifacts stay as
   /// they were.
@@ -110,12 +119,18 @@ public:
                    uint8_t FormatVersion);
 
   /// Registers \p Reader's probe tables and replays its event blocks
-  /// [\p FirstBlock, \p EndBlock) — the defaults cover the whole trace
-  /// (decode-ahead with \p DecodeThreads > 1; delivery order and
-  /// artifacts are identical either way). \p BlockDone, when set, runs
-  /// on the calling thread after each block with the index of the next
-  /// block — the resume point a checkpoint() taken from inside the
-  /// callback would encode. Returns false on corruption, and after
+  /// [\p FirstBlock, \p EndBlock) — the defaults cover the whole trace;
+  /// \p EndBlock is clamped to the block count. Blocks are the trace's
+  /// only safe split points: events inside one are delta-coded against
+  /// each other. With \p DecodeThreads > 1 one worker decodes the next
+  /// blocks while this thread injects the current one; the pipeline is
+  /// only ever touched from this thread, so delivery order and artifacts
+  /// are identical either way. \p BlockDone, when set, runs on the
+  /// calling thread after each block with the index of the next block —
+  /// the resume point a checkpoint() taken from inside the callback
+  /// would encode. Returns false, latching failed()/error(), on a
+  /// corrupt block or an allocation the OMC cannot register (events
+  /// before the bad block or allocation stay injected), and after
   /// finalize() just as injectBlock() does.
   bool replayFrom(traceio::TraceReader &Reader, unsigned DecodeThreads = 1,
                   uint64_t FirstBlock = 0,

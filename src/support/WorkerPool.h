@@ -17,7 +17,7 @@
 ///     handler mutates — no locks on the append path.
 ///
 ///   * ScopedThread: a join-on-destruction thread for producer-side
-///     stages (the TraceReplayer's decode-ahead thread).
+///     stages (the decode-ahead thread of ProfileSession::replayFrom).
 ///
 /// This header (with SpscQueue.h) is the only place in the repository
 /// allowed to use std::thread directly; everything else goes through

@@ -113,7 +113,7 @@ public:
   /// \name Replay hooks
   /// Deliver a pre-recorded event verbatim to every attached sink,
   /// bypassing the simulated allocator and the live clock. Used by
-  /// traceio::TraceReplayer to re-drive a session from a trace file;
+  /// session::ProfileSession to re-drive a pipeline from recorded blocks;
   /// the event's recorded timestamp is forwarded unchanged and the
   /// clock is advanced so now() stays consistent with the recording.
   /// @{

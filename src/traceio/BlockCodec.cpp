@@ -2,11 +2,9 @@
 
 #include "traceio/BlockCodec.h"
 
-#include "core/ProfilingSession.h"
 #include "support/Checksum.h"
 #include "support/VarInt.h"
 #include "telemetry/Registry.h"
-#include "trace/MemoryInterface.h"
 
 using namespace orp;
 using namespace orp::traceio;
@@ -18,10 +16,10 @@ std::string where(uint64_t BlockIndex, uint64_t AbsOffset) {
          std::to_string(AbsOffset);
 }
 
-/// Block-granularity decode instrumentation shared by both payload
-/// decoders (one histogram sample + two counter bumps per block, not
-/// per event). Safe from decode-ahead and session-scheduler workers:
-/// the metrics are shard-atomic. The references resolve once.
+/// Block-granularity decode instrumentation (one histogram sample + two
+/// counter bumps per block, not per event). Safe from decode-ahead and
+/// session-scheduler workers: the metrics are shard-atomic. The
+/// references resolve once.
 struct DecodeMetrics {
   telemetry::Histogram &Ns;
   telemetry::Counter &Blocks;
@@ -36,47 +34,30 @@ struct DecodeMetrics {
   }
 };
 
-} // namespace
-
-bool traceio::verifyBlockChecksum(const uint8_t *Payload, size_t Len,
-                                  uint32_t Crc, uint64_t BlockIndex,
-                                  uint64_t BaseOffset, std::string &Err) {
-  if (crc32(Payload, Len) == Crc)
-    return true;
-  Err = where(BlockIndex, BaseOffset) +
-        ": checksum mismatch (corrupted file)";
-  return false;
-}
-
-bool traceio::decodeEventBlock(
-    const uint8_t *Payload, size_t Len, uint64_t EventCount,
-    const std::function<void(const TraceEvent &)> &Fn, std::string &Err,
-    uint64_t BlockIndex, uint64_t BaseOffset) {
-  DecodeMetrics &Metrics = DecodeMetrics::get();
-  telemetry::ScopedHistogramTimer Timing(Metrics.Ns);
-  Metrics.Blocks.add();
-  Metrics.Events.add(EventCount);
-
+/// Decodes a v1 payload: one interleaved record per event, walked in
+/// delivery order.
+bool decodeV1(const uint8_t *Payload, size_t Len, uint64_t EventCount,
+              DecodedBlock &Out, std::string &Err, uint64_t BlockIndex,
+              uint64_t BaseOffset) {
   size_t Pos = 0;
   uint64_t PrevAddr = 0, PrevTime = 0;
   auto Fail = [&](const std::string &Msg) {
     Err = where(BlockIndex, BaseOffset + Pos) + ": " + Msg;
+    Out.clear();
     return false;
   };
   // Field readers that fold the decode status (truncated / overflow /
   // overlong) into the diagnostic, so a fuzzer-found corruption is
   // distinguishable from a short read.
-  auto ReadU = [&](uint64_t &Out, const char *Record) {
-    VarIntStatus St =
-        decodeULEB128Checked(Payload, Len, Pos, Out);
+  auto ReadU = [&](uint64_t &Value, const char *Record) {
+    VarIntStatus St = decodeULEB128Checked(Payload, Len, Pos, Value);
     if (St == VarIntStatus::Ok)
       return true;
     return Fail(std::string("malformed ") + Record + " record (" +
                 varIntStatusName(St) + " varint)");
   };
-  auto ReadS = [&](int64_t &Out, const char *Record) {
-    VarIntStatus St =
-        decodeSLEB128Checked(Payload, Len, Pos, Out);
+  auto ReadS = [&](int64_t &Value, const char *Record) {
+    VarIntStatus St = decodeSLEB128Checked(Payload, Len, Pos, Value);
     if (St == VarIntStatus::Ok)
       return true;
     return Fail(std::string("malformed ") + Record + " record (" +
@@ -140,23 +121,24 @@ bool traceio::decodeEventBlock(
     }
     PrevAddr = Event.Addr;
     PrevTime = Event.Time;
-    Fn(Event);
+    if (Event.K == TraceEvent::Kind::Access)
+      Out.Accesses.push_back(trace::AccessEvent{
+          Event.InstrOrSite, Event.Addr, static_cast<uint32_t>(Event.Size),
+          Event.IsStore, Event.Time});
+    else
+      Out.Boundaries.push_back(
+          DecodedBlock::Boundary{Out.Accesses.size(), Event});
   }
   if (Pos != Len)
     return Fail("trailing bytes in event payload");
   return true;
 }
 
-bool traceio::decodeEventBlockV2(const uint8_t *Payload, size_t Len,
-                                 uint64_t EventCount, DecodedBlock &Out,
-                                 std::string &Err, uint64_t BlockIndex,
-                                 uint64_t BaseOffset) {
-  DecodeMetrics &Metrics = DecodeMetrics::get();
-  telemetry::ScopedHistogramTimer Timing(Metrics.Ns);
-  Metrics.Blocks.add();
-  Metrics.Events.add(EventCount);
-
-  Out.clear();
+/// Decodes a v2 columnar payload: five length-prefixed columns, each
+/// decoded in its own loop, then zipped back into delivery order.
+bool decodeV2(const uint8_t *Payload, size_t Len, uint64_t EventCount,
+              DecodedBlock &Out, std::string &Err, uint64_t BlockIndex,
+              uint64_t BaseOffset) {
   auto FailAt = [&](size_t At, const std::string &Msg) {
     Err = where(BlockIndex, BaseOffset + At) + ": " + Msg;
     Out.clear();
@@ -341,6 +323,35 @@ bool traceio::decodeEventBlockV2(const uint8_t *Payload, size_t Len,
   return true;
 }
 
+} // namespace
+
+bool traceio::verifyBlockChecksum(const uint8_t *Payload, size_t Len,
+                                  uint32_t Crc, uint64_t BlockIndex,
+                                  uint64_t BaseOffset, std::string &Err) {
+  if (crc32(Payload, Len) == Crc)
+    return true;
+  Err = where(BlockIndex, BaseOffset) +
+        ": checksum mismatch (corrupted file)";
+  return false;
+}
+
+bool traceio::decodeEventBlock(uint8_t Version, const uint8_t *Payload,
+                               size_t Len, uint64_t EventCount,
+                               DecodedBlock &Out, std::string &Err,
+                               uint64_t BlockIndex, uint64_t BaseOffset) {
+  DecodeMetrics &Metrics = DecodeMetrics::get();
+  telemetry::ScopedHistogramTimer Timing(Metrics.Ns);
+  Metrics.Blocks.add();
+  Metrics.Events.add(EventCount);
+
+  Out.clear();
+  if (Version >= kFormatVersionV2)
+    return decodeV2(Payload, Len, EventCount, Out, Err, BlockIndex,
+                    BaseOffset);
+  return decodeV1(Payload, Len, EventCount, Out, Err, BlockIndex,
+                  BaseOffset);
+}
+
 void traceio::forEachDecodedEvent(
     const DecodedBlock &Block,
     const std::function<void(const TraceEvent &)> &Fn) {
@@ -362,71 +373,4 @@ void traceio::forEachDecodedEvent(
   }
   for (; Cursor != Block.Accesses.size(); ++Cursor)
     EmitAccess(Block.Accesses[Cursor]);
-}
-
-bool traceio::decodeEventBlockAny(
-    uint8_t Version, const uint8_t *Payload, size_t Len, uint64_t EventCount,
-    const std::function<void(const TraceEvent &)> &Fn, std::string &Err,
-    uint64_t BlockIndex, uint64_t BaseOffset) {
-  if (Version < kFormatVersionV2)
-    return decodeEventBlock(Payload, Len, EventCount, Fn, Err, BlockIndex,
-                            BaseOffset);
-  DecodedBlock Block;
-  if (!decodeEventBlockV2(Payload, Len, EventCount, Block, Err, BlockIndex,
-                          BaseOffset))
-    return false;
-  forEachDecodedEvent(Block, Fn);
-  return true;
-}
-
-bool traceio::injectDecodedBlock(core::ProfilingSession &Session,
-                                 const DecodedBlock &Block,
-                                 uint64_t BlockIndex, uint64_t &Injected,
-                                 std::string &Err) {
-  trace::MemoryInterface &Memory = Session.memory();
-  const trace::AccessEvent *Accesses = Block.Accesses.data();
-  size_t Cursor = 0;
-  for (size_t I = 0; I != Block.Boundaries.size(); ++I) {
-    const DecodedBlock::Boundary &B = Block.Boundaries[I];
-    if (B.AccessesBefore > Cursor) {
-      Memory.injectAccessBatch(std::span<const trace::AccessEvent>(
-          Accesses + Cursor, B.AccessesBefore - Cursor));
-      Cursor = B.AccessesBefore;
-    }
-    if (B.E.K == TraceEvent::Kind::Free) {
-      Memory.injectFree(trace::FreeEvent{B.E.Addr, B.E.Time});
-    } else if (!Session.injectAlloc(
-                   trace::AllocEvent{B.E.InstrOrSite, B.E.Addr, B.E.Size,
-                                     B.E.Time, B.E.IsStatic},
-                   BlockIndex, Err)) {
-      Injected += Cursor + I; // The accesses and boundaries before it.
-      return false;
-    }
-  }
-  if (Cursor < Block.Accesses.size())
-    Memory.injectAccessBatch(std::span<const trace::AccessEvent>(
-        Accesses + Cursor, Block.Accesses.size() - Cursor));
-  Injected += Block.events();
-  return true;
-}
-
-bool traceio::injectEvent(core::ProfilingSession &Session,
-                          const TraceEvent &E, uint64_t BlockIndex,
-                          std::string &Err) {
-  trace::MemoryInterface &Memory = Session.memory();
-  switch (E.K) {
-  case TraceEvent::Kind::Access:
-    Memory.injectAccess(trace::AccessEvent{E.InstrOrSite, E.Addr,
-                                           static_cast<uint32_t>(E.Size),
-                                           E.IsStore, E.Time});
-    return true;
-  case TraceEvent::Kind::Alloc:
-    return Session.injectAlloc(trace::AllocEvent{E.InstrOrSite, E.Addr,
-                                                 E.Size, E.Time, E.IsStatic},
-                               BlockIndex, Err);
-  case TraceEvent::Kind::Free:
-    Memory.injectFree(trace::FreeEvent{E.Addr, E.Time});
-    return true;
-  }
-  return true;
 }

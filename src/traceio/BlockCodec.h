@@ -30,10 +30,6 @@
 #include <vector>
 
 namespace orp {
-namespace core {
-class ProfilingSession;
-} // namespace core
-
 namespace traceio {
 
 /// Verifies the CRC-32 of one event-block payload. On mismatch returns
@@ -43,25 +39,12 @@ namespace traceio {
                          uint64_t BlockIndex, uint64_t BaseOffset,
                          std::string &Err);
 
-/// Decodes the \p EventCount records of one event-block payload into
-/// \p Fn, in delivery order. The delta-decoder state starts at zero
-/// (block boundary contract). Returns false with \p Err set on any
-/// malformed record; events delivered before the fault stand. \p
-/// BlockIndex and \p BaseOffset (the payload's absolute position in
-/// its file or stream, 0 when standalone) only label diagnostics:
-/// "block <Index> at byte <abs>: malformed access record ...".
-[[nodiscard]] bool decodeEventBlock(const uint8_t *Payload, size_t Len,
-                      uint64_t EventCount,
-                      const std::function<void(const TraceEvent &)> &Fn,
-                      std::string &Err, uint64_t BlockIndex = 0,
-                      uint64_t BaseOffset = 0);
-
-/// One fully decoded v2 columnar block, shaped for batch injection:
-/// every access in delivery order in one contiguous vector, with the
-/// interspersed alloc/free events split out as boundaries. The replayer
+/// One fully decoded event block, shaped for batch injection: every
+/// access in delivery order in one contiguous vector, with the
+/// interspersed alloc/free events split out as boundaries. The session
 /// hands each run of accesses between two boundaries to
 /// MemoryInterface::injectAccessBatch as a single span — no per-event
-/// dispatch — which is the point of the columnar layout.
+/// dispatch. Both on-disk formats decode into this shape.
 struct DecodedBlock {
   /// An alloc or free, plus its position in the delivery order.
   struct Boundary {
@@ -79,51 +62,28 @@ struct DecodedBlock {
   }
 };
 
-/// Decodes one v2 columnar block payload into \p Out (contents
-/// replaced). Column-at-a-time: each column is decoded in its own tight
-/// varint loop (decode*LEB128Fast) before the columns are zipped into
-/// \p Out. Unlike the streaming v1 decoder nothing is delivered on
-/// failure — \p Out is left empty and \p Err carries the fault
-/// (truncated column, column length mismatch, overlong varint, unknown
-/// opcode) with the same "block <Index> at byte <abs>" prefix as v1
-/// diagnostics.
-[[nodiscard]] bool decodeEventBlockV2(const uint8_t *Payload, size_t Len,
-                        uint64_t EventCount, DecodedBlock &Out,
-                        std::string &Err, uint64_t BlockIndex = 0,
-                        uint64_t BaseOffset = 0);
+/// Decodes the \p EventCount events of one event-block payload of
+/// .orpt format \p Version into \p Out (contents replaced). v1 payloads
+/// are walked record by record; v2 payloads column at a time, each
+/// column in its own tight varint loop (decode*LEB128Fast) before the
+/// columns are zipped back into delivery order. The delta-decoder state
+/// starts at zero (block boundary contract). Nothing is delivered on
+/// failure: \p Out is left empty and \p Err carries the fault (a
+/// malformed record, truncated column, column length mismatch, overlong
+/// varint or unknown opcode). \p BlockIndex and \p BaseOffset (the
+/// payload's absolute position in its file or stream, 0 when
+/// standalone) only label diagnostics: "block <Index> at byte <abs>:
+/// ...".
+[[nodiscard]] bool decodeEventBlock(uint8_t Version, const uint8_t *Payload,
+                                    size_t Len, uint64_t EventCount,
+                                    DecodedBlock &Out, std::string &Err,
+                                    uint64_t BlockIndex = 0,
+                                    uint64_t BaseOffset = 0);
 
 /// Walks \p Block in original delivery order, reconstituting the flat
-/// TraceEvent view (for tools and tests that want the v1-shaped stream
-/// regardless of on-disk format).
+/// TraceEvent view (for tools and tests that want one event at a time).
 void forEachDecodedEvent(const DecodedBlock &Block,
                          const std::function<void(const TraceEvent &)> &Fn);
-
-/// Version-dispatching decode: v1 payloads stream through the original
-/// record decoder, v2 payloads decode columnar and are then walked in
-/// delivery order. The event sequence delivered to \p Fn is identical
-/// for the same recorded stream in either format.
-[[nodiscard]] bool decodeEventBlockAny(uint8_t Version, const uint8_t *Payload,
-                         size_t Len, uint64_t EventCount,
-                         const std::function<void(const TraceEvent &)> &Fn,
-                         std::string &Err, uint64_t BlockIndex = 0,
-                         uint64_t BaseOffset = 0);
-
-/// Injects \p Block (block \p BlockIndex) into \p Session's memory in
-/// delivery order: every run of accesses between boundaries travels as
-/// one injectAccessBatch span, frees go through injectFree and allocs
-/// through the session's checked injectAlloc. Adds the events injected
-/// to \p Injected. An allocation the OMC cannot register ends the block
-/// before it: returns false with \p Err set.
-[[nodiscard]] bool injectDecodedBlock(core::ProfilingSession &Session,
-                                      const DecodedBlock &Block,
-                                      uint64_t BlockIndex, uint64_t &Injected,
-                                      std::string &Err);
-
-/// Injects one v1-shaped event of block \p BlockIndex into \p Session,
-/// with the same allocation check as injectDecodedBlock.
-[[nodiscard]] bool injectEvent(core::ProfilingSession &Session,
-                               const TraceEvent &E, uint64_t BlockIndex,
-                               std::string &Err);
 
 } // namespace traceio
 } // namespace orp

@@ -273,34 +273,12 @@ bool TraceReader::parseRegistry(uint64_t Offset) {
 
 bool TraceReader::forEachEvent(
     const std::function<void(const TraceEvent &)> &Fn) {
+  DecodedBlock Block;
   for (size_t B = 0; B != Blocks.size(); ++B) {
-    const BlockRef &Ref = Blocks[B];
-    const uint8_t *Payload = payloadOf(B);
-    std::string BlockErr;
-    if (!verifyBlockChecksum(Payload, Ref.PayloadLen, Ref.Crc, B,
-                             Ref.PayloadPos, BlockErr) ||
-        !decodeEventBlockAny(Info.Version, Payload,
-                             Ref.PayloadLen, Ref.EventCount, Fn, BlockErr, B,
-                             Ref.PayloadPos))
-      return failed(BlockErr);
+    if (!decodeBlockColumns(B, Block))
+      return false;
+    forEachDecodedEvent(Block, Fn);
   }
-  return true;
-}
-
-bool TraceReader::decodeBlockEvents(size_t Index,
-                                    std::vector<TraceEvent> &Out) {
-  Out.clear();
-  const BlockRef &Ref = Blocks[Index];
-  Out.reserve(Ref.EventCount);
-  const uint8_t *Payload = payloadOf(Index);
-  std::string BlockErr;
-  if (!verifyBlockChecksum(Payload, Ref.PayloadLen, Ref.Crc, Index,
-                           Ref.PayloadPos, BlockErr) ||
-      !decodeEventBlockAny(Info.Version, Payload,
-                           Ref.PayloadLen, Ref.EventCount,
-                           [&](const TraceEvent &E) { Out.push_back(E); },
-                           BlockErr, Index, Ref.PayloadPos))
-    return failed(BlockErr);
   return true;
 }
 
@@ -309,10 +287,13 @@ bool TraceReader::decodeBlockColumns(size_t Index, DecodedBlock &Out) {
   const uint8_t *Payload = payloadOf(Index);
   std::string BlockErr;
   if (!verifyBlockChecksum(Payload, Ref.PayloadLen, Ref.Crc, Index,
-                           Ref.PayloadPos, BlockErr) ||
-      !decodeEventBlockV2(Payload, Ref.PayloadLen,
-                          Ref.EventCount, Out, BlockErr, Index,
-                          Ref.PayloadPos))
+                           Ref.PayloadPos, BlockErr)) {
+    Out.clear();
+    return failed(BlockErr);
+  }
+  if (!decodeEventBlock(Info.Version, Payload, Ref.PayloadLen,
+                        Ref.EventCount, Out, BlockErr, Index,
+                        Ref.PayloadPos))
     return failed(BlockErr);
   return true;
 }

@@ -97,22 +97,17 @@ public:
   /// open(). Feeds `orp-trace info` without touching the payloads.
   std::vector<BlockStats> blockStats() const;
 
-  /// Decodes block \p Index (CRC-checked first, like forEachEvent) into
-  /// \p Out, replacing its contents. Blocks are independently decodable
-  /// — the writer restarts the address/time delta chains per block —
-  /// which is what lets TraceReplayer decode block N+1 on a worker
-  /// while block N is being consumed. \p Index must be in range.
-  /// Returns false with error() set on corruption.
-  [[nodiscard]] bool decodeBlockEvents(size_t Index, std::vector<TraceEvent> &Out);
-
   /// Convenience: decodes the whole stream into a vector.
   [[nodiscard]] bool readAllEvents(std::vector<TraceEvent> &Out);
 
-  /// Columnar decode of one v2 block (CRC-checked first) into \p Out,
-  /// shaped for batch injection — see traceio::DecodedBlock. Only valid
-  /// for v2 traces (info().Version >= kFormatVersionV2); the replayer
-  /// routes v1 traces through decodeBlockEvents instead. \p Index must
-  /// be in range. Returns false with error() set on corruption.
+  /// Decodes block \p Index (CRC-checked first, like forEachEvent) into
+  /// \p Out, shaped for batch injection — see traceio::DecodedBlock —
+  /// whichever format version the trace holds. Blocks are independently
+  /// decodable — the writer restarts the address/time delta chains per
+  /// block — which is what lets ProfileSession::replayFrom decode block
+  /// N+1 on a worker while block N is being injected. \p Index must be
+  /// in range. Returns false with error() set on corruption; \p Out is
+  /// then empty.
   [[nodiscard]] bool decodeBlockColumns(size_t Index, DecodedBlock &Out);
 
   /// A still-encoded view of one event block, for forwarding the
@@ -173,7 +168,7 @@ private:
   /// here. On a mapped image, when the block is the first to start in
   /// its 256 KiB-aligned window, it first releases the whole windows
   /// before that one. Stateless, and the block table is immutable after
-  /// open(), so the replayer's decode-ahead worker may call it.
+  /// open(), so replayFrom's decode-ahead worker may call it.
   const uint8_t *payloadOf(size_t Index) const;
   std::string Err;
 };

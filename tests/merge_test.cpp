@@ -547,10 +547,7 @@ void recordTrace(const std::string &WorkloadName, const std::string &Path,
 
 session::SessionConfig configFor(const traceio::TraceReader &Reader,
                                  unsigned MaxLmads) {
-  session::SessionConfig Config;
-  Config.Policy =
-      static_cast<memsim::AllocPolicy>(Reader.info().AllocPolicy);
-  Config.Seed = Reader.info().Seed;
+  session::SessionConfig Config = session::recordedConfig(Reader);
   Config.MaxLmads = MaxLmads;
   return Config;
 }
@@ -676,6 +673,36 @@ TEST(SessionCheckpointTest, FourSegmentsAndThreadedDecodeMatchUnsplit) {
           << "cap " << Cap << " threads " << Threads;
       EXPECT_EQ(Merged.Events, Unsplit.Events);
     }
+  }
+  std::remove(Path.c_str());
+}
+
+TEST(SessionCheckpointTest, CallbackCheckpointMatchesRangedReplay) {
+  // A checkpoint taken inside replayFrom's BlockDone callback (the
+  // `orp-trace replay --checkpoint-every` path) must count the events
+  // injected so far, like one taken after a replay that ends there.
+  std::string Path = tempPath("callback_ck.orpt");
+  recordTrace("list-traversal", Path);
+  traceio::TraceReader Reader;
+  ASSERT_TRUE(Reader.open(Path)) << Reader.error();
+  const uint64_t Mid = Reader.numEventBlocks() / 2;
+  ASSERT_GT(Mid, 0u);
+
+  session::ProfileSession Ranged("ranged", configFor(Reader, 30));
+  ASSERT_TRUE(Ranged.replayFrom(Reader, 1, 0, Mid)) << Ranged.error();
+  const std::vector<uint8_t> Want = Ranged.checkpoint(Reader, Mid);
+
+  for (unsigned Threads : {1u, 2u}) {
+    session::ProfileSession Session("callback", configFor(Reader, 30));
+    std::vector<uint8_t> Got;
+    ASSERT_TRUE(Session.replayFrom(Reader, Threads, 0,
+                                   ~static_cast<uint64_t>(0),
+                                   [&](uint64_t Next) {
+                                     if (Next == Mid)
+                                       Got = Session.checkpoint(Reader, Next);
+                                   }))
+        << Session.error();
+    EXPECT_EQ(Got, Want) << "threads " << Threads;
   }
   std::remove(Path.c_str());
 }

@@ -11,11 +11,11 @@
 #include "core/ProfilingSession.h"
 #include "leap/LeapProfileData.h"
 #include "leap/Leap.h"
+#include "session/ProfileSession.h"
 #include "support/SpscQueue.h"
 #include "support/WorkerPool.h"
 #include "telemetry/Metric.h"
 #include "traceio/TraceReader.h"
-#include "traceio/TraceReplayer.h"
 #include "traceio/TraceWriter.h"
 #include "whomp/OmsgArchive.h"
 #include "whomp/Whomp.h"
@@ -384,17 +384,14 @@ void replayAt(const std::string &Path, unsigned Threads,
               uint64_t &EventsReplayed) {
   traceio::TraceReader Reader;
   ASSERT_TRUE(Reader.open(Path)) << Reader.error();
-  traceio::TraceReplayer Replayer(Reader);
-  Replayer.setThreads(Threads);
-  auto Session = Replayer.makeSession();
-  whomp::WhompProfiler Whomp(Threads);
-  leap::LeapProfiler Leap(lmad::LmadCompressor::DefaultMaxLmads, Threads);
-  Session->addConsumer(&Whomp);
-  Session->addConsumer(&Leap);
-  ASSERT_TRUE(Replayer.replayInto(*Session)) << Replayer.error();
-  EventsReplayed = Replayer.eventsReplayed();
-  Omsg = whomp::OmsgArchive::build(Whomp, &Session->omc()).serialize();
-  LeapBytes = leap::LeapProfileData::fromProfiler(Leap).serialize();
+  session::SessionConfig Config = session::recordedConfig(Reader);
+  Config.ProfilerThreads = Threads;
+  session::ProfileSession Session("replay", Config);
+  ASSERT_TRUE(Session.replayFrom(Reader, Threads)) << Session.error();
+  session::SessionArtifacts A = Session.finalize();
+  EventsReplayed = A.Events;
+  Omsg = std::move(A.Omsg);
+  LeapBytes = std::move(A.Leap);
 }
 
 } // namespace
@@ -456,34 +453,65 @@ TEST(PipelineDeterminismTest, ThreadedReplayRejectsCorruptTrace) {
   std::vector<uint8_t> LiveOmsg, LiveLeap;
   recordWithProfilers("164.gzip-a", Path, LiveOmsg, LiveLeap);
 
-  // Flip one byte in the middle of the event area; either a block CRC
-  // or a payload decode must catch it — also through the decode-ahead
-  // worker path.
+  // Flip one byte in the middle of block 1's payload, so block 0 still
+  // reaches the profilers; the block CRC must catch it — also through
+  // the decode-ahead worker path.
+  long At;
+  {
+    traceio::TraceReader Intact;
+    ASSERT_TRUE(Intact.open(Path)) << Intact.error();
+    ASSERT_GT(Intact.numEventBlocks(), 1u);
+    traceio::TraceReader::RawBlock Raw = Intact.rawBlock(1);
+    At = static_cast<long>(Raw.FileOffset + Raw.PayloadLen / 2);
+  }
   std::FILE *F = std::fopen(Path.c_str(), "rb+");
   ASSERT_NE(F, nullptr);
-  ASSERT_EQ(std::fseek(F, 2048, SEEK_SET), 0);
+  ASSERT_EQ(std::fseek(F, At, SEEK_SET), 0);
   int C = std::fgetc(F);
   ASSERT_NE(C, EOF);
-  ASSERT_EQ(std::fseek(F, 2048, SEEK_SET), 0);
+  ASSERT_EQ(std::fseek(F, At, SEEK_SET), 0);
   std::fputc(C ^ 0xFF, F);
   std::fclose(F);
 
   traceio::TraceReader Reader;
   ASSERT_TRUE(Reader.open(Path)) << Reader.error();
-  traceio::TraceReplayer Replayer(Reader);
-  Replayer.setThreads(4);
-  auto Session = Replayer.makeSession();
-  // Attach threaded consumers: a failed replay returns without calling
-  // Session.finish(), so the profilers are destroyed with chunks still
-  // in flight — the decomposer destructors must join their workers
-  // (regression: use-after-free on the shard maps, caught by ASan/TSan).
+  {
+    session::SessionConfig Config = session::recordedConfig(Reader);
+    Config.ProfilerThreads = 4;
+    session::ProfileSession Session("corrupt", Config);
+    EXPECT_FALSE(Session.replayFrom(Reader, /*DecodeThreads=*/4));
+    EXPECT_TRUE(Session.failed());
+    EXPECT_NE(Session.error().find("block 1 at byte"), std::string::npos)
+        << Session.error();
+  }
+
+  // Threaded profilers destroyed mid-stream without finish(): the
+  // decomposer destructors must join their workers with chunks still in
+  // flight (regression: use-after-free on the shard maps, caught by
+  // ASan/TSan). ~ProfileSession finishes its profilers, so a bare
+  // pipeline is fed the blocks before the corrupt one instead.
   whomp::WhompProfiler Whomp(/*Threads=*/4);
   leap::LeapProfiler Leap(lmad::LmadCompressor::DefaultMaxLmads,
                           /*Threads=*/4);
-  Session->addConsumer(&Whomp);
-  Session->addConsumer(&Leap);
-  EXPECT_FALSE(Replayer.replayInto(*Session));
-  EXPECT_FALSE(Replayer.error().empty());
+  core::ProfilingSession Session(memsim::AllocPolicy::FirstFit, /*Seed=*/7);
+  Session.addConsumer(&Whomp);
+  Session.addConsumer(&Leap);
+  uint64_t Fed = 0;
+  std::string Err;
+  EXPECT_FALSE(Reader.forEachEvent([&](const traceio::TraceEvent &E) {
+    ++Fed;
+    if (E.K == traceio::TraceEvent::Kind::Access)
+      Session.memory().injectAccess(
+          {E.InstrOrSite, E.Addr, static_cast<uint32_t>(E.Size), E.IsStore,
+           E.Time});
+    else if (E.K == traceio::TraceEvent::Kind::Free)
+      Session.memory().injectFree({E.Addr, E.Time});
+    else
+      EXPECT_TRUE(Session.injectAlloc(
+          {E.InstrOrSite, E.Addr, E.Size, E.Time, E.IsStatic}, 0, Err))
+          << Err;
+  }));
+  EXPECT_GT(Fed, 0u);
   std::remove(Path.c_str());
 }
 

@@ -64,22 +64,12 @@ void recordTrace(const std::string &WorkloadName, const std::string &Path,
   ASSERT_TRUE(Writer.close()) << Writer.error();
 }
 
-/// The session configuration every path in these tests uses, derived
-/// from the trace header the way the daemon's OPEN handler does.
-session::SessionConfig configFor(const traceio::TraceReader &Reader) {
-  session::SessionConfig Config;
-  Config.Policy =
-      static_cast<memsim::AllocPolicy>(Reader.info().AllocPolicy);
-  Config.Seed = Reader.info().Seed;
-  return Config;
-}
-
 /// The serial ground truth: one ProfileSession fed by a whole-trace
 /// replay on this thread (the `orp-trace replay` path).
 SessionArtifacts serialArtifacts(const std::string &TracePath) {
   traceio::TraceReader Reader;
   EXPECT_TRUE(Reader.open(TracePath)) << Reader.error();
-  session::ProfileSession Session("serial", configFor(Reader));
+  session::ProfileSession Session("serial", session::recordedConfig(Reader));
   EXPECT_TRUE(Session.replayFrom(Reader)) << Session.error();
   return Session.finalize();
 }
@@ -89,8 +79,8 @@ SessionArtifacts serialArtifacts(const std::string &TracePath) {
 SessionId openFor(session::SessionManager &Mgr,
                   traceio::TraceReader &Reader, const std::string &Name)
     ORP_REQUIRES(session::SessionControlRole) {
-  return Mgr.open(Name, configFor(Reader), Reader.instructions(),
-                  Reader.allocSites());
+  return Mgr.open(Name, session::recordedConfig(Reader),
+                  Reader.instructions(), Reader.allocSites());
 }
 
 /// Submits block \p Index of \p Reader, spinning out backpressure.
@@ -241,7 +231,8 @@ TEST(SessionManagerTest, SnapshotsReadModuleGaugesPublishedByShards) {
     traceio::TraceReader Reader;
     ASSERT_TRUE(Reader.open(Path)) << Reader.error();
     telemetry::Registry Local;
-    session::ProfileSession Session("serial", configFor(Reader), Local);
+    session::ProfileSession Session("serial", session::recordedConfig(Reader),
+                                    Local);
     ASSERT_TRUE(Session.replayFrom(Reader)) << Session.error();
     telemetry::MetricsSnapshot Snap = Local.snapshot();
     for (const std::string &N : Names)
@@ -386,7 +377,7 @@ TEST(ProfileSessionTest, MemoryEstimateCountsGrammarFootprints) {
   traceio::TraceReader Reader;
   ASSERT_TRUE(Reader.open(Path)) << Reader.error();
   ASSERT_GT(Reader.info().NumBlocks, 8u);
-  session::ProfileSession Session("estimate", configFor(Reader));
+  session::ProfileSession Session("estimate", session::recordedConfig(Reader));
   ASSERT_NE(Session.whomp(), nullptr);
 
   auto GrammarBytes = [&] {
@@ -425,7 +416,7 @@ TEST(ProfileSessionTest, FinalizeGivesBackTheDigramIndexes) {
   recordTrace("164.gzip-a", Path);
   traceio::TraceReader Reader;
   ASSERT_TRUE(Reader.open(Path)) << Reader.error();
-  session::ProfileSession Session("sealed", configFor(Reader));
+  session::ProfileSession Session("sealed", session::recordedConfig(Reader));
   ASSERT_TRUE(Session.replayFrom(Reader)) << Session.error();
 
   const core::Dimension Dims[] = {
@@ -465,7 +456,7 @@ TEST(ProfileSessionTest, InjectAfterFinalizeIsRejected) {
   recordTrace("list-traversal", Path);
   traceio::TraceReader Reader;
   ASSERT_TRUE(Reader.open(Path)) << Reader.error();
-  session::ProfileSession Session("late", configFor(Reader));
+  session::ProfileSession Session("late", session::recordedConfig(Reader));
   ASSERT_TRUE(Session.replayFrom(Reader)) << Session.error();
   const SessionArtifacts First = Session.finalize();
 
@@ -486,7 +477,7 @@ TEST(ProfileSessionTest, ReplayAfterFinalizeIsRejected) {
   recordTrace("list-traversal", Path);
   traceio::TraceReader Reader;
   ASSERT_TRUE(Reader.open(Path)) << Reader.error();
-  session::ProfileSession Session("late", configFor(Reader));
+  session::ProfileSession Session("late", session::recordedConfig(Reader));
   ASSERT_TRUE(Session.replayFrom(Reader, 1, 0, 2)) << Session.error();
   const SessionArtifacts First = Session.finalize();
 
@@ -636,7 +627,8 @@ TEST(ProfileSessionTest, MalformedAllocationFailsTheSession) {
         ASSERT_GT(Block, 0u) << Label;
         traceio::TraceReader Reader;
         ASSERT_TRUE(Reader.open(Path)) << Reader.error();
-        session::ProfileSession Session("bad_alloc", configFor(Reader));
+        session::ProfileSession Session("bad_alloc",
+                                        session::recordedConfig(Reader));
         EXPECT_FALSE(Session.replayFrom(Reader, Threads)) << Label;
         EXPECT_TRUE(Session.failed()) << Label;
         EXPECT_EQ(Session.error().rfind(
@@ -882,7 +874,7 @@ bool openOver(session::Client &Client, traceio::TraceReader &Reader,
               const std::string &Name, uint64_t &Id, std::string &Err) {
   session::OpenRequest Req;
   Req.Name = Name;
-  Req.Config = configFor(Reader);
+  Req.Config = session::recordedConfig(Reader);
   Req.Instrs = Reader.instructions();
   Req.Sites = Reader.allocSites();
   return Client.openSession(Req, Id, Err);

@@ -17,7 +17,6 @@
 #include "support/VarInt.h"
 #include "traceio/BlockCodec.h"
 #include "traceio/TraceReader.h"
-#include "traceio/TraceReplayer.h"
 #include "traceio/TraceWriter.h"
 #include "whomp/OmsgArchive.h"
 #include "whomp/Whomp.h"
@@ -86,6 +85,15 @@ void writeFile(const std::string &Path, const std::vector<uint8_t> &Bytes) {
             static_cast<std::streamsize>(Bytes.size()));
 }
 
+/// \p Reader's recorded configuration with both built-in profilers off,
+/// for tests that attach their own sinks to the pipeline.
+session::SessionConfig bareConfig(const traceio::TraceReader &Reader) {
+  session::SessionConfig Config = session::recordedConfig(Reader);
+  Config.EnableWhomp = false;
+  Config.EnableLeap = false;
+  return Config;
+}
+
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -103,16 +111,14 @@ TEST(TraceIoTest, GzipReplayProducesByteIdenticalOmsg) {
 
   traceio::TraceReader Reader;
   ASSERT_TRUE(Reader.open(Path)) << Reader.error();
-  traceio::TraceReplayer Replayer(Reader);
-  auto Replayed = Replayer.makeSession();
-  whomp::WhompProfiler Offline;
-  Replayed->addConsumer(&Offline);
-  ASSERT_TRUE(Replayer.replayInto(*Replayed)) << Replayer.error();
+  session::SessionConfig Config = session::recordedConfig(Reader);
+  Config.EnableLeap = false;
+  session::ProfileSession Replayed("gzip", Config);
+  ASSERT_TRUE(Replayed.replayFrom(Reader)) << Replayed.error();
 
-  auto ReplayBytes =
-      whomp::OmsgArchive::build(Offline, &Replayed->omc()).serialize();
-  EXPECT_EQ(Live.tuplesSeen(), Offline.tuplesSeen());
-  EXPECT_EQ(LiveBytes, ReplayBytes);
+  session::SessionArtifacts A = Replayed.finalize();
+  EXPECT_EQ(Live.tuplesSeen(), Replayed.whomp()->tuplesSeen());
+  EXPECT_EQ(LiveBytes, A.Omsg);
   std::remove(Path.c_str());
 }
 
@@ -124,14 +130,12 @@ TEST(TraceIoTest, LeapReplayProducesIdenticalProfile) {
 
   traceio::TraceReader Reader;
   ASSERT_TRUE(Reader.open(Path)) << Reader.error();
-  traceio::TraceReplayer Replayer(Reader);
-  auto Replayed = Replayer.makeSession();
-  leap::LeapProfiler Offline(/*MaxLmads=*/30);
-  Replayed->addConsumer(&Offline);
-  ASSERT_TRUE(Replayer.replayInto(*Replayed)) << Replayer.error();
+  session::SessionConfig Config = session::recordedConfig(Reader);
+  Config.EnableWhomp = false;
+  session::ProfileSession Replayed("leap", Config);
+  ASSERT_TRUE(Replayed.replayFrom(Reader)) << Replayed.error();
 
-  EXPECT_EQ(LiveBytes,
-            leap::LeapProfileData::fromProfiler(Offline).serialize());
+  EXPECT_EQ(LiveBytes, Replayed.finalize().Leap);
   std::remove(Path.c_str());
 }
 
@@ -142,11 +146,11 @@ TEST(TraceIoTest, RasgReplayProducesIdenticalGrammars) {
 
   traceio::TraceReader Reader;
   ASSERT_TRUE(Reader.open(Path)) << Reader.error();
-  traceio::TraceReplayer Replayer(Reader);
-  auto Replayed = Replayer.makeSession();
-  baseline::RasgProfiler Offline;
-  Replayed->addRawSink(&Offline);
-  ASSERT_TRUE(Replayer.replayInto(*Replayed)) << Replayer.error();
+  baseline::RasgProfiler Offline; // Outlives the session that finishes it.
+  session::ProfileSession Replayed("rasg", bareConfig(Reader));
+  Replayed.core().addRawSink(&Offline);
+  ASSERT_TRUE(Replayed.replayFrom(Reader)) << Replayed.error();
+  (void)Replayed.finalize();
 
   EXPECT_EQ(Live.accessesSeen(), Offline.accessesSeen());
   EXPECT_EQ(Live.addressGrammar().serialize(),
@@ -168,11 +172,11 @@ TEST(TraceIoTest, MultiBlockEventStreamRoundTrips) {
   ASSERT_TRUE(Reader.open(Path)) << Reader.error();
   EXPECT_GT(Reader.info().NumBlocks, 1u);
 
-  traceio::TraceReplayer Replayer(Reader);
-  auto Replayed = Replayer.makeSession();
-  trace::BufferSink Offline;
-  Replayed->addRawSink(&Offline);
-  ASSERT_TRUE(Replayer.replayInto(*Replayed)) << Replayer.error();
+  trace::BufferSink Offline; // Outlives the session that finishes it.
+  session::ProfileSession Replayed("blocks", bareConfig(Reader));
+  Replayed.core().addRawSink(&Offline);
+  ASSERT_TRUE(Replayed.replayFrom(Reader)) << Replayed.error();
+  (void)Replayed.finalize();
 
   ASSERT_EQ(Live.accesses().size(), Offline.accesses().size());
   for (size_t I = 0; I != Live.accesses().size(); ++I) {
@@ -283,10 +287,9 @@ TEST(TraceIoTest, EmptyTraceRoundTrips) {
       Reader.forEachEvent([&](const traceio::TraceEvent &) { ++Seen; }));
   EXPECT_EQ(Seen, 0u);
 
-  traceio::TraceReplayer Replayer(Reader);
-  auto Session = Replayer.makeSession();
-  EXPECT_TRUE(Replayer.replayInto(*Session));
-  EXPECT_EQ(Replayer.eventsReplayed(), 0u);
+  session::ProfileSession Session("empty", session::recordedConfig(Reader));
+  EXPECT_TRUE(Session.replayFrom(Reader)) << Session.error();
+  EXPECT_EQ(Session.eventsInjected(), 0u);
   std::remove(Path.c_str());
 }
 
@@ -854,13 +857,14 @@ std::vector<uint8_t> sleb(std::initializer_list<int64_t> Values) {
   return Out;
 }
 
-/// Expects decodeEventBlockV2 to reject \p Payload with \p Needle.
+/// Expects the v2 decoder to reject \p Payload with \p Needle.
 void expectV2Rejected(const std::vector<uint8_t> &Payload,
                       uint64_t EventCount, const std::string &Needle) {
   traceio::DecodedBlock Block;
   std::string Err;
-  EXPECT_FALSE(traceio::decodeEventBlockV2(Payload.data(), Payload.size(),
-                                           EventCount, Block, Err));
+  EXPECT_FALSE(traceio::decodeEventBlock(traceio::kFormatVersionV2,
+                                         Payload.data(), Payload.size(),
+                                         EventCount, Block, Err));
   EXPECT_NE(Err.find(Needle), std::string::npos) << "error was: " << Err;
   EXPECT_EQ(Block.events(), 0u) << "failed decode must clear the output";
 }
@@ -876,8 +880,9 @@ TEST(TraceIoV2BlockTest, ColumnsZipBackIntoDeliveryOrder) {
       uleb({4, 64}));
   traceio::DecodedBlock Block;
   std::string Err;
-  ASSERT_TRUE(traceio::decodeEventBlockV2(Payload.data(), Payload.size(),
-                                          /*EventCount=*/3, Block, Err))
+  ASSERT_TRUE(traceio::decodeEventBlock(traceio::kFormatVersionV2,
+                                        Payload.data(), Payload.size(),
+                                        /*EventCount=*/3, Block, Err))
       << Err;
   EXPECT_EQ(Block.events(), 3u);
   ASSERT_EQ(Block.Accesses.size(), 1u);
@@ -958,29 +963,31 @@ TEST(TraceIoV2BlockTest, TrailingBytesAfterColumnsAreRejected) {
 
 namespace {
 
-struct ReplayArtifacts {
-  uint64_t Events = 0;
-  std::vector<uint8_t> Omsg;
-  std::vector<uint8_t> Leap;
-};
-
 /// Replays \p Path through WHOMP + LEAP with \p Threads decode threads.
-ReplayArtifacts replayArtifacts(const std::string &Path, unsigned Threads) {
+session::SessionArtifacts replayArtifacts(const std::string &Path,
+                                          unsigned Threads) {
   traceio::TraceReader Reader;
   EXPECT_TRUE(Reader.open(Path)) << Reader.error();
-  traceio::TraceReplayer Replayer(Reader);
-  Replayer.setThreads(Threads);
-  auto Session = Replayer.makeSession();
-  whomp::WhompProfiler Whomp;
-  leap::LeapProfiler Leap(/*MaxLmads=*/30);
-  Session->addConsumer(&Whomp);
-  Session->addConsumer(&Leap);
-  EXPECT_TRUE(Replayer.replayInto(*Session)) << Replayer.error();
-  ReplayArtifacts A;
-  A.Events = Replayer.eventsReplayed();
-  A.Omsg = whomp::OmsgArchive::build(Whomp, &Session->omc()).serialize();
-  A.Leap = leap::LeapProfileData::fromProfiler(Leap).serialize();
-  return A;
+  session::ProfileSession Session("replay", session::recordedConfig(Reader));
+  EXPECT_TRUE(Session.replayFrom(Reader, Threads)) << Session.error();
+  return Session.finalize();
+}
+
+/// Feeds \p Path to WHOMP + LEAP one still-encoded block at a time
+/// through injectBlock, the way the daemon's EVENTS frames do.
+session::SessionArtifacts injectArtifacts(const std::string &Path) {
+  traceio::TraceReader Reader;
+  EXPECT_TRUE(Reader.open(Path)) << Reader.error();
+  session::ProfileSession Session("inject", session::recordedConfig(Reader));
+  Session.registerProbeTables(Reader.instructions(), Reader.allocSites());
+  for (size_t B = 0; B != Reader.numEventBlocks(); ++B) {
+    traceio::TraceReader::RawBlock Raw = Reader.rawBlock(B);
+    EXPECT_TRUE(Session.injectBlock(Raw.Payload, Raw.PayloadLen,
+                                    Raw.EventCount, Raw.Crc, B,
+                                    Reader.info().Version))
+        << Session.error();
+  }
+  return Session.finalize();
 }
 
 } // namespace
@@ -1051,17 +1058,109 @@ TEST_F(TraceIoCrossVersionTest, DecodedEventStreamsAreIdentical) {
 }
 
 TEST_F(TraceIoCrossVersionTest, ProfilesAreByteIdenticalAtEveryWidth) {
-  ReplayArtifacts Base = replayArtifacts(PathV1, /*Threads=*/1);
+  session::SessionArtifacts Base = replayArtifacts(PathV1, /*Threads=*/1);
   ASSERT_GT(Base.Events, 0u);
   for (unsigned Threads : {1u, 2u, 8u}) {
-    ReplayArtifacts V1 = replayArtifacts(PathV1, Threads);
-    ReplayArtifacts V2 = replayArtifacts(PathV2, Threads);
+    session::SessionArtifacts V1 = replayArtifacts(PathV1, Threads);
+    session::SessionArtifacts V2 = replayArtifacts(PathV2, Threads);
     EXPECT_EQ(V1.Events, Base.Events) << "v1 threads=" << Threads;
     EXPECT_EQ(V2.Events, Base.Events) << "v2 threads=" << Threads;
     EXPECT_EQ(V1.Omsg, Base.Omsg) << "v1 threads=" << Threads;
     EXPECT_EQ(V2.Omsg, Base.Omsg) << "v2 threads=" << Threads;
     EXPECT_EQ(V1.Leap, Base.Leap) << "v1 threads=" << Threads;
     EXPECT_EQ(V2.Leap, Base.Leap) << "v2 threads=" << Threads;
+  }
+  for (const std::string *Path : {&PathV1, &PathV2}) {
+    session::SessionArtifacts Injected = injectArtifacts(*Path);
+    EXPECT_EQ(Injected.Events, Base.Events) << "injectBlock " << *Path;
+    EXPECT_EQ(Injected.Omsg, Base.Omsg) << "injectBlock " << *Path;
+    EXPECT_EQ(Injected.Leap, Base.Leap) << "injectBlock " << *Path;
+  }
+}
+
+namespace {
+
+/// Steps \p Pos past the LEB128 varint it points at.
+void skipVarInt(const std::vector<uint8_t> &Bytes, size_t &Pos) {
+  while (Bytes[Pos++] & 0x80) {
+  }
+}
+
+/// Returns \p Image with the opcode of event \p Event of block \p Block
+/// replaced by an unknown one and the block's CRC re-sealed, so the
+/// block passes its checksum and fails to decode part way through.
+std::vector<uint8_t> withMalformedEvent(std::vector<uint8_t> Image,
+                                        size_t Block, uint64_t Event) {
+  traceio::TraceReader R;
+  EXPECT_TRUE(R.openImage(Image, "intact.orpt")) << R.error();
+  const traceio::TraceReader::RawBlock Raw = R.rawBlock(Block);
+  size_t Pos = Raw.FileOffset;
+  if (R.info().Version >= traceio::kFormatVersionV2) {
+    skipVarInt(Image, Pos); // The kind column's length: one tag per event.
+    Pos += Event;
+  } else {
+    // v1 records: a tag byte, then the varint fields its opcode implies.
+    for (uint64_t I = 0; I != Event; ++I) {
+      uint8_t Tag = Image[Pos++];
+      unsigned Fields = 2; // A free: address and time.
+      if ((Tag & traceio::kOpMask) == traceio::kOpAccess)
+        Fields = (Tag & traceio::kTagSize8) ? 3 : 4;
+      else if ((Tag & traceio::kOpMask) == traceio::kOpAlloc)
+        Fields = 4;
+      for (; Fields; --Fields)
+        skipVarInt(Image, Pos);
+    }
+  }
+  Image[Pos] |= traceio::kOpMask; // Opcode 7 is unassigned.
+  uint32_t Crc = crc32(Image.data() + Raw.FileOffset, Raw.PayloadLen);
+  for (unsigned I = 0; I != 4; ++I) // The CRC ends the block header.
+    Image[Raw.FileOffset - 4 + I] = static_cast<uint8_t>(Crc >> (8 * I));
+  return Image;
+}
+
+} // namespace
+
+TEST_F(TraceIoCrossVersionTest, MalformedBlockInjectsNoneOfItsEvents) {
+  // Block 1 passes its CRC but holds an unknown opcode halfway through.
+  // Neither format may inject a prefix of it: the session stops at the
+  // end of block 0 through replayFrom (serial and decode-ahead) and
+  // through injectBlock alike.
+  for (const std::string *Path : {&PathV1, &PathV2}) {
+    traceio::TraceReader Intact;
+    ASSERT_TRUE(Intact.open(*Path)) << Intact.error();
+    ASSERT_GT(Intact.numEventBlocks(), 2u);
+    const uint64_t Boundary = Intact.rawBlock(0).EventCount;
+    const uint64_t Half = Intact.rawBlock(1).EventCount / 2;
+    ASSERT_GT(Half, 0u);
+
+    traceio::TraceReader Reader;
+    ASSERT_TRUE(Reader.openImage(
+        withMalformedEvent(readFile(*Path), /*Block=*/1, Half), *Path))
+        << Reader.error();
+    for (unsigned Threads : {1u, 2u}) {
+      session::ProfileSession Session("replay",
+                                      session::recordedConfig(Reader));
+      EXPECT_FALSE(Session.replayFrom(Reader, Threads));
+      EXPECT_NE(Session.error().find("unknown event opcode 7"),
+                std::string::npos)
+          << Session.error();
+      EXPECT_EQ(Session.eventsInjected(), Boundary)
+          << *Path << " threads=" << Threads;
+    }
+
+    session::ProfileSession Session("inject", session::recordedConfig(Reader));
+    Session.registerProbeTables(Reader.instructions(), Reader.allocSites());
+    for (size_t B = 0; B != 2; ++B) {
+      traceio::TraceReader::RawBlock Raw = Reader.rawBlock(B);
+      EXPECT_EQ(Session.injectBlock(Raw.Payload, Raw.PayloadLen,
+                                    Raw.EventCount, Raw.Crc, B,
+                                    Reader.info().Version),
+                B == 0)
+          << Session.error();
+    }
+    EXPECT_NE(Session.error().find("block 1 at byte"), std::string::npos)
+        << Session.error();
+    EXPECT_EQ(Session.eventsInjected(), Boundary) << *Path << " injectBlock";
   }
 }
 

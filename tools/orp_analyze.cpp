@@ -268,11 +268,11 @@ const std::map<std::string, int> &moduleRanks() {
       {"check", 3},
       {"omc", 3},
       {"sequitur", 3},
+      {"traceio", 3},
       {"core", 4},
       {"workloads", 4},
       {"whomp", 5},
       {"leap", 5},
-      {"traceio", 5},
       {"analysis", 6},
       {"advisor", 7},
       {"baseline", 7},
@@ -674,7 +674,6 @@ void checkUnorderedSerialize(const std::vector<SourceFile> &Files) {
 bool isSanctionedAtomicsFile(const std::string &Path) {
   return Path.rfind("src/support/", 0) == 0 ||
          Path == "src/telemetry/Registry.cpp" ||
-         Path == "src/traceio/TraceReplayer.cpp" ||
          Path == "src/session/SessionManager.cpp";
 }
 

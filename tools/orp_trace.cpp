@@ -500,27 +500,26 @@ int cmdReplay(int Argc, char **Argv) {
     return 1;
   }
 
-  // One ProfileSession — the same engine an orp-traced session runs, so
-  // this path and the daemon path produce byte-identical artifacts.
-  session::SessionConfig Config;
-  Config.Policy =
-      static_cast<memsim::AllocPolicy>(Reader.info().AllocPolicy);
-  Config.Seed = Reader.info().Seed;
-  Config.EnableWhomp = Profiler == "whomp";
-  Config.EnableLeap = Profiler == "leap";
-  Config.MaxLmads = MaxLmads;
-  Config.ProfilerThreads = Threads;
-  session::ProfileSession Session(Path, Config);
-
+  // The extra sinks are declared before the session that calls their
+  // onFinish() when it is destroyed, so every early return below frees
+  // them after it.
   baseline::RasgProfiler Rasg;
-  if (Profiler == "rasg")
-    Session.core().addRawSink(&Rasg);
-
   bool TickerOk = true;
   std::unique_ptr<trace::MetricsTicker> Ticker =
       makeTicker(Metrics, TickerOk);
   if (!TickerOk)
     return 1;
+
+  // One ProfileSession — the same engine an orp-traced session runs, so
+  // this path and the daemon path produce byte-identical artifacts.
+  session::SessionConfig Config = session::recordedConfig(Reader);
+  Config.EnableWhomp = Profiler == "whomp";
+  Config.EnableLeap = Profiler == "leap";
+  Config.MaxLmads = MaxLmads;
+  Config.ProfilerThreads = Threads;
+  session::ProfileSession Session(Path, Config);
+  if (Profiler == "rasg")
+    Session.core().addRawSink(&Rasg);
   if (Ticker)
     Session.core().addRawSink(Ticker.get());
 
@@ -703,10 +702,7 @@ int cmdStats(int Argc, char **Argv) {
 
   // Both profilers at once: the snapshot then covers the whole pipeline
   // — OMC, CDC, WHOMP grammars and LEAP substreams in one table.
-  session::SessionConfig Config;
-  Config.Policy =
-      static_cast<memsim::AllocPolicy>(Reader.info().AllocPolicy);
-  Config.Seed = Reader.info().Seed;
+  session::SessionConfig Config = session::recordedConfig(Reader);
   Config.MaxLmads = MaxLmads;
   Config.ProfilerThreads = Threads;
   session::ProfileSession Session(Path, Config);
@@ -783,24 +779,18 @@ int cmdInfo(int Argc, char **Argv) {
   std::vector<traceio::TraceReader::BlockStats> Blocks = Reader.blockStats();
   std::vector<BlockKinds> Kinds(Blocks.size());
   uint64_t Accesses = 0, Allocs = 0, Frees = 0;
-  std::vector<traceio::TraceEvent> Events;
+  traceio::DecodedBlock Block;
   for (size_t B = 0; B != Blocks.size(); ++B) {
-    if (!Reader.decodeBlockEvents(B, Events)) {
+    if (!Reader.decodeBlockColumns(B, Block)) {
       logMessage(LogLevel::Error, "orp-trace: %s", Reader.error().c_str());
       return 1;
     }
-    for (const traceio::TraceEvent &E : Events)
-      switch (E.K) {
-      case traceio::TraceEvent::Kind::Access:
-        ++Kinds[B].Accesses;
-        break;
-      case traceio::TraceEvent::Kind::Alloc:
+    Kinds[B].Accesses = Block.Accesses.size();
+    for (const traceio::DecodedBlock::Boundary &Bd : Block.Boundaries)
+      if (Bd.E.K == traceio::TraceEvent::Kind::Alloc)
         ++Kinds[B].Allocs;
-        break;
-      case traceio::TraceEvent::Kind::Free:
+      else
         ++Kinds[B].Frees;
-        break;
-      }
     Accesses += Kinds[B].Accesses;
     Allocs += Kinds[B].Allocs;
     Frees += Kinds[B].Frees;
@@ -921,9 +911,7 @@ int cmdSubmit(int Argc, char **Argv) {
 
   session::OpenRequest Req;
   Req.Name = Name.empty() ? defaultSessionName(Path) : Name;
-  Req.Config.Policy =
-      static_cast<memsim::AllocPolicy>(Reader.info().AllocPolicy);
-  Req.Config.Seed = Reader.info().Seed;
+  Req.Config = session::recordedConfig(Reader);
   Req.Config.MaxLmads = MaxLmads;
   Req.Instrs = Reader.instructions();
   Req.Sites = Reader.allocSites();
