@@ -5,16 +5,18 @@
 // report, no grammar-expansion blowup (the checked Sequitur expander
 // enforces terminal and step budgets). Accepted parses must be
 // serialization fixpoints, each dimension's cursor must expand to what
-// the checked expander produces from the same image, and the
-// digest/merge path over accepted archives must hold. Inputs are
-// exercised raw and re-framed under freshly checksummed OMSA/OMST
-// headers so mutations reach the payload decoders, not just the CRC
-// gate.
+// the checked expander produces from the same image, the classifier's
+// offset-pair counts of an accepted 4-dimension archive must equal an
+// ordered-map count over those expansions, and the digest/merge path
+// over accepted archives must hold. Inputs are exercised raw and
+// re-framed under freshly checksummed OMSA/OMST headers so mutations
+// reach the payload decoders, not just the CRC gate.
 //
 //===----------------------------------------------------------------------===//
 
 #include "FuzzTarget.h"
 
+#include "advisor/HotColdClassifier.h"
 #include "core/ObjectRelative.h"
 #include "support/Checksum.h"
 #include "support/Endian.h" // orp-lint: allow(endian-io): fuzz framing
@@ -22,6 +24,8 @@
 #include "whomp/OmsgStats.h"
 #include "whomp/Whomp.h"
 
+#include <algorithm>
+#include <map>
 #include <string>
 
 using namespace orp;
@@ -40,6 +44,33 @@ static std::vector<uint8_t> wrapWithHeader(const uint8_t *Magic,
   return Bytes;
 }
 
+/// The classifier's offset-pair counts of an accepted 4-dimension archive
+/// equal an ordered-map count over the checked expansions of its group,
+/// object and offset streams (walked up to the shortest one, as the
+/// classifier's lockstep cursors stop there).
+static void checkOffsetPairs(const whomp::OmsgArchive &Archive,
+                             const std::vector<uint64_t> &Groups,
+                             const std::vector<uint64_t> &Objects,
+                             const std::vector<uint64_t> &Offsets) {
+  std::map<advisor::OffsetPairKey, uint64_t> Reference;
+  size_t N = std::min({Groups.size(), Objects.size(), Offsets.size()});
+  for (size_t I = 1; I < N; ++I) {
+    if (Groups[I] != Groups[I - 1] || Objects[I] != Objects[I - 1] ||
+        Offsets[I] == Offsets[I - 1])
+      continue;
+    ++Reference[advisor::OffsetPairKey{
+        static_cast<omc::GroupId>(Groups[I]),
+        std::min(Offsets[I - 1], Offsets[I]),
+        std::max(Offsets[I - 1], Offsets[I])}];
+  }
+  advisor::OffsetPairCounts Counts = advisor::offsetPairsFromArchive(Archive);
+  ORP_FUZZ_REQUIRE(Counts.size() == Reference.size(),
+                   "offset-pair table holds a different number of pairs");
+  for (const auto &[Key, Count] : Reference)
+    ORP_FUZZ_REQUIRE(Counts.count(Key) == Count,
+                     "offset-pair count differs from the expanded streams");
+}
+
 static void checkArchiveImage(const std::vector<uint8_t> &Bytes) {
   whomp::OmsgArchive Out;
   std::string Err;
@@ -49,9 +80,10 @@ static void checkArchiveImage(const std::vector<uint8_t> &Bytes) {
   }
   // Every accepted image expands, through its cursor, to exactly what the
   // checked expander produces from the same bytes.
+  std::vector<std::vector<uint64_t>> Streams(Out.numDimensions());
   for (size_t D = 0; D != Out.numDimensions(); ++D) {
     const std::vector<uint8_t> &Image = Out.grammarImages()[D].bytes();
-    std::vector<uint64_t> Expanded;
+    std::vector<uint64_t> &Expanded = Streams[D];
     ORP_FUZZ_REQUIRE(sequitur::SequiturGrammar::deserializeAndExpandChecked(
                          Image.data(), Image.size(), Expanded, Err),
                      "accepted grammar image fails the checked expander");
@@ -61,6 +93,8 @@ static void checkArchiveImage(const std::vector<uint8_t> &Bytes) {
                        "cursor expansion differs from the checked expander");
     ORP_FUZZ_REQUIRE(C.done(), "cursor expansion runs past the image");
   }
+  if (Out.numDimensions() == 4)
+    checkOffsetPairs(Out, Streams[1], Streams[2], Streams[3]);
   std::vector<uint8_t> Canonical = Out.serialize();
   whomp::OmsgArchive Again;
   ORP_FUZZ_REQUIRE(
@@ -118,9 +152,25 @@ static std::vector<uint8_t> seedArchive() {
   return whomp::OmsgArchive::build(Whomp).serialize();
 }
 
+/// An archive whose tuples walk the fields of one object at a time, so
+/// the offset-pair property has pairs to count: 1,200 distinct ones,
+/// more than the counting table's first 1,024 slots hold, so it grows.
+static std::vector<uint8_t> seedArchiveWithFieldWalks() {
+  whomp::WhompProfiler Whomp;
+  uint64_t Time = 0;
+  for (unsigned Obj = 0; Obj != 40; ++Obj)
+    for (unsigned I = 0; I != 31; ++I)
+      Whomp.consume(core::OrTuple{1 + (I % 3), Obj % 2, Obj,
+                                  (Obj * 64 + (I * 7) % 31) * 8, ++Time,
+                                  false, 8});
+  Whomp.finish();
+  return whomp::OmsgArchive::build(Whomp).serialize();
+}
+
 std::vector<std::vector<uint8_t>> orpFuzzSeedInputs() {
   std::vector<std::vector<uint8_t>> Seeds;
   Seeds.push_back(seedArchive());
+  Seeds.push_back(seedArchiveWithFieldWalks());
   // Degenerate seeds for both magics.
   Seeds.push_back({});
   Seeds.push_back({'O', 'M', 'S', 'A'});

@@ -2,20 +2,76 @@
 
 #include "advisor/HotColdClassifier.h"
 
+#include "sequitur/DigramTable.h"
+
 #include <algorithm>
+#include <map>
 #include <unordered_map>
 
 using namespace orp;
 using namespace orp::advisor;
 
+static_assert(sizeof(OffsetPairCounts::Slot) == 32,
+              "wider slots raise classify's growth-step peak");
+
+size_t OffsetPairCounts::find(omc::GroupId Group, uint64_t OffA,
+                              uint64_t OffB) const {
+  size_t Mask = Slots.size() - 1;
+  uint64_t Hash = sequitur::avalanche64(OffA * 0x9e3779b97f4a7c15ULL ^
+                                        OffB * 0xc2b2ae3d27d4eb4fULL ^
+                                        Group * 0x165667b19e3779f9ULL);
+  for (size_t I = static_cast<size_t>(Hash) & Mask;; I = (I + 1) & Mask) {
+    const Slot &S = Slots[I];
+    if (S.Count == 0 ||
+        (S.OffA == OffA && S.OffB == OffB && S.Group == Group))
+      return I;
+  }
+}
+
+void OffsetPairCounts::add(omc::GroupId Group, uint64_t OffA, uint64_t OffB) {
+  if (OffA > OffB)
+    std::swap(OffA, OffB);
+  // Load stays at most 3/4: probe runs stay short, and the table stays
+  // dense enough that its 4 -> 8 MiB doubling on the largest trace does
+  // not raise profile-serial's peak (EXPERIMENTS.md, "Classify memory").
+  if ((Size + 1) * 4 > Slots.size() * 3)
+    grow();
+  Slot &S = Slots[find(Group, OffA, OffB)];
+  if (S.Count == 0) {
+    S = Slot{OffA, OffB, 0, Group};
+    ++Size;
+  }
+  ++S.Count;
+}
+
+uint64_t OffsetPairCounts::count(const OffsetPairKey &Key) const {
+  return Slots.empty() ? 0 : Slots[find(Key.Group, Key.OffA, Key.OffB)].Count;
+}
+
+void OffsetPairCounts::grow() {
+  constexpr size_t kMinSlots = 1024;
+  support::MappedArray<Slot> Old = std::move(Slots);
+  Slots = support::MappedArray<Slot>(Old.empty() ? kMinSlots
+                                                 : Old.size() * 2);
+  for (const Slot &S : Old)
+    if (S.Count != 0)
+      Slots[find(S.Group, S.OffA, S.OffB)] = S;
+}
+
+bool OffsetPairCounts::operator==(const OffsetPairCounts &O) const {
+  if (Size != O.Size)
+    return false;
+  for (const Slot &S : Slots)
+    if (S.Count != 0 && O.count(OffsetPairKey{S.Group, S.OffA, S.OffB}) !=
+                            S.Count)
+      return false;
+  return true;
+}
+
 void OffsetPairScanner::consume(const core::OrTuple &T) {
   if (HavePrev && Prev.Group == T.Group && Prev.Object == T.Object &&
-      Prev.Offset != T.Offset) {
-    uint64_t A = Prev.Offset, B = T.Offset;
-    if (A > B)
-      std::swap(A, B);
-    ++Counts[OffsetPairKey{T.Group, A, B}];
-  }
+      Prev.Offset != T.Offset)
+    Counts.add(T.Group, Prev.Offset, T.Offset);
   Prev = T;
   HavePrev = true;
 }
@@ -41,10 +97,7 @@ orp::advisor::offsetPairsFromArchive(const whomp::OmsgArchive &Archive) {
     Offset = Offsets.next();
     if (Group != PrevGroup || Object != PrevObject || Offset == PrevOffset)
       continue;
-    uint64_t A = PrevOffset, B = Offset;
-    if (A > B)
-      std::swap(A, B);
-    ++Counts[OffsetPairKey{static_cast<omc::GroupId>(Group), A, B}];
+    Counts.add(static_cast<omc::GroupId>(Group), PrevOffset, Offset);
   }
   return Counts;
 }
@@ -53,11 +106,10 @@ std::vector<LayoutAdvice>
 orp::advisor::rankLayoutAdvice(const OffsetPairCounts &Counts,
                                const ClassifierOptions &Opts) {
   std::vector<LayoutAdvice> Advice;
-  for (const auto &[Key, Count] : Counts) {
-    if (Count < Opts.MinPairCount)
-      continue;
-    Advice.push_back(LayoutAdvice{Key.Group, Key.OffA, Key.OffB, Count});
-  }
+  Counts.forEach([&](const OffsetPairKey &Key, uint64_t Count) {
+    if (Count >= Opts.MinPairCount)
+      Advice.push_back(LayoutAdvice{Key.Group, Key.OffA, Key.OffB, Count});
+  });
   std::sort(Advice.begin(), Advice.end(), layoutRankBefore);
   if (Advice.size() > Opts.MaxLayoutEntries)
     Advice.resize(Opts.MaxLayoutEntries);

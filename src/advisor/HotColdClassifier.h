@@ -30,9 +30,10 @@
 #include "advisor/AdvisorReport.h"
 #include "core/ObjectRelative.h"
 #include "leap/LeapProfileData.h"
+#include "support/MappedArray.h"
 #include "whomp/OmsgArchive.h"
 
-#include <map>
+#include <utility>
 #include <vector>
 
 namespace orp {
@@ -71,8 +72,64 @@ struct OffsetPairKey {
   }
 };
 
-/// Back-to-back transition counts per canonical pair.
-using OffsetPairCounts = std::map<OffsetPairKey, uint64_t>;
+/// Back-to-back transition counts per canonical pair: one flat
+/// open-addressing (linear probing) counting table. Slots live on a
+/// support::MappedArray, so the table's pages never pass through malloc
+/// and go back to the kernel when the table dies (DESIGN.md §18, "The
+/// offset-pair counting table"). Entries are in no particular order;
+/// every consumer either looks keys up or sorts.
+class OffsetPairCounts {
+public:
+  /// One slot, 32 bytes. Count == 0 marks an empty slot, so freshly
+  /// mapped (zero-filled) pages are an empty table.
+  struct Slot {
+    uint64_t OffA;
+    uint64_t OffB;
+    uint64_t Count;
+    omc::GroupId Group;
+  };
+
+  OffsetPairCounts() = default;
+  OffsetPairCounts(OffsetPairCounts &&O) noexcept
+      : Slots(std::move(O.Slots)), Size(std::exchange(O.Size, 0)) {}
+  OffsetPairCounts &operator=(OffsetPairCounts &&O) noexcept {
+    Slots = std::move(O.Slots);
+    Size = std::exchange(O.Size, 0);
+    return *this;
+  }
+
+  /// Adds one transition between \p OffA and \p OffB (in either order,
+  /// which must differ) of \p Group.
+  void add(omc::GroupId Group, uint64_t OffA, uint64_t OffB);
+
+  /// Transition count of \p Key; 0 when absent.
+  uint64_t count(const OffsetPairKey &Key) const;
+
+  /// Distinct pairs counted.
+  size_t size() const { return Size; }
+  bool empty() const { return Size == 0; }
+
+  /// Calls \p F(OffsetPairKey, Count) once per pair, in table order.
+  template <typename Fn> void forEach(Fn &&F) const {
+    for (const Slot &S : Slots)
+      if (S.Count != 0)
+        F(OffsetPairKey{S.Group, S.OffA, S.OffB}, S.Count);
+  }
+
+  /// Same pairs with the same counts, whatever order either table
+  /// stores them in.
+  bool operator==(const OffsetPairCounts &O) const;
+
+private:
+  /// Index of the canonical pair's slot, or of the empty slot that ends
+  /// its probe run. The table must have slots.
+  size_t find(omc::GroupId Group, uint64_t OffA, uint64_t OffB) const;
+  /// Doubles the slot array (maps the first one) and reinserts.
+  void grow();
+
+  support::MappedArray<Slot> Slots; ///< Power-of-two length, or empty.
+  size_t Size = 0;
+};
 
 /// Streaming digram counter: attach to a ProfilingSession to collect
 /// the same statistics offsetPairsFromArchive() recovers offline.
@@ -94,8 +151,9 @@ private:
 OffsetPairCounts offsetPairsFromArchive(const whomp::OmsgArchive &Archive);
 
 /// Ranks raw pair counts into layout advice: drops pairs below
-/// \p Opts.MinPairCount, orders hottest-first, keeps at most
-/// \p Opts.MaxLayoutEntries.
+/// \p Opts.MinPairCount, orders hottest-first by layoutRankBefore (a
+/// total order, so the result does not depend on table order), keeps at
+/// most \p Opts.MaxLayoutEntries.
 std::vector<LayoutAdvice> rankLayoutAdvice(const OffsetPairCounts &Counts,
                                            const ClassifierOptions &Opts);
 

@@ -4,6 +4,7 @@
 #include "support/Endian.h"
 #include "support/Histogram.h"
 #include "support/LogSink.h"
+#include "support/MappedArray.h"
 #include "support/ParseNumber.h"
 #include "support/Random.h"
 #include "support/Statistics.h"
@@ -17,6 +18,9 @@
 #include <limits>
 #include <numeric>
 #include <set>
+#include <type_traits>
+
+#include <malloc.h>
 
 using namespace orp;
 
@@ -605,6 +609,70 @@ TEST(ChecksumTest, Crc32DetectsSingleBitFlips) {
   }
   EXPECT_EQ(crc32(Data), Reference);
 }
+
+//===----------------------------------------------------------------------===//
+// MappedArray
+//===----------------------------------------------------------------------===//
+
+static_assert(!std::is_copy_constructible_v<support::MappedArray<uint64_t>> &&
+                  !std::is_copy_assignable_v<support::MappedArray<uint64_t>>,
+              "MappedArray is move-only");
+static_assert(
+    std::is_nothrow_move_constructible_v<support::MappedArray<uint64_t>> &&
+        std::is_nothrow_move_assignable_v<support::MappedArray<uint64_t>>,
+    "MappedArray moves without throwing");
+
+TEST(MappedArrayTest, ZeroFilledAndMoveOnly) {
+  struct Slot {
+    uint64_t Key;
+    uint32_t Count;
+  };
+  support::MappedArray<Slot> A(10000);
+  ASSERT_EQ(A.size(), 10000u);
+  for (const Slot &S : A)
+    ASSERT_TRUE(S.Key == 0 && S.Count == 0);
+  A[0].Key = 7;
+  A[9999].Count = 9;
+
+  support::MappedArray<Slot> B = std::move(A);
+  EXPECT_TRUE(A.empty()); // NOLINT(bugprone-use-after-move)
+  ASSERT_EQ(B.size(), 10000u);
+  EXPECT_EQ(B[0].Key, 7u);
+  EXPECT_EQ(B[9999].Count, 9u);
+
+  support::MappedArray<Slot> C(1);
+  C = std::move(B); // Unmaps C's own page.
+  EXPECT_TRUE(B.empty()); // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(C[9999].Count, 9u);
+  EXPECT_TRUE(support::MappedArray<Slot>().empty());
+  EXPECT_TRUE(support::MappedArray<Slot>(0).empty());
+}
+
+TEST(MappedArrayTest, BypassesMalloc) {
+  // An 8 MiB array, written through, changes neither malloc's in-use
+  // bytes nor its mmapped-chunk bytes.
+  struct mallinfo2 Before = mallinfo2();
+  {
+    support::MappedArray<uint64_t> A(1u << 20);
+    for (size_t I = 0; I < A.size(); I += 512)
+      A[I] = I;
+    struct mallinfo2 During = mallinfo2();
+    EXPECT_EQ(During.uordblks, Before.uordblks);
+    EXPECT_EQ(During.hblkhd, Before.hblkhd);
+    EXPECT_EQ(A[512], 512u);
+  }
+  struct mallinfo2 After = mallinfo2();
+  EXPECT_EQ(After.hblkhd, Before.hblkhd);
+}
+
+#ifndef NDEBUG
+TEST(MappedArrayDeathTest, IndexPastTheEndAsserts) {
+  // Sanitizers have no redzone past a mapped page, so the bound is the
+  // array's own assertion.
+  support::MappedArray<uint64_t> A(4);
+  EXPECT_DEATH(A[4] = 1, "out of range");
+}
+#endif
 
 //===----------------------------------------------------------------------===//
 // Endian

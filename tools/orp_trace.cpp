@@ -711,20 +711,23 @@ int cmdStats(int Argc, char **Argv) {
     logMessage(LogLevel::Error, "orp-trace: %s", Session.error().c_str());
     return 1;
   }
-  Session.finalize();
+  session::SessionArtifacts Artifacts = Session.finalize();
 
-  // Run the hot/cold classifier over the finished profiles and publish
+  // Run the hot/cold classifier over the finished artifacts and publish
   // the advisor.* gauges so the snapshot shows advice counts alongside
-  // the profiler metrics. Read-only over the profilers: the artifacts
-  // stay byte-identical with or without the advisor attached.
+  // the profiler metrics.
   advisor::AdvisorReport AdviceReport;
   advisor::AdvisorTelemetry AdviceBridge;
-  if (Session.leap() && Session.whomp()) {
-    advisor::HotColdClassifier Classifier;
-    AdviceReport = Classifier.classify(
-        leap::LeapProfileData::fromProfiler(*Session.leap()),
-        whomp::OmsgArchive::build(*Session.whomp(),
-                                  &Session.core().omc()));
+  if (!Artifacts.Leap.empty() && !Artifacts.Omsg.empty()) {
+    leap::LeapProfileData Leap;
+    whomp::OmsgArchive Omsg;
+    std::string Err;
+    if (!leap::LeapProfileData::deserialize(Artifacts.Leap, Leap, Err) ||
+        !whomp::OmsgArchive::deserialize(Artifacts.Omsg, Omsg, Err)) {
+      logMessage(LogLevel::Error, "orp-trace: %s", Err.c_str());
+      return 1;
+    }
+    AdviceReport = advisor::HotColdClassifier().classify(Leap, Omsg);
     AdviceBridge.attachReport(&AdviceReport);
   }
 
