@@ -124,7 +124,8 @@ private:
   /// Index of the canonical pair's slot, or of the empty slot that ends
   /// its probe run. The table must have slots.
   size_t find(omc::GroupId Group, uint64_t OffA, uint64_t OffB) const;
-  /// Doubles the slot array (maps the first one) and reinserts.
+  /// Doubles the slot array (maps the first one) and reinserts, giving
+  /// the old array's pages back behind the walk.
   void grow();
 
   support::MappedArray<Slot> Slots; ///< Power-of-two length, or empty.

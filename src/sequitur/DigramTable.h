@@ -46,18 +46,27 @@
 /// appended symbol on the perfbench traces; this policy reads 0.03-0.08,
 /// rebuilds included. EXPERIMENTS.md "6-byte digram slots".)
 ///
+/// The slot array lives on its own anonymous pages (support::MappedArray),
+/// never in malloc's heap, and the all-zero slot is the empty slot, so a
+/// fresh mapping is an empty table with no initialisation pass. A new
+/// table maps nothing until its first insertion; its lookups answer
+/// Npos. A doubling sends the entry of old home h to h or h + the old
+/// capacity, so the new array fills in step with the walk over the old
+/// one, and the walk gives the old array's pages back behind its cursor:
+/// the table never holds both arrays in full.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef ORP_SEQUITUR_DIGRAMTABLE_H
 #define ORP_SEQUITUR_DIGRAMTABLE_H
 
 #include "support/Error.h"
+#include "support/MappedArray.h"
 
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <utility>
-#include <vector>
 
 namespace orp {
 
@@ -119,6 +128,10 @@ struct DigramKeyHash {
 /// Lookups call it only for entries whose home and valid extension bits
 /// match the query's; insertions call it once per entry when they
 /// trigger a rebuilding growth, and never otherwise.
+///
+/// A table maps its first 2^6 slots at its first insertion, so
+/// constructing one makes no system call; until then it has capacity 0
+/// and every lookup answers Npos.
 class DigramTable {
 public:
   using NodeIdx = uint32_t;
@@ -131,8 +144,7 @@ public:
   /// Valid extension bits a key-free doubling may leave; a doubling that
   /// would leave fewer rebuilds.
   static constexpr unsigned MinValidBits = 4;
-
-  DigramTable() { reset(InitialShift, ExtensionBits); }
+  DigramTable() = default;
 
   DigramTable(const DigramTable &) = delete;
   DigramTable &operator=(const DigramTable &) = delete;
@@ -140,6 +152,8 @@ public:
   /// Returns the slot holding key \p K, or Npos.
   template <typename KeyReader>
   size_t findSlot(const DigramKey &K, const KeyReader &KeyOf) const {
+    if (Slots.empty()) [[unlikely]]
+      return Npos;
     const uint64_t H = hashDigram(K);
     size_t Idx = H & Mask;
     for (unsigned Want = tag(0, extensionOf(H));; ++Want) {
@@ -156,6 +170,8 @@ public:
   /// Npos. Reads no key: the node, its home and its extension bits
   /// identify the entry.
   size_t findEntry(const DigramKey &K, NodeIdx Node) const {
+    if (Slots.empty()) [[unlikely]]
+      return Npos;
     const uint64_t H = hashDigram(K);
     size_t Idx = H & Mask;
     for (unsigned Want = tag(0, extensionOf(H));; ++Want) {
@@ -193,6 +209,10 @@ public:
   size_t findOrInsert(const DigramKey &K, NodeIdx Node,
                       const KeyReader &KeyOf) {
     assert(Node != Empty && "node index 0 marks an empty slot");
+    if (Slots.empty()) [[unlikely]] {
+      insert(K, Node, KeyOf); // Maps the first slots.
+      return Npos;
+    }
     const uint64_t H = hashDigram(K);
     size_t Idx = H & Mask;
     unsigned Want = tag(0, extensionOf(H));
@@ -233,11 +253,10 @@ public:
     --Count;
   }
 
-  /// Frees the slot array, leaving an empty table of capacity 0. A
-  /// released table answers only size(), capacity(), maxProbeLength()
-  /// and forEach(); lookups and insertions need slots again.
+  /// Unmaps the slot array, leaving an empty table of capacity 0, as
+  /// constructed.
   void release() {
-    std::vector<Slot>().swap(Slots);
+    Slots = support::MappedArray<Slot>();
     Mask = 0;
     Count = 0;
   }
@@ -245,9 +264,13 @@ public:
   /// Returns the number of entries.
   size_t size() const { return Count; }
 
-  /// Returns the number of slots (entries plus empty slots); the table's
-  /// resident size is capacity() * SlotBytes.
+  /// Returns the number of slots (entries plus empty slots); 0 before the
+  /// first insertion and after release().
   size_t capacity() const { return Slots.size(); }
+
+  /// Returns the bytes the slot array maps: capacity() * SlotBytes
+  /// rounded up to whole pages.
+  size_t mappedBytes() const { return Slots.mappedBytes(); }
 
   /// Returns how many of an entry's extension bits are valid (8 after a
   /// rebuild, one fewer after each key-free doubling, never fewer than
@@ -313,6 +336,8 @@ public:
 private:
   static constexpr NodeIdx Empty = 0;
   static constexpr unsigned InitialShift = 6; ///< 64 slots.
+  /// Old slots a growth walks between two page releases (48 KiB).
+  static constexpr size_t ReleaseStride = 8192;
   /// An entry this far from its home slot forces growth instead.
   static constexpr unsigned MaxDisplacement = 254;
 
@@ -321,12 +346,12 @@ private:
     return static_cast<uint8_t>((H >> Shift) & ExtMask);
   }
 
-  /// Makes the slot array empty, 2^NewShift slots long, with
+  /// Maps a fresh (empty) slot array, 2^NewShift slots long, with
   /// \p ValidBits valid extension bits.
   void reset(unsigned NewShift, unsigned ValidBits) {
     if ((uint64_t(1) << NewShift) > MaxCapacity)
       ORP_FATAL_ERROR("sequitur digram index: capacity past 2^32 slots");
-    Slots.assign(size_t(1) << NewShift, Slot{});
+    Slots = support::MappedArray<Slot>(size_t(1) << NewShift);
     Mask = (size_t(1) << NewShift) - 1;
     Shift = NewShift;
     ExtBits = ValidBits;
@@ -366,17 +391,30 @@ private:
 
   /// Doubles the table and re-homes every entry: from its extension
   /// bits while more than MinValidBits are valid, else from its key (a
-  /// rebuild, which restores all the extension bits).
+  /// rebuild, which restores all the extension bits). The walk gives the
+  /// old array's pages back behind its cursor. A re-placement that hits
+  /// the displacement cap grows again from inside the walk; that nested
+  /// growth walks and releases only its own old array (this one's new
+  /// array), never the part of Old this walk has yet to pass. An unmapped
+  /// table maps its first 2^InitialShift slots instead.
   template <typename KeyReader>
   [[gnu::noinline]] void grow(const KeyReader &KeyOf) {
-    std::vector<Slot> Old = std::move(Slots);
+    if (Slots.empty()) {
+      reset(InitialShift, ExtensionBits);
+      return;
+    }
+    support::MappedArray<Slot> Old = std::move(Slots);
     const size_t OldMask = Mask;
     const unsigned OldShift = Shift, OldBits = ExtBits;
     reset(OldShift + 1, OldBits > MinValidBits ? OldBits - 1 : ExtensionBits);
-    for (size_t I = 0; I != Old.size(); ++I)
-      if (Old[I].Node != Empty)
-        rehome(Old[I].Node, Old[I].ext(), (I - Old[I].disp()) & OldMask,
-               OldShift, OldBits, KeyOf);
+    for (size_t I = 0; I != Old.size(); ++I) {
+      if (I % ReleaseStride == 0)
+        Old.releasePrefix(I);
+      const Slot S = Old[I];
+      if (S.Node != Empty)
+        rehome(S.Node, S.ext(), (I - S.disp()) & OldMask, OldShift, OldBits,
+               KeyOf);
+    }
   }
 
   /// Places the entry of \p Node, whose extension bits are \p Ext and
@@ -406,7 +444,7 @@ private:
     place(Home, Slot{Node, tag(0, Ext)}, KeyOf);
   }
 
-  std::vector<Slot> Slots;
+  support::MappedArray<Slot> Slots; ///< Power-of-two length, or unmapped.
   size_t Mask = 0;
   size_t Count = 0;
   unsigned Shift = 0;   ///< log2 of the capacity.

@@ -135,7 +135,7 @@ void SequiturGrammar::reclaimPending() {
 size_t SequiturGrammar::footprintBytes() const {
   return SymbolSlabs.size() * SymbolSlabBytes +
          RuleSlabs.size() * RuleSlabBytes +
-         Index.capacity() * DigramTable::SlotBytes + wideTableBytes();
+         Index.mappedBytes() + wideTableBytes();
 }
 
 //===----------------------------------------------------------------------===//

@@ -249,15 +249,19 @@ public:
   }
   /// Distinct digrams in the grammar (the count at the seal once sealed).
   size_t numDigrams() const { return Sealed ? SealedDigrams : Index.size(); }
-  /// Slots of the digram index (0 once sealed).
+  /// Slots of the digram index (0 before the first digram and once
+  /// sealed).
   size_t indexCapacity() const { return Index.capacity(); }
+  /// Bytes the digram index maps: its slots rounded up to whole pages
+  /// (0 before the first digram and once sealed).
+  size_t indexBytes() const { return Index.mappedBytes(); }
   /// Slots of the digram index; once sealed, the capacity the seal freed.
   size_t indexSlots() const {
     return Sealed ? SealedIndexSlots : Index.capacity();
   }
   /// Resident bytes of the grammar's bulk storage: symbol and rule slabs,
-  /// the digram index's slot array (capacity, not occupancy) and the
-  /// wide-terminal table.
+  /// the digram index's mapped pages (indexBytes(): capacity, not
+  /// occupancy) and the wide-terminal table.
   size_t footprintBytes() const;
 
   /// Exact work counters since construction.

@@ -19,6 +19,11 @@
 /// bounds are asserted in checked builds: sanitizers put no redzones
 /// around mapped pages.
 ///
+/// A table that is rebuilt into a larger array can give the old array
+/// back as the rebuild walks it: releasePrefix() returns the whole pages
+/// behind the walk's cursor (releaseWholePages(), which the trace reader
+/// also uses for the file pages behind its own cursor).
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef ORP_SUPPORT_MAPPEDARRAY_H
@@ -27,7 +32,9 @@
 #include "support/Error.h"
 
 #include <sys/mman.h>
+#include <unistd.h>
 
+#include <atomic>
 #include <cassert>
 #include <cstddef>
 #include <limits>
@@ -36,6 +43,32 @@
 
 namespace orp {
 namespace support {
+
+/// The kernel's page size in bytes.
+inline size_t pageSize() {
+  static const size_t Bytes = static_cast<size_t>(::sysconf(_SC_PAGESIZE));
+  return Bytes;
+}
+
+/// Gives the whole pages of [Base, Base + Bytes) back to the kernel
+/// (madvise MADV_DONTNEED); a partial last page stays. \p Base must be
+/// page-aligned. A private anonymous page reads zero-filled when next
+/// touched, and a private file page refaults from the file. Releasing is
+/// only an optimization, so a failure is ignored.
+inline void releaseWholePages(const void *Base, size_t Bytes) {
+  Bytes &= ~(pageSize() - 1);
+  if (Bytes != 0)
+    (void)::madvise(const_cast<void *>(Base), Bytes, MADV_DONTNEED);
+}
+
+namespace detail {
+inline std::atomic<size_t> MappedArrayBytes{0};
+} // namespace detail
+
+/// Bytes the process's live MappedArrays map, in whole pages.
+inline size_t mappedArrayBytes() {
+  return detail::MappedArrayBytes.load(std::memory_order_relaxed);
+}
 
 template <typename T> class MappedArray {
   static_assert(std::is_trivially_copyable_v<T> &&
@@ -57,6 +90,8 @@ public:
     if (P == MAP_FAILED)
       ORP_FATAL_ERROR("MappedArray: mmap failed");
     Data = static_cast<T *>(P);
+    detail::MappedArrayBytes.fetch_add(mappedBytes(),
+                                       std::memory_order_relaxed);
   }
 
   ~MappedArray() { unmap(); }
@@ -65,19 +100,42 @@ public:
   MappedArray &operator=(const MappedArray &) = delete;
 
   MappedArray(MappedArray &&O) noexcept
-      : Data(std::exchange(O.Data, nullptr)), Size(std::exchange(O.Size, 0)) {}
+      : Data(std::exchange(O.Data, nullptr)), Size(std::exchange(O.Size, 0)),
+        Released(std::exchange(O.Released, 0)) {}
 
   MappedArray &operator=(MappedArray &&O) noexcept {
     if (this != &O) {
       unmap();
       Data = std::exchange(O.Data, nullptr);
       Size = std::exchange(O.Size, 0);
+      Released = std::exchange(O.Released, 0);
     }
     return *this;
   }
 
   size_t size() const { return Size; }
   bool empty() const { return Size == 0; }
+
+  /// Bytes the array maps: its size rounded up to whole pages, however
+  /// many of them are resident.
+  size_t mappedBytes() const {
+    return (Size * sizeof(T) + pageSize() - 1) & ~(pageSize() - 1);
+  }
+
+  /// Gives back the whole pages that hold only elements [0, \p N): they
+  /// read as zero afterwards, and every element from the page holding
+  /// element N on keeps its value. Pages that an earlier call gave back
+  /// are not released again, so a walk can call this as its cursor
+  /// advances at the cost of one madvise per new run of whole pages.
+  void releasePrefix(size_t N) {
+    assert(N <= Size && "MappedArray prefix past the end");
+    const size_t End = N * sizeof(T) & ~(pageSize() - 1);
+    if (End <= Released)
+      return;
+    releaseWholePages(reinterpret_cast<char *>(Data) + Released,
+                      End - Released);
+    Released = End;
+  }
 
   T &operator[](size_t I) {
     assert(I < Size && "MappedArray index out of range");
@@ -95,12 +153,16 @@ public:
 
 private:
   void unmap() {
-    if (Data)
-      ::munmap(Data, Size * sizeof(T));
+    if (!Data)
+      return;
+    ::munmap(Data, Size * sizeof(T));
+    detail::MappedArrayBytes.fetch_sub(mappedBytes(),
+                                       std::memory_order_relaxed);
   }
 
   T *Data = nullptr;
   size_t Size = 0;
+  size_t Released = 0; ///< Leading bytes releasePrefix() gave back.
 };
 
 } // namespace support

@@ -4,6 +4,7 @@
 
 #include "support/Checksum.h"
 #include "support/Endian.h"
+#include "support/MappedArray.h"
 #include "support/VarInt.h"
 #include "traceio/BlockCodec.h"
 #include "traceio/RegistryCodec.h"
@@ -134,17 +135,27 @@ bool TraceReader::readAt(uint64_t Offset, size_t Len, uint8_t *Buf) const {
 
 const uint8_t *TraceReader::payloadOf(size_t Index) const {
   const BlockRef &Ref = Blocks[Index];
+  if (!Mapping)
+    return Data + Ref.PayloadPos;
   size_t Window = Ref.PayloadPos & ~(kReleaseWindow - 1);
-  // Only the first block that starts in a window releases what lies
-  // behind it, so a forward walk makes one call per window, not one per
-  // read (a daemon client re-reads each block it is refused). Block 0
-  // starts in window 0, so Index - 1 is valid here. The mapping is
-  // private and read-only: a released page refaults from the page cache
-  // with the same bytes, and pointers handed out earlier stay valid.
-  // Releasing is only an optimization, so a failure is ignored.
-  if (Mapping && Window &&
-      (Blocks[Index - 1].PayloadPos & ~(kReleaseWindow - 1)) != Window)
-    (void)::madvise(Mapping, Window, MADV_DONTNEED);
+  // The last block releases every whole page before its header: nothing
+  // follows it, so a finished walk keeps only that block resident, not
+  // its window. Otherwise only the first block that starts in a window
+  // releases the windows behind it, so a forward walk makes one call per
+  // window, not one per read (a daemon client re-reads each block it is
+  // refused). Block 0 starts in window 0, so Index - 1 is valid in the
+  // window test. The mapping is private and read-only: a released page
+  // refaults from the page cache with the same bytes, and pointers
+  // handed out earlier stay valid.
+  if (Index + 1 == Blocks.size()) {
+    const size_t HeaderPos = Index == 0 ? kHeaderSize
+                                        : Blocks[Index - 1].PayloadPos +
+                                              Blocks[Index - 1].PayloadLen;
+    support::releaseWholePages(Mapping, HeaderPos);
+  } else if (Window && (Blocks[Index - 1].PayloadPos &
+                        ~(kReleaseWindow - 1)) != Window) {
+    support::releaseWholePages(Mapping, Window);
+  }
   return Data + Ref.PayloadPos;
 }
 

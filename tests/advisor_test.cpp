@@ -301,33 +301,49 @@ TEST(HotColdClassifierTest, ListTraversalGolden) {
   EXPECT_TRUE(Report.Prefetch.empty());
 }
 
-TEST(HotColdClassifierTest, AdviceBytesArePinned) {
-  // CRC-32 and length of the serialized report of every workload: how
-  // classify counts and stores its offset pairs must never show in the
-  // advice.
-  struct Pin {
-    const char *Name;
-    uint32_t Crc;
-    size_t Bytes;
-  };
-  const Pin Pins[] = {
-      {"164.gzip-a", 0x80722c4eu, 480},
-      {"175.vpr-a", 0x7d035e79u, 603},
-      {"181.mcf-a", 0x4440e13du, 504},
-      {"186.crafty-a", 0x282bec41u, 526},
-      {"197.parser-a", 0x72f92bcdu, 479},
-      {"256.bzip2-a", 0x13ca029cu, 422},
-      {"300.twolf-a", 0xa5bda3c3u, 415},
-      {"list-traversal", 0xcfcab60bu, 34},
-  };
-  for (const Pin &P : Pins) {
-    const Profiles &Profile = sharedProfiles(P.Name);
-    std::vector<uint8_t> Bytes =
-        HotColdClassifier().classify(Profile.Leap, Profile.Omsg).serialize();
-    EXPECT_EQ(Bytes.size(), P.Bytes) << P.Name;
-    EXPECT_EQ(crc32(Bytes), P.Crc) << P.Name;
-  }
+/// CRC-32 and length of one workload's serialized advice report.
+struct AdvicePin {
+  const char *Name;
+  uint32_t Crc;
+  size_t Bytes;
+};
+
+const AdvicePin AdvicePins[] = {
+    {"164.gzip-a", 0x80722c4eu, 480},
+    {"175.vpr-a", 0x7d035e79u, 603},
+    {"181.mcf-a", 0x4440e13du, 504},
+    {"186.crafty-a", 0x282bec41u, 526},
+    {"197.parser-a", 0x72f92bcdu, 479},
+    {"256.bzip2-a", 0x13ca029cu, 422},
+    {"300.twolf-a", 0xa5bda3c3u, 415},
+    {"list-traversal", 0xcfcab60bu, 34},
+};
+
+/// One instance per workload, named after it with '.' and '-' as '_'.
+/// tests/CMakeLists.txt runs each instance as its own ctest entry.
+class AdviceBytesArePinned : public ::testing::TestWithParam<AdvicePin> {};
+
+TEST_P(AdviceBytesArePinned, Report) {
+  // How classify counts and stores its offset pairs must never show in
+  // the advice.
+  const AdvicePin &P = GetParam();
+  const Profiles &Profile = sharedProfiles(P.Name);
+  std::vector<uint8_t> Bytes =
+      HotColdClassifier().classify(Profile.Leap, Profile.Omsg).serialize();
+  EXPECT_EQ(Bytes.size(), P.Bytes) << P.Name;
+  EXPECT_EQ(crc32(Bytes), P.Crc) << P.Name;
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    HotColdClassifierTest, AdviceBytesArePinned,
+    ::testing::ValuesIn(AdvicePins),
+    [](const ::testing::TestParamInfo<AdvicePin> &Info) {
+      std::string Name = Info.param.Name;
+      std::replace_if(
+          Name.begin(), Name.end(),
+          [](char C) { return C == '.' || C == '-'; }, '_');
+      return Name;
+    });
 
 TEST(HotColdClassifierTest, ScannerMatchesArchiveRecovery) {
   // The streaming OffsetPairScanner and the offline recovery from the

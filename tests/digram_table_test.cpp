@@ -24,7 +24,10 @@
 #include <bit>
 #include <cstdint>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
+
+#include <malloc.h>
 
 #include "gtest/gtest.h"
 
@@ -161,9 +164,10 @@ TEST(DigramTableLayoutTest, SlotBytes) {
   EXPECT_EQ(DigramTable::MaxCapacity, uint64_t(1) << 32);
   KeyStore Store;
   DigramTable T;
+  insertRun(T, Store, 0, 1); // The first insertion maps 64 slots.
   EXPECT_EQ(T.capacity(), 64u);
   EXPECT_EQ(T.validExtensionBits(), 8u);
-  insertRun(T, Store, 0, 1000);
+  insertRun(T, Store, 1, 999);
   // Load factor 0.7 on a power-of-two capacity.
   EXPECT_EQ(T.capacity(), 2048u);
   EXPECT_EQ(T.size(), 1000u);
@@ -174,9 +178,10 @@ TEST(DigramTableTest, KeyFreeGrowthReadsNoKey) {
   // entry's extension bits: no key is read, and one bit fewer is valid.
   KeyStore Store;
   DigramTable T;
+  insertRun(T, Store, 0, 1); // Maps 2^6 slots.
   size_t Capacity = T.capacity();
   unsigned Bits = T.validExtensionBits();
-  for (uint64_t I = 0; I != FullAt2Pow10; ++I) {
+  for (uint64_t I = 1; I != FullAt2Pow10; ++I) {
     insertRun(T, Store, I, 1);
     if (T.capacity() != Capacity) {
       EXPECT_EQ(T.capacity(), Capacity * 2);
@@ -563,6 +568,103 @@ TEST(DigramTableTest, ReleaseFreesEverySlot) {
   size_t Visited = 0;
   T.forEach([&](size_t, NodeIdx) { ++Visited; });
   EXPECT_EQ(Visited, 0u);
+}
+
+TEST(DigramTableMappingTest, MapsNothingUntilTheFirstInsertion) {
+  // A constructed table makes no mapping: its lookups answer Npos
+  // without reading a key. The first insertion maps 64 slots (one
+  // page); release() unmaps them and leaves capacity 0.
+  const size_t Before = support::mappedArrayBytes();
+  KeyStore Store;
+  DigramTable T;
+  EXPECT_EQ(T.capacity(), 0u);
+  EXPECT_EQ(T.mappedBytes(), 0u);
+  EXPECT_EQ(support::mappedArrayBytes(), Before);
+  const DigramKey K{1, 2, 0};
+  EXPECT_EQ(T.findSlot(K, Store.reader()), DigramTable::Npos);
+  EXPECT_EQ(T.findEntry(K, 1), DigramTable::Npos);
+  EXPECT_EQ(T.maxProbeLength(), 0u);
+  EXPECT_EQ(Store.Reads, 0u);
+
+  EXPECT_EQ(T.findOrInsert(K, Store.add(K), Store.reader()),
+            DigramTable::Npos);
+  EXPECT_EQ(T.capacity(), 64u);
+  EXPECT_EQ(T.mappedBytes(), support::pageSize());
+  EXPECT_EQ(support::mappedArrayBytes(), Before + support::pageSize());
+  EXPECT_EQ(T.nodeAt(T.findSlot(K, Store.reader())), 1u);
+
+  T.release();
+  EXPECT_EQ(T.capacity(), 0u);
+  EXPECT_EQ(T.mappedBytes(), 0u);
+  EXPECT_EQ(support::mappedArrayBytes(), Before);
+  EXPECT_EQ(T.findSlot(K, Store.reader()), DigramTable::Npos);
+}
+
+TEST(DigramTableMappingTest, GrowthBypassesMalloc) {
+  // Every doubling up to 2^16 slots maps its own pages: malloc's in-use
+  // and mmapped-chunk bytes do not move, and the process maps exactly
+  // the final slot array once the old ones are gone.
+  KeyStore Store;
+  Store.Keys.reserve(50000); // The stand-in grammar allocates up front.
+  const size_t MappedBefore = support::mappedArrayBytes();
+  struct mallinfo2 Before = mallinfo2();
+  DigramTable T;
+  uint64_t Next = 0;
+  while (T.capacity() != (size_t(1) << 16))
+    insertRun(T, Store, Next++, 1);
+  struct mallinfo2 After = mallinfo2();
+  EXPECT_EQ(After.uordblks, Before.uordblks);
+  EXPECT_EQ(After.hblkhd, Before.hblkhd);
+  EXPECT_EQ(T.mappedBytes(), (size_t(1) << 16) * DigramTable::SlotBytes);
+  EXPECT_EQ(support::mappedArrayBytes(), MappedBefore + T.mappedBytes());
+  EXPECT_TRUE(entriesMatchKeys(T, Store));
+}
+
+TEST(DigramTableMappingTest, DoublingsMatchAReferenceSet) {
+  // Random insertions and erasures through ten doublings (2^6 -> 2^16,
+  // key-free ones and the rebuilds at 2^11 and 2^16), each of which
+  // gives the old array back behind its walk. After every doubling the
+  // table holds exactly the reference set's keys, each at its own node.
+  KeyStore Store;
+  DigramTable T;
+  std::unordered_set<DigramKey, DigramKeyHash> Reference;
+  Rng R(29);
+  auto Matches = [&] {
+    if (T.size() != Reference.size())
+      return false;
+    for (const DigramKey &K : Reference) {
+      size_t Slot = T.findSlot(K, Store.reader());
+      if (Slot == DigramTable::Npos || !(Store.Keys[T.nodeAt(Slot)] == K))
+        return false;
+    }
+    return entriesMatchKeys(T, Store);
+  };
+  unsigned Doublings = 0, Rebuilds = 0;
+  size_t Capacity = 0;
+  while (T.capacity() != (size_t(1) << 16)) {
+    if (!Reference.empty() && R.nextBool(0.2)) {
+      const DigramKey K = *Reference.begin();
+      size_t Slot = T.findSlot(K, Store.reader());
+      ASSERT_NE(Slot, DigramTable::Npos);
+      T.eraseSlot(Slot);
+      Reference.erase(K);
+      continue;
+    }
+    const DigramKey K{R.nextBelow(1u << 20) * 8, R.nextBelow(1u << 20),
+                      static_cast<uint8_t>(R.nextBelow(4))};
+    size_t Slot = T.findOrInsert(K, Store.add(K), Store.reader());
+    ASSERT_EQ(Slot == DigramTable::Npos, Reference.insert(K).second);
+    if (T.capacity() != Capacity) {
+      Doublings += Capacity != 0;
+      Rebuilds += T.validExtensionBits() == DigramTable::ExtensionBits &&
+                  Capacity != 0;
+      Capacity = T.capacity();
+      ASSERT_TRUE(Matches()) << "at " << Capacity << " slots";
+    }
+  }
+  EXPECT_EQ(Doublings, 10u);
+  EXPECT_EQ(Rebuilds, 2u);
+  EXPECT_TRUE(Matches());
 }
 
 } // namespace

@@ -309,10 +309,11 @@ ReadOnlyView readOnlyView(const SequiturGrammar &G) {
 void expectSealKeepsReads(SequiturGrammar &G, const std::string &Label) {
   const ReadOnlyView Before = readOnlyView(G);
   const size_t Footprint = G.footprintBytes();
-  const size_t IndexBytes = G.indexCapacity() * DigramTable::SlotBytes;
+  const size_t IndexBytes = G.indexBytes();
   const size_t IndexSlots = G.indexCapacity();
   const size_t WideBytes = G.wideTableBytes();
-  ASSERT_GT(IndexBytes, 0u) << Label;
+  // The index maps its pages at the first digram.
+  ASSERT_EQ(IndexBytes == 0, G.numDigrams() == 0) << Label;
   ASSERT_EQ(G.indexSlots(), IndexSlots) << Label;
   G.seal();
   EXPECT_TRUE(G.sealed()) << Label;
@@ -361,6 +362,7 @@ TEST(SequiturSealTest, GoldenStreamsReadsAndCrcsUnchanged) {
 
 TEST(SequiturSealTest, EmptyGrammarSeals) {
   SequiturGrammar G;
+  EXPECT_EQ(G.indexBytes(), 0u) << "no digram, no index pages";
   expectSealKeepsReads(G, "empty");
   EXPECT_EQ(G.numDigrams(), 0u);
 }
@@ -481,7 +483,7 @@ TEST(SequiturWideTest, FootprintIsSlabsIndexAndWideTable) {
   auto Bulk = [](const SequiturGrammar &G) {
     return G.numSymbolSlabs() * SequiturGrammar::SymbolSlabBytes +
            G.numRuleSlabs() * SequiturGrammar::RuleSlabBytes +
-           G.indexCapacity() * DigramTable::SlotBytes;
+           G.indexBytes();
   };
   SequiturGrammar Narrow;
   for (uint64_t I = 0; I != 20000; ++I)

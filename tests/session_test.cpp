@@ -16,6 +16,7 @@
 #include "session/ProfileSession.h"
 #include "session/SessionManager.h"
 #include "session/Wire.h"
+#include "support/MappedArray.h"
 #include "support/Version.h"
 #include "support/WorkerPool.h"
 #include "telemetry/Registry.h"
@@ -445,6 +446,53 @@ TEST(ProfileSessionTest, FinalizeGivesBackTheDigramIndexes) {
     EXPECT_EQ(G.numDigrams(), Digrams[I]);
     EXPECT_EQ(G.indexSlots(), Slots[I]);
   }
+  std::remove(Path.c_str());
+}
+
+TEST(ProfileSessionTest, IndexFootprintIsItsMappedPages) {
+  // The index term of each grammar's footprint, and so of
+  // memoryEstimateBytes(), is the bytes its digram index maps. The
+  // indexes are the only MappedArrays a replaying session holds, so
+  // their terms must add up to what the process maps for them: nothing
+  // after construction, the page-rounded slot arrays after the replay,
+  // nothing again after finalize().
+  std::string Path = tempPath("mapped_index.orpt");
+  recordTrace("164.gzip-a", Path);
+  traceio::TraceReader Reader;
+  ASSERT_TRUE(Reader.open(Path)) << Reader.error();
+  const size_t Mapped = support::mappedArrayBytes();
+  session::ProfileSession Session("mapped", session::recordedConfig(Reader));
+  const core::Dimension Dims[] = {
+      core::Dimension::Instruction, core::Dimension::Group,
+      core::Dimension::Object, core::Dimension::Offset};
+  auto IndexBytes = [&] {
+    size_t Bytes = 0;
+    for (core::Dimension D : Dims)
+      Bytes += Session.whomp()->grammarFor(D).indexBytes();
+    return Bytes;
+  };
+  EXPECT_EQ(IndexBytes(), 0u) << "construction maps no index";
+  EXPECT_EQ(support::mappedArrayBytes(), Mapped);
+
+  ASSERT_TRUE(Session.replayFrom(Reader)) << Session.error();
+  const size_t Page = support::pageSize();
+  for (core::Dimension D : Dims) {
+    const sequitur::SequiturGrammar &G = Session.whomp()->grammarFor(D);
+    EXPECT_EQ(G.indexBytes(),
+              (G.indexCapacity() * sequitur::DigramTable::SlotBytes + Page -
+               1) / Page * Page);
+    EXPECT_EQ(G.footprintBytes(),
+              G.numSymbolSlabs() * sequitur::SequiturGrammar::SymbolSlabBytes +
+                  G.numRuleSlabs() * sequitur::SequiturGrammar::RuleSlabBytes +
+                  G.indexBytes() + G.wideTableBytes());
+  }
+  ASSERT_GT(IndexBytes(), 0u);
+  EXPECT_EQ(support::mappedArrayBytes(), Mapped + IndexBytes());
+
+  SessionArtifacts A = Session.finalize();
+  ASSERT_FALSE(A.Failed) << A.Error;
+  EXPECT_EQ(IndexBytes(), 0u);
+  EXPECT_EQ(support::mappedArrayBytes(), Mapped);
   std::remove(Path.c_str());
 }
 

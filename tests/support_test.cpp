@@ -21,6 +21,7 @@
 #include <type_traits>
 
 #include <malloc.h>
+#include <sys/mman.h>
 
 using namespace orp;
 
@@ -663,6 +664,68 @@ TEST(MappedArrayTest, BypassesMalloc) {
   }
   struct mallinfo2 After = mallinfo2();
   EXPECT_EQ(After.hblkhd, Before.hblkhd);
+}
+
+/// Residency of each page of [Base, Base + Pages pages), from mincore.
+static std::vector<bool> residentPages(const void *Base, size_t Pages) {
+  std::vector<unsigned char> Vec(Pages);
+  if (::mincore(const_cast<void *>(Base), Pages * support::pageSize(),
+                Vec.data()) != 0)
+    ADD_FAILURE() << "mincore failed";
+  std::vector<bool> Out(Pages);
+  for (size_t I = 0; I != Pages; ++I)
+    Out[I] = Vec[I] & 1;
+  return Out;
+}
+
+TEST(MappedArrayTest, ReleasePrefixKeepsTheSuffix) {
+  // Giving back the whole pages before element N makes them
+  // non-resident; the page holding element N and everything after it
+  // keep their values.
+  const size_t Page = support::pageSize();
+  const size_t PerPage = Page / sizeof(uint64_t);
+  constexpr size_t Pages = 32;
+  const size_t Before = support::mappedArrayBytes();
+  support::MappedArray<uint64_t> A(Pages * PerPage - 3);
+  EXPECT_EQ(A.mappedBytes(), Pages * Page);
+  EXPECT_EQ(support::mappedArrayBytes(), Before + Pages * Page);
+  for (size_t I = 0; I != A.size(); ++I)
+    A[I] = I + 1;
+  std::vector<bool> Resident = residentPages(A.begin(), Pages);
+  ASSERT_EQ(std::count(Resident.begin(), Resident.end(), true),
+            std::ptrdiff_t(Pages));
+
+  const size_t N = 10 * PerPage + PerPage / 2; // Mid-page 10.
+  A.releasePrefix(N);
+  Resident = residentPages(A.begin(), Pages);
+  for (size_t P = 0; P != Pages; ++P)
+    EXPECT_EQ(Resident[P], P >= 10) << "page " << P;
+  for (size_t I = 10 * PerPage; I != A.size(); ++I)
+    ASSERT_EQ(A[I], I + 1) << I;
+
+  // A shorter prefix gives back nothing more; the released pages read
+  // zero-filled.
+  A.releasePrefix(PerPage);
+  EXPECT_TRUE(residentPages(A.begin(), Pages)[10]);
+  EXPECT_EQ(A[0], 0u);
+  EXPECT_EQ(A[10 * PerPage - 1], 0u);
+
+  // The whole array: every whole page past the earlier prefix goes (the
+  // reads above refaulted pages 0 and 9), the partial last one stays.
+  A.releasePrefix(A.size());
+  Resident = residentPages(A.begin(), Pages);
+  for (size_t P = 10; P != Pages - 1; ++P)
+    EXPECT_FALSE(Resident[P]) << "page " << P;
+  EXPECT_TRUE(Resident[Pages - 1]);
+  EXPECT_EQ(A[A.size() - 1], A.size());
+
+  // Moving carries the released prefix with it.
+  support::MappedArray<uint64_t> B = std::move(A);
+  EXPECT_EQ(support::mappedArrayBytes(), Before + Pages * Page);
+  B.releasePrefix(B.size());
+  EXPECT_EQ(B[B.size() - 1], B.size());
+  B = support::MappedArray<uint64_t>();
+  EXPECT_EQ(support::mappedArrayBytes(), Before);
 }
 
 #ifndef NDEBUG

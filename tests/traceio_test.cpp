@@ -13,6 +13,7 @@
 #include "session/ProfileSession.h"
 #include "support/Checksum.h"
 #include "support/Endian.h"
+#include "support/MappedArray.h"
 #include "support/WorkerPool.h"
 #include "support/VarInt.h"
 #include "traceio/BlockCodec.h"
@@ -732,6 +733,49 @@ void recordLargeTrace(const std::string &Path, uint64_t Accesses) {
 }
 
 } // namespace
+
+TEST(TraceIoMappedOpenTest, FinishedWalkKeepsOnlyTheLastBlock) {
+  // Handing out the last block releases every whole page before its
+  // header, so a finished walk leaves only that block resident, not the
+  // 256 KiB window it ends in. Pointers from earlier rawBlock() calls
+  // refault with the same bytes.
+  std::string Path = tempPath("mapped_tail.orpt");
+  recordLargeTrace(Path, /*Accesses=*/300000);
+  const std::vector<uint8_t> Bytes = readFile(Path);
+  traceio::TraceReader R;
+  ASSERT_TRUE(R.open(Path)) << R.error();
+  std::remove(Path.c_str());
+  ASSERT_GT(R.numEventBlocks(), 8u);
+  const size_t Page = support::pageSize();
+  const traceio::TraceReader::RawBlock Last =
+      R.rawBlock(R.numEventBlocks() - 1);
+  const int64_t Bound = static_cast<int64_t>(
+      ((Last.FileOffset + Last.PayloadLen + Page - 1) / Page -
+       Last.FileOffset / Page + 1) *
+      Page);
+  if (mappingRssBytes(Last.Payload) < 0)
+    GTEST_SKIP() << "/proc/self/smaps does not show the trace mapping";
+
+  uint64_t Events = 0;
+  ASSERT_TRUE(R.forEachEvent([&](const traceio::TraceEvent &) { ++Events; }))
+      << R.error();
+  EXPECT_EQ(Events, R.info().TotalEvents);
+  EXPECT_LE(mappingRssBytes(Last.Payload), Bound) << "forEachEvent";
+  EXPECT_GT(mappingRssBytes(Last.Payload), 0);
+
+  std::vector<traceio::TraceReader::RawBlock> Raw;
+  for (size_t B = 0; B != R.numEventBlocks(); ++B) {
+    Raw.push_back(R.rawBlock(B));
+    EXPECT_EQ(crc32(Raw[B].Payload, Raw[B].PayloadLen), Raw[B].Crc) << B;
+  }
+  EXPECT_LE(mappingRssBytes(Last.Payload), Bound) << "rawBlock";
+  for (size_t B = 0; B != Raw.size(); ++B) {
+    ASSERT_LE(Raw[B].FileOffset + Raw[B].PayloadLen, Bytes.size());
+    EXPECT_TRUE(std::equal(Raw[B].Payload, Raw[B].Payload + Raw[B].PayloadLen,
+                           Bytes.begin() + Raw[B].FileOffset))
+        << "block " << B;
+  }
+}
 
 TEST(TraceIoMappedOpenTest, ReplayKeepsTraceResidencyBounded) {
   // A mapped trace is indexed with pread and its payload pages are
