@@ -57,10 +57,14 @@ void OffsetPairCounts::grow() {
                                                  : Old.size() * 2);
   // A pair of old home h lands at h or h + Old.size(), so the new array
   // fills in step with the walk, which gives back the old pages behind
-  // it: the two arrays are never resident in full at once.
+  // it and faults in the new ones ahead of it: the two arrays are never
+  // resident in full at once.
   for (size_t I = 0; I != Old.size(); ++I) {
-    if (I % kReleaseStride == 0)
+    if (I % kReleaseStride == 0) {
       Old.releasePrefix(I);
+      Slots.populate(I, I + kReleaseStride);
+      Slots.populate(Old.size() + I, Old.size() + I + kReleaseStride);
+    }
     const Slot &S = Old[I];
     if (S.Count != 0)
       Slots[find(S.Group, S.OffA, S.OffB)] = S;

@@ -52,8 +52,9 @@
 /// table maps nothing until its first insertion; its lookups answer
 /// Npos. A doubling sends the entry of old home h to h or h + the old
 /// capacity, so the new array fills in step with the walk over the old
-/// one, and the walk gives the old array's pages back behind its cursor:
-/// the table never holds both arrays in full.
+/// one: the walk gives the old array's pages back behind its cursor and
+/// faults the new array's pages in ahead of it, and the table never
+/// holds both arrays in full.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -209,20 +210,21 @@ public:
   size_t findOrInsert(const DigramKey &K, NodeIdx Node,
                       const KeyReader &KeyOf) {
     assert(Node != Empty && "node index 0 marks an empty slot");
-    if (Slots.empty()) [[unlikely]] {
-      insert(K, Node, KeyOf); // Maps the first slots.
-      return Npos;
-    }
     const uint64_t H = hashDigram(K);
     size_t Idx = H & Mask;
     unsigned Want = tag(0, extensionOf(H));
-    for (;; ++Want) {
-      const Slot &S = Slots[Idx];
-      if (S.Node == Empty || S.disp() < (Want & 0xff))
-        break; // Absent: insert() would place or rob here.
-      if (S.Tag == Want && KeyOf(S.Node) == K)
-        return Idx;
-      Idx = (Idx + 1) & Mask;
+    // An unmapped table has no slot to probe; its load test below sends
+    // it to insert(), which maps the first slots. (A second insert() call
+    // here would keep the compiler from inlining this function.)
+    if (!Slots.empty()) [[likely]] {
+      for (;; ++Want) {
+        const Slot &S = Slots[Idx];
+        if (S.Node == Empty || S.disp() < (Want & 0xff))
+          break; // Absent: insert() would place or rob here.
+        if (S.Tag == Want && KeyOf(S.Node) == K)
+          return Idx;
+        Idx = (Idx + 1) & Mask;
+      }
     }
     if ((Count + 1) * 10 >= (Mask + 1) * 7 ||
         (Want & 0xff) == MaxDisplacement) [[unlikely]] {
@@ -392,7 +394,8 @@ private:
   /// Doubles the table and re-homes every entry: from its extension
   /// bits while more than MinValidBits are valid, else from its key (a
   /// rebuild, which restores all the extension bits). The walk gives the
-  /// old array's pages back behind its cursor. A re-placement that hits
+  /// old array's pages back behind its cursor and populates the new
+  /// array's pages ahead of it. A re-placement that hits
   /// the displacement cap grows again from inside the walk; that nested
   /// growth walks and releases only its own old array (this one's new
   /// array), never the part of Old this walk has yet to pass. An unmapped
@@ -408,8 +411,14 @@ private:
     const unsigned OldShift = Shift, OldBits = ExtBits;
     reset(OldShift + 1, OldBits > MinValidBits ? OldBits - 1 : ExtensionBits);
     for (size_t I = 0; I != Old.size(); ++I) {
-      if (I % ReleaseStride == 0)
+      if (I % ReleaseStride == 0) {
+        // The old pages behind the walk go back; the new pages the next
+        // stride's entries land in (their old home or the same home plus
+        // the old capacity) come in, written, ahead of the probes.
         Old.releasePrefix(I);
+        Slots.populate(I, I + ReleaseStride);
+        Slots.populate(Old.size() + I, Old.size() + I + ReleaseStride);
+      }
       const Slot S = Old[I];
       if (S.Node != Empty)
         rehome(S.Node, S.ext(), (I - S.disp()) & OldMask, OldShift, OldBits,

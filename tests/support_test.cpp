@@ -728,6 +728,24 @@ TEST(MappedArrayTest, ReleasePrefixKeepsTheSuffix) {
   EXPECT_EQ(support::mappedArrayBytes(), Before);
 }
 
+TEST(MappedArrayTest, PopulateFaultsInTheRangeAndNoMore) {
+  // populate() makes the pages of [From, To) resident, from the page
+  // holding From, clipped at the end of the array, and leaves the rest
+  // unmapped and zero.
+  const size_t PerPage = support::pageSize() / sizeof(uint64_t);
+  constexpr size_t Pages = 16;
+  support::MappedArray<uint64_t> A(Pages * PerPage);
+  A.populate(3 * PerPage + 5, 6 * PerPage);
+  A.populate(15 * PerPage, 40 * PerPage);
+  std::vector<bool> Resident = residentPages(A.begin(), Pages);
+#ifdef MADV_POPULATE_WRITE
+  for (size_t P = 0; P != Pages; ++P)
+    EXPECT_EQ(Resident[P], (P >= 3 && P < 6) || P == 15) << "page " << P;
+#endif
+  for (size_t I = 0; I != A.size(); I += PerPage / 2)
+    ASSERT_EQ(A[I], 0u) << I;
+}
+
 #ifndef NDEBUG
 TEST(MappedArrayDeathTest, IndexPastTheEndAsserts) {
   // Sanitizers have no redzone past a mapped page, so the bound is the
