@@ -50,25 +50,13 @@ uint64_t OffsetPairCounts::count(const OffsetPairKey &Key) const {
 
 void OffsetPairCounts::grow() {
   constexpr size_t kMinSlots = 1024;
-  // Old slots walked between two page releases (64 KiB).
-  constexpr size_t kReleaseStride = 2048;
   support::MappedArray<Slot> Old = std::move(Slots);
   Slots = support::MappedArray<Slot>(Old.empty() ? kMinSlots
                                                  : Old.size() * 2);
-  // A pair of old home h lands at h or h + Old.size(), so the new array
-  // fills in step with the walk, which gives back the old pages behind
-  // it and faults in the new ones ahead of it: the two arrays are never
-  // resident in full at once.
-  for (size_t I = 0; I != Old.size(); ++I) {
-    if (I % kReleaseStride == 0) {
-      Old.releasePrefix(I);
-      Slots.populate(I, I + kReleaseStride);
-      Slots.populate(Old.size() + I, Old.size() + I + kReleaseStride);
-    }
-    const Slot &S = Old[I];
+  support::rehashWalk(Old, [&](size_t, const Slot &S) {
     if (S.Count != 0)
       Slots[find(S.Group, S.OffA, S.OffB)] = S;
-  }
+  });
 }
 
 bool OffsetPairCounts::operator==(const OffsetPairCounts &O) const {

@@ -52,9 +52,8 @@
 /// table maps nothing until its first insertion; its lookups answer
 /// Npos. A doubling sends the entry of old home h to h or h + the old
 /// capacity, so the new array fills in step with the walk over the old
-/// one: the walk gives the old array's pages back behind its cursor and
-/// faults the new array's pages in ahead of it, and the table never
-/// holds both arrays in full.
+/// one: the walk gives the old array's pages back behind its cursor,
+/// and the table never holds both arrays in full.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -338,8 +337,6 @@ public:
 private:
   static constexpr NodeIdx Empty = 0;
   static constexpr unsigned InitialShift = 6; ///< 64 slots.
-  /// Old slots a growth walks between two page releases (48 KiB).
-  static constexpr size_t ReleaseStride = 8192;
   /// An entry this far from its home slot forces growth instead.
   static constexpr unsigned MaxDisplacement = 254;
 
@@ -393,13 +390,13 @@ private:
 
   /// Doubles the table and re-homes every entry: from its extension
   /// bits while more than MinValidBits are valid, else from its key (a
-  /// rebuild, which restores all the extension bits). The walk gives the
-  /// old array's pages back behind its cursor and populates the new
-  /// array's pages ahead of it. A re-placement that hits
-  /// the displacement cap grows again from inside the walk; that nested
-  /// growth walks and releases only its own old array (this one's new
-  /// array), never the part of Old this walk has yet to pass. An unmapped
-  /// table maps its first 2^InitialShift slots instead.
+  /// rebuild, which restores all the extension bits). The walk
+  /// (support::rehashWalk) gives the old array's pages back behind its
+  /// cursor. A re-placement that hits the displacement cap grows again
+  /// from inside the walk; that nested growth walks and releases only its
+  /// own old array (this one's new array), never the part of Old this
+  /// walk has yet to pass. An unmapped table maps its first
+  /// 2^InitialShift slots instead.
   template <typename KeyReader>
   [[gnu::noinline]] void grow(const KeyReader &KeyOf) {
     if (Slots.empty()) {
@@ -410,20 +407,11 @@ private:
     const size_t OldMask = Mask;
     const unsigned OldShift = Shift, OldBits = ExtBits;
     reset(OldShift + 1, OldBits > MinValidBits ? OldBits - 1 : ExtensionBits);
-    for (size_t I = 0; I != Old.size(); ++I) {
-      if (I % ReleaseStride == 0) {
-        // The old pages behind the walk go back; the new pages the next
-        // stride's entries land in (their old home or the same home plus
-        // the old capacity) come in, written, ahead of the probes.
-        Old.releasePrefix(I);
-        Slots.populate(I, I + ReleaseStride);
-        Slots.populate(Old.size() + I, Old.size() + I + ReleaseStride);
-      }
-      const Slot S = Old[I];
+    support::rehashWalk(Old, [&](size_t I, const Slot &S) {
       if (S.Node != Empty)
         rehome(S.Node, S.ext(), (I - S.disp()) & OldMask, OldShift, OldBits,
                KeyOf);
-    }
+    });
   }
 
   /// Places the entry of \p Node, whose extension bits are \p Ext and

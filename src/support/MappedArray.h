@@ -19,10 +19,11 @@
 /// bounds are asserted in checked builds: sanitizers put no redzones
 /// around mapped pages.
 ///
-/// A table that is rebuilt into a larger array can give the old array
-/// back as the rebuild walks it: releasePrefix() returns the whole pages
-/// behind the walk's cursor (releaseWholePages(), which the trace reader
-/// also uses for the file pages behind its own cursor).
+/// A power-of-two table that doubles rehashes through rehashWalk(),
+/// which gives the old array back as it walks it (releasePrefix(): the
+/// whole pages behind the walk's cursor, through releaseWholePages(),
+/// which the trace reader also uses for the file pages behind its own
+/// cursor).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -34,7 +35,7 @@
 #include <sys/mman.h>
 #include <unistd.h>
 
-#include <atomic>
+#include <algorithm>
 #include <cassert>
 #include <cstddef>
 #include <limits>
@@ -61,15 +62,6 @@ inline void releaseWholePages(const void *Base, size_t Bytes) {
     (void)::madvise(const_cast<void *>(Base), Bytes, MADV_DONTNEED);
 }
 
-namespace detail {
-inline std::atomic<size_t> MappedArrayBytes{0};
-} // namespace detail
-
-/// Bytes the process's live MappedArrays map, in whole pages.
-inline size_t mappedArrayBytes() {
-  return detail::MappedArrayBytes.load(std::memory_order_relaxed);
-}
-
 template <typename T> class MappedArray {
   static_assert(std::is_trivially_copyable_v<T> &&
                     std::is_trivially_destructible_v<T>,
@@ -90,8 +82,6 @@ public:
     if (P == MAP_FAILED)
       ORP_FATAL_ERROR("MappedArray: mmap failed");
     Data = static_cast<T *>(P);
-    detail::MappedArrayBytes.fetch_add(mappedBytes(),
-                                       std::memory_order_relaxed);
   }
 
   ~MappedArray() { unmap(); }
@@ -137,29 +127,6 @@ public:
     Released = End;
   }
 
-  /// Faults in, writable, the pages holding elements [From, To) (clipped
-  /// to the array) in one call (madvise MADV_POPULATE_WRITE). A table
-  /// about to fill a range calls this first: a first touch that reads,
-  /// as every probe does, and then writes faults twice, once to map the
-  /// shared zero page and once to copy it, and that costs 2.7x as much
-  /// as one populate per page (EXPERIMENTS.md "Mapped digram index").
-  /// Only an optimization: where the kernel lacks it, the pages fault in
-  /// as they are touched.
-  void populate(size_t From, size_t To) {
-#ifdef MADV_POPULATE_WRITE
-    To = To < Size ? To : Size;
-    if (From >= To)
-      return;
-    char *Lo = reinterpret_cast<char *>(Data) +
-               (From * sizeof(T) & ~(pageSize() - 1));
-    char *Hi = reinterpret_cast<char *>(Data) + To * sizeof(T);
-    (void)::madvise(Lo, static_cast<size_t>(Hi - Lo), MADV_POPULATE_WRITE);
-#else
-    (void)From;
-    (void)To;
-#endif
-  }
-
   T &operator[](size_t I) {
     assert(I < Size && "MappedArray index out of range");
     return Data[I];
@@ -176,17 +143,33 @@ public:
 
 private:
   void unmap() {
-    if (!Data)
-      return;
-    ::munmap(Data, Size * sizeof(T));
-    detail::MappedArrayBytes.fetch_sub(mappedBytes(),
-                                       std::memory_order_relaxed);
+    if (Data)
+      ::munmap(Data, Size * sizeof(T));
   }
 
   T *Data = nullptr;
   size_t Size = 0;
   size_t Released = 0; ///< Leading bytes releasePrefix() gave back.
 };
+
+/// Walks \p Old, the array of a power-of-two table being doubled, and
+/// calls \p Visit(I, Old[I]) for every element in order; \p Visit
+/// re-places the element in the new array. A doubling sends the element
+/// of old home h to h or h + Old.size(), so the new array's pages fill
+/// in step with the walk, and every 64 KiB of \p Old the walk gives
+/// back the whole pages of \p Old behind it: the two arrays are never
+/// resident in full at once.
+template <typename T, typename Fn>
+void rehashWalk(MappedArray<T> &Old, Fn &&Visit) {
+  constexpr size_t Step = std::max<size_t>(1, (64 * 1024) / sizeof(T));
+  const size_t N = Old.size();
+  for (size_t Begin = 0; Begin < N; Begin += Step) {
+    const size_t End = std::min(N, Begin + Step);
+    Old.releasePrefix(Begin);
+    for (size_t I = Begin; I != End; ++I)
+      Visit(I, Old[I]);
+  }
+}
 
 } // namespace support
 } // namespace orp

@@ -137,23 +137,29 @@ const uint8_t *TraceReader::payloadOf(size_t Index) const {
   const BlockRef &Ref = Blocks[Index];
   if (!Mapping)
     return Data + Ref.PayloadPos;
-  size_t Window = Ref.PayloadPos & ~(kReleaseWindow - 1);
-  // The last block releases every whole page before its header: nothing
-  // follows it, so a finished walk keeps only that block resident, not
-  // its window. Otherwise only the first block that starts in a window
-  // releases the windows behind it, so a forward walk makes one call per
-  // window, not one per read (a daemon client re-reads each block it is
-  // refused). Block 0 starts in window 0, so Index - 1 is valid in the
-  // window test. The mapping is private and read-only: a released page
-  // refaults from the page cache with the same bytes, and pointers
-  // handed out earlier stay valid.
+  const size_t Window = Ref.PayloadPos & ~(kReleaseWindow - 1);
+  // Only the first block that starts in a window releases the windows
+  // behind it, so a forward walk makes one call per window, not one per
+  // read (a daemon client re-reads each block it is refused). Block 0
+  // starts in window 0, so Index - 1 is valid in the window test. The
+  // last block also releases the whole pages of its own window before
+  // its header: nothing follows it, so a finished walk keeps only that
+  // block resident, and a re-read of it touches no other window. The
+  // mapping is private and read-only: a released page refaults from the
+  // page cache with the same bytes, and pointers handed out earlier stay
+  // valid.
+  const bool FirstInWindow =
+      Window &&
+      (Blocks[Index - 1].PayloadPos & ~(kReleaseWindow - 1)) != Window;
   if (Index + 1 == Blocks.size()) {
     const size_t HeaderPos = Index == 0 ? kHeaderSize
                                         : Blocks[Index - 1].PayloadPos +
                                               Blocks[Index - 1].PayloadLen;
-    support::releaseWholePages(Mapping, HeaderPos);
-  } else if (Window && (Blocks[Index - 1].PayloadPos &
-                        ~(kReleaseWindow - 1)) != Window) {
+    const size_t From = FirstInWindow ? 0 : Window;
+    if (HeaderPos > From)
+      support::releaseWholePages(static_cast<const uint8_t *>(Mapping) + From,
+                                 HeaderPos - From);
+  } else if (FirstInWindow) {
     support::releaseWholePages(Mapping, Window);
   }
   return Data + Ref.PayloadPos;

@@ -21,8 +21,9 @@
 /// the mapping, and reading the first block of each 256 KiB window first
 /// releases (MADV_DONTNEED) the whole windows behind it, so a forward
 /// replay keeps about one window of the trace resident however long
-/// the file is. Reading the last block releases every whole page before
-/// its header, so a finished walk keeps only that block resident.
+/// the file is. Reading the last block also releases the whole pages of
+/// its own window before its header, so a finished walk keeps only that
+/// block resident.
 /// The mapping is private and read-only: a released page refaults from
 /// the page cache with the same bytes, so rawBlock() pointers stay valid
 /// and every decode still checks its CRC first. Pipes and other
@@ -168,10 +169,10 @@ private:
   /// The payload of block \p Index; every payload read goes through
   /// here. On a mapped image, when the block is the first to start in
   /// its 256 KiB-aligned window, it first releases the whole windows
-  /// before that one; when it is the last block, it first releases the
-  /// whole pages before its header. Stateless, and the block table is
-  /// immutable after open(), so replayFrom's decode-ahead worker may
-  /// call it.
+  /// before that one; when it is the last block, it also releases the
+  /// whole pages of its own window before its header. Stateless, and the
+  /// block table is immutable after open(), so replayFrom's decode-ahead
+  /// worker may call it.
   const uint8_t *payloadOf(size_t Index) const;
   std::string Err;
 };

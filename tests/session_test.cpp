@@ -451,16 +451,13 @@ TEST(ProfileSessionTest, FinalizeGivesBackTheDigramIndexes) {
 
 TEST(ProfileSessionTest, IndexFootprintIsItsMappedPages) {
   // The index term of each grammar's footprint, and so of
-  // memoryEstimateBytes(), is the bytes its digram index maps. The
-  // indexes are the only MappedArrays a replaying session holds, so
-  // their terms must add up to what the process maps for them: nothing
+  // memoryEstimateBytes(), is the bytes its digram index maps: nothing
   // after construction, the page-rounded slot arrays after the replay,
   // nothing again after finalize().
   std::string Path = tempPath("mapped_index.orpt");
   recordTrace("164.gzip-a", Path);
   traceio::TraceReader Reader;
   ASSERT_TRUE(Reader.open(Path)) << Reader.error();
-  const size_t Mapped = support::mappedArrayBytes();
   session::ProfileSession Session("mapped", session::recordedConfig(Reader));
   const core::Dimension Dims[] = {
       core::Dimension::Instruction, core::Dimension::Group,
@@ -472,7 +469,6 @@ TEST(ProfileSessionTest, IndexFootprintIsItsMappedPages) {
     return Bytes;
   };
   EXPECT_EQ(IndexBytes(), 0u) << "construction maps no index";
-  EXPECT_EQ(support::mappedArrayBytes(), Mapped);
 
   ASSERT_TRUE(Session.replayFrom(Reader)) << Session.error();
   const size_t Page = support::pageSize();
@@ -487,12 +483,10 @@ TEST(ProfileSessionTest, IndexFootprintIsItsMappedPages) {
                   G.indexBytes() + G.wideTableBytes());
   }
   ASSERT_GT(IndexBytes(), 0u);
-  EXPECT_EQ(support::mappedArrayBytes(), Mapped + IndexBytes());
 
   SessionArtifacts A = Session.finalize();
   ASSERT_FALSE(A.Failed) << A.Error;
   EXPECT_EQ(IndexBytes(), 0u);
-  EXPECT_EQ(support::mappedArrayBytes(), Mapped);
   std::remove(Path.c_str());
 }
 

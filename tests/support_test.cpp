@@ -678,6 +678,13 @@ static std::vector<bool> residentPages(const void *Base, size_t Pages) {
   return Out;
 }
 
+/// Whether every page of [Base, Base + Bytes) is mapped: mincore fails
+/// with ENOMEM on a range that holds an unmapped page.
+static bool isMapped(const void *Base, size_t Bytes) {
+  std::vector<unsigned char> Vec(Bytes / support::pageSize() + 1);
+  return ::mincore(const_cast<void *>(Base), Bytes, Vec.data()) == 0;
+}
+
 TEST(MappedArrayTest, ReleasePrefixKeepsTheSuffix) {
   // Giving back the whole pages before element N makes them
   // non-resident; the page holding element N and everything after it
@@ -685,10 +692,9 @@ TEST(MappedArrayTest, ReleasePrefixKeepsTheSuffix) {
   const size_t Page = support::pageSize();
   const size_t PerPage = Page / sizeof(uint64_t);
   constexpr size_t Pages = 32;
-  const size_t Before = support::mappedArrayBytes();
   support::MappedArray<uint64_t> A(Pages * PerPage - 3);
   EXPECT_EQ(A.mappedBytes(), Pages * Page);
-  EXPECT_EQ(support::mappedArrayBytes(), Before + Pages * Page);
+  EXPECT_TRUE(isMapped(A.begin(), A.mappedBytes()));
   for (size_t I = 0; I != A.size(); ++I)
     A[I] = I + 1;
   std::vector<bool> Resident = residentPages(A.begin(), Pages);
@@ -719,31 +725,43 @@ TEST(MappedArrayTest, ReleasePrefixKeepsTheSuffix) {
   EXPECT_TRUE(Resident[Pages - 1]);
   EXPECT_EQ(A[A.size() - 1], A.size());
 
-  // Moving carries the released prefix with it.
+  // Moving carries the mapping and the released prefix with it; giving
+  // back pages never unmaps them, and replacing the array does.
+  const void *Base = A.begin();
   support::MappedArray<uint64_t> B = std::move(A);
-  EXPECT_EQ(support::mappedArrayBytes(), Before + Pages * Page);
+  EXPECT_EQ(B.begin(), Base);
   B.releasePrefix(B.size());
   EXPECT_EQ(B[B.size() - 1], B.size());
+  EXPECT_TRUE(isMapped(Base, Pages * Page));
   B = support::MappedArray<uint64_t>();
-  EXPECT_EQ(support::mappedArrayBytes(), Before);
+  EXPECT_FALSE(isMapped(Base, Pages * Page));
 }
 
-TEST(MappedArrayTest, PopulateFaultsInTheRangeAndNoMore) {
-  // populate() makes the pages of [From, To) resident, from the page
-  // holding From, clipped at the end of the array, and leaves the rest
-  // unmapped and zero.
+TEST(MappedArrayTest, RehashWalkReleasesTheOldArrayBehindIt) {
+  // A doubling walk visits every old element once, in order, and when
+  // it visits one, every whole page 64 KiB or more behind it is already
+  // given back.
   const size_t PerPage = support::pageSize() / sizeof(uint64_t);
-  constexpr size_t Pages = 16;
-  support::MappedArray<uint64_t> A(Pages * PerPage);
-  A.populate(3 * PerPage + 5, 6 * PerPage);
-  A.populate(15 * PerPage, 40 * PerPage);
-  std::vector<bool> Resident = residentPages(A.begin(), Pages);
-#ifdef MADV_POPULATE_WRITE
+  constexpr size_t Pages = 64;
+  const size_t Step = 64 * 1024 / sizeof(uint64_t);
+  support::MappedArray<uint64_t> Old(Pages * PerPage);
+  for (size_t I = 0; I != Old.size(); ++I)
+    Old[I] = I + 1;
+  size_t Next = 0;
+  support::rehashWalk(Old, [&](size_t I, const uint64_t &V) {
+    ASSERT_EQ(I, Next++);
+    ASSERT_EQ(V, I + 1);
+    if (I % Step == 0 && I >= Step) {
+      const size_t Behind = (I - Step) / PerPage;
+      EXPECT_FALSE(residentPages(Old.begin(), Pages)[Behind]) << I;
+    }
+  });
+  EXPECT_EQ(Next, Old.size());
+  // Only the last step's pages of the old array are still resident.
+  const std::vector<bool> Resident = residentPages(Old.begin(), Pages);
+  const size_t LastStep = (Old.size() - 1) / Step * Step / PerPage;
   for (size_t P = 0; P != Pages; ++P)
-    EXPECT_EQ(Resident[P], (P >= 3 && P < 6) || P == 15) << "page " << P;
-#endif
-  for (size_t I = 0; I != A.size(); I += PerPage / 2)
-    ASSERT_EQ(A[I], 0u) << I;
+    EXPECT_EQ(Resident[P], P >= LastStep) << "page " << P;
 }
 
 #ifndef NDEBUG

@@ -775,6 +775,20 @@ TEST(TraceIoMappedOpenTest, FinishedWalkKeepsOnlyTheLastBlock) {
                            Bytes.begin() + Raw[B].FileOffset))
         << "block " << B;
   }
+
+  // The comparison above faulted every block back in. A re-read of the
+  // last block, out of order, releases only its own window: the whole
+  // 256 KiB windows before it stay resident.
+  constexpr uint64_t Window = 256 * 1024;
+  const traceio::TraceReader::RawBlock Prev = Raw[Raw.size() - 2];
+  ASSERT_EQ(Prev.FileOffset / Window, Last.FileOffset / Window)
+      << "the last block must share its window with the block before it";
+  const uint64_t Before = Last.FileOffset / Window * Window;
+  ASSERT_GT(Before, 0u);
+  const traceio::TraceReader::RawBlock Again =
+      R.rawBlock(R.numEventBlocks() - 1);
+  EXPECT_EQ(crc32(Again.Payload, Again.PayloadLen), Again.Crc);
+  EXPECT_GE(mappingRssBytes(Last.Payload), static_cast<int64_t>(Before));
 }
 
 TEST(TraceIoMappedOpenTest, ReplayKeepsTraceResidencyBounded) {
