@@ -11,7 +11,8 @@
 //   * serialize to an image the checked parser accepts, whose expansion
 //     is the stream again;
 //   * still pass checkInvariants() and the deep GrammarValidator after
-//     seal().
+//     seal(), and answer serialize(), dump() and ruleStats() from its
+//     image exactly as before it.
 //
 // Ramps grow the digram index through both of the rebuilding doublings
 // a stream this short can reach, 2^10 -> 2^11 and 2^15 -> 2^16 slots,
@@ -121,11 +122,15 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t *Data, size_t Size) {
   ORP_FUZZ_REQUIRE(Parsed.expand() == Stream,
                    "the parsed image does not expand to the input");
 
+  const std::string Dump = G.dump();
+  const std::vector<sequitur::SequiturGrammar::RuleStats> Stats = G.ruleStats();
   G.seal();
   ORP_FUZZ_REQUIRE(G.checkInvariants(), "invariants broken after seal()");
   ORP_FUZZ_REQUIRE(check::GrammarValidator::validate(G).ok(),
                    "deep validation fails after seal()");
   ORP_FUZZ_REQUIRE(G.serialize() == Image, "seal() changed the image");
+  ORP_FUZZ_REQUIRE(G.dump() == Dump, "seal() changed dump()");
+  ORP_FUZZ_REQUIRE(G.ruleStats() == Stats, "seal() changed ruleStats()");
   return 0;
 }
 

@@ -4,6 +4,7 @@
 
 #include "check/Check.h"
 #include "sequitur/SequiturNodes.h"
+#include "support/VarInt.h"
 
 #include <cstdint>
 #include <string>
@@ -24,6 +25,38 @@ std::string ruleName(uint64_t Id) {
   return std::string("R").append(std::to_string(Id));
 }
 
+/// A grammar image as its rule bodies of symbol codes, for the image
+/// injectors: (terminal << 1) or (rule id << 1 | 1), start rule first.
+struct ImageBodies {
+  uint64_t Length = 0;
+  std::vector<std::vector<uint64_t>> Rules;
+};
+
+ImageBodies decodeImage(const std::vector<uint8_t> &Bytes) {
+  ImageBodies Out;
+  size_t Pos = 0;
+  Out.Rules.resize(decodeULEB128(Bytes, Pos));
+  Out.Length = decodeULEB128(Bytes, Pos);
+  for (std::vector<uint64_t> &Body : Out.Rules) {
+    Body.resize(decodeULEB128(Bytes, Pos));
+    for (uint64_t &Code : Body)
+      Code = decodeULEB128(Bytes, Pos);
+  }
+  return Out;
+}
+
+std::vector<uint8_t> encodeImage(const ImageBodies &Image) {
+  std::vector<uint8_t> Out;
+  encodeULEB128(Image.Rules.size(), Out);
+  encodeULEB128(Image.Length, Out);
+  for (const std::vector<uint64_t> &Body : Image.Rules) {
+    encodeULEB128(Body.size(), Out);
+    for (uint64_t Code : Body)
+      encodeULEB128(Code, Out);
+  }
+  return Out;
+}
+
 } // namespace
 
 CheckReport GrammarValidator::validate(const SequiturGrammar &G) {
@@ -34,6 +67,9 @@ CheckReport GrammarValidator::validate(const SequiturGrammar &G) {
   using sequitur::DigramKeyHash;
   using sequitur::DigramTable;
   constexpr NodeIdx Nil = SequiturGrammar::NilIdx;
+  // A sealed grammar is its image: the one image check both checkers share.
+  if (G.Sealed)
+    return G.checkImage();
   // Every link read from a node is range-checked before it is followed:
   // a corrupt index must not walk off the slab tables.
   auto ValidSymbol = [&](NodeIdx I) { return I != Nil && I < G.FreshSymbol; };
@@ -162,8 +198,8 @@ CheckReport GrammarValidator::validate(const SequiturGrammar &G) {
                      std::to_string(G.FreshSymbol - 1) + " handed out");
 
   // The wide-terminal table: every entry wide, below 2^63 and distinct,
-  // so that a terminal has exactly one code. Until the seal the interning
-  // set indexes exactly the table; after it, the set is gone.
+  // so that a terminal has exactly one code, and the interning set
+  // indexes exactly the table.
   std::unordered_set<uint64_t> WideSeen;
   for (size_t W = 0; W != G.WideValues.size(); ++W) {
     const uint64_t V = G.WideValues[W];
@@ -175,12 +211,8 @@ CheckReport GrammarValidator::validate(const SequiturGrammar &G) {
     Report.require(WideSeen.insert(V).second,
                    Entry + " repeats the value " + std::to_string(V));
   }
-  if (G.Sealed)
-    Report.require(G.WideSlots.capacity() == 0,
-                   "sealed grammar still holds its wide-terminal set");
-  else
-    Report.require(G.wideSetConsistent(),
-                   "wide set does not index exactly the wide table");
+  Report.require(G.wideSetConsistent(),
+                 "wide set does not index exactly the wide table");
 
   Report.require(BodyOwner.size() == G.totalBodySymbols(),
                  "live-symbol count disagrees with the rule bodies (" +
@@ -224,9 +256,7 @@ CheckReport GrammarValidator::validate(const SequiturGrammar &G) {
   // (slot minus stored displacement) and its valid extension bits, and
   // which a lookup of its key reaches (soundness). The index stores no
   // keys, so lookups read them back from the symbols — but only from
-  // live digram starts: a corrupt entry may name any node. A sealed
-  // grammar has no index: uniqueness is then checked on the occurrence
-  // map alone, and the index must be gone.
+  // live digram starts: a corrupt entry may name any node.
   std::unordered_map<DigramKey, std::vector<NodeIdx>, DigramKeyHash>
       Occurrences;
   std::unordered_set<NodeIdx> DigramStarts;
@@ -261,8 +291,6 @@ CheckReport GrammarValidator::validate(const SequiturGrammar &G) {
           Report.fail("digram uniqueness violated: key " + KeyStr(Key) +
                       " occurs at two non-overlapping positions");
       }
-    if (G.Sealed)
-      continue;
     size_t Slot = G.Index.findSlot(Key, LiveKeys);
     if (Slot == DigramTable::Npos) {
       Report.fail("digram index desync: key " + KeyStr(Key) +
@@ -277,20 +305,7 @@ CheckReport GrammarValidator::validate(const SequiturGrammar &G) {
                    "digram index desync: indexed occurrence of key " +
                        KeyStr(Key) + " is not where the key occurs");
   }
-  if (G.Sealed) {
-    Report.require(G.Index.size() == 0 && G.Index.capacity() == 0,
-                   "sealed grammar still holds a digram index of " +
-                       std::to_string(G.Index.capacity()) + " slots");
-    Report.require(G.MaybeUnderused.capacity() == 0,
-                   "sealed grammar still holds its utility worklist");
-    if (StructureOk)
-      Report.require(G.SealedDigrams == Occurrences.size(),
-                     "sealed grammar reports " +
-                         std::to_string(G.SealedDigrams) +
-                         " digrams but has " +
-                         std::to_string(Occurrences.size()) +
-                         " distinct digrams");
-  } else if (StructureOk) {
+  if (StructureOk) {
     G.Index.forEach([&](size_t Slot, NodeIdx I) {
       std::string Entry = "entry " + std::to_string(Slot) + " (symbol " +
                           std::to_string(I) + ", home " +
@@ -415,7 +430,73 @@ bool GrammarValidator::injectForTest(SequiturGrammar &G, Corruption K) {
   using Table = sequitur::DigramTable;
   constexpr NodeIdx Nil = SequiturGrammar::NilIdx;
 
+  // A sealed grammar has only its image and counters to corrupt; a live
+  // one has no image yet.
+  const bool ImageKind =
+      K == Corruption::ImageDigramDuplicate ||
+      K == Corruption::ImageRuleUsedOnce ||
+      K == Corruption::ImageRuleCountSkew ||
+      K == Corruption::ImageLengthSkew || K == Corruption::ImageDigramCountSkew;
+  if (ImageKind != G.Sealed)
+    return false;
+
   switch (K) {
+  case Corruption::ImageDigramDuplicate: {
+    // Relabel the second all-terminal digram of the image as a copy of
+    // the first, away from it; lengths and use counts stay as they were.
+    ImageBodies Image = decodeImage(G.Image);
+    std::vector<std::pair<size_t, size_t>> Found;
+    for (size_t R = 0; R != Image.Rules.size() && Found.size() != 2; ++R) {
+      const std::vector<uint64_t> &Body = Image.Rules[R];
+      for (size_t I = 0; I + 1 < Body.size() && Found.size() != 2; ++I)
+        if (!(Body[I] & 1) && !(Body[I + 1] & 1) &&
+            (Found.empty() || R != Found[0].first || I > Found[0].second + 1))
+          Found.emplace_back(R, I);
+    }
+    if (Found.size() != 2)
+      return false;
+    const auto [R0, I0] = Found[0];
+    const auto [R1, I1] = Found[1];
+    Image.Rules[R1][I1] = Image.Rules[R0][I0];
+    Image.Rules[R1][I1 + 1] = Image.Rules[R0][I0 + 1];
+    G.Image = encodeImage(Image);
+    return true;
+  }
+  case Corruption::ImageRuleUsedOnce: {
+    // Inline every use of rule 1 but the first: the expansion is
+    // unchanged, and rule 1 is referenced once.
+    ImageBodies Image = decodeImage(G.Image);
+    if (Image.Rules.size() < 2)
+      return false;
+    const uint64_t Use = (uint64_t(1) << 1) | 1;
+    const std::vector<uint64_t> Inlined = Image.Rules[1];
+    bool Kept = false;
+    for (std::vector<uint64_t> &Body : Image.Rules) {
+      std::vector<uint64_t> Out;
+      for (uint64_t Code : Body) {
+        if (Code != Use || !Kept)
+          Out.push_back(Code);
+        else
+          Out.insert(Out.end(), Inlined.begin(), Inlined.end());
+        Kept |= Code == Use;
+      }
+      Body = std::move(Out);
+    }
+    G.Image = encodeImage(Image);
+    return true;
+  }
+  case Corruption::ImageRuleCountSkew:
+    // One rule more than the image holds, and its guard, so that only the
+    // rule count disagrees.
+    ++G.NumLiveRules;
+    ++G.NumLiveSymbols;
+    return true;
+  case Corruption::ImageLengthSkew:
+    ++G.InputLen;
+    return true;
+  case Corruption::ImageDigramCountSkew:
+    ++G.SealedDigrams;
+    return true;
   case Corruption::DigramIndexDrop: {
     if (G.Index.size() == 0)
       return false;

@@ -14,10 +14,9 @@
 ///     entry points at a live digram whose hash gives the entry's home
 ///     slot (slot minus stored displacement) and its valid extension
 ///     bits, and which a lookup reaches; completeness: every adjacency is
-///     findable in the index); for a sealed grammar, that the index and
-///     the utility worklist are gone and the kept digram count is exact;
+///     findable in the index);
 ///   * digram uniqueness across all rule bodies, through the validator's
-///     own occurrence map (so it holds sealed or not);
+///     own occurrence map;
 ///   * rule utility >= 2, and each rule's UseCount and UseXor equal to
 ///     the count and index XOR of its uses recounted from the bodies;
 ///   * liveness == reachability from the start rule: the walk from the
@@ -35,6 +34,13 @@
 ///     number of appended terminals;
 ///   * the live-symbol count behind totalBodySymbols() equals the
 ///     symbols found in rule bodies.
+///
+/// A sealed grammar holds only its image and counters; it is checked
+/// through SequiturGrammar::checkImage(), the check checkInvariants()
+/// runs on it too: the arena, index and wide table are gone, the image
+/// parses, its length, rule, body-symbol and distinct-digram counts equal
+/// the counters, every rule is reachable, and digram uniqueness and rule
+/// utility hold on its bodies.
 ///
 /// The validator never aborts: violations accumulate in a CheckReport.
 /// It also ships fault injectors (injectForTest) so the negative tests
@@ -112,11 +118,21 @@ public:
     NarrowValueInterned, ///< Intern a narrow terminal and use its code.
     WideCodePastTable,   ///< Give a terminal a wide code past the table.
     UnreachableLiveRule, ///< Create a live rule that nothing uses.
+    /// \name Sealed grammars: the image and the counters kept beside it.
+    /// @{
+    ImageDigramDuplicate, ///< Relabel an image digram as a copy of another.
+    ImageRuleUsedOnce,    ///< Inline all but one use of an image rule.
+    ImageRuleCountSkew,   ///< Count one rule more than the image holds.
+    ImageLengthSkew,      ///< Count one terminal more than the image holds.
+    ImageDigramCountSkew, ///< Count one digram more than the image holds.
+    /// @}
   };
 
   /// Injects \p K into \p G. Returns false when the grammar is too small
-  /// to host that corruption (caller should grow it first). The grammar
-  /// is unusable for further appends afterwards — validation only.
+  /// to host that corruption (caller should grow it first), or when \p K
+  /// corrupts what \p G does not hold: the Image* classes need a sealed
+  /// grammar, every other class a live one. The grammar is unusable for
+  /// further appends afterwards — validation only.
   static bool injectForTest(sequitur::SequiturGrammar &G, Corruption K);
 };
 

@@ -3,6 +3,7 @@
 #include "sequitur/Sequitur.h"
 
 #include "check/Check.h"
+#include "check/CheckReport.h"
 #include "sequitur/SequiturNodes.h"
 #include "support/Error.h"
 #include "support/VarInt.h"
@@ -10,7 +11,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdio>
-#include <functional>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -132,7 +132,22 @@ void SequiturGrammar::reclaimPending() {
   }
 }
 
+void SequiturGrammar::releaseArena() {
+  for (const auto &Slab : SymbolSlabs)
+    check::unpoisonRegion(Slab.get(), sizeof(Symbol) * SymbolsPerSlab);
+  for (const auto &Slab : RuleSlabs)
+    check::unpoisonRegion(Slab.get(), sizeof(Rule) * RulesPerSlab);
+  std::vector<std::unique_ptr<Symbol[]>>().swap(SymbolSlabs);
+  std::vector<std::unique_ptr<Rule[]>>().swap(RuleSlabs);
+  FreshSymbol = FreshRule = 1;
+  SymbolFreeList = SymbolPendingList = NilIdx;
+  RuleFreeList = RulePendingList = NilIdx;
+  Start = NilIdx;
+}
+
 size_t SequiturGrammar::footprintBytes() const {
+  if (Sealed)
+    return Image.capacity();
   return SymbolSlabs.size() * SymbolSlabBytes +
          RuleSlabs.size() * RuleSlabBytes +
          Index.mappedBytes() + wideTableBytes();
@@ -206,15 +221,9 @@ ORP_SEQ_INLINE uint64_t SequiturGrammar::terminalOf(const Symbol &S) const {
 
 SequiturGrammar::SequiturGrammar() { Start = newRule(); }
 
-SequiturGrammar::~SequiturGrammar() {
-  // Nodes are trivially destructible; dropping the slabs releases
-  // everything (live, pending and free alike). Unpoison each slab first
-  // so the allocator may touch the memory while recycling it.
-  for (const auto &Slab : SymbolSlabs)
-    check::unpoisonRegion(Slab.get(), sizeof(Symbol) * SymbolsPerSlab);
-  for (const auto &Slab : RuleSlabs)
-    check::unpoisonRegion(Slab.get(), sizeof(Rule) * RulesPerSlab);
-}
+// Nodes are trivially destructible; dropping the slabs releases
+// everything (live, pending and free alike).
+SequiturGrammar::~SequiturGrammar() { releaseArena(); }
 
 ORP_SEQ_INLINE SequiturGrammar::NodeIdx
 SequiturGrammar::newTerminal(uint32_t Code) {
@@ -322,12 +331,18 @@ void SequiturGrammar::appendAll(const std::vector<uint64_t> &Values) {
 void SequiturGrammar::seal() {
   if (Sealed)
     return;
-  Sealed = true;
   SealedDigrams = Index.size();
   SealedIndexSlots = Index.capacity();
   Index.release();
   std::vector<NodeIdx>().swap(MaybeUnderused);
   std::vector<uint32_t>().swap(WideSlots);
+  // The one serialization: from here on every read answers from Image.
+  Image = serialize();
+  SealedSymbolSlabs = SymbolSlabs.size();
+  SealedRuleSlabs = RuleSlabs.size();
+  releaseArena();
+  std::vector<uint64_t>().swap(WideValues);
+  Sealed = true;
 }
 
 bool SequiturGrammar::checkDigram(NodeIdx A) {
@@ -517,6 +532,8 @@ SequiturGrammar::reachableRules(std::vector<uint64_t> *DenseIds) const {
 }
 
 std::vector<uint64_t> SequiturGrammar::expandAll() const {
+  if (Sealed)
+    return deserializeAndExpand(Image);
   std::vector<uint64_t> Out;
   Out.reserve(InputLen);
   // Iterative expansion: the stack holds the next symbol to visit per
@@ -564,12 +581,16 @@ void SequiturGrammar::forEachImageCode(EmitFn &&Emit) const {
 }
 
 std::vector<uint8_t> SequiturGrammar::serialize() const {
+  if (Sealed)
+    return Image;
   std::vector<uint8_t> Out;
   forEachImageCode([&](uint64_t V) { encodeULEB128(V, Out); });
   return Out;
 }
 
 size_t SequiturGrammar::serializedSizeBytes() const {
+  if (Sealed)
+    return Image.size();
   size_t Size = 0;
   forEachImageCode([&](uint64_t V) { Size += sizeULEB128(V); });
   return Size;
@@ -806,27 +827,34 @@ SequiturGrammar::deserializeAndExpand(const std::vector<uint8_t> &Bytes) {
   return Image.expand();
 }
 
-std::string SequiturGrammar::dump() const {
-  std::vector<uint64_t> Ids;
-  std::vector<NodeIdx> Order = reachableRules(&Ids);
+ParsedImage SequiturGrammar::parsedImage() const {
+  ParsedImage Parsed;
+  std::string Err;
+  if (!parseImageChecked(serialize(), Parsed, Err, ~uint64_t(0)))
+    ORP_FATAL_ERROR(Err.c_str());
+  return Parsed;
+}
 
+template <typename VisitFn>
+void ParsedImage::forEachCode(size_t R, VisitFn &&Visit) const {
+  for (size_t Pos = Rules[R].Symbols.Begin; Pos != Rules[R].Symbols.End;)
+    Visit(decodeValidated(Bytes.data(), Pos));
+}
+
+std::string SequiturGrammar::dump() const {
+  const ParsedImage Parsed = parsedImage();
   std::string Out;
   char Buf[64];
-  for (NodeIdx R : Order) {
+  for (size_t R = 0; R != Parsed.Rules.size(); ++R) {
     std::snprintf(Buf, sizeof(Buf), "R%llu ->",
-                  static_cast<unsigned long long>(Ids[R]));
+                  static_cast<unsigned long long>(R));
     Out += Buf;
-    NodeIdx Guard = rule(R).Guard;
-    for (NodeIdx I = sym(Guard).Next; I != Guard; I = sym(I).Next) {
-      const Symbol &S = sym(I);
-      if (S.isNonTerminal())
-        std::snprintf(Buf, sizeof(Buf), " R%llu",
-                      static_cast<unsigned long long>(Ids[S.ruleRef()]));
-      else
-        std::snprintf(Buf, sizeof(Buf), " %llu",
-                      static_cast<unsigned long long>(terminalOf(S)));
+    // A code is (rule id << 1 | 1) or (terminal << 1).
+    Parsed.forEachCode(R, [&](uint64_t Code) {
+      std::snprintf(Buf, sizeof(Buf), (Code & 1) ? " R%llu" : " %llu",
+                    static_cast<unsigned long long>(Code >> 1));
       Out += Buf;
-    }
+    });
     Out += '\n';
   }
   return Out;
@@ -834,70 +862,65 @@ std::string SequiturGrammar::dump() const {
 
 std::vector<SequiturGrammar::RuleStats>
 SequiturGrammar::ruleStats(size_t PrefixCap) const {
-  std::vector<uint64_t> Ids;
-  std::vector<NodeIdx> Order = reachableRules(&Ids);
+  const ParsedImage Parsed = parsedImage();
+  const std::vector<ParsedImage::Rule> &Rules = Parsed.Rules;
+  const size_t N = Rules.size();
 
-  // Expanded lengths, memoized over the rule DAG (rules never reference
-  // themselves, directly or transitively).
-  std::vector<uint64_t> Expanded(Order.size(), 0);
-  std::function<uint64_t(size_t)> LengthOf = [&](size_t Idx) -> uint64_t {
-    if (Expanded[Idx] != 0)
-      return Expanded[Idx];
+  // Expanded lengths, memoized over the rule DAG (the parse proved it
+  // acyclic), and the rules in completion order: children first.
+  std::vector<uint64_t> Expanded(N, 0);
+  std::vector<bool> Done(N, false);
+  std::vector<size_t> Finished;
+  Finished.reserve(N);
+  auto LengthOf = [&](auto &&Self, size_t R) -> uint64_t {
+    if (Done[R])
+      return Expanded[R];
     uint64_t Len = 0;
-    NodeIdx Guard = rule(Order[Idx]).Guard;
-    for (NodeIdx I = sym(Guard).Next; I != Guard; I = sym(I).Next)
-      Len += sym(I).isNonTerminal() ? LengthOf(Ids[sym(I).ruleRef()]) : 1;
-    Expanded[Idx] = Len;
+    Parsed.forEachCode(R, [&](uint64_t Code) {
+      Len += (Code & 1) ? Self(Self, Code >> 1) : 1;
+    });
+    Expanded[R] = Len;
+    Done[R] = true;
+    Finished.push_back(R);
     return Len;
   };
-  for (size_t I = 0; I != Order.size(); ++I)
-    LengthOf(I);
+  for (size_t R = 0; R != N; ++R)
+    LengthOf(LengthOf, R);
 
-  // Occurrence counts: the start rule occurs once; every use inside a
-  // rule P contributes P's count. count = e0 + A^T * count is iterated
-  // to its fixed point; the reference matrix of a grammar is nilpotent
-  // (rules cannot contain themselves), so this terminates after at most
-  // grammar-depth iterations.
-  std::vector<uint64_t> Count(Order.size(), 0);
+  // Occurrence counts: the start rule occurs once, and every use inside
+  // a rule P adds P's count. Parents before children (reverse completion
+  // order), so each count is final before it is passed on.
+  std::vector<uint64_t> Count(N, 0);
   Count[0] = 1;
-  for (bool Changed = true; Changed;) {
-    std::vector<uint64_t> Next(Order.size(), 0);
-    Next[0] = 1;
-    for (size_t I = 0; I != Order.size(); ++I) {
-      NodeIdx Guard = rule(Order[I]).Guard;
-      for (NodeIdx S = sym(Guard).Next; S != Guard; S = sym(S).Next)
-        if (sym(S).isNonTerminal())
-          Next[Ids[sym(S).ruleRef()]] += Count[I];
-    }
-    Changed = Next != Count;
-    Count = std::move(Next);
-  }
+  for (auto It = Finished.rbegin(); It != Finished.rend(); ++It)
+    Parsed.forEachCode(*It, [&](uint64_t Code) {
+      if (Code & 1)
+        Count[Code >> 1] += Count[*It];
+    });
 
   std::vector<RuleStats> Stats;
-  Stats.reserve(Order.size());
-  for (size_t I = 0; I != Order.size(); ++I) {
+  Stats.reserve(N);
+  std::vector<ParsedImage::Body> Stack;
+  for (size_t R = 0; R != N; ++R) {
     RuleStats RS;
-    RS.Id = I;
-    RS.ExpandedLength = Expanded[I];
-    RS.Occurrences = Count[I];
-    NodeIdx Guard = rule(Order[I]).Guard;
+    RS.Id = R;
+    RS.ExpandedLength = Expanded[R];
+    RS.Occurrences = Count[R];
     RS.BodyLength = 0;
-    for (NodeIdx S = sym(Guard).Next; S != Guard; S = sym(S).Next)
-      ++RS.BodyLength;
+    Parsed.forEachCode(R, [&](uint64_t) { ++RS.BodyLength; });
     // Expand the rule's terminal prefix iteratively, up to the cap.
-    std::vector<NodeIdx> Stack;
-    Stack.push_back(sym(Guard).Next);
+    Stack.assign(1, Rules[R].Symbols);
     while (!Stack.empty() && RS.Prefix.size() < PrefixCap) {
-      const Symbol &S = sym(Stack.back());
-      if (S.isGuard()) {
+      ParsedImage::Body &Top = Stack.back();
+      if (Top.Begin == Top.End) {
         Stack.pop_back();
         continue;
       }
-      Stack.back() = S.Next;
-      if (S.isNonTerminal())
-        Stack.push_back(sym(rule(S.ruleRef()).Guard).Next);
+      uint64_t Code = decodeValidated(Parsed.bytes().data(), Top.Begin);
+      if (Code & 1)
+        Stack.push_back(Rules[Code >> 1].Symbols);
       else
-        RS.Prefix.push_back(terminalOf(S));
+        RS.Prefix.push_back(Code >> 1);
     }
     Stats.push_back(std::move(RS));
   }
@@ -905,6 +928,8 @@ SequiturGrammar::ruleStats(size_t PrefixCap) const {
 }
 
 bool SequiturGrammar::checkInvariants() const {
+  if (Sealed)
+    return checkImage().ok();
   // Every live rule is reachable from the start rule: the walk reads only
   // live nodes, and what it reaches must be all NumLiveRules of them. The
   // arena accounts for every rule index it handed out: live, pending or
@@ -927,13 +952,13 @@ bool SequiturGrammar::checkInvariants() const {
     return false;
 
   // The wide-terminal table: each entry is wide, below 2^63 and distinct
-  // (so a terminal has one code), and until the seal the interning set
-  // indexes exactly the table.
+  // (so a terminal has one code), and the interning set indexes exactly
+  // the table.
   std::unordered_set<uint64_t> Wide;
   for (uint64_t V : WideValues)
     if (V < Symbol::WideBit || (V >> 63) || !Wide.insert(V).second)
       return false;
-  if (Sealed ? WideSlots.capacity() != 0 : !wideSetConsistent())
+  if (!wideSetConsistent())
     return false;
 
   // The bodies hold every live symbol but the guards; each nonterminal
@@ -993,13 +1018,6 @@ bool SequiturGrammar::checkInvariants() const {
       }
   }
 
-  // A sealed grammar gave its index back: nothing may remain of it, and
-  // the count kept for numDigrams() is the number of distinct digrams.
-  if (Sealed)
-    return Index.size() == 0 && Index.capacity() == 0 &&
-           MaybeUnderused.capacity() == 0 &&
-           SealedDigrams == Occurrences.size();
-
   // Index soundness: every entry points at a live digram whose hash
   // gives the entry's home (slot minus displacement) and its valid
   // extension bits, and a lookup of that digram reaches the entry (so no
@@ -1020,4 +1038,104 @@ bool SequiturGrammar::checkInvariants() const {
       IndexSound = false;
   });
   return IndexSound;
+}
+
+check::CheckReport SequiturGrammar::checkImage() const {
+  check::CheckReport Report;
+  const auto Str = [](uint64_t V) { return std::to_string(V); };
+  Report.require(SymbolSlabs.empty() && RuleSlabs.empty() &&
+                     WideValues.capacity() == 0 && WideSlots.capacity() == 0,
+                 "sealed grammar still holds its arena or wide table");
+  Report.require(Index.size() == 0 && Index.capacity() == 0,
+                 "sealed grammar still holds a digram index of " +
+                     Str(Index.capacity()) + " slots");
+  Report.require(MaybeUnderused.capacity() == 0,
+                 "sealed grammar still holds its utility worklist");
+  ParsedImage Parsed;
+  std::string Err;
+  if (!Report.require(parseImageChecked(Image, Parsed, Err, ~uint64_t(0)),
+                      "sealed image does not parse: " + Err))
+    return Report;
+  const std::vector<ParsedImage::Rule> &Rules = Parsed.Rules;
+  Report.require(Parsed.length() == InputLen,
+                 "sealed image expands to " + Str(Parsed.length()) +
+                     " terminals but InputLen is " + Str(InputLen));
+  Report.require(Rules.size() == NumLiveRules,
+                 "sealed image holds " + Str(Rules.size()) +
+                     " rules but the grammar reports " + Str(NumLiveRules));
+
+  // One pass over the bodies: symbols, uses per rule, and the positions
+  // (rule, index) of every digram, keyed by its two codes.
+  struct PairHash {
+    size_t operator()(const std::pair<uint64_t, uint64_t> &K) const {
+      return static_cast<size_t>(avalanche64(K.first * 0x9e3779b97f4a7c15ULL ^
+                                             K.second));
+    }
+  };
+  std::unordered_map<std::pair<uint64_t, uint64_t>,
+                     std::vector<std::pair<size_t, size_t>>, PairHash>
+      Digrams;
+  std::vector<uint64_t> Uses(Rules.size(), 0);
+  std::vector<uint64_t> Codes;
+  size_t BodySymbols = 0;
+  for (size_t R = 0; R != Rules.size(); ++R) {
+    Codes.clear();
+    Parsed.forEachCode(R, [&](uint64_t Code) { Codes.push_back(Code); });
+    BodySymbols += Codes.size();
+    for (size_t I = 0; I != Codes.size(); ++I) {
+      if (Codes[I] & 1)
+        ++Uses[Codes[I] >> 1];
+      if (I + 1 != Codes.size())
+        Digrams[{Codes[I], Codes[I + 1]}].emplace_back(R, I);
+    }
+    if (R != 0)
+      Report.require(Codes.size() >= 2, "R" + Str(R) +
+                                            ": non-start body shorter than 2");
+  }
+  Report.require(BodySymbols == totalBodySymbols(),
+                 "sealed image holds " + Str(BodySymbols) +
+                     " body symbols but the grammar reports " +
+                     Str(totalBodySymbols()));
+  for (size_t R = 1; R != Rules.size(); ++R)
+    Report.require(Uses[R] >= 2, "R" + Str(R) + ": rule utility below 2 (" +
+                                     Str(Uses[R]) + " uses)");
+
+  // Rules reachable from the start rule: all of them (serialize() emits
+  // no other), so none can hide outside the parse's walk.
+  std::vector<bool> Reached(Rules.size(), false);
+  std::vector<size_t> Work{0};
+  Reached[0] = true;
+  size_t NumReached = 1;
+  while (!Work.empty()) {
+    size_t R = Work.back();
+    Work.pop_back();
+    Parsed.forEachCode(R, [&](uint64_t Code) {
+      if ((Code & 1) && !Reached[Code >> 1]) {
+        Reached[Code >> 1] = true;
+        ++NumReached;
+        Work.push_back(Code >> 1);
+      }
+    });
+  }
+  Report.require(NumReached == Rules.size(),
+                 Str(Rules.size() - NumReached) +
+                     " image rules are unreachable from the start rule");
+
+  // Digram uniqueness: two occurrences of one digram may only overlap
+  // (the middle of a run like "aaa").
+  for (const auto &[Key, Positions] : Digrams)
+    for (size_t I = 0; I != Positions.size(); ++I)
+      for (size_t J = I + 1; J != Positions.size(); ++J) {
+        const auto [RA, A] = Positions[I];
+        const auto [RB, B] = Positions[J];
+        if (RA != RB || (A + 1 != B && B + 1 != A))
+          Report.fail("digram uniqueness violated: codes (" + Str(Key.first) +
+                      "," + Str(Key.second) +
+                      ") occur at two non-overlapping positions");
+      }
+  Report.require(Digrams.size() == SealedDigrams,
+                 "sealed grammar reports " + Str(SealedDigrams) +
+                     " digrams but its image has " + Str(Digrams.size()) +
+                     " distinct digrams");
+  return Report;
 }

@@ -43,6 +43,7 @@
 namespace orp {
 
 namespace check {
+class CheckReport;
 class GrammarValidator;
 } // namespace check
 
@@ -79,6 +80,10 @@ private:
     /// (Offset in ShortExpansions << 5) | length, or 0 when not cached.
     uint64_t Short;
   };
+  /// Calls \p Visit with every symbol code of rule \p R's body, in
+  /// order: (terminal << 1) or (rule id << 1 | 1).
+  template <typename VisitFn> void forEachCode(size_t R, VisitFn &&Visit) const;
+
   std::vector<uint8_t> Bytes;
   std::vector<Rule> Rules; ///< Indexed by dense rule id; 0 = start rule.
   std::vector<uint64_t> ShortExpansions;
@@ -138,14 +143,20 @@ public:
   /// Appends every element of \p Values in order.
   void appendAll(const std::vector<uint64_t> &Values);
 
-  /// Declares the input complete. Digram uniqueness is enforced on
-  /// append, so only appending needs the digram index, the utility
-  /// worklist and the wide-terminal interning set; sealing frees all
-  /// three (the wide terminals themselves stay). Every read-only call
-  /// (serialize, expandAll, ruleStats, dump, the counters) answers
-  /// exactly as before, and numDigrams() and indexSlots() keep the
-  /// index's count and capacity at the seal. Appending to a sealed
-  /// grammar is a fatal error. Sealing twice is a no-op.
+  /// Declares the input complete and turns the grammar into its image.
+  /// Digram uniqueness is enforced on append, so only appending needs the
+  /// digram index, the utility worklist and the wide-terminal interning
+  /// set; once the stream ends, what the grammar is worth is its
+  /// serialize() image. Sealing frees the index, serializes the grammar
+  /// once into bytes it keeps, and then frees the symbol and rule slabs
+  /// and the wide-terminal values. Every read-only call answers exactly
+  /// as before, from those bytes: serialize() and serializedSizeBytes()
+  /// return the stored image, and expandAll(), ruleStats() and dump()
+  /// read it parsed. The counters are kept as fields: inputLength(),
+  /// numRules(), totalBodySymbols(), churn(), and numDigrams(),
+  /// indexSlots(), numSymbolSlabs() and numRuleSlabs() as they stood at
+  /// the seal. Appending to a sealed grammar is a fatal error. Sealing
+  /// twice is a no-op.
   void seal();
 
   /// True once seal() ran.
@@ -162,16 +173,18 @@ public:
   /// but the rule guards sits in a body, so no walk is needed.
   size_t totalBodySymbols() const { return NumLiveSymbols - NumLiveRules; }
 
-  /// Reconstructs the original input by expanding the start rule; the
-  /// grammar is lossless, so this equals the appended sequence.
+  /// Reconstructs the original input by expanding the start rule (once
+  /// sealed, the image's); the grammar is lossless, so this equals the
+  /// appended sequence.
   std::vector<uint64_t> expandAll() const;
 
   /// Serializes the grammar (ULEB128-based); byte counts of this
-  /// serialization are the profile sizes compared in Figure 5.
+  /// serialization are the profile sizes compared in Figure 5. Once
+  /// sealed, a copy of the image seal() stored.
   std::vector<uint8_t> serialize() const;
 
-  /// Returns serialize().size(), summed from the encoded widths without
-  /// building the image.
+  /// Returns serialize().size(): summed from the encoded widths without
+  /// building the image, or the stored image's size once sealed.
   size_t serializedSizeBytes() const;
 
   /// Default cap on the expanded terminal count the checked decoder will
@@ -203,7 +216,8 @@ public:
   static std::vector<uint64_t> deserializeAndExpand(
       const std::vector<uint8_t> &Bytes);
 
-  /// Renders the grammar as text ("R0 -> R1 R1", "R1 -> a R2 R2", ...).
+  /// Renders the grammar as text ("R0 -> R1 R1", "R1 -> a R2 R2", ...),
+  /// read from its image (see parsedImage()).
   std::string dump() const;
 
   /// Aggregate statistics of one grammar rule, for grammar-mining
@@ -216,17 +230,21 @@ public:
     uint64_t Occurrences;    ///< Expansions within the whole input.
     /// The first terminals of the expansion (at most \p PrefixCap).
     std::vector<uint64_t> Prefix;
+    bool operator==(const RuleStats &) const = default;
   };
 
-  /// Returns statistics for every reachable rule, start rule first.
-  /// Occurrences counts how many times the rule's expansion appears in
-  /// the input via the grammar structure (the start rule occurs once).
+  /// Returns statistics for every reachable rule, start rule first, read
+  /// from the grammar's image (see parsedImage()). Occurrences counts how
+  /// many times the rule's expansion appears in the input via the grammar
+  /// structure (the start rule occurs once).
   std::vector<RuleStats> ruleStats(size_t PrefixCap = 16) const;
 
   /// Verifies digram uniqueness, rule utility, use counts (recounted
   /// from the bodies), that every live rule is reachable, the wide
-  /// terminal table and index consistency; a sealed grammar must hold no
-  /// index at all. For tests; returns true when healthy.
+  /// terminal table and index consistency. A sealed grammar is checked
+  /// through its image instead (the check GrammarValidator::validate
+  /// runs on it too, see checkImage()). For tests; returns true when
+  /// healthy.
   bool checkInvariants() const;
 
   /// \name Introspection for the telemetry layer
@@ -236,13 +254,19 @@ public:
   /// Bytes of one symbol slab and of one rule slab.
   static constexpr size_t SymbolSlabBytes = 48 * 1024;
   static constexpr size_t RuleSlabBytes = 3 * 1024;
-  size_t numSymbolSlabs() const { return SymbolSlabs.size(); }
-  size_t numRuleSlabs() const { return RuleSlabs.size(); }
-  /// Distinct terminals of 2^31 or more (each is interned once).
+  /// Symbol slabs the arena holds; once sealed, the count the seal freed.
+  size_t numSymbolSlabs() const {
+    return Sealed ? SealedSymbolSlabs : SymbolSlabs.size();
+  }
+  /// Rule slabs the arena holds; once sealed, the count the seal freed.
+  size_t numRuleSlabs() const {
+    return Sealed ? SealedRuleSlabs : RuleSlabs.size();
+  }
+  /// Distinct terminals of 2^31 or more (each is interned once; 0 once
+  /// sealed, when the image holds the values).
   size_t numWideValues() const { return WideValues.size(); }
   /// Resident bytes of the wide-terminal table: the interned values plus
-  /// the interning set's slots (capacity, not occupancy; the set is gone
-  /// once sealed).
+  /// the interning set's slots (capacity, not occupancy; 0 once sealed).
   size_t wideTableBytes() const {
     return WideValues.capacity() * sizeof(uint64_t) +
            WideSlots.capacity() * sizeof(uint32_t);
@@ -261,7 +285,9 @@ public:
   }
   /// Resident bytes of the grammar's bulk storage: symbol and rule slabs,
   /// the digram index's mapped pages (indexBytes(): capacity, not
-  /// occupancy) and the wide-terminal table.
+  /// occupancy) and the wide-terminal table; once sealed, the bytes the
+  /// stored image occupies (capacity, not size), which is all a sealed
+  /// grammar holds.
   size_t footprintBytes() const;
 
   /// Exact work counters since construction.
@@ -276,8 +302,9 @@ public:
 
 private:
   /// The deep invariant checker (src/check/GrammarValidator.h) walks
-  /// rule bodies, use counts and the arena free lists directly, and
-  /// injects corruptions for its own negative tests.
+  /// rule bodies, use counts and the arena free lists directly, checks a
+  /// sealed grammar through checkImage(), and injects corruptions for its
+  /// own negative tests.
   friend class ::orp::check::GrammarValidator;
 
   struct Rule;
@@ -376,7 +403,24 @@ private:
   reachableRules(std::vector<uint64_t> *DenseIds = nullptr) const;
 
   /// Calls \p Emit with every varint of the serialize() image, in order.
+  /// Walks the arena: live grammars only.
   template <typename EmitFn> void forEachImageCode(EmitFn &&Emit) const;
+
+  /// The serialize() image, parsed (trusted: this process wrote it).
+  /// dump() and ruleStats() read a grammar through it, sealed or not.
+  ParsedImage parsedImage() const;
+
+  /// The check a sealed grammar answers to, shared by checkInvariants()
+  /// and GrammarValidator::validate: the arena, index and wide table are
+  /// gone; the image parses; its length, rule, body-symbol and distinct
+  /// digram counts equal the grammar's counters; every rule is reachable
+  /// from the start rule; and digram uniqueness and rule utility hold on
+  /// its bodies.
+  check::CheckReport checkImage() const;
+
+  /// Frees every slab (unpoisoned first, so the allocator may reuse the
+  /// memory) and resets the arena to its empty state.
+  void releaseArena();
 
   NodeIdx Start = NilIdx;
   uint64_t InputLen = 0;
@@ -386,6 +430,11 @@ private:
   bool Sealed = false;
   size_t SealedDigrams = 0;    ///< Index.size() when seal() released it.
   size_t SealedIndexSlots = 0; ///< Index.capacity() when seal() released it.
+  size_t SealedSymbolSlabs = 0; ///< SymbolSlabs.size() at the seal.
+  size_t SealedRuleSlabs = 0;   ///< RuleSlabs.size() at the seal.
+  /// The serialize() image seal() stored, with the capacity its
+  /// serialization grew to; empty until then.
+  std::vector<uint8_t> Image;
 
   /// \name Wide terminals
   /// Terminals of 2^31 or more, in first-append order; a wide code

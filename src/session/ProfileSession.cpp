@@ -370,9 +370,10 @@ SessionArtifacts ProfileSession::finalize() {
 
 size_t ProfileSession::memoryEstimateBytes() {
   // The grammars report their real resident bytes (slabs plus digram
-  // index capacity, which finalize() gives back); the OMC and LEAP terms
-  // are nominal weights that only need to grow with real usage. The
-  // budget these are compared against is configured in the same units.
+  // index pages, or only their images once finalize() sealed them); the
+  // OMC and LEAP terms are nominal weights that only need to grow with
+  // real usage. The budget these are compared against is configured in
+  // the same units.
   constexpr size_t kLiveObjectBytes = 96;
   constexpr size_t kGroupBytes = 64;
 

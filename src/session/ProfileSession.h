@@ -166,9 +166,13 @@ public:
   static constexpr uint8_t kCheckpointVersion = 1;
 
   /// Finishes the pipeline (once) and builds the detached artifacts.
-  /// Finishing seals WHOMP's grammars, so the artifacts are built after
-  /// their digram indexes are freed. Idempotent in effect but rebuilds
-  /// the artifact bytes each call — call once at end of life.
+  /// Finishing seals WHOMP's grammars: each serializes once into its
+  /// image and gives back its digram index and slab arena, and the OMSG
+  /// archive is built from those images. The profilers stay readable
+  /// afterwards (whomp()->sizes(), the grammars' ruleStats() and dump(),
+  /// the whomp.* gauges), all answered from the images. Idempotent in
+  /// effect but rebuilds the artifact bytes each call — call once at end
+  /// of life.
   SessionArtifacts finalize();
 
   bool failed() const { return Failed; }
@@ -178,10 +182,10 @@ public:
   /// Resident-footprint estimate of the session's pipeline state — the
   /// quantity SessionManager's memory budget and LRU eviction operate
   /// on. The four WHOMP grammars count their real bytes
-  /// (SequiturGrammar::footprintBytes: slabs plus digram-index
-  /// capacity, which drops to 0 at finalize()); OMC groups/live objects
-  /// and the LEAP profile size add nominal weights that grow with real
-  /// usage.
+  /// (SequiturGrammar::footprintBytes: slabs plus digram-index mapped
+  /// pages, and after finalize() only their images); OMC groups/live
+  /// objects and the LEAP profile size add nominal weights that grow
+  /// with real usage.
   size_t memoryEstimateBytes();
 
 private:

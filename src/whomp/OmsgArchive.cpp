@@ -18,7 +18,7 @@ const core::Dimension Dims[] = {
     core::Dimension::Instruction, core::Dimension::Group,
     core::Dimension::Object, core::Dimension::Offset};
 
-/// Parses an image this process just serialized from a live grammar.
+/// Parses an image this process serialized from a grammar.
 sequitur::ParsedImage parseOwnImage(std::vector<uint8_t> Image) {
   sequitur::ParsedImage Parsed;
   std::string Err;
@@ -33,6 +33,7 @@ sequitur::ParsedImage parseOwnImage(std::vector<uint8_t> Image) {
 OmsgArchive OmsgArchive::build(const WhompProfiler &Profiler,
                                const omc::ObjectManager *Omc) {
   OmsgArchive Archive;
+  // A sealed grammar's serialize() copies the image it stored.
   for (core::Dimension D : Dims)
     Archive.Images.push_back(
         parseOwnImage(Profiler.grammarFor(D).serialize()));

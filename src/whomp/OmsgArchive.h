@@ -48,10 +48,11 @@ struct ObjectAux {
 /// A parsed (or freshly built) OMSG archive.
 class OmsgArchive {
 public:
-  /// Builds the invariant part from \p Profiler by serializing (and
-  /// parsing) each dimension grammar; when \p Omc is given, the
-  /// auxiliary lifetime table is included (base addresses — the
-  /// run-dependent raw data — are deliberately NOT stored).
+  /// Builds the invariant part from \p Profiler by parsing each
+  /// dimension grammar's image: the one its seal stored once the
+  /// profiler finished, else a fresh serialization. When \p Omc is
+  /// given, the auxiliary lifetime table is included (base addresses —
+  /// the run-dependent raw data — are deliberately NOT stored).
   static OmsgArchive build(const WhompProfiler &Profiler,
                            const omc::ObjectManager *Omc = nullptr);
 

@@ -122,8 +122,8 @@ void WhompProfiler::consumeBatch(std::span<const core::OrTuple> Batch) {
 
 void WhompProfiler::finish() {
   Decomposer.finish();
-  // The last check of each digram index, then the index goes: finalize
-  // serializes and archives grammars that no longer carry it.
+  // The last check of each arena and digram index, then both go: each
+  // grammar serializes once into its image, which finalize archives.
   if constexpr (check::Level >= 2)
     validateGrammars("finish");
   for (core::Dimension D : Decomposer.dimensions())

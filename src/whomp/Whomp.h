@@ -45,7 +45,7 @@ public:
     return Grammar.serializedSizeBytes();
   }
 
-  /// Frees the grammar's append-only state (SequiturGrammar::seal).
+  /// Turns the grammar into its image (SequiturGrammar::seal).
   void seal() { Grammar.seal(); }
 
   /// Returns the underlying grammar.
@@ -84,7 +84,9 @@ public:
   void consume(const core::OrTuple &Tuple) override;
   void consumeBatch(std::span<const core::OrTuple> Tuples) override;
   /// Joins the workers, validates the grammars (level 2) and seals all
-  /// four: the finished OMSG keeps no digram index. No tuple may follow.
+  /// four: the finished OMSG is four images, with no digram index and no
+  /// slab arena left; sizes(), grammarFor() and the whomp.* gauges read
+  /// the images and the counters kept at the seal. No tuple may follow.
   void finish() override;
 
   /// Returns the number of tuples compressed.

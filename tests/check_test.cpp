@@ -324,33 +324,68 @@ TEST(GrammarValidatorTest, SealedGrammarHasNoIndexToCorrupt) {
   EXPECT_TRUE(GrammarValidator::validate(G).ok());
 }
 
-TEST(GrammarValidatorTest, CatchesUseXorSkewAfterSeal) {
+/// Seals a periodic grammar, injects the image corruption \p K and
+/// returns the validator's report; checkInvariants() must fail as well.
+check::CheckReport validateSealedAfter(GrammarValidator::Corruption K) {
   sequitur::SequiturGrammar G;
   appendPeriodic(G);
   G.seal();
-  ASSERT_TRUE(GrammarValidator::injectForTest(
-      G, GrammarValidator::Corruption::UseXorSkew));
-  check::CheckReport Report = GrammarValidator::validate(G);
-  EXPECT_FALSE(Report.ok());
-  EXPECT_NE(Report.str().find("UseXor"), std::string::npos) << Report.str();
+  EXPECT_TRUE(G.checkInvariants());
+  EXPECT_FALSE(GrammarValidator::injectForTest(
+      G, GrammarValidator::Corruption::UseXorSkew))
+      << "a sealed grammar has no arena to corrupt";
+  EXPECT_TRUE(GrammarValidator::injectForTest(G, K));
   EXPECT_FALSE(G.checkInvariants());
+  return GrammarValidator::validate(G);
 }
 
-TEST(GrammarValidatorTest, CatchesDigramDuplicateAfterSeal) {
-  // Without an index, uniqueness rests on the checkers' own occurrence
-  // maps alone.
-  sequitur::SequiturGrammar G;
-  appendPeriodic(G);
-  G.seal();
-  ASSERT_TRUE(GrammarValidator::injectForTest(
-      G, GrammarValidator::Corruption::DigramDuplicate));
-  check::CheckReport Report = GrammarValidator::validate(G);
+TEST(GrammarValidatorTest, CatchesImageDigramDuplicate) {
+  // Without an index, uniqueness rests on the image's own bodies.
+  check::CheckReport Report = validateSealedAfter(
+      GrammarValidator::Corruption::ImageDigramDuplicate);
   EXPECT_FALSE(Report.ok());
   EXPECT_NE(Report.str().find("digram uniqueness violated"), std::string::npos)
       << Report.str();
   EXPECT_EQ(Report.str().find("digram index"), std::string::npos)
       << Report.str();
-  EXPECT_FALSE(G.checkInvariants());
+}
+
+TEST(GrammarValidatorTest, CatchesImageRuleUsedOnce) {
+  check::CheckReport Report =
+      validateSealedAfter(GrammarValidator::Corruption::ImageRuleUsedOnce);
+  EXPECT_FALSE(Report.ok());
+  EXPECT_NE(Report.str().find("R1: rule utility below 2 (1 uses)"),
+            std::string::npos)
+      << Report.str();
+}
+
+TEST(GrammarValidatorTest, CatchesImageCountersSkew) {
+  // The counters a sealed grammar keeps beside its image must be the
+  // image's own: rules, terminals and distinct digrams.
+  const std::pair<GrammarValidator::Corruption, const char *> Cases[] = {
+      {GrammarValidator::Corruption::ImageRuleCountSkew,
+       "rules but the grammar reports"},
+      {GrammarValidator::Corruption::ImageLengthSkew,
+       "terminals but InputLen is"},
+      {GrammarValidator::Corruption::ImageDigramCountSkew,
+       "distinct digrams"},
+  };
+  for (const auto &[K, Want] : Cases) {
+    check::CheckReport Report = validateSealedAfter(K);
+    EXPECT_FALSE(Report.ok());
+    EXPECT_EQ(Report.failures().size(), 1u) << Report.str();
+    EXPECT_NE(Report.str().find(Want), std::string::npos) << Report.str();
+  }
+}
+
+TEST(GrammarValidatorTest, LiveGrammarHasNoImageToCorrupt) {
+  sequitur::SequiturGrammar G;
+  appendPeriodic(G);
+  EXPECT_FALSE(GrammarValidator::injectForTest(
+      G, GrammarValidator::Corruption::ImageDigramDuplicate));
+  EXPECT_FALSE(GrammarValidator::injectForTest(
+      G, GrammarValidator::Corruption::ImageLengthSkew));
+  EXPECT_TRUE(GrammarValidator::validate(G).ok());
 }
 
 //===----------------------------------------------------------------------===//

@@ -279,9 +279,7 @@ struct ReadOnlyView {
   size_t ImageSize;
   std::vector<uint64_t> Expansion;
   std::string Dump;
-  std::vector<std::tuple<uint64_t, size_t, uint64_t, uint64_t,
-                         std::vector<uint64_t>>>
-      Rules;
+  std::vector<SequiturGrammar::RuleStats> Rules;
   std::tuple<uint64_t, size_t, size_t, size_t> Counts;
   std::tuple<uint64_t, uint64_t, uint64_t, uint64_t> Churn;
   bool operator==(const ReadOnlyView &) const = default;
@@ -293,9 +291,7 @@ ReadOnlyView readOnlyView(const SequiturGrammar &G) {
   V.ImageSize = G.serializedSizeBytes();
   V.Expansion = G.expandAll();
   V.Dump = G.dump();
-  for (const SequiturGrammar::RuleStats &R : G.ruleStats())
-    V.Rules.emplace_back(R.Id, R.BodyLength, R.ExpandedLength, R.Occurrences,
-                         R.Prefix);
+  V.Rules = G.ruleStats();
   V.Counts = {G.inputLength(), G.numRules(), G.totalBodySymbols(),
               G.numDigrams()};
   const SequiturGrammar::Churn &C = G.churn();
@@ -303,36 +299,32 @@ ReadOnlyView readOnlyView(const SequiturGrammar &G) {
   return V;
 }
 
-/// Seals \p G and checks that every read-only answer is unchanged and
-/// that exactly the index's slot array and the wide-terminal interning
-/// set left footprintBytes(); the interned values stay.
+/// Seals \p G and checks that every read-only answer is unchanged, that
+/// the gauges keep the index and slab counts the seal freed, and that
+/// footprintBytes() is then the image's bytes alone: its capacity, which
+/// its serialization grew to at most twice its size.
 void expectSealKeepsReads(SequiturGrammar &G, const std::string &Label) {
   const ReadOnlyView Before = readOnlyView(G);
-  const size_t Footprint = G.footprintBytes();
-  const size_t IndexBytes = G.indexBytes();
   const size_t IndexSlots = G.indexCapacity();
-  const size_t WideBytes = G.wideTableBytes();
+  const size_t SymbolSlabs = G.numSymbolSlabs();
+  const size_t RuleSlabs = G.numRuleSlabs();
   // The index maps its pages at the first digram.
-  ASSERT_EQ(IndexBytes == 0, G.numDigrams() == 0) << Label;
+  ASSERT_EQ(G.indexBytes() == 0, G.numDigrams() == 0) << Label;
   ASSERT_EQ(G.indexSlots(), IndexSlots) << Label;
   G.seal();
   EXPECT_TRUE(G.sealed()) << Label;
   EXPECT_EQ(G.indexCapacity(), 0u) << Label;
-  // The gauge keeps the capacity the seal freed.
   EXPECT_EQ(G.indexSlots(), IndexSlots) << Label;
-  // The set holds at least two slots per value; the values stay.
-  const size_t SetBytes = WideBytes - G.wideTableBytes();
-  EXPECT_GE(SetBytes, G.numWideValues() * 2 * sizeof(uint32_t)) << Label;
-  EXPECT_GE(G.wideTableBytes(), G.numWideValues() * sizeof(uint64_t))
-      << Label;
-  if (G.numWideValues() == 0) {
-    EXPECT_EQ(WideBytes, 0u) << Label;
-  }
-  EXPECT_EQ(G.footprintBytes(), Footprint - IndexBytes - SetBytes) << Label;
+  EXPECT_EQ(G.numSymbolSlabs(), SymbolSlabs) << Label;
+  EXPECT_EQ(G.numRuleSlabs(), RuleSlabs) << Label;
+  EXPECT_EQ(G.wideTableBytes(), 0u) << Label;
+  const size_t Footprint = G.footprintBytes();
+  EXPECT_GE(Footprint, Before.ImageSize) << Label;
+  EXPECT_LT(Footprint, 2 * Before.ImageSize) << Label;
   EXPECT_TRUE(readOnlyView(G) == Before) << Label;
   EXPECT_TRUE(G.checkInvariants()) << Label;
   G.seal(); // A second seal changes nothing.
-  EXPECT_EQ(G.footprintBytes(), Footprint - IndexBytes - SetBytes) << Label;
+  EXPECT_EQ(G.footprintBytes(), Footprint) << Label;
   EXPECT_TRUE(readOnlyView(G) == Before) << Label;
 }
 
@@ -473,7 +465,7 @@ TEST(SequiturWideTest, NarrowWideMixMatchesGoldens) {
           InRule |= R.Id != 0 && P == Edge;
       EXPECT_TRUE(InRule) << C.Seed << ": " << Edge;
     }
-    // Sealing frees the interning set but keeps every answer.
+    // Sealing frees the wide table but keeps every answer.
     expectSealKeepsReads(G, "narrow/wide mix");
     EXPECT_EQ(crc32(G.serialize()), C.ImageCrc) << C.Seed;
   }
@@ -498,9 +490,11 @@ TEST(SequiturWideTest, FootprintIsSlabsIndexAndWideTable) {
   // Four values and their interning set of at least 2 slots per value.
   EXPECT_GE(Wide.wideTableBytes(), 4 * (8 + 2 * 4));
   EXPECT_EQ(Wide.footprintBytes(), Bulk(Wide) + Wide.wideTableBytes());
+  // A sealed grammar holds its image alone.
   Wide.seal();
-  EXPECT_GE(Wide.wideTableBytes(), 4 * 8u);
-  EXPECT_EQ(Wide.footprintBytes(), Bulk(Wide) + Wide.wideTableBytes());
+  EXPECT_EQ(Wide.wideTableBytes(), 0u);
+  EXPECT_GE(Wide.footprintBytes(), Wide.serializedSizeBytes());
+  EXPECT_LT(Wide.footprintBytes(), 2 * Wide.serializedSizeBytes());
 }
 
 #if GTEST_HAS_DEATH_TEST

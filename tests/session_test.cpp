@@ -410,42 +410,91 @@ TEST(ProfileSessionTest, MemoryEstimateCountsGrammarFootprints) {
 }
 
 TEST(ProfileSessionTest, FinalizeGivesBackTheDigramIndexes) {
-  // finalize() seals the four WHOMP grammars: the estimate drops by at
-  // least the bytes of their four digram indexes, and their digram
-  // counts and index capacities survive for the gauges.
+  // finalize() seals the four WHOMP grammars into their images: each then
+  // holds its image alone, so the estimate trades their slabs, digram
+  // indexes and wide tables for the images' bytes. Every reading a front
+  // end takes after finalize() (sizes, the whomp.* gauges, rule
+  // statistics, dumps) equals the one it took before.
   std::string Path = tempPath("sealed.orpt");
   recordTrace("164.gzip-a", Path);
   traceio::TraceReader Reader;
   ASSERT_TRUE(Reader.open(Path)) << Reader.error();
-  session::ProfileSession Session("sealed", session::recordedConfig(Reader));
+  telemetry::Registry Local;
+  session::ProfileSession Session("sealed", session::recordedConfig(Reader),
+                                  Local);
   ASSERT_TRUE(Session.replayFrom(Reader)) << Session.error();
 
   const core::Dimension Dims[] = {
       core::Dimension::Instruction, core::Dimension::Group,
       core::Dimension::Object, core::Dimension::Offset};
-  size_t IndexBytes = 0;
+  struct Reading {
+    std::vector<size_t> Sizes;
+    uint64_t Tuples = 0;
+    std::map<std::string, int64_t> Gauges;
+    std::vector<std::vector<sequitur::SequiturGrammar::RuleStats>> Rules;
+    std::vector<std::string> Dumps;
+  };
+  auto Read = [&] {
+    Reading R;
+    const whomp::OmsgSizes S = Session.whomp()->sizes();
+    R.Sizes = {S.Instr, S.Group, S.Object, S.Offset};
+    R.Tuples = Session.whomp()->tuplesSeen();
+    for (const auto &G : Local.snapshot().Gauges)
+      if (G.Name.rfind("whomp.", 0) == 0)
+        R.Gauges[G.Name] = G.Value;
+    for (core::Dimension D : Dims) {
+      const sequitur::SequiturGrammar &G = Session.whomp()->grammarFor(D);
+      R.Rules.push_back(G.ruleStats());
+      R.Dumps.push_back(G.dump());
+    }
+    return R;
+  };
+  const Reading Before = Read();
+  ASSERT_GT(Before.Gauges.count("whomp.offset.symbol_slabs"), 0u);
+  ASSERT_GT(Before.Gauges.at("whomp.offset.symbol_slabs"), 0);
+
+  size_t IndexBytes = 0, GrammarBytes = 0;
   std::vector<size_t> Digrams, Slots;
   for (core::Dimension D : Dims) {
     const sequitur::SequiturGrammar &G = Session.whomp()->grammarFor(D);
-    IndexBytes += G.indexCapacity() * sequitur::DigramTable::SlotBytes;
+    IndexBytes += G.indexBytes();
+    GrammarBytes += G.footprintBytes();
     Digrams.push_back(G.numDigrams());
     Slots.push_back(G.indexCapacity());
   }
-  const size_t Before = Session.memoryEstimateBytes();
+  const size_t EstimateBefore = Session.memoryEstimateBytes();
   ASSERT_GT(IndexBytes, 0u);
   SessionArtifacts A = Session.finalize();
   ASSERT_FALSE(A.Failed) << A.Error;
-  const size_t After = Session.memoryEstimateBytes();
-  EXPECT_LE(After + IndexBytes, Before)
-      << "before " << Before << ", after " << After << ", indexes "
-      << IndexBytes;
+
+  const Reading After = Read();
+  EXPECT_EQ(After.Sizes, Before.Sizes);
+  EXPECT_EQ(After.Tuples, Before.Tuples);
+  EXPECT_EQ(After.Gauges.size(), Before.Gauges.size());
+  for (const auto &[Name, Value] : Before.Gauges)
+    EXPECT_EQ(After.Gauges.count(Name) ? After.Gauges.at(Name) : -1, Value)
+        << Name;
+  EXPECT_TRUE(After.Rules == Before.Rules);
+  EXPECT_TRUE(After.Dumps == Before.Dumps);
+
+  size_t ImageBytes = 0;
   for (size_t I = 0; I != 4; ++I) {
     const sequitur::SequiturGrammar &G = Session.whomp()->grammarFor(Dims[I]);
     EXPECT_TRUE(G.sealed());
     EXPECT_EQ(G.indexCapacity(), 0u);
     EXPECT_EQ(G.numDigrams(), Digrams[I]);
     EXPECT_EQ(G.indexSlots(), Slots[I]);
+    // The image's bytes: its capacity, which its serialization grew to
+    // at most twice its size.
+    EXPECT_GE(G.footprintBytes(), G.serializedSizeBytes());
+    EXPECT_LT(G.footprintBytes(), 2 * G.serializedSizeBytes());
+    ImageBytes += G.footprintBytes();
   }
+  // The estimate counts what the finalized session still holds: the
+  // images where the slabs, indexes and wide tables were.
+  EXPECT_LT(ImageBytes + IndexBytes, GrammarBytes);
+  EXPECT_EQ(Session.memoryEstimateBytes() + GrammarBytes,
+            EstimateBefore + ImageBytes);
   std::remove(Path.c_str());
 }
 
