@@ -2,10 +2,13 @@
 //
 // Property: the paper's "Sequitur is lossless" as an oracle. The input
 // bytes are a program of stream operations (narrow and wide terminals,
-// long runs, ramps of fresh values, and runs of digrams chosen to share
-// a home slot in the digram index). The resulting stream is appended to
-// one grammar, which must
+// long runs, ramps of fresh values, runs of digrams chosen to share a
+// home slot in the digram index, and points where the digram index is
+// given back). The resulting stream is appended to one grammar, which
+// releases its index at those points (the next append rebuilds it), and
+// to a twin that never does. The grammar must
 //
+//   * produce exactly the twin's dump(), ruleStats() and serialize();
 //   * pass checkInvariants() at doubling intervals and at the end;
 //   * expand back to exactly the stream (expandAll());
 //   * serialize to an image the checked parser accepts, whose expansion
@@ -51,15 +54,17 @@ const std::vector<uint64_t> &homeSharingFirsts() {
   return Firsts;
 }
 
-/// Decodes the operation program in \p Data into a terminal stream.
-std::vector<uint64_t> decodeStream(const uint8_t *Data, size_t Size) {
+/// Decodes the operation program in \p Data into a terminal stream, and
+/// into \p ReleaseAt the stream lengths at which to release the index.
+std::vector<uint64_t> decodeStream(const uint8_t *Data, size_t Size,
+                                   std::vector<size_t> &ReleaseAt) {
   std::vector<uint64_t> Out;
   uint64_t Fresh = uint64_t(1) << 24; // Ramp values, never repeated.
   size_t NextPair = 0;                // Cursor into homeSharingFirsts().
   for (size_t I = 0; I + 1 < Size && Out.size() < kMaxSymbols; I += 2) {
     const uint8_t Arg = Data[I + 1];
     size_t N = 0;
-    switch (Data[I] % 5) {
+    switch (Data[I] % 6) {
     case 0: // A narrow terminal from a small alphabet.
       Out.push_back(Arg % 16);
       break;
@@ -86,6 +91,9 @@ std::vector<uint64_t> decodeStream(const uint8_t *Data, size_t Size) {
       for (size_t K = 0; K != N; ++K)
         Out.push_back(Fresh++);
       break;
+    case 5: // Give the digram index back here.
+      ReleaseAt.push_back(Out.size());
+      break;
     }
   }
   if (Out.size() > kMaxSymbols)
@@ -96,17 +104,35 @@ std::vector<uint64_t> decodeStream(const uint8_t *Data, size_t Size) {
 } // namespace
 
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t *Data, size_t Size) {
-  const std::vector<uint64_t> Stream = decodeStream(Data, Size);
-  sequitur::SequiturGrammar G;
-  size_t NextCheck = 64;
-  for (size_t I = 0; I != Stream.size(); ++I) {
+  std::vector<size_t> ReleaseAt;
+  const std::vector<uint64_t> Stream = decodeStream(Data, Size, ReleaseAt);
+  sequitur::SequiturGrammar G, Twin;
+  size_t NextCheck = 64, NextRelease = 0;
+  for (size_t I = 0; I <= Stream.size(); ++I) {
+    for (; NextRelease != ReleaseAt.size() && ReleaseAt[NextRelease] == I;
+         ++NextRelease) {
+      G.releaseIndex();
+      ORP_FUZZ_REQUIRE(G.indexReleased() && G.indexBytes() == 0,
+                       "releaseIndex() kept the index");
+    }
+    if (I == Stream.size())
+      break;
     G.append(Stream[I]);
+    Twin.append(Stream[I]);
     if (I + 1 == NextCheck) {
       ORP_FUZZ_REQUIRE(G.checkInvariants(), "invariants broken mid-stream");
       NextCheck *= 2;
     }
   }
   ORP_FUZZ_REQUIRE(G.checkInvariants(), "invariants broken at the end");
+  ORP_FUZZ_REQUIRE(check::GrammarValidator::validate(G).ok(),
+                   "deep validation fails at the end");
+  ORP_FUZZ_REQUIRE(G.dump() == Twin.dump(),
+                   "releasing the index changed dump()");
+  ORP_FUZZ_REQUIRE(G.ruleStats() == Twin.ruleStats(),
+                   "releasing the index changed ruleStats()");
+  ORP_FUZZ_REQUIRE(G.serialize() == Twin.serialize(),
+                   "releasing the index changed serialize()");
   ORP_FUZZ_REQUIRE(G.inputLength() == Stream.size(), "input length differs");
   ORP_FUZZ_REQUIRE(G.expandAll() == Stream, "expandAll() is not the input");
 
@@ -157,5 +183,12 @@ std::vector<std::vector<uint8_t>> orpFuzzSeedInputs() {
   for (int K = 0; K != 20; ++K)
     SecondRebuild.insert(SecondRebuild.end(), {3, 63, 2, 10});
   Seeds.push_back(SecondRebuild);
+  // Releases between runs, ramps and home-sharing digrams, one at the
+  // very end (sealed without a rebuild).
+  std::vector<uint8_t> Released = {0, 1, 2, 3, 5, 0, 0, 2, 2, 9, 5, 0,
+                                   4, 40, 5, 0, 3, 20, 0, 1, 2, 5, 5, 0};
+  for (int K = 0; K != 6; ++K)
+    Released.insert(Released.end(), {0, static_cast<uint8_t>(K), 2, 4, 5, 0});
+  Seeds.push_back(Released);
   return Seeds;
 }

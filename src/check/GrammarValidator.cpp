@@ -291,6 +291,8 @@ CheckReport GrammarValidator::validate(const SequiturGrammar &G) {
           Report.fail("digram uniqueness violated: key " + KeyStr(Key) +
                       " occurs at two non-overlapping positions");
       }
+    if (G.IndexReleased)
+      continue;
     size_t Slot = G.Index.findSlot(Key, LiveKeys);
     if (Slot == DigramTable::Npos) {
       Report.fail("digram index desync: key " + KeyStr(Key) +
@@ -305,7 +307,36 @@ CheckReport GrammarValidator::validate(const SequiturGrammar &G) {
                    "digram index desync: indexed occurrence of key " +
                        KeyStr(Key) + " is not where the key occurs");
   }
-  if (StructureOk) {
+  // A released index holds nothing; it held one entry per distinct
+  // digram, and each right twin it recorded is the right occurrence of
+  // an overlapping run, so that a rebuild can name it again.
+  if (StructureOk && G.IndexReleased) {
+    Report.require(G.Index.size() == 0 && G.Index.capacity() == 0,
+                   "released digram index still maps " +
+                       std::to_string(G.Index.capacity()) + " slots");
+    Report.require(G.SealedDigrams == Occurrences.size(),
+                   "released digram index held " +
+                       std::to_string(G.SealedDigrams) +
+                       " entries but the grammar has " +
+                       std::to_string(Occurrences.size()) +
+                       " distinct digrams");
+    std::unordered_set<NodeIdx> Twins;
+    for (NodeIdx A : G.RightTwins) {
+      const std::string Twin =
+          "recorded right twin (symbol " + std::to_string(A) + ")";
+      if (!Report.require(DigramStarts.count(A) != 0,
+                          Twin + " is not a live digram start"))
+        continue;
+      Report.require(Twins.insert(A).second, Twin + " is recorded twice");
+      const NodeIdx P = G.sym(A).prev();
+      Report.require(DigramStarts.count(P) != 0 && G.keyOf(P) == G.keyOf(A),
+                     Twin + " is not the right occurrence of an "
+                            "overlapping run");
+    }
+  }
+  Report.require(G.IndexReleased || G.RightTwins.empty(),
+                 "a live digram index keeps recorded right twins");
+  if (StructureOk && !G.IndexReleased) {
     G.Index.forEach([&](size_t Slot, NodeIdx I) {
       std::string Entry = "entry " + std::to_string(Slot) + " (symbol " +
                           std::to_string(I) + ", home " +
@@ -424,6 +455,24 @@ void GrammarValidator::exhaustSymbolIndexSpaceForTest(SequiturGrammar &G) {
   G.SymbolSlabs.resize(G.FreshSymbol >> SequiturGrammar::SymbolSlabShift);
 }
 
+bool GrammarValidator::indexRightTwinForTest(SequiturGrammar &G) {
+  using NodeIdx = SequiturGrammar::NodeIdx;
+  if (G.Sealed || G.IndexReleased)
+    return false;
+  bool Done = false;
+  G.forEachBodyDigram([&](NodeIdx A) {
+    if (Done || !G.isRightTwin(A))
+      return;
+    const NodeIdx Left = G.sym(A).prev();
+    const size_t Slot = G.Index.findEntry(G.keyOf(Left), Left);
+    if (Slot != sequitur::DigramTable::Npos) {
+      G.Index.replaceNode(Slot, A);
+      Done = true;
+    }
+  });
+  return Done;
+}
+
 bool GrammarValidator::injectForTest(SequiturGrammar &G, Corruption K) {
   using Rule = SequiturGrammar::Rule;
   using NodeIdx = SequiturGrammar::NodeIdx;
@@ -441,6 +490,23 @@ bool GrammarValidator::injectForTest(SequiturGrammar &G, Corruption K) {
     return false;
 
   switch (K) {
+  case Corruption::ReleasedTwinSkew: {
+    if (!G.IndexReleased)
+      return false;
+    if (!G.RightTwins.empty()) {
+      G.RightTwins[0] = G.sym(G.RightTwins[0]).prev();
+      return true;
+    }
+    NodeIdx Forged = Nil;
+    G.forEachBodyDigram([&](NodeIdx A) {
+      if (Forged == Nil && !G.isRightTwin(A))
+        Forged = A;
+    });
+    if (Forged == Nil)
+      return false;
+    G.RightTwins.push_back(Forged);
+    return true;
+  }
   case Corruption::ImageDigramDuplicate: {
     // Relabel the second all-terminal digram of the image as a copy of
     // the first, away from it; lengths and use counts stay as they were.

@@ -30,6 +30,11 @@
 ///   * the wide-terminal table: entries are wide, below 2^63 and
 ///     distinct, every wide code names an entry, and until the seal the
 ///     interning set indexes exactly the table;
+///   * with the index released (SequiturGrammar::releaseIndex), the
+///     index maps nothing, it held one entry per distinct digram, and
+///     every recorded right twin is a live digram start whose
+///     predecessor starts the same digram (the right occurrence of an
+///     "aaa" run);
 ///   * the memoized expansion length of the start rule equals the
 ///     number of appended terminals;
 ///   * the live-symbol count behind totalBodySymbols() equals the
@@ -105,6 +110,14 @@ public:
   /// used or destroyed afterwards.
   static void exhaustSymbolIndexSpaceForTest(sequitur::SequiturGrammar &G);
 
+  /// Points the index entry of the first overlapping run ("aaa") of a
+  /// live grammar at the run's right occurrence, the choice checkDigram()
+  /// keeps when a run grows to the left of its indexed digram; both
+  /// choices satisfy every invariant. Returns false when no entry names
+  /// a run's left occurrence. For the tests that require a rebuilt index
+  /// to name the same occurrence as the released one.
+  static bool indexRightTwinForTest(sequitur::SequiturGrammar &G);
+
   /// Classes of deliberate corruption for negative tests.
   enum class Corruption {
     DigramIndexDrop,     ///< Remove an index entry (completeness desync).
@@ -118,6 +131,10 @@ public:
     NarrowValueInterned, ///< Intern a narrow terminal and use its code.
     WideCodePastTable,   ///< Give a terminal a wide code past the table.
     UnreachableLiveRule, ///< Create a live rule that nothing uses.
+    /// Record a released index's first right twin at its run's left
+    /// occurrence or, with none recorded, record the first digram start
+    /// that is no run's right occurrence (needs a released index).
+    ReleasedTwinSkew,
     /// \name Sealed grammars: the image and the counters kept beside it.
     /// @{
     ImageDigramDuplicate, ///< Relabel an image digram as a copy of another.

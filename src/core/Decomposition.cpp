@@ -40,8 +40,12 @@ HorizontalDecomposer::HorizontalDecomposer(std::vector<Dimension> Dims,
       Workers.push_back(
           std::make_unique<support::QueueWorker<std::vector<uint64_t>>>(
               ThreadQueueDepth, [Compressor](std::vector<uint64_t> &Chunk) {
-                Compressor->appendBatch(std::span<const uint64_t>(
-                    Chunk.data(), Chunk.size()));
+                // An empty chunk ends the stream (see finish()).
+                if (Chunk.empty())
+                  Compressor->finish();
+                else
+                  Compressor->appendBatch(std::span<const uint64_t>(
+                      Chunk.data(), Chunk.size()));
               }));
     }
   }
@@ -109,15 +113,22 @@ void HorizontalDecomposer::consumeBatch(std::span<const OrTuple> Tuples) {
 }
 
 void HorizontalDecomposer::finish() {
-  if (threaded()) {
-    flushPending();
-    for (auto &Worker : Workers)
-      Worker->finish(); // Drains the queue and joins.
-    captureWorkerStats();
-    Workers.clear();    // Compressors are ours again (threaded() false).
+  if (!threaded()) {
+    for (auto &Compressor : Compressors)
+      Compressor->finish();
+    return;
   }
-  for (auto &Compressor : Compressors)
-    Compressor->finish();
+  flushPending();
+  // Each worker finishes its own compressor after its last chunk, so the
+  // dimensions' finish() work overlaps the slower workers' tails. Chunks
+  // are never empty otherwise (flushPending() skips empty ones).
+  for (auto &Worker : Workers)
+    if (!Worker->submit(std::vector<uint64_t>()))
+      ORP_FATAL_ERROR("decompose: dimension worker closed mid-stream");
+  for (auto &Worker : Workers)
+    Worker->finish(); // Drains the queue and joins.
+  captureWorkerStats();
+  Workers.clear(); // Compressors are ours again (threaded() false).
 }
 
 void HorizontalDecomposer::captureWorkerStats() {

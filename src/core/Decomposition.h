@@ -68,8 +68,9 @@ public:
   /// own grammar state hot in cache, instead of being revisited once per
   /// tuple.
   void consumeBatch(std::span<const OrTuple> Tuples) override;
-  /// Flushes pending chunks, joins the workers (threaded mode) and
-  /// finish()es every compressor.
+  /// Flushes pending chunks and finish()es every compressor: in threaded
+  /// mode each on its own worker, after its last chunk, before the
+  /// workers are joined.
   void finish() override;
 
   /// Returns the decomposed dimensions, in construction order.

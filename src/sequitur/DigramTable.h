@@ -127,7 +127,10 @@ struct DigramKeyHash {
 /// DigramKey, which must return the current key of every indexed node.
 /// Lookups call it only for entries whose home and valid extension bits
 /// match the query's; insertions call it once per entry when they
-/// trigger a rebuilding growth, and never otherwise.
+/// trigger a rebuilding growth, and never otherwise. A reader may also
+/// offer KeyOf.matches(NodeIdx, DigramKey) -> bool, which lookups then
+/// use instead of reading the whole key: it can compare the first
+/// symbol before it loads the second, so a false match costs one load.
 ///
 /// A table maps its first 2^6 slots at its first insertion, so
 /// constructing one makes no system call; until then it has capacity 0
@@ -160,7 +163,7 @@ public:
       const Slot &S = Slots[Idx];
       if (S.Node == Empty || S.disp() < (Want & 0xff))
         return Npos;
-      if (S.Tag == Want && KeyOf(S.Node) == K)
+      if (S.Tag == Want && keyMatches(KeyOf, S.Node, K))
         return Idx;
       Idx = (Idx + 1) & Mask;
     }
@@ -220,7 +223,7 @@ public:
         const Slot &S = Slots[Idx];
         if (S.Node == Empty || S.disp() < (Want & 0xff))
           break; // Absent: insert() would place or rob here.
-        if (S.Tag == Want && KeyOf(S.Node) == K)
+        if (S.Tag == Want && keyMatches(KeyOf, S.Node, K))
           return Idx;
         Idx = (Idx + 1) & Mask;
       }
@@ -254,12 +257,34 @@ public:
     --Count;
   }
 
+  /// Points the entry in \p SlotIdx at \p Node, which must have the
+  /// same key as the node it replaces (the other occurrence of an
+  /// overlapping run): the entry's home and extension bits stay valid.
+  void replaceNode(size_t SlotIdx, NodeIdx Node) {
+    assert(SlotIdx < Slots.size() && Slots[SlotIdx].Node != Empty &&
+           Node != Empty);
+    Slots[SlotIdx].Node = Node;
+  }
+
   /// Unmaps the slot array, leaving an empty table of capacity 0, as
   /// constructed.
   void release() {
     Slots = support::MappedArray<Slot>();
     Mask = 0;
     Count = 0;
+  }
+
+  /// Maps an empty table of \p Capacity slots (a power of two, at least
+  /// 2^6) with every extension bit valid, so that refilling it with the
+  /// entries of a table that size needs no growth. Requires an unmapped
+  /// table.
+  void reserve(size_t Capacity) {
+    assert(Slots.empty() && Capacity >= (size_t(1) << InitialShift) &&
+           (Capacity & (Capacity - 1)) == 0);
+    unsigned NewShift = InitialShift;
+    while ((size_t(1) << NewShift) < Capacity)
+      ++NewShift;
+    reset(NewShift, ExtensionBits);
   }
 
   /// Returns the number of entries.
@@ -328,6 +353,17 @@ private:
 
   static uint16_t tag(unsigned Disp, uint8_t Ext) {
     return static_cast<uint16_t>(Disp | unsigned(Ext) << 8);
+  }
+
+  /// True when \p Node's digram is \p K, through the reader's matches()
+  /// when it has one.
+  template <typename KeyReader>
+  static bool keyMatches(const KeyReader &KeyOf, NodeIdx Node,
+                         const DigramKey &K) {
+    if constexpr (requires { KeyOf.matches(Node, K); })
+      return KeyOf.matches(Node, K);
+    else
+      return KeyOf(Node) == K;
   }
 
 public:

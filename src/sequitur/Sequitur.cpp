@@ -307,8 +307,8 @@ ORP_SEQ_INLINE void SequiturGrammar::removeDigramAt(NodeIdx A) {
 //===----------------------------------------------------------------------===//
 
 void SequiturGrammar::append(uint64_t Value) {
-  if (Sealed) [[unlikely]]
-    ORP_FATAL_ERROR("sequitur: append to a sealed grammar");
+  if (Sealed | IndexReleased) [[unlikely]]
+    reopenForAppend();
   // No references into the grammar are held across appends, so nodes
   // freed during the previous append are now safe to recycle.
   reclaimPending();
@@ -328,12 +328,23 @@ void SequiturGrammar::appendAll(const std::vector<uint64_t> &Values) {
     append(V);
 }
 
+void SequiturGrammar::reopenForAppend() {
+  if (Sealed)
+    ORP_FATAL_ERROR("sequitur: append to a sealed grammar");
+  rebuildIndex();
+}
+
 void SequiturGrammar::seal() {
   if (Sealed)
     return;
-  SealedDigrams = Index.size();
-  SealedIndexSlots = Index.capacity();
+  // A released index was counted when it went; its twins are not needed.
+  if (!IndexReleased) {
+    SealedDigrams = Index.size();
+    SealedIndexSlots = Index.capacity();
+  }
   Index.release();
+  IndexReleased = false;
+  std::vector<NodeIdx>().swap(RightTwins);
   std::vector<NodeIdx>().swap(MaybeUnderused);
   std::vector<uint32_t>().swap(WideSlots);
   // The one serialization: from here on every read answers from Image.
@@ -343,6 +354,50 @@ void SequiturGrammar::seal() {
   releaseArena();
   std::vector<uint64_t>().swap(WideValues);
   Sealed = true;
+}
+
+bool SequiturGrammar::isRightTwin(NodeIdx A) const {
+  const NodeIdx P = sym(A).prev();
+  return !sym(P).isGuard() && keyOf(P) == keyOf(A);
+}
+
+void SequiturGrammar::releaseIndex() {
+  if (Sealed || IndexReleased)
+    return;
+  // A run holds one digram twice, and the index names one of the two:
+  // record the runs whose entry names the right occurrence. Appending
+  // never leaves a longer run (its outer digrams would not overlap).
+  forEachBodyDigram([&](NodeIdx A) {
+    if (isRightTwin(A) && Index.findEntry(keyOf(A), A) != DigramTable::Npos)
+      RightTwins.push_back(A);
+  });
+  SealedDigrams = Index.size();
+  SealedIndexSlots = Index.capacity();
+  Index.release();
+  IndexReleased = true;
+}
+
+void SequiturGrammar::rebuildIndex() {
+  if (!IndexReleased)
+    return;
+  if (SealedIndexSlots != 0)
+    Index.reserve(SealedIndexSlots);
+  // Left to right, so each run's left occurrence is the one inserted.
+  const IndexKeys Keys = indexKeys();
+  forEachBodyDigram(
+      [&](NodeIdx A) { (void)Index.findOrInsert(keyOf(A), A, Keys); });
+  for (NodeIdx A : RightTwins) {
+    const size_t Slot = Index.findEntry(keyOf(A), sym(A).prev());
+    if (Slot == DigramTable::Npos)
+      ORP_FATAL_ERROR("sequitur: a recorded right twin is not the right "
+                      "occurrence of an indexed run");
+    Index.replaceNode(Slot, A);
+  }
+  if (Index.size() != SealedDigrams)
+    ORP_FATAL_ERROR("sequitur: the rebuilt digram index differs in size "
+                    "from the released one");
+  std::vector<NodeIdx>().swap(RightTwins);
+  IndexReleased = false;
 }
 
 bool SequiturGrammar::checkDigram(NodeIdx A) {
@@ -1018,6 +1073,21 @@ bool SequiturGrammar::checkInvariants() const {
       }
   }
 
+  // A released index holds nothing. It held one entry per distinct
+  // digram, and each recorded right twin is the right occurrence of a
+  // run: a digram start whose predecessor starts the same digram.
+  if (IndexReleased) {
+    if (Index.size() != 0 || Index.capacity() != 0 ||
+        SealedDigrams != Occurrences.size())
+      return false;
+    std::unordered_set<NodeIdx> Twins;
+    for (NodeIdx A : RightTwins)
+      if (!DigramStarts.count(A) || !Twins.insert(A).second ||
+          !DigramStarts.count(sym(A).prev()) || !isRightTwin(A))
+        return false;
+    return true;
+  }
+
   // Index soundness: every entry points at a live digram whose hash
   // gives the entry's home (slot minus displacement) and its valid
   // extension bits, and a lookup of that digram reaches the entry (so no
@@ -1051,6 +1121,8 @@ check::CheckReport SequiturGrammar::checkImage() const {
                      Str(Index.capacity()) + " slots");
   Report.require(MaybeUnderused.capacity() == 0,
                  "sealed grammar still holds its utility worklist");
+  Report.require(!IndexReleased && RightTwins.capacity() == 0,
+                 "sealed grammar still holds released-index state");
   ParsedImage Parsed;
   std::string Err;
   if (!Report.require(parseImageChecked(Image, Parsed, Err, ~uint64_t(0)),

@@ -162,6 +162,29 @@ public:
   /// True once seal() ran.
   bool sealed() const { return Sealed; }
 
+  /// Gives the digram index back between appends. The index is derived
+  /// state: at an append boundary it holds exactly one entry per distinct
+  /// digram of the rule bodies, and rebuildIndex() restores it from them.
+  /// The one choice the bodies do not record is which occurrence of an
+  /// overlapping run ("aaa") the index names, so before unmapping the
+  /// slots this records every entry that names the run's right node (its
+  /// "right twin"). Every read-only call answers as before; appending
+  /// to a released grammar rebuilds the index first. A no-op once sealed
+  /// or already released.
+  void releaseIndex();
+
+  /// Rebuilds a released index exactly: maps as many slots as it had,
+  /// walks every rule body left to right inserting each digram that is
+  /// not yet indexed (so each run's left occurrence), then points the
+  /// recorded right twins' keys back at them. A no-op unless released.
+  void rebuildIndex();
+
+  /// True between releaseIndex() and the next rebuildIndex() (or append).
+  bool indexReleased() const { return IndexReleased; }
+
+  /// Right twins releaseIndex() recorded (0 unless released).
+  size_t numRightTwins() const { return RightTwins.size(); }
+
   /// Returns the number of terminals appended so far.
   uint64_t inputLength() const { return InputLen; }
 
@@ -241,7 +264,9 @@ public:
 
   /// Verifies digram uniqueness, rule utility, use counts (recounted
   /// from the bodies), that every live rule is reachable, the wide
-  /// terminal table and index consistency. A sealed grammar is checked
+  /// terminal table and index consistency; with the index released,
+  /// that the index holds nothing and each recorded right twin is the
+  /// right occurrence of an overlapping run. A sealed grammar is checked
   /// through its image instead (the check GrammarValidator::validate
   /// runs on it too, see checkImage()). For tests; returns true when
   /// healthy.
@@ -271,23 +296,28 @@ public:
     return WideValues.capacity() * sizeof(uint64_t) +
            WideSlots.capacity() * sizeof(uint32_t);
   }
-  /// Distinct digrams in the grammar (the count at the seal once sealed).
-  size_t numDigrams() const { return Sealed ? SealedDigrams : Index.size(); }
-  /// Slots of the digram index (0 before the first digram and once
-  /// sealed).
+  /// Distinct digrams in the grammar (the count at the seal once sealed,
+  /// or at the release while the index is released).
+  size_t numDigrams() const {
+    return Sealed || IndexReleased ? SealedDigrams : Index.size();
+  }
+  /// Slots of the digram index (0 before the first digram, while
+  /// released and once sealed).
   size_t indexCapacity() const { return Index.capacity(); }
   /// Bytes the digram index maps: its slots rounded up to whole pages
-  /// (0 before the first digram and once sealed).
+  /// (0 before the first digram, while released and once sealed).
   size_t indexBytes() const { return Index.mappedBytes(); }
-  /// Slots of the digram index; once sealed, the capacity the seal freed.
+  /// Slots of the digram index; once sealed or while released, the
+  /// capacity the seal or the release freed.
   size_t indexSlots() const {
-    return Sealed ? SealedIndexSlots : Index.capacity();
+    return Sealed || IndexReleased ? SealedIndexSlots : Index.capacity();
   }
   /// Resident bytes of the grammar's bulk storage: symbol and rule slabs,
   /// the digram index's mapped pages (indexBytes(): capacity, not
-  /// occupancy) and the wide-terminal table; once sealed, the bytes the
-  /// stored image occupies (capacity, not size), which is all a sealed
-  /// grammar holds.
+  /// occupancy; 0 while released) and the wide-terminal table; once
+  /// sealed, the bytes the stored image occupies (capacity, not size),
+  /// which is all a sealed grammar holds. The right twins a release
+  /// records (a few entries) are not counted.
   size_t footprintBytes() const;
 
   /// Exact work counters since construction.
@@ -336,9 +366,9 @@ private:
   /// use-after-poison report. alloc* unpoison a node before reuse. See
   /// check/Check.h.
   /// @{
-  /// sym(), rule(), keyOf() and indexKeys() are defined in
-  /// SequiturNodes.h; the other inline helpers only in Sequitur.cpp, the
-  /// one file that calls them.
+  /// sym(), rule(), keyOf(), indexKeys() and forEachBodyDigram() are
+  /// defined in SequiturNodes.h; the other inline helpers only in
+  /// Sequitur.cpp, the one file that calls them.
   inline Symbol &sym(NodeIdx I);
   inline const Symbol &sym(NodeIdx I) const;
   inline Rule &rule(NodeIdx I);
@@ -374,8 +404,9 @@ private:
   /// The digram starting at \p A, read from A and its successor. The
   /// digram index stores no keys; it reads them back through this.
   inline DigramKey keyOf(NodeIdx A) const;
-  /// keyOf as the digram index's key reader.
-  inline auto indexKeys() const;
+  /// keyOf as the digram index's key reader (SequiturNodes.h).
+  struct IndexKeys;
+  inline IndexKeys indexKeys() const;
   inline void removeDigramAt(NodeIdx A);
 
   /// Enforces digram uniqueness for the digram starting at \p A.
@@ -422,14 +453,34 @@ private:
   /// memory) and resets the arena to its empty state.
   void releaseArena();
 
+  /// Calls \p Visit(A) for the first symbol A of every digram in the
+  /// rule bodies, each body left to right. Live grammars only.
+  template <typename VisitFn> void forEachBodyDigram(VisitFn &&Visit) const;
+
+  /// True when \p A starts a digram whose predecessor starts the same
+  /// digram: A is the right occurrence of an overlapping run ("aaa").
+  bool isRightTwin(NodeIdx A) const;
+
+  /// append()'s cold path: dies on a sealed grammar, rebuilds a
+  /// released index.
+  [[gnu::noinline, gnu::cold]] void reopenForAppend();
+
   NodeIdx Start = NilIdx;
   uint64_t InputLen = 0;
   Churn Counters;
   DigramTable Index;
   std::vector<NodeIdx> MaybeUnderused;
   bool Sealed = false;
-  size_t SealedDigrams = 0;    ///< Index.size() when seal() released it.
-  size_t SealedIndexSlots = 0; ///< Index.capacity() when seal() released it.
+  /// Set by releaseIndex(), cleared by rebuildIndex(). Beside Sealed, so
+  /// that append() tests both with one branch.
+  bool IndexReleased = false;
+  /// Index.size() when seal() or releaseIndex() released it.
+  size_t SealedDigrams = 0;
+  /// Index.capacity() when seal() or releaseIndex() released it.
+  size_t SealedIndexSlots = 0;
+  /// While the index is released: the symbols whose index entries named
+  /// the right occurrence of an overlapping run (see releaseIndex()).
+  std::vector<NodeIdx> RightTwins;
   size_t SealedSymbolSlabs = 0; ///< SymbolSlabs.size() at the seal.
   size_t SealedRuleSlabs = 0;   ///< RuleSlabs.size() at the seal.
   /// The serialize() image seal() stored, with the capacity its

@@ -143,8 +143,35 @@ SequiturGrammar::keyOf(NodeIdx A) const {
   return K;
 }
 
-inline auto SequiturGrammar::indexKeys() const {
-  return [this](NodeIdx I) { return keyOf(I); };
+/// The digram index's key reader. A lookup compares a candidate entry's
+/// key with the query's through matches(), which reads the second symbol
+/// only when the first already agrees: most false matches then cost one
+/// symbol load instead of two dependent ones.
+struct SequiturGrammar::IndexKeys {
+  const SequiturGrammar *G;
+
+  DigramKey operator()(NodeIdx A) const { return G->keyOf(A); }
+  bool matches(NodeIdx A, const DigramKey &K) const {
+    const Symbol &SA = G->sym(A);
+    if (SA.Value != K.V1 || (SA.PrevTag >> 31) != (K.Tags & 1u))
+      return false;
+    const Symbol &SB = G->sym(SA.Next);
+    return SB.Value == K.V2 && (SB.PrevTag >> 31) == unsigned(K.Tags >> 1);
+  }
+};
+
+inline SequiturGrammar::IndexKeys SequiturGrammar::indexKeys() const {
+  return IndexKeys{this};
+}
+
+template <typename VisitFn>
+void SequiturGrammar::forEachBodyDigram(VisitFn &&Visit) const {
+  for (NodeIdx R : reachableRules()) {
+    const NodeIdx Guard = rule(R).Guard;
+    for (NodeIdx S = sym(Guard).Next; S != Guard && sym(S).Next != Guard;
+         S = sym(S).Next)
+      Visit(S);
+  }
 }
 
 } // namespace sequitur

@@ -119,6 +119,8 @@ bool ProfileSession::injectBlock(const uint8_t *Payload, size_t Len,
     Failed = true;
     return false;
   }
+  if (Whomp)
+    Whomp->rebuildIndexes();
   traceio::DecodedBlock Block;
   if (!traceio::verifyBlockChecksum(Payload, Len, Crc, BlockIndex,
                                     /*BaseOffset=*/0, Err) ||
@@ -147,6 +149,8 @@ bool ProfileSession::replayFrom(
   if (rejectFinalized())
     return false;
   registerProbeTables(Reader.instructions(), Reader.allocSites());
+  if (Whomp)
+    Whomp->rebuildIndexes();
   telemetry::Registry &Reg = telemetry::Registry::global();
   telemetry::ScopedTimer ReplayTiming(Reg.timer("replay.total"));
   const uint64_t NumBlocks = Reader.numEventBlocks();
@@ -366,6 +370,23 @@ SessionArtifacts ProfileSession::finalize() {
   if (Leap)
     A.Leap = leap::LeapProfileData::fromProfiler(*Leap).serialize();
   return A;
+}
+
+void ProfileSession::releaseIndexes() {
+  if (Whomp) // Sealed grammars ignore it.
+    Whomp->releaseIndexes();
+}
+
+bool ProfileSession::indexesReleased() const {
+  return Whomp && Whomp->indexesReleased();
+}
+
+size_t ProfileSession::indexBytes() const {
+  return Whomp ? Whomp->indexBytes() : 0;
+}
+
+uint64_t ProfileSession::grammarSymbols() const {
+  return Whomp ? Whomp->bodySymbols() : 0;
 }
 
 size_t ProfileSession::memoryEstimateBytes() {

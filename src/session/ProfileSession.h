@@ -165,6 +165,24 @@ public:
   static constexpr uint8_t kCheckpointMagic[4] = {'O', 'R', 'C', 'K'};
   static constexpr uint8_t kCheckpointVersion = 1;
 
+  /// Gives back the four WHOMP grammars' digram indexes while no block
+  /// is being injected (WhompProfiler::releaseIndexes). The next
+  /// injectBlock() or replayFrom() rebuilds them exactly, once, before
+  /// its first event, so the artifacts are byte-identical at any release
+  /// schedule; finalize() seals released grammars without rebuilding
+  /// them. A no-op with WHOMP disabled or threaded, and once finalized.
+  void releaseIndexes();
+
+  /// True while releaseIndexes() holds the indexes given back.
+  bool indexesReleased() const;
+
+  /// Bytes the four WHOMP grammars' digram indexes map (what
+  /// releaseIndexes() would give back), and the symbols their rule bodies
+  /// hold (a rebuild's work: one index probe each). Both 0 with WHOMP
+  /// disabled or threaded.
+  size_t indexBytes() const;
+  uint64_t grammarSymbols() const;
+
   /// Finishes the pipeline (once) and builds the detached artifacts.
   /// Finishing seals WHOMP's grammars: each serializes once into its
   /// image and gives back its digram index and slab arena, and the OMSG

@@ -8,6 +8,19 @@
 using namespace orp;
 using namespace orp::session;
 
+namespace {
+
+/// Events the manager must accept while a session is idle, per symbol of
+/// its grammars, before that session's indexes are released. A rebuild
+/// costs one index probe per symbol, tens of nanoseconds, against about
+/// a microsecond of ingest per event, so a resumed session's rebuild
+/// stays a small share of the work done while it sat idle, whatever the
+/// client's pace (EXPERIMENTS.md "Idle sessions release their digram
+/// indexes" has the measured bound).
+constexpr uint64_t kIdleEventsPerSymbol = 1;
+
+} // namespace
+
 SessionManager::SessionManager(const ManagerConfig &Config)
     : Config(Config) {
   unsigned Threads = Config.Threads ? Config.Threads : 1;
@@ -61,9 +74,9 @@ SessionId SessionManager::open(
       std::make_unique<ProfileSession>(SessionName, SessionCfg, S->Modules);
   S->Engine->registerProbeTables(Instrs, Sites);
   S->captureModuleGauges();
-  S->MemEstimate.store(S->Engine->memoryEstimateBytes(),
-                       std::memory_order_relaxed);
+  S->publishEstimate();
   S->LastUsed = ++UseClock;
+  S->AcceptedAtLastBlock = AcceptedEvents;
   Sessions.emplace(Id, std::move(S));
   telemetry::Registry::global().counter("session.opened").add();
   enforceBudget();
@@ -97,8 +110,11 @@ SubmitStatus SessionManager::submitBlock(SessionId Id,
   ++S.NextBlockIndex;
   S.Pending.fetch_add(1, std::memory_order_relaxed);
   S.LastUsed = ++UseClock;
-  if (!Shards[S.Shard]->submit(Token{&S, /*Finalize=*/false}))
-    ORP_FATAL_ERROR("session: shard worker finished with sessions live");
+  AcceptedEvents += EventCount;
+  S.AcceptedAtLastBlock = AcceptedEvents;
+  S.ReleaseQueued = false; // The block rebuilds a released index.
+  submitToken(Token{&S, Token::Kind::Ingest});
+  releaseIdleIndexes();
   enforceBudget();
   return SubmitStatus::Ok;
 }
@@ -116,19 +132,63 @@ SubmitStatus SessionManager::submitGate(SessionId Id,
     return SubmitStatus::WouldBlock;
   S.Pending.fetch_add(1, std::memory_order_relaxed);
   S.LastUsed = ++UseClock;
-  if (!Shards[S.Shard]->submit(Token{&S, /*Finalize=*/false}))
-    ORP_FATAL_ERROR("session: shard worker finished with sessions live");
+  submitToken(Token{&S, Token::Kind::Ingest});
   return SubmitStatus::Ok;
+}
+
+void SessionManager::submitToken(Token T) {
+  if (!Shards[T.S->Shard]->submit(std::move(T)))
+    ORP_FATAL_ERROR("session: shard worker finished with sessions live");
+}
+
+void SessionManager::queueRelease(Managed &S) {
+  // S is idle: the shard published its figures before its last Pending
+  // decrement and writes them again only for this token, with the same
+  // values.
+  const size_t Index = S.IndexBytes.load(std::memory_order_relaxed);
+  S.MemEstimate.store(S.MemEstimate.load(std::memory_order_relaxed) - Index,
+                      std::memory_order_relaxed);
+  S.IndexBytes.store(0, std::memory_order_relaxed);
+  S.ReleaseQueued = true;
+  submitToken(Token{&S, Token::Kind::Release});
+}
+
+void SessionManager::releaseIdleIndexes() {
+  for (const auto &Entry : Sessions) {
+    Managed &S = *Entry.second;
+    if (S.ReleaseQueued || S.Pending.load(std::memory_order_acquire) != 0 ||
+        S.IndexBytes.load(std::memory_order_relaxed) == 0)
+      continue;
+    if (AcceptedEvents - S.AcceptedAtLastBlock <
+        kIdleEventsPerSymbol *
+            S.GrammarSymbols.load(std::memory_order_relaxed))
+      continue;
+    queueRelease(S);
+  }
+}
+
+void SessionManager::Managed::publishEstimate() {
+  MemEstimate.store(Engine->memoryEstimateBytes(), std::memory_order_relaxed);
+  IndexBytes.store(Engine->indexBytes(), std::memory_order_relaxed);
+  GrammarSymbols.store(Engine->grammarSymbols(), std::memory_order_relaxed);
+  Released.store(Engine->indexesReleased(), std::memory_order_relaxed);
 }
 
 void SessionManager::processToken(Token &T) {
   Managed &S = *T.S;
-  if (T.Finalize) {
+  if (T.K == Token::Kind::Finalize) {
     // The Result queue is never close()d, so this push cannot fail
     // while the handshake below is still owed.
     if (!S.Result.push(S.Engine->finalize()))
       ORP_FATAL_ERROR("session: result queue closed during finalize");
     S.FinalizeDone.store(true, std::memory_order_release);
+    return;
+  }
+  if (T.K == Token::Kind::Release) {
+    S.Engine->releaseIndexes();
+    S.publishEstimate();
+    S.captureModuleGauges();
+    telemetry::Registry::global().counter("session.index_releases").add();
     return;
   }
   IngestItem Item;
@@ -140,14 +200,17 @@ void SessionManager::processToken(Token &T) {
     // either wake is fine, so the popped value is irrelevant.
     (void)Item.Gate->pop(Unused);
   } else if (!S.Failed.load(std::memory_order_relaxed)) {
-    if (S.Engine->injectBlock(Item.Payload.data(), Item.Payload.size(),
-                              Item.EventCount, Item.Crc, Item.BlockIndex,
-                              Item.FormatVersion)) {
+    const bool WasReleased = S.Engine->indexesReleased();
+    const bool Injected = S.Engine->injectBlock(
+        Item.Payload.data(), Item.Payload.size(), Item.EventCount, Item.Crc,
+        Item.BlockIndex, Item.FormatVersion);
+    if (WasReleased && !S.Engine->indexesReleased())
+      telemetry::Registry::global().counter("session.index_rebuilds").add();
+    if (Injected) {
       S.Events.store(S.Engine->eventsInjected(),
                      std::memory_order_relaxed);
       S.Blocks.fetch_add(1, std::memory_order_relaxed);
-      S.MemEstimate.store(S.Engine->memoryEstimateBytes(),
-                          std::memory_order_relaxed);
+      S.publishEstimate();
       S.captureModuleGauges();
     } else {
       // error() is written before this release store and never again;
@@ -160,9 +223,8 @@ void SessionManager::processToken(Token &T) {
 
 SessionArtifacts SessionManager::closeInternal(Managed &S) {
   // The shard queue is FIFO: the finalize token runs after every
-  // pending ingest token of this session.
-  if (!Shards[S.Shard]->submit(Token{&S, /*Finalize=*/true}))
-    ORP_FATAL_ERROR("session: shard worker finished with sessions live");
+  // pending ingest or release token of this session.
+  submitToken(Token{&S, Token::Kind::Finalize});
   SessionArtifacts A;
   if (!S.Result.pop(A))
     ORP_FATAL_ERROR("session: result queue closed before finalize");
@@ -208,6 +270,7 @@ bool SessionManager::stats(SessionId Id, SessionStats &Out) const {
   Out.Blocks = S.Blocks.load(std::memory_order_relaxed);
   Out.Pending = S.Pending.load(std::memory_order_relaxed);
   Out.MemEstimateBytes = S.MemEstimate.load(std::memory_order_relaxed);
+  Out.IndexesReleased = S.Released.load(std::memory_order_relaxed);
   Out.Failed = S.Failed.load(std::memory_order_acquire);
   Out.Error = Out.Failed ? S.Engine->error() : std::string();
   return true;
@@ -234,16 +297,29 @@ size_t SessionManager::enforceBudget() {
   size_t Evicted = 0;
   while (Sessions.size() > 1 &&
          totalMemoryEstimateBytes() > Config.MemoryBudgetBytes) {
-    // LRU among *idle* sessions only: a session with blocks in flight
-    // is mid-stream and exempt. With no idle victim the budget yields
-    // — the busy sessions will drain and a later submit re-checks.
+    // Idle sessions only: a session with blocks in flight is mid-stream
+    // and exempt. An idle session's indexes go first, largest first: a
+    // release costs a rebuild should the session resume, an eviction
+    // ends it. Then the LRU idle session is evicted. With no idle
+    // session the budget yields — the busy sessions will drain and a
+    // later submit re-checks.
+    Managed *Largest = nullptr;
     Managed *Victim = nullptr;
     for (const auto &Entry : Sessions) {
       Managed &S = *Entry.second;
       if (S.Pending.load(std::memory_order_acquire) != 0)
         continue;
+      const size_t Index = S.IndexBytes.load(std::memory_order_relaxed);
+      if (Index != 0 && !S.ReleaseQueued &&
+          (!Largest ||
+           Index > Largest->IndexBytes.load(std::memory_order_relaxed)))
+        Largest = &S;
       if (!Victim || S.LastUsed < Victim->LastUsed)
         Victim = &S;
+    }
+    if (Largest) {
+      queueRelease(*Largest);
+      continue;
     }
     if (!Victim)
       break;
@@ -291,6 +367,8 @@ void SessionManager::publishMetrics(telemetry::Registry &Reg) {
             S.MemEstimate.load(std::memory_order_relaxed)));
     Reg.gauge(Prefix + "failed")
         .set(S.Failed.load(std::memory_order_relaxed) ? 1 : 0);
+    Reg.gauge(Prefix + "released")
+        .set(S.Released.load(std::memory_order_relaxed) ? 1 : 0);
     support::QueueTelemetry QT = S.Ingest.telemetry();
     Reg.gauge(Prefix + "ingest_depth")
         .set(static_cast<int64_t>(QT.Depth));

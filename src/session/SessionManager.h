@@ -17,10 +17,19 @@
 /// Flow control is per session: each session has a bounded ingest queue
 /// and submitBlock() returns WouldBlock instead of blocking when it is
 /// full — the daemon translates that into a stalled client connection
-/// rather than a stalled control loop. A configurable memory budget is
-/// enforced by LRU-evicting *idle* sessions (no blocks in flight):
-/// eviction finalizes the victim like a normal close and hands its
-/// artifacts to the eviction handler.
+/// rather than a stalled control loop.
+///
+/// Idle sessions give their WHOMP digram indexes back. An index is
+/// derived state (ProfileSession::releaseIndexes), so the control thread
+/// queues a release for a session with no blocks in flight once the
+/// manager has accepted, since that session's last block, at least as
+/// many events as its grammars hold symbols: rebuilding the index when
+/// the session resumes costs one index probe per symbol, a few percent
+/// of the ingest work the other sessions were given meanwhile. A
+/// configurable memory budget is enforced first by releasing idle
+/// sessions' indexes, largest first, then by LRU-evicting *idle*
+/// sessions: eviction finalizes the victim like a normal close and hands
+/// its artifacts to the eviction handler.
 ///
 /// Threading discipline: every public method is called from ONE control
 /// thread (the daemon's poll loop, or a test's main thread). The shards
@@ -90,7 +99,12 @@ struct SessionStats {
   uint64_t Events = 0;       ///< Events injected so far.
   uint64_t Blocks = 0;       ///< Blocks fully processed.
   uint64_t Pending = 0;      ///< Blocks submitted but not yet processed.
+  /// ProfileSession::memoryEstimateBytes() as of the last block, less the
+  /// digram indexes once a release is queued.
   size_t MemEstimateBytes = 0;
+  /// The session's digram indexes are given back (its shard ran the
+  /// release, and no block has rebuilt them since).
+  bool IndexesReleased = false;
   bool Failed = false;
   std::string Error;         ///< Meaningful once Failed.
 };
@@ -163,11 +177,13 @@ public:
   size_t totalMemoryEstimateBytes() const
       ORP_REQUIRES(SessionControlRole);
 
-  /// Evicts LRU idle sessions while over budget. Runs automatically
-  /// after open() and every accepted submit; exposed for tests and for
-  /// callers that mutated the budget's inputs out of band. Returns the
-  /// number of sessions evicted.
+  /// While over budget, releases the digram indexes of idle sessions,
+  /// largest first, and once none is left to release, evicts LRU idle
+  /// sessions. Runs automatically after open() and every accepted
+  /// submit; exposed for tests and for callers that mutated the budget's
+  /// inputs out of band. Returns the number of sessions evicted.
   size_t enforceBudget() ORP_REQUIRES(SessionControlRole);
+
 
   const ManagerConfig &config() const { return Config; }
 
@@ -212,23 +228,51 @@ private:
     /// destroying the session, so the Result queue is never torn down
     /// under the worker's still-returning push.
     std::atomic<bool> FinalizeDone{false};
+    /// Publishes the engine's estimate and index figures below. Runs on
+    /// the thread that owns Engine.
+    void publishEstimate();
+
     std::atomic<uint64_t> Pending{0};
     std::atomic<uint64_t> Events{0};
     std::atomic<uint64_t> Blocks{0};
     std::atomic<size_t> MemEstimate{0};
+    /// ProfileSession::indexBytes() and grammarSymbols(), published with
+    /// MemEstimate.
+    std::atomic<size_t> IndexBytes{0};
+    std::atomic<uint64_t> GrammarSymbols{0};
+    /// ProfileSession::indexesReleased(), published by the shard.
+    std::atomic<bool> Released{false};
     std::atomic<bool> Failed{false};
     /// Control-side LRU stamp (bumped on every accepted submit).
     uint64_t LastUsed ORP_GUARDED_BY(SessionControlRole) = 0;
     /// Control-side running block count, labelling diagnostics.
     uint64_t NextBlockIndex ORP_GUARDED_BY(SessionControlRole) = 0;
+    /// The manager's AcceptedEvents just after this session's last
+    /// accepted block (or its open()).
+    uint64_t AcceptedAtLastBlock ORP_GUARDED_BY(SessionControlRole) = 0;
+    /// A release is queued and no block has been accepted since.
+    bool ReleaseQueued ORP_GUARDED_BY(SessionControlRole) = false;
   };
 
-  /// One unit of shard work: process one ingest item of S, or finalize.
+  /// One unit of shard work on session S: process one ingest item,
+  /// release its digram indexes, or finalize it.
   struct Token {
+    enum class Kind : uint8_t { Ingest, Release, Finalize };
     Managed *S = nullptr;
-    bool Finalize = false;
+    Kind K = Kind::Ingest;
   };
 
+  /// Hands \p T to its session's shard.
+  void submitToken(Token T) ORP_REQUIRES(SessionControlRole);
+  /// Queues an index release for every session that has been idle long
+  /// enough (see the file comment): no block in flight, indexes held,
+  /// and at least as many events accepted since its last block as its
+  /// grammars hold symbols. Runs after every accepted submit.
+  void releaseIdleIndexes() ORP_REQUIRES(SessionControlRole);
+  /// Queues a release of \p S's indexes (S must be idle) and counts them
+  /// out of its estimate at once, so that enforceBudget() sees the drop
+  /// before the shard runs it.
+  void queueRelease(Managed &S) ORP_REQUIRES(SessionControlRole);
   void processToken(Token &T) ORP_REQUIRES(SessionShardRole);
   SessionArtifacts closeInternal(Managed &S)
       ORP_REQUIRES(SessionControlRole);
@@ -242,6 +286,8 @@ private:
   SessionId NextId ORP_GUARDED_BY(SessionControlRole) = 1;
   unsigned NextShard ORP_GUARDED_BY(SessionControlRole) = 0;
   uint64_t UseClock ORP_GUARDED_BY(SessionControlRole) = 0;
+  /// Events of every block accepted so far, over all sessions.
+  uint64_t AcceptedEvents ORP_GUARDED_BY(SessionControlRole) = 0;
   EvictionHandler OnEvict ORP_GUARDED_BY(SessionControlRole);
   telemetry::CollectorHandle Collector;
 };

@@ -5,6 +5,7 @@
 #include "check/Check.h"
 #include "check/GrammarValidator.h"
 
+#include <iterator>
 #include <string>
 
 using namespace orp;
@@ -17,14 +18,45 @@ namespace {
 /// window, rare enough that checked runs stay usable.
 constexpr uint64_t ValidateIntervalTuples = 1 << 16;
 
+/// Level-2 checked builds only: runs GrammarValidator over \p G and
+/// aborts (checkFailed) on any violation. \p When labels the report
+/// ("periodic" / "finish").
+void validateGrammar(const sequitur::SequiturGrammar &G,
+                     const char *Dimension, const char *When) {
+  check::CheckReport Report = check::GrammarValidator::validate(G);
+  if (!Report.ok()) {
+    std::string Msg = std::string("WHOMP ") + When +
+                      " grammar validation, dimension " + Dimension + ":\n" +
+                      Report.str();
+    check::checkFailed("GrammarValidator::validate(G).ok()", Msg.c_str(),
+                       __FILE__, __LINE__);
+  }
+}
+
+const core::Dimension kDimensions[] = {
+    core::Dimension::Instruction, core::Dimension::Group,
+    core::Dimension::Object, core::Dimension::Offset};
+
 } // namespace
+
+void SequiturStreamCompressor::finish() {
+  // The last check of the arena and of the digram index (or of the right
+  // twins a released index recorded), then both go: the grammar
+  // serializes once into its image, which finalize archives.
+  if constexpr (check::Level >= 2)
+    validateGrammar(Grammar, Dimension, "finish");
+  Grammar.seal();
+}
 
 WhompProfiler::WhompProfiler(unsigned Threads,
                              telemetry::Registry &Collectors)
     : Decomposer(
-          {core::Dimension::Instruction, core::Dimension::Group,
-           core::Dimension::Object, core::Dimension::Offset},
-          [] { return std::make_unique<SequiturStreamCompressor>(); },
+          {std::begin(kDimensions), std::end(kDimensions)},
+          // Called once per dimension, in order.
+          [Next = size_t(0)]() mutable {
+            return std::make_unique<SequiturStreamCompressor>(
+                core::dimensionName(kDimensions[Next++]));
+          },
           Threads),
       NextValidateAt(ValidateIntervalTuples),
       Collector(Collectors.addCollector(
@@ -80,20 +112,9 @@ WhompProfiler::WhompProfiler(unsigned Threads,
             }
           })) {}
 
-void WhompProfiler::validateGrammars(const char *When) const {
-  for (core::Dimension D :
-       {core::Dimension::Instruction, core::Dimension::Group,
-        core::Dimension::Object, core::Dimension::Offset}) {
-    check::CheckReport Report =
-        check::GrammarValidator::validate(grammarFor(D));
-    if (!Report.ok()) {
-      std::string Msg = std::string("WHOMP ") + When +
-                        " grammar validation, dimension " +
-                        core::dimensionName(D) + ":\n" + Report.str();
-      check::checkFailed("GrammarValidator::validate(grammarFor(D)).ok()",
-                         Msg.c_str(), __FILE__, __LINE__);
-    }
-  }
+void WhompProfiler::validateGrammars() const {
+  for (core::Dimension D : kDimensions)
+    validateGrammar(grammarFor(D), core::dimensionName(D), "periodic");
 }
 
 void WhompProfiler::consume(const core::OrTuple &Tuple) {
@@ -105,7 +126,7 @@ void WhompProfiler::consume(const core::OrTuple &Tuple) {
       // Threaded mode: the workers own the grammars until finish(), so
       // periodic validation would race; finish() still validates.
       if (!Decomposer.threaded())
-        validateGrammars("periodic");
+        validateGrammars();
     }
 }
 
@@ -116,19 +137,50 @@ void WhompProfiler::consumeBatch(std::span<const core::OrTuple> Batch) {
     if (Tuples >= NextValidateAt) {
       NextValidateAt = Tuples + ValidateIntervalTuples;
       if (!Decomposer.threaded())
-        validateGrammars("periodic");
+        validateGrammars();
     }
 }
 
-void WhompProfiler::finish() {
-  Decomposer.finish();
-  // The last check of each arena and digram index, then both go: each
-  // grammar serializes once into its image, which finalize archives.
-  if constexpr (check::Level >= 2)
-    validateGrammars("finish");
-  for (core::Dimension D : Decomposer.dimensions())
-    static_cast<SequiturStreamCompressor &>(Decomposer.compressorFor(D))
-        .seal();
+// Each compressor's finish() validates and seals its grammar.
+void WhompProfiler::finish() { Decomposer.finish(); }
+
+SequiturStreamCompressor &WhompProfiler::compressorFor(core::Dimension D) {
+  return static_cast<SequiturStreamCompressor &>(Decomposer.compressorFor(D));
+}
+
+void WhompProfiler::releaseIndexes() {
+  if (Decomposer.threaded())
+    return;
+  for (core::Dimension D : kDimensions)
+    compressorFor(D).releaseIndex();
+}
+
+void WhompProfiler::rebuildIndexes() {
+  if (Decomposer.threaded())
+    return;
+  for (core::Dimension D : kDimensions)
+    compressorFor(D).rebuildIndex();
+}
+
+bool WhompProfiler::indexesReleased() const {
+  return !Decomposer.threaded() &&
+         grammarFor(core::Dimension::Instruction).indexReleased();
+}
+
+size_t WhompProfiler::indexBytes() const {
+  size_t Bytes = 0;
+  if (!Decomposer.threaded())
+    for (core::Dimension D : kDimensions)
+      Bytes += grammarFor(D).indexBytes();
+  return Bytes;
+}
+
+uint64_t WhompProfiler::bodySymbols() const {
+  uint64_t Symbols = 0;
+  if (!Decomposer.threaded())
+    for (core::Dimension D : kDimensions)
+      Symbols += grammarFor(D).totalBodySymbols();
+  return Symbols;
 }
 
 const sequitur::SequiturGrammar &

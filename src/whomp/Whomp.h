@@ -31,9 +31,13 @@
 namespace orp {
 namespace whomp {
 
-/// StreamCompressor adapter over a Sequitur grammar.
+/// StreamCompressor adapter over a Sequitur grammar. \p Dimension names
+/// the stream in diagnostics.
 class SequiturStreamCompressor : public core::StreamCompressor {
 public:
+  explicit SequiturStreamCompressor(const char *Dimension = "")
+      : Dimension(Dimension) {}
+
   void append(uint64_t Symbol) override { Grammar.append(Symbol); }
   void appendBatch(std::span<const uint64_t> Symbols) override {
     // One virtual call for the whole run; the grammar's digram table and
@@ -45,13 +49,21 @@ public:
     return Grammar.serializedSizeBytes();
   }
 
-  /// Turns the grammar into its image (SequiturGrammar::seal).
-  void seal() { Grammar.seal(); }
+  /// Ends the stream: validates the grammar (level 2) and turns it into
+  /// its image (SequiturGrammar::seal). Runs on the thread that owns the
+  /// grammar, a dimension worker in threaded mode.
+  void finish() override;
+
+  /// Gives back and rebuilds the grammar's digram index
+  /// (SequiturGrammar::releaseIndex / rebuildIndex).
+  void releaseIndex() { Grammar.releaseIndex(); }
+  void rebuildIndex() { Grammar.rebuildIndex(); }
 
   /// Returns the underlying grammar.
   const sequitur::SequiturGrammar &grammar() const { return Grammar; }
 
 private:
+  const char *Dimension;
   sequitur::SequiturGrammar Grammar;
 };
 
@@ -83,11 +95,27 @@ public:
 
   void consume(const core::OrTuple &Tuple) override;
   void consumeBatch(std::span<const core::OrTuple> Tuples) override;
-  /// Joins the workers, validates the grammars (level 2) and seals all
-  /// four: the finished OMSG is four images, with no digram index and no
-  /// slab arena left; sizes(), grammarFor() and the whomp.* gauges read
-  /// the images and the counters kept at the seal. No tuple may follow.
+  /// Validates the grammars (level 2) and seals all four, each on the
+  /// thread that owns it (in threaded mode its dimension worker, after
+  /// its last chunk), then joins the workers: the finished OMSG is four
+  /// images, with no digram index and no slab arena left; sizes(),
+  /// grammarFor() and the whomp.* gauges read the images and the
+  /// counters kept at the seal. No tuple may follow.
   void finish() override;
+
+  /// Gives back the four grammars' digram indexes between tuples
+  /// (SequiturGrammar::releaseIndex). A no-op in threaded mode, where the
+  /// workers own the grammars, and once finished.
+  void releaseIndexes();
+  /// Rebuilds released indexes exactly (SequiturGrammar::rebuildIndex);
+  /// a no-op when none is released.
+  void rebuildIndexes();
+  /// True while the indexes are released.
+  bool indexesReleased() const;
+  /// The four grammars' indexBytes() and totalBodySymbols() summed; 0
+  /// in threaded mode.
+  size_t indexBytes() const;
+  uint64_t bodySymbols() const;
 
   /// Returns the number of tuples compressed.
   uint64_t tuplesSeen() const { return Tuples; }
@@ -102,8 +130,10 @@ public:
 private:
   /// Level-2 checked builds only: runs GrammarValidator over all four
   /// dimension grammars and aborts (checkFailed) on any violation.
-  /// \p When labels the report ("periodic" / "finish").
-  void validateGrammars(const char *When) const;
+  void validateGrammars() const;
+
+  /// The compressor of dimension \p D.
+  SequiturStreamCompressor &compressorFor(core::Dimension D);
 
   core::HorizontalDecomposer Decomposer;
   uint64_t Tuples = 0;

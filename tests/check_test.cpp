@@ -389,6 +389,75 @@ TEST(GrammarValidatorTest, LiveGrammarHasNoImageToCorrupt) {
 }
 
 //===----------------------------------------------------------------------===//
+// GrammarValidator: released digram indexes
+//===----------------------------------------------------------------------===//
+
+TEST(GrammarValidatorTest, ReleasedGrammarsValidate) {
+  // With the index given back, both checkers audit the bodies and the
+  // recorded right twins, and accept every grammar of the pinned suite;
+  // the rebuilt index passes the full index checks again.
+  size_t Count = 0;
+  const seqstreams::StreamCase *Cases = seqstreams::streamCases(Count);
+  for (size_t I = 0; I != Count; ++I) {
+    sequitur::SequiturGrammar G;
+    G.appendAll(seqstreams::makeStream(Cases[I]));
+    G.releaseIndex();
+    check::CheckReport Report = GrammarValidator::validate(G);
+    EXPECT_TRUE(Report.ok()) << Cases[I].Name << ":\n" << Report.str();
+    EXPECT_TRUE(G.checkInvariants()) << Cases[I].Name;
+    G.rebuildIndex();
+    Report = GrammarValidator::validate(G);
+    EXPECT_TRUE(Report.ok()) << Cases[I].Name << ":\n" << Report.str();
+    EXPECT_TRUE(G.checkInvariants()) << Cases[I].Name;
+  }
+}
+
+TEST(GrammarValidatorTest, CatchesReleasedTwinSkew) {
+  // A recorded right twin must be the right occurrence of a run: moved
+  // to the run's left occurrence, or forged at a digram that starts no
+  // run, it would send the rebuild to the wrong node.
+  for (bool WithTwin : {true, false}) {
+    sequitur::SequiturGrammar G;
+    for (uint64_t V : {3, 1, 1, 1, 2, 4, 5})
+      G.append(V);
+    if (WithTwin) {
+      ASSERT_TRUE(GrammarValidator::indexRightTwinForTest(G));
+    }
+    EXPECT_FALSE(GrammarValidator::injectForTest(
+        G, GrammarValidator::Corruption::ReleasedTwinSkew))
+        << "a live index records no twins";
+    G.releaseIndex();
+    ASSERT_EQ(G.numRightTwins(), WithTwin ? 1u : 0u);
+    ASSERT_TRUE(GrammarValidator::validate(G).ok());
+    ASSERT_TRUE(GrammarValidator::injectForTest(
+        G, GrammarValidator::Corruption::ReleasedTwinSkew));
+    check::CheckReport Report = GrammarValidator::validate(G);
+    EXPECT_FALSE(Report.ok());
+    EXPECT_NE(Report.str().find("is not the right occurrence of an "
+                                "overlapping run"),
+              std::string::npos)
+        << Report.str();
+    EXPECT_FALSE(G.checkInvariants());
+  }
+}
+
+TEST(GrammarValidatorTest, ReleasedGrammarHasNoIndexToCorrupt) {
+  sequitur::SequiturGrammar G;
+  appendPeriodic(G);
+  G.releaseIndex();
+  EXPECT_FALSE(GrammarValidator::injectForTest(
+      G, GrammarValidator::Corruption::DigramIndexDrop));
+  EXPECT_FALSE(GrammarValidator::injectForTest(
+      G, GrammarValidator::Corruption::DigramDisplacementSkew));
+  EXPECT_TRUE(GrammarValidator::validate(G).ok());
+  // The bodies are still checked.
+  ASSERT_TRUE(GrammarValidator::injectForTest(
+      G, GrammarValidator::Corruption::DigramDuplicate));
+  EXPECT_FALSE(GrammarValidator::validate(G).ok());
+  EXPECT_FALSE(G.checkInvariants());
+}
+
+//===----------------------------------------------------------------------===//
 // Sequitur arena poisoning (the use-after-free detector)
 //===----------------------------------------------------------------------===//
 

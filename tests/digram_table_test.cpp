@@ -573,6 +573,82 @@ TEST(DigramTableTest, ReleaseFreesEverySlot) {
   EXPECT_EQ(Visited, 0u);
 }
 
+TEST(DigramTableTest, ReservedTableRefillsWithoutGrowingAndKeepsATwin) {
+  // The grammar's index rebuild: release a table, reserve as many slots
+  // as it had, insert each key's first occurrence (findOrInsert leaves a
+  // present key alone), then point one key back at its second
+  // occurrence. The refill grows nothing, and every lookup answers as in
+  // the table before the release.
+  KeyStore Store;
+  DigramTable T;
+  std::vector<NodeIdx> First, Second;
+  for (uint64_t I = 0; I != 600; ++I) {
+    const DigramKey K{I, I, 0};
+    First.push_back(Store.add(K));
+    Second.push_back(Store.add(K)); // The overlapping occurrence.
+    T.insert(K, I == 7 ? Second.back() : First.back(), Store.reader());
+  }
+  const size_t Capacity = T.capacity();
+  ASSERT_EQ(Capacity, 1024u);
+  T.release();
+  T.reserve(Capacity);
+  EXPECT_EQ(T.capacity(), Capacity);
+  EXPECT_EQ(T.validExtensionBits(), DigramTable::ExtensionBits);
+  Store.Reads = 0;
+  for (uint64_t I = 0; I != 600; ++I) {
+    const DigramKey K{I, I, 0};
+    EXPECT_EQ(T.findOrInsert(K, First[I], Store.reader()), DigramTable::Npos);
+    EXPECT_NE(T.findOrInsert(K, Second[I], Store.reader()), DigramTable::Npos);
+  }
+  EXPECT_EQ(T.capacity(), Capacity) << "a reserved refill never grows";
+  const DigramKey Twin{7, 7, 0};
+  T.replaceNode(T.findEntry(Twin, First[7]), Second[7]);
+  EXPECT_EQ(T.size(), 600u);
+  for (uint64_t I = 0; I != 600; ++I) {
+    const DigramKey K{I, I, 0};
+    const size_t Slot = T.findSlot(K, Store.reader());
+    ASSERT_NE(Slot, DigramTable::Npos);
+    EXPECT_EQ(T.nodeAt(Slot), I == 7 ? Second[I] : First[I]) << I;
+  }
+  EXPECT_TRUE(entriesMatchKeys(T, Store));
+}
+
+TEST(DigramTableTest, LookupsUseTheReadersMatchWhenItHasOne) {
+  // A reader with matches() answers every key comparison a lookup makes;
+  // the full key is then read only by a rebuilding growth.
+  KeyStore Store;
+  struct MatchingReader {
+    const KeyStore *Store;
+    size_t *Matches;
+    DigramKey operator()(NodeIdx I) const {
+      ++Store->Reads;
+      return Store->Keys.at(I);
+    }
+    bool matches(NodeIdx I, const DigramKey &K) const {
+      ++*Matches;
+      return Store->Keys.at(I) == K;
+    }
+  };
+  size_t Matches = 0;
+  const MatchingReader Reader{&Store, &Matches};
+  DigramTable T;
+  for (uint64_t I = 0; I != 300; ++I) {
+    const DigramKey K{I, I + 1, 0};
+    T.insert(K, Store.add(K), Reader);
+  }
+  ASSERT_LT(T.capacity(), 1024u) << "no rebuilding growth yet";
+  Store.Reads = 0;
+  for (uint64_t I = 0; I != 300; ++I) {
+    const DigramKey K{I, I + 1, 0};
+    const size_t Slot = T.findSlot(K, Reader);
+    ASSERT_NE(Slot, DigramTable::Npos);
+    EXPECT_EQ(T.nodeAt(Slot), NodeIdx(I + 1));
+    EXPECT_EQ(T.findOrInsert(K, NodeIdx(I + 1), Reader), Slot);
+  }
+  EXPECT_EQ(Store.Reads, 0u);
+  EXPECT_GE(Matches, 600u);
+}
+
 /// The process's private writable mapped bytes (VmData in
 /// /proc/self/status), or -1 where the kernel does not report them.
 static int64_t vmDataBytes() {

@@ -1,6 +1,7 @@
 //===- tests/sequitur_test.cpp - Sequitur compression unit tests ---------===//
 
 #include "SequiturStreams.h"
+#include "check/GrammarValidator.h"
 #include "sequitur/Sequitur.h"
 #include "support/Checksum.h"
 #include "support/Random.h"
@@ -371,6 +372,102 @@ TEST(SequiturSealDeathTest, AppendAfterSealIsFatal) {
       "append to a sealed grammar");
 }
 #endif
+
+//===----------------------------------------------------------------------===//
+// Released digram indexes
+//===----------------------------------------------------------------------===//
+
+TEST(SequiturIndexReleaseTest, GoldenStreamsContinueAsIfNeverReleased) {
+  // Release after each half of every golden stream, append the rest into
+  // the released grammar (its first append rebuilds the index), release
+  // again at the end: the images keep their CRCs and every read equals
+  // that of a grammar whose index was never given back.
+  size_t Count = 0;
+  const seqstreams::StreamCase *Cases = seqstreams::streamCases(Count);
+  for (size_t I = 0; I != Count; ++I) {
+    const std::vector<uint64_t> Stream = seqstreams::makeStream(Cases[I]);
+    SequiturGrammar Kept, Released;
+    for (size_t K = 0; K != Stream.size(); ++K) {
+      Kept.append(Stream[K]);
+      Released.append(Stream[K]);
+      if (K + 1 == Stream.size() / 2 || K + 1 == Stream.size()) {
+        const size_t Slots = Released.indexSlots();
+        const size_t Digrams = Released.numDigrams();
+        Released.releaseIndex();
+        EXPECT_TRUE(Released.indexReleased()) << Cases[I].Name;
+        EXPECT_EQ(Released.indexBytes(), 0u) << Cases[I].Name;
+        EXPECT_EQ(Released.indexSlots(), Slots) << Cases[I].Name;
+        EXPECT_EQ(Released.numDigrams(), Digrams) << Cases[I].Name;
+        EXPECT_TRUE(Released.checkInvariants()) << Cases[I].Name;
+      }
+    }
+    EXPECT_EQ(crc32(Released.serialize()), Cases[I].GoldenCrc)
+        << Cases[I].Name;
+    EXPECT_TRUE(readOnlyView(Released) == readOnlyView(Kept))
+        << Cases[I].Name;
+    Released.rebuildIndex();
+    EXPECT_FALSE(Released.indexReleased()) << Cases[I].Name;
+    EXPECT_EQ(Released.indexSlots(), Kept.indexSlots()) << Cases[I].Name;
+    EXPECT_EQ(Released.indexBytes(), Kept.indexBytes()) << Cases[I].Name;
+    EXPECT_TRUE(Released.checkInvariants()) << Cases[I].Name;
+  }
+}
+
+TEST(SequiturIndexReleaseTest, ReleasedGrammarSealsWithoutRebuilding) {
+  SequiturGrammar Kept, Released;
+  Kept.appendAll(fromString("abcbcabcbcxyxyabcbc"));
+  Released.appendAll(fromString("abcbcabcbcxyxyabcbc"));
+  const size_t Slots = Kept.indexSlots();
+  Released.releaseIndex();
+  Released.releaseIndex(); // A second release changes nothing.
+  EXPECT_TRUE(Released.indexReleased());
+  Kept.seal();
+  Released.seal();
+  EXPECT_FALSE(Released.indexReleased());
+  EXPECT_EQ(Released.numRightTwins(), 0u);
+  EXPECT_EQ(Released.indexSlots(), Slots);
+  EXPECT_TRUE(readOnlyView(Released) == readOnlyView(Kept));
+  EXPECT_TRUE(Released.checkInvariants());
+  Released.releaseIndex(); // A no-op once sealed.
+  EXPECT_FALSE(Released.indexReleased());
+}
+
+TEST(SequiturIndexReleaseTest, RebuildKeepsAnIndexedRightTwin) {
+  // In "3 1 1 1 2" the digram (1,1) occurs twice, overlapping, and the
+  // index names one of the two. Pointed at the right one (the choice
+  // checkDigram keeps when a run grows to the left of its indexed
+  // digram), the suffix "1 1" folds that occurrence into the new rule:
+  // "3 1 R1 2 R1" where the left one gives "3 R1 1 2 R1". A rebuilt
+  // index must name the right occurrence again.
+  const std::vector<uint64_t> Prefix = {3, 1, 1, 1, 2};
+  SequiturGrammar Left, Right, Released;
+  for (uint64_t V : Prefix) {
+    Left.append(V);
+    Right.append(V);
+    Released.append(V);
+  }
+  ASSERT_TRUE(check::GrammarValidator::indexRightTwinForTest(Right));
+  ASSERT_TRUE(check::GrammarValidator::indexRightTwinForTest(Released));
+  ASSERT_TRUE(check::GrammarValidator::validate(Right).ok());
+  Released.releaseIndex();
+  EXPECT_EQ(Released.numRightTwins(), 1u);
+  EXPECT_TRUE(Released.checkInvariants());
+  EXPECT_TRUE(check::GrammarValidator::validate(Released).ok())
+      << check::GrammarValidator::validate(Released).str();
+  Released.rebuildIndex();
+  EXPECT_EQ(Released.numRightTwins(), 0u);
+  EXPECT_TRUE(check::GrammarValidator::validate(Released).ok());
+  for (uint64_t V : {1, 1}) {
+    Left.append(V);
+    Right.append(V);
+    Released.append(V);
+  }
+  EXPECT_EQ(Left.dump(), "R0 -> 3 R1 1 2 R1\nR1 -> 1 1\n");
+  EXPECT_EQ(Right.dump(), "R0 -> 3 1 R1 2 R1\nR1 -> 1 1\n");
+  EXPECT_EQ(Released.dump(), Right.dump());
+  EXPECT_EQ(Released.serialize(), Right.serialize());
+  EXPECT_TRUE(Released.checkInvariants());
+}
 
 //===----------------------------------------------------------------------===//
 // Narrow and wide terminals

@@ -97,6 +97,26 @@ void submitBlock(session::SessionManager &Mgr, SessionId Id,
   ASSERT_EQ(St, SubmitStatus::Ok);
 }
 
+/// Spins until \p Done holds for \p Id's stats; false when \p Id is
+/// gone.
+template <typename Pred>
+bool waitForStats(session::SessionManager &Mgr, SessionId Id, Pred Done)
+    ORP_REQUIRES(session::SessionControlRole) {
+  session::SessionStats Stats;
+  do {
+    if (!Mgr.stats(Id, Stats))
+      return false;
+  } while (!Done(Stats));
+  return true;
+}
+
+bool isIdle(const session::SessionStats &S) { return S.Pending == 0; }
+bool isReleased(const session::SessionStats &S) { return S.IndexesReleased; }
+
+uint64_t globalCounter(const std::string &Name) {
+  return telemetry::Registry::global().snapshot().counter(Name);
+}
+
 void expectSameProfile(const SessionArtifacts &A, const SessionArtifacts &B) {
   EXPECT_FALSE(A.Failed) << A.Error;
   EXPECT_FALSE(B.Failed) << B.Error;
@@ -366,6 +386,188 @@ TEST(SessionManagerTest, IdleLruSessionEvictedUnderBudget) {
   EXPECT_EQ(Mgr.enforceBudget(), 0u);
   EXPECT_TRUE(Mgr.stats(B, Stats));
   Mgr.abort(B);
+  std::remove(Path.c_str());
+}
+
+//===----------------------------------------------------------------------===//
+// Idle sessions give their digram indexes back
+//===----------------------------------------------------------------------===//
+
+TEST(SessionManagerTest, IdleSessionReleasesItsIndexesAndMatchesSerialReplay) {
+  // A pauses halfway while B streams more events than A's grammars hold
+  // symbols: A's shard releases A's indexes, its gauge says so, and A's
+  // next block rebuilds them. Both profiles equal a serial replay's.
+  ScopedRole Role(session::SessionControlRole);
+  std::string PathA = tempPath("idle_a.orpt");
+  std::string PathB = tempPath("idle_b.orpt");
+  recordTrace("list-traversal", PathA, /*Scale=*/1);
+  recordTrace("list-traversal", PathB, /*Scale=*/4);
+  SessionArtifacts SerialA = serialArtifacts(PathA);
+  SessionArtifacts SerialB = serialArtifacts(PathB);
+
+  traceio::TraceReader ReaderA, ReaderB;
+  ASSERT_TRUE(ReaderA.open(PathA)) << ReaderA.error();
+  ASSERT_TRUE(ReaderB.open(PathB)) << ReaderB.error();
+  const size_t NumA = ReaderA.numEventBlocks();
+  ASSERT_GT(NumA, 4u);
+  const uint64_t ReleasesBefore = globalCounter("session.index_releases");
+  const uint64_t RebuildsBefore = globalCounter("session.index_rebuilds");
+
+  session::ManagerConfig Config;
+  Config.Threads = 2;
+  session::SessionManager Mgr(Config);
+  SessionId A = openFor(Mgr, ReaderA, "idle_a");
+  SessionId B = openFor(Mgr, ReaderB, "idle_b");
+  for (size_t I = 0; I != NumA / 2; ++I)
+    submitBlock(Mgr, A, ReaderA, I);
+  ASSERT_TRUE(waitForStats(Mgr, A, isIdle));
+  session::SessionStats Held;
+  ASSERT_TRUE(Mgr.stats(A, Held));
+  EXPECT_FALSE(Held.IndexesReleased);
+  for (size_t I = 0; I != ReaderB.numEventBlocks(); ++I)
+    submitBlock(Mgr, B, ReaderB, I);
+  ASSERT_TRUE(waitForStats(Mgr, A, isReleased));
+  session::SessionStats Released;
+  ASSERT_TRUE(Mgr.stats(A, Released));
+  EXPECT_LT(Released.MemEstimateBytes, Held.MemEstimateBytes);
+  EXPECT_EQ(telemetry::Registry::global().snapshot().gauge(
+                "session.idle_a.released"),
+            1);
+  for (size_t I = NumA / 2; I != NumA; ++I)
+    submitBlock(Mgr, A, ReaderA, I);
+  ASSERT_TRUE(waitForStats(Mgr, A, isIdle));
+  EXPECT_TRUE(waitForStats(Mgr, A, [](const session::SessionStats &S) {
+    return !S.IndexesReleased;
+  })) << "the next block rebuilt them";
+  EXPECT_GE(globalCounter("session.index_releases"), ReleasesBefore + 1);
+  EXPECT_GE(globalCounter("session.index_rebuilds"), RebuildsBefore + 1);
+  expectSameProfile(Mgr.close(A), SerialA);
+  expectSameProfile(Mgr.close(B), SerialB);
+  std::remove(PathA.c_str());
+  std::remove(PathB.c_str());
+}
+
+TEST(SessionManagerTest, BudgetReleasesAnIdleIndexInsteadOfEvicting) {
+  // A budget below the two sessions' estimates but above them without
+  // A's indexes used to evict idle A. Now it releases A's indexes, A's
+  // estimate falls by exactly their mapped bytes (at once, and again
+  // when the shard has run the release), and A lives on to a clean close.
+  ScopedRole Role(session::SessionControlRole);
+  std::string Path = tempPath("budget_release.orpt");
+  recordTrace("list-traversal", Path, /*Scale=*/2);
+  SessionArtifacts Serial = serialArtifacts(Path);
+  traceio::TraceReader Reader;
+  ASSERT_TRUE(Reader.open(Path)) << Reader.error();
+
+  // A replayed session's estimate and index bytes, and a fresh one's
+  // estimate: deterministic, so the managed sessions' are the same.
+  size_t Replayed = 0, IndexBytes = 0, Fresh = 0;
+  {
+    session::ProfileSession Probe("probe", session::recordedConfig(Reader));
+    ASSERT_TRUE(Probe.replayFrom(Reader)) << Probe.error();
+    Replayed = Probe.memoryEstimateBytes();
+    IndexBytes = Probe.indexBytes();
+    Fresh = session::ProfileSession("fresh", session::SessionConfig{})
+                .memoryEstimateBytes();
+  }
+  ASSERT_GT(IndexBytes, 0u);
+
+  session::ManagerConfig Config;
+  Config.Threads = 2;
+  Config.MemoryBudgetBytes = Replayed + Fresh - IndexBytes / 2;
+  session::SessionManager Mgr(Config);
+  std::vector<SessionId> Evicted;
+  Mgr.setEvictionHandler(
+      [&](SessionId Id, SessionArtifacts) { Evicted.push_back(Id); });
+  // Alone, A meets no budget action: none runs below two live sessions.
+  SessionId A = openFor(Mgr, Reader, "kept");
+  for (size_t I = 0; I != Reader.numEventBlocks(); ++I)
+    submitBlock(Mgr, A, Reader, I);
+  ASSERT_TRUE(waitForStats(Mgr, A, isIdle));
+  session::SessionStats Before;
+  ASSERT_TRUE(Mgr.stats(A, Before));
+  ASSERT_EQ(Before.MemEstimateBytes, Replayed);
+  EXPECT_FALSE(Before.IndexesReleased);
+
+  SessionId B = Mgr.open("fresh", session::SessionConfig{}, {}, {});
+  EXPECT_TRUE(Evicted.empty()) << "releasing A's indexes met the budget";
+  EXPECT_EQ(Mgr.numLiveSessions(), 2u);
+  session::SessionStats After;
+  ASSERT_TRUE(Mgr.stats(A, After));
+  EXPECT_EQ(After.MemEstimateBytes, Replayed - IndexBytes);
+  EXPECT_LE(Mgr.totalMemoryEstimateBytes(), Config.MemoryBudgetBytes);
+  ASSERT_TRUE(waitForStats(Mgr, A, isReleased));
+  ASSERT_TRUE(Mgr.stats(A, After));
+  EXPECT_EQ(After.MemEstimateBytes, Replayed - IndexBytes)
+      << "the shard's refreshed estimate";
+  expectSameProfile(Mgr.close(A), Serial);
+  Mgr.abort(B);
+  std::remove(Path.c_str());
+}
+
+TEST(SessionManagerTest, SubmitsRaceIndexReleases) {
+  // A gets one block for every eight of B's, more events than A's
+  // grammars hold symbols, so A turns idle after nearly every block, its
+  // release is queued while B streams, and A's next
+  // block is submitted whenever the control thread gets to it: before
+  // the shard runs the release, while it runs it, or after. (CI runs
+  // this under TSan.) The profiles must not notice.
+  ScopedRole Role(session::SessionControlRole);
+  std::string PathA = tempPath("race_a.orpt");
+  std::string PathB = tempPath("race_b.orpt");
+  recordTrace("list-traversal", PathA, /*Scale=*/1);
+  recordTrace("list-traversal", PathB, /*Scale=*/8);
+  SessionArtifacts SerialA = serialArtifacts(PathA);
+  SessionArtifacts SerialB = serialArtifacts(PathB);
+
+  for (unsigned Threads : {1u, 2u}) {
+    traceio::TraceReader ReaderA, ReaderB;
+    ASSERT_TRUE(ReaderA.open(PathA)) << ReaderA.error();
+    ASSERT_TRUE(ReaderB.open(PathB)) << ReaderB.error();
+    const uint64_t ReleasesBefore = globalCounter("session.index_releases");
+    session::ManagerConfig Config;
+    Config.Threads = Threads;
+    session::SessionManager Mgr(Config);
+    SessionId A = openFor(Mgr, ReaderA, "race_a");
+    SessionId B = openFor(Mgr, ReaderB, "race_b");
+    const size_t NumA = ReaderA.numEventBlocks();
+    const size_t NumB = ReaderB.numEventBlocks();
+    for (size_t I = 0, J = 0; I != NumA || J != NumB;) {
+      if (I != NumA)
+        submitBlock(Mgr, A, ReaderA, I++);
+      for (int K = 0; K != 8 && J != NumB; ++K)
+        submitBlock(Mgr, B, ReaderB, J++);
+    }
+    expectSameProfile(Mgr.close(A), SerialA);
+    expectSameProfile(Mgr.close(B), SerialB);
+    EXPECT_GT(globalCounter("session.index_releases"), ReleasesBefore)
+        << Threads << " shards";
+  }
+  std::remove(PathA.c_str());
+  std::remove(PathB.c_str());
+}
+
+TEST(ProfileSessionTest, ReleasedIndexesLeaveTheEstimateByTheirBytes) {
+  // releaseIndexes() gives back exactly the four grammars' mapped index
+  // pages, and the next block maps as many again.
+  std::string Path = tempPath("release_estimate.orpt");
+  recordTrace("164.gzip-a", Path);
+  traceio::TraceReader Reader;
+  ASSERT_TRUE(Reader.open(Path)) << Reader.error();
+  session::ProfileSession Session("release", session::recordedConfig(Reader));
+  ASSERT_TRUE(Session.replayFrom(Reader, 1, 0, Reader.numEventBlocks() - 1))
+      << Session.error();
+  const size_t Index = Session.indexBytes();
+  const size_t Estimate = Session.memoryEstimateBytes();
+  ASSERT_GT(Index, 0u);
+  Session.releaseIndexes();
+  EXPECT_TRUE(Session.indexesReleased());
+  EXPECT_EQ(Session.indexBytes(), 0u);
+  EXPECT_EQ(Session.memoryEstimateBytes(), Estimate - Index);
+  ASSERT_TRUE(Session.replayFrom(Reader, 1, Reader.numEventBlocks() - 1))
+      << Session.error();
+  EXPECT_FALSE(Session.indexesReleased());
+  EXPECT_GE(Session.indexBytes(), Index);
   std::remove(Path.c_str());
 }
 
