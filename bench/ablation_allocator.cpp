@@ -68,7 +68,7 @@ int main(int Argc, char **Argv) {
       for (core::Dimension D :
            {core::Dimension::Instruction, core::Dimension::Group,
             core::Dimension::Object, core::Dimension::Offset}) {
-        auto Part = Whomp.grammarFor(D).serialize();
+        const std::vector<uint8_t> &Part = Whomp.imageFor(D).bytes();
         OmsgImage.insert(OmsgImage.end(), Part.begin(), Part.end());
       }
       OmsgImages.push_back(std::move(OmsgImage));

@@ -348,7 +348,7 @@ int main(int Argc, char **Argv) {
   if (Opt.HotStreams) {
     std::printf("\nhot data streams (object dimension of the OMSG):\n");
     auto Streams = analysis::extractHotStreams(
-        Profile.whomp()->grammarFor(core::Dimension::Object));
+        Profile.whomp()->imageFor(core::Dimension::Object));
     TablePrinter T({"rule", "length", "repeats", "heat"});
     unsigned Shown = 0;
     for (const auto &H : Streams) {

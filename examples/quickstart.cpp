@@ -91,13 +91,14 @@ int main() {
 
   // 6. The exposed regularity compresses: print the offset-dimension
   //    grammar, which captures the data/next field interleave as rules.
-  const auto &OffsetGrammar = Whomp.grammarFor(core::Dimension::Offset);
+  const auto &OffsetGrammar = Whomp.imageFor(core::Dimension::Offset);
   std::printf("\noffset-dimension Sequitur grammar "
               "(%llu input symbols -> %zu rules, %zu bytes):\n%s\n",
-              static_cast<unsigned long long>(OffsetGrammar.inputLength()),
-              OffsetGrammar.numRules(),
+              static_cast<unsigned long long>(
+                  OffsetGrammar.stats().InputLength),
+              OffsetGrammar.stats().Rules,
               OffsetGrammar.serializedSizeBytes(),
-              OffsetGrammar.numRules() <= 24
+              OffsetGrammar.stats().Rules <= 24
                   ? OffsetGrammar.dump().c_str()
                   : "  (large; omitted)\n");
 

@@ -84,7 +84,7 @@ static void checkArchiveImage(const std::vector<uint8_t> &Bytes) {
   for (size_t D = 0; D != Out.numDimensions(); ++D) {
     const std::vector<uint8_t> &Image = Out.grammarImages()[D].bytes();
     std::vector<uint64_t> &Expanded = Streams[D];
-    ORP_FUZZ_REQUIRE(sequitur::SequiturGrammar::deserializeAndExpandChecked(
+    ORP_FUZZ_REQUIRE(sequitur::deserializeAndExpandChecked(
                          Image.data(), Image.size(), Expanded, Err),
                      "accepted grammar image fails the checked expander");
     sequitur::ImageCursor C = Out.cursor(D);

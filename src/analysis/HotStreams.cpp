@@ -8,7 +8,7 @@ using namespace orp;
 using namespace orp::analysis;
 
 std::vector<HotStream> orp::analysis::extractHotStreams(
-    const sequitur::SequiturGrammar &Grammar,
+    const sequitur::GrammarImage &Grammar,
     const HotStreamOptions &Options) {
   std::vector<HotStream> Streams;
   for (const auto &RS : Grammar.ruleStats()) {
@@ -34,7 +34,7 @@ std::vector<HotStream> orp::analysis::extractHotStreams(
   // the input length; the target is interpreted against the input size.
   if (Options.CoverageTarget < 1.0 && !Streams.empty()) {
     double Budget = Options.CoverageTarget *
-                    static_cast<double>(Grammar.inputLength());
+                    static_cast<double>(Grammar.stats().InputLength);
     double Acc = 0.0;
     size_t Keep = 0;
     while (Keep < Streams.size() && Acc < Budget)

@@ -52,7 +52,7 @@ struct HotStreamOptions {
 
 /// Mines \p Grammar for hot data streams, hottest first.
 std::vector<HotStream> extractHotStreams(
-    const sequitur::SequiturGrammar &Grammar,
+    const sequitur::GrammarImage &Grammar,
     const HotStreamOptions &Options = HotStreamOptions());
 
 } // namespace analysis

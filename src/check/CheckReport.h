@@ -18,6 +18,7 @@
 #define ORP_CHECK_CHECKREPORT_H
 
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -31,10 +32,15 @@ public:
   void fail(std::string What) { Failures.push_back(std::move(What)); }
 
   /// Records one violation when \p Cond is false; returns \p Cond so
-  /// callers can chain dependent checks.
-  bool require(bool Cond, std::string What) {
-    if (!Cond)
-      fail(std::move(What));
+  /// callers can chain dependent checks. \p What is the message, or a
+  /// callable that builds it, so that a passing check builds no string.
+  template <typename MessageT> bool require(bool Cond, MessageT &&What) {
+    if (!Cond) [[unlikely]] {
+      if constexpr (std::is_invocable_v<MessageT>)
+        fail(What());
+      else
+        fail(std::string(std::forward<MessageT>(What)));
+    }
     return Cond;
   }
 

@@ -6,8 +6,10 @@
 #include "sequitur/SequiturNodes.h"
 #include "support/VarInt.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
+#include <tuple>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -15,6 +17,7 @@
 
 using namespace orp;
 using namespace orp::check;
+using sequitur::GrammarImage;
 using sequitur::SequiturGrammar;
 
 namespace {
@@ -57,6 +60,28 @@ std::vector<uint8_t> encodeImage(const ImageBodies &Image) {
   return Out;
 }
 
+/// A set of arena indices below a bound, as a bitmap: the node sets the
+/// validator keeps are dense in the arena, so hashing them would cost
+/// more than the checks. An index at or past the bound is never a member.
+class IndexSet {
+public:
+  explicit IndexSet(uint64_t Bound) : In(Bound, false) {}
+  /// Adds \p I (below the bound); false when it was a member already.
+  bool insert(uint64_t I) {
+    if (In[I])
+      return false;
+    In[I] = true;
+    ++Count;
+    return true;
+  }
+  bool count(uint64_t I) const { return I < In.size() && In[I]; }
+  size_t size() const { return Count; }
+
+private:
+  std::vector<bool> In;
+  size_t Count = 0;
+};
+
 } // namespace
 
 CheckReport GrammarValidator::validate(const SequiturGrammar &G) {
@@ -64,12 +89,8 @@ CheckReport GrammarValidator::validate(const SequiturGrammar &G) {
   using Rule = SequiturGrammar::Rule;
   using NodeIdx = SequiturGrammar::NodeIdx;
   using sequitur::DigramKey;
-  using sequitur::DigramKeyHash;
   using sequitur::DigramTable;
   constexpr NodeIdx Nil = SequiturGrammar::NilIdx;
-  // A sealed grammar is its image: the one image check both checkers share.
-  if (G.Sealed)
-    return G.checkImage();
   // Every link read from a node is range-checked before it is followed:
   // a corrupt index must not walk off the slab tables.
   auto ValidSymbol = [&](NodeIdx I) { return I != Nil && I < G.FreshSymbol; };
@@ -80,25 +101,28 @@ CheckReport GrammarValidator::validate(const SequiturGrammar &G) {
   // Arena discipline: collect the reclaimed node sets first so the live
   // walks below can prove no live structure reaches into them. Free-list
   // nodes are poisoned under ASan, so each visit opens a scoped window.
-  std::unordered_set<NodeIdx> DeadSymbols;
-  std::unordered_set<NodeIdx> DeadRules;
+  IndexSet DeadSymbols(G.FreshSymbol);
+  IndexSet DeadRules(G.FreshRule);
   // Walks one reclaim list: every node in range, on no other list, and
   // released; a cycle or an overlap ends the walk.
-  auto WalkDead = [&](const std::string &List, NodeIdx Head, auto Valid,
-                      std::unordered_set<NodeIdx> &Dead, auto &Node,
-                      auto Released, auto NextOf) {
+  auto WalkDead = [&](const char *List, NodeIdx Head, auto Valid,
+                      IndexSet &Dead, auto &Node, auto Released,
+                      auto NextOf) {
     for (NodeIdx I = Head; I != Nil;) {
       if (!Valid(I)) {
-        Report.fail("arena: " + List + " links outside the arena");
+        Report.fail(std::string("arena: ") + List +
+                    " links outside the arena");
         break;
       }
-      if (!Dead.insert(I).second) {
-        Report.fail("arena: " + List + " overlaps another list or "
-                    "contains a cycle");
+      if (!Dead.insert(I)) {
+        Report.fail(std::string("arena: ") + List +
+                    " overlaps another list or contains a cycle");
         break;
       }
       ScopedUnpoison Window(&Node(I), sizeof(Node(I)));
-      Report.require(Released(Node(I)), "arena: " + List + " node is live");
+      Report.require(Released(Node(I)), [&] {
+        return std::string("arena: ") + List + " node is live";
+      });
       I = NextOf(Node(I));
     }
   };
@@ -121,11 +145,12 @@ CheckReport GrammarValidator::validate(const SequiturGrammar &G) {
   // range, live, off the reclaim lists, and with its guard ring intact,
   // its member symbols live and owned by exactly one body, and its wide
   // codes inside the table. A nonterminal only leads on to a rule that
-  // passes the same checks, so the walk reads live nodes alone.
+  // passes the same checks, so the walk reads live nodes alone. The walk
+  // also recounts each rule's uses, and the XOR of their symbol indices.
   std::vector<NodeIdx> Reachable;
-  std::unordered_set<NodeIdx> ReachSet;
+  IndexSet ReachSet(G.FreshRule);
   auto Reach = [&](NodeIdx RI) {
-    if (ReachSet.insert(RI).second)
+    if (ReachSet.insert(RI))
       Reachable.push_back(RI);
   };
   auto LiveRule = [&](NodeIdx RI) {
@@ -133,69 +158,76 @@ CheckReport GrammarValidator::validate(const SequiturGrammar &G) {
   };
   if (Report.require(LiveRule(G.Start), "start rule is not live"))
     Reach(G.Start);
-  std::unordered_map<NodeIdx, NodeIdx> BodyOwner;
+  IndexSet InBodies(G.FreshSymbol);
+  std::vector<std::pair<uint32_t, NodeIdx>> Uses(G.FreshRule);
   for (size_t Next = 0; Next != Reachable.size(); ++Next) {
     const NodeIdx RI = Reachable[Next];
     const Rule &R = G.rule(RI);
-    if (!Report.require(ValidSymbol(R.Guard), ruleName(RI) + ": missing guard"))
+    auto InRule = [RI](const char *What) {
+      return [RI, What] { return ruleName(RI) + What; };
+    };
+    if (!Report.require(ValidSymbol(R.Guard), InRule(": missing guard")))
       continue;
     // A guard's tag excludes the released tag, so this also checks that
     // the guard is live.
     const Symbol &Guard = G.sym(R.Guard);
     Report.require(Guard.isGuard() && Guard.ruleRef() == RI,
-                   ruleName(RI) + ": guard does not point back");
+                   InRule(": guard does not point back"));
     Report.require(!DeadSymbols.count(R.Guard),
-                   ruleName(RI) + ": guard is on an arena reclaim list");
+                   InRule(": guard is on an arena reclaim list"));
     size_t BodyLen = 0;
     bool RingOk = true;
     for (NodeIdx I = Guard.Next; I != R.Guard; I = G.sym(I).Next) {
-      if (!ValidSymbol(I) || !BodyOwner.emplace(I, RI).second) {
+      if (!ValidSymbol(I) || !InBodies.insert(I)) {
         Report.fail(ruleName(RI) + ": body ring is broken or shares a symbol");
         RingOk = false;
         break;
       }
       const Symbol &S = G.sym(I);
-      Report.require(S.live(), ruleName(RI) + ": body symbol is released");
-      Report.require(!S.isGuard(),
-                     ruleName(RI) + ": foreign guard inside the body");
+      Report.require(S.live(), InRule(": body symbol is released"));
+      Report.require(!S.isGuard(), InRule(": foreign guard inside the body"));
       Report.require(!DeadSymbols.count(I),
-                     ruleName(RI) +
-                         ": body symbol is on an arena reclaim list");
+                     InRule(": body symbol is on an arena reclaim list"));
       if (!ValidSymbol(S.Next) || G.sym(S.Next).prev() != I ||
           !ValidSymbol(S.prev()) || G.sym(S.prev()).Next != I)
         Report.fail(ruleName(RI) + ": body links are inconsistent");
       if (S.isNonTerminal()) {
+        if (ValidRule(S.ruleRef())) {
+          ++Uses[S.ruleRef()].first;
+          Uses[S.ruleRef()].second ^= I;
+        }
         if (Report.require(LiveRule(S.ruleRef()),
-                           ruleName(RI) + ": body references a dead rule"))
+                           InRule(": body references a dead rule")))
           Reach(S.ruleRef());
       } else if (!S.isRef() && S.Value >= Symbol::WideBit) {
         const uint32_t W = S.Value & ~Symbol::WideBit;
-        Report.require(W < G.WideValues.size(),
-                       ruleName(RI) + ": wide code " + std::to_string(W) +
-                           " past the table of " +
-                           std::to_string(G.WideValues.size()));
+        Report.require(W < G.WideValues.size(), [&] {
+          return ruleName(RI) + ": wide code " + std::to_string(W) +
+                 " past the table of " + std::to_string(G.WideValues.size());
+        });
       }
       ++BodyLen;
     }
     if (RingOk && RI != G.Start)
-      Report.require(BodyLen >= 2,
-                     ruleName(RI) + ": non-start body shorter than 2");
+      Report.require(BodyLen >= 2, InRule(": non-start body shorter than 2"));
   }
   // A live rule no walk reaches is leaked garbage: the reachable rules
   // must be all the live ones. Every index either arena handed out is
   // live, pending or free.
-  Report.require(Reachable.size() == G.NumLiveRules,
-                 std::to_string(G.NumLiveRules) + " live rules but " +
-                     std::to_string(Reachable.size()) +
-                     " reachable from the start rule");
-  Report.require(G.NumLiveRules + DeadRules.size() == G.FreshRule - 1,
-                 "rule arena: live, pending and free rules do not add up "
-                 "to the " +
-                     std::to_string(G.FreshRule - 1) + " handed out");
-  Report.require(G.NumLiveSymbols + DeadSymbols.size() == G.FreshSymbol - 1,
-                 "symbol arena: live, pending and free symbols do not add "
-                 "up to the " +
-                     std::to_string(G.FreshSymbol - 1) + " handed out");
+  Report.require(Reachable.size() == G.NumLiveRules, [&] {
+    return std::to_string(G.NumLiveRules) + " live rules but " +
+           std::to_string(Reachable.size()) + " reachable from the start rule";
+  });
+  Report.require(G.NumLiveRules + DeadRules.size() == G.FreshRule - 1, [&] {
+    return "rule arena: live, pending and free rules do not add up to the " +
+           std::to_string(G.FreshRule - 1) + " handed out";
+  });
+  Report.require(
+      G.NumLiveSymbols + DeadSymbols.size() == G.FreshSymbol - 1, [&] {
+        return "symbol arena: live, pending and free symbols do not add up "
+               "to the " +
+               std::to_string(G.FreshSymbol - 1) + " handed out";
+      });
 
   // The wide-terminal table: every entry wide, below 2^63 and distinct,
   // so that a terminal has exactly one code, and the interning set
@@ -203,46 +235,44 @@ CheckReport GrammarValidator::validate(const SequiturGrammar &G) {
   std::unordered_set<uint64_t> WideSeen;
   for (size_t W = 0; W != G.WideValues.size(); ++W) {
     const uint64_t V = G.WideValues[W];
-    const std::string Entry = "wide table: entry " + std::to_string(W);
-    Report.require(V >= Symbol::WideBit,
-                   Entry + " holds the narrow value " + std::to_string(V));
-    Report.require(!(V >> 63), Entry + " holds " + std::to_string(V) +
-                                   ", past the 63-bit image domain");
-    Report.require(WideSeen.insert(V).second,
-                   Entry + " repeats the value " + std::to_string(V));
+    auto Entry = [W, V](const char *What, const char *After = "") {
+      return [W, V, What, After] {
+        return "wide table: entry " + std::to_string(W) + What +
+               std::to_string(V) + After;
+      };
+    };
+    Report.require(V >= Symbol::WideBit, Entry(" holds the narrow value "));
+    Report.require(!(V >> 63),
+                   Entry(" holds ", ", past the 63-bit image domain"));
+    Report.require(WideSeen.insert(V).second, Entry(" repeats the value "));
   }
   Report.require(G.wideSetConsistent(),
                  "wide set does not index exactly the wide table");
 
-  Report.require(BodyOwner.size() == G.totalBodySymbols(),
-                 "live-symbol count disagrees with the rule bodies (" +
-                     std::to_string(G.totalBodySymbols()) + " counted, " +
-                     std::to_string(BodyOwner.size()) + " in bodies)");
+  Report.require(InBodies.size() == G.totalBodySymbols(), [&] {
+    return "live-symbol count disagrees with the rule bodies (" +
+           std::to_string(G.totalBodySymbols()) + " counted, " +
+           std::to_string(InBodies.size()) + " in bodies)";
+  });
 
-  // Use counts: recount each rule's uses, and the XOR of their symbol
-  // indices, from the bodies. Both must equal the rule's own UseCount
-  // and UseXor, and every non-start rule needs two uses.
-  std::unordered_map<NodeIdx, std::pair<uint32_t, NodeIdx>> Uses;
-  for (const auto &[I, Owner] : BodyOwner)
-    if (G.sym(I).isNonTerminal()) {
-      ++Uses[G.sym(I).ruleRef()].first;
-      Uses[G.sym(I).ruleRef()].second ^= I;
-    }
+  // Use counts: each rule's UseCount and UseXor must equal the recount,
+  // and every non-start rule needs two uses.
   for (NodeIdx RI : Reachable) {
     const Rule &R = G.rule(RI);
     auto [Count, Xor] = Uses[RI];
-    Report.require(Count == R.UseCount,
-                   ruleName(RI) + ": UseCount " + std::to_string(R.UseCount) +
-                       " but the bodies hold " + std::to_string(Count) +
-                       " uses");
-    Report.require(Xor == R.UseXor,
-                   ruleName(RI) + ": UseXor " + std::to_string(R.UseXor) +
-                       " but the uses in the bodies XOR to " +
-                       std::to_string(Xor));
+    Report.require(Count == R.UseCount, [&] {
+      return ruleName(RI) + ": UseCount " + std::to_string(R.UseCount) +
+             " but the bodies hold " + std::to_string(Count) + " uses";
+    });
+    Report.require(Xor == R.UseXor, [&] {
+      return ruleName(RI) + ": UseXor " + std::to_string(R.UseXor) +
+             " but the uses in the bodies XOR to " + std::to_string(Xor);
+    });
     if (RI != G.Start)
-      Report.require(R.UseCount >= 2,
-                     ruleName(RI) + ": rule utility below 2 (" +
-                         std::to_string(R.UseCount) + " uses)");
+      Report.require(R.UseCount >= 2, [&] {
+        return ruleName(RI) + ": rule utility below 2 (" +
+               std::to_string(R.UseCount) + " uses)";
+      });
   }
 
   // Only walk the rings again if the structural pass found them intact;
@@ -256,19 +286,25 @@ CheckReport GrammarValidator::validate(const SequiturGrammar &G) {
   // (slot minus stored displacement) and its valid extension bits, and
   // which a lookup of its key reaches (soundness). The index stores no
   // keys, so lookups read them back from the symbols — but only from
-  // live digram starts: a corrupt entry may name any node.
-  std::unordered_map<DigramKey, std::vector<NodeIdx>, DigramKeyHash>
-      Occurrences;
-  std::unordered_set<NodeIdx> DigramStarts;
+  // live digram starts: a corrupt entry may name any node. Occurrences
+  // are sorted by key, so that each key's run is adjacent.
+  std::vector<std::pair<DigramKey, NodeIdx>> Occurrences;
+  IndexSet DigramStarts(G.FreshSymbol);
   if (StructureOk)
     for (NodeIdx RI : Reachable) {
       NodeIdx Guard = G.rule(RI).Guard;
       for (NodeIdx I = G.sym(Guard).Next; I != Guard; I = G.sym(I).Next)
         if (!G.sym(G.sym(I).Next).isGuard()) {
-          Occurrences[G.keyOf(I)].push_back(I);
+          Occurrences.emplace_back(G.keyOf(I), I);
           DigramStarts.insert(I);
         }
     }
+  std::sort(Occurrences.begin(), Occurrences.end(),
+            [](const auto &A, const auto &B) {
+              const DigramKey &KA = A.first, &KB = B.first;
+              return std::tie(KA.V1, KA.V2, KA.Tags, A.second) <
+                     std::tie(KB.V1, KB.V2, KB.Tags, B.second);
+            });
   auto LiveKeys = [&](NodeIdx I) {
     return DigramStarts.count(I) ? G.keyOf(I) : DigramKey{0, 0, 0xff};
   };
@@ -282,11 +318,17 @@ CheckReport GrammarValidator::validate(const SequiturGrammar &G) {
     Out += ')';
     return Out;
   };
-  for (const auto &[Key, Positions] : Occurrences) {
-    for (size_t I = 0; I != Positions.size(); ++I)
-      for (size_t J = I + 1; J != Positions.size(); ++J) {
-        NodeIdx P = Positions[I];
-        NodeIdx Q = Positions[J];
+  size_t NumDigrams = 0;
+  for (size_t Begin = 0, End; Begin != Occurrences.size(); Begin = End) {
+    const DigramKey &Key = Occurrences[Begin].first;
+    for (End = Begin + 1;
+         End != Occurrences.size() && Occurrences[End].first == Key; ++End)
+      ;
+    ++NumDigrams;
+    for (size_t I = Begin; I != End; ++I)
+      for (size_t J = I + 1; J != End; ++J) {
+        NodeIdx P = Occurrences[I].second;
+        NodeIdx Q = Occurrences[J].second;
         if (G.sym(P).Next != Q && G.sym(Q).Next != P)
           Report.fail("digram uniqueness violated: key " + KeyStr(Key) +
                       " occurs at two non-overlapping positions");
@@ -301,78 +343,87 @@ CheckReport GrammarValidator::validate(const SequiturGrammar &G) {
     }
     NodeIdx Canon = G.Index.nodeAt(Slot);
     bool IsOccurrence = false;
-    for (NodeIdx P : Positions)
-      IsOccurrence |= (P == Canon);
-    Report.require(IsOccurrence,
-                   "digram index desync: indexed occurrence of key " +
-                       KeyStr(Key) + " is not where the key occurs");
+    for (size_t I = Begin; I != End; ++I)
+      IsOccurrence |= Occurrences[I].second == Canon;
+    Report.require(IsOccurrence, [&] {
+      return "digram index desync: indexed occurrence of key " + KeyStr(Key) +
+             " is not where the key occurs";
+    });
   }
   // A released index holds nothing; it held one entry per distinct
   // digram, and each right twin it recorded is the right occurrence of
   // an overlapping run, so that a rebuild can name it again.
   if (StructureOk && G.IndexReleased) {
-    Report.require(G.Index.size() == 0 && G.Index.capacity() == 0,
-                   "released digram index still maps " +
-                       std::to_string(G.Index.capacity()) + " slots");
-    Report.require(G.SealedDigrams == Occurrences.size(),
-                   "released digram index held " +
-                       std::to_string(G.SealedDigrams) +
-                       " entries but the grammar has " +
-                       std::to_string(Occurrences.size()) +
-                       " distinct digrams");
-    std::unordered_set<NodeIdx> Twins;
+    Report.require(G.Index.size() == 0 && G.Index.capacity() == 0, [&] {
+      return "released digram index still maps " +
+             std::to_string(G.Index.capacity()) + " slots";
+    });
+    Report.require(G.ReleasedDigrams == NumDigrams, [&] {
+      return "released digram index held " +
+             std::to_string(G.ReleasedDigrams) +
+             " entries but the grammar has " + std::to_string(NumDigrams) +
+             " distinct digrams";
+    });
+    IndexSet Twins(G.FreshSymbol);
     for (NodeIdx A : G.RightTwins) {
-      const std::string Twin =
-          "recorded right twin (symbol " + std::to_string(A) + ")";
-      if (!Report.require(DigramStarts.count(A) != 0,
-                          Twin + " is not a live digram start"))
+      auto Twin = [A](const char *What) {
+        return [A, What] {
+          return "recorded right twin (symbol " + std::to_string(A) + ")" +
+                 What;
+        };
+      };
+      if (!Report.require(DigramStarts.count(A),
+                          Twin(" is not a live digram start")))
         continue;
-      Report.require(Twins.insert(A).second, Twin + " is recorded twice");
+      Report.require(Twins.insert(A), Twin(" is recorded twice"));
       const NodeIdx P = G.sym(A).prev();
-      Report.require(DigramStarts.count(P) != 0 && G.keyOf(P) == G.keyOf(A),
-                     Twin + " is not the right occurrence of an "
-                            "overlapping run");
+      Report.require(
+          DigramStarts.count(P) && G.keyOf(P) == G.keyOf(A),
+          Twin(" is not the right occurrence of an overlapping run"));
     }
   }
   Report.require(G.IndexReleased || G.RightTwins.empty(),
                  "a live digram index keeps recorded right twins");
   if (StructureOk && !G.IndexReleased) {
     G.Index.forEach([&](size_t Slot, NodeIdx I) {
-      std::string Entry = "entry " + std::to_string(Slot) + " (symbol " +
-                          std::to_string(I) + ", home " +
-                          std::to_string(G.Index.homeOf(Slot)) + ")";
-      if (!Report.require(DigramStarts.count(I) != 0,
-                          "digram index desync: " + Entry +
-                              " points outside the live grammar"))
+      auto Entry = [&] {
+        return "digram index desync: entry " + std::to_string(Slot) +
+               " (symbol " + std::to_string(I) + ", home " +
+               std::to_string(G.Index.homeOf(Slot)) + ")";
+      };
+      if (!Report.require(DigramStarts.count(I), [&] {
+            return Entry() + " points outside the live grammar";
+          }))
         return;
       DigramKey K = G.keyOf(I);
-      if (!Report.require(G.Index.matchesHash(Slot, K),
-                          "digram index desync: " + Entry +
-                              " points at a different digram " + KeyStr(K) +
-                              " or is skewed: its home or extension bits "
-                              "disagree with the key's hash"))
+      if (!Report.require(G.Index.matchesHash(Slot, K), [&] {
+            return Entry() + " points at a different digram " + KeyStr(K) +
+                   " or is skewed: its home or extension bits disagree "
+                   "with the key's hash";
+          }))
         return;
-      Report.require(G.Index.findSlot(K, LiveKeys) == Slot,
-                     "digram index desync: " + Entry + " for " + KeyStr(K) +
-                         " is not reached by a lookup of its key");
+      Report.require(G.Index.findSlot(K, LiveKeys) == Slot, [&] {
+        return Entry() + " for " + KeyStr(K) +
+               " is not reached by a lookup of its key";
+      });
     });
-    Report.require(G.Index.size() == Occurrences.size(),
-                   "digram index holds " + std::to_string(G.Index.size()) +
-                       " entries but the grammar has " +
-                       std::to_string(Occurrences.size()) +
-                       " distinct digrams");
+    Report.require(G.Index.size() == NumDigrams, [&] {
+      return "digram index holds " + std::to_string(G.Index.size()) +
+             " entries but the grammar has " + std::to_string(NumDigrams) +
+             " distinct digrams";
+    });
   }
 
   // Expansion length over the rule DAG (memoized, so O(grammar) rather
   // than O(input)) must equal the number of appended terminals.
-  std::unordered_map<NodeIdx, uint64_t> Lengths;
-  std::unordered_set<NodeIdx> Visiting;
+  constexpr uint64_t Unknown = ~uint64_t(0);
+  std::vector<uint64_t> Lengths(G.FreshRule, Unknown);
+  IndexSet Visiting(G.FreshRule);
   bool Cyclic = false;
   auto LengthOf = [&](auto &&Self, NodeIdx RI) -> uint64_t {
-    auto It = Lengths.find(RI);
-    if (It != Lengths.end())
-      return It->second;
-    if (!Visiting.insert(RI).second) {
+    if (Lengths[RI] != Unknown)
+      return Lengths[RI];
+    if (!Visiting.insert(RI)) {
       Cyclic = true;
       return 0;
     }
@@ -380,19 +431,118 @@ CheckReport GrammarValidator::validate(const SequiturGrammar &G) {
     NodeIdx Guard = G.rule(RI).Guard;
     for (NodeIdx I = G.sym(Guard).Next; I != Guard; I = G.sym(I).Next)
       Len += G.sym(I).isNonTerminal() ? Self(Self, G.sym(I).ruleRef()) : 1;
-    Visiting.erase(RI);
-    Lengths.emplace(RI, Len);
-    return Len;
+    return Lengths[RI] = Len;
   };
   if (StructureOk) {
     uint64_t Expanded = LengthOf(LengthOf, G.Start);
     Report.require(!Cyclic, "rule DAG contains a reference cycle");
-    Report.require(Expanded == G.InputLen,
-                   "start rule expands to " + std::to_string(Expanded) +
-                       " terminals but InputLen is " +
-                       std::to_string(G.InputLen));
+    Report.require(Expanded == G.InputLen, [&] {
+      return "start rule expands to " + std::to_string(Expanded) +
+             " terminals but InputLen is " + std::to_string(G.InputLen);
+    });
   }
 
+  return Report;
+}
+
+CheckReport GrammarValidator::validate(const GrammarImage &Image) {
+  CheckReport Report;
+  const auto Str = [](uint64_t V) { return std::to_string(V); };
+  const sequitur::GrammarStats &Stats = Image.Stats;
+  sequitur::ParsedImage Parsed;
+  std::string Err;
+  if (!Report.require(sequitur::parseImageChecked(Image.Bytes, Parsed, Err,
+                                                  ~uint64_t(0)),
+                      [&] { return "sealed image does not parse: " + Err; }))
+    return Report;
+  // The parse bounded every varint and reference, so the trusted decoder
+  // may read the bodies.
+  const ImageBodies Bodies = decodeImage(Image.Bytes);
+  const std::vector<std::vector<uint64_t>> &Rules = Bodies.Rules;
+  Report.require(Parsed.length() == Stats.InputLength, [&] {
+    return "sealed image expands to " + Str(Parsed.length()) +
+           " terminals but InputLen is " + Str(Stats.InputLength);
+  });
+  Report.require(Rules.size() == Stats.Rules, [&] {
+    return "sealed image holds " + Str(Rules.size()) +
+           " rules but the grammar reports " + Str(Stats.Rules);
+  });
+
+  // One pass over the bodies: symbols, uses per rule, and the positions
+  // (rule, index) of every digram, keyed by its two codes.
+  struct PairHash {
+    size_t operator()(const std::pair<uint64_t, uint64_t> &K) const {
+      return static_cast<size_t>(sequitur::avalanche64(
+          K.first * 0x9e3779b97f4a7c15ULL ^ K.second));
+    }
+  };
+  std::unordered_map<std::pair<uint64_t, uint64_t>,
+                     std::vector<std::pair<size_t, size_t>>, PairHash>
+      Digrams;
+  std::vector<uint64_t> Uses(Rules.size(), 0);
+  size_t BodySymbols = 0;
+  for (size_t R = 0; R != Rules.size(); ++R) {
+    const std::vector<uint64_t> &Codes = Rules[R];
+    BodySymbols += Codes.size();
+    for (size_t I = 0; I != Codes.size(); ++I) {
+      if (Codes[I] & 1)
+        ++Uses[Codes[I] >> 1];
+      if (I + 1 != Codes.size())
+        Digrams[{Codes[I], Codes[I + 1]}].emplace_back(R, I);
+    }
+    if (R != 0)
+      Report.require(Codes.size() >= 2, [&] {
+        return ruleName(R) + ": non-start body shorter than 2";
+      });
+  }
+  Report.require(BodySymbols == Stats.BodySymbols, [&] {
+    return "sealed image holds " + Str(BodySymbols) +
+           " body symbols but the grammar reports " + Str(Stats.BodySymbols);
+  });
+  for (size_t R = 1; R != Rules.size(); ++R)
+    Report.require(Uses[R] >= 2, [&] {
+      return ruleName(R) + ": rule utility below 2 (" + Str(Uses[R]) +
+             " uses)";
+    });
+
+  // Rules reachable from the start rule: all of them (serialize() emits
+  // no other), so none can hide outside the parse's walk.
+  std::vector<bool> Reached(Rules.size(), false);
+  std::vector<size_t> Work{0};
+  Reached[0] = true;
+  size_t NumReached = 1;
+  while (!Work.empty()) {
+    const size_t R = Work.back();
+    Work.pop_back();
+    for (uint64_t Code : Rules[R])
+      if ((Code & 1) && !Reached[Code >> 1]) {
+        Reached[Code >> 1] = true;
+        ++NumReached;
+        Work.push_back(Code >> 1);
+      }
+  }
+  Report.require(NumReached == Rules.size(), [&] {
+    return Str(Rules.size() - NumReached) +
+           " image rules are unreachable from the start rule";
+  });
+
+  // Digram uniqueness: two occurrences of one digram may only overlap
+  // (the middle of a run like "aaa").
+  for (const auto &[Key, Positions] : Digrams)
+    for (size_t I = 0; I != Positions.size(); ++I)
+      for (size_t J = I + 1; J != Positions.size(); ++J) {
+        const auto [RA, A] = Positions[I];
+        const auto [RB, B] = Positions[J];
+        if (RA != RB || (A + 1 != B && B + 1 != A))
+          Report.fail("digram uniqueness violated: codes (" + Str(Key.first) +
+                      "," + Str(Key.second) +
+                      ") occur at two non-overlapping positions");
+      }
+  Report.require(Digrams.size() == Stats.Digrams, [&] {
+    return "sealed grammar reports " + Str(Stats.Digrams) +
+           " digrams but its image has " + Str(Digrams.size()) +
+           " distinct digrams";
+  });
   return Report;
 }
 
@@ -457,7 +607,7 @@ void GrammarValidator::exhaustSymbolIndexSpaceForTest(SequiturGrammar &G) {
 
 bool GrammarValidator::indexRightTwinForTest(SequiturGrammar &G) {
   using NodeIdx = SequiturGrammar::NodeIdx;
-  if (G.Sealed || G.IndexReleased)
+  if (G.IndexReleased)
     return false;
   bool Done = false;
   G.forEachBodyDigram([&](NodeIdx A) {
@@ -479,16 +629,6 @@ bool GrammarValidator::injectForTest(SequiturGrammar &G, Corruption K) {
   using Table = sequitur::DigramTable;
   constexpr NodeIdx Nil = SequiturGrammar::NilIdx;
 
-  // A sealed grammar has only its image and counters to corrupt; a live
-  // one has no image yet.
-  const bool ImageKind =
-      K == Corruption::ImageDigramDuplicate ||
-      K == Corruption::ImageRuleUsedOnce ||
-      K == Corruption::ImageRuleCountSkew ||
-      K == Corruption::ImageLengthSkew || K == Corruption::ImageDigramCountSkew;
-  if (ImageKind != G.Sealed)
-    return false;
-
   switch (K) {
   case Corruption::ReleasedTwinSkew: {
     if (!G.IndexReleased)
@@ -507,62 +647,6 @@ bool GrammarValidator::injectForTest(SequiturGrammar &G, Corruption K) {
     G.RightTwins.push_back(Forged);
     return true;
   }
-  case Corruption::ImageDigramDuplicate: {
-    // Relabel the second all-terminal digram of the image as a copy of
-    // the first, away from it; lengths and use counts stay as they were.
-    ImageBodies Image = decodeImage(G.Image);
-    std::vector<std::pair<size_t, size_t>> Found;
-    for (size_t R = 0; R != Image.Rules.size() && Found.size() != 2; ++R) {
-      const std::vector<uint64_t> &Body = Image.Rules[R];
-      for (size_t I = 0; I + 1 < Body.size() && Found.size() != 2; ++I)
-        if (!(Body[I] & 1) && !(Body[I + 1] & 1) &&
-            (Found.empty() || R != Found[0].first || I > Found[0].second + 1))
-          Found.emplace_back(R, I);
-    }
-    if (Found.size() != 2)
-      return false;
-    const auto [R0, I0] = Found[0];
-    const auto [R1, I1] = Found[1];
-    Image.Rules[R1][I1] = Image.Rules[R0][I0];
-    Image.Rules[R1][I1 + 1] = Image.Rules[R0][I0 + 1];
-    G.Image = encodeImage(Image);
-    return true;
-  }
-  case Corruption::ImageRuleUsedOnce: {
-    // Inline every use of rule 1 but the first: the expansion is
-    // unchanged, and rule 1 is referenced once.
-    ImageBodies Image = decodeImage(G.Image);
-    if (Image.Rules.size() < 2)
-      return false;
-    const uint64_t Use = (uint64_t(1) << 1) | 1;
-    const std::vector<uint64_t> Inlined = Image.Rules[1];
-    bool Kept = false;
-    for (std::vector<uint64_t> &Body : Image.Rules) {
-      std::vector<uint64_t> Out;
-      for (uint64_t Code : Body) {
-        if (Code != Use || !Kept)
-          Out.push_back(Code);
-        else
-          Out.insert(Out.end(), Inlined.begin(), Inlined.end());
-        Kept |= Code == Use;
-      }
-      Body = std::move(Out);
-    }
-    G.Image = encodeImage(Image);
-    return true;
-  }
-  case Corruption::ImageRuleCountSkew:
-    // One rule more than the image holds, and its guard, so that only the
-    // rule count disagrees.
-    ++G.NumLiveRules;
-    ++G.NumLiveSymbols;
-    return true;
-  case Corruption::ImageLengthSkew:
-    ++G.InputLen;
-    return true;
-  case Corruption::ImageDigramCountSkew:
-    ++G.SealedDigrams;
-    return true;
   case Corruption::DigramIndexDrop: {
     if (G.Index.size() == 0)
       return false;
@@ -681,6 +765,65 @@ bool GrammarValidator::injectForTest(SequiturGrammar &G, Corruption K) {
   case Corruption::UnreachableLiveRule:
     // A fresh rule no body uses: live, counted, and unreachable.
     G.newRule();
+    return true;
+  }
+  return false;
+}
+
+bool GrammarValidator::injectForTest(GrammarImage &Img, ImageCorruption K) {
+  switch (K) {
+  case ImageCorruption::DigramDuplicate: {
+    // Relabel the second all-terminal digram of the image as a copy of
+    // the first, away from it; lengths and use counts stay as they were.
+    ImageBodies Image = decodeImage(Img.Bytes);
+    std::vector<std::pair<size_t, size_t>> Found;
+    for (size_t R = 0; R != Image.Rules.size() && Found.size() != 2; ++R) {
+      const std::vector<uint64_t> &Body = Image.Rules[R];
+      for (size_t I = 0; I + 1 < Body.size() && Found.size() != 2; ++I)
+        if (!(Body[I] & 1) && !(Body[I + 1] & 1) &&
+            (Found.empty() || R != Found[0].first || I > Found[0].second + 1))
+          Found.emplace_back(R, I);
+    }
+    if (Found.size() != 2)
+      return false;
+    const auto [R0, I0] = Found[0];
+    const auto [R1, I1] = Found[1];
+    Image.Rules[R1][I1] = Image.Rules[R0][I0];
+    Image.Rules[R1][I1 + 1] = Image.Rules[R0][I0 + 1];
+    Img.Bytes = encodeImage(Image);
+    return true;
+  }
+  case ImageCorruption::RuleUsedOnce: {
+    // Inline every use of rule 1 but the first: the expansion is
+    // unchanged, and rule 1 is referenced once.
+    ImageBodies Image = decodeImage(Img.Bytes);
+    if (Image.Rules.size() < 2)
+      return false;
+    const uint64_t Use = (uint64_t(1) << 1) | 1;
+    const std::vector<uint64_t> Inlined = Image.Rules[1];
+    bool Kept = false;
+    for (std::vector<uint64_t> &Body : Image.Rules) {
+      std::vector<uint64_t> Out;
+      for (uint64_t Code : Body) {
+        if (Code != Use || !Kept)
+          Out.push_back(Code);
+        else
+          Out.insert(Out.end(), Inlined.begin(), Inlined.end());
+        Kept |= Code == Use;
+      }
+      Body = std::move(Out);
+    }
+    Img.Bytes = encodeImage(Image);
+    return true;
+  }
+  case ImageCorruption::RuleCountSkew:
+    ++Img.Stats.Rules;
+    return true;
+  case ImageCorruption::LengthSkew:
+    ++Img.Stats.InputLength;
+    return true;
+  case ImageCorruption::DigramCountSkew:
+    ++Img.Stats.Digrams;
     return true;
   }
   return false;

@@ -6,9 +6,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Deep structural validator for SequiturGrammar — the level-2 half of
-/// the invariant framework (see check/Check.h). As a friend of the
-/// grammar it audits what the public interface cannot see:
+/// Deep structural validator for Sequitur grammars — the level-2 half of
+/// the invariant framework (see check/Check.h), and the one grammar
+/// checker. It has one validate() per grammar type. As a friend of the
+/// builder (SequiturGrammar) it audits what the public interface cannot
+/// see:
 ///
 ///   * digram index <-> linked-list coherence (soundness: every index
 ///     entry points at a live digram whose hash gives the entry's home
@@ -40,16 +42,17 @@
 ///   * the live-symbol count behind totalBodySymbols() equals the
 ///     symbols found in rule bodies.
 ///
-/// A sealed grammar holds only its image and counters; it is checked
-/// through SequiturGrammar::checkImage(), the check checkInvariants()
-/// runs on it too: the arena, index and wide table are gone, the image
-/// parses, its length, rule, body-symbol and distinct-digram counts equal
-/// the counters, every rule is reachable, and digram uniqueness and rule
+/// A sealed grammar (GrammarImage) holds only its image and the
+/// builder's counters at the seal: the image parses, its length, rule,
+/// body-symbol and distinct-digram counts equal those counters, every
+/// rule is reachable from the start rule, and digram uniqueness and rule
 /// utility hold on its bodies.
 ///
-/// The validator never aborts: violations accumulate in a CheckReport.
-/// It also ships fault injectors (injectForTest) so the negative tests
-/// can prove that a corruption of each class is actually caught.
+/// The validator never aborts: violations accumulate in a CheckReport,
+/// whose messages are built only when a check fails. It also ships fault
+/// injectors (injectForTest), one corruption enum per grammar type, so
+/// the negative tests can prove that a corruption of each class is
+/// actually caught.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -64,12 +67,13 @@
 namespace orp {
 namespace check {
 
-/// Friend-of-SequiturGrammar deep checker. Stateless; every entry point
-/// is a static function.
+/// Friend-of-the-grammar deep checker. Stateless; every entry point is a
+/// static function.
 class GrammarValidator {
 public:
   /// Runs every structural check and returns the collected violations.
   static CheckReport validate(const sequitur::SequiturGrammar &G);
+  static CheckReport validate(const sequitur::GrammarImage &Image);
 
   /// What auditArenaPoisoning() saw on the arena lists.
   struct ArenaAudit {
@@ -118,7 +122,7 @@ public:
   /// to name the same occurrence as the released one.
   static bool indexRightTwinForTest(sequitur::SequiturGrammar &G);
 
-  /// Classes of deliberate corruption for negative tests.
+  /// Classes of deliberate corruption of a builder, for negative tests.
   enum class Corruption {
     DigramIndexDrop,     ///< Remove an index entry (completeness desync).
     DigramIndexRetarget, ///< Repoint an entry at a wrong occurrence.
@@ -135,22 +139,27 @@ public:
     /// occurrence or, with none recorded, record the first digram start
     /// that is no run's right occurrence (needs a released index).
     ReleasedTwinSkew,
-    /// \name Sealed grammars: the image and the counters kept beside it.
-    /// @{
-    ImageDigramDuplicate, ///< Relabel an image digram as a copy of another.
-    ImageRuleUsedOnce,    ///< Inline all but one use of an image rule.
-    ImageRuleCountSkew,   ///< Count one rule more than the image holds.
-    ImageLengthSkew,      ///< Count one terminal more than the image holds.
-    ImageDigramCountSkew, ///< Count one digram more than the image holds.
-    /// @}
+  };
+
+  /// Classes of deliberate corruption of an image and the counters kept
+  /// beside it, for negative tests.
+  enum class ImageCorruption {
+    DigramDuplicate, ///< Relabel an image digram as a copy of another.
+    RuleUsedOnce,    ///< Inline all but one use of an image rule.
+    RuleCountSkew,   ///< Count one rule more than the image holds.
+    LengthSkew,      ///< Count one terminal more than the image holds.
+    DigramCountSkew, ///< Count one digram more than the image holds.
   };
 
   /// Injects \p K into \p G. Returns false when the grammar is too small
-  /// to host that corruption (caller should grow it first), or when \p K
-  /// corrupts what \p G does not hold: the Image* classes need a sealed
-  /// grammar, every other class a live one. The grammar is unusable for
-  /// further appends afterwards — validation only.
+  /// to host that corruption (caller should grow it first), or when it
+  /// needs an index state \p G is not in (a released index for
+  /// ReleasedTwinSkew, a live one for the index classes). The grammar is
+  /// unusable for further appends afterwards — validation only.
   static bool injectForTest(sequitur::SequiturGrammar &G, Corruption K);
+  /// Injects \p K into \p Image; false when it is too small to host it.
+  static bool injectForTest(sequitur::GrammarImage &Image,
+                            ImageCorruption K);
 };
 
 } // namespace check

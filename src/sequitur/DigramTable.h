@@ -112,12 +112,6 @@ inline uint64_t hashDigram(const DigramKey &K) {
   return hashDigram(K.V1, K.V2, K.Tags);
 }
 
-struct DigramKeyHash {
-  size_t operator()(const DigramKey &K) const {
-    return static_cast<size_t>(hashDigram(K));
-  }
-};
-
 /// Robin-hood open-addressing set of digram occurrences, each named by
 /// the 32-bit index of its first symbol. Index 0 is never a symbol, so
 /// it marks an empty slot. Keys are unique, and a slot index returned by

@@ -3,7 +3,6 @@
 #include "sequitur/Sequitur.h"
 
 #include "check/Check.h"
-#include "check/CheckReport.h"
 #include "sequitur/SequiturNodes.h"
 #include "support/Error.h"
 #include "support/VarInt.h"
@@ -12,8 +11,6 @@
 #include <cassert>
 #include <cstdio>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 
 using namespace orp;
 using namespace orp::sequitur;
@@ -143,14 +140,6 @@ void SequiturGrammar::releaseArena() {
   SymbolFreeList = SymbolPendingList = NilIdx;
   RuleFreeList = RulePendingList = NilIdx;
   Start = NilIdx;
-}
-
-size_t SequiturGrammar::footprintBytes() const {
-  if (Sealed)
-    return Image.capacity();
-  return SymbolSlabs.size() * SymbolSlabBytes +
-         RuleSlabs.size() * RuleSlabBytes +
-         Index.mappedBytes() + wideTableBytes();
 }
 
 //===----------------------------------------------------------------------===//
@@ -307,8 +296,8 @@ ORP_SEQ_INLINE void SequiturGrammar::removeDigramAt(NodeIdx A) {
 //===----------------------------------------------------------------------===//
 
 void SequiturGrammar::append(uint64_t Value) {
-  if (Sealed | IndexReleased) [[unlikely]]
-    reopenForAppend();
+  if (IndexReleased) [[unlikely]]
+    rebuildIndex();
   // No references into the grammar are held across appends, so nodes
   // freed during the previous append are now safe to recycle.
   reclaimPending();
@@ -328,32 +317,30 @@ void SequiturGrammar::appendAll(const std::vector<uint64_t> &Values) {
     append(V);
 }
 
-void SequiturGrammar::reopenForAppend() {
-  if (Sealed)
-    ORP_FATAL_ERROR("sequitur: append to a sealed grammar");
-  rebuildIndex();
+GrammarStats SequiturGrammar::stats() const {
+  return {.InputLength = InputLen,
+          .Rules = NumLiveRules,
+          .BodySymbols = totalBodySymbols(),
+          .Digrams = numDigrams(),
+          .IndexSlots = indexSlots(),
+          .SymbolSlabs = SymbolSlabs.size(),
+          .RuleSlabs = RuleSlabs.size(),
+          .Work = Counters};
 }
 
-void SequiturGrammar::seal() {
-  if (Sealed)
-    return;
-  // A released index was counted when it went; its twins are not needed.
-  if (!IndexReleased) {
-    SealedDigrams = Index.size();
-    SealedIndexSlots = Index.capacity();
-  }
+GrammarImage SequiturGrammar::seal() && {
+  // Counted before anything goes (a released index was counted when it
+  // went); its twins are not needed.
+  const GrammarStats Stats = stats();
   Index.release();
-  IndexReleased = false;
   std::vector<NodeIdx>().swap(RightTwins);
   std::vector<NodeIdx>().swap(MaybeUnderused);
   std::vector<uint32_t>().swap(WideSlots);
-  // The one serialization: from here on every read answers from Image.
-  Image = serialize();
-  SealedSymbolSlabs = SymbolSlabs.size();
-  SealedRuleSlabs = RuleSlabs.size();
+  // The one serialization, kept with the capacity it grew to.
+  std::vector<uint8_t> Bytes = serialize();
   releaseArena();
   std::vector<uint64_t>().swap(WideValues);
-  Sealed = true;
+  return GrammarImage(std::move(Bytes), Stats);
 }
 
 bool SequiturGrammar::isRightTwin(NodeIdx A) const {
@@ -362,7 +349,7 @@ bool SequiturGrammar::isRightTwin(NodeIdx A) const {
 }
 
 void SequiturGrammar::releaseIndex() {
-  if (Sealed || IndexReleased)
+  if (IndexReleased)
     return;
   // A run holds one digram twice, and the index names one of the two:
   // record the runs whose entry names the right occurrence. Appending
@@ -371,8 +358,8 @@ void SequiturGrammar::releaseIndex() {
     if (isRightTwin(A) && Index.findEntry(keyOf(A), A) != DigramTable::Npos)
       RightTwins.push_back(A);
   });
-  SealedDigrams = Index.size();
-  SealedIndexSlots = Index.capacity();
+  ReleasedDigrams = Index.size();
+  ReleasedIndexSlots = Index.capacity();
   Index.release();
   IndexReleased = true;
 }
@@ -380,8 +367,8 @@ void SequiturGrammar::releaseIndex() {
 void SequiturGrammar::rebuildIndex() {
   if (!IndexReleased)
     return;
-  if (SealedIndexSlots != 0)
-    Index.reserve(SealedIndexSlots);
+  if (ReleasedIndexSlots != 0)
+    Index.reserve(ReleasedIndexSlots);
   // Left to right, so each run's left occurrence is the one inserted.
   const IndexKeys Keys = indexKeys();
   forEachBodyDigram(
@@ -393,7 +380,7 @@ void SequiturGrammar::rebuildIndex() {
                       "occurrence of an indexed run");
     Index.replaceNode(Slot, A);
   }
-  if (Index.size() != SealedDigrams)
+  if (Index.size() != ReleasedDigrams)
     ORP_FATAL_ERROR("sequitur: the rebuilt digram index differs in size "
                     "from the released one");
   std::vector<NodeIdx>().swap(RightTwins);
@@ -587,8 +574,6 @@ SequiturGrammar::reachableRules(std::vector<uint64_t> *DenseIds) const {
 }
 
 std::vector<uint64_t> SequiturGrammar::expandAll() const {
-  if (Sealed)
-    return deserializeAndExpand(Image);
   std::vector<uint64_t> Out;
   Out.reserve(InputLen);
   // Iterative expansion: the stack holds the next symbol to visit per
@@ -636,24 +621,20 @@ void SequiturGrammar::forEachImageCode(EmitFn &&Emit) const {
 }
 
 std::vector<uint8_t> SequiturGrammar::serialize() const {
-  if (Sealed)
-    return Image;
   std::vector<uint8_t> Out;
   forEachImageCode([&](uint64_t V) { encodeULEB128(V, Out); });
   return Out;
 }
 
 size_t SequiturGrammar::serializedSizeBytes() const {
-  if (Sealed)
-    return Image.size();
   size_t Size = 0;
   forEachImageCode([&](uint64_t V) { Size += sizeULEB128(V); });
   return Size;
 }
 
-bool SequiturGrammar::parseImageChecked(std::vector<uint8_t> Bytes,
-                                        ParsedImage &Out, std::string &Err,
-                                        uint64_t MaxTerminals) {
+bool orp::sequitur::parseImageChecked(std::vector<uint8_t> Bytes,
+                                     ParsedImage &Out, std::string &Err,
+                                     uint64_t MaxTerminals) {
   Out = ParsedImage();
   const uint8_t *Data = Bytes.data();
   const size_t Size = Bytes.size();
@@ -859,11 +840,11 @@ bool orp::sequitur::sameExpansion(const ParsedImage &A, const ParsedImage &B) {
   return true;
 }
 
-bool SequiturGrammar::deserializeAndExpandChecked(const uint8_t *Data,
-                                                  size_t Size,
-                                                  std::vector<uint64_t> &Out,
-                                                  std::string &Err,
-                                                  uint64_t MaxTerminals) {
+bool orp::sequitur::deserializeAndExpandChecked(const uint8_t *Data,
+                                               size_t Size,
+                                               std::vector<uint64_t> &Out,
+                                               std::string &Err,
+                                               uint64_t MaxTerminals) {
   Out.clear();
   ParsedImage Image;
   if (!parseImageChecked(std::vector<uint8_t>(Data, Data + Size), Image, Err,
@@ -873,21 +854,22 @@ bool SequiturGrammar::deserializeAndExpandChecked(const uint8_t *Data,
   return true;
 }
 
-std::vector<uint64_t>
-SequiturGrammar::deserializeAndExpand(const std::vector<uint8_t> &Bytes) {
-  ParsedImage Image;
-  std::string Err;
-  if (!parseImageChecked(Bytes, Image, Err, ~uint64_t(0)))
-    ORP_FATAL_ERROR(Err.c_str());
-  return Image.expand();
-}
-
-ParsedImage SequiturGrammar::parsedImage() const {
+ParsedImage GrammarImage::parse() const {
   ParsedImage Parsed;
   std::string Err;
-  if (!parseImageChecked(serialize(), Parsed, Err, ~uint64_t(0)))
+  if (!parseImageChecked(Bytes, Parsed, Err, ~uint64_t(0)))
     ORP_FATAL_ERROR(Err.c_str());
   return Parsed;
+}
+
+std::vector<uint64_t> GrammarImage::expandAll() const {
+  return parse().expand();
+}
+
+std::string GrammarImage::dump() const { return parse().dump(); }
+
+std::vector<RuleStats> GrammarImage::ruleStats(size_t PrefixCap) const {
+  return parse().ruleStats(PrefixCap);
 }
 
 template <typename VisitFn>
@@ -896,16 +878,15 @@ void ParsedImage::forEachCode(size_t R, VisitFn &&Visit) const {
     Visit(decodeValidated(Bytes.data(), Pos));
 }
 
-std::string SequiturGrammar::dump() const {
-  const ParsedImage Parsed = parsedImage();
+std::string ParsedImage::dump() const {
   std::string Out;
   char Buf[64];
-  for (size_t R = 0; R != Parsed.Rules.size(); ++R) {
+  for (size_t R = 0; R != Rules.size(); ++R) {
     std::snprintf(Buf, sizeof(Buf), "R%llu ->",
                   static_cast<unsigned long long>(R));
     Out += Buf;
     // A code is (rule id << 1 | 1) or (terminal << 1).
-    Parsed.forEachCode(R, [&](uint64_t Code) {
+    forEachCode(R, [&](uint64_t Code) {
       std::snprintf(Buf, sizeof(Buf), (Code & 1) ? " R%llu" : " %llu",
                     static_cast<unsigned long long>(Code >> 1));
       Out += Buf;
@@ -915,10 +896,7 @@ std::string SequiturGrammar::dump() const {
   return Out;
 }
 
-std::vector<SequiturGrammar::RuleStats>
-SequiturGrammar::ruleStats(size_t PrefixCap) const {
-  const ParsedImage Parsed = parsedImage();
-  const std::vector<ParsedImage::Rule> &Rules = Parsed.Rules;
+std::vector<RuleStats> ParsedImage::ruleStats(size_t PrefixCap) const {
   const size_t N = Rules.size();
 
   // Expanded lengths, memoized over the rule DAG (the parse proved it
@@ -931,7 +909,7 @@ SequiturGrammar::ruleStats(size_t PrefixCap) const {
     if (Done[R])
       return Expanded[R];
     uint64_t Len = 0;
-    Parsed.forEachCode(R, [&](uint64_t Code) {
+    forEachCode(R, [&](uint64_t Code) {
       Len += (Code & 1) ? Self(Self, Code >> 1) : 1;
     });
     Expanded[R] = Len;
@@ -948,30 +926,30 @@ SequiturGrammar::ruleStats(size_t PrefixCap) const {
   std::vector<uint64_t> Count(N, 0);
   Count[0] = 1;
   for (auto It = Finished.rbegin(); It != Finished.rend(); ++It)
-    Parsed.forEachCode(*It, [&](uint64_t Code) {
+    forEachCode(*It, [&](uint64_t Code) {
       if (Code & 1)
         Count[Code >> 1] += Count[*It];
     });
 
   std::vector<RuleStats> Stats;
   Stats.reserve(N);
-  std::vector<ParsedImage::Body> Stack;
+  std::vector<Body> Stack;
   for (size_t R = 0; R != N; ++R) {
     RuleStats RS;
     RS.Id = R;
     RS.ExpandedLength = Expanded[R];
     RS.Occurrences = Count[R];
     RS.BodyLength = 0;
-    Parsed.forEachCode(R, [&](uint64_t) { ++RS.BodyLength; });
+    forEachCode(R, [&](uint64_t) { ++RS.BodyLength; });
     // Expand the rule's terminal prefix iteratively, up to the cap.
     Stack.assign(1, Rules[R].Symbols);
     while (!Stack.empty() && RS.Prefix.size() < PrefixCap) {
-      ParsedImage::Body &Top = Stack.back();
+      Body &Top = Stack.back();
       if (Top.Begin == Top.End) {
         Stack.pop_back();
         continue;
       }
-      uint64_t Code = decodeValidated(Parsed.bytes().data(), Top.Begin);
+      uint64_t Code = decodeValidated(Bytes.data(), Top.Begin);
       if (Code & 1)
         Stack.push_back(Rules[Code >> 1].Symbols);
       else
@@ -980,234 +958,4 @@ SequiturGrammar::ruleStats(size_t PrefixCap) const {
     Stats.push_back(std::move(RS));
   }
   return Stats;
-}
-
-bool SequiturGrammar::checkInvariants() const {
-  if (Sealed)
-    return checkImage().ok();
-  // Every live rule is reachable from the start rule: the walk reads only
-  // live nodes, and what it reaches must be all NumLiveRules of them. The
-  // arena accounts for every rule index it handed out: live, pending or
-  // free. Free-list rules are poisoned under ASan, so each is read
-  // through a scoped window, and a walk longer than the arena is a cycle.
-  const std::vector<NodeIdx> Rules = reachableRules();
-  if (Rules.size() != NumLiveRules)
-    return false;
-  uint64_t DeadRules = 0;
-  for (NodeIdx List : {RulePendingList, RuleFreeList})
-    for (NodeIdx R = List; R != NilIdx; ++DeadRules) {
-      if (R >= FreshRule || DeadRules >= FreshRule)
-        return false;
-      check::ScopedUnpoison Window(&rule(R), sizeof(Rule));
-      if (rule(R).live())
-        return false;
-      R = rule(R).UseXor;
-    }
-  if (NumLiveRules + DeadRules != FreshRule - 1)
-    return false;
-
-  // The wide-terminal table: each entry is wide, below 2^63 and distinct
-  // (so a terminal has one code), and the interning set indexes exactly
-  // the table.
-  std::unordered_set<uint64_t> Wide;
-  for (uint64_t V : WideValues)
-    if (V < Symbol::WideBit || (V >> 63) || !Wide.insert(V).second)
-      return false;
-  if (!wideSetConsistent())
-    return false;
-
-  // The bodies hold every live symbol but the guards; each nonterminal
-  // names a live rule and each wide code a table entry. Uses are
-  // recounted from the bodies: every rule's UseCount and UseXor must
-  // match, and every non-start rule has at least two uses.
-  size_t BodySymbols = 0;
-  std::vector<std::pair<uint32_t, NodeIdx>> Uses(FreshRule);
-  for (NodeIdx RI : Rules) {
-    const Rule &R = rule(RI);
-    size_t BodyLen = 0;
-    for (NodeIdx I = sym(R.Guard).Next; I != R.Guard; I = sym(I).Next) {
-      const Symbol &S = sym(I);
-      if (S.isGuard() || !S.live())
-        return false;
-      if (S.isNonTerminal()) {
-        ++Uses[S.ruleRef()].first;
-        Uses[S.ruleRef()].second ^= I;
-      } else if (S.Value >= Symbol::WideBit &&
-                 (S.Value & ~Symbol::WideBit) >= WideValues.size()) {
-        return false;
-      }
-      ++BodyLen;
-    }
-    if (RI != Start && BodyLen < 2)
-      return false;
-    BodySymbols += BodyLen;
-  }
-  if (BodySymbols != totalBodySymbols())
-    return false;
-  for (NodeIdx RI : Rules) {
-    const Rule &R = rule(RI);
-    if (Uses[RI] != std::make_pair(R.UseCount, R.UseXor) ||
-        (RI != Start && R.UseCount < 2))
-      return false;
-  }
-
-  // Digram uniqueness: no digram occurs at two non-overlapping positions.
-  std::unordered_map<DigramKey, std::vector<NodeIdx>, DigramKeyHash>
-      Occurrences;
-  std::unordered_set<NodeIdx> DigramStarts;
-  for (NodeIdx R : Rules) {
-    NodeIdx Guard = rule(R).Guard;
-    for (NodeIdx S = sym(Guard).Next; S != Guard; S = sym(S).Next)
-      if (!sym(sym(S).Next).isGuard()) {
-        Occurrences[keyOf(S)].push_back(S);
-        DigramStarts.insert(S);
-      }
-  }
-  for (const auto &[Key, Positions] : Occurrences) {
-    for (size_t I = 0; I != Positions.size(); ++I)
-      for (size_t J = I + 1; J != Positions.size(); ++J) {
-        NodeIdx A = Positions[I];
-        NodeIdx B = Positions[J];
-        if (sym(A).Next != B && sym(B).Next != A)
-          return false;
-      }
-  }
-
-  // A released index holds nothing. It held one entry per distinct
-  // digram, and each recorded right twin is the right occurrence of a
-  // run: a digram start whose predecessor starts the same digram.
-  if (IndexReleased) {
-    if (Index.size() != 0 || Index.capacity() != 0 ||
-        SealedDigrams != Occurrences.size())
-      return false;
-    std::unordered_set<NodeIdx> Twins;
-    for (NodeIdx A : RightTwins)
-      if (!DigramStarts.count(A) || !Twins.insert(A).second ||
-          !DigramStarts.count(sym(A).prev()) || !isRightTwin(A))
-        return false;
-    return true;
-  }
-
-  // Index soundness: every entry points at a live digram whose hash
-  // gives the entry's home (slot minus displacement) and its valid
-  // extension bits, and a lookup of that digram reaches the entry (so no
-  // two entries share a key). With one entry per distinct digram, that
-  // also makes the index complete. Keys are read only from live
-  // digrams: a bad entry may name a freed node.
-  auto LiveKeys = [&](NodeIdx I) {
-    return DigramStarts.count(I) ? keyOf(I) : DigramKey{0, 0, 0xff};
-  };
-  bool IndexSound = Index.size() == Occurrences.size();
-  Index.forEach([&](size_t Slot, NodeIdx I) {
-    if (!DigramStarts.count(I)) {
-      IndexSound = false;
-      return;
-    }
-    DigramKey K = keyOf(I);
-    if (!Index.matchesHash(Slot, K) || Index.findSlot(K, LiveKeys) != Slot)
-      IndexSound = false;
-  });
-  return IndexSound;
-}
-
-check::CheckReport SequiturGrammar::checkImage() const {
-  check::CheckReport Report;
-  const auto Str = [](uint64_t V) { return std::to_string(V); };
-  Report.require(SymbolSlabs.empty() && RuleSlabs.empty() &&
-                     WideValues.capacity() == 0 && WideSlots.capacity() == 0,
-                 "sealed grammar still holds its arena or wide table");
-  Report.require(Index.size() == 0 && Index.capacity() == 0,
-                 "sealed grammar still holds a digram index of " +
-                     Str(Index.capacity()) + " slots");
-  Report.require(MaybeUnderused.capacity() == 0,
-                 "sealed grammar still holds its utility worklist");
-  Report.require(!IndexReleased && RightTwins.capacity() == 0,
-                 "sealed grammar still holds released-index state");
-  ParsedImage Parsed;
-  std::string Err;
-  if (!Report.require(parseImageChecked(Image, Parsed, Err, ~uint64_t(0)),
-                      "sealed image does not parse: " + Err))
-    return Report;
-  const std::vector<ParsedImage::Rule> &Rules = Parsed.Rules;
-  Report.require(Parsed.length() == InputLen,
-                 "sealed image expands to " + Str(Parsed.length()) +
-                     " terminals but InputLen is " + Str(InputLen));
-  Report.require(Rules.size() == NumLiveRules,
-                 "sealed image holds " + Str(Rules.size()) +
-                     " rules but the grammar reports " + Str(NumLiveRules));
-
-  // One pass over the bodies: symbols, uses per rule, and the positions
-  // (rule, index) of every digram, keyed by its two codes.
-  struct PairHash {
-    size_t operator()(const std::pair<uint64_t, uint64_t> &K) const {
-      return static_cast<size_t>(avalanche64(K.first * 0x9e3779b97f4a7c15ULL ^
-                                             K.second));
-    }
-  };
-  std::unordered_map<std::pair<uint64_t, uint64_t>,
-                     std::vector<std::pair<size_t, size_t>>, PairHash>
-      Digrams;
-  std::vector<uint64_t> Uses(Rules.size(), 0);
-  std::vector<uint64_t> Codes;
-  size_t BodySymbols = 0;
-  for (size_t R = 0; R != Rules.size(); ++R) {
-    Codes.clear();
-    Parsed.forEachCode(R, [&](uint64_t Code) { Codes.push_back(Code); });
-    BodySymbols += Codes.size();
-    for (size_t I = 0; I != Codes.size(); ++I) {
-      if (Codes[I] & 1)
-        ++Uses[Codes[I] >> 1];
-      if (I + 1 != Codes.size())
-        Digrams[{Codes[I], Codes[I + 1]}].emplace_back(R, I);
-    }
-    if (R != 0)
-      Report.require(Codes.size() >= 2, "R" + Str(R) +
-                                            ": non-start body shorter than 2");
-  }
-  Report.require(BodySymbols == totalBodySymbols(),
-                 "sealed image holds " + Str(BodySymbols) +
-                     " body symbols but the grammar reports " +
-                     Str(totalBodySymbols()));
-  for (size_t R = 1; R != Rules.size(); ++R)
-    Report.require(Uses[R] >= 2, "R" + Str(R) + ": rule utility below 2 (" +
-                                     Str(Uses[R]) + " uses)");
-
-  // Rules reachable from the start rule: all of them (serialize() emits
-  // no other), so none can hide outside the parse's walk.
-  std::vector<bool> Reached(Rules.size(), false);
-  std::vector<size_t> Work{0};
-  Reached[0] = true;
-  size_t NumReached = 1;
-  while (!Work.empty()) {
-    size_t R = Work.back();
-    Work.pop_back();
-    Parsed.forEachCode(R, [&](uint64_t Code) {
-      if ((Code & 1) && !Reached[Code >> 1]) {
-        Reached[Code >> 1] = true;
-        ++NumReached;
-        Work.push_back(Code >> 1);
-      }
-    });
-  }
-  Report.require(NumReached == Rules.size(),
-                 Str(Rules.size() - NumReached) +
-                     " image rules are unreachable from the start rule");
-
-  // Digram uniqueness: two occurrences of one digram may only overlap
-  // (the middle of a run like "aaa").
-  for (const auto &[Key, Positions] : Digrams)
-    for (size_t I = 0; I != Positions.size(); ++I)
-      for (size_t J = I + 1; J != Positions.size(); ++J) {
-        const auto [RA, A] = Positions[I];
-        const auto [RB, B] = Positions[J];
-        if (RA != RB || (A + 1 != B && B + 1 != A))
-          Report.fail("digram uniqueness violated: codes (" + Str(Key.first) +
-                      "," + Str(Key.second) +
-                      ") occur at two non-overlapping positions");
-      }
-  Report.require(Digrams.size() == SealedDigrams,
-                 "sealed grammar reports " + Str(SealedDigrams) +
-                     " digrams but its image has " + Str(Digrams.size()) +
-                     " distinct digrams");
-  return Report;
 }

@@ -25,7 +25,13 @@
 /// robustness-motivated way: utility repair is driven from a worklist
 /// drained after each append, instead of the reference implementation's
 /// single first-body-symbol check. The produced grammars satisfy both
-/// invariants (checkInvariants() verifies them directly).
+/// invariants (check::GrammarValidator verifies them directly).
+///
+/// A grammar has one type per phase. SequiturGrammar is the builder: it
+/// owns the slab arena and the digram index that appending needs.
+/// `std::move(G).seal()` consumes it and returns a GrammarImage, the
+/// finished grammar the paper measures: the serialize() bytes and the
+/// counters the builder held at the seal, with nothing to append to.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -38,22 +44,86 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace orp {
 
 namespace check {
-class CheckReport;
 class GrammarValidator;
 } // namespace check
 
 namespace sequitur {
 
-/// A grammar image that SequiturGrammar::parseImageChecked accepted: the
-/// serialize()d bytes, the byte range of every rule body, and the
-/// expansions of the short rules, which let an ImageCursor copy the
-/// bottom levels of the parse tree instead of walking them. The stream
-/// itself is never stored; ImageCursor expands it on demand.
+/// Aggregate statistics of one grammar rule, for grammar-mining
+/// consumers (e.g. hot-data-stream extraction a la Chilimbi & Hirzel,
+/// which the paper cites as a use of whole-stream profiles).
+struct RuleStats {
+  uint64_t Id;             ///< Dense id (0 = start rule).
+  size_t BodyLength;       ///< Symbols in the rule body.
+  uint64_t ExpandedLength; ///< Terminals the rule expands to.
+  uint64_t Occurrences;    ///< Expansions within the whole input.
+  /// The first terminals of the expansion (at most the prefix cap).
+  std::vector<uint64_t> Prefix;
+  bool operator==(const RuleStats &) const = default;
+};
+
+/// Exact work counters of a grammar since construction.
+struct Churn {
+  uint64_t RulesCreated = 0; ///< Rules made from a repeated digram.
+  uint64_t RulesInlined = 0; ///< Rules inlined by the utility rule.
+  uint64_t DigramChecks = 0; ///< checkDigram() calls.
+  uint64_t Matches = 0;      ///< processMatch() calls.
+  bool operator==(const Churn &) const = default;
+};
+
+/// The counters a grammar answers in either phase: a builder's
+/// (SequiturGrammar::stats()) as they stand, an image's as they stood
+/// at the seal.
+struct GrammarStats {
+  uint64_t InputLength = 0; ///< Terminals appended.
+  size_t Rules = 0;         ///< Live rules, including the start rule.
+  /// Symbols across all rule bodies: the standard abstract "grammar
+  /// size" measure.
+  size_t BodySymbols = 0;
+  size_t Digrams = 0;     ///< Distinct digrams of the rule bodies.
+  size_t IndexSlots = 0;  ///< Slots of the digram index.
+  size_t SymbolSlabs = 0; ///< Symbol slabs of the arena.
+  size_t RuleSlabs = 0;   ///< Rule slabs of the arena.
+  Churn Work;
+  bool operator==(const GrammarStats &) const = default;
+};
+
+class ParsedImage;
+
+/// Default cap on the expanded terminal count the checked decoder will
+/// produce: a grammar is exponentially generative, so a tiny corrupt (or
+/// hostile) image can declare an astronomically long expansion.
+constexpr uint64_t kDefaultMaxExpandedTerminals = 1ULL << 26;
+
+/// Parses and validates a serialize()d image for untrusted input.
+/// Returns false with a diagnostic in \p Err on truncation, malformed
+/// varints, out-of-range references, cycles, length mismatches, or
+/// expansions beyond \p MaxTerminals; never reads out of bounds and caps
+/// its allocations by the input size. Validation is a counting walk of
+/// the expansion (memoized per rule, so it costs the grammar's size, not
+/// the stream's); \p Out never holds the expansion itself (see
+/// ParsedImage).
+[[nodiscard]] bool
+parseImageChecked(std::vector<uint8_t> Bytes, ParsedImage &Out,
+                  std::string &Err,
+                  uint64_t MaxTerminals = kDefaultMaxExpandedTerminals);
+
+/// parseImageChecked + full expansion, into \p Out.
+[[nodiscard]] bool deserializeAndExpandChecked(
+    const uint8_t *Data, size_t Size, std::vector<uint64_t> &Out,
+    std::string &Err, uint64_t MaxTerminals = kDefaultMaxExpandedTerminals);
+
+/// A grammar image that parseImageChecked accepted: the serialize()d
+/// bytes, the byte range of every rule body, and the expansions of the
+/// short rules, which let an ImageCursor copy the bottom levels of the
+/// parse tree instead of walking them. The stream itself is never
+/// stored; ImageCursor expands it on demand.
 class ParsedImage {
 public:
   /// Rules that expand to at most this many terminals are cached, as
@@ -67,8 +137,18 @@ public:
   /// Materializes the whole expansion.
   std::vector<uint64_t> expand() const;
 
+  /// Renders the grammar as text ("R0 -> R1 R1", "R1 -> a R2 R2", ...).
+  std::string dump() const;
+
+  /// Returns statistics for every rule, start rule first. Occurrences
+  /// counts how many times the rule's expansion appears in the input via
+  /// the grammar structure (the start rule occurs once); each Prefix
+  /// holds at most \p PrefixCap terminals.
+  std::vector<RuleStats> ruleStats(size_t PrefixCap = 16) const;
+
 private:
-  friend class SequiturGrammar;
+  friend bool parseImageChecked(std::vector<uint8_t>, ParsedImage &,
+                                std::string &, uint64_t);
   friend class ImageCursor;
   /// Byte range [Begin, End) of symbol codes in Bytes.
   struct Body {
@@ -127,7 +207,46 @@ private:
 /// True when \p A and \p B expand to the same terminal sequence.
 bool sameExpansion(const ParsedImage &A, const ParsedImage &B);
 
-/// Incremental Sequitur grammar over 64-bit terminal symbols below 2^63.
+/// A sealed grammar: the serialize() image SequiturGrammar::seal()
+/// wrote, with the capacity its serialization grew to, and the builder's
+/// counters at the seal. It holds no arena, digram index or
+/// wide-terminal table, and has nothing to append to. expandAll(),
+/// dump() and ruleStats() parse the bytes on demand (trusted: this
+/// process wrote them).
+class GrammarImage {
+public:
+  /// The serialize() bytes.
+  const std::vector<uint8_t> &bytes() const { return Bytes; }
+  size_t serializedSizeBytes() const { return Bytes.size(); }
+  /// Resident bytes: the image's capacity (sizing it exactly was measured
+  /// and bought nothing; see EXPERIMENTS.md).
+  size_t footprintBytes() const { return Bytes.capacity(); }
+  /// The builder's counters at the seal.
+  const GrammarStats &stats() const { return Stats; }
+
+  /// The appended sequence: the grammar is lossless.
+  std::vector<uint64_t> expandAll() const;
+  /// See ParsedImage::dump().
+  std::string dump() const;
+  /// See ParsedImage::ruleStats().
+  std::vector<RuleStats> ruleStats(size_t PrefixCap = 16) const;
+
+private:
+  friend class SequiturGrammar;
+  /// Validates the image and injects corruptions into it for its own
+  /// negative tests.
+  friend class ::orp::check::GrammarValidator;
+
+  GrammarImage(std::vector<uint8_t> Bytes, const GrammarStats &Stats)
+      : Bytes(std::move(Bytes)), Stats(Stats) {}
+  ParsedImage parse() const;
+
+  std::vector<uint8_t> Bytes;
+  GrammarStats Stats;
+};
+
+/// Incremental Sequitur grammar builder over 64-bit terminal symbols
+/// below 2^63.
 class SequiturGrammar {
 public:
   SequiturGrammar();
@@ -148,19 +267,11 @@ public:
   /// digram index, the utility worklist and the wide-terminal interning
   /// set; once the stream ends, what the grammar is worth is its
   /// serialize() image. Sealing frees the index, serializes the grammar
-  /// once into bytes it keeps, and then frees the symbol and rule slabs
-  /// and the wide-terminal values. Every read-only call answers exactly
-  /// as before, from those bytes: serialize() and serializedSizeBytes()
-  /// return the stored image, and expandAll(), ruleStats() and dump()
-  /// read it parsed. The counters are kept as fields: inputLength(),
-  /// numRules(), totalBodySymbols(), churn(), and numDigrams(),
-  /// indexSlots(), numSymbolSlabs() and numRuleSlabs() as they stood at
-  /// the seal. Appending to a sealed grammar is a fatal error. Sealing
-  /// twice is a no-op.
-  void seal();
-
-  /// True once seal() ran.
-  bool sealed() const { return Sealed; }
+  /// once into bytes the image keeps, and then frees the symbol and rule
+  /// slabs and the wide-terminal values. The image's stats() are this
+  /// grammar's stats() at the seal; a released index is not rebuilt.
+  /// The builder is spent: destroying it is all that is left to do.
+  [[nodiscard]] GrammarImage seal() &&;
 
   /// Gives the digram index back between appends. The index is derived
   /// state: at an append boundary it holds exactly one entry per distinct
@@ -169,8 +280,8 @@ public:
   /// overlapping run ("aaa") the index names, so before unmapping the
   /// slots this records every entry that names the run's right node (its
   /// "right twin"). Every read-only call answers as before; appending
-  /// to a released grammar rebuilds the index first. A no-op once sealed
-  /// or already released.
+  /// to a released grammar rebuilds the index first. A no-op when
+  /// already released.
   void releaseIndex();
 
   /// Rebuilds a released index exactly: maps as many slots as it had,
@@ -191,86 +302,25 @@ public:
   /// Returns the number of live rules, including the start rule.
   size_t numRules() const { return NumLiveRules; }
 
-  /// Returns the total number of symbols across all rule bodies — the
-  /// standard abstract "grammar size" measure. O(1): every live symbol
-  /// but the rule guards sits in a body, so no walk is needed.
+  /// Returns the total number of symbols across all rule bodies. O(1):
+  /// every live symbol but the rule guards sits in a body, so no walk is
+  /// needed.
   size_t totalBodySymbols() const { return NumLiveSymbols - NumLiveRules; }
 
-  /// Reconstructs the original input by expanding the start rule (once
-  /// sealed, the image's); the grammar is lossless, so this equals the
-  /// appended sequence.
+  /// The counters as they stand (the image keeps them at the seal).
+  GrammarStats stats() const;
+
+  /// Reconstructs the original input by expanding the start rule; the
+  /// grammar is lossless, so this equals the appended sequence.
   std::vector<uint64_t> expandAll() const;
 
   /// Serializes the grammar (ULEB128-based); byte counts of this
-  /// serialization are the profile sizes compared in Figure 5. Once
-  /// sealed, a copy of the image seal() stored.
+  /// serialization are the profile sizes compared in Figure 5.
   std::vector<uint8_t> serialize() const;
 
-  /// Returns serialize().size(): summed from the encoded widths without
-  /// building the image, or the stored image's size once sealed.
+  /// Returns serialize().size(), summed from the encoded widths without
+  /// building the image.
   size_t serializedSizeBytes() const;
-
-  /// Default cap on the expanded terminal count the checked decoder will
-  /// produce: a grammar is exponentially generative, so a tiny corrupt
-  /// (or hostile) image can declare an astronomically long expansion.
-  static constexpr uint64_t kDefaultMaxExpandedTerminals = 1ULL << 26;
-
-  /// Parses and validates a serialize()d image for untrusted input.
-  /// Returns false with a diagnostic in \p Err on truncation, malformed
-  /// varints, out-of-range references, cycles, length mismatches, or
-  /// expansions beyond \p MaxTerminals; never reads out of bounds and
-  /// caps its allocations by the input size. Validation is a counting
-  /// walk of the expansion (memoized per rule, so it costs the grammar's
-  /// size, not the stream's); \p Out never holds the expansion itself
-  /// (see ParsedImage).
-  [[nodiscard]] static bool
-  parseImageChecked(std::vector<uint8_t> Bytes, ParsedImage &Out,
-                    std::string &Err,
-                    uint64_t MaxTerminals = kDefaultMaxExpandedTerminals);
-
-  /// parseImageChecked + full expansion, into \p Out.
-  [[nodiscard]] static bool deserializeAndExpandChecked(
-      const uint8_t *Data, size_t Size, std::vector<uint64_t> &Out,
-      std::string &Err,
-      uint64_t MaxTerminals = kDefaultMaxExpandedTerminals);
-
-  /// Trusted variant for images this process produced (round-trip
-  /// checks): dies with the checked decoder's diagnostic on bad input.
-  static std::vector<uint64_t> deserializeAndExpand(
-      const std::vector<uint8_t> &Bytes);
-
-  /// Renders the grammar as text ("R0 -> R1 R1", "R1 -> a R2 R2", ...),
-  /// read from its image (see parsedImage()).
-  std::string dump() const;
-
-  /// Aggregate statistics of one grammar rule, for grammar-mining
-  /// consumers (e.g. hot-data-stream extraction a la Chilimbi &
-  /// Hirzel, which the paper cites as a use of whole-stream profiles).
-  struct RuleStats {
-    uint64_t Id;             ///< Dense id (0 = start rule).
-    size_t BodyLength;       ///< Symbols in the rule body.
-    uint64_t ExpandedLength; ///< Terminals the rule expands to.
-    uint64_t Occurrences;    ///< Expansions within the whole input.
-    /// The first terminals of the expansion (at most \p PrefixCap).
-    std::vector<uint64_t> Prefix;
-    bool operator==(const RuleStats &) const = default;
-  };
-
-  /// Returns statistics for every reachable rule, start rule first, read
-  /// from the grammar's image (see parsedImage()). Occurrences counts how
-  /// many times the rule's expansion appears in the input via the grammar
-  /// structure (the start rule occurs once).
-  std::vector<RuleStats> ruleStats(size_t PrefixCap = 16) const;
-
-  /// Verifies digram uniqueness, rule utility, use counts (recounted
-  /// from the bodies), that every live rule is reachable, the wide
-  /// terminal table and index consistency; with the index released,
-  /// that the index holds nothing and each recorded right twin is the
-  /// right occurrence of an overlapping run. A sealed grammar is checked
-  /// through its image instead (the check GrammarValidator::validate
-  /// runs on it too, see checkImage()). For tests; returns true when
-  /// healthy.
-  bool checkInvariants() const;
 
   /// \name Introspection for the telemetry layer
   /// Arena and index occupancy, read from the owning thread (or after
@@ -279,62 +329,47 @@ public:
   /// Bytes of one symbol slab and of one rule slab.
   static constexpr size_t SymbolSlabBytes = 48 * 1024;
   static constexpr size_t RuleSlabBytes = 3 * 1024;
-  /// Symbol slabs the arena holds; once sealed, the count the seal freed.
-  size_t numSymbolSlabs() const {
-    return Sealed ? SealedSymbolSlabs : SymbolSlabs.size();
-  }
-  /// Rule slabs the arena holds; once sealed, the count the seal freed.
-  size_t numRuleSlabs() const {
-    return Sealed ? SealedRuleSlabs : RuleSlabs.size();
-  }
-  /// Distinct terminals of 2^31 or more (each is interned once; 0 once
-  /// sealed, when the image holds the values).
+  size_t numSymbolSlabs() const { return SymbolSlabs.size(); }
+  size_t numRuleSlabs() const { return RuleSlabs.size(); }
+  /// Distinct terminals of 2^31 or more (each is interned once).
   size_t numWideValues() const { return WideValues.size(); }
   /// Resident bytes of the wide-terminal table: the interned values plus
-  /// the interning set's slots (capacity, not occupancy; 0 once sealed).
+  /// the interning set's slots (capacity, not occupancy).
   size_t wideTableBytes() const {
     return WideValues.capacity() * sizeof(uint64_t) +
            WideSlots.capacity() * sizeof(uint32_t);
   }
-  /// Distinct digrams in the grammar (the count at the seal once sealed,
-  /// or at the release while the index is released).
+  /// Distinct digrams in the grammar (the count at the release while the
+  /// index is released).
   size_t numDigrams() const {
-    return Sealed || IndexReleased ? SealedDigrams : Index.size();
+    return IndexReleased ? ReleasedDigrams : Index.size();
   }
-  /// Slots of the digram index (0 before the first digram, while
-  /// released and once sealed).
+  /// Slots of the digram index (0 before the first digram and while
+  /// released).
   size_t indexCapacity() const { return Index.capacity(); }
   /// Bytes the digram index maps: its slots rounded up to whole pages
-  /// (0 before the first digram, while released and once sealed).
+  /// (0 before the first digram and while released).
   size_t indexBytes() const { return Index.mappedBytes(); }
-  /// Slots of the digram index; once sealed or while released, the
-  /// capacity the seal or the release freed.
+  /// Slots of the digram index; while released, the capacity the release
+  /// freed.
   size_t indexSlots() const {
-    return Sealed || IndexReleased ? SealedIndexSlots : Index.capacity();
+    return IndexReleased ? ReleasedIndexSlots : Index.capacity();
   }
   /// Resident bytes of the grammar's bulk storage: symbol and rule slabs,
   /// the digram index's mapped pages (indexBytes(): capacity, not
-  /// occupancy; 0 while released) and the wide-terminal table; once
-  /// sealed, the bytes the stored image occupies (capacity, not size),
-  /// which is all a sealed grammar holds. The right twins a release
-  /// records (a few entries) are not counted.
-  size_t footprintBytes() const;
-
-  /// Exact work counters since construction.
-  struct Churn {
-    uint64_t RulesCreated = 0; ///< Rules made from a repeated digram.
-    uint64_t RulesInlined = 0; ///< Rules inlined by the utility rule.
-    uint64_t DigramChecks = 0; ///< checkDigram() calls.
-    uint64_t Matches = 0;      ///< processMatch() calls.
-  };
-  const Churn &churn() const { return Counters; }
+  /// occupancy; 0 while released) and the wide-terminal table. The right
+  /// twins a release records (a few entries) are not counted.
+  size_t footprintBytes() const {
+    return SymbolSlabs.size() * SymbolSlabBytes +
+           RuleSlabs.size() * RuleSlabBytes + Index.mappedBytes() +
+           wideTableBytes();
+  }
   /// @}
 
 private:
   /// The deep invariant checker (src/check/GrammarValidator.h) walks
-  /// rule bodies, use counts and the arena free lists directly, checks a
-  /// sealed grammar through checkImage(), and injects corruptions for its
-  /// own negative tests.
+  /// rule bodies, use counts and the arena free lists directly, and
+  /// injects corruptions for its own negative tests.
   friend class ::orp::check::GrammarValidator;
 
   struct Rule;
@@ -429,63 +464,39 @@ private:
   /// Collects live rules reachable from the start rule, start first, in
   /// first-visit order. When \p DenseIds is given it is resized to the
   /// rule arena and maps each collected rule index to its position in
-  /// the result (the dense id used by serialization and dump).
+  /// the result (the dense id used by serialization).
   std::vector<NodeIdx>
   reachableRules(std::vector<uint64_t> *DenseIds = nullptr) const;
 
   /// Calls \p Emit with every varint of the serialize() image, in order.
-  /// Walks the arena: live grammars only.
   template <typename EmitFn> void forEachImageCode(EmitFn &&Emit) const;
-
-  /// The serialize() image, parsed (trusted: this process wrote it).
-  /// dump() and ruleStats() read a grammar through it, sealed or not.
-  ParsedImage parsedImage() const;
-
-  /// The check a sealed grammar answers to, shared by checkInvariants()
-  /// and GrammarValidator::validate: the arena, index and wide table are
-  /// gone; the image parses; its length, rule, body-symbol and distinct
-  /// digram counts equal the grammar's counters; every rule is reachable
-  /// from the start rule; and digram uniqueness and rule utility hold on
-  /// its bodies.
-  check::CheckReport checkImage() const;
 
   /// Frees every slab (unpoisoned first, so the allocator may reuse the
   /// memory) and resets the arena to its empty state.
   void releaseArena();
 
   /// Calls \p Visit(A) for the first symbol A of every digram in the
-  /// rule bodies, each body left to right. Live grammars only.
+  /// rule bodies, each body left to right.
   template <typename VisitFn> void forEachBodyDigram(VisitFn &&Visit) const;
 
   /// True when \p A starts a digram whose predecessor starts the same
   /// digram: A is the right occurrence of an overlapping run ("aaa").
   bool isRightTwin(NodeIdx A) const;
 
-  /// append()'s cold path: dies on a sealed grammar, rebuilds a
-  /// released index.
-  [[gnu::noinline, gnu::cold]] void reopenForAppend();
-
   NodeIdx Start = NilIdx;
   uint64_t InputLen = 0;
   Churn Counters;
   DigramTable Index;
   std::vector<NodeIdx> MaybeUnderused;
-  bool Sealed = false;
-  /// Set by releaseIndex(), cleared by rebuildIndex(). Beside Sealed, so
-  /// that append() tests both with one branch.
+  /// Set by releaseIndex(), cleared by rebuildIndex().
   bool IndexReleased = false;
-  /// Index.size() when seal() or releaseIndex() released it.
-  size_t SealedDigrams = 0;
-  /// Index.capacity() when seal() or releaseIndex() released it.
-  size_t SealedIndexSlots = 0;
+  /// Index.size() when releaseIndex() released it.
+  size_t ReleasedDigrams = 0;
+  /// Index.capacity() when releaseIndex() released it.
+  size_t ReleasedIndexSlots = 0;
   /// While the index is released: the symbols whose index entries named
   /// the right occurrence of an overlapping run (see releaseIndex()).
   std::vector<NodeIdx> RightTwins;
-  size_t SealedSymbolSlabs = 0; ///< SymbolSlabs.size() at the seal.
-  size_t SealedRuleSlabs = 0;   ///< RuleSlabs.size() at the seal.
-  /// The serialize() image seal() stored, with the capacity its
-  /// serialization grew to; empty until then.
-  std::vector<uint8_t> Image;
 
   /// \name Wide terminals
   /// Terminals of 2^31 or more, in first-append order; a wide code

@@ -373,7 +373,7 @@ SessionArtifacts ProfileSession::finalize() {
 }
 
 void ProfileSession::releaseIndexes() {
-  if (Whomp) // Sealed grammars ignore it.
+  if (Whomp) // Finished compressors ignore it.
     Whomp->releaseIndexes();
 }
 
@@ -410,7 +410,7 @@ size_t ProfileSession::memoryEstimateBytes() {
       for (core::Dimension D :
            {core::Dimension::Instruction, core::Dimension::Group,
             core::Dimension::Object, core::Dimension::Offset})
-        Est += Whomp->grammarFor(D).footprintBytes();
+        Est += Whomp->compressorFor(D).footprintBytes();
     }
     if (Leap)
       Est += Leap->serializedSizeBytes();

@@ -187,10 +187,10 @@ public:
   /// Finishing seals WHOMP's grammars: each serializes once into its
   /// image and gives back its digram index and slab arena, and the OMSG
   /// archive is built from those images. The profilers stay readable
-  /// afterwards (whomp()->sizes(), the grammars' ruleStats() and dump(),
-  /// the whomp.* gauges), all answered from the images. Idempotent in
-  /// effect but rebuilds the artifact bytes each call — call once at end
-  /// of life.
+  /// afterwards (whomp()->sizes(), whomp()->imageFor() with its
+  /// ruleStats() and dump(), the whomp.* gauges), all answered from the
+  /// images. Idempotent in effect but rebuilds the artifact bytes each
+  /// call — call once at end of life.
   SessionArtifacts finalize();
 
   bool failed() const { return Failed; }
@@ -200,10 +200,10 @@ public:
   /// Resident-footprint estimate of the session's pipeline state — the
   /// quantity SessionManager's memory budget and LRU eviction operate
   /// on. The four WHOMP grammars count their real bytes
-  /// (SequiturGrammar::footprintBytes: slabs plus digram-index mapped
-  /// pages, and after finalize() only their images); OMC groups/live
-  /// objects and the LEAP profile size add nominal weights that grow
-  /// with real usage.
+  /// (SequiturStreamCompressor::footprintBytes: the builder's slabs plus
+  /// digram-index mapped pages, and after finalize() only the images'
+  /// bytes); OMC groups/live objects and the LEAP profile size add
+  /// nominal weights that grow with real usage.
   size_t memoryEstimateBytes();
 
 private:

@@ -22,8 +22,8 @@ const core::Dimension Dims[] = {
 sequitur::ParsedImage parseOwnImage(std::vector<uint8_t> Image) {
   sequitur::ParsedImage Parsed;
   std::string Err;
-  if (!sequitur::SequiturGrammar::parseImageChecked(std::move(Image), Parsed,
-                                                    Err, ~uint64_t(0)))
+  if (!sequitur::parseImageChecked(std::move(Image), Parsed, Err,
+                                   ~uint64_t(0)))
     ORP_FATAL_ERROR(Err.c_str());
   return Parsed;
 }
@@ -33,10 +33,9 @@ sequitur::ParsedImage parseOwnImage(std::vector<uint8_t> Image) {
 OmsgArchive OmsgArchive::build(const WhompProfiler &Profiler,
                                const omc::ObjectManager *Omc) {
   OmsgArchive Archive;
-  // A sealed grammar's serialize() copies the image it stored.
+  // The parse keeps a copy of each image the seal stored.
   for (core::Dimension D : Dims)
-    Archive.Images.push_back(
-        parseOwnImage(Profiler.grammarFor(D).serialize()));
+    Archive.Images.push_back(parseOwnImage(Profiler.imageFor(D).bytes()));
   if (Omc) {
     for (const auto &Rec : Omc->records())
       Archive.Aux.push_back(ObjectAux{Rec.Group, Rec.Serial, Rec.Size,
@@ -145,7 +144,7 @@ bool OmsgArchive::deserialize(const std::vector<uint8_t> &Bytes,
       return false;
     }
     sequitur::ParsedImage Image;
-    if (!sequitur::SequiturGrammar::parseImageChecked(
+    if (!sequitur::parseImageChecked(
             std::vector<uint8_t>(Bytes.begin() + Pos,
                                  Bytes.begin() + Pos + Len),
             Image, Err))

@@ -48,11 +48,11 @@ struct ObjectAux {
 /// A parsed (or freshly built) OMSG archive.
 class OmsgArchive {
 public:
-  /// Builds the invariant part from \p Profiler by parsing each
-  /// dimension grammar's image: the one its seal stored once the
-  /// profiler finished, else a fresh serialization. When \p Omc is
-  /// given, the auxiliary lifetime table is included (base addresses —
-  /// the run-dependent raw data — are deliberately NOT stored).
+  /// Builds the invariant part from a finished \p Profiler by parsing
+  /// each dimension's grammar image (WhompProfiler::imageFor). When
+  /// \p Omc is given, the auxiliary lifetime table is included (base
+  /// addresses — the run-dependent raw data — are deliberately NOT
+  /// stored).
   static OmsgArchive build(const WhompProfiler &Profiler,
                            const omc::ObjectManager *Omc = nullptr);
 
@@ -69,7 +69,7 @@ public:
   /// Parses a serialize()d image. Returns false (with a diagnostic in
   /// \p Err) on any malformed input — bad magic, version, checksum,
   /// truncation, or grammar images that fail
-  /// SequiturGrammar::parseImageChecked — and never reads out of bounds:
+  /// sequitur::parseImageChecked — and never reads out of bounds:
   /// archive files are untrusted input. Nothing is expanded.
   [[nodiscard]] static bool deserialize(const std::vector<uint8_t> &Bytes,
                                         OmsgArchive &Out, std::string &Err);

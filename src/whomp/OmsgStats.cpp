@@ -21,11 +21,12 @@ OmsgStats OmsgStats::fromArchive(const OmsgArchive &Archive) {
     Dim.GrammarBytes = Image.bytes().size();
     // Recompressing the stream, rather than reading the image's rules,
     // keeps the digest canonical for any image that expands to it.
-    sequitur::SequiturGrammar Grammar;
+    sequitur::SequiturGrammar Builder;
     for (sequitur::ImageCursor C(Image); !C.done();)
-      Grammar.append(C.next());
-    Dim.RuleCount = Grammar.numRules();
-    Dim.BodySymbols = Grammar.totalBodySymbols();
+      Builder.append(C.next());
+    const sequitur::GrammarImage Grammar = std::move(Builder).seal();
+    Dim.RuleCount = Grammar.stats().Rules;
+    Dim.BodySymbols = Grammar.stats().BodySymbols;
     for (const auto &Rule : Grammar.ruleStats(/*PrefixCap=*/0)) {
       unsigned Bucket = 0;
       for (uint64_t V = Rule.Occurrences; V > 1; V >>= 1)

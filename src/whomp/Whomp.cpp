@@ -4,6 +4,7 @@
 
 #include "check/Check.h"
 #include "check/GrammarValidator.h"
+#include "support/Error.h"
 
 #include <iterator>
 #include <string>
@@ -18,11 +19,12 @@ namespace {
 /// window, rare enough that checked runs stay usable.
 constexpr uint64_t ValidateIntervalTuples = 1 << 16;
 
-/// Level-2 checked builds only: runs GrammarValidator over \p G and
-/// aborts (checkFailed) on any violation. \p When labels the report
-/// ("periodic" / "finish").
-void validateGrammar(const sequitur::SequiturGrammar &G,
-                     const char *Dimension, const char *When) {
+/// Level-2 checked builds only: runs GrammarValidator over \p G (a
+/// builder or an image) and aborts (checkFailed) on any violation.
+/// \p When labels the report ("periodic" / "finish" / "sealed").
+template <typename GrammarT>
+void validateGrammar(const GrammarT &G, const char *Dimension,
+                     const char *When) {
   check::CheckReport Report = check::GrammarValidator::validate(G);
   if (!Report.ok()) {
     std::string Msg = std::string("WHOMP ") + When +
@@ -40,12 +42,57 @@ const core::Dimension kDimensions[] = {
 } // namespace
 
 void SequiturStreamCompressor::finish() {
+  if (!Builder)
+    return;
   // The last check of the arena and of the digram index (or of the right
   // twins a released index recorded), then both go: the grammar
-  // serializes once into its image, which finalize archives.
+  // serializes once into its image, which finalize archives, and checked
+  // builds audit that image too.
   if constexpr (check::Level >= 2)
-    validateGrammar(Grammar, Dimension, "finish");
-  Grammar.seal();
+    validateGrammar(*Builder, Dimension, "finish");
+  Image.emplace(std::move(*Builder).seal());
+  Builder.reset();
+  if constexpr (check::Level >= 2)
+    validateGrammar(*Image, Dimension, "sealed");
+}
+
+void SequiturStreamCompressor::releaseIndex() {
+  if (Builder)
+    Builder->releaseIndex();
+}
+
+void SequiturStreamCompressor::rebuildIndex() {
+  if (Builder)
+    Builder->rebuildIndex();
+}
+
+bool SequiturStreamCompressor::indexReleased() const {
+  return Builder && Builder->indexReleased();
+}
+
+size_t SequiturStreamCompressor::indexBytes() const {
+  return Builder ? Builder->indexBytes() : 0;
+}
+
+const sequitur::SequiturGrammar &SequiturStreamCompressor::grammar() const {
+  if (!Builder)
+    ORP_FATAL_ERROR("whomp: the grammar builder is gone once finished; "
+                    "read the image");
+  return *Builder;
+}
+
+const sequitur::GrammarImage &SequiturStreamCompressor::image() const {
+  if (!Image)
+    ORP_FATAL_ERROR("whomp: no grammar image before finish()");
+  return *Image;
+}
+
+sequitur::GrammarStats SequiturStreamCompressor::stats() const {
+  return Builder ? Builder->stats() : Image->stats();
+}
+
+size_t SequiturStreamCompressor::footprintBytes() const {
+  return Builder ? Builder->footprintBytes() : Image->footprintBytes();
 }
 
 WhompProfiler::WhompProfiler(unsigned Threads,
@@ -66,23 +113,22 @@ WhompProfiler::WhompProfiler(unsigned Threads,
             // them (serial mode, or after finish() joined the workers).
             if (!Decomposer.threaded()) {
               for (core::Dimension D : Decomposer.dimensions()) {
-                const sequitur::SequiturGrammar &G = grammarFor(D);
+                const sequitur::GrammarStats G = compressorFor(D).stats();
                 std::string P =
                     std::string("whomp.") + core::dimensionName(D) + ".";
-                R.gauge(P + "rules").set(static_cast<int64_t>(G.numRules()));
+                R.gauge(P + "rules").set(static_cast<int64_t>(G.Rules));
                 R.gauge(P + "input_symbols")
-                    .set(static_cast<int64_t>(G.inputLength()));
+                    .set(static_cast<int64_t>(G.InputLength));
                 R.gauge(P + "body_symbols")
-                    .set(static_cast<int64_t>(G.totalBodySymbols()));
-                R.gauge(P + "digrams")
-                    .set(static_cast<int64_t>(G.numDigrams()));
+                    .set(static_cast<int64_t>(G.BodySymbols));
+                R.gauge(P + "digrams").set(static_cast<int64_t>(G.Digrams));
                 R.gauge(P + "symbol_slabs")
-                    .set(static_cast<int64_t>(G.numSymbolSlabs()));
+                    .set(static_cast<int64_t>(G.SymbolSlabs));
                 R.gauge(P + "rule_slabs")
-                    .set(static_cast<int64_t>(G.numRuleSlabs()));
+                    .set(static_cast<int64_t>(G.RuleSlabs));
                 R.gauge(P + "index_slots")
-                    .set(static_cast<int64_t>(G.indexSlots()));
-                const sequitur::SequiturGrammar::Churn &C = G.churn();
+                    .set(static_cast<int64_t>(G.IndexSlots));
+                const sequitur::Churn &C = G.Work;
                 R.gauge(P + "rules_created")
                     .set(static_cast<int64_t>(C.RulesCreated));
                 R.gauge(P + "rules_inlined")
@@ -144,7 +190,8 @@ void WhompProfiler::consumeBatch(std::span<const core::OrTuple> Batch) {
 // Each compressor's finish() validates and seals its grammar.
 void WhompProfiler::finish() { Decomposer.finish(); }
 
-SequiturStreamCompressor &WhompProfiler::compressorFor(core::Dimension D) {
+SequiturStreamCompressor &
+WhompProfiler::mutableCompressorFor(core::Dimension D) {
   return static_cast<SequiturStreamCompressor &>(Decomposer.compressorFor(D));
 }
 
@@ -152,26 +199,26 @@ void WhompProfiler::releaseIndexes() {
   if (Decomposer.threaded())
     return;
   for (core::Dimension D : kDimensions)
-    compressorFor(D).releaseIndex();
+    mutableCompressorFor(D).releaseIndex();
 }
 
 void WhompProfiler::rebuildIndexes() {
   if (Decomposer.threaded())
     return;
   for (core::Dimension D : kDimensions)
-    compressorFor(D).rebuildIndex();
+    mutableCompressorFor(D).rebuildIndex();
 }
 
 bool WhompProfiler::indexesReleased() const {
   return !Decomposer.threaded() &&
-         grammarFor(core::Dimension::Instruction).indexReleased();
+         compressorFor(core::Dimension::Instruction).indexReleased();
 }
 
 size_t WhompProfiler::indexBytes() const {
   size_t Bytes = 0;
   if (!Decomposer.threaded())
     for (core::Dimension D : kDimensions)
-      Bytes += grammarFor(D).indexBytes();
+      Bytes += compressorFor(D).indexBytes();
   return Bytes;
 }
 
@@ -179,22 +226,21 @@ uint64_t WhompProfiler::bodySymbols() const {
   uint64_t Symbols = 0;
   if (!Decomposer.threaded())
     for (core::Dimension D : kDimensions)
-      Symbols += grammarFor(D).totalBodySymbols();
+      Symbols += compressorFor(D).stats().BodySymbols;
   return Symbols;
 }
 
-const sequitur::SequiturGrammar &
-WhompProfiler::grammarFor(core::Dimension D) const {
+const SequiturStreamCompressor &
+WhompProfiler::compressorFor(core::Dimension D) const {
   return static_cast<const SequiturStreamCompressor &>(
-             Decomposer.compressorFor(D))
-      .grammar();
+      Decomposer.compressorFor(D));
 }
 
 OmsgSizes WhompProfiler::sizes() const {
   OmsgSizes S;
-  S.Instr = grammarFor(core::Dimension::Instruction).serializedSizeBytes();
-  S.Group = grammarFor(core::Dimension::Group).serializedSizeBytes();
-  S.Object = grammarFor(core::Dimension::Object).serializedSizeBytes();
-  S.Offset = grammarFor(core::Dimension::Offset).serializedSizeBytes();
+  S.Instr = compressorFor(core::Dimension::Instruction).serializedSizeBytes();
+  S.Group = compressorFor(core::Dimension::Group).serializedSizeBytes();
+  S.Object = compressorFor(core::Dimension::Object).serializedSizeBytes();
+  S.Offset = compressorFor(core::Dimension::Offset).serializedSizeBytes();
   return S;
 }

@@ -27,44 +27,64 @@
 #include <array>
 #include <cstddef>
 #include <memory>
+#include <optional>
 
 namespace orp {
 namespace whomp {
 
-/// StreamCompressor adapter over a Sequitur grammar. \p Dimension names
-/// the stream in diagnostics.
+/// StreamCompressor adapter over a Sequitur grammar, and the one place
+/// that knows its phase: it holds the builder until finish() and the
+/// image after it. \p Dimension names the stream in diagnostics.
 class SequiturStreamCompressor : public core::StreamCompressor {
 public:
   explicit SequiturStreamCompressor(const char *Dimension = "")
       : Dimension(Dimension) {}
 
-  void append(uint64_t Symbol) override { Grammar.append(Symbol); }
+  void append(uint64_t Symbol) override { Builder->append(Symbol); }
   void appendBatch(std::span<const uint64_t> Symbols) override {
     // One virtual call for the whole run; the grammar's digram table and
     // arena stay hot across the inner loop.
     for (uint64_t Symbol : Symbols)
-      Grammar.append(Symbol);
+      Builder->append(Symbol);
   }
   size_t serializedSizeBytes() const override {
-    return Grammar.serializedSizeBytes();
+    return Builder ? Builder->serializedSizeBytes()
+                   : Image->serializedSizeBytes();
   }
 
-  /// Ends the stream: validates the grammar (level 2) and turns it into
-  /// its image (SequiturGrammar::seal). Runs on the thread that owns the
-  /// grammar, a dimension worker in threaded mode.
+  /// Ends the stream: validates the builder (level 2), seals it into its
+  /// image (SequiturGrammar::seal) and validates the image (level 2).
+  /// Runs on the thread that owns the grammar, a dimension worker in
+  /// threaded mode. A no-op once finished.
   void finish() override;
 
-  /// Gives back and rebuilds the grammar's digram index
-  /// (SequiturGrammar::releaseIndex / rebuildIndex).
-  void releaseIndex() { Grammar.releaseIndex(); }
-  void rebuildIndex() { Grammar.rebuildIndex(); }
+  /// True once finish() sealed the grammar.
+  bool finished() const { return !Builder; }
 
-  /// Returns the underlying grammar.
-  const sequitur::SequiturGrammar &grammar() const { return Grammar; }
+  /// Gives back and rebuilds the builder's digram index
+  /// (SequiturGrammar::releaseIndex / rebuildIndex); no-ops once
+  /// finished.
+  void releaseIndex();
+  void rebuildIndex();
+  /// The builder's indexReleased() and indexBytes(); false and 0 once
+  /// finished.
+  bool indexReleased() const;
+  size_t indexBytes() const;
+
+  /// The builder; valid only before finish().
+  const sequitur::SequiturGrammar &grammar() const;
+  /// The image; valid only after finish().
+  const sequitur::GrammarImage &image() const;
+
+  /// Readings valid in both phases: the builder's before finish(), the
+  /// image's after it.
+  sequitur::GrammarStats stats() const;
+  size_t footprintBytes() const;
 
 private:
   const char *Dimension;
-  sequitur::SequiturGrammar Grammar;
+  std::optional<sequitur::SequiturGrammar> Builder{std::in_place};
+  std::optional<sequitur::GrammarImage> Image;
 };
 
 /// Serialized per-dimension sizes of an OMSG.
@@ -98,8 +118,8 @@ public:
   /// Validates the grammars (level 2) and seals all four, each on the
   /// thread that owns it (in threaded mode its dimension worker, after
   /// its last chunk), then joins the workers: the finished OMSG is four
-  /// images, with no digram index and no slab arena left; sizes(),
-  /// grammarFor() and the whomp.* gauges read the images and the
+  /// images, with no digram index and no slab arena left; imageFor()
+  /// returns them, and sizes() and the whomp.* gauges read them and the
   /// counters kept at the seal. No tuple may follow.
   void finish() override;
 
@@ -112,17 +132,27 @@ public:
   void rebuildIndexes();
   /// True while the indexes are released.
   bool indexesReleased() const;
-  /// The four grammars' indexBytes() and totalBodySymbols() summed; 0
-  /// in threaded mode.
+  /// The four grammars' indexBytes() and body symbols summed; 0 in
+  /// threaded mode.
   size_t indexBytes() const;
   uint64_t bodySymbols() const;
 
   /// Returns the number of tuples compressed.
   uint64_t tuplesSeen() const { return Tuples; }
 
-  /// Returns the grammar of one OMSG dimension. \p D must be one of
-  /// Instruction, Group, Object, Offset.
-  const sequitur::SequiturGrammar &grammarFor(core::Dimension D) const;
+  /// The compressor of one OMSG dimension, whose stats(),
+  /// serializedSizeBytes() and footprintBytes() answer before and after
+  /// finish(). \p D must be one of Instruction, Group, Object, Offset.
+  const SequiturStreamCompressor &compressorFor(core::Dimension D) const;
+
+  /// The builder of one OMSG dimension; valid only before finish().
+  const sequitur::SequiturGrammar &grammarFor(core::Dimension D) const {
+    return compressorFor(D).grammar();
+  }
+  /// The image of one OMSG dimension; valid only after finish().
+  const sequitur::GrammarImage &imageFor(core::Dimension D) const {
+    return compressorFor(D).image();
+  }
 
   /// Returns the serialized per-dimension and total sizes.
   OmsgSizes sizes() const;
@@ -132,8 +162,8 @@ private:
   /// dimension grammars and aborts (checkFailed) on any violation.
   void validateGrammars() const;
 
-  /// The compressor of dimension \p D.
-  SequiturStreamCompressor &compressorFor(core::Dimension D);
+  /// compressorFor(), for releaseIndexes() and rebuildIndexes().
+  SequiturStreamCompressor &mutableCompressorFor(core::Dimension D);
 
   core::HorizontalDecomposer Decomposer;
   uint64_t Tuples = 0;

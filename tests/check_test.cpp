@@ -103,7 +103,7 @@ void appendUntilIndexSlots(sequitur::SequiturGrammar &G, size_t Slots) {
 TEST(GrammarValidatorTest, CatchesDisplacementSkewAfterKeyFreeGrowth) {
   // The doubling to 128 slots re-homed every entry from its extension
   // bits. A skewed displacement names another home and a flipped
-  // extension bit another hash; both checkers must see the mismatch.
+  // extension bit another hash; the validator must see the mismatch.
   sequitur::SequiturGrammar G;
   appendUntilIndexSlots(G, 128);
   ASSERT_TRUE(GrammarValidator::validate(G).ok());
@@ -114,7 +114,6 @@ TEST(GrammarValidatorTest, CatchesDisplacementSkewAfterKeyFreeGrowth) {
   EXPECT_NE(Report.str().find("disagree with the key's hash"),
             std::string::npos)
       << Report.str();
-  EXPECT_FALSE(G.checkInvariants());
 }
 
 TEST(GrammarValidatorTest, CatchesDisplacementSkewAfterRebuildingGrowth) {
@@ -123,7 +122,6 @@ TEST(GrammarValidatorTest, CatchesDisplacementSkewAfterRebuildingGrowth) {
   sequitur::SequiturGrammar G;
   appendUntilIndexSlots(G, size_t(1) << 11);
   ASSERT_TRUE(GrammarValidator::validate(G).ok());
-  ASSERT_TRUE(G.checkInvariants());
   ASSERT_TRUE(GrammarValidator::injectForTest(
       G, GrammarValidator::Corruption::DigramDisplacementSkew));
   check::CheckReport Report = GrammarValidator::validate(G);
@@ -131,7 +129,6 @@ TEST(GrammarValidatorTest, CatchesDisplacementSkewAfterRebuildingGrowth) {
   EXPECT_NE(Report.str().find("disagree with the key's hash"),
             std::string::npos)
       << Report.str();
-  EXPECT_FALSE(G.checkInvariants());
 }
 
 TEST(GrammarValidatorTest, CatchesDigramIndexDrop) {
@@ -143,7 +140,6 @@ TEST(GrammarValidatorTest, CatchesDigramIndexDrop) {
   EXPECT_FALSE(Report.ok());
   EXPECT_NE(Report.str().find("is not indexed"), std::string::npos)
       << Report.str();
-  EXPECT_FALSE(G.checkInvariants());
 }
 
 TEST(GrammarValidatorTest, CatchesDigramIndexRetarget) {
@@ -157,13 +153,12 @@ TEST(GrammarValidatorTest, CatchesDigramIndexRetarget) {
   EXPECT_NE(Report.str().find("points at a different digram"),
             std::string::npos)
       << Report.str();
-  EXPECT_FALSE(G.checkInvariants());
 }
 
 TEST(GrammarValidatorTest, CatchesDigramIndexEntryOnFreedSymbol) {
   // The index stores no keys, so an entry naming a freed symbol would
   // make a careless checker read reclaimed (under ASan: poisoned)
-  // memory. Both checkers must flag the entry without reading it.
+  // memory. The validator must flag the entry without reading it.
   sequitur::SequiturGrammar G;
   appendPeriodic(G);
   ASSERT_TRUE(GrammarValidator::injectForTest(
@@ -175,7 +170,6 @@ TEST(GrammarValidatorTest, CatchesDigramIndexEntryOnFreedSymbol) {
       << Report.str();
   EXPECT_NE(Report.str().find("is not indexed"), std::string::npos)
       << Report.str();
-  EXPECT_FALSE(G.checkInvariants());
 }
 
 TEST(GrammarValidatorTest, CatchesUseCountSkew) {
@@ -187,7 +181,6 @@ TEST(GrammarValidatorTest, CatchesUseCountSkew) {
   EXPECT_FALSE(Report.ok());
   EXPECT_NE(Report.str().find("but the bodies hold"), std::string::npos)
       << Report.str();
-  EXPECT_FALSE(G.checkInvariants());
 }
 
 TEST(GrammarValidatorTest, CatchesUseXorSkew) {
@@ -202,7 +195,6 @@ TEST(GrammarValidatorTest, CatchesUseXorSkew) {
   EXPECT_NE(Report.str().find("UseXor"), std::string::npos) << Report.str();
   EXPECT_EQ(Report.str().find("but the bodies hold"), std::string::npos)
       << Report.str();
-  EXPECT_FALSE(G.checkInvariants());
 }
 
 TEST(GrammarValidatorTest, CatchesLivenessTagClear) {
@@ -214,7 +206,6 @@ TEST(GrammarValidatorTest, CatchesLivenessTagClear) {
   EXPECT_FALSE(Report.ok());
   EXPECT_NE(Report.str().find("body symbol is released"), std::string::npos)
       << Report.str();
-  EXPECT_FALSE(G.checkInvariants());
 }
 
 TEST(GrammarValidatorTest, CatchesDigramDuplicate) {
@@ -226,7 +217,6 @@ TEST(GrammarValidatorTest, CatchesDigramDuplicate) {
   EXPECT_FALSE(Report.ok());
   EXPECT_NE(Report.str().find("digram uniqueness violated"), std::string::npos)
       << Report.str();
-  EXPECT_FALSE(G.checkInvariants());
 }
 
 TEST(GrammarValidatorTest, WideTerminalGrammarsValidate) {
@@ -238,11 +228,8 @@ TEST(GrammarValidatorTest, WideTerminalGrammarsValidate) {
   ASSERT_EQ(G.numWideValues(), 3u);
   check::CheckReport Report = GrammarValidator::validate(G);
   EXPECT_TRUE(Report.ok()) << Report.str();
-  EXPECT_TRUE(G.checkInvariants());
-  G.seal();
-  Report = GrammarValidator::validate(G);
+  Report = GrammarValidator::validate(std::move(G).seal());
   EXPECT_TRUE(Report.ok()) << Report.str();
-  EXPECT_TRUE(G.checkInvariants());
 }
 
 TEST(GrammarValidatorTest, CatchesNarrowValueInterned) {
@@ -256,7 +243,6 @@ TEST(GrammarValidatorTest, CatchesNarrowValueInterned) {
   EXPECT_FALSE(Report.ok());
   EXPECT_NE(Report.str().find("holds the narrow value"), std::string::npos)
       << Report.str();
-  EXPECT_FALSE(G.checkInvariants());
 }
 
 TEST(GrammarValidatorTest, CatchesWideCodePastTable) {
@@ -269,7 +255,6 @@ TEST(GrammarValidatorTest, CatchesWideCodePastTable) {
   EXPECT_FALSE(Report.ok());
   EXPECT_NE(Report.str().find("past the table of 1"), std::string::npos)
       << Report.str();
-  EXPECT_FALSE(G.checkInvariants());
 }
 
 TEST(GrammarValidatorTest, CatchesUnreachableLiveRule) {
@@ -284,7 +269,6 @@ TEST(GrammarValidatorTest, CatchesUnreachableLiveRule) {
   EXPECT_NE(Report.str().find("reachable from the start rule"),
             std::string::npos)
       << Report.str();
-  EXPECT_FALSE(G.checkInvariants());
 }
 
 //===----------------------------------------------------------------------===//
@@ -292,57 +276,53 @@ TEST(GrammarValidatorTest, CatchesUnreachableLiveRule) {
 //===----------------------------------------------------------------------===//
 
 TEST(GrammarValidatorTest, SealedGrammarsValidate) {
-  // A sealed grammar has no index; both checkers must accept it and
-  // still audit everything else.
+  // An image has no arena and no index; the validator still audits its
+  // bodies and the counters kept beside them.
   size_t Count = 0;
   const seqstreams::StreamCase *Cases = seqstreams::streamCases(Count);
   for (size_t I = 0; I != Count; ++I) {
     sequitur::SequiturGrammar G;
     G.appendAll(seqstreams::makeStream(Cases[I]));
-    G.seal();
-    check::CheckReport Report = GrammarValidator::validate(G);
+    check::CheckReport Report =
+        GrammarValidator::validate(std::move(G).seal());
     EXPECT_TRUE(Report.ok()) << Cases[I].Name << ":\n" << Report.str();
-    EXPECT_TRUE(G.checkInvariants()) << Cases[I].Name;
   }
-  sequitur::SequiturGrammar Empty;
-  Empty.seal();
-  EXPECT_TRUE(GrammarValidator::validate(Empty).ok())
-      << GrammarValidator::validate(Empty).str();
-  EXPECT_TRUE(Empty.checkInvariants());
+  check::CheckReport Empty =
+      GrammarValidator::validate(sequitur::SequiturGrammar().seal());
+  EXPECT_TRUE(Empty.ok()) << Empty.str();
 }
 
-TEST(GrammarValidatorTest, SealedGrammarHasNoIndexToCorrupt) {
-  sequitur::SequiturGrammar G;
-  appendPeriodic(G);
-  G.seal();
-  EXPECT_FALSE(GrammarValidator::injectForTest(
-      G, GrammarValidator::Corruption::DigramIndexDrop));
-  EXPECT_FALSE(GrammarValidator::injectForTest(
-      G, GrammarValidator::Corruption::DigramIndexRetarget));
-  EXPECT_FALSE(GrammarValidator::injectForTest(
-      G, GrammarValidator::Corruption::DigramDisplacementSkew));
-  EXPECT_TRUE(GrammarValidator::validate(G).ok());
-}
+// The corruption classes are split by grammar type: an image has no
+// arena or index to corrupt, and a builder no image, so injecting the
+// wrong kind does not compile.
+template <typename GrammarT, typename KindT>
+concept Injectable = requires(GrammarT &G, KindT K) {
+  GrammarValidator::injectForTest(G, K);
+};
+static_assert(Injectable<sequitur::SequiturGrammar,
+                         GrammarValidator::Corruption>);
+static_assert(Injectable<sequitur::GrammarImage,
+                         GrammarValidator::ImageCorruption>);
+static_assert(!Injectable<sequitur::GrammarImage,
+                          GrammarValidator::Corruption>);
+static_assert(!Injectable<sequitur::SequiturGrammar,
+                          GrammarValidator::ImageCorruption>);
 
 /// Seals a periodic grammar, injects the image corruption \p K and
-/// returns the validator's report; checkInvariants() must fail as well.
-check::CheckReport validateSealedAfter(GrammarValidator::Corruption K) {
+/// returns the validator's report.
+check::CheckReport validateSealedAfter(GrammarValidator::ImageCorruption K) {
   sequitur::SequiturGrammar G;
   appendPeriodic(G);
-  G.seal();
-  EXPECT_TRUE(G.checkInvariants());
-  EXPECT_FALSE(GrammarValidator::injectForTest(
-      G, GrammarValidator::Corruption::UseXorSkew))
-      << "a sealed grammar has no arena to corrupt";
-  EXPECT_TRUE(GrammarValidator::injectForTest(G, K));
-  EXPECT_FALSE(G.checkInvariants());
-  return GrammarValidator::validate(G);
+  sequitur::GrammarImage Image = std::move(G).seal();
+  EXPECT_TRUE(GrammarValidator::validate(Image).ok());
+  EXPECT_TRUE(GrammarValidator::injectForTest(Image, K));
+  return GrammarValidator::validate(Image);
 }
 
 TEST(GrammarValidatorTest, CatchesImageDigramDuplicate) {
   // Without an index, uniqueness rests on the image's own bodies.
   check::CheckReport Report = validateSealedAfter(
-      GrammarValidator::Corruption::ImageDigramDuplicate);
+      GrammarValidator::ImageCorruption::DigramDuplicate);
   EXPECT_FALSE(Report.ok());
   EXPECT_NE(Report.str().find("digram uniqueness violated"), std::string::npos)
       << Report.str();
@@ -352,7 +332,7 @@ TEST(GrammarValidatorTest, CatchesImageDigramDuplicate) {
 
 TEST(GrammarValidatorTest, CatchesImageRuleUsedOnce) {
   check::CheckReport Report =
-      validateSealedAfter(GrammarValidator::Corruption::ImageRuleUsedOnce);
+      validateSealedAfter(GrammarValidator::ImageCorruption::RuleUsedOnce);
   EXPECT_FALSE(Report.ok());
   EXPECT_NE(Report.str().find("R1: rule utility below 2 (1 uses)"),
             std::string::npos)
@@ -362,12 +342,12 @@ TEST(GrammarValidatorTest, CatchesImageRuleUsedOnce) {
 TEST(GrammarValidatorTest, CatchesImageCountersSkew) {
   // The counters a sealed grammar keeps beside its image must be the
   // image's own: rules, terminals and distinct digrams.
-  const std::pair<GrammarValidator::Corruption, const char *> Cases[] = {
-      {GrammarValidator::Corruption::ImageRuleCountSkew,
+  const std::pair<GrammarValidator::ImageCorruption, const char *> Cases[] = {
+      {GrammarValidator::ImageCorruption::RuleCountSkew,
        "rules but the grammar reports"},
-      {GrammarValidator::Corruption::ImageLengthSkew,
+      {GrammarValidator::ImageCorruption::LengthSkew,
        "terminals but InputLen is"},
-      {GrammarValidator::Corruption::ImageDigramCountSkew,
+      {GrammarValidator::ImageCorruption::DigramCountSkew,
        "distinct digrams"},
   };
   for (const auto &[K, Want] : Cases) {
@@ -378,22 +358,12 @@ TEST(GrammarValidatorTest, CatchesImageCountersSkew) {
   }
 }
 
-TEST(GrammarValidatorTest, LiveGrammarHasNoImageToCorrupt) {
-  sequitur::SequiturGrammar G;
-  appendPeriodic(G);
-  EXPECT_FALSE(GrammarValidator::injectForTest(
-      G, GrammarValidator::Corruption::ImageDigramDuplicate));
-  EXPECT_FALSE(GrammarValidator::injectForTest(
-      G, GrammarValidator::Corruption::ImageLengthSkew));
-  EXPECT_TRUE(GrammarValidator::validate(G).ok());
-}
-
 //===----------------------------------------------------------------------===//
 // GrammarValidator: released digram indexes
 //===----------------------------------------------------------------------===//
 
 TEST(GrammarValidatorTest, ReleasedGrammarsValidate) {
-  // With the index given back, both checkers audit the bodies and the
+  // With the index given back, the validator audits the bodies and the
   // recorded right twins, and accept every grammar of the pinned suite;
   // the rebuilt index passes the full index checks again.
   size_t Count = 0;
@@ -404,11 +374,9 @@ TEST(GrammarValidatorTest, ReleasedGrammarsValidate) {
     G.releaseIndex();
     check::CheckReport Report = GrammarValidator::validate(G);
     EXPECT_TRUE(Report.ok()) << Cases[I].Name << ":\n" << Report.str();
-    EXPECT_TRUE(G.checkInvariants()) << Cases[I].Name;
     G.rebuildIndex();
     Report = GrammarValidator::validate(G);
     EXPECT_TRUE(Report.ok()) << Cases[I].Name << ":\n" << Report.str();
-    EXPECT_TRUE(G.checkInvariants()) << Cases[I].Name;
   }
 }
 
@@ -437,8 +405,7 @@ TEST(GrammarValidatorTest, CatchesReleasedTwinSkew) {
                                 "overlapping run"),
               std::string::npos)
         << Report.str();
-    EXPECT_FALSE(G.checkInvariants());
-  }
+    }
 }
 
 TEST(GrammarValidatorTest, ReleasedGrammarHasNoIndexToCorrupt) {
@@ -454,7 +421,6 @@ TEST(GrammarValidatorTest, ReleasedGrammarHasNoIndexToCorrupt) {
   ASSERT_TRUE(GrammarValidator::injectForTest(
       G, GrammarValidator::Corruption::DigramDuplicate));
   EXPECT_FALSE(GrammarValidator::validate(G).ok());
-  EXPECT_FALSE(G.checkInvariants());
 }
 
 //===----------------------------------------------------------------------===//

@@ -39,6 +39,12 @@ using namespace orp::sequitur;
 
 namespace {
 
+struct DigramKeyHash {
+  size_t operator()(const DigramKey &K) const {
+    return static_cast<size_t>(hashDigram(K));
+  }
+};
+
 //===----------------------------------------------------------------------===//
 // hashDigram quality
 //===----------------------------------------------------------------------===//

@@ -48,7 +48,7 @@ TEST_P(EndToEndTest, WhompIsLosslessOnEveryBenchmark) {
   const auto Dims = {core::Dimension::Instruction, core::Dimension::Group,
                      core::Dimension::Object, core::Dimension::Offset};
   for (core::Dimension D : Dims) {
-    auto Expanded = Whomp.grammarFor(D).expandAll();
+    auto Expanded = Whomp.imageFor(D).expandAll();
     ASSERT_EQ(Expanded.size(), Tuples.Tuples.size()) << GetParam();
     for (size_t I = 0; I < Expanded.size(); I += 97) // Sampled compare.
       ASSERT_EQ(Expanded[I], core::dimensionValue(Tuples.Tuples[I], D))

@@ -111,7 +111,7 @@ TEST(RuleStatsTest, PaperExampleCounts) {
   sequitur::SequiturGrammar G;
   for (char C : std::string("abcbcabcbc"))
     G.append(static_cast<uint64_t>(C));
-  auto Stats = G.ruleStats();
+  auto Stats = std::move(G).seal().ruleStats();
   ASSERT_EQ(Stats.size(), 3u);
   EXPECT_EQ(Stats[0].Occurrences, 1u); // Start.
   EXPECT_EQ(Stats[0].ExpandedLength, 10u);
@@ -135,7 +135,7 @@ TEST(RuleStatsTest, ExpansionIdentityHolds) {
   for (int I = 0; I != 3000; ++I)
     G.append(R.nextBelow(4));
   uint64_t Total = 0;
-  for (const auto &RS : G.ruleStats()) {
+  for (const auto &RS : std::move(G).seal().ruleStats()) {
     // Direct terminals = expanded length minus expansions of referenced
     // rules; recompute from prefix is not possible, so use the
     // identity: sum(occ * expandedLen of rule) counted only for the
@@ -160,7 +160,7 @@ TEST(HotStreamsTest, FindsThePeriodicPattern) {
   for (int Rep = 0; Rep != 100; ++Rep)
     for (uint64_t S : {10, 20, 30, 40})
       G.append(S);
-  auto Streams = analysis::extractHotStreams(G);
+  auto Streams = analysis::extractHotStreams(std::move(G).seal());
   ASSERT_FALSE(Streams.empty());
   // The hottest stream covers (almost) the whole input.
   EXPECT_GE(Streams.front().Heat, 300u);
@@ -175,7 +175,7 @@ TEST(HotStreamsTest, RandomStreamHasLittleHeat) {
   sequitur::SequiturGrammar G;
   for (int I = 0; I != 2000; ++I)
     G.append(R.next() >> 1); // Effectively unique symbols below 2^63.
-  auto Streams = analysis::extractHotStreams(G);
+  auto Streams = analysis::extractHotStreams(std::move(G).seal());
   EXPECT_TRUE(Streams.empty());
 }
 
@@ -186,7 +186,7 @@ TEST(HotStreamsTest, OptionsFilterShortAndRare) {
       G.append(S);
   analysis::HotStreamOptions Opt;
   Opt.MinLength = 1000; // Nothing is that long.
-  EXPECT_TRUE(analysis::extractHotStreams(G, Opt).empty());
+  EXPECT_TRUE(analysis::extractHotStreams(std::move(G).seal(), Opt).empty());
 }
 
 TEST(HotStreamsTest, SortedByHeatDescending) {
@@ -197,7 +197,7 @@ TEST(HotStreamsTest, SortedByHeatDescending) {
       G.append(S);
     G.append(100 + R.nextBelow(50)); // Noise between repeats.
   }
-  auto Streams = analysis::extractHotStreams(G);
+  auto Streams = analysis::extractHotStreams(std::move(G).seal());
   for (size_t I = 1; I < Streams.size(); ++I)
     EXPECT_GE(Streams[I - 1].Heat, Streams[I].Heat);
 }
@@ -489,7 +489,7 @@ TEST(OmsgArchiveTest, CursorsExpandToLiveGrammars) {
       core::Dimension::Object, core::Dimension::Offset};
   ASSERT_EQ(Back.numDimensions(), 4u);
   for (size_t D = 0; D != 4; ++D) {
-    std::vector<uint64_t> Live = Whomp.grammarFor(Dims[D]).expandAll();
+    std::vector<uint64_t> Live = Whomp.imageFor(Dims[D]).expandAll();
     ASSERT_EQ(Back.grammarImages()[D].length(), Live.size()) << D;
     std::vector<uint64_t> Pulled;
     for (sequitur::ImageCursor C = Back.cursor(D); !C.done();)

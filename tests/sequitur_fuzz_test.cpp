@@ -21,6 +21,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "SequiturStreams.h"
+#include "check/GrammarValidator.h"
 #include "sequitur/Sequitur.h"
 #include "support/Checksum.h"
 #include "support/Random.h"
@@ -36,8 +37,23 @@
 using namespace orp;
 using namespace orp::sequitur;
 using namespace orp::seqstreams;
+using check::GrammarValidator;
 
 namespace {
+
+/// Checks that the checked decoder accepts \p G's image and expands it
+/// to \p Input.
+void expectImageExpandsTo(const SequiturGrammar &G,
+                          const std::vector<uint64_t> &Input,
+                          const std::string &Label) {
+  const std::vector<uint8_t> Image = G.serialize();
+  std::vector<uint64_t> Expanded;
+  std::string Err;
+  ASSERT_TRUE(deserializeAndExpandChecked(Image.data(), Image.size(),
+                                          Expanded, Err))
+      << Label << ": " << Err;
+  EXPECT_EQ(Expanded, Input) << Label;
+}
 
 TEST(SequiturFuzzTest, GoldenSuiteByteIdentical) {
   size_t Count = 0;
@@ -50,19 +66,18 @@ TEST(SequiturFuzzTest, GoldenSuiteByteIdentical) {
 
     SequiturGrammar G;
     G.appendAll(Input);
-    EXPECT_TRUE(G.checkInvariants()) << Case.Name;
+    EXPECT_TRUE(GrammarValidator::validate(G).ok()) << Case.Name;
     EXPECT_EQ(G.inputLength(), Input.size()) << Case.Name;
     EXPECT_EQ(G.expandAll(), Input) << Case.Name;
 
     std::vector<uint8_t> Image = G.serialize();
     EXPECT_EQ(crc32(Image), Case.GoldenCrc) << Case.Name;
     EXPECT_EQ(Image.size(), G.serializedSizeBytes()) << Case.Name;
-    EXPECT_EQ(SequiturGrammar::deserializeAndExpand(Image), Input)
-        << Case.Name;
+    expectImageExpandsTo(G, Input, Case.Name);
 
     ParsedImage Parsed;
     std::string Err;
-    ASSERT_TRUE(SequiturGrammar::parseImageChecked(Image, Parsed, Err))
+    ASSERT_TRUE(parseImageChecked(Image, Parsed, Err))
         << Case.Name << ": " << Err;
     EXPECT_EQ(Parsed.length(), Input.size()) << Case.Name;
     EXPECT_EQ(Parsed.bytes(), Image) << Case.Name;
@@ -84,7 +99,7 @@ TEST(SequiturFuzzTest, GoldenStreamChurnCounters) {
       continue;
     SequiturGrammar G;
     G.appendAll(makeStream(Cases[C]));
-    const SequiturGrammar::Churn &Churn = G.churn();
+    const sequitur::Churn Churn = G.stats().Work;
     EXPECT_EQ(Churn.RulesCreated, 317u);
     EXPECT_EQ(Churn.RulesInlined, 18u);
     EXPECT_EQ(Churn.Matches, 4647u);
@@ -107,10 +122,11 @@ TEST(SequiturFuzzTest, InvariantsHoldMidStream) {
     for (size_t I = 0; I != Input.size(); ++I) {
       G.append(Input[I]);
       if ((I & (I + 1)) == 0) { // Check at lengths 2^k - 1.
-        ASSERT_TRUE(G.checkInvariants()) << Case.Name << " @ " << I;
+        ASSERT_TRUE(GrammarValidator::validate(G).ok())
+            << Case.Name << " @ " << I;
       }
     }
-    ASSERT_TRUE(G.checkInvariants()) << Case.Name;
+    ASSERT_TRUE(GrammarValidator::validate(G).ok()) << Case.Name;
   }
 }
 
@@ -127,9 +143,11 @@ TEST(SequiturFuzzTest, RandomSeedsRoundTrip) {
     std::vector<uint64_t> Input = makeStream(Case);
     SequiturGrammar G;
     G.appendAll(Input);
-    ASSERT_TRUE(G.checkInvariants()) << "alphabet " << Case.Alphabet;
+    ASSERT_TRUE(GrammarValidator::validate(G).ok())
+        << "alphabet " << Case.Alphabet;
     ASSERT_EQ(G.expandAll(), Input) << "alphabet " << Case.Alphabet;
-    ASSERT_EQ(SequiturGrammar::deserializeAndExpand(G.serialize()), Input);
+    expectImageExpandsTo(G, Input,
+                         "alphabet " + std::to_string(Case.Alphabet));
   }
 }
 
@@ -174,23 +192,22 @@ TEST(SequiturFuzzTest, RandomWideSeedsMatchTheirNarrowRenaming) {
     SequiturGrammar Wide, Narrow;
     Wide.appendAll(Input);
     Narrow.appendAll(Renamed);
-    ASSERT_TRUE(Wide.checkInvariants()) << "round " << Round;
+    ASSERT_TRUE(GrammarValidator::validate(Wide).ok()) << "round " << Round;
     ASSERT_EQ(Wide.expandAll(), Input) << "round " << Round;
-    ASSERT_EQ(SequiturGrammar::deserializeAndExpand(Wide.serialize()), Input)
-        << "round " << Round;
+    expectImageExpandsTo(Wide, Input, "round " + std::to_string(Round));
     size_t WideDistinct = 0;
     for (uint64_t V : Seen)
       WideDistinct += V >= (uint64_t(1) << 31);
     EXPECT_EQ(Wide.numWideValues(), WideDistinct) << "round " << Round;
     EXPECT_EQ(Narrow.numWideValues(), 0u);
 
-    const SequiturGrammar::Churn &CW = Wide.churn(), &CN = Narrow.churn();
+    const sequitur::Churn CW = Wide.stats().Work, CN = Narrow.stats().Work;
     EXPECT_EQ(CW.RulesCreated, CN.RulesCreated) << "round " << Round;
     EXPECT_EQ(CW.RulesInlined, CN.RulesInlined) << "round " << Round;
     EXPECT_EQ(CW.DigramChecks, CN.DigramChecks) << "round " << Round;
     EXPECT_EQ(CW.Matches, CN.Matches) << "round " << Round;
-    std::vector<SequiturGrammar::RuleStats> SW = Wide.ruleStats(4),
-                                            SN = Narrow.ruleStats(4);
+    std::vector<RuleStats> SW = std::move(Wide).seal().ruleStats(4),
+                           SN = std::move(Narrow).seal().ruleStats(4);
     ASSERT_EQ(SW.size(), SN.size()) << "round " << Round;
     for (size_t I = 0; I != SW.size(); ++I) {
       EXPECT_EQ(SW[I].BodyLength, SN[I].BodyLength);
@@ -210,7 +227,7 @@ TEST(SequiturFuzzTest, ArenaReusesAcrossStreams) {
     SequiturGrammar G;
     for (uint64_t I = 0; I != 50000; ++I)
       G.append(I % Period);
-    EXPECT_TRUE(G.checkInvariants()) << Period;
+    EXPECT_TRUE(GrammarValidator::validate(G).ok()) << Period;
     std::vector<uint64_t> Out = G.expandAll();
     ASSERT_EQ(Out.size(), 50000u);
     for (uint64_t I = 0; I != Out.size(); ++I)
@@ -241,11 +258,10 @@ constexpr uint64_t T(uint64_t V) { return V << 1; }
 constexpr uint64_t R(uint64_t Id) { return (Id << 1) | 1; }
 
 std::string parseError(const std::vector<uint8_t> &Bytes,
-                       uint64_t MaxTerminals =
-                           SequiturGrammar::kDefaultMaxExpandedTerminals) {
+                       uint64_t MaxTerminals = kDefaultMaxExpandedTerminals) {
   ParsedImage Parsed;
   std::string Err;
-  if (SequiturGrammar::parseImageChecked(Bytes, Parsed, Err, MaxTerminals))
+  if (parseImageChecked(Bytes, Parsed, Err, MaxTerminals))
     return "accepted";
   return Err;
 }
@@ -364,7 +380,7 @@ TEST(HardenedDeserializeTest, SequiturImageDiagnostics) {
   std::vector<uint8_t> Cyclic = image(4, {{R(1)}, {R(0)}});
   std::vector<uint64_t> Out;
   std::string Err;
-  EXPECT_FALSE(SequiturGrammar::deserializeAndExpandChecked(
+  EXPECT_FALSE(deserializeAndExpandChecked(
       Cyclic.data(), Cyclic.size(), Out, Err));
   EXPECT_EQ(Err, "sequitur image: cyclic rule references");
   EXPECT_TRUE(Out.empty());
@@ -438,7 +454,7 @@ TEST(HardenedDeserializeTest, MemoizedWalkMatchesStepByStepWalk) {
     bool WantOk = referenceExpand(Bytes, Cap, Want, WantErr);
     ParsedImage Parsed;
     std::string Err;
-    bool Ok = SequiturGrammar::parseImageChecked(Bytes, Parsed, Err, Cap);
+    bool Ok = parseImageChecked(Bytes, Parsed, Err, Cap);
     ASSERT_EQ(Ok, WantOk) << "round " << Round << ": " << WantErr;
     if (!Ok) {
       ASSERT_EQ(Err, WantErr) << "round " << Round;

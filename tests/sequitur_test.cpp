@@ -9,11 +9,12 @@
 #include <gtest/gtest.h>
 
 #include <string>
-#include <tuple>
+#include <utility>
 #include <vector>
 
 using namespace orp;
 using namespace orp::sequitur;
+using check::GrammarValidator;
 
 namespace {
 
@@ -24,15 +25,28 @@ std::vector<uint64_t> fromString(const std::string &S) {
   return V;
 }
 
+/// Checks that the checked decoder accepts \p G's image and expands it
+/// to \p Input.
+void expectImageExpandsTo(const SequiturGrammar &G,
+                          const std::vector<uint64_t> &Input,
+                          const std::string &Label) {
+  const std::vector<uint8_t> Image = G.serialize();
+  std::vector<uint64_t> Expanded;
+  std::string Err;
+  ASSERT_TRUE(deserializeAndExpandChecked(Image.data(), Image.size(),
+                                          Expanded, Err))
+      << Label << ": " << Err;
+  EXPECT_EQ(Expanded, Input) << Label;
+}
+
 /// Builds a grammar over \p Input and checks losslessness + invariants.
 void roundTrip(const std::vector<uint64_t> &Input, const char *Label) {
   SequiturGrammar G;
   G.appendAll(Input);
   EXPECT_EQ(G.inputLength(), Input.size()) << Label;
-  ASSERT_TRUE(G.checkInvariants()) << Label;
+  ASSERT_TRUE(GrammarValidator::validate(G).ok()) << Label;
   EXPECT_EQ(G.expandAll(), Input) << Label;
-  EXPECT_EQ(SequiturGrammar::deserializeAndExpand(G.serialize()), Input)
-      << Label;
+  expectImageExpandsTo(G, Input, Label);
 }
 
 } // namespace
@@ -42,7 +56,7 @@ TEST(SequiturTest, EmptyGrammar) {
   EXPECT_EQ(G.inputLength(), 0u);
   EXPECT_EQ(G.numRules(), 1u); // The start rule.
   EXPECT_TRUE(G.expandAll().empty());
-  EXPECT_TRUE(G.checkInvariants());
+  EXPECT_TRUE(GrammarValidator::validate(G).ok());
 }
 
 TEST(SequiturTest, SingleSymbol) { roundTrip({42}, "single"); }
@@ -51,7 +65,7 @@ TEST(SequiturTest, PaperExampleAbcbcabcbc) {
   // Section 3.1: "abcbcabcbc" compresses to S->AA; A->aBB; B->bc.
   SequiturGrammar G;
   G.appendAll(fromString("abcbcabcbc"));
-  EXPECT_TRUE(G.checkInvariants());
+  EXPECT_TRUE(GrammarValidator::validate(G).ok());
   EXPECT_EQ(G.expandAll(), fromString("abcbcabcbc"));
   // 3 rules: start, A, B.
   EXPECT_EQ(G.numRules(), 3u);
@@ -65,7 +79,7 @@ TEST(SequiturTest, PaperExampleChurnCounters) {
   // use goes, and five repeats reach processMatch (two reuse B whole).
   SequiturGrammar G;
   G.appendAll(fromString("abcbcabcbc"));
-  const SequiturGrammar::Churn &C = G.churn();
+  const Churn C = G.stats().Work;
   EXPECT_EQ(C.RulesCreated, 3u);
   EXPECT_EQ(C.RulesInlined, 1u);
   EXPECT_EQ(C.Matches, 5u);
@@ -76,7 +90,7 @@ TEST(SequiturTest, PaperExampleChurnCounters) {
 TEST(SequiturTest, RepeatedPairFormsRule) {
   SequiturGrammar G;
   G.appendAll(fromString("ababab"));
-  EXPECT_TRUE(G.checkInvariants());
+  EXPECT_TRUE(GrammarValidator::validate(G).ok());
   EXPECT_EQ(G.expandAll(), fromString("ababab"));
   EXPECT_GE(G.numRules(), 2u);
 }
@@ -106,7 +120,7 @@ TEST(SequiturTest, PeriodicStreamCompressesWell) {
       V.push_back(S);
   SequiturGrammar G;
   G.appendAll(V);
-  EXPECT_TRUE(G.checkInvariants());
+  EXPECT_TRUE(GrammarValidator::validate(G).ok());
   EXPECT_EQ(G.expandAll(), V);
   // 1024 input symbols must collapse to a logarithmic-size grammar.
   EXPECT_LT(G.totalBodySymbols(), 64u);
@@ -115,7 +129,7 @@ TEST(SequiturTest, PeriodicStreamCompressesWell) {
 
 TEST(SequiturTest, RuleUtilityHolds) {
   // Build a stream whose intermediate rules become useless; the final
-  // grammar must never contain single-use rules (checkInvariants covers
+  // grammar must never contain single-use rules (the validator covers
   // it, this test just exercises a known trigger pattern).
   roundTrip(fromString("abcdbcabcdbc"), "utility-trigger");
   roundTrip(fromString("xabcabcyabcabcz"), "nested-repeats");
@@ -180,20 +194,20 @@ TEST(SequiturTest, TerminalsSharingTagBitsOrRuleIndices) {
   SequiturGrammar A, B;
   A.appendAll(Small);
   B.appendAll(Shifted);
-  std::vector<SequiturGrammar::RuleStats> SA = A.ruleStats(0),
-                                          SB = B.ruleStats(0);
+  const GrammarImage IA = std::move(A).seal(), IB = std::move(B).seal();
+  std::vector<RuleStats> SA = IA.ruleStats(0), SB = IB.ruleStats(0);
   ASSERT_EQ(SA.size(), SB.size());
   for (size_t I = 0; I != SA.size(); ++I) {
     EXPECT_EQ(SA[I].BodyLength, SB[I].BodyLength) << "rule " << I;
     EXPECT_EQ(SA[I].ExpandedLength, SB[I].ExpandedLength) << "rule " << I;
   }
-  EXPECT_EQ(A.totalBodySymbols(), B.totalBodySymbols());
+  EXPECT_EQ(IA.stats().BodySymbols, IB.stats().BodySymbols);
 }
 
 TEST(SequiturTest, DumpShowsRules) {
   SequiturGrammar G;
   G.appendAll(fromString("abcbcabcbc"));
-  std::string D = G.dump();
+  std::string D = std::move(G).seal().dump();
   EXPECT_NE(D.find("R0 ->"), std::string::npos);
   EXPECT_NE(D.find("R1"), std::string::npos);
 }
@@ -231,12 +245,13 @@ TEST_P(SequiturPropertyTest, LosslessOnRandomStreams) {
     }
     SequiturGrammar G;
     G.appendAll(V);
-    ASSERT_TRUE(G.checkInvariants())
+    ASSERT_TRUE(GrammarValidator::validate(G).ok())
         << Spec.Name << " seed " << Seed << " violates invariants";
     ASSERT_EQ(G.expandAll(), V)
         << Spec.Name << " seed " << Seed << " is not lossless";
-    ASSERT_EQ(SequiturGrammar::deserializeAndExpand(G.serialize()), V)
-        << Spec.Name << " seed " << Seed << " serialization broke";
+    expectImageExpandsTo(G, V, std::string(Spec.Name) + " seed " +
+                                   std::to_string(Seed) +
+                                   " serialization");
   }
 }
 
@@ -259,7 +274,7 @@ TEST(SequiturTest, IncrementalAppendMatchesBatch) {
   for (size_t I = 0; I != V.size(); ++I) {
     G.append(V[I]);
     if (I % 250 == 0) {
-      ASSERT_TRUE(G.checkInvariants()) << "at prefix " << I;
+      ASSERT_TRUE(GrammarValidator::validate(G).ok()) << "at prefix " << I;
       std::vector<uint64_t> Prefix(V.begin(), V.begin() + I + 1);
       ASSERT_EQ(G.expandAll(), Prefix) << "at prefix " << I;
     }
@@ -273,61 +288,61 @@ TEST(SequiturTest, IncrementalAppendMatchesBatch) {
 
 namespace {
 
-/// Everything a grammar answers without appending, for before/after
-/// comparisons.
-struct ReadOnlyView {
+/// What a builder and its image both answer, for before/after
+/// comparisons: the image, its size, the expansion and the counters.
+struct Reading {
   std::vector<uint8_t> Image;
   size_t ImageSize;
   std::vector<uint64_t> Expansion;
-  std::string Dump;
-  std::vector<SequiturGrammar::RuleStats> Rules;
-  std::tuple<uint64_t, size_t, size_t, size_t> Counts;
-  std::tuple<uint64_t, uint64_t, uint64_t, uint64_t> Churn;
-  bool operator==(const ReadOnlyView &) const = default;
+  GrammarStats Stats;
+  bool operator==(const Reading &) const = default;
 };
 
-ReadOnlyView readOnlyView(const SequiturGrammar &G) {
-  ReadOnlyView V;
-  V.Image = G.serialize();
-  V.ImageSize = G.serializedSizeBytes();
-  V.Expansion = G.expandAll();
-  V.Dump = G.dump();
-  V.Rules = G.ruleStats();
-  V.Counts = {G.inputLength(), G.numRules(), G.totalBodySymbols(),
-              G.numDigrams()};
-  const SequiturGrammar::Churn &C = G.churn();
-  V.Churn = {C.RulesCreated, C.RulesInlined, C.DigramChecks, C.Matches};
-  return V;
+Reading readingOf(const SequiturGrammar &G) {
+  return {G.serialize(), G.serializedSizeBytes(), G.expandAll(), G.stats()};
 }
 
-/// Seals \p G and checks that every read-only answer is unchanged, that
-/// the gauges keep the index and slab counts the seal freed, and that
-/// footprintBytes() is then the image's bytes alone: its capacity, which
-/// its serialization grew to at most twice its size.
-void expectSealKeepsReads(SequiturGrammar &G, const std::string &Label) {
-  const ReadOnlyView Before = readOnlyView(G);
-  const size_t IndexSlots = G.indexCapacity();
-  const size_t SymbolSlabs = G.numSymbolSlabs();
-  const size_t RuleSlabs = G.numRuleSlabs();
-  // The index maps its pages at the first digram.
-  ASSERT_EQ(G.indexBytes() == 0, G.numDigrams() == 0) << Label;
-  ASSERT_EQ(G.indexSlots(), IndexSlots) << Label;
-  G.seal();
-  EXPECT_TRUE(G.sealed()) << Label;
-  EXPECT_EQ(G.indexCapacity(), 0u) << Label;
-  EXPECT_EQ(G.indexSlots(), IndexSlots) << Label;
-  EXPECT_EQ(G.numSymbolSlabs(), SymbolSlabs) << Label;
-  EXPECT_EQ(G.numRuleSlabs(), RuleSlabs) << Label;
-  EXPECT_EQ(G.wideTableBytes(), 0u) << Label;
-  const size_t Footprint = G.footprintBytes();
-  EXPECT_GE(Footprint, Before.ImageSize) << Label;
-  EXPECT_LT(Footprint, 2 * Before.ImageSize) << Label;
-  EXPECT_TRUE(readOnlyView(G) == Before) << Label;
-  EXPECT_TRUE(G.checkInvariants()) << Label;
-  G.seal(); // A second seal changes nothing.
-  EXPECT_EQ(G.footprintBytes(), Footprint) << Label;
-  EXPECT_TRUE(readOnlyView(G) == Before) << Label;
+Reading readingOf(const GrammarImage &Image) {
+  return {Image.bytes(), Image.serializedSizeBytes(), Image.expandAll(),
+          Image.stats()};
 }
+
+/// Seals \p G and checks that the image answers as the builder did: the
+/// same reading (so the gauges keep the index and slab counts the seal
+/// freed), the dump() and ruleStats() of the builder's parsed image, and
+/// footprintBytes() the image's bytes alone: its capacity, which its
+/// serialization grew to at most twice its size. Returns the image.
+GrammarImage expectSealKeepsReads(SequiturGrammar &&G,
+                                  const std::string &Label) {
+  const Reading Before = readingOf(G);
+  ParsedImage Parsed;
+  std::string Err;
+  EXPECT_TRUE(parseImageChecked(G.serialize(), Parsed, Err)) << Label << Err;
+  // The index maps its pages at the first digram.
+  EXPECT_EQ(G.indexBytes() == 0, G.numDigrams() == 0) << Label;
+  EXPECT_EQ(G.indexSlots(), G.indexCapacity()) << Label;
+  GrammarImage Image = std::move(G).seal();
+  EXPECT_TRUE(readingOf(Image) == Before) << Label;
+  EXPECT_EQ(Image.dump(), Parsed.dump()) << Label;
+  EXPECT_TRUE(Image.ruleStats() == Parsed.ruleStats()) << Label;
+  EXPECT_GE(Image.footprintBytes(), Before.ImageSize) << Label;
+  EXPECT_LT(Image.footprintBytes(), 2 * Before.ImageSize) << Label;
+  check::CheckReport Report = GrammarValidator::validate(Image);
+  EXPECT_TRUE(Report.ok()) << Label << ":\n" << Report.str();
+  return Image;
+}
+
+// A builder is sealed only as an rvalue, so that a spent builder is not
+// named again by mistake; an image has nothing to append to.
+template <typename T>
+concept Sealable = requires(T &&G) { std::forward<T>(G).seal(); };
+template <typename T>
+concept Appendable = requires(T &G) { G.append(uint64_t(0)); };
+static_assert(Sealable<SequiturGrammar &&>);
+static_assert(!Sealable<SequiturGrammar &>);
+static_assert(!Sealable<const SequiturGrammar &>);
+static_assert(Appendable<SequiturGrammar>);
+static_assert(!Appendable<GrammarImage>);
 
 } // namespace
 
@@ -335,9 +350,9 @@ TEST(SequiturSealTest, PaperExampleReadsUnchanged) {
   SequiturGrammar G;
   G.appendAll(fromString("abcbcabcbc"));
   ASSERT_EQ(G.numDigrams(), 4u); // aB, BB, bc and AA.
-  expectSealKeepsReads(G, "abcbcabcbc");
-  EXPECT_EQ(G.numDigrams(), 4u);
-  EXPECT_EQ(G.expandAll(), fromString("abcbcabcbc"));
+  const GrammarImage Image = expectSealKeepsReads(std::move(G), "abcbcabcbc");
+  EXPECT_EQ(Image.stats().Digrams, 4u);
+  EXPECT_EQ(Image.expandAll(), fromString("abcbcabcbc"));
 }
 
 TEST(SequiturSealTest, GoldenStreamsReadsAndCrcsUnchanged) {
@@ -348,30 +363,18 @@ TEST(SequiturSealTest, GoldenStreamsReadsAndCrcsUnchanged) {
   for (size_t I = 0; I != Count; ++I) {
     SequiturGrammar G;
     G.appendAll(seqstreams::makeStream(Cases[I]));
-    expectSealKeepsReads(G, Cases[I].Name);
-    EXPECT_EQ(crc32(G.serialize()), Cases[I].GoldenCrc) << Cases[I].Name;
+    const GrammarImage Image =
+        expectSealKeepsReads(std::move(G), Cases[I].Name);
+    EXPECT_EQ(crc32(Image.bytes()), Cases[I].GoldenCrc) << Cases[I].Name;
   }
 }
 
 TEST(SequiturSealTest, EmptyGrammarSeals) {
   SequiturGrammar G;
   EXPECT_EQ(G.indexBytes(), 0u) << "no digram, no index pages";
-  expectSealKeepsReads(G, "empty");
-  EXPECT_EQ(G.numDigrams(), 0u);
+  const GrammarImage Image = expectSealKeepsReads(std::move(G), "empty");
+  EXPECT_EQ(Image.stats().Digrams, 0u);
 }
-
-#if GTEST_HAS_DEATH_TEST
-TEST(SequiturSealDeathTest, AppendAfterSealIsFatal) {
-  EXPECT_DEATH(
-      {
-        SequiturGrammar G;
-        G.appendAll(fromString("abcbc"));
-        G.seal();
-        G.append('a');
-      },
-      "append to a sealed grammar");
-}
-#endif
 
 //===----------------------------------------------------------------------===//
 // Released digram indexes
@@ -398,18 +401,18 @@ TEST(SequiturIndexReleaseTest, GoldenStreamsContinueAsIfNeverReleased) {
         EXPECT_EQ(Released.indexBytes(), 0u) << Cases[I].Name;
         EXPECT_EQ(Released.indexSlots(), Slots) << Cases[I].Name;
         EXPECT_EQ(Released.numDigrams(), Digrams) << Cases[I].Name;
-        EXPECT_TRUE(Released.checkInvariants()) << Cases[I].Name;
+        EXPECT_TRUE(GrammarValidator::validate(Released).ok())
+            << Cases[I].Name;
       }
     }
     EXPECT_EQ(crc32(Released.serialize()), Cases[I].GoldenCrc)
         << Cases[I].Name;
-    EXPECT_TRUE(readOnlyView(Released) == readOnlyView(Kept))
-        << Cases[I].Name;
+    EXPECT_TRUE(readingOf(Released) == readingOf(Kept)) << Cases[I].Name;
     Released.rebuildIndex();
     EXPECT_FALSE(Released.indexReleased()) << Cases[I].Name;
     EXPECT_EQ(Released.indexSlots(), Kept.indexSlots()) << Cases[I].Name;
     EXPECT_EQ(Released.indexBytes(), Kept.indexBytes()) << Cases[I].Name;
-    EXPECT_TRUE(Released.checkInvariants()) << Cases[I].Name;
+    EXPECT_TRUE(GrammarValidator::validate(Released).ok()) << Cases[I].Name;
   }
 }
 
@@ -421,15 +424,12 @@ TEST(SequiturIndexReleaseTest, ReleasedGrammarSealsWithoutRebuilding) {
   Released.releaseIndex();
   Released.releaseIndex(); // A second release changes nothing.
   EXPECT_TRUE(Released.indexReleased());
-  Kept.seal();
-  Released.seal();
-  EXPECT_FALSE(Released.indexReleased());
-  EXPECT_EQ(Released.numRightTwins(), 0u);
-  EXPECT_EQ(Released.indexSlots(), Slots);
-  EXPECT_TRUE(readOnlyView(Released) == readOnlyView(Kept));
-  EXPECT_TRUE(Released.checkInvariants());
-  Released.releaseIndex(); // A no-op once sealed.
-  EXPECT_FALSE(Released.indexReleased());
+  const GrammarImage KeptImage = std::move(Kept).seal();
+  const GrammarImage ReleasedImage = std::move(Released).seal();
+  EXPECT_EQ(ReleasedImage.stats().IndexSlots, Slots);
+  EXPECT_TRUE(readingOf(ReleasedImage) == readingOf(KeptImage));
+  EXPECT_EQ(ReleasedImage.dump(), KeptImage.dump());
+  EXPECT_TRUE(GrammarValidator::validate(ReleasedImage).ok());
 }
 
 TEST(SequiturIndexReleaseTest, RebuildKeepsAnIndexedRightTwin) {
@@ -446,27 +446,27 @@ TEST(SequiturIndexReleaseTest, RebuildKeepsAnIndexedRightTwin) {
     Right.append(V);
     Released.append(V);
   }
-  ASSERT_TRUE(check::GrammarValidator::indexRightTwinForTest(Right));
-  ASSERT_TRUE(check::GrammarValidator::indexRightTwinForTest(Released));
-  ASSERT_TRUE(check::GrammarValidator::validate(Right).ok());
+  ASSERT_TRUE(GrammarValidator::indexRightTwinForTest(Right));
+  ASSERT_TRUE(GrammarValidator::indexRightTwinForTest(Released));
+  ASSERT_TRUE(GrammarValidator::validate(Right).ok());
   Released.releaseIndex();
   EXPECT_EQ(Released.numRightTwins(), 1u);
-  EXPECT_TRUE(Released.checkInvariants());
-  EXPECT_TRUE(check::GrammarValidator::validate(Released).ok())
-      << check::GrammarValidator::validate(Released).str();
+  EXPECT_TRUE(GrammarValidator::validate(Released).ok())
+      << GrammarValidator::validate(Released).str();
   Released.rebuildIndex();
   EXPECT_EQ(Released.numRightTwins(), 0u);
-  EXPECT_TRUE(check::GrammarValidator::validate(Released).ok());
+  EXPECT_TRUE(GrammarValidator::validate(Released).ok());
   for (uint64_t V : {1, 1}) {
     Left.append(V);
     Right.append(V);
     Released.append(V);
   }
-  EXPECT_EQ(Left.dump(), "R0 -> 3 R1 1 2 R1\nR1 -> 1 1\n");
-  EXPECT_EQ(Right.dump(), "R0 -> 3 1 R1 2 R1\nR1 -> 1 1\n");
-  EXPECT_EQ(Released.dump(), Right.dump());
   EXPECT_EQ(Released.serialize(), Right.serialize());
-  EXPECT_TRUE(Released.checkInvariants());
+  EXPECT_TRUE(GrammarValidator::validate(Released).ok());
+  EXPECT_EQ(std::move(Left).seal().dump(), "R0 -> 3 R1 1 2 R1\nR1 -> 1 1\n");
+  EXPECT_EQ(std::move(Right).seal().dump(), "R0 -> 3 1 R1 2 R1\nR1 -> 1 1\n");
+  EXPECT_EQ(std::move(Released).seal().dump(),
+            "R0 -> 3 1 R1 2 R1\nR1 -> 1 1\n");
 }
 
 //===----------------------------------------------------------------------===//
@@ -503,13 +503,13 @@ std::vector<uint64_t> narrowWideMix(uint64_t Seed, size_t Length) {
 }
 
 /// CRC-32 of every ruleStats() field, little-endian.
-uint32_t ruleStatsCrc(const SequiturGrammar &G) {
+uint32_t ruleStatsCrc(const GrammarImage &G) {
   std::vector<uint8_t> Bytes;
   auto Put = [&](uint64_t X) {
     for (unsigned B = 0; B != 8; ++B)
       Bytes.push_back(static_cast<uint8_t>(X >> (8 * B)));
   };
-  for (const SequiturGrammar::RuleStats &R : G.ruleStats()) {
+  for (const RuleStats &R : G.ruleStats()) {
     Put(R.Id);
     Put(R.BodyLength);
     Put(R.ExpandedLength);
@@ -521,7 +521,7 @@ uint32_t ruleStatsCrc(const SequiturGrammar &G) {
   return crc32(Bytes);
 }
 
-uint32_t dumpCrc(const SequiturGrammar &G) {
+uint32_t dumpCrc(const GrammarImage &G) {
   std::string D = G.dump();
   return crc32(reinterpret_cast<const uint8_t *>(D.data()), D.size());
 }
@@ -545,26 +545,26 @@ TEST(SequiturWideTest, NarrowWideMixMatchesGoldens) {
     const std::vector<uint64_t> V = narrowWideMix(C.Seed, C.Length);
     SequiturGrammar G;
     G.appendAll(V);
-    ASSERT_TRUE(G.checkInvariants()) << C.Seed;
+    ASSERT_TRUE(GrammarValidator::validate(G).ok()) << C.Seed;
     EXPECT_EQ(G.numWideValues(), 4u) << C.Seed;
     EXPECT_EQ(G.expandAll(), V) << C.Seed;
-    EXPECT_EQ(SequiturGrammar::deserializeAndExpand(G.serialize()), V)
-        << C.Seed;
+    expectImageExpandsTo(G, V, "narrow/wide mix");
     EXPECT_EQ(crc32(G.serialize()), C.ImageCrc) << C.Seed;
-    EXPECT_EQ(dumpCrc(G), C.DumpCrc) << C.Seed;
-    EXPECT_EQ(ruleStatsCrc(G), C.StatsCrc) << C.Seed;
+    // Sealing frees the wide table but keeps every answer.
+    const GrammarImage Image =
+        expectSealKeepsReads(std::move(G), "narrow/wide mix");
+    EXPECT_EQ(crc32(Image.bytes()), C.ImageCrc) << C.Seed;
+    EXPECT_EQ(dumpCrc(Image), C.DumpCrc) << C.Seed;
+    EXPECT_EQ(ruleStatsCrc(Image), C.StatsCrc) << C.Seed;
     // Every edge sits inside some rule other than the start rule.
-    const std::vector<SequiturGrammar::RuleStats> Stats = G.ruleStats();
+    const std::vector<RuleStats> Stats = Image.ruleStats();
     for (uint64_t Edge : kWideEdges) {
       bool InRule = false;
-      for (const SequiturGrammar::RuleStats &R : Stats)
+      for (const RuleStats &R : Stats)
         for (uint64_t P : R.Prefix)
           InRule |= R.Id != 0 && P == Edge;
       EXPECT_TRUE(InRule) << C.Seed << ": " << Edge;
     }
-    // Sealing frees the wide table but keeps every answer.
-    expectSealKeepsReads(G, "narrow/wide mix");
-    EXPECT_EQ(crc32(G.serialize()), C.ImageCrc) << C.Seed;
   }
 }
 
@@ -587,11 +587,10 @@ TEST(SequiturWideTest, FootprintIsSlabsIndexAndWideTable) {
   // Four values and their interning set of at least 2 slots per value.
   EXPECT_GE(Wide.wideTableBytes(), 4 * (8 + 2 * 4));
   EXPECT_EQ(Wide.footprintBytes(), Bulk(Wide) + Wide.wideTableBytes());
-  // A sealed grammar holds its image alone.
-  Wide.seal();
-  EXPECT_EQ(Wide.wideTableBytes(), 0u);
-  EXPECT_GE(Wide.footprintBytes(), Wide.serializedSizeBytes());
-  EXPECT_LT(Wide.footprintBytes(), 2 * Wide.serializedSizeBytes());
+  // An image holds its bytes alone.
+  const GrammarImage Image = std::move(Wide).seal();
+  EXPECT_GE(Image.footprintBytes(), Image.serializedSizeBytes());
+  EXPECT_LT(Image.footprintBytes(), 2 * Image.serializedSizeBytes());
 }
 
 #if GTEST_HAS_DEATH_TEST

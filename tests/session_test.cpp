@@ -615,8 +615,9 @@ TEST(ProfileSessionTest, FinalizeGivesBackTheDigramIndexes) {
   // finalize() seals the four WHOMP grammars into their images: each then
   // holds its image alone, so the estimate trades their slabs, digram
   // indexes and wide tables for the images' bytes. Every reading a front
-  // end takes after finalize() (sizes, the whomp.* gauges, rule
-  // statistics, dumps) equals the one it took before.
+  // end takes after finalize() (sizes, the whomp.* gauges and counters,
+  // and the rule statistics and dumps of the builders' serialized
+  // images) equals the one it took before.
   std::string Path = tempPath("sealed.orpt");
   recordTrace("164.gzip-a", Path);
   traceio::TraceReader Reader;
@@ -633,8 +634,7 @@ TEST(ProfileSessionTest, FinalizeGivesBackTheDigramIndexes) {
     std::vector<size_t> Sizes;
     uint64_t Tuples = 0;
     std::map<std::string, int64_t> Gauges;
-    std::vector<std::vector<sequitur::SequiturGrammar::RuleStats>> Rules;
-    std::vector<std::string> Dumps;
+    std::vector<sequitur::GrammarStats> Stats;
   };
   auto Read = [&] {
     Reading R;
@@ -644,11 +644,8 @@ TEST(ProfileSessionTest, FinalizeGivesBackTheDigramIndexes) {
     for (const auto &G : Local.snapshot().Gauges)
       if (G.Name.rfind("whomp.", 0) == 0)
         R.Gauges[G.Name] = G.Value;
-    for (core::Dimension D : Dims) {
-      const sequitur::SequiturGrammar &G = Session.whomp()->grammarFor(D);
-      R.Rules.push_back(G.ruleStats());
-      R.Dumps.push_back(G.dump());
-    }
+    for (core::Dimension D : Dims)
+      R.Stats.push_back(Session.whomp()->compressorFor(D).stats());
     return R;
   };
   const Reading Before = Read();
@@ -656,13 +653,21 @@ TEST(ProfileSessionTest, FinalizeGivesBackTheDigramIndexes) {
   ASSERT_GT(Before.Gauges.at("whomp.offset.symbol_slabs"), 0);
 
   size_t IndexBytes = 0, GrammarBytes = 0;
-  std::vector<size_t> Digrams, Slots;
+  std::vector<size_t> Slots;
+  std::vector<std::vector<sequitur::RuleStats>> Rules;
+  std::vector<std::string> Dumps;
   for (core::Dimension D : Dims) {
     const sequitur::SequiturGrammar &G = Session.whomp()->grammarFor(D);
     IndexBytes += G.indexBytes();
     GrammarBytes += G.footprintBytes();
-    Digrams.push_back(G.numDigrams());
     Slots.push_back(G.indexCapacity());
+    sequitur::ParsedImage Parsed;
+    std::string Err;
+    ASSERT_TRUE(
+        sequitur::parseImageChecked(G.serialize(), Parsed, Err, ~uint64_t(0)))
+        << Err;
+    Rules.push_back(Parsed.ruleStats());
+    Dumps.push_back(Parsed.dump());
   }
   const size_t EstimateBefore = Session.memoryEstimateBytes();
   ASSERT_GT(IndexBytes, 0u);
@@ -676,21 +681,19 @@ TEST(ProfileSessionTest, FinalizeGivesBackTheDigramIndexes) {
   for (const auto &[Name, Value] : Before.Gauges)
     EXPECT_EQ(After.Gauges.count(Name) ? After.Gauges.at(Name) : -1, Value)
         << Name;
-  EXPECT_TRUE(After.Rules == Before.Rules);
-  EXPECT_TRUE(After.Dumps == Before.Dumps);
+  EXPECT_TRUE(After.Stats == Before.Stats);
 
   size_t ImageBytes = 0;
   for (size_t I = 0; I != 4; ++I) {
-    const sequitur::SequiturGrammar &G = Session.whomp()->grammarFor(Dims[I]);
-    EXPECT_TRUE(G.sealed());
-    EXPECT_EQ(G.indexCapacity(), 0u);
-    EXPECT_EQ(G.numDigrams(), Digrams[I]);
-    EXPECT_EQ(G.indexSlots(), Slots[I]);
+    const sequitur::GrammarImage &Image = Session.whomp()->imageFor(Dims[I]);
+    EXPECT_TRUE(Image.ruleStats() == Rules[I]) << I;
+    EXPECT_EQ(Image.dump(), Dumps[I]) << I;
+    EXPECT_EQ(Image.stats().IndexSlots, Slots[I]);
     // The image's bytes: its capacity, which its serialization grew to
     // at most twice its size.
-    EXPECT_GE(G.footprintBytes(), G.serializedSizeBytes());
-    EXPECT_LT(G.footprintBytes(), 2 * G.serializedSizeBytes());
-    ImageBytes += G.footprintBytes();
+    EXPECT_GE(Image.footprintBytes(), Image.serializedSizeBytes());
+    EXPECT_LT(Image.footprintBytes(), 2 * Image.serializedSizeBytes());
+    ImageBytes += Image.footprintBytes();
   }
   // The estimate counts what the finalized session still holds: the
   // images where the slabs, indexes and wide tables were.
@@ -713,13 +716,7 @@ TEST(ProfileSessionTest, IndexFootprintIsItsMappedPages) {
   const core::Dimension Dims[] = {
       core::Dimension::Instruction, core::Dimension::Group,
       core::Dimension::Object, core::Dimension::Offset};
-  auto IndexBytes = [&] {
-    size_t Bytes = 0;
-    for (core::Dimension D : Dims)
-      Bytes += Session.whomp()->grammarFor(D).indexBytes();
-    return Bytes;
-  };
-  EXPECT_EQ(IndexBytes(), 0u) << "construction maps no index";
+  EXPECT_EQ(Session.indexBytes(), 0u) << "construction maps no index";
 
   ASSERT_TRUE(Session.replayFrom(Reader)) << Session.error();
   const size_t Page = support::pageSize();
@@ -733,11 +730,11 @@ TEST(ProfileSessionTest, IndexFootprintIsItsMappedPages) {
                   G.numRuleSlabs() * sequitur::SequiturGrammar::RuleSlabBytes +
                   G.indexBytes() + G.wideTableBytes());
   }
-  ASSERT_GT(IndexBytes(), 0u);
+  ASSERT_GT(Session.indexBytes(), 0u);
 
   SessionArtifacts A = Session.finalize();
   ASSERT_FALSE(A.Failed) << A.Error;
-  EXPECT_EQ(IndexBytes(), 0u);
+  EXPECT_EQ(Session.indexBytes(), 0u);
   std::remove(Path.c_str());
 }
 

@@ -60,7 +60,7 @@ TEST(WhompTest, OmsgIsLosslessPerDimension) {
     std::vector<uint64_t> Want;
     for (const auto &T : Run.Tuples.Tuples)
       Want.push_back(core::dimensionValue(T, D));
-    EXPECT_EQ(Run.Whomp.grammarFor(D).expandAll(), Want)
+    EXPECT_EQ(Run.Whomp.imageFor(D).expandAll(), Want)
         << "dimension " << core::dimensionName(D);
   };
   CheckDim(Dimension::Instruction);
