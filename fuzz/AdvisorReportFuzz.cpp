@@ -14,7 +14,7 @@
 
 #include "advisor/AdvisorReport.h"
 #include "support/Checksum.h"
-#include "support/Endian.h" // orp-lint: allow(endian-io): fuzz framing
+#include "support/Endian.h"
 
 #include <string>
 

@@ -15,7 +15,7 @@
 #include "leap/Leap.h"
 #include "leap/LeapProfileData.h"
 #include "support/Checksum.h"
-#include "support/Endian.h" // orp-lint: allow(endian-io): fuzz framing
+#include "support/Endian.h"
 
 #include <string>
 

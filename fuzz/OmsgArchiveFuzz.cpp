@@ -19,7 +19,7 @@
 #include "advisor/HotColdClassifier.h"
 #include "core/ObjectRelative.h"
 #include "support/Checksum.h"
-#include "support/Endian.h" // orp-lint: allow(endian-io): fuzz framing
+#include "support/Endian.h"
 #include "whomp/OmsgArchive.h"
 #include "whomp/OmsgStats.h"
 #include "whomp/Whomp.h"

@@ -3,7 +3,7 @@
 #include "advisor/AdvisorReport.h"
 
 #include "support/Checksum.h"
-#include "support/Endian.h" // orp-lint: allow(endian-io)
+#include "support/Endian.h"
 #include "support/VarInt.h"
 
 #include <algorithm>

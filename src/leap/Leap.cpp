@@ -86,7 +86,7 @@ size_t LeapProfiler::serializedSizeBytes() const {
     Size += Compressor.serializedSizeBytes();
   });
   Size += sizeULEB128(Instrs.size());
-  // orp-lint: allow(unordered-serial): order-independent size sum.
+  // orp-analyze: allow(unordered-serialize): order-independent size sum.
   for (const auto &[Instr, Summary] : Instrs) {
     Size += sizeULEB128(Instr);
     Size += sizeULEB128(Summary.ExecCount);

@@ -3,7 +3,7 @@
 #include "leap/LeapProfileData.h"
 
 #include "support/Checksum.h"
-#include "support/Endian.h" // orp-lint: allow(endian-io)
+#include "support/Endian.h"
 #include "support/VarInt.h"
 
 #include <algorithm>
@@ -39,7 +39,6 @@ bool LeapProfileData::operator==(const LeapProfileData &O) const {
   if (MaxLmads != O.MaxLmads || Substreams.size() != O.Substreams.size() ||
       Instrs.size() != O.Instrs.size())
     return false;
-  // orp-lint: allow(unordered-serial): order-independent comparison.
   for (const auto &[Instr, Summary] : Instrs) {
     auto It = O.Instrs.find(Instr);
     if (It == O.Instrs.end() ||
@@ -126,7 +125,7 @@ std::vector<uint8_t> LeapProfileData::serialize() const {
   std::vector<const std::pair<const trace::InstrId, InstrSummary> *>
       SortedInstrs;
   SortedInstrs.reserve(Instrs.size());
-  // orp-lint: allow(unordered-serial): feeds the sort below.
+  // orp-analyze: allow(unordered-serialize): feeds the sort below.
   for (const auto &Entry : Instrs)
     SortedInstrs.push_back(&Entry);
   std::sort(SortedInstrs.begin(), SortedInstrs.end(),
@@ -357,8 +356,7 @@ bool LeapProfileData::mergeSequential(const LeapProfileData &Next,
           " vs " + std::to_string(Next.MaxLmads) + ")";
     return false;
   }
-  // orp-lint: allow(unordered-serial): the fold is per-key, independent
-  // of iteration order.
+  // The fold is per-key, independent of iteration order.
   for (const auto &[Key, Right] : Next.Substreams) {
     auto It = Substreams.find(Key);
     if (It == Substreams.end()) {
@@ -442,8 +440,7 @@ bool LeapProfileData::mergeUnion(const LeapProfileData &Other,
           " vs " + std::to_string(Other.MaxLmads) + ")";
     return false;
   }
-  // orp-lint: allow(unordered-serial): the fold is per-key, independent
-  // of iteration order.
+  // The fold is per-key, independent of iteration order.
   for (const auto &[Key, Theirs] : Other.Substreams) {
     auto It = Substreams.find(Key);
     if (It == Substreams.end()) {

@@ -23,7 +23,7 @@ void OmcCheckpoint::serialize(const ObjectManager &Omc,
   // Pool-splitting parameters, sorted by site for deterministic bytes.
   std::vector<std::pair<trace::AllocSiteId, uint64_t>> Pools;
   Pools.reserve(Omc.PoolElementSize.size());
-  // orp-lint: allow(unordered-serial): feeds the sort below.
+  // orp-analyze: allow(unordered-serialize): feeds the sort below.
   for (const auto &[Site, ElementSize] : Omc.PoolElementSize)
     Pools.emplace_back(Site, ElementSize);
   std::sort(Pools.begin(), Pools.end());

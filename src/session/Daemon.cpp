@@ -375,7 +375,7 @@ void Daemon::writeArtifacts(const SessionArtifacts &A) {
     if (Bytes.empty())
       return;
     std::string Path = artifactPath(A.Name, Extension);
-    // orp-lint: allow(endian-io): writes opaque, already-serialized
+    // orp-analyze: allow(endian-io): writes opaque, already-serialized
     // artifact images; all field encoding happened inside serialize().
     std::FILE *Out = std::fopen(Path.c_str(), "wb");
     if (!Out || std::fwrite(Bytes.data(), 1, Bytes.size(), Out) !=

@@ -10,7 +10,7 @@
 /// Wire.h framed protocol, dispatching onto a SessionManager from one
 /// poll()-driven control thread. The event loop IS the manager's
 /// control thread, so no locks are needed around session state (the
-/// R5 discipline: raw threading stays in src/support; this file's only
+/// raw-thread lint rule: raw threading stays in src/support; this file's only
 /// concurrency primitives are the manager's queues). That single-thread
 /// contract is the SessionControlRole capability: start()/run() and the
 /// connection state require it, and the thread driving the daemon

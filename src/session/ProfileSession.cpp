@@ -6,7 +6,7 @@
 #include "leap/LeapProfileData.h"
 #include "omc/OmcCheckpoint.h"
 #include "support/Checksum.h"
-#include "support/Endian.h" // orp-lint: allow(endian-io): artifact framing
+#include "support/Endian.h"
 #include "support/Error.h"
 #include "support/VarInt.h"
 #include "support/WorkerPool.h"

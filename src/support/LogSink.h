@@ -7,8 +7,8 @@
 ///
 /// \file
 /// The repository's single diagnostic-output discipline. Library and
-/// tool code never calls fprintf(stderr, ...) directly (lint rule R6):
-/// everything funnels through logMessage(), which
+/// tool code never calls fprintf(stderr, ...) directly (lint rule
+/// log-sink): everything funnels through logMessage(), which
 ///
 ///   * writes to one redirectable diagnostic stream (default stderr),
 ///     so tests and embedders can capture or silence diagnostics;

@@ -31,7 +31,7 @@
 ///
 /// This header (with WorkerPool.h and ThreadSafety.h) is the only place
 /// in the repository allowed to use std::mutex /
-/// std::condition_variable directly; see tools/orp-lint rule R5.
+/// std::condition_variable directly; see orp-analyze rule raw-thread.
 ///
 //===----------------------------------------------------------------------===//
 

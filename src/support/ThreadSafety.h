@@ -31,7 +31,8 @@
 ///     test's main thread, a shard's worker lambda).
 ///
 /// This header lives in src/support with SpscQueue.h/WorkerPool.h, the
-/// only files allowed to touch std::mutex directly (orp-lint rule R5).
+/// only files allowed to touch std::mutex directly (orp-analyze rule
+/// raw-thread).
 ///
 //===----------------------------------------------------------------------===//
 

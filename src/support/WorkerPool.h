@@ -22,9 +22,7 @@
 /// This header (with SpscQueue.h) is the only place in the repository
 /// allowed to use std::thread directly; everything else goes through
 /// these wrappers so lifecycle (drain, close, join) stays centralized
-/// and auditable. Enforced by tools/orp-lint rule R5 and by
-/// orp-analyze's raw-thread check (the compile-grade half of the same
-/// wall).
+/// and auditable. Enforced by orp-analyze's raw-thread rule.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -62,8 +62,8 @@ private:
 
 /// Registry internals. Registration, collector management and snapshot
 /// are all cold paths, so a spinlock is plenty (and keeps std::mutex
-/// confined to src/support per lint rule R5). Metrics live in node-based
-/// maps: references handed out stay valid as the maps grow.
+/// confined to src/support per lint rule raw-thread). Metrics live in
+/// node-based maps: references handed out stay valid as the maps grow.
 struct Registry::Impl {
   SpinLock Lock;
 

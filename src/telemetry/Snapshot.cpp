@@ -2,7 +2,7 @@
 
 #include "telemetry/Snapshot.h"
 
-// orp-lint: allow(endian-io): writeSnapshot() emits already-serialized
+// orp-analyze: allow(endian-io): writeSnapshot() emits already-serialized
 // text (JSON / Prometheus exposition); there are no fixed-width binary
 // fields to byte-order.
 

@@ -4,7 +4,7 @@
 
 #include "sequitur/Sequitur.h"
 #include "support/Checksum.h"
-#include "support/Endian.h" // orp-lint: allow(endian-io)
+#include "support/Endian.h"
 #include "support/VarInt.h"
 
 using namespace orp;

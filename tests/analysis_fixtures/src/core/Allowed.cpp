@@ -3,11 +3,15 @@
 // The same violations as the other fixture files, each under an
 // allow() escape. None of these may appear in the analyzer's output;
 // the fixture harness greps for "Allowed.cpp" and fails if it does.
+// endian-io's escape is per file, so its twin is IoAllowed.cpp.
 //
 //===----------------------------------------------------------------------===//
 
+#include <sys/socket.h> // orp-analyze: allow(raw-socket): fixture.
+
 #include <atomic>
 #include <cstdint>
+#include <cstdio>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -22,7 +26,7 @@ void publishAllowed() {
 }
 
 void spawnAllowed() {
-  // orp-lint: allow(raw-thread): legacy spelling must also suppress.
+  // orp-analyze: allow(raw-thread): fixture exercising the escape hatch.
   std::thread T([] {});
   T.join();
 }
@@ -40,5 +44,23 @@ public:
 private:
   std::unordered_map<uint64_t, uint32_t> Groups;
 };
+
+int *allocAllowed() {
+  // orp-analyze: allow(raw-new-delete): fixture exercising the escape hatch.
+  return new int[4];
+}
+
+void poisonAllowed(void *P) {
+  // orp-analyze: allow(no-asan-include): fixture exercising the escape hatch.
+  __asan_poison_memory_region(P, 4);
+}
+
+void shoutAllowed() {
+  // orp-analyze: allow(log-sink): fixture exercising the escape hatch.
+  std::fprintf(stderr, "allowed\n");
+}
+
+// orp-analyze: allow(static-counter): fixture exercising the escape hatch.
+static std::atomic<uint64_t> AllowedHits{0};
 
 } // namespace fixture_allowed

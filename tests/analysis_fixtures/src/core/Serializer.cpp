@@ -1,9 +1,9 @@
 //===- Serializer.cpp - seeded unordered-serialize violation -------------===//
 //
 // The leak is two calls deep: serialize() -> flushGroups() ->
-// emitGroups(), and only the last function touches the container. The
-// direct grep (orp-lint R3) cannot see this; the analyzer's
-// transitive call-graph walk must.
+// emitGroups(), and only the last function touches the container. A
+// scan of the serializing function alone cannot see this; the
+// analyzer's transitive call-graph walk must.
 //
 //===----------------------------------------------------------------------===//
 

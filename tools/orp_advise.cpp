@@ -71,7 +71,7 @@ int usage(const char *Argv0) {
 /// Writes opaque, already-serialized artifact bytes to \p Path.
 bool writeArtifactFile(const std::string &Path,
                        const std::vector<uint8_t> &Bytes) {
-  // orp-lint: allow(endian-io): opaque byte image; all field encoding
+  // orp-analyze: allow(endian-io): opaque byte image; all field encoding
   // happened inside serialize().
   std::FILE *Out = std::fopen(Path.c_str(), "wb");
   if (!Out ||

@@ -5,34 +5,35 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// orp-analyze: the compile-grade half of the repository's lint wall.
-// Where tools/orp-lint greps raw text, this tool tokenizes the tree,
+// orp-analyze: the repository's lint wall. It tokenizes the tree,
 // builds the include graph and a heuristic per-function call graph, and
-// enforces the structural contracts grep cannot see:
+// enforces the repository contracts the compiler cannot see. The Rules
+// table near the end is the rule list (and what --list-rules prints):
 //
-//   layering             #include edges between src/ modules must
-//                        follow the declared layering DAG (ranks
-//                        below); same-rank or upward edges and cycles
-//                        are errors, except the allowlisted
-//                        check<->omc / check<->sequitur validation
-//                        seam.
-//   unordered-serialize  no serialization function may reach — in the
-//                        same function or transitively through calls —
-//                        a range-for over an unordered container,
-//                        whose iteration order would leak into the
-//                        byte stream (the cross-function upgrade of
-//                        orp-lint rule R3).
-//   atomics              non-relaxed memory orderings are confined to
-//                        the sanctioned files that own a published
-//                        happens-before edge (src/support, the
-//                        telemetry registry spinlock, the replayer's
-//                        decode-ahead flag, the session manager).
-//   raw-thread           std::thread/mutex/condition_variable only in
-//                        src/support (the compiled port of orp-lint
-//                        rule R5).
-//   iostream             #include <iostream> is banned in src/
-//                        (support/LogSink.h and TablePrinter are the
-//                        sanctioned output paths).
+//   layering             #include edges between src/ modules follow the
+//                        declared layering DAG (ranks below), except
+//                        the check<->omc / check<->sequitur seam.
+//   unordered-serialize  no serialization function reaches, directly or
+//                        through calls, a range-for over an unordered
+//                        container: its order would leak into the bytes.
+//   atomics              non-relaxed memory orderings only in the files
+//                        that own a published happens-before edge.
+//   raw-thread           std::thread/mutex/... only in src/support.
+//   iostream             no #include <iostream> in src/.
+//   raw-new-delete       new/delete expressions only in the B+-tree node
+//                        arena; `= delete` is fine anywhere.
+//   endian-io            a src/ or tools/ .cpp doing raw file I/O
+//                        includes support/Endian.h (fixed-width fields
+//                        go through its little-endian helpers).
+//   no-asan-include      the ASan poisoning intrinsics only in
+//                        src/check/Check.h (use check::poisonRegion).
+//   log-sink             fprintf(stderr, ...) only in src/support;
+//                        elsewhere support::logMessage.
+//   static-counter       static atomics and initialized static integers
+//                        only in src/support and src/telemetry;
+//                        elsewhere register a telemetry metric.
+//   raw-socket           socket/poll headers only in src/session and
+//                        tools/, the daemon transport.
 //
 // Usage:
 //   orp-analyze [--root=DIR] [--json] [--list-rules]
@@ -41,20 +42,19 @@
 // one per line as `orp-analyze: <rule>: <file>:<line>: <message>`, or
 // as a JSON array with --json.
 //
-// Per-line escapes, on the flagged line or the line above:
+// Escapes sit next to the code they cover, with a reason:
 //
 //   // orp-analyze: allow(<rule>): reason
 //
-// Legacy orp-lint spellings for the rules this tool absorbs are also
-// honored (allow(unordered-serial), allow(raw-thread)), so a line
-// needs one annotation, not two.
+// on the flagged line or the line above; an endian-io escape anywhere
+// in a file covers the whole file.
 //
 // The tool is dependency-free C++ over the standard library: it must
 // build anywhere the repo builds, with no LLVM/clang libraries — and
 // no orp libraries either, so it can never deadlock the lint wall
 // against the code it checks.
 //
-// orp-lint: allow(endian-io): reads text source files, no binary
+// orp-analyze: allow(endian-io): reads text source files, no binary
 // fields ever cross this tool's I/O.
 //
 //===----------------------------------------------------------------------===//
@@ -62,7 +62,6 @@
 #include <algorithm>
 #include <cctype>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <functional>
@@ -96,18 +95,6 @@ void report(const std::string &Rule, const std::string &File, size_t Line,
 //===----------------------------------------------------------------------===//
 // Source model: one file, comment/string-stripped with line fidelity
 //===----------------------------------------------------------------------===//
-
-/// One scanned file. Raw holds the original lines (for allow() escapes
-/// and diagnostics); Code holds the same lines with comments and
-/// string/char literal *contents* blanked, so structural scans never
-/// trip over text. Line numbering is identical between the two.
-struct SourceFile {
-  std::string Path;   ///< Root-relative, '/'-separated.
-  std::string Module; ///< "support", "core", ... or "tools", "tests", ...
-  bool InSrc = false; ///< Lives under src/.
-  std::vector<std::string> Raw;
-  std::vector<std::string> Code;
-};
 
 /// Blanks comments and literal contents across \p Lines, preserving
 /// line structure. Quotes of string literals are kept (as '"') so
@@ -172,29 +159,6 @@ std::vector<std::string> stripLines(const std::vector<std::string> &Lines) {
   return Out;
 }
 
-/// True when line \p Line (1-based) of \p F carries an allow() escape
-/// for \p Rule — on the line itself or the line above, under either
-/// the orp-analyze or the legacy orp-lint spelling in \p LegacyRule.
-bool isAllowed(const SourceFile &F, size_t Line, const char *Rule,
-               const char *LegacyRule = nullptr) {
-  auto lineHasEscape = [&](size_t N) {
-    if (N < 1 || N > F.Raw.size())
-      return false;
-    const std::string &L = F.Raw[N - 1];
-    if (L.find(std::string("orp-analyze: allow(") + Rule + ")") !=
-        std::string::npos)
-      return true;
-    return LegacyRule &&
-           L.find(std::string("orp-lint: allow(") + LegacyRule + ")") !=
-               std::string::npos;
-  };
-  return lineHasEscape(Line) || lineHasEscape(Line - 1);
-}
-
-//===----------------------------------------------------------------------===//
-// Tokenizer
-//===----------------------------------------------------------------------===//
-
 struct Token {
   enum class Kind { Ident, Punct, Literal } K = Kind::Punct;
   std::string Text;
@@ -205,10 +169,10 @@ bool isIdentChar(char C) {
   return std::isalnum(static_cast<unsigned char>(C)) || C == '_';
 }
 
-std::vector<Token> tokenize(const SourceFile &F) {
+std::vector<Token> tokenize(const std::vector<std::string> &Code) {
   std::vector<Token> Toks;
-  for (size_t LN = 0; LN != F.Code.size(); ++LN) {
-    const std::string &L = F.Code[LN];
+  for (size_t LN = 0; LN != Code.size(); ++LN) {
+    const std::string &L = Code[LN];
     for (size_t I = 0; I != L.size();) {
       char C = L[I];
       if (std::isspace(static_cast<unsigned char>(C))) {
@@ -248,6 +212,90 @@ std::vector<Token> tokenize(const SourceFile &F) {
     }
   }
   return Toks;
+}
+
+/// One scanned file. Raw holds the original lines (for allow() escapes
+/// and diagnostics); Code holds the same lines with comments and
+/// string/char literal *contents* blanked, so structural scans never
+/// trip over text, and Toks is Code tokenized once for every pass.
+/// Line numbering is identical between the three.
+struct SourceFile {
+  std::string Path;   ///< Root-relative, '/'-separated.
+  std::string Module; ///< "support", "core", ... or "tools", "tests", ...
+  std::vector<std::string> Raw;
+  std::vector<std::string> Code;
+  std::vector<Token> Toks;
+};
+
+std::string escapeFor(const char *Rule) {
+  return std::string("orp-analyze: allow(") + Rule + ")";
+}
+
+/// True when line \p Line (1-based) of \p F carries an allow() escape
+/// for \p Rule, on the line itself or the line above.
+bool isAllowed(const SourceFile &F, size_t Line, const char *Rule) {
+  const std::string Escape = escapeFor(Rule);
+  auto lineHasEscape = [&](size_t N) {
+    return N >= 1 && N <= F.Raw.size() &&
+           F.Raw[N - 1].find(Escape) != std::string::npos;
+  };
+  return lineHasEscape(Line) || lineHasEscape(Line - 1);
+}
+
+/// The target of an #include directive on line \p LN (0-based) of \p F
+/// with its delimiters ("<iostream>", "\"core/Types.h\""), or "" when
+/// the line is no directive. The directive is found in Code, so an
+/// #include inside a comment does not count; a quoted name is read
+/// back from Raw, where it was not blanked.
+std::string includeTarget(const SourceFile &F, size_t LN) {
+  const std::string &C = F.Code[LN];
+  size_t H = C.find_first_not_of(" \t");
+  if (H == std::string::npos || C[H] != '#')
+    return "";
+  size_t Inc = C.find_first_not_of(" \t", H + 1);
+  if (Inc == std::string::npos || C.compare(Inc, 7, "include") != 0)
+    return "";
+  size_t Open = C.find_first_of("<\"", Inc + 7);
+  if (Open == std::string::npos)
+    return "";
+  size_t Close = C.find(C[Open] == '<' ? '>' : '"', Open + 1);
+  if (Close == std::string::npos)
+    return "";
+  return F.Raw[LN].substr(Open, Close - Open + 1);
+}
+
+//===----------------------------------------------------------------------===//
+// Rules
+//===----------------------------------------------------------------------===//
+
+struct Rule;
+using Pass = void (*)(const Rule &, const std::vector<SourceFile> &);
+
+/// One row of the Rules table. Scope and Sanctioned are root-relative
+/// path prefixes: a rule covers a file when some Scope prefix matches
+/// (an empty Scope is the whole tree) and no Sanctioned prefix does.
+/// A row without a Run pass of its own is a confinement rule: checkConfined
+/// reports every match of its Tokens pattern (see parsePattern) and
+/// every #include of one of its '|'-separated Includes in a covered
+/// file, as the matched text followed by Message.
+struct Rule {
+  const char *Name;
+  std::vector<std::string> Scope = {};
+  std::vector<std::string> Sanctioned = {};
+  const char *Tokens = "";
+  const char *Includes = "";
+  const char *Message = "";
+  Pass Run = nullptr;
+};
+
+bool covers(const Rule &R, const std::string &Path) {
+  auto Under = [&](const std::vector<std::string> &Prefixes) {
+    return std::any_of(Prefixes.begin(), Prefixes.end(),
+                       [&](const std::string &P) {
+                         return Path.rfind(P, 0) == 0;
+                       });
+  };
+  return (R.Scope.empty() || Under(R.Scope)) && !Under(R.Sanctioned);
 }
 
 //===----------------------------------------------------------------------===//
@@ -295,29 +343,17 @@ bool isAllowlistedSeam(const std::string &A, const std::string &B) {
 std::vector<std::pair<std::string, size_t>>
 firstPartyIncludes(const SourceFile &F) {
   std::vector<std::pair<std::string, size_t>> Refs;
-  for (size_t LN = 0; LN != F.Raw.size(); ++LN) {
-    const std::string &L = F.Raw[LN];
-    // A real directive starts the line (modulo indent); this also
-    // keeps `#include "mod/Header.h"` inside comments from matching.
-    size_t H = L.find_first_not_of(" \t");
-    if (H == std::string::npos || L[H] != '#')
+  for (size_t LN = 0; LN != F.Code.size(); ++LN) {
+    std::string T = includeTarget(F, LN);
+    size_t Slash = T.find('/');
+    if (T.empty() || T[0] != '"' || Slash == std::string::npos)
       continue;
-    size_t Inc = L.find("include", H);
-    if (Inc == std::string::npos)
-      continue;
-    size_t Q1 = L.find('"', Inc);
-    if (Q1 == std::string::npos)
-      continue;
-    size_t Q2 = L.find('"', Q1 + 1);
-    size_t Slash = L.find('/', Q1 + 1);
-    if (Q2 == std::string::npos || Slash == std::string::npos || Slash > Q2)
-      continue;
-    Refs.emplace_back(L.substr(Q1 + 1, Slash - Q1 - 1), LN + 1);
+    Refs.emplace_back(T.substr(1, Slash - 1), LN + 1);
   }
   return Refs;
 }
 
-void checkLayering(const std::vector<SourceFile> &Files) {
+void checkLayering(const Rule &R, const std::vector<SourceFile> &Files) {
   const auto &Ranks = moduleRanks();
   // Module-level edge set (for cycle detection) with one witness line.
   std::map<std::pair<std::string, std::string>,
@@ -329,14 +365,14 @@ void checkLayering(const std::vector<SourceFile> &Files) {
       if (It == Ranks.end()) {
         // Only src/ is held to the module table; tools/tests/bench may
         // quote-include their own helpers (bench/common, gtest).
-        if (F.InSrc && !isAllowed(F, Line, "layering"))
-          report("layering", F.Path, Line,
+        if (covers(R, F.Path) && !isAllowed(F, Line, R.Name))
+          report(R.Name, F.Path, Line,
                  "include of unknown module '" + Mod +
                      "' (not in the layering table; see "
                      "tools/orp_analyze.cpp moduleRanks())");
         continue;
       }
-      if (!F.InSrc)
+      if (!covers(R, F.Path))
         continue; // tools/tests/... sit above all src modules.
       int FromRank = Ranks.at(F.Module);
       int ToRank = It->second;
@@ -346,8 +382,8 @@ void checkLayering(const std::vector<SourceFile> &Files) {
                     std::make_pair(F.Path, Line));
       if (isAllowlistedSeam(F.Module, Mod))
         continue;
-      if (ToRank >= FromRank && !isAllowed(F, Line, "layering"))
-        report("layering", F.Path, Line,
+      if (ToRank >= FromRank && !isAllowed(F, Line, R.Name))
+        report(R.Name, F.Path, Line,
                "module '" + F.Module + "' (rank " +
                    std::to_string(FromRank) + ") may not include '" + Mod +
                    "' (rank " + std::to_string(ToRank) +
@@ -379,7 +415,7 @@ void checkLayering(const std::vector<SourceFile> &Files) {
                 break;
             }
             auto W = Edges.at({U, V});
-            report("layering", W.first, W.second,
+            report(R.Name, W.first, W.second,
                    "module include cycle: " + Cycle);
           } else if (Color[V] == 0) {
             Dfs(V);
@@ -422,7 +458,7 @@ bool isKeyword(const std::string &T) {
 /// `unordered_map< ...balanced... > Name`.
 void collectUnorderedNames(const SourceFile &F,
                           std::set<std::string> &Names) {
-  const std::vector<Token> Toks = tokenize(F);
+  const std::vector<Token> &Toks = F.Toks;
   for (size_t I = 0; I != Toks.size(); ++I) {
     const std::string &T = Toks[I].Text;
     if (T != "unordered_map" && T != "unordered_set")
@@ -458,7 +494,7 @@ void extractFunctions(const std::vector<SourceFile> &Files, size_t FileIdx,
                       const std::set<std::string> &UnorderedNames,
                       std::vector<Func> &Out) {
   const SourceFile &F = Files[FileIdx];
-  const std::vector<Token> Toks = tokenize(F);
+  const std::vector<Token> &Toks = F.Toks;
 
   // Find candidate definition heads: scan for '(' whose preceding
   // token is an identifier (possibly qualified); find its matching
@@ -579,8 +615,7 @@ void extractFunctions(const std::vector<SourceFile> &Files, size_t FileIdx,
           }
           size_t Line = Toks[B].Line;
           if (Unordered && !Fn.UnorderedIterLine &&
-              !isAllowed(F, Line, "unordered-serialize",
-                         "unordered-serial"))
+              !isAllowed(F, Line, "unordered-serialize"))
             Fn.UnorderedIterLine = Line;
         }
       }
@@ -594,7 +629,8 @@ void extractFunctions(const std::vector<SourceFile> &Files, size_t FileIdx,
 /// function whose name contains "serialize"/"encode" (the byte-stream
 /// producers); from each sink, walk the call graph by callee name and
 /// report any reachable function that iterates an unordered container.
-void checkUnorderedSerialize(const std::vector<SourceFile> &Files) {
+void checkUnorderedSerialize(const Rule &R,
+                             const std::vector<SourceFile> &Files) {
   // Unordered variable/member names are collected per module, so a
   // name like `Instrs` in leap does not taint an unrelated `Instrs`
   // in another subsystem.
@@ -639,7 +675,7 @@ void checkUnorderedSerialize(const std::vector<SourceFile> &Files) {
         }
         const SourceFile &IterFile = Files[Fn.File];
         const SourceFile &SinkFile = Files[Funcs[S].File];
-        report("unordered-serialize", SinkFile.Path, Funcs[S].Line,
+        report(R.Name, SinkFile.Path, Funcs[S].Line,
                "serialization path iterates an unordered container at " +
                    IterFile.Path + ":" +
                    std::to_string(Fn.UnorderedIterLine) +
@@ -669,28 +705,20 @@ void checkUnorderedSerialize(const std::vector<SourceFile> &Files) {
 // Atomics discipline
 //===----------------------------------------------------------------------===//
 
-/// Files allowed to use non-relaxed memory orderings: each owns a
-/// documented happens-before edge (see DESIGN.md section 16).
-bool isSanctionedAtomicsFile(const std::string &Path) {
-  return Path.rfind("src/support/", 0) == 0 ||
-         Path == "src/telemetry/Registry.cpp" ||
-         Path == "src/session/SessionManager.cpp";
-}
-
-void checkAtomics(const std::vector<SourceFile> &Files) {
+void checkAtomics(const Rule &R, const std::vector<SourceFile> &Files) {
   static const char *const Orders[] = {
       "memory_order_acquire", "memory_order_release",
       "memory_order_acq_rel", "memory_order_seq_cst",
       "memory_order_consume"};
   for (const SourceFile &F : Files) {
-    if (!F.InSrc || isSanctionedAtomicsFile(F.Path))
+    if (!covers(R, F.Path))
       continue;
     for (size_t LN = 0; LN != F.Code.size(); ++LN) {
       for (const char *O : Orders) {
         if (F.Code[LN].find(O) == std::string::npos)
           continue;
-        if (!isAllowed(F, LN + 1, "atomics"))
-          report("atomics", F.Path, LN + 1,
+        if (!isAllowed(F, LN + 1, R.Name))
+          report(R.Name, F.Path, LN + 1,
                  std::string("non-relaxed ordering '") + O +
                      "' outside the sanctioned set (publish through a "
                      "support queue, or sanction the file in "
@@ -702,61 +730,202 @@ void checkAtomics(const std::vector<SourceFile> &Files) {
 }
 
 //===----------------------------------------------------------------------===//
-// Raw threading primitives (orp-lint R5, compiled)
+// Confinement: tokens or includes outside a path set
 //===----------------------------------------------------------------------===//
 
-void checkRawThread(const std::vector<SourceFile> &Files) {
-  static const char *const Prims[] = {
-      "thread",        "jthread",     "mutex",
-      "recursive_mutex", "shared_mutex", "condition_variable",
-      "lock_guard",    "unique_lock", "scoped_lock",
-      "shared_lock"};
-  for (const SourceFile &F : Files) {
-    if (F.Path.rfind("src/support/", 0) == 0)
+/// One position of a token pattern: the token must be one of Alts
+/// (`$id` is any identifier). Look is 0 for a consumed token, '!' (first
+/// element only) for a token that must NOT precede the match, '?' (last
+/// element only) for a token that must follow it; neither lookaround
+/// token is part of the matched text.
+struct PatElem {
+  char Look = 0;
+  bool AnyIdent = false; ///< Alts holds `$id`.
+  std::vector<std::string> Alts;
+};
+
+std::vector<std::string> split(const std::string &S, char Sep) {
+  std::vector<std::string> Out;
+  for (size_t I = 0, J; I < S.size(); I = J + 1) {
+    J = std::min(S.find(Sep, I), S.size());
+    if (J != I)
+      Out.push_back(S.substr(I, J - I));
+  }
+  return Out;
+}
+
+/// Parses "seq; seq; ..." where each seq is space-separated elements
+/// of '|'-separated alternatives, optionally prefixed '!' or '?'.
+std::vector<std::vector<PatElem>> parsePattern(const std::string &P) {
+  std::vector<std::vector<PatElem>> Seqs;
+  for (const std::string &Seq : split(P, ';')) {
+    std::vector<PatElem> Elems;
+    for (std::string E : split(Seq, ' ')) {
+      PatElem Elem;
+      if (E[0] == '!' || E[0] == '?') {
+        Elem.Look = E[0];
+        E.erase(0, 1);
+      }
+      Elem.Alts = split(E, '|');
+      Elem.AnyIdent = std::count(Elem.Alts.begin(), Elem.Alts.end(), "$id");
+      Elems.push_back(std::move(Elem));
+    }
+    if (!Elems.empty())
+      Seqs.push_back(std::move(Elems));
+  }
+  return Seqs;
+}
+
+bool elemMatches(const PatElem &P, const Token &T) {
+  return (P.AnyIdent && T.K == Token::Kind::Ident) ||
+         std::find(P.Alts.begin(), P.Alts.end(), T.Text) != P.Alts.end();
+}
+
+/// True when \p Seq matches at Toks[I]; \p Text gets the matched tokens
+/// as spelled (a space only between two words).
+bool matchSeq(const std::vector<Token> &Toks, size_t I,
+              const std::vector<PatElem> &Seq, std::string &Text) {
+  size_t J = I;
+  for (const PatElem &P : Seq) {
+    if (P.Look == '!')
       continue;
-    const std::vector<Token> Toks = tokenize(F);
-    for (size_t I = 0; I + 2 < Toks.size(); ++I) {
-      if (Toks[I].Text != "std" || Toks[I + 1].Text != "::")
-        continue;
-      const std::string &T = Toks[I + 2].Text;
-      bool Hit = false;
-      for (const char *P : Prims)
-        if (T == P)
-          Hit = true;
-      if (!Hit)
-        continue;
-      size_t Line = Toks[I + 2].Line;
-      if (!isAllowed(F, Line, "raw-thread", "raw-thread"))
-        report("raw-thread", F.Path, Line,
-               "std::" + T +
-                   " outside src/support (build on SpscQueue, "
-                   "QueueWorker or ScopedThread)");
+    if (J == Toks.size() || !elemMatches(P, Toks[J]))
+      return false;
+    if (P.Look != '?')
+      ++J;
+  }
+  if (Seq[0].Look == '!' && I != 0 && elemMatches(Seq[0], Toks[I - 1]))
+    return false;
+  Text.clear();
+  for (size_t K = I; K != J; ++K) {
+    if (!Text.empty() && isIdentChar(Text.back()) &&
+        isIdentChar(Toks[K].Text[0]))
+      Text += ' ';
+    Text += Toks[K].Text;
+  }
+  return true;
+}
+
+bool matchAt(const std::vector<Token> &Toks, size_t I,
+             const std::vector<std::vector<PatElem>> &Seqs, std::string &Text) {
+  return std::any_of(Seqs.begin(), Seqs.end(), [&](const auto &Seq) {
+    return matchSeq(Toks, I, Seq, Text);
+  });
+}
+
+void checkConfined(const Rule &R, const std::vector<SourceFile> &Files) {
+  const auto Seqs = parsePattern(R.Tokens);
+  const auto Headers = split(R.Includes, '|');
+  std::string Text;
+  for (const SourceFile &F : Files) {
+    if (!covers(R, F.Path))
+      continue;
+    auto Flag = [&](size_t Line, const std::string &What) {
+      if (!isAllowed(F, Line, R.Name))
+        report(R.Name, F.Path, Line, What + " " + R.Message);
+    };
+    for (size_t LN = 0; !Headers.empty() && LN != F.Code.size(); ++LN) {
+      std::string H = includeTarget(F, LN);
+      if (std::find(Headers.begin(), Headers.end(), H) != Headers.end())
+        Flag(LN + 1, "#include " + H);
+    }
+    for (size_t I = 0; I != F.Toks.size(); ++I)
+      if (matchAt(F.Toks, I, Seqs, Text))
+        Flag(F.Toks[I].Line, Text);
+  }
+}
+
+/// endian-io holds per file: a covered .cpp that matches the rule's
+/// Tokens must include support/Endian.h or carry the escape anywhere.
+/// The finding sits on the first I/O token.
+void checkEndianIo(const Rule &R, const std::vector<SourceFile> &Files) {
+  const auto Seqs = parsePattern(R.Tokens);
+  const std::string Escape = escapeFor(R.Name);
+  std::string Text;
+  for (const SourceFile &F : Files) {
+    if (!covers(R, F.Path) || !F.Path.ends_with(".cpp"))
+      continue;
+    bool Exempt = false;
+    for (size_t LN = 0; LN != F.Raw.size() && !Exempt; ++LN)
+      Exempt = includeTarget(F, LN) == "\"support/Endian.h\"" ||
+               F.Raw[LN].find(Escape) != std::string::npos;
+    for (size_t I = 0; !Exempt && I != F.Toks.size(); ++I) {
+      if (matchAt(F.Toks, I, Seqs, Text)) {
+        report(R.Name, F.Path, F.Toks[I].Line, Text + " " + R.Message);
+        break;
+      }
     }
   }
 }
 
 //===----------------------------------------------------------------------===//
-// iostream ban (orp-lint R8's compiled twin)
+// The rule table
 //===----------------------------------------------------------------------===//
 
-void checkIostream(const std::vector<SourceFile> &Files) {
-  for (const SourceFile &F : Files) {
-    if (!F.InSrc)
-      continue;
-    for (size_t LN = 0; LN != F.Code.size(); ++LN) {
-      const std::string &L = F.Code[LN];
-      size_t H = L.find('#');
-      if (H == std::string::npos ||
-          L.find("include", H) == std::string::npos ||
-          L.find("<iostream>") == std::string::npos)
-        continue;
-      if (!isAllowed(F, LN + 1, "iostream", "iostream"))
-        report("iostream", F.Path, LN + 1,
-               "#include <iostream> is banned in src/ (use "
-               "support/LogSink.h or support/TablePrinter.h)");
-    }
-  }
-}
+/// Every rule, in --list-rules order.
+const std::vector<Rule> Rules = {
+    {.Name = "layering", .Scope = {"src/"}, .Run = checkLayering},
+    {.Name = "unordered-serialize", .Run = checkUnorderedSerialize},
+    // Each sanctioned file owns a documented happens-before edge
+    // (DESIGN.md section 16).
+    {.Name = "atomics",
+     .Scope = {"src/"},
+     .Sanctioned = {"src/support/", "src/telemetry/Registry.cpp",
+                    "src/session/SessionManager.cpp"},
+     .Run = checkAtomics},
+    {.Name = "raw-thread",
+     .Sanctioned = {"src/support/"},
+     .Tokens = "std :: thread|jthread|mutex|recursive_mutex|shared_mutex|"
+               "condition_variable|lock_guard|unique_lock|scoped_lock|"
+               "shared_lock",
+     .Message = "outside src/support (build on SpscQueue, QueueWorker or "
+                "ScopedThread)"},
+    {.Name = "iostream",
+     .Scope = {"src/"},
+     .Includes = "<iostream>",
+     .Message = "is banned in src/ (use support/LogSink.h or "
+                "support/TablePrinter.h)"},
+    // `::new` (placement), `operator new` and `= delete;` are not
+    // new/delete expressions.
+    {.Name = "raw-new-delete",
+     .Sanctioned = {"src/omc/IntervalBTree.cpp"},
+     .Tokens = "!::|operator new|delete ?$id|(|[|*",
+     .Message = "expression outside the B+-tree node arena "
+                "(src/omc/IntervalBTree.cpp); use a container or a "
+                "unique_ptr"},
+    {.Name = "endian-io",
+     .Scope = {"src/", "tools/"},
+     .Tokens = "fwrite|fread|ifstream|ofstream",
+     .Message = "in a file without support/Endian.h (fixed-width fields "
+                "go through its little-endian helpers)",
+     .Run = checkEndianIo},
+    {.Name = "no-asan-include",
+     .Sanctioned = {"src/check/Check.h"},
+     .Tokens = "__asan_poison_memory_region|__asan_unpoison_memory_region|"
+               "__asan_address_is_poisoned",
+     .Message = "outside src/check/Check.h (use check::poisonRegion)"},
+    // bench/ and fuzz/ are standalone harnesses with their own stderr
+    // conventions and counters.
+    {.Name = "log-sink",
+     .Scope = {"src/", "tools/", "examples/", "tests/"},
+     .Sanctioned = {"src/support/"},
+     .Tokens = "fprintf ( stderr",
+     .Message = "...) outside src/support (use support::logMessage)"},
+    {.Name = "static-counter",
+     .Scope = {"src/", "tools/", "examples/", "tests/"},
+     .Sanctioned = {"src/support/", "src/telemetry/"},
+     .Tokens = "static std :: atomic ?<; "
+               "static uint64_t|uint32_t|int64_t|unsigned|size_t|int|long "
+               "$id ?=|{",
+     .Message = "outside src/support and src/telemetry (register a "
+                "telemetry::Counter or publish through a snapshot "
+                "collector)"},
+    {.Name = "raw-socket",
+     .Sanctioned = {"src/session/", "tools/"},
+     .Includes = "<sys/socket.h>|<sys/un.h>|<poll.h>",
+     .Message = "outside src/session and tools/ (the daemon transport is "
+                "the one network surface)"},
+};
 
 //===----------------------------------------------------------------------===//
 // Driver
@@ -785,16 +954,12 @@ std::vector<SourceFile> loadTree(const fs::path &Root, bool &IoError) {
         continue;
       SourceFile F;
       F.Path = fs::relative(P, Root, Ec).generic_string();
-      F.InSrc = F.Path.rfind("src/", 0) == 0;
-      if (F.InSrc) {
-        std::string Rest = F.Path.substr(4);
-        F.Module = Rest.substr(0, Rest.find('/'));
-      } else {
-        F.Module = Top;
-      }
+      F.Module = F.Path.rfind("src/", 0) == 0
+                     ? F.Path.substr(4, F.Path.find('/', 4) - 4)
+                     : Top;
       std::ifstream In(P);
       if (!In) {
-        // orp-lint: allow(log-sink): standalone tool, links no orp libs.
+        // orp-analyze: allow(log-sink): standalone tool, links no orp libs.
         std::fprintf(stderr, "orp-analyze: cannot read %s\n",
                      F.Path.c_str());
         IoError = true;
@@ -804,6 +969,7 @@ std::vector<SourceFile> loadTree(const fs::path &Root, bool &IoError) {
       while (std::getline(In, Line))
         F.Raw.push_back(Line);
       F.Code = stripLines(F.Raw);
+      F.Toks = tokenize(F.Code);
       Files.push_back(std::move(F));
     }
   }
@@ -825,13 +991,12 @@ std::string jsonEscape(const std::string &S) {
 }
 
 int usage() {
-  std::fprintf(
-      stderr,
-      "usage: orp-analyze [--root=DIR] [--json] [--list-rules]\n"
-      "\n"
-      "Structural static analysis of the ORP tree: module layering,\n"
-      "transitive unordered-container-into-serialization, atomics\n"
-      "discipline, raw-thread confinement, iostream ban.\n");
+  // orp-analyze: allow(log-sink): standalone tool, links no orp libs.
+  std::fprintf(stderr,
+               "usage: orp-analyze [--root=DIR] [--json] [--list-rules]\n"
+               "\n"
+               "Checks the ORP tree against the repository rules that\n"
+               "--list-rules names (see tools/orp_analyze.cpp).\n");
   return 2;
 }
 
@@ -847,8 +1012,8 @@ int main(int argc, char **argv) {
     } else if (Arg == "--json") {
       Json = true;
     } else if (Arg == "--list-rules") {
-      std::printf("layering\nunordered-serialize\natomics\nraw-thread\n"
-                  "iostream\n");
+      for (const Rule &R : Rules)
+        std::printf("%s\n", R.Name);
       return 0;
     } else {
       return usage();
@@ -872,7 +1037,7 @@ int main(int argc, char **argv) {
     }
   }
   if (!fs::is_directory(Root / "src", Ec)) {
-    // orp-lint: allow(log-sink): standalone tool, links no orp libs.
+    // orp-analyze: allow(log-sink): standalone tool, links no orp libs.
     std::fprintf(stderr, "orp-analyze: no src/ under --root=%s\n",
                  RootArg.c_str());
     return 2;
@@ -883,11 +1048,8 @@ int main(int argc, char **argv) {
   if (IoError)
     return 2;
 
-  checkLayering(Files);
-  checkUnorderedSerialize(Files);
-  checkAtomics(Files);
-  checkRawThread(Files);
-  checkIostream(Files);
+  for (const Rule &R : Rules)
+    (R.Run ? R.Run : checkConfined)(R, Files);
 
   std::sort(Findings.begin(), Findings.end(),
             [](const Finding &A, const Finding &B) {

@@ -125,7 +125,7 @@ int usage(const char *Argv0) {
 /// Writes opaque, already-serialized artifact bytes to \p Path.
 bool writeArtifactFile(const std::string &Path,
                        const std::vector<uint8_t> &Bytes) {
-  // orp-lint: allow(endian-io): opaque byte image; all field encoding
+  // orp-analyze: allow(endian-io): opaque byte image; all field encoding
   // happened inside serialize().
   std::FILE *Out = std::fopen(Path.c_str(), "wb");
   if (!Out ||
@@ -1134,8 +1134,7 @@ int cmdDiff(const char *PathA, const char *PathB) {
     diffCounter("instructions", A.instructions().size(),
                 B.instructions().size(), Diffs);
     uint64_t PointsA = 0, PointsB = 0;
-    // orp-lint: allow(unordered-serial): diagnostic counting only; the
-    // counts are order-independent.
+    // Diagnostic counting only; the counts are order-independent.
     for (const auto &[Key, Sub] : A.substreams()) {
       PointsA += Sub.TotalPoints;
       auto It = B.substreams().find(Key);
