@@ -3,6 +3,7 @@
 #include "BenchCommon.h"
 
 #include "support/Error.h"
+#include "support/ParseNumber.h"
 #include "support/Timer.h"
 
 #include <cstdio>
@@ -21,12 +22,12 @@ const std::vector<std::string> &orp::bench::specNames() {
 uint64_t orp::bench::parseScale(int Argc, char **Argv) {
   if (Argc < 2)
     return 1;
-  long Scale = std::strtol(Argv[1], nullptr, 10);
-  if (Scale < 1 || Scale > 64) {
+  uint64_t Scale = 0;
+  if (!support::parseUint64(Argv[1], Scale) || Scale < 1 || Scale > 64) {
     std::fprintf(stderr, "usage: %s [scale 1..64]\n", Argv[0]);
     std::exit(1);
   }
-  return static_cast<uint64_t>(Scale);
+  return Scale;
 }
 
 double orp::bench::runInSession(core::ProfilingSession &Session,

@@ -37,15 +37,6 @@ void MemoryInterface::flushAccesses() {
   BatchLen = 0;
 }
 
-void MemoryInterface::setBatchCapacity(size_t N) {
-  flushAccesses();
-  if (N < 1)
-    N = 1;
-  if (N > MaxBatchCapacity)
-    N = MaxBatchCapacity;
-  BatchCapacity = N;
-}
-
 uint64_t MemoryInterface::heapAlloc(AllocSiteId Site, uint64_t Size,
                                     uint64_t Align) {
   assert(!Finished && "allocation after finish()");
@@ -105,7 +96,7 @@ void MemoryInterface::injectAccess(const AccessEvent &Event) {
   // recorded timestamp travels inside the event.
   if (!Sinks.empty()) {
     Batch[BatchLen++] = Event;
-    if (BatchLen >= BatchCapacity)
+    if (BatchLen >= kBatchCapacity)
       flushAccesses();
   }
   // Live record() stamps the current clock and then advances it.

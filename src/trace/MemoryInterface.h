@@ -41,10 +41,9 @@ namespace trace {
 /// inspected mid-run must be preceded by flushAccesses().
 class MemoryInterface {
 public:
-  /// Hard upper bound on the access batch (buffer is allocated inline).
-  static constexpr size_t MaxBatchCapacity = 256;
-  /// Default flush threshold; see bench/perf_components batch sweep.
-  static constexpr size_t DefaultBatchCapacity = 128;
+  /// Accesses per batch: the batch buffer is inline and flushes when it
+  /// holds this many.
+  static constexpr size_t kBatchCapacity = 128;
 
   /// Creates a runtime with a heap served by \p Policy. \p Seed models the
   /// environment-dependent layout noise of one particular run.
@@ -71,13 +70,6 @@ public:
   /// finish() flush implicitly; call this before inspecting sink state
   /// mid-run.
   void flushAccesses();
-
-  /// Sets the flush threshold (clamped to [1, MaxBatchCapacity]);
-  /// flushes pending accesses first. 1 reproduces per-event delivery.
-  void setBatchCapacity(size_t N);
-
-  /// Returns the current flush threshold.
-  size_t batchCapacity() const { return BatchCapacity; }
 
   /// Object probe: allocates \p Size heap bytes at allocation site
   /// \p Site. Returns the object's address (0 on simulated OOM).
@@ -133,7 +125,7 @@ public:
   /// (v2) replay path hands each decoded between-boundaries slice here;
   /// profiles are byte-identical to per-event injection because sinks
   /// only depend on event order, never on batch boundaries (pinned by
-  /// the batch-capacity sweep tests).
+  /// the cross-version replay tests in tests/traceio_test.cpp).
   void injectAccessBatch(std::span<const AccessEvent> Events);
   /// @}
 
@@ -154,7 +146,7 @@ private:
     assert(!Finished && "access after finish()");
     if (!Sinks.empty()) {
       Batch[BatchLen++] = AccessEvent{Instr, Addr, Size, IsStore, Clock};
-      if (BatchLen >= BatchCapacity)
+      if (BatchLen >= kBatchCapacity)
         flushAccesses();
     }
     ++Clock;
@@ -163,9 +155,8 @@ private:
   std::unique_ptr<memsim::SimAllocator> Heap;
   std::vector<TraceSink *> Sinks;
   /// Access batch buffer (see class comment).
-  std::array<AccessEvent, MaxBatchCapacity> Batch;
+  std::array<AccessEvent, kBatchCapacity> Batch;
   size_t BatchLen = 0;
-  size_t BatchCapacity = DefaultBatchCapacity;
   /// Global access counter; "a counter starting from 0 at the beginning of
   /// the program and incremented after every collected access" (Sec. 2.2).
   uint64_t Clock = 0;

@@ -286,9 +286,49 @@ TEST(MemoryInterfaceTest, FreeMidBatchFlushesAccessesFirst) {
   uint64_t Addr = M.heapAlloc(0, 64);
   M.load(0, Addr);
   M.store(1, Addr + 8);
-  // Batch capacity (default 128) not reached: both accesses pending.
+  // kBatchCapacity not reached: both accesses pending.
   M.heapFree(Addr);
   EXPECT_EQ(S.Seen, (std::vector<char>{'A', 'a', 'a', 'F'}));
+}
+
+TEST(MemoryInterfaceTest, FullBatchDispatchesOnceAtCapacity) {
+  // The batch boundary, live and replayed: kBatchCapacity - 1 accesses
+  // stay pending, and the kBatchCapacity-th delivers all of them as one
+  // onAccessBatch, in order and carrying their clocks.
+  struct BatchSink : TraceSink {
+    std::vector<std::vector<AccessEvent>> Batches;
+    void onAccess(const AccessEvent &E) override { Batches.push_back({E}); }
+    void onAccessBatch(std::span<const AccessEvent> Events) override {
+      Batches.emplace_back(Events.begin(), Events.end());
+    }
+    void onAlloc(const AllocEvent &) override {}
+    void onFree(const FreeEvent &) override {}
+  };
+  constexpr size_t N = MemoryInterface::kBatchCapacity;
+  for (bool Inject : {false, true}) {
+    SCOPED_TRACE(Inject ? "injectAccess" : "load");
+    BatchSink S;
+    MemoryInterface M;
+    M.attachSink(&S);
+    for (uint64_t I = 0; I != N; ++I) {
+      EXPECT_TRUE(S.Batches.empty()) << "dispatched after " << I;
+      uint64_t Addr = 0x1000 + 8 * I;
+      if (Inject)
+        M.injectAccess(AccessEvent{static_cast<InstrId>(I), Addr, 8, false,
+                                   100 + I});
+      else
+        M.load(static_cast<InstrId>(I), Addr);
+    }
+    ASSERT_EQ(S.Batches.size(), 1u);
+    ASSERT_EQ(S.Batches[0].size(), N);
+    uint64_t Clock0 = Inject ? 100 : 0;
+    for (uint64_t I = 0; I != N; ++I) {
+      EXPECT_EQ(S.Batches[0][I].Instr, I);
+      EXPECT_EQ(S.Batches[0][I].Addr, 0x1000 + 8 * I);
+      EXPECT_EQ(S.Batches[0][I].Time, Clock0 + I);
+    }
+    EXPECT_EQ(M.now(), Clock0 + N);
+  }
 }
 
 TEST(MemoryInterfaceTest, UnknownFreeDoesNotFlushBatch) {
