@@ -4,14 +4,16 @@
 // no crash, no sanitizer report, no unbounded work. A parse that
 // succeeds must also decode every event without tripping the hardened
 // varint layer. Each input is also written to a temporary file and
-// opened through open(), which indexes it with pread and maps it for
-// payload reads: the mapped path must reach the same verdict, error
+// opened through open(), which reads its header and trailer (registry,
+// block table, end marker) with two preads and maps it for payload
+// reads: the mapped path must reach the same verdict, error
 // string and header info as openImage(), decode the same event
 // sequence, hand out byte-equal rawBlock() payloads, and decode every
 // block alone (walked last block first, against any replay's order) to
 // the same result. Seeds are real .orpt images produced by TraceWriter
 // so mutations explore the format's interior, not just the header
-// checks.
+// checks; one records one event per block, so the block table is its
+// largest section.
 //
 //===----------------------------------------------------------------------===//
 
@@ -147,8 +149,10 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t *Data, size_t Size) {
 }
 
 /// Records a small synthetic probe stream through the real writer in
-/// the given .orpt format version and returns the file's bytes.
-static std::vector<uint8_t> recordSeedTrace(uint8_t FormatVersion) {
+/// the given .orpt format version and block size and returns the file's
+/// bytes.
+static std::vector<uint8_t> recordSeedTrace(uint8_t FormatVersion,
+                                            size_t BlockBytes = 128) {
   std::string Path =
       (std::filesystem::temp_directory_path() / "orp-tracereader-fuzz-seed.orpt")
           .string();
@@ -159,8 +163,7 @@ static std::vector<uint8_t> recordSeedTrace(uint8_t FormatVersion) {
   trace::AllocSiteId Site = Registry.addAllocSite("fuzz: alloc", "struct fz");
   {
     traceio::TraceWriter Writer(Path, Registry, memsim::AllocPolicy::FirstFit,
-                                /*Seed=*/42, /*BlockBytes=*/128,
-                                FormatVersion);
+                                /*Seed=*/42, BlockBytes, FormatVersion);
     uint64_t Time = 0;
     Writer.onAlloc({Site, /*Addr=*/0x1000, /*Size=*/64, ++Time,
                     /*IsStatic=*/false});
@@ -185,6 +188,11 @@ std::vector<std::vector<uint8_t>> orpFuzzSeedInputs() {
   // interleaved record interior and the v2 column directory.
   Seeds.push_back(recordSeedTrace(traceio::kFormatVersionV1));
   Seeds.push_back(recordSeedTrace(traceio::kFormatVersionV2));
+  // One event per block: each 6-byte table entry outweighs its 5-byte
+  // v1 payload, so the block table is the image's largest section and
+  // mutations land in its counts, lengths and CRCs.
+  Seeds.push_back(recordSeedTrace(traceio::kFormatVersionV1,
+                                  /*BlockBytes=*/1));
   // Degenerate seeds: empty input, bare magic, magic + junk version.
   Seeds.push_back({});
   Seeds.push_back({'O', 'R', 'P', 'T'});

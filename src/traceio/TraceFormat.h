@@ -20,21 +20,28 @@
 ///     [0]  magic "ORPT"
 ///     [4]  u8  version (1 or 2; the versions differ only in the event
 ///          payload encoding, selected per file)
-///     [5]  u8  flags (kFlagHasRegistry)
+///     [5]  u8  flags (kFlagHasRegistry | kFlagBlockTable; both are set
+///          in every finalized file and no other bit may be)
 ///     [6]  u8  alloc policy (memsim::AllocPolicy)
 ///     [7]  u8  reserved (0)
 ///     [8]  u64 environment seed of the recorded run
 ///     [16] u64 registry section offset (0 => writer never finalized)
 ///     [24] u64 total event count
 ///     [32] u32 CRC-32 of header bytes [0, 32)
-///   Event blocks, back to back, from offset 36 to the registry offset:
-///     u8 kind (kBlockEvents) | uleb payloadLen | uleb eventCount |
-///     u32 CRC-32 of payload | payload
+///   Event payloads, back to back with no framing, from offset 36 to the
+///   registry offset; the block table says where each one ends.
 ///   Registry section at the registry offset:
 ///     u8 kind (kBlockRegistry) | uleb payloadLen | u32 CRC-32 | payload
 ///     payload: uleb numInstrs, per instr {uleb nameLen, name, u8 kind};
 ///              uleb numSites, per site {uleb nameLen, name,
 ///                                       uleb typeLen, type}
+///   Block table section, right after the registry:
+///     u8 kind (kBlockTable) | uleb payloadLen | u32 CRC-32 | payload
+///     payload: uleb numBlocks, per block, in file order,
+///              {uleb payloadLen, uleb eventCount, u32 CRC-32 of payload}
+///     The payload lengths tile [36, registry offset) exactly and the
+///     event counts sum to the header's total, so the reader finds every
+///     block from this one section, without touching the payloads.
 ///   End marker: u8 kEndMarker, which must be the last byte of the file.
 ///
 /// Event payload encoding, v1 (interleaved records). Addresses and
@@ -90,8 +97,11 @@ constexpr uint8_t kMagic[4] = {'O', 'R', 'P', 'T'};
 /// The two on-disk format revisions: v1 interleaved records, v2
 /// columnar blocks. Readers accept the whole [v1, v2] range and select
 /// the payload decoder per file; writers default to v2 and can be asked
-/// for v1 (`orp-trace record --format-version=1`). The format is
-/// append-only versioned (new event kinds or header fields bump this).
+/// for v1 (`orp-trace record --format-version=1`). The version names
+/// the payload encoding only — the daemon wire protocol and
+/// ProfileSession::injectBlock carry it with still-encoded blocks — so
+/// a change to the container (header, sections) is marked by a header
+/// flag, not by this byte (DESIGN.md section 7, "Versioning policy").
 constexpr uint8_t kFormatVersionV1 = 1;
 constexpr uint8_t kFormatVersionV2 = 2;
 
@@ -106,10 +116,16 @@ constexpr size_t kHeaderSize = 36;
 
 /// Header flag: a registry section is present.
 constexpr uint8_t kFlagHasRegistry = 0x01;
+/// Header flag: the block table section follows the registry. Files
+/// without it were recorded by an older writer and are rejected.
+constexpr uint8_t kFlagBlockTable = 0x02;
+/// The flags of every finalized trace; a reader rejects any other bit.
+constexpr uint8_t kFlagsFinalized = kFlagHasRegistry | kFlagBlockTable;
 
-/// Section kinds.
-constexpr uint8_t kBlockEvents = 0x01;
+/// Section kinds. (0x01 framed the in-line event blocks of the layout
+/// older writers produced; it is not reused.)
 constexpr uint8_t kBlockRegistry = 0x02;
+constexpr uint8_t kBlockTable = 0x03;
 constexpr uint8_t kEndMarker = 0xFF;
 
 /// Record tag opcodes (low 3 bits of the tag byte).

@@ -9,7 +9,6 @@
 #include "traceio/BlockCodec.h"
 #include "traceio/RegistryCodec.h"
 
-#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -34,12 +33,52 @@ namespace {
 /// read) of a mapped trace resident.
 constexpr size_t kReleaseWindow = 256 * 1024;
 
-/// The most bytes an event block header can take: kind byte, two
-/// ULEB128 fields of at most 10 bytes each, and the CRC-32.
-constexpr size_t kMaxBlockHeader = 1 + 10 + 10 + 4;
+/// The fewest bytes a block table entry can take: two one-byte ULEB128
+/// fields and the CRC-32.
+constexpr size_t kMinTableEntry = 1 + 1 + 4;
 
-/// The same for the registry section header: kind, ULEB128 length, CRC.
-constexpr size_t kMaxRegistryHeader = 1 + 10 + 4;
+/// A CRC-checked section payload: its position in the trailer and length.
+struct Section {
+  size_t Pos = 0;
+  size_t Len = 0;
+};
+
+/// Parses the section of kind \p Kind at \p At in \p Trailer (the bytes
+/// from the registry offset to the end of the file), checks its CRC and
+/// steps \p At past it. On failure sets \p Err, labelled \p What.
+bool readSection(const std::vector<uint8_t> &Trailer, size_t &At,
+                 uint8_t Kind, const char *What, Section &Out,
+                 std::string &Err) {
+  const std::string Label = What;
+  if (At == Trailer.size()) {
+    Err = Label + ": truncated header";
+    return false;
+  }
+  if (Trailer[At] != Kind) {
+    Err = Label + ": unexpected kind " + std::to_string(Trailer[At]);
+    return false;
+  }
+  size_t Pos = At + 1;
+  uint64_t PayloadLen = 0;
+  if (!tryDecodeULEB128(Trailer.data(), Trailer.size(), Pos, PayloadLen) ||
+      Trailer.size() - Pos < 4) {
+    Err = Label + ": truncated header";
+    return false;
+  }
+  const uint32_t Want = readLE32(Trailer.data() + Pos);
+  Pos += 4;
+  if (PayloadLen > Trailer.size() - Pos) {
+    Err = Label + ": truncated payload";
+    return false;
+  }
+  if (crc32(Trailer.data() + Pos, PayloadLen) != Want) {
+    Err = Label + ": checksum mismatch (corrupted file)";
+    return false;
+  }
+  Out = Section{Pos, static_cast<size_t>(PayloadLen)};
+  At = Pos + PayloadLen;
+  return true;
+}
 
 } // namespace
 
@@ -74,8 +113,9 @@ bool TraceReader::open(const std::string &Path) {
                        MAP_PRIVATE, File, 0);
     if (Map != MAP_FAILED) {
       // The mapping backs payload reads only. The validator reads the
-      // header, block index and registry with pread on the open file,
-      // so open() faults in no page of the mapping.
+      // header and the trailer (registry, block table, end marker) with
+      // two preads on the open file, so open() faults in no page of the
+      // mapping.
       Mapping = Map;
       Data = static_cast<const uint8_t *>(Map);
       Size = static_cast<size_t>(St.st_size);
@@ -143,7 +183,7 @@ const uint8_t *TraceReader::payloadOf(size_t Index) const {
   // read (a daemon client re-reads each block it is refused). Block 0
   // starts in window 0, so Index - 1 is valid in the window test. The
   // last block also releases the whole pages of its own window before
-  // its header: nothing follows it, so a finished walk keeps only that
+  // its payload: nothing follows it, so a finished walk keeps only that
   // block resident, and a re-read of it touches no other window. The
   // mapping is private and read-only: a released page refaults from the
   // page cache with the same bytes, and pointers handed out earlier stay
@@ -152,13 +192,10 @@ const uint8_t *TraceReader::payloadOf(size_t Index) const {
       Window &&
       (Blocks[Index - 1].PayloadPos & ~(kReleaseWindow - 1)) != Window;
   if (Index + 1 == Blocks.size()) {
-    const size_t HeaderPos = Index == 0 ? kHeaderSize
-                                        : Blocks[Index - 1].PayloadPos +
-                                              Blocks[Index - 1].PayloadLen;
     const size_t From = FirstInWindow ? 0 : Window;
-    if (HeaderPos > From)
+    if (Ref.PayloadPos > From)
       support::releaseWholePages(static_cast<const uint8_t *>(Mapping) + From,
-                                 HeaderPos - From);
+                                 Ref.PayloadPos - From);
   } else if (FirstInWindow) {
     support::releaseWholePages(Mapping, Window);
   }
@@ -170,9 +207,32 @@ bool TraceReader::parseImage() {
   uint64_t RegistryOffset;
   if (!parseHeader(RegistryOffset))
     return false;
-  if (!indexBlocks(RegistryOffset))
-    return false;
-  if (!parseRegistry(RegistryOffset))
+  // Everything after the event payloads — registry, block table and end
+  // marker — in one read, whatever the number of blocks.
+  std::vector<uint8_t> Trailer(Size - RegistryOffset);
+  if (!readAt(RegistryOffset, Trailer.size(), Trailer.data()))
+    return failed("read error");
+  Section Registry, Table;
+  size_t At = 0;
+  std::string SectionErr;
+  if (!readSection(Trailer, At, kBlockRegistry, "registry section", Registry,
+                   SectionErr) ||
+      !readSection(Trailer, At, kBlockTable, "block table", Table,
+                   SectionErr))
+    return failed(SectionErr);
+  if (At == Trailer.size() || Trailer[At] != kEndMarker)
+    return failed("missing end marker (truncated file?)");
+  if (At + 1 != Trailer.size())
+    return failed("trailing garbage after end marker");
+
+  std::string PayloadErr;
+  if (!parseRegistryPayload(Trailer.data() + Registry.Pos, Registry.Len,
+                            Instrs, Sites, PayloadErr))
+    return failed("registry section at byte " +
+                  std::to_string(RegistryOffset + Registry.Pos) + ": " +
+                  PayloadErr);
+  if (!parseBlockTable(Trailer.data() + Table.Pos, Table.Len,
+                       RegistryOffset))
     return false;
   Info.NumBlocks = Blocks.size();
   Info.NumInstructions = Instrs.size();
@@ -201,90 +261,69 @@ bool TraceReader::parseHeader(uint64_t &RegistryOffset) {
   uint32_t Got = crc32(Hdr, 32);
   if (Want != Got)
     return failed("header checksum mismatch (corrupted file)");
+  if (Info.Flags & ~kFlagsFinalized)
+    return failed("unknown header flags " + std::to_string(Info.Flags));
   RegistryOffset = readLE64(Hdr + 16);
   if (RegistryOffset == 0)
     return failed("unfinalized trace: the writer never close()d it");
+  if (!(Info.Flags & kFlagBlockTable))
+    return failed("no block table: recorded by an older writer; "
+                  "re-record it");
+  if (!(Info.Flags & kFlagHasRegistry))
+    return failed("registry flag clear in a finalized header");
   if (RegistryOffset < kHeaderSize || RegistryOffset >= Size)
     return failed("registry offset out of bounds (truncated file?)");
   return true;
 }
 
-bool TraceReader::indexBlocks(uint64_t RegistryOffset) {
-  size_t Pos = kHeaderSize;
-  uint64_t Events = 0;
-  while (Pos < RegistryOffset) {
-    uint64_t BlockIndex = Blocks.size();
-    auto Where = [&] {
-      return "block " + std::to_string(BlockIndex) + " at byte " +
-             std::to_string(Pos);
-    };
-    // One read covers the longest header the section can still hold;
-    // every field check below stays within the bytes read.
-    uint8_t Hdr[kMaxBlockHeader];
-    size_t HdrLen = std::min<uint64_t>(kMaxBlockHeader, RegistryOffset - Pos);
-    if (!readAt(Pos, HdrLen, Hdr))
-      return failed("read error");
-    if (Hdr[0] != kBlockEvents)
-      return failed(Where() + ": unexpected section kind " +
-                    std::to_string(Hdr[0]));
-    size_t At = 1;
-    uint64_t PayloadLen, EventCount;
-    if (!tryDecodeULEB128(Hdr, HdrLen, At, PayloadLen) ||
-        !tryDecodeULEB128(Hdr, HdrLen, At, EventCount))
-      return failed(Where() + ": truncated block header");
-    if (HdrLen - At < 4)
-      return failed(Where() + ": truncated block header");
-    uint32_t Crc = readLE32(Hdr + At);
-    Pos += At + 4;
+bool TraceReader::parseBlockTable(const uint8_t *Table, size_t Len,
+                                  uint64_t RegistryOffset) {
+  size_t At = 0;
+  uint64_t Count = 0;
+  if (!tryDecodeULEB128(Table, Len, At, Count))
+    return failed("block table: malformed block count");
+  // Bound the count by the bytes that could hold it before reserving.
+  const uint64_t MaxCount = (Len - At) / kMinTableEntry;
+  if (Count > MaxCount)
+    return failed("block table: declares " + std::to_string(Count) +
+                  " blocks, its " + std::to_string(Len - At) +
+                  " entry bytes hold at most " + std::to_string(MaxCount));
+  Blocks.reserve(Count);
+  // Block positions are the prefix sums of the payload lengths, which
+  // must tile [kHeaderSize, RegistryOffset) exactly.
+  uint64_t Pos = kHeaderSize, Events = 0;
+  for (uint64_t B = 0; B != Count; ++B) {
+    uint64_t PayloadLen = 0, EventCount = 0;
+    if (!tryDecodeULEB128(Table, Len, At, PayloadLen) ||
+        !tryDecodeULEB128(Table, Len, At, EventCount) || Len - At < 4)
+      return failed("block table: malformed entry " + std::to_string(B));
+    const uint32_t Crc = readLE32(Table + At);
+    At += 4;
     if (PayloadLen > RegistryOffset - Pos)
-      return failed(Where() + ": payload extends past the registry "
-                              "section (truncated file?)");
-    Blocks.push_back(BlockRef{Pos, static_cast<size_t>(PayloadLen),
-                              EventCount, Crc});
-    Events += EventCount;
+      return failed("block " + std::to_string(B) + " at byte " +
+                    std::to_string(Pos) +
+                    ": payload extends past the registry section");
+    if (EventCount > Info.TotalEvents - Events)
+      return failed("event count mismatch: header declares " +
+                    std::to_string(Info.TotalEvents) + ", blocks 0-" +
+                    std::to_string(B) + " hold more");
+    Blocks.push_back(BlockRef{static_cast<size_t>(Pos),
+                              static_cast<size_t>(PayloadLen), EventCount,
+                              Crc});
     Pos += PayloadLen;
+    Events += EventCount;
   }
+  if (At != Len)
+    return failed("block table: trailing bytes after " +
+                  std::to_string(Count) + " entries");
+  if (Pos != RegistryOffset)
+    return failed("block table: payloads end at byte " + std::to_string(Pos) +
+                  ", the registry section starts at byte " +
+                  std::to_string(RegistryOffset));
   if (Events != Info.TotalEvents)
     return failed("event count mismatch: header declares " +
                   std::to_string(Info.TotalEvents) + ", blocks hold " +
                   std::to_string(Events));
-  return true;
-}
-
-bool TraceReader::parseRegistry(uint64_t Offset) {
-  uint8_t Hdr[kMaxRegistryHeader];
-  size_t HdrLen = std::min<uint64_t>(kMaxRegistryHeader, Size - Offset);
-  if (!readAt(Offset, HdrLen, Hdr))
-    return failed("read error");
-  if (Hdr[0] != kBlockRegistry)
-    return failed("registry section: unexpected kind " +
-                  std::to_string(Hdr[0]));
-  size_t At = 1;
-  uint64_t PayloadLen;
-  if (!tryDecodeULEB128(Hdr, HdrLen, At, PayloadLen) || HdrLen - At < 4)
-    return failed("registry section: truncated header");
-  uint32_t Want = readLE32(Hdr + At);
-  const size_t Pos = Offset + At + 4;
-  if (PayloadLen > Size - Pos)
-    return failed("registry section: truncated payload");
-  const size_t End = Pos + PayloadLen;
-  // The payload and, when the file has it, the byte after it (the end
-  // marker).
-  std::vector<uint8_t> Payload(PayloadLen + (End < Size ? 1 : 0));
-  if (!readAt(Pos, Payload.size(), Payload.data()))
-    return failed("read error");
-  if (crc32(Payload.data(), PayloadLen) != Want)
-    return failed("registry section: checksum mismatch (corrupted file)");
-  if (End >= Size || Payload[PayloadLen] != kEndMarker)
-    return failed("missing end marker (truncated file?)");
-  if (End + 1 != Size)
-    return failed("trailing garbage after end marker");
-
-  std::string PayloadErr;
-  if (!parseRegistryPayload(Payload.data(), PayloadLen, Instrs, Sites,
-                            PayloadErr))
-    return failed("registry section at byte " + std::to_string(Pos) + ": " +
-                  PayloadErr);
   return true;
 }
 

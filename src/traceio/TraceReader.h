@@ -7,7 +7,8 @@
 ///
 /// \file
 /// Validating reader for .orpt traces. open() checks the magic, version,
-/// header checksum, block framing, registry section and end marker;
+/// flags, header checksum, registry and block-table sections, the
+/// block table's tiling of the event section and the end marker;
 /// forEachEvent() streams the decoded records block by block, verifying
 /// each block's CRC before touching its payload. Trace files are
 /// untrusted input: every failure mode (truncation, bit flips, bad
@@ -15,15 +16,17 @@
 /// an assert or undefined behavior.
 ///
 /// open() maps a regular file read-only instead of copying it, and
-/// validates it without touching the mapping: the header, block index
-/// and registry are read with pread on the still-open file, so an open
-/// trace costs its block table, not its size. Payload reads go through
-/// the mapping, and reading the first block of each 256 KiB window first
-/// releases (MADV_DONTNEED) the whole windows behind it, so a forward
-/// replay keeps about one window of the trace resident however long
-/// the file is. Reading the last block also releases the whole pages of
-/// its own window before its header, so a finished walk keeps only that
-/// block resident.
+/// validates it without touching the mapping: it reads the header, then
+/// everything from the registry offset to the end (registry, block
+/// table, end marker) with pread on the still-open file — two reads
+/// whatever the number of blocks — so an open trace costs its block
+/// table, not its size. Payload reads go through the mapping, and
+/// reading the first block of each 256 KiB window first releases
+/// (MADV_DONTNEED) the whole windows behind it, so a forward replay
+/// keeps about one window of the trace resident however long the file
+/// is. Reading the last block also releases the whole pages of its own
+/// window before its payload, so a finished walk keeps only that block
+/// resident.
 /// The mapping is private and read-only: a released page refaults from
 /// the page cache with the same bytes, so rawBlock() pointers stay valid
 /// and every decode still checks its CRC first. Pipes and other
@@ -86,16 +89,16 @@ public:
   /// before the corrupt block stand. Restartable (stateless).
   [[nodiscard]] bool forEachEvent(const std::function<void(const TraceEvent &)> &Fn);
 
-  /// Number of indexed event blocks; valid after open().
+  /// Number of event blocks in the block table; valid after open().
   size_t numEventBlocks() const { return Blocks.size(); }
 
   /// Index-level statistics of one event block (no payload decode).
   struct BlockStats {
-    uint64_t EventCount;  ///< Events declared by the block header.
+    uint64_t EventCount;  ///< Events declared by the block table.
     size_t PayloadBytes;  ///< Compressed payload size on disk.
   };
 
-  /// Per-block statistics straight from the block index; valid after
+  /// Per-block statistics straight from the block table; valid after
   /// open(). Feeds `orp-trace info` without touching the payloads.
   std::vector<BlockStats> blockStats() const;
 
@@ -122,7 +125,7 @@ public:
     const uint8_t *Payload;
     size_t PayloadLen;
     uint64_t EventCount;
-    uint32_t Crc;         ///< CRC-32 declared by the block header.
+    uint32_t Crc;         ///< CRC-32 declared by the block table.
     uint64_t FileOffset;  ///< Absolute byte offset of the payload.
   };
   [[nodiscard]] RawBlock rawBlock(size_t Index) const;
@@ -138,8 +141,10 @@ private:
   /// readAt() only.
   bool parseImage();
   bool parseHeader(uint64_t &RegistryOffset);
-  bool parseRegistry(uint64_t Offset);
-  bool indexBlocks(uint64_t RegistryOffset);
+  /// Builds Blocks from the block table payload: positions are prefix
+  /// sums from kHeaderSize that must end at \p RegistryOffset.
+  bool parseBlockTable(const uint8_t *Table, size_t Len,
+                       uint64_t RegistryOffset);
   /// Copies image bytes [Offset, Offset + Len) into \p Buf: pread on Fd
   /// while open() validates a mapped file, else a copy from Owned.
   /// False on an I/O error or a file that shrank since it was mapped.
@@ -157,8 +162,8 @@ private:
   std::vector<trace::InstrInfo> Instrs;
   std::vector<trace::AllocSiteInfo> Sites;
 
-  /// One indexed event block: payload position/length and declared
-  /// event count (CRC verified lazily in forEachEvent).
+  /// One event block from the block table: payload position/length and
+  /// declared event count (CRC verified lazily in forEachEvent).
   struct BlockRef {
     size_t PayloadPos;
     size_t PayloadLen;
@@ -170,9 +175,9 @@ private:
   /// here. On a mapped image, when the block is the first to start in
   /// its 256 KiB-aligned window, it first releases the whole windows
   /// before that one; when it is the last block, it also releases the
-  /// whole pages of its own window before its header. Stateless, and the
-  /// block table is immutable after open(), so replayFrom's decode-ahead
-  /// worker may call it.
+  /// whole pages of its own window before its payload. Stateless, and
+  /// the block table is immutable after open(), so replayFrom's
+  /// decode-ahead worker may call it.
   const uint8_t *payloadOf(size_t Index) const;
   std::string Err;
 };

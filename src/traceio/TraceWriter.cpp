@@ -56,7 +56,7 @@ std::vector<uint8_t> TraceWriter::encodeHeader(uint64_t RegistryOffset) const {
   Out.reserve(kHeaderSize);
   Out.insert(Out.end(), kMagic, kMagic + 4);
   Out.push_back(FormatVersion);
-  Out.push_back(RegistryOffset ? kFlagHasRegistry : 0);
+  Out.push_back(RegistryOffset ? kFlagsFinalized : 0);
   Out.push_back(static_cast<uint8_t>(Policy));
   Out.push_back(0); // reserved
   appendLE64(Seed, Out);
@@ -90,13 +90,12 @@ void TraceWriter::flushBlock() {
       Col->clear();
     }
   }
-  std::vector<uint8_t> Frame;
-  Frame.reserve(16);
-  Frame.push_back(kBlockEvents);
-  encodeULEB128(Block.size(), Frame);
-  encodeULEB128(BlockEvents, Frame);
-  appendLE32(crc32(Block), Frame);
-  writeBytes(Frame.data(), Frame.size());
+  // The payload goes out bare; its length, event count and CRC wait in
+  // the block table until close().
+  encodeULEB128(Block.size(), BlockEntries);
+  encodeULEB128(BlockEvents, BlockEntries);
+  appendLE32(crc32(Block), BlockEntries);
+  ++NumBlocks;
   writeBytes(Block.data(), Block.size());
   Block.clear();
   BlockEvents = 0;
@@ -185,10 +184,14 @@ void TraceWriter::onFree(const trace::FreeEvent &Event) {
 
 void TraceWriter::onFinish() { close(); }
 
-std::vector<uint8_t> TraceWriter::encodeRegistry() const {
-  std::vector<uint8_t> Out;
-  appendRegistryPayload(Registry, Out);
-  return Out;
+void TraceWriter::writeSection(uint8_t Kind,
+                               const std::vector<uint8_t> &Payload) {
+  std::vector<uint8_t> Frame;
+  Frame.push_back(Kind);
+  encodeULEB128(Payload.size(), Frame);
+  appendLE32(crc32(Payload), Frame);
+  writeBytes(Frame.data(), Frame.size());
+  writeBytes(Payload.data(), Payload.size());
 }
 
 bool TraceWriter::close() {
@@ -200,13 +203,16 @@ bool TraceWriter::close() {
   flushBlock();
   uint64_t RegistryOffset = BytesOut;
 
-  std::vector<uint8_t> Payload = encodeRegistry();
-  std::vector<uint8_t> Frame;
-  Frame.push_back(kBlockRegistry);
-  encodeULEB128(Payload.size(), Frame);
-  appendLE32(crc32(Payload), Frame);
-  writeBytes(Frame.data(), Frame.size());
-  writeBytes(Payload.data(), Payload.size());
+  std::vector<uint8_t> ProbeTables;
+  appendRegistryPayload(Registry, ProbeTables);
+  writeSection(kBlockRegistry, ProbeTables);
+
+  std::vector<uint8_t> BlockTable;
+  BlockTable.reserve(10 + BlockEntries.size());
+  encodeULEB128(NumBlocks, BlockTable);
+  BlockTable.insert(BlockTable.end(), BlockEntries.begin(),
+                    BlockEntries.end());
+  writeSection(kBlockTable, BlockTable);
 
   uint8_t End = kEndMarker;
   writeBytes(&End, 1);

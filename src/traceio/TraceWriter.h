@@ -8,11 +8,13 @@
 /// \file
 /// A TraceSink that records the probe event stream to a .orpt file.
 /// Attach to any ProfilingSession with addRawSink(); events are
-/// delta+LEB128 encoded into checksummed blocks and streamed to disk as
-/// blocks fill. close() (or onFinish(), or destruction) appends the
-/// snapshot of the run's InstructionRegistry — complete only once the
-/// workload has registered all its probe sites — and patches the fixed
-/// header, which until then marks the file unfinalized.
+/// delta+LEB128 encoded into blocks and streamed to disk as blocks fill,
+/// each payload bare while its length, event count and CRC-32 are kept
+/// for the block table. close() (or onFinish(), or destruction) appends
+/// the snapshot of the run's InstructionRegistry — complete only once
+/// the workload has registered all its probe sites — and the block
+/// table, and patches the fixed header, which until then marks the file
+/// unfinalized.
 ///
 /// I/O failures never throw; they latch an error message and turn the
 /// writer into a sink-shaped no-op (query with ok()/error()).
@@ -66,9 +68,9 @@ public:
   /// End of the instrumented run: finalizes the file (close()).
   void onFinish() override;
 
-  /// Flushes the tail block, writes the registry section and end marker,
-  /// patches the header and closes the file. Idempotent. Returns false
-  /// when any write failed (see error()).
+  /// Flushes the tail block, writes the registry and block-table
+  /// sections and the end marker, patches the header and closes the
+  /// file. Idempotent. Returns false when any write failed (see error()).
   bool close();
 
   /// True while no I/O error has occurred.
@@ -93,7 +95,8 @@ private:
   void maybeFlush();
   size_t pendingBlockBytes() const;
   std::vector<uint8_t> encodeHeader(uint64_t RegistryOffset) const;
-  std::vector<uint8_t> encodeRegistry() const;
+  /// Writes one section: kind, uleb length, CRC-32, payload.
+  void writeSection(uint8_t Kind, const std::vector<uint8_t> &Payload);
 
   std::string Path;
   const trace::InstructionRegistry &Registry;
@@ -111,6 +114,10 @@ private:
   /// into one length-prefixed payload at flush.
   std::vector<uint8_t> KindCol, IdCol, AddrCol, TimeCol, SizeCol;
   uint64_t BlockEvents = 0;
+  /// Block table entries of the blocks written so far, encoded as the
+  /// table section stores them (TraceFormat.h); written at close().
+  std::vector<uint8_t> BlockEntries;
+  uint64_t NumBlocks = 0;
   /// Delta-encoder state; reset at every block boundary.
   uint64_t PrevAddr = 0;
   uint64_t PrevTime = 0;

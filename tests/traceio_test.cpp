@@ -86,6 +86,108 @@ void writeFile(const std::string &Path, const std::vector<uint8_t> &Bytes) {
             static_cast<std::streamsize>(Bytes.size()));
 }
 
+/// Re-seals the header CRC of \p Image, so only the checks after the
+/// header's own can fire.
+void resealHeader(std::vector<uint8_t> &Image) {
+  uint32_t Crc = crc32(Image.data(), 32);
+  for (unsigned I = 0; I != 4; ++I)
+    Image[32 + I] = static_cast<uint8_t>(Crc >> (8 * I));
+}
+
+/// Overwrites the header's u64 field at \p At and re-seals the header.
+void patchHeader(std::vector<uint8_t> &Image, size_t At, uint64_t Value) {
+  for (unsigned I = 0; I != 8; ++I)
+    Image[At + I] = static_cast<uint8_t>(Value >> (8 * I));
+  resealHeader(Image);
+}
+
+/// Sets the header's flags byte and re-seals the header.
+void patchFlags(std::vector<uint8_t> &Image, uint8_t Flags) {
+  Image[5] = Flags;
+  resealHeader(Image);
+}
+
+/// Byte offset of the block table section of a finalized \p Image: the
+/// end of the registry section.
+size_t blockTableOffset(const std::vector<uint8_t> &Image) {
+  size_t Pos = readLE64(Image.data() + 16) + 1; // Past the kind byte.
+  uint64_t Len = decodeULEB128(Image, Pos);
+  return Pos + 4 + Len;
+}
+
+/// One entry of a block table.
+struct TableEntry {
+  uint64_t PayloadLen;
+  uint64_t EventCount;
+  uint32_t Crc;
+};
+
+/// The block table of \p Image, as TraceReader reads it.
+std::vector<TableEntry> tableOf(const std::vector<uint8_t> &Image) {
+  traceio::TraceReader R;
+  EXPECT_TRUE(R.openImage(Image, "intact.orpt")) << R.error();
+  std::vector<TableEntry> Entries;
+  for (size_t B = 0; B != R.numEventBlocks(); ++B) {
+    traceio::TraceReader::RawBlock Raw = R.rawBlock(B);
+    Entries.push_back({Raw.PayloadLen, Raw.EventCount, Raw.Crc});
+  }
+  return Entries;
+}
+
+/// A block table payload holding \p Entries under the declared block
+/// count \p Count.
+std::vector<uint8_t> encodeTable(const std::vector<TableEntry> &Entries,
+                                 uint64_t Count) {
+  std::vector<uint8_t> Out;
+  encodeULEB128(Count, Out);
+  for (const TableEntry &E : Entries) {
+    encodeULEB128(E.PayloadLen, Out);
+    encodeULEB128(E.EventCount, Out);
+    appendLE32(E.Crc, Out);
+  }
+  return Out;
+}
+
+/// \p Image with its block table section replaced by a CRC-sealed one
+/// holding \p Table, followed by the end marker.
+std::vector<uint8_t> withTable(std::vector<uint8_t> Image,
+                               const std::vector<uint8_t> &Table) {
+  Image.resize(blockTableOffset(Image));
+  Image.push_back(traceio::kBlockTable);
+  encodeULEB128(Table.size(), Image);
+  appendLE32(crc32(Table.data(), Table.size()), Image);
+  Image.insert(Image.end(), Table.begin(), Table.end());
+  Image.push_back(traceio::kEndMarker);
+  return Image;
+}
+
+/// \p Image with block \p Block's payload replaced by \p Payload and
+/// everything that seals it redone: the block's table entry (length and
+/// CRC), the table section's CRC, the registry offset and the header
+/// CRC. Only a check of the payload's contents can then fire.
+std::vector<uint8_t> withBlockPayload(const std::vector<uint8_t> &Image,
+                                      size_t Block,
+                                      const std::vector<uint8_t> &Payload) {
+  traceio::TraceReader R;
+  EXPECT_TRUE(R.openImage(Image, "intact.orpt")) << R.error();
+  std::vector<uint8_t> Out(Image.begin(), Image.begin() + traceio::kHeaderSize);
+  std::vector<TableEntry> Entries;
+  for (size_t B = 0; B != R.numEventBlocks(); ++B) {
+    traceio::TraceReader::RawBlock Raw = R.rawBlock(B);
+    const uint8_t *P = B == Block ? Payload.data() : Raw.Payload;
+    const size_t Len = B == Block ? Payload.size() : Raw.PayloadLen;
+    Out.insert(Out.end(), P, P + Len);
+    Entries.push_back({Len, Raw.EventCount, crc32(P, Len)});
+  }
+  // The registry section moves verbatim; the header points at it.
+  const size_t RegistryOffset = readLE64(Image.data() + 16);
+  const uint64_t NewOffset = Out.size();
+  Out.insert(Out.end(), Image.begin() + RegistryOffset,
+             Image.begin() + blockTableOffset(Image));
+  patchHeader(Out, 16, NewOffset);
+  return withTable(std::move(Out), encodeTable(Entries, Entries.size()));
+}
+
 /// \p Reader's recorded configuration with both built-in profilers off,
 /// for tests that attach their own sinks to the pipeline.
 session::SessionConfig bareConfig(const traceio::TraceReader &Reader) {
@@ -380,14 +482,14 @@ TEST_F(TraceIoCorruptionTest, FlippedBlockPayloadByteIsRejected) {
 
 TEST_F(TraceIoCorruptionTest, BlockErrorsNameBlockIndexAndByteOffset) {
   // Pins the structured error format "block <index> at byte <offset>"
-  // that tooling (and humans with hexdump) navigate by. Block 0's
-  // payload starts right after the fixed header and its 6-byte block
-  // framing (tag, two single-byte ulebs for a small trace, u32 CRC) —
-  // compute the exact offset from the reader's own accounting instead.
+  // that tooling (and humans with hexdump) navigate by. Payloads are
+  // unframed, so block 0's starts right after the fixed header; later
+  // offsets come from the reader's own accounting.
   traceio::TraceReader Intact;
   ASSERT_TRUE(Intact.openImage(Good, "good.orpt")) << Intact.error();
   ASSERT_GT(Intact.numEventBlocks(), 0u);
   uint64_t Block0Offset = Intact.rawBlock(0).FileOffset;
+  EXPECT_EQ(Block0Offset, traceio::kHeaderSize);
 
   std::vector<uint8_t> Bad = Good;
   Bad[Block0Offset + 8] ^= 0x01;
@@ -407,77 +509,157 @@ TEST_F(TraceIoCorruptionTest, BlockErrorsNameBlockIndexAndByteOffset) {
 TEST_F(TraceIoCorruptionTest, UnsupportedVersionIsRejected) {
   std::vector<uint8_t> Bad = Good;
   Bad[4] = traceio::kFormatVersion + 1;
-  // Re-seal the header so only the version check can fire.
-  uint32_t Crc = crc32(Bad.data(), 32);
-  for (unsigned I = 0; I != 4; ++I)
-    Bad[32 + I] = static_cast<uint8_t>(Crc >> (8 * I));
+  resealHeader(Bad); // So only the version check can fire.
   expectRejected(std::move(Bad), "unsupported format version");
 }
 
 TEST_F(TraceIoCorruptionTest, UnfinalizedTraceIsRejected) {
   std::vector<uint8_t> Bad = Good;
-  for (unsigned I = 0; I != 8; ++I)
-    Bad[16 + I] = 0; // registry offset 0 = writer never close()d
-  uint32_t Crc = crc32(Bad.data(), 32);
-  for (unsigned I = 0; I != 4; ++I)
-    Bad[32 + I] = static_cast<uint8_t>(Crc >> (8 * I));
+  patchHeader(Bad, 16, 0); // registry offset 0 = writer never close()d
   expectRejected(std::move(Bad), "unfinalized trace");
 }
 
 TEST_F(TraceIoCorruptionTest, OverlongVarIntInEventPayloadIsRejected) {
   // Re-encode the first event's leading varint as a non-minimal
-  // (overlong) form — same value, one byte wider — and re-seal the
-  // block framing and header so only the varint hardening can fire.
-  size_t Pos = traceio::kHeaderSize;
-  ASSERT_EQ(Good[Pos], traceio::kBlockEvents);
-  ++Pos;
-  uint64_t PayloadLen = decodeULEB128(Good, Pos);
-  uint64_t EventCount = decodeULEB128(Good, Pos);
-  Pos += 4; // block CRC
-  const size_t PayloadPos = Pos;
-  const size_t BlockEnd = PayloadPos + PayloadLen;
-  ASSERT_LE(BlockEnd, Good.size());
+  // (overlong) form — same value, one byte wider — and re-seal block 0's
+  // table entry and the header so only the varint hardening can fire.
+  traceio::TraceReader Intact;
+  ASSERT_TRUE(Intact.openImage(Good, "good.orpt")) << Intact.error();
+  const traceio::TraceReader::RawBlock Raw = Intact.rawBlock(0);
+  std::vector<uint8_t> Payload(Raw.Payload, Raw.Payload + Raw.PayloadLen);
 
   // First record: tag byte, then a ULEB field (instr for access, site
   // for alloc; a free would start with an SLEB — not what recordRun's
   // streams open with).
-  uint8_t Tag = Good[PayloadPos];
-  ASSERT_NE(Tag & traceio::kOpMask, traceio::kOpFree);
-  size_t FieldPos = PayloadPos + 1;
+  ASSERT_NE(Payload[0] & traceio::kOpMask, traceio::kOpFree);
+  size_t FieldEnd = 1;
   uint64_t FieldValue = 0;
-  ASSERT_TRUE(
-      tryDecodeULEB128(Good.data(), BlockEnd, FieldPos, FieldValue));
+  ASSERT_TRUE(tryDecodeULEB128(Payload.data(), Payload.size(), FieldEnd,
+                               FieldValue));
 
   std::vector<uint8_t> Overlong;
   encodeULEB128(FieldValue, Overlong);
   Overlong.back() |= 0x80;
   Overlong.push_back(0x00);
-
-  std::vector<uint8_t> Payload(Good.begin() + PayloadPos,
-                               Good.begin() + BlockEnd);
-  Payload.erase(Payload.begin() + 1,
-                Payload.begin() + (FieldPos - PayloadPos));
+  Payload.erase(Payload.begin() + 1, Payload.begin() + FieldEnd);
   Payload.insert(Payload.begin() + 1, Overlong.begin(), Overlong.end());
 
-  std::vector<uint8_t> Bad(Good.begin(), Good.begin() + traceio::kHeaderSize);
-  Bad.push_back(traceio::kBlockEvents);
-  encodeULEB128(Payload.size(), Bad);
-  encodeULEB128(EventCount, Bad);
-  appendLE32(crc32(Payload.data(), Payload.size()), Bad);
-  Bad.insert(Bad.end(), Payload.begin(), Payload.end());
-  const size_t NewBlockEnd = Bad.size();
-  Bad.insert(Bad.end(), Good.begin() + BlockEnd, Good.end());
+  expectRejected(withBlockPayload(Good, 0, Payload), "overlong");
+}
 
-  // Shift the registry offset by the growth and re-seal the header CRC.
-  const uint64_t Delta = NewBlockEnd - BlockEnd;
-  uint64_t RegistryOffset = readLE64(Bad.data() + 16) + Delta;
-  for (unsigned I = 0; I != 8; ++I)
-    Bad[16 + I] = static_cast<uint8_t>(RegistryOffset >> (8 * I));
-  uint32_t Crc = crc32(Bad.data(), 32);
-  for (unsigned I = 0; I != 4; ++I)
-    Bad[32 + I] = static_cast<uint8_t>(Crc >> (8 * I));
+TEST_F(TraceIoCorruptionTest, HeaderFlagsAreChecked) {
+  // Every finalized trace carries exactly the registry and block-table
+  // bits; any other bit is rejected, not ignored.
+  ASSERT_EQ(Good[5], traceio::kFlagsFinalized);
+  for (uint8_t Bit = 0x04; Bit != 0; Bit <<= 1) {
+    std::vector<uint8_t> Bad = Good;
+    patchFlags(Bad, traceio::kFlagsFinalized | Bit);
+    expectRejected(std::move(Bad),
+                   "unknown header flags " + std::to_string(Good[5] | Bit));
+  }
+  std::vector<uint8_t> NoTable = Good;
+  patchFlags(NoTable, traceio::kFlagHasRegistry);
+  expectRejected(std::move(NoTable), "no block table: recorded by an older "
+                                     "writer; re-record it");
+  std::vector<uint8_t> NoRegistry = Good;
+  patchFlags(NoRegistry, traceio::kFlagBlockTable);
+  expectRejected(std::move(NoRegistry), "registry flag clear");
+}
 
-  expectRejected(std::move(Bad), "overlong");
+TEST_F(TraceIoCorruptionTest, OlderWriterLayoutIsRejected) {
+  // The layout older writers produced — every payload framed in line
+  // (0x01 | uleb len | uleb events | u32 CRC), no block table, flags
+  // 0x01 — is rejected by its header, never misparsed.
+  std::vector<uint8_t> Old(Good.begin(), Good.begin() + traceio::kHeaderSize);
+  traceio::TraceReader Intact;
+  ASSERT_TRUE(Intact.openImage(Good, "good.orpt")) << Intact.error();
+  for (size_t B = 0; B != Intact.numEventBlocks(); ++B) {
+    traceio::TraceReader::RawBlock Raw = Intact.rawBlock(B);
+    Old.push_back(0x01);
+    encodeULEB128(Raw.PayloadLen, Old);
+    encodeULEB128(Raw.EventCount, Old);
+    appendLE32(Raw.Crc, Old);
+    Old.insert(Old.end(), Raw.Payload, Raw.Payload + Raw.PayloadLen);
+  }
+  const size_t RegistryOffset = readLE64(Good.data() + 16);
+  const uint64_t OldOffset = Old.size();
+  Old.insert(Old.end(), Good.begin() + RegistryOffset,
+             Good.begin() + blockTableOffset(Good));
+  Old.push_back(traceio::kEndMarker);
+  patchHeader(Old, 16, OldOffset);
+  patchFlags(Old, traceio::kFlagHasRegistry);
+  expectRejected(std::move(Old), "no block table: recorded by an older "
+                                 "writer; re-record it");
+}
+
+TEST_F(TraceIoCorruptionTest, BlockCountBeyondTheTableIsRejected) {
+  // A count the section's bytes cannot hold is rejected before the
+  // reader reserves room for it.
+  for (uint64_t Count : {uint64_t(1) << 40, ~uint64_t(0)}) {
+    std::vector<uint8_t> Bad =
+        withTable(Good, encodeTable(tableOf(Good), Count));
+    traceio::TraceReader Reader;
+    bool Ok = true;
+    EXPECT_NO_THROW(Ok = Reader.openImage(std::move(Bad), "corrupt.orpt"));
+    EXPECT_FALSE(Ok);
+    EXPECT_NE(Reader.error().find("block table: declares " +
+                                  std::to_string(Count) + " blocks"),
+              std::string::npos)
+        << "error was: " << Reader.error();
+  }
+}
+
+TEST_F(TraceIoCorruptionTest, BlockTableChecksumMismatchIsRejected) {
+  std::vector<uint8_t> Bad = Good;
+  Bad[blockTableOffset(Bad) + 6] ^= 0x01; // Inside the table payload.
+  expectRejected(std::move(Bad), "block table: checksum mismatch");
+}
+
+TEST_F(TraceIoCorruptionTest, BlockLengthsMustTileTheEventSection) {
+  const std::vector<TableEntry> Entries = tableOf(Good);
+  ASSERT_FALSE(Entries.empty());
+  const uint64_t RegistryOffset = readLE64(Good.data() + 16);
+
+  std::vector<TableEntry> Short = Entries;
+  --Short.back().PayloadLen;
+  expectRejected(withTable(Good, encodeTable(Short, Short.size())),
+                 "block table: payloads end at byte " +
+                     std::to_string(RegistryOffset - 1));
+
+  std::vector<TableEntry> Long = Entries;
+  ++Long.back().PayloadLen;
+  expectRejected(withTable(Good, encodeTable(Long, Long.size())),
+                 "payload extends past the registry section");
+
+  // Lengths whose sum wraps around 2^64 back onto the registry offset
+  // do not tile: the first alone runs past the event section.
+  std::vector<TableEntry> Wrap = {
+      {~uint64_t(0), Entries[0].EventCount, 0},
+      {RegistryOffset - traceio::kHeaderSize + 1, 0, 0}};
+  for (size_t B = 1; B < Entries.size(); ++B)
+    Wrap[0].EventCount += Entries[B].EventCount;
+  expectRejected(withTable(Good, encodeTable(Wrap, Wrap.size())),
+                 "block 0 at byte 36: payload extends past the registry "
+                 "section");
+
+  std::vector<uint8_t> Trailing = encodeTable(Entries, Entries.size());
+  Trailing.push_back(0x00);
+  expectRejected(withTable(Good, Trailing), "block table: trailing bytes");
+}
+
+TEST_F(TraceIoCorruptionTest, BlockEventSumMustMatchTheHeader) {
+  const uint64_t Total = readLE64(Good.data() + 24);
+  std::vector<TableEntry> More = tableOf(Good);
+  ++More[0].EventCount;
+  expectRejected(withTable(Good, encodeTable(More, More.size())),
+                 "event count mismatch: header declares " +
+                     std::to_string(Total));
+  std::vector<TableEntry> Fewer = tableOf(Good);
+  --Fewer.back().EventCount;
+  expectRejected(withTable(Good, encodeTable(Fewer, Fewer.size())),
+                 "event count mismatch: header declares " +
+                     std::to_string(Total) + ", blocks hold " +
+                     std::to_string(Total - 1));
 }
 
 TEST_F(TraceIoCorruptionTest, TrailingGarbageIsRejected) {
@@ -684,6 +866,82 @@ TEST(TraceIoMappedOpenTest, RawBlocksStayValidUntilReopen) {
 
 namespace {
 
+/// The process's read-syscall count (`syscr` in /proc/self/io), or -1
+/// when the file is missing.
+int64_t readSyscalls() {
+  std::ifstream In("/proc/self/io");
+  std::string Key;
+  int64_t Value;
+  while (In >> Key >> Value)
+    if (Key == "syscr:")
+      return Value;
+  return -1;
+}
+
+/// Read syscalls one open() of \p Path makes, net of the cost of
+/// sampling the counter.
+int64_t readsToOpen(const std::string &Path, size_t &Blocks) {
+  const int64_t Base0 = readSyscalls(), Base1 = readSyscalls();
+  const int64_t Before = readSyscalls();
+  traceio::TraceReader R;
+  EXPECT_TRUE(R.open(Path)) << R.error();
+  const int64_t After = readSyscalls();
+  Blocks = R.numEventBlocks();
+  return (After - Before) - (Base1 - Base0);
+}
+
+} // namespace
+
+TEST(TraceIoMappedOpenTest, OpenMakesTheSameReadsAtAnyBlockCount) {
+  // The block table sits in the trailer, so open() reads the header and
+  // then the trailer, however many blocks the trace has. Counting read
+  // syscalls makes that a deterministic check, not a timing.
+  if (readSyscalls() < 0)
+    GTEST_SKIP() << "/proc/self/io is not available";
+  std::string Path = tempPath("reads.orpt");
+  size_t FewBlocks = 0, ManyBlocks = 0;
+  writeFile(Path, recordSmallTrace(/*Accesses=*/40));
+  const int64_t FewReads = readsToOpen(Path, FewBlocks);
+  writeFile(Path, recordSmallTrace(/*Accesses=*/32000));
+  const int64_t ManyReads = readsToOpen(Path, ManyBlocks);
+  std::remove(Path.c_str());
+  ASSERT_EQ(FewBlocks, 2u);
+  ASSERT_GE(ManyBlocks, 1000u);
+  EXPECT_EQ(FewReads, ManyReads);
+  EXPECT_EQ(ManyReads, 2) << "the header and the trailer";
+}
+
+TEST(TraceIoMappedOpenTest, OpenReadsNoPayloadByte) {
+  // Overwriting every payload byte leaves the header, registry and block
+  // table intact: open() still succeeds with the same blocks, and the
+  // damage shows at the first decode, checksum first.
+  const std::vector<uint8_t> Good = recordSmallTrace();
+  traceio::TraceReader Intact;
+  ASSERT_TRUE(Intact.openImage(Good, "good.orpt")) << Intact.error();
+  ASSERT_GE(Intact.numEventBlocks(), 2u);
+  std::vector<uint8_t> Bad = Good;
+  std::fill(Bad.begin() + traceio::kHeaderSize,
+            Bad.begin() + readLE64(Bad.data() + 16), uint8_t(0xA5));
+  std::string Path = tempPath("overwritten.orpt");
+  writeFile(Path, Bad);
+  traceio::TraceReader R;
+  ASSERT_TRUE(R.open(Path)) << R.error();
+  std::remove(Path.c_str());
+  EXPECT_EQ(R.info().NumBlocks, Intact.info().NumBlocks);
+  std::vector<traceio::TraceReader::BlockStats> Want = Intact.blockStats(),
+                                                 Got = R.blockStats();
+  ASSERT_EQ(Got.size(), Want.size());
+  for (size_t B = 0; B != Got.size(); ++B) {
+    EXPECT_EQ(Got[B].EventCount, Want[B].EventCount) << "block " << B;
+    EXPECT_EQ(Got[B].PayloadBytes, Want[B].PayloadBytes) << "block " << B;
+  }
+  EXPECT_FALSE(R.forEachEvent([](const traceio::TraceEvent &) {}));
+  EXPECT_EQ(R.error(), Path + ": block 0 at byte 36: checksum mismatch "
+                                "(corrupted file)");
+}
+
+namespace {
+
 /// Resident bytes of the mapping that contains \p Addr, read from the
 /// mapping's `Rss:` line in /proc/self/smaps; -1 when the file or the
 /// mapping is missing.
@@ -792,7 +1050,7 @@ TEST(TraceIoMappedOpenTest, FinishedWalkKeepsOnlyTheLastBlock) {
 }
 
 TEST(TraceIoMappedOpenTest, ReplayKeepsTraceResidencyBounded) {
-  // A mapped trace is indexed with pread and its payload pages are
+  // A mapped trace is opened with two preads and its payload pages are
   // released behind the reader, so no walk over it keeps more than a
   // bounded window resident, however long the file.
   constexpr int64_t kBound = 1 << 20;
@@ -1145,9 +1403,9 @@ void skipVarInt(const std::vector<uint8_t> &Bytes, size_t &Pos) {
 }
 
 /// Returns \p Image with the opcode of event \p Event of block \p Block
-/// replaced by an unknown one and the block's CRC re-sealed, so the
-/// block passes its checksum and fails to decode part way through.
-std::vector<uint8_t> withMalformedEvent(std::vector<uint8_t> Image,
+/// replaced by an unknown one and the block's table entry re-sealed, so
+/// the block passes its checksum and fails to decode part way through.
+std::vector<uint8_t> withMalformedEvent(const std::vector<uint8_t> &Image,
                                         size_t Block, uint64_t Event) {
   traceio::TraceReader R;
   EXPECT_TRUE(R.openImage(Image, "intact.orpt")) << R.error();
@@ -1169,11 +1427,10 @@ std::vector<uint8_t> withMalformedEvent(std::vector<uint8_t> Image,
         skipVarInt(Image, Pos);
     }
   }
-  Image[Pos] |= traceio::kOpMask; // Opcode 7 is unassigned.
-  uint32_t Crc = crc32(Image.data() + Raw.FileOffset, Raw.PayloadLen);
-  for (unsigned I = 0; I != 4; ++I) // The CRC ends the block header.
-    Image[Raw.FileOffset - 4 + I] = static_cast<uint8_t>(Crc >> (8 * I));
-  return Image;
+  std::vector<uint8_t> Payload(Raw.Payload, Raw.Payload + Raw.PayloadLen);
+  // Opcode 7 is unassigned.
+  Payload[Pos - Raw.FileOffset] |= traceio::kOpMask;
+  return withBlockPayload(Image, Block, Payload);
 }
 
 } // namespace
