@@ -1,14 +1,12 @@
 //===- fuzz/BlockCodecFuzz.cpp - Event-block decode on malformed bytes ---===//
 //
-// Property: decodeEventBlock must reject or cleanly parse ANY payload,
-// read as a v1 record stream and as a v2 columnar block alike — no
-// crash, no sanitizer report, no partial output on failure. A
+// Property: decodeEventBlock must reject or cleanly parse ANY payload
+// — no crash, no sanitizer report, no partial output on failure. A
 // successful decode must deliver exactly the declared event count, both
 // in the column view and through the merge walk. Input layout: byte 0
 // is the declared event count, the rest is the block payload — so the
-// mutator exercises count/payload disagreements (truncated records and
-// columns, column-length mismatches, overlong varints), not just byte
-// noise.
+// mutator exercises count/payload disagreements (truncated columns,
+// column-length mismatches, overlong varints), not just byte noise.
 //
 //===----------------------------------------------------------------------===//
 
@@ -29,26 +27,21 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t *Data, size_t Size) {
   const uint8_t *Payload = Data + 1;
   size_t Len = Size - 1;
 
-  for (uint8_t Version :
-       {traceio::kFormatVersionV1, traceio::kFormatVersionV2}) {
-    traceio::DecodedBlock Block;
-    std::string Err;
-    if (!traceio::decodeEventBlock(Version, Payload, Len, EventCount, Block,
-                                   Err)) {
-      ORP_FUZZ_REQUIRE(!Err.empty(),
-                       "failed decode without an error message");
-      ORP_FUZZ_REQUIRE(Block.events() == 0,
-                       "failed decode left partial output");
-      continue;
-    }
-    ORP_FUZZ_REQUIRE(Block.events() == EventCount,
-                     "decode delivered a different event count than declared");
-    uint64_t Walked = 0;
-    traceio::forEachDecodedEvent(
-        Block, [&](const traceio::TraceEvent &) { ++Walked; });
-    ORP_FUZZ_REQUIRE(Walked == EventCount,
-                     "merge walk delivered a different event count");
+  traceio::DecodedBlock Block;
+  std::string Err;
+  if (!traceio::decodeEventBlock(Payload, Len, EventCount, Block, Err)) {
+    ORP_FUZZ_REQUIRE(!Err.empty(), "failed decode without an error message");
+    ORP_FUZZ_REQUIRE(Block.events() == 0,
+                     "failed decode left partial output");
+    return 0;
   }
+  ORP_FUZZ_REQUIRE(Block.events() == EventCount,
+                   "decode delivered a different event count than declared");
+  uint64_t Walked = 0;
+  traceio::forEachDecodedEvent(
+      Block, [&](const traceio::TraceEvent &) { ++Walked; });
+  ORP_FUZZ_REQUIRE(Walked == EventCount,
+                   "merge walk delivered a different event count");
   return 0;
 }
 
@@ -108,27 +101,6 @@ std::vector<std::vector<uint8_t>> orpFuzzSeedInputs() {
   Seeds.push_back(makeSeed(
       1, {{traceio::kOpAccess}, {0x85, 0x00}, sleb({16}), sleb({0}),
           uleb({4})}));
-  // v1 record streams: access (4-byte load), alloc, free — then a
-  // pure-access run with the size-8 and store tag bits.
-  {
-    std::vector<uint8_t> S{3, traceio::kOpAccess};
-    for (const std::vector<uint8_t> &F :
-         {uleb({5}), sleb({0x1000}), sleb({0}), uleb({4})})
-      S.insert(S.end(), F.begin(), F.end());
-    S.push_back(traceio::kOpAlloc);
-    for (const std::vector<uint8_t> &F :
-         {uleb({2}), sleb({0x1000}), uleb({64}), sleb({1})})
-      S.insert(S.end(), F.begin(), F.end());
-    S.push_back(traceio::kOpFree);
-    for (const std::vector<uint8_t> &F : {sleb({0}), sleb({1})})
-      S.insert(S.end(), F.begin(), F.end());
-    Seeds.push_back(S);
-    // The same stream cut short inside its last record.
-    S.pop_back();
-    Seeds.push_back(std::move(S));
-  }
-  Seeds.push_back({2, traceio::kOpAccess | traceio::kTagSize8, 1, 0x80, 0x40,
-                   0, traceio::kOpAccess | traceio::kTagStore, 2, 8, 1, 4});
   // Degenerate inputs: empty, count with no payload, lone column header.
   Seeds.push_back({});
   Seeds.push_back({7});

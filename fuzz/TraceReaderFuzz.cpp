@@ -12,8 +12,8 @@
 // block alone (walked last block first, against any replay's order) to
 // the same result. Seeds are real .orpt images produced by TraceWriter
 // so mutations explore the format's interior, not just the header
-// checks; one records one event per block, so the block table is its
-// largest section.
+// checks; one records one event per block, so its block table holds
+// many entries.
 //
 //===----------------------------------------------------------------------===//
 
@@ -148,11 +148,9 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t *Data, size_t Size) {
   return 0;
 }
 
-/// Records a small synthetic probe stream through the real writer in
-/// the given .orpt format version and block size and returns the file's
-/// bytes.
-static std::vector<uint8_t> recordSeedTrace(uint8_t FormatVersion,
-                                            size_t BlockBytes = 128) {
+/// Records a small synthetic probe stream through the real writer at
+/// the given block size and returns the file's bytes.
+static std::vector<uint8_t> recordSeedTrace(size_t BlockBytes) {
   std::string Path =
       (std::filesystem::temp_directory_path() / "orp-tracereader-fuzz-seed.orpt")
           .string();
@@ -163,7 +161,7 @@ static std::vector<uint8_t> recordSeedTrace(uint8_t FormatVersion,
   trace::AllocSiteId Site = Registry.addAllocSite("fuzz: alloc", "struct fz");
   {
     traceio::TraceWriter Writer(Path, Registry, memsim::AllocPolicy::FirstFit,
-                                /*Seed=*/42, BlockBytes, FormatVersion);
+                                /*Seed=*/42, BlockBytes);
     uint64_t Time = 0;
     Writer.onAlloc({Site, /*Addr=*/0x1000, /*Size=*/64, ++Time,
                     /*IsStatic=*/false});
@@ -184,15 +182,13 @@ static std::vector<uint8_t> recordSeedTrace(uint8_t FormatVersion,
 
 std::vector<std::vector<uint8_t>> orpFuzzSeedInputs() {
   std::vector<std::vector<uint8_t>> Seeds;
-  // One seed per on-disk encoding, so mutations explore both the v1
-  // interleaved record interior and the v2 column directory.
-  Seeds.push_back(recordSeedTrace(traceio::kFormatVersionV1));
-  Seeds.push_back(recordSeedTrace(traceio::kFormatVersionV2));
-  // One event per block: each 6-byte table entry outweighs its 5-byte
-  // v1 payload, so the block table is the image's largest section and
-  // mutations land in its counts, lengths and CRCs.
-  Seeds.push_back(recordSeedTrace(traceio::kFormatVersionV1,
-                                  /*BlockBytes=*/1));
+  // A few multi-event blocks, so mutations explore the column
+  // directory and the columns behind it.
+  Seeds.push_back(recordSeedTrace(/*BlockBytes=*/128));
+  // One event per block: 42 blocks give the block table 42 entries, so
+  // mutations land in many counts, lengths and CRCs, and in the tiling
+  // and event-sum checks that span them.
+  Seeds.push_back(recordSeedTrace(/*BlockBytes=*/1));
   // Degenerate seeds: empty input, bare magic, magic + junk version.
   Seeds.push_back({});
   Seeds.push_back({'O', 'R', 'P', 'T'});

@@ -112,8 +112,7 @@ bool ProfileSession::injectBlock(const uint8_t *Payload, size_t Len,
                                  uint8_t FormatVersion) {
   if (Failed || rejectFinalized())
     return false;
-  if (FormatVersion < traceio::kFormatVersionV1 ||
-      FormatVersion > traceio::kFormatVersionV2) {
+  if (FormatVersion != traceio::kFormatVersionV2) {
     Err = "block " + std::to_string(BlockIndex) +
           ": unsupported format version " + std::to_string(FormatVersion);
     Failed = true;
@@ -124,8 +123,8 @@ bool ProfileSession::injectBlock(const uint8_t *Payload, size_t Len,
   traceio::DecodedBlock Block;
   if (!traceio::verifyBlockChecksum(Payload, Len, Crc, BlockIndex,
                                     /*BaseOffset=*/0, Err) ||
-      !traceio::decodeEventBlock(FormatVersion, Payload, Len, EventCount,
-                                 Block, Err, BlockIndex, /*BaseOffset=*/0) ||
+      !traceio::decodeEventBlock(Payload, Len, EventCount, Block, Err,
+                                 BlockIndex, /*BaseOffset=*/0) ||
       !injectDecodedBlock(*Core, Block, BlockIndex, Events, Err)) {
     Failed = true;
     return false;

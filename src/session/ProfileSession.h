@@ -103,8 +103,10 @@ public:
 
   /// Verifies and decodes one still-encoded .orpt event block payload
   /// and injects its events into the pipeline. \p FormatVersion is the
-  /// payload's .orpt format version (EVENTS frames carry it; a file
-  /// replay uses the header's); either way the block decodes into a
+  /// payload's .orpt format version as its sender states it (EVENTS
+  /// frames carry it; a file replay uses the header's); anything but
+  /// traceio::kFormatVersionV2 fails the session with "block N:
+  /// unsupported format version V". The block decodes into a
   /// traceio::DecodedBlock and its accesses are injected a whole slice
   /// at a time, and a block that fails to decode injects none of its
   /// events. \p BlockIndex labels diagnostics (the sender's running

@@ -139,8 +139,9 @@ public:
       ORP_REQUIRES(SessionControlRole);
 
   /// Hands one still-encoded event-block payload (copied) to the
-  /// session's shard. \p FormatVersion is the .orpt format the payload
-  /// is encoded in (v1 interleaved or v2 columnar). Never blocks: a
+  /// session's shard. \p FormatVersion is the .orpt format the sender
+  /// says the payload is encoded in; the shard's injectBlock fails the
+  /// session unless it is traceio::kFormatVersionV2. Never blocks: a
   /// full ingest queue returns WouldBlock and the caller retries the
   /// same block later.
   SubmitStatus submitBlock(SessionId Id, const uint8_t *Payload,

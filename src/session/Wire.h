@@ -19,11 +19,12 @@
 ///             u8 profiler mask (1 = WHOMP, 2 = LEAP), uleb maxLmads,
 ///             registry payload (traceio::RegistryCodec) to end
 ///   Events    uleb sessionId, uleb eventCount, u8 format version
-///             (traceio::kFormatVersionV1/V2), u32 LE crc, then the
-///             still-encoded .orpt block payload *verbatim* — v1 or v2
-///             blocks decode independently (delta state resets per
-///             block), so the daemon feeds these bytes to the same
-///             BlockCodec a file replay uses
+///             (traceio::kFormatVersionV2; ProfileSession::injectBlock
+///             fails the session on any other), u32 LE crc, then the
+///             still-encoded .orpt block payload *verbatim* — blocks
+///             decode independently (delta state resets per block), so
+///             the daemon feeds these bytes to the same BlockCodec a
+///             file replay uses
 ///   Snapshot  u8 format (SnapshotFormat), uleb nameLen, name
 ///             (empty = whole registry, else filtered to that
 ///             session's "session.<name>." metrics)

@@ -26,11 +26,9 @@ namespace support {
 /// any external release scheme.
 constexpr const char *kVersionString = "0.9.0";
 
-/// Oldest and newest .orpt format versions this build reads: v1
-/// (interleaved records) and v2 (columnar blocks). The writer defaults
-/// to the newest; both decode everywhere.
-constexpr unsigned kMinTraceFormatVersion = 1;
-constexpr unsigned kMaxTraceFormatVersion = 2;
+/// The .orpt format version this build writes and reads
+/// (traceio::kFormatVersionV2, columnar blocks).
+constexpr unsigned kTraceFormatVersion = 2;
 
 /// True when this build has AddressSanitizer compiled in.
 constexpr bool builtWithAsan() {
@@ -74,11 +72,7 @@ constexpr int checkLevel() {
 /// Prints the standard version banner for tool \p ToolName to stdout.
 inline void printVersion(const char *ToolName) {
   std::printf("%s (orp) %s\n", ToolName, kVersionString);
-  if (kMinTraceFormatVersion == kMaxTraceFormatVersion)
-    std::printf("  trace format: .orpt v%u\n", kMaxTraceFormatVersion);
-  else
-    std::printf("  trace format: .orpt v%u-v%u\n", kMinTraceFormatVersion,
-                kMaxTraceFormatVersion);
+  std::printf("  trace format: .orpt v%u\n", kTraceFormatVersion);
   std::printf("  advice format: .orpa v1\n");
   std::printf("  check level:  ORP_CHECK_LEVEL=%d\n", checkLevel());
   std::printf("  sanitizers:   %s%s%s\n", builtWithAsan() ? "asan " : "",

@@ -34,111 +34,11 @@ struct DecodeMetrics {
   }
 };
 
-/// Decodes a v1 payload: one interleaved record per event, walked in
-/// delivery order.
-bool decodeV1(const uint8_t *Payload, size_t Len, uint64_t EventCount,
-              DecodedBlock &Out, std::string &Err, uint64_t BlockIndex,
-              uint64_t BaseOffset) {
-  size_t Pos = 0;
-  uint64_t PrevAddr = 0, PrevTime = 0;
-  auto Fail = [&](const std::string &Msg) {
-    Err = where(BlockIndex, BaseOffset + Pos) + ": " + Msg;
-    Out.clear();
-    return false;
-  };
-  // Field readers that fold the decode status (truncated / overflow /
-  // overlong) into the diagnostic, so a fuzzer-found corruption is
-  // distinguishable from a short read.
-  auto ReadU = [&](uint64_t &Value, const char *Record) {
-    VarIntStatus St = decodeULEB128Checked(Payload, Len, Pos, Value);
-    if (St == VarIntStatus::Ok)
-      return true;
-    return Fail(std::string("malformed ") + Record + " record (" +
-                varIntStatusName(St) + " varint)");
-  };
-  auto ReadS = [&](int64_t &Value, const char *Record) {
-    VarIntStatus St = decodeSLEB128Checked(Payload, Len, Pos, Value);
-    if (St == VarIntStatus::Ok)
-      return true;
-    return Fail(std::string("malformed ") + Record + " record (" +
-                varIntStatusName(St) + " varint)");
-  };
-  for (uint64_t I = 0; I != EventCount; ++I) {
-    if (Pos >= Len)
-      return Fail("truncated event payload");
-    uint8_t Tag = Payload[Pos++];
-    TraceEvent Event;
-    uint64_t U;
-    int64_t S;
-    switch (Tag & kOpMask) {
-    case kOpAccess:
-      Event.K = TraceEvent::Kind::Access;
-      Event.IsStore = (Tag & kTagStore) != 0;
-      if (!ReadU(U, "access"))
-        return false;
-      Event.InstrOrSite = static_cast<uint32_t>(U);
-      if (!ReadS(S, "access"))
-        return false;
-      Event.Addr = PrevAddr + static_cast<uint64_t>(S);
-      if (!ReadS(S, "access"))
-        return false;
-      Event.Time = PrevTime + static_cast<uint64_t>(S);
-      if (Tag & kTagSize8) {
-        Event.Size = 8;
-      } else if (!ReadU(U, "access")) {
-        return false;
-      } else {
-        Event.Size = U;
-      }
-      break;
-    case kOpAlloc:
-      Event.K = TraceEvent::Kind::Alloc;
-      Event.IsStatic = (Tag & kTagStatic) != 0;
-      if (!ReadU(U, "alloc"))
-        return false;
-      Event.InstrOrSite = static_cast<uint32_t>(U);
-      if (!ReadS(S, "alloc"))
-        return false;
-      Event.Addr = PrevAddr + static_cast<uint64_t>(S);
-      if (!ReadU(U, "alloc"))
-        return false;
-      Event.Size = U;
-      if (!ReadS(S, "alloc"))
-        return false;
-      Event.Time = PrevTime + static_cast<uint64_t>(S);
-      break;
-    case kOpFree:
-      Event.K = TraceEvent::Kind::Free;
-      if (!ReadS(S, "free"))
-        return false;
-      Event.Addr = PrevAddr + static_cast<uint64_t>(S);
-      if (!ReadS(S, "free"))
-        return false;
-      Event.Time = PrevTime + static_cast<uint64_t>(S);
-      break;
-    default:
-      return Fail("unknown event opcode " + std::to_string(Tag & kOpMask));
-    }
-    PrevAddr = Event.Addr;
-    PrevTime = Event.Time;
-    if (Event.K == TraceEvent::Kind::Access)
-      Out.Accesses.push_back(trace::AccessEvent{
-          Event.InstrOrSite, Event.Addr, static_cast<uint32_t>(Event.Size),
-          Event.IsStore, Event.Time});
-    else
-      Out.Boundaries.push_back(
-          DecodedBlock::Boundary{Out.Accesses.size(), Event});
-  }
-  if (Pos != Len)
-    return Fail("trailing bytes in event payload");
-  return true;
-}
-
-/// Decodes a v2 columnar payload: five length-prefixed columns, each
+/// Decodes a columnar payload: five length-prefixed columns, each
 /// decoded in its own loop, then zipped back into delivery order.
-bool decodeV2(const uint8_t *Payload, size_t Len, uint64_t EventCount,
-              DecodedBlock &Out, std::string &Err, uint64_t BlockIndex,
-              uint64_t BaseOffset) {
+bool decodeColumns(const uint8_t *Payload, size_t Len, uint64_t EventCount,
+                   DecodedBlock &Out, std::string &Err, uint64_t BlockIndex,
+                   uint64_t BaseOffset) {
   auto FailAt = [&](size_t At, const std::string &Msg) {
     Err = where(BlockIndex, BaseOffset + At) + ": " + Msg;
     Out.clear();
@@ -234,7 +134,7 @@ bool decodeV2(const uint8_t *Payload, size_t Len, uint64_t EventCount,
     return true;
   };
   // Address/time deltas decode straight into running absolute values
-  // (the per-block delta chain starts at zero, as in v1).
+  // (the per-block delta chain starts at zero).
   auto DecodeSlebColumn = [&](const Column &Col, const char *Name,
                               uint64_t Count,
                               std::vector<uint64_t> &Vals) -> bool {
@@ -335,21 +235,18 @@ bool traceio::verifyBlockChecksum(const uint8_t *Payload, size_t Len,
   return false;
 }
 
-bool traceio::decodeEventBlock(uint8_t Version, const uint8_t *Payload,
-                               size_t Len, uint64_t EventCount,
-                               DecodedBlock &Out, std::string &Err,
-                               uint64_t BlockIndex, uint64_t BaseOffset) {
+bool traceio::decodeEventBlock(const uint8_t *Payload, size_t Len,
+                               uint64_t EventCount, DecodedBlock &Out,
+                               std::string &Err, uint64_t BlockIndex,
+                               uint64_t BaseOffset) {
   DecodeMetrics &Metrics = DecodeMetrics::get();
   telemetry::ScopedHistogramTimer Timing(Metrics.Ns);
   Metrics.Blocks.add();
   Metrics.Events.add(EventCount);
 
   Out.clear();
-  if (Version >= kFormatVersionV2)
-    return decodeV2(Payload, Len, EventCount, Out, Err, BlockIndex,
-                    BaseOffset);
-  return decodeV1(Payload, Len, EventCount, Out, Err, BlockIndex,
-                  BaseOffset);
+  return decodeColumns(Payload, Len, EventCount, Out, Err, BlockIndex,
+                       BaseOffset);
 }
 
 void traceio::forEachDecodedEvent(

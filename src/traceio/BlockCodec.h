@@ -44,7 +44,7 @@ namespace traceio {
 /// interspersed alloc/free events split out as boundaries. The session
 /// hands each run of accesses between two boundaries to
 /// MemoryInterface::injectAccessBatch as a single span — no per-event
-/// dispatch. Both on-disk formats decode into this shape.
+/// dispatch.
 struct DecodedBlock {
   /// An alloc or free, plus its position in the delivery order.
   struct Boundary {
@@ -62,22 +62,21 @@ struct DecodedBlock {
   }
 };
 
-/// Decodes the \p EventCount events of one event-block payload of
-/// .orpt format \p Version into \p Out (contents replaced). v1 payloads
-/// are walked record by record; v2 payloads column at a time, each
-/// column in its own tight varint loop (decode*LEB128Fast) before the
-/// columns are zipped back into delivery order. The delta-decoder state
-/// starts at zero (block boundary contract). Nothing is delivered on
-/// failure: \p Out is left empty and \p Err carries the fault (a
-/// malformed record, truncated column, column length mismatch, overlong
-/// varint or unknown opcode). \p BlockIndex and \p BaseOffset (the
-/// payload's absolute position in its file or stream, 0 when
+/// Decodes the \p EventCount events of one columnar event-block payload
+/// into \p Out (contents replaced): each column in its own tight varint
+/// loop (decode*LEB128Fast), then the columns are zipped back into
+/// delivery order. Callers check the block's format version first
+/// (TraceReader at open, ProfileSession::injectBlock per block). The
+/// delta-decoder state starts at zero (block boundary contract).
+/// Nothing is delivered on failure: \p Out is left empty and \p Err
+/// carries the fault (a truncated column, column length mismatch,
+/// overlong varint or unknown opcode). \p BlockIndex and \p BaseOffset
+/// (the payload's absolute position in its file or stream, 0 when
 /// standalone) only label diagnostics: "block <Index> at byte <abs>:
 /// ...".
-[[nodiscard]] bool decodeEventBlock(uint8_t Version, const uint8_t *Payload,
-                                    size_t Len, uint64_t EventCount,
-                                    DecodedBlock &Out, std::string &Err,
-                                    uint64_t BlockIndex = 0,
+[[nodiscard]] bool decodeEventBlock(const uint8_t *Payload, size_t Len,
+                                    uint64_t EventCount, DecodedBlock &Out,
+                                    std::string &Err, uint64_t BlockIndex = 0,
                                     uint64_t BaseOffset = 0);
 
 /// Walks \p Block in original delivery order, reconstituting the flat

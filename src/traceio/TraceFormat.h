@@ -18,8 +18,8 @@
 ///
 ///   FixedHeader (36 bytes)
 ///     [0]  magic "ORPT"
-///     [4]  u8  version (1 or 2; the versions differ only in the event
-///          payload encoding, selected per file)
+///     [4]  u8  version (kFormatVersionV2, the columnar event payload
+///          encoding; a reader rejects any other value)
 ///     [5]  u8  flags (kFlagHasRegistry | kFlagBlockTable; both are set
 ///          in every finalized file and no other bit may be)
 ///     [6]  u8  alloc policy (memsim::AllocPolicy)
@@ -44,29 +44,23 @@
 ///     block from this one section, without touching the payloads.
 ///   End marker: u8 kEndMarker, which must be the last byte of the file.
 ///
-/// Event payload encoding, v1 (interleaved records). Addresses and
-/// timestamps are delta-encoded against the previous record; delta
-/// state resets to zero at every block boundary so blocks decode
-/// independently (a corrupted block cannot poison its successors, and
-/// future shard-parallel readers can start at any block). Each record
-/// is a tag byte followed by fields:
+/// Event payload encoding (columnar). Each block holds its events'
+/// fields struct-of-arrays: each field lives in its own contiguous
+/// column so the decoder runs one tight, branch-predictable varint loop
+/// per column instead of a per-record tag dispatch (DESIGN.md section
+/// 15). Addresses and timestamps are delta-encoded against the previous
+/// event; delta state resets to zero at every block boundary so blocks
+/// decode independently (a corrupted block cannot poison its
+/// successors, and a reader can start at any block). Every event has a
+/// tag byte:
 ///
-///   access: tag kOpAccess | kTagStore? | kTagSize8?
-///           uleb instr, sleb addrDelta, sleb timeDelta,
-///           [uleb size when kTagSize8 is clear]
-///   alloc:  tag kOpAlloc | kTagStatic?
-///           uleb site, sleb addrDelta, uleb size, sleb timeDelta
-///   free:   tag kOpFree
-///           sleb addrDelta, sleb timeDelta
+///   access: kOpAccess | kTagStore? | kTagSize8?
+///   alloc:  kOpAlloc | kTagStatic?
+///   free:   kOpFree
 ///
-/// Event payload encoding, v2 (columnar). The same events, the same tag
-/// vocabulary and delta rules as v1 — but struct-of-arrays: each field
-/// lives in its own contiguous column so the decoder runs one tight,
-/// branch-predictable varint loop per column instead of a per-record
-/// tag dispatch (DESIGN.md section 15). Five length-prefixed columns,
-/// in order:
+/// Five length-prefixed columns, in order:
 ///
-///   kinds  uleb byteLen, then one v1 tag byte per event
+///   kinds  uleb byteLen, then one tag byte per event
 ///          (byteLen must equal the block's event count)
 ///   ids    uleb byteLen, then uleb instr/site per access and alloc
 ///          event, in event order (frees contribute nothing)
@@ -94,22 +88,14 @@ namespace traceio {
 /// File magic: "ORPT".
 constexpr uint8_t kMagic[4] = {'O', 'R', 'P', 'T'};
 
-/// The two on-disk format revisions: v1 interleaved records, v2
-/// columnar blocks. Readers accept the whole [v1, v2] range and select
-/// the payload decoder per file; writers default to v2 and can be asked
-/// for v1 (`orp-trace record --format-version=1`). The version names
-/// the payload encoding only — the daemon wire protocol and
-/// ProfileSession::injectBlock carry it with still-encoded blocks — so
-/// a change to the container (header, sections) is marked by a header
-/// flag, not by this byte (DESIGN.md section 7, "Versioning policy").
-constexpr uint8_t kFormatVersionV1 = 1;
+/// The .orpt format version: the columnar event payload encoding, the
+/// only one this build writes or reads. The version names the payload
+/// encoding only — the daemon wire protocol and
+/// ProfileSession::injectBlock carry it with still-encoded blocks, and
+/// each checks it — so a change to the container (header, sections) is
+/// marked by a header flag, not by this byte (DESIGN.md section 7,
+/// "Versioning policy").
 constexpr uint8_t kFormatVersionV2 = 2;
-
-/// Newest format version this build reads and the writer's default.
-/// (Kept under the historical name: existing code and tests compare
-/// reader/writer versions against "the" format version, which has
-/// always meant the newest one.)
-constexpr uint8_t kFormatVersion = kFormatVersionV2;
 
 /// Size in bytes of the fixed file header.
 constexpr size_t kHeaderSize = 36;

@@ -249,18 +249,18 @@ bool TraceReader::parseHeader(uint64_t &RegistryOffset) {
   for (unsigned I = 0; I != 4; ++I)
     if (Hdr[I] != kMagic[I])
       return failed("bad magic: not an .orpt trace");
+  // The CRC comes before any field is interpreted, so a damaged byte
+  // reads as damage, not as a version or flag this build lacks.
+  if (readLE32(Hdr + 32) != crc32(Hdr, 32))
+    return failed("header checksum mismatch (corrupted file)");
   Info.Version = Hdr[4];
-  if (Info.Version < kFormatVersionV1 || Info.Version > kFormatVersionV2)
+  if (Info.Version != kFormatVersionV2)
     return failed("unsupported format version " +
                   std::to_string(Info.Version));
   Info.Flags = Hdr[5];
   Info.AllocPolicy = Hdr[6];
   Info.Seed = readLE64(Hdr + 8);
   Info.TotalEvents = readLE64(Hdr + 24);
-  uint32_t Want = readLE32(Hdr + 32);
-  uint32_t Got = crc32(Hdr, 32);
-  if (Want != Got)
-    return failed("header checksum mismatch (corrupted file)");
   if (Info.Flags & ~kFlagsFinalized)
     return failed("unknown header flags " + std::to_string(Info.Flags));
   RegistryOffset = readLE64(Hdr + 16);
@@ -347,9 +347,8 @@ bool TraceReader::decodeBlockColumns(size_t Index, DecodedBlock &Out) {
     Out.clear();
     return failed(BlockErr);
   }
-  if (!decodeEventBlock(Info.Version, Payload, Ref.PayloadLen,
-                        Ref.EventCount, Out, BlockErr, Index,
-                        Ref.PayloadPos))
+  if (!decodeEventBlock(Payload, Ref.PayloadLen, Ref.EventCount, Out,
+                        BlockErr, Index, Ref.PayloadPos))
     return failed(BlockErr);
   return true;
 }

@@ -106,8 +106,8 @@ public:
   [[nodiscard]] bool readAllEvents(std::vector<TraceEvent> &Out);
 
   /// Decodes block \p Index (CRC-checked first, like forEachEvent) into
-  /// \p Out, shaped for batch injection — see traceio::DecodedBlock —
-  /// whichever format version the trace holds. Blocks are independently
+  /// \p Out, shaped for batch injection — see traceio::DecodedBlock.
+  /// Blocks are independently
   /// decodable — the writer restarts the address/time delta chains per
   /// block — which is what lets ProfileSession::replayFrom decode block
   /// N+1 on a worker while block N is being injected. \p Index must be

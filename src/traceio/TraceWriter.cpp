@@ -15,8 +15,8 @@ TraceWriter::TraceWriter(std::string Path,
                          memsim::AllocPolicy Policy, uint64_t Seed,
                          size_t BlockBytes, uint8_t FormatVersion)
     : Path(std::move(Path)), Registry(Registry), Policy(Policy), Seed(Seed),
-      BlockBytes(BlockBytes), FormatVersion(FormatVersion) {
-  if (FormatVersion < kFormatVersionV1 || FormatVersion > kFormatVersionV2) {
+      BlockBytes(BlockBytes) {
+  if (FormatVersion != kFormatVersionV2) {
     fail("unsupported format version " + std::to_string(FormatVersion));
     return;
   }
@@ -55,7 +55,7 @@ std::vector<uint8_t> TraceWriter::encodeHeader(uint64_t RegistryOffset) const {
   std::vector<uint8_t> Out;
   Out.reserve(kHeaderSize);
   Out.insert(Out.end(), kMagic, kMagic + 4);
-  Out.push_back(FormatVersion);
+  Out.push_back(kFormatVersionV2);
   Out.push_back(RegistryOffset ? kFlagsFinalized : 0);
   Out.push_back(static_cast<uint8_t>(Policy));
   Out.push_back(0); // reserved
@@ -67,10 +67,8 @@ std::vector<uint8_t> TraceWriter::encodeHeader(uint64_t RegistryOffset) const {
 }
 
 size_t TraceWriter::pendingBlockBytes() const {
-  if (FormatVersion >= kFormatVersionV2)
-    return KindCol.size() + IdCol.size() + AddrCol.size() + TimeCol.size() +
-           SizeCol.size();
-  return Block.size();
+  return KindCol.size() + IdCol.size() + AddrCol.size() + TimeCol.size() +
+         SizeCol.size();
 }
 
 void TraceWriter::flushBlock() {
@@ -78,17 +76,14 @@ void TraceWriter::flushBlock() {
     PrevAddr = PrevTime = 0;
     return;
   }
-  if (FormatVersion >= kFormatVersionV2) {
-    // Assemble the five length-prefixed columns into one payload
-    // (TraceFormat.h column order).
-    Block.clear();
-    Block.reserve(pendingBlockBytes() + 20);
-    for (std::vector<uint8_t> *Col :
-         {&KindCol, &IdCol, &AddrCol, &TimeCol, &SizeCol}) {
-      encodeULEB128(Col->size(), Block);
-      Block.insert(Block.end(), Col->begin(), Col->end());
-      Col->clear();
-    }
+  // Assemble the five length-prefixed columns into one payload
+  // (TraceFormat.h column order).
+  Block.reserve(pendingBlockBytes() + 20);
+  for (std::vector<uint8_t> *Col :
+       {&KindCol, &IdCol, &AddrCol, &TimeCol, &SizeCol}) {
+    encodeULEB128(Col->size(), Block);
+    Block.insert(Block.end(), Col->begin(), Col->end());
+    Col->clear();
   }
   // The payload goes out bare; its length, event count and CRC wait in
   // the block table until close().
@@ -115,21 +110,12 @@ void TraceWriter::onAccess(const trace::AccessEvent &Event) {
     Tag |= kTagStore;
   if (Event.Size == 8)
     Tag |= kTagSize8;
-  if (FormatVersion >= kFormatVersionV2) {
-    KindCol.push_back(Tag);
-    encodeULEB128(Event.Instr, IdCol);
-    encodeSLEB128(static_cast<int64_t>(Event.Addr - PrevAddr), AddrCol);
-    encodeSLEB128(static_cast<int64_t>(Event.Time - PrevTime), TimeCol);
-    if (Event.Size != 8)
-      encodeULEB128(Event.Size, SizeCol);
-  } else {
-    Block.push_back(Tag);
-    encodeULEB128(Event.Instr, Block);
-    encodeSLEB128(static_cast<int64_t>(Event.Addr - PrevAddr), Block);
-    encodeSLEB128(static_cast<int64_t>(Event.Time - PrevTime), Block);
-    if (Event.Size != 8)
-      encodeULEB128(Event.Size, Block);
-  }
+  KindCol.push_back(Tag);
+  encodeULEB128(Event.Instr, IdCol);
+  encodeSLEB128(static_cast<int64_t>(Event.Addr - PrevAddr), AddrCol);
+  encodeSLEB128(static_cast<int64_t>(Event.Time - PrevTime), TimeCol);
+  if (Event.Size != 8)
+    encodeULEB128(Event.Size, SizeCol);
   PrevAddr = Event.Addr;
   PrevTime = Event.Time;
   ++BlockEvents;
@@ -143,19 +129,11 @@ void TraceWriter::onAlloc(const trace::AllocEvent &Event) {
   uint8_t Tag = kOpAlloc;
   if (Event.IsStatic)
     Tag |= kTagStatic;
-  if (FormatVersion >= kFormatVersionV2) {
-    KindCol.push_back(Tag);
-    encodeULEB128(Event.Site, IdCol);
-    encodeSLEB128(static_cast<int64_t>(Event.Addr - PrevAddr), AddrCol);
-    encodeSLEB128(static_cast<int64_t>(Event.Time - PrevTime), TimeCol);
-    encodeULEB128(Event.Size, SizeCol);
-  } else {
-    Block.push_back(Tag);
-    encodeULEB128(Event.Site, Block);
-    encodeSLEB128(static_cast<int64_t>(Event.Addr - PrevAddr), Block);
-    encodeULEB128(Event.Size, Block);
-    encodeSLEB128(static_cast<int64_t>(Event.Time - PrevTime), Block);
-  }
+  KindCol.push_back(Tag);
+  encodeULEB128(Event.Site, IdCol);
+  encodeSLEB128(static_cast<int64_t>(Event.Addr - PrevAddr), AddrCol);
+  encodeSLEB128(static_cast<int64_t>(Event.Time - PrevTime), TimeCol);
+  encodeULEB128(Event.Size, SizeCol);
   PrevAddr = Event.Addr;
   PrevTime = Event.Time;
   ++BlockEvents;
@@ -166,15 +144,9 @@ void TraceWriter::onAlloc(const trace::AllocEvent &Event) {
 void TraceWriter::onFree(const trace::FreeEvent &Event) {
   if (!File || Closed)
     return;
-  if (FormatVersion >= kFormatVersionV2) {
-    KindCol.push_back(kOpFree);
-    encodeSLEB128(static_cast<int64_t>(Event.Addr - PrevAddr), AddrCol);
-    encodeSLEB128(static_cast<int64_t>(Event.Time - PrevTime), TimeCol);
-  } else {
-    Block.push_back(kOpFree);
-    encodeSLEB128(static_cast<int64_t>(Event.Addr - PrevAddr), Block);
-    encodeSLEB128(static_cast<int64_t>(Event.Time - PrevTime), Block);
-  }
+  KindCol.push_back(kOpFree);
+  encodeSLEB128(static_cast<int64_t>(Event.Addr - PrevAddr), AddrCol);
+  encodeSLEB128(static_cast<int64_t>(Event.Time - PrevTime), TimeCol);
   PrevAddr = Event.Addr;
   PrevTime = Event.Time;
   ++BlockEvents;

@@ -45,11 +45,10 @@ public:
   /// Opens \p Path for writing. \p Registry is the session registry whose
   /// final contents are snapshotted at close(); \p Policy and \p Seed are
   /// the run configuration recorded in the header so replays can recreate
-  /// an identical session. \p FormatVersion selects the event payload
-  /// encoding — kFormatVersionV2 columnar (default) or kFormatVersionV1
-  /// interleaved for compatibility with old readers; the same event
-  /// stream recorded at either version replays to byte-identical
-  /// profiles.
+  /// an identical session. Event payloads are always encoded columnar
+  /// (kFormatVersionV2); \p FormatVersion must name that encoding, and
+  /// any other value fails the writer with "unsupported format version
+  /// N".
   TraceWriter(std::string Path, const trace::InstructionRegistry &Registry,
               memsim::AllocPolicy Policy, uint64_t Seed,
               size_t BlockBytes = kDefaultBlockBytes,
@@ -85,9 +84,6 @@ public:
   /// Bytes written to disk so far (final after close()).
   uint64_t bytesWritten() const { return BytesOut; }
 
-  /// The .orpt format version this writer emits.
-  uint8_t formatVersion() const { return FormatVersion; }
-
 private:
   void fail(const std::string &Msg);
   void writeBytes(const void *Data, size_t Size);
@@ -103,16 +99,14 @@ private:
   memsim::AllocPolicy Policy;
   uint64_t Seed;
   size_t BlockBytes;
-  uint8_t FormatVersion;
   std::FILE *File = nullptr;
   std::string Err;
   bool Closed = false;
 
-  /// Current v1 block payload (interleaved records).
-  std::vector<uint8_t> Block;
-  /// Current v2 block columns (TraceFormat.h column order); assembled
-  /// into one length-prefixed payload at flush.
+  /// Current block columns (TraceFormat.h column order), and the
+  /// payload they are assembled into at flush.
   std::vector<uint8_t> KindCol, IdCol, AddrCol, TimeCol, SizeCol;
+  std::vector<uint8_t> Block;
   uint64_t BlockEvents = 0;
   /// Block table entries of the blocks written so far, encoded as the
   /// table section stores them (TraceFormat.h); written at close().

@@ -868,12 +868,12 @@ const BadAlloc kBadAllocs[] = {
 /// accesses, in blocks of \p BlockBytes. Returns the index of the block
 /// that holds \p Bad.
 size_t recordBadAllocTrace(const std::string &Path, const BadAlloc &Bad,
-                           uint8_t Version, size_t BlockBytes = 256) {
+                           size_t BlockBytes = 256) {
   trace::InstructionRegistry Registry;
   trace::AllocSiteId Site = Registry.addAllocSite("node");
   trace::InstrId Load = Registry.addInstruction("load", trace::AccessKind::Load);
   traceio::TraceWriter Writer(Path, Registry, memsim::AllocPolicy::FirstFit,
-                              /*Seed=*/7, BlockBytes, Version);
+                              /*Seed=*/7, BlockBytes);
   EXPECT_TRUE(Writer.ok()) << Writer.error();
   uint64_t Time = 0;
   Writer.onAlloc(trace::AllocEvent{Site, kLiveBase, kLiveSize, Time, false});
@@ -902,38 +902,34 @@ size_t recordBadAllocTrace(const std::string &Path, const BadAlloc &Bad,
 
 TEST(ProfileSessionTest, MalformedAllocationFailsTheSession) {
   // Each malformed allocation ends the replay at that event with a
-  // "block N: reason" error, on every replay path (v1 and v2 blocks,
-  // serial and decode-ahead): it never reaches the OMC, and the process
-  // lives on.
-  for (uint8_t Version : {traceio::kFormatVersionV1,
-                          traceio::kFormatVersionV2})
-    for (unsigned Threads : {1u, 2u})
-      for (const BadAlloc &Bad : kBadAllocs) {
-        std::string Label = std::string(Bad.Name) + " v" +
-                            std::to_string(Version) + " threads " +
-                            std::to_string(Threads);
-        std::string Path = tempPath(std::string("bad_alloc_") + Bad.Name);
-        size_t Block = recordBadAllocTrace(Path, Bad, Version);
-        ASSERT_GT(Block, 0u) << Label;
-        traceio::TraceReader Reader;
-        ASSERT_TRUE(Reader.open(Path)) << Reader.error();
-        session::ProfileSession Session("bad_alloc",
-                                        session::recordedConfig(Reader));
-        EXPECT_FALSE(Session.replayFrom(Reader, Threads)) << Label;
-        EXPECT_TRUE(Session.failed()) << Label;
-        EXPECT_EQ(Session.error().rfind(
-                      "block " + std::to_string(Block) + ": ", 0),
-                  0u)
-            << Label << ": " << Session.error();
-        EXPECT_NE(Session.error().find(Bad.Reason), std::string::npos)
-            << Label << ": " << Session.error();
-        EXPECT_EQ(Session.eventsInjected(), 201u) << Label;
-        EXPECT_EQ(Session.core().omc().numLiveObjects(), 1u) << Label;
-        SessionArtifacts A = Session.finalize();
-        EXPECT_TRUE(A.Failed) << Label;
-        EXPECT_EQ(A.Error, Session.error()) << Label;
-        std::remove(Path.c_str());
-      }
+  // "block N: reason" error, on every replay path (serial and
+  // decode-ahead): it never reaches the OMC, and the process lives on.
+  for (unsigned Threads : {1u, 2u})
+    for (const BadAlloc &Bad : kBadAllocs) {
+      std::string Label =
+          std::string(Bad.Name) + " threads " + std::to_string(Threads);
+      std::string Path = tempPath(std::string("bad_alloc_") + Bad.Name);
+      size_t Block = recordBadAllocTrace(Path, Bad);
+      ASSERT_GT(Block, 0u) << Label;
+      traceio::TraceReader Reader;
+      ASSERT_TRUE(Reader.open(Path)) << Reader.error();
+      session::ProfileSession Session("bad_alloc",
+                                      session::recordedConfig(Reader));
+      EXPECT_FALSE(Session.replayFrom(Reader, Threads)) << Label;
+      EXPECT_TRUE(Session.failed()) << Label;
+      EXPECT_EQ(Session.error().rfind(
+                    "block " + std::to_string(Block) + ": ", 0),
+                0u)
+          << Label << ": " << Session.error();
+      EXPECT_NE(Session.error().find(Bad.Reason), std::string::npos)
+          << Label << ": " << Session.error();
+      EXPECT_EQ(Session.eventsInjected(), 201u) << Label;
+      EXPECT_EQ(Session.core().omc().numLiveObjects(), 1u) << Label;
+      SessionArtifacts A = Session.finalize();
+      EXPECT_TRUE(A.Failed) << Label;
+      EXPECT_EQ(A.Error, Session.error()) << Label;
+      std::remove(Path.c_str());
+    }
 }
 
 TEST(SessionManagerTest, MalformedAllocationFailsOnlyItsOwnSession) {
@@ -946,64 +942,124 @@ TEST(SessionManagerTest, MalformedAllocationFailsOnlyItsOwnSession) {
   traceio::TraceReader GoodReader;
   ASSERT_TRUE(GoodReader.open(GoodPath)) << GoodReader.error();
 
-  for (uint8_t Version : {traceio::kFormatVersionV1,
-                          traceio::kFormatVersionV2}) {
-    session::ManagerConfig Config;
-    Config.Threads = 2;
-    session::SessionManager Mgr(Config);
-    SessionId GoodA = openFor(Mgr, GoodReader, "good_a");
-    std::vector<std::string> BadPaths;
-    std::vector<traceio::TraceReader> BadReaders(std::size(kBadAllocs));
-    std::vector<SessionId> Bad;
-    std::vector<size_t> BadBlock;
-    for (size_t K = 0; K != std::size(kBadAllocs); ++K) {
-      BadPaths.push_back(tempPath(std::string("bad_alloc_mgr_") +
-                                  kBadAllocs[K].Name));
-      BadBlock.push_back(
-          recordBadAllocTrace(BadPaths[K], kBadAllocs[K], Version));
-      ASSERT_TRUE(BadReaders[K].open(BadPaths[K])) << BadReaders[K].error();
-      Bad.push_back(openFor(Mgr, BadReaders[K], kBadAllocs[K].Name));
-    }
-    SessionId GoodB = openFor(Mgr, GoodReader, "good_b");
-
-    // Interleave every session's blocks. A failed session refuses the
-    // blocks after its failure, which is all the daemon would see.
-    size_t MaxBlocks = GoodReader.numEventBlocks();
-    for (const traceio::TraceReader &R : BadReaders)
-      MaxBlocks = std::max(MaxBlocks, R.numEventBlocks());
-    for (size_t I = 0; I != MaxBlocks; ++I) {
-      if (I < GoodReader.numEventBlocks()) {
-        submitBlock(Mgr, GoodA, GoodReader, I);
-        submitBlock(Mgr, GoodB, GoodReader, I);
-      }
-      for (size_t K = 0; K != Bad.size(); ++K) {
-        if (I >= BadReaders[K].numEventBlocks())
-          continue;
-        traceio::TraceReader::RawBlock B = BadReaders[K].rawBlock(I);
-        SubmitStatus St;
-        while ((St = Mgr.submitBlock(Bad[K], B.Payload, B.PayloadLen,
-                                     B.EventCount, B.Crc, Version)) ==
-               SubmitStatus::WouldBlock) {
-        }
-        ASSERT_TRUE(St == SubmitStatus::Ok || St == SubmitStatus::Failed);
-      }
-    }
-
-    for (size_t K = 0; K != Bad.size(); ++K) {
-      SessionArtifacts A = Mgr.close(Bad[K]);
-      EXPECT_TRUE(A.Failed) << kBadAllocs[K].Name;
-      EXPECT_EQ(A.Error.rfind(
-                    "block " + std::to_string(BadBlock[K]) + ": ", 0),
-                0u)
-          << A.Error;
-      EXPECT_NE(A.Error.find(kBadAllocs[K].Reason), std::string::npos)
-          << A.Error;
-      std::remove(BadPaths[K].c_str());
-    }
-    expectSameProfile(Mgr.close(GoodA), Serial);
-    expectSameProfile(Mgr.close(GoodB), Serial);
+  session::ManagerConfig Config;
+  Config.Threads = 2;
+  session::SessionManager Mgr(Config);
+  SessionId GoodA = openFor(Mgr, GoodReader, "good_a");
+  std::vector<std::string> BadPaths;
+  std::vector<traceio::TraceReader> BadReaders(std::size(kBadAllocs));
+  std::vector<SessionId> Bad;
+  std::vector<size_t> BadBlock;
+  for (size_t K = 0; K != std::size(kBadAllocs); ++K) {
+    BadPaths.push_back(tempPath(std::string("bad_alloc_mgr_") +
+                                kBadAllocs[K].Name));
+    BadBlock.push_back(recordBadAllocTrace(BadPaths[K], kBadAllocs[K]));
+    ASSERT_TRUE(BadReaders[K].open(BadPaths[K])) << BadReaders[K].error();
+    Bad.push_back(openFor(Mgr, BadReaders[K], kBadAllocs[K].Name));
   }
+  SessionId GoodB = openFor(Mgr, GoodReader, "good_b");
+
+  // Interleave every session's blocks. A failed session refuses the
+  // blocks after its failure, which is all the daemon would see.
+  size_t MaxBlocks = GoodReader.numEventBlocks();
+  for (const traceio::TraceReader &R : BadReaders)
+    MaxBlocks = std::max(MaxBlocks, R.numEventBlocks());
+  for (size_t I = 0; I != MaxBlocks; ++I) {
+    if (I < GoodReader.numEventBlocks()) {
+      submitBlock(Mgr, GoodA, GoodReader, I);
+      submitBlock(Mgr, GoodB, GoodReader, I);
+    }
+    for (size_t K = 0; K != Bad.size(); ++K) {
+      if (I >= BadReaders[K].numEventBlocks())
+        continue;
+      traceio::TraceReader::RawBlock B = BadReaders[K].rawBlock(I);
+      SubmitStatus St;
+      while ((St = Mgr.submitBlock(Bad[K], B.Payload, B.PayloadLen,
+                                   B.EventCount, B.Crc,
+                                   BadReaders[K].info().Version)) ==
+             SubmitStatus::WouldBlock) {
+      }
+      ASSERT_TRUE(St == SubmitStatus::Ok || St == SubmitStatus::Failed);
+    }
+  }
+
+  for (size_t K = 0; K != Bad.size(); ++K) {
+    SessionArtifacts A = Mgr.close(Bad[K]);
+    EXPECT_TRUE(A.Failed) << kBadAllocs[K].Name;
+    EXPECT_EQ(A.Error.rfind(
+                  "block " + std::to_string(BadBlock[K]) + ": ", 0),
+              0u)
+        << A.Error;
+    EXPECT_NE(A.Error.find(kBadAllocs[K].Reason), std::string::npos)
+        << A.Error;
+    std::remove(BadPaths[K].c_str());
+  }
+  expectSameProfile(Mgr.close(GoodA), Serial);
+  expectSameProfile(Mgr.close(GoodB), Serial);
   std::remove(GoodPath.c_str());
+}
+
+//===----------------------------------------------------------------------===//
+// Unsupported block encodings
+//===----------------------------------------------------------------------===//
+
+TEST(ProfileSessionTest, UnsupportedBlockVersionFailsTheSession) {
+  // A block whose sender states any encoding but the columnar one is
+  // refused before its bytes are read, and the session stays failed.
+  std::string Path = tempPath("version1_inject.orpt");
+  recordTrace("list-traversal", Path);
+  traceio::TraceReader Reader;
+  ASSERT_TRUE(Reader.open(Path)) << Reader.error();
+  session::ProfileSession Session("v1", session::recordedConfig(Reader));
+  Session.registerProbeTables(Reader.instructions(), Reader.allocSites());
+  traceio::TraceReader::RawBlock B = Reader.rawBlock(0);
+  EXPECT_FALSE(Session.injectBlock(B.Payload, B.PayloadLen, B.EventCount,
+                                   B.Crc, /*BlockIndex=*/0,
+                                   /*FormatVersion=*/1));
+  EXPECT_TRUE(Session.failed());
+  EXPECT_EQ(Session.error(), "block 0: unsupported format version 1");
+  EXPECT_FALSE(Session.injectBlock(B.Payload, B.PayloadLen, B.EventCount,
+                                   B.Crc, /*BlockIndex=*/0,
+                                   Reader.info().Version));
+  EXPECT_EQ(Session.eventsInjected(), 0u);
+  std::remove(Path.c_str());
+}
+
+TEST(SessionManagerTest, UnsupportedBlockVersionFailsOnlyItsOwnSession) {
+  // A session whose blocks arrive over submitBlock stating version 1
+  // fails alone; sessions beside it keep their bytes.
+  ScopedRole Role(session::SessionControlRole);
+  std::string Path = tempPath("version1_neighbor.orpt");
+  recordTrace("list-traversal", Path);
+  SessionArtifacts Serial = serialArtifacts(Path);
+  traceio::TraceReader Reader;
+  ASSERT_TRUE(Reader.open(Path)) << Reader.error();
+
+  session::ManagerConfig Config;
+  Config.Threads = 2;
+  session::SessionManager Mgr(Config);
+  SessionId GoodA = openFor(Mgr, Reader, "good_a");
+  SessionId Bad = openFor(Mgr, Reader, "v1");
+  SessionId GoodB = openFor(Mgr, Reader, "good_b");
+  for (size_t I = 0; I != Reader.numEventBlocks(); ++I) {
+    submitBlock(Mgr, GoodA, Reader, I);
+    traceio::TraceReader::RawBlock B = Reader.rawBlock(I);
+    SubmitStatus St;
+    while ((St = Mgr.submitBlock(Bad, B.Payload, B.PayloadLen, B.EventCount,
+                                 B.Crc, /*FormatVersion=*/1)) ==
+           SubmitStatus::WouldBlock) {
+    }
+    ASSERT_TRUE(St == SubmitStatus::Ok || St == SubmitStatus::Failed);
+    submitBlock(Mgr, GoodB, Reader, I);
+  }
+
+  SessionArtifacts A = Mgr.close(Bad);
+  EXPECT_TRUE(A.Failed);
+  EXPECT_EQ(A.Error, "block 0: unsupported format version 1");
+  EXPECT_EQ(A.Events, 0u);
+  expectSameProfile(Mgr.close(GoodA), Serial);
+  expectSameProfile(Mgr.close(GoodB), Serial);
+  std::remove(Path.c_str());
 }
 
 //===----------------------------------------------------------------------===//
@@ -1386,11 +1442,9 @@ TEST(DaemonTest, ClosingForeignSessionIsRejected) {
 // Version / format pinning
 //===----------------------------------------------------------------------===//
 
-TEST(VersionTest, SupportedFormatRangeCoversTheWriterFormat) {
+TEST(VersionTest, AdvertisedFormatIsTheWriterFormat) {
   // support/Version.h cannot include traceio (layering); this pin keeps
-  // the advertised range honest when the format gains a revision.
-  EXPECT_LE(support::kMinTraceFormatVersion,
-            static_cast<unsigned>(traceio::kFormatVersion));
-  EXPECT_GE(support::kMaxTraceFormatVersion,
-            static_cast<unsigned>(traceio::kFormatVersion));
+  // the advertised version honest when the format gains a revision.
+  EXPECT_EQ(support::kTraceFormatVersion,
+            static_cast<unsigned>(traceio::kFormatVersionV2));
 }

@@ -50,13 +50,12 @@ std::unique_ptr<core::ProfilingSession>
 recordRun(const std::string &WorkloadName, const std::string &Path,
           core::OrTupleConsumer *Consumer = nullptr,
           trace::TraceSink *RawSink = nullptr, uint64_t Scale = 1,
-          size_t BlockBytes = traceio::TraceWriter::kDefaultBlockBytes,
-          uint8_t FormatVersion = traceio::kFormatVersion) {
+          size_t BlockBytes = traceio::TraceWriter::kDefaultBlockBytes) {
   auto Session = std::make_unique<core::ProfilingSession>(
       memsim::AllocPolicy::FirstFit, /*Seed=*/7);
   traceio::TraceWriter Writer(Path, Session->registry(),
                               memsim::AllocPolicy::FirstFit, /*Seed=*/7,
-                              BlockBytes, FormatVersion);
+                              BlockBytes);
   EXPECT_TRUE(Writer.ok()) << Writer.error();
   Session->addRawSink(&Writer);
   if (Consumer)
@@ -321,7 +320,7 @@ TEST(TraceIoTest, InfoAndRegistryMatchTheRecordedRun) {
   traceio::TraceReader Reader;
   ASSERT_TRUE(Reader.open(Path)) << Reader.error();
   const traceio::TraceInfo &Info = Reader.info();
-  EXPECT_EQ(Info.Version, traceio::kFormatVersion);
+  EXPECT_EQ(Info.Version, traceio::kFormatVersionV2);
   EXPECT_EQ(Info.AllocPolicy,
             static_cast<uint8_t>(memsim::AllocPolicy::FirstFit));
   EXPECT_EQ(Info.Seed, 7u);
@@ -396,6 +395,21 @@ TEST(TraceIoTest, EmptyTraceRoundTrips) {
   std::remove(Path.c_str());
 }
 
+TEST(TraceIoTest, WriterRejectsAnyOtherFormatVersion) {
+  // The columnar encoding is the only one; the writer refuses to start
+  // a file in any other, before it creates the file.
+  trace::InstructionRegistry Registry;
+  std::string Path = tempPath("writer_version1.orpt");
+  std::remove(Path.c_str());
+  traceio::TraceWriter Writer(Path, Registry, memsim::AllocPolicy::FirstFit,
+                              0, traceio::TraceWriter::kDefaultBlockBytes,
+                              /*FormatVersion=*/1);
+  EXPECT_FALSE(Writer.ok());
+  EXPECT_EQ(Writer.error(), "unsupported format version 1");
+  EXPECT_FALSE(Writer.close());
+  EXPECT_FALSE(std::ifstream(Path).good());
+}
+
 TEST(TraceIoTest, WriterReportsUnwritablePath) {
   trace::InstructionRegistry Registry;
   traceio::TraceWriter Writer("/nonexistent-dir/trace.orpt", Registry,
@@ -413,11 +427,7 @@ class TraceIoCorruptionTest : public testing::Test {
 protected:
   void SetUp() override {
     Path = tempPath("corrupt.orpt");
-    // Pinned to v1: the byte surgery below assumes the interleaved
-    // record layout. V2 columnar corruption has its own fixture.
-    recordRun("list-traversal", Path, nullptr, nullptr, /*Scale=*/1,
-              traceio::TraceWriter::kDefaultBlockBytes,
-              traceio::kFormatVersionV1);
+    recordRun("list-traversal", Path);
     Good = readFile(Path);
     ASSERT_GT(Good.size(), traceio::kHeaderSize + 64);
     std::remove(Path.c_str());
@@ -468,9 +478,14 @@ TEST_F(TraceIoCorruptionTest, TruncationsAreRejected) {
 }
 
 TEST_F(TraceIoCorruptionTest, FlippedHeaderByteIsRejected) {
-  std::vector<uint8_t> Bad = Good;
-  Bad[8] ^= 0x40; // seed field; covered by the header CRC
-  expectRejected(std::move(Bad), "header checksum mismatch");
+  // The seed field, and the version byte: the CRC is checked before any
+  // field is read, so a damaged version reads as damage, not as a
+  // version this build lacks.
+  for (size_t At : {size_t(8), size_t(4)}) {
+    std::vector<uint8_t> Bad = Good;
+    Bad[At] ^= 0x40;
+    expectRejected(std::move(Bad), "header checksum mismatch");
+  }
 }
 
 TEST_F(TraceIoCorruptionTest, FlippedBlockPayloadByteIsRejected) {
@@ -507,10 +522,23 @@ TEST_F(TraceIoCorruptionTest, BlockErrorsNameBlockIndexAndByteOffset) {
 }
 
 TEST_F(TraceIoCorruptionTest, UnsupportedVersionIsRejected) {
-  std::vector<uint8_t> Bad = Good;
-  Bad[4] = traceio::kFormatVersion + 1;
-  resealHeader(Bad); // So only the version check can fire.
-  expectRejected(std::move(Bad), "unsupported format version");
+  // Version 1 (the retired interleaved encoding) and version 3 are
+  // refused by openImage() and by open() on disk alike.
+  std::string BadPath = tempPath("unsupported_version.orpt");
+  for (uint8_t Version : {uint8_t(1), uint8_t(3)}) {
+    std::vector<uint8_t> Bad = Good;
+    Bad[4] = Version;
+    resealHeader(Bad); // So only the version check can fire.
+    const std::string Want =
+        "unsupported format version " + std::to_string(Version);
+    writeFile(BadPath, Bad);
+    expectRejected(std::move(Bad), Want);
+    traceio::TraceReader OnDisk;
+    EXPECT_FALSE(OnDisk.open(BadPath));
+    EXPECT_NE(OnDisk.error().find(Want), std::string::npos)
+        << "error was: " << OnDisk.error();
+  }
+  std::remove(BadPath.c_str());
 }
 
 TEST_F(TraceIoCorruptionTest, UnfinalizedTraceIsRejected) {
@@ -520,29 +548,36 @@ TEST_F(TraceIoCorruptionTest, UnfinalizedTraceIsRejected) {
 }
 
 TEST_F(TraceIoCorruptionTest, OverlongVarIntInEventPayloadIsRejected) {
-  // Re-encode the first event's leading varint as a non-minimal
-  // (overlong) form — same value, one byte wider — and re-seal block 0's
-  // table entry and the header so only the varint hardening can fire.
+  // Re-encode the first id-column entry as a non-minimal (overlong)
+  // form — same value, one byte wider — grow the id column's length to
+  // match, and re-seal block 0's table entry and the header so only the
+  // varint hardening can fire.
   traceio::TraceReader Intact;
   ASSERT_TRUE(Intact.openImage(Good, "good.orpt")) << Intact.error();
   const traceio::TraceReader::RawBlock Raw = Intact.rawBlock(0);
-  std::vector<uint8_t> Payload(Raw.Payload, Raw.Payload + Raw.PayloadLen);
+  const std::vector<uint8_t> Old(Raw.Payload, Raw.Payload + Raw.PayloadLen);
 
-  // First record: tag byte, then a ULEB field (instr for access, site
-  // for alloc; a free would start with an SLEB — not what recordRun's
-  // streams open with).
-  ASSERT_NE(Payload[0] & traceio::kOpMask, traceio::kOpFree);
-  size_t FieldEnd = 1;
-  uint64_t FieldValue = 0;
-  ASSERT_TRUE(tryDecodeULEB128(Payload.data(), Payload.size(), FieldEnd,
-                               FieldValue));
+  // Skip the kind column, then read the id column's length and its
+  // first entry.
+  size_t Pos = 0;
+  uint64_t KindLen = 0, IdLen = 0, FirstId = 0;
+  ASSERT_TRUE(tryDecodeULEB128(Old.data(), Old.size(), Pos, KindLen));
+  Pos += KindLen;
+  const size_t IdHeader = Pos;
+  ASSERT_TRUE(tryDecodeULEB128(Old.data(), Old.size(), Pos, IdLen));
+  ASSERT_GT(IdLen, 0u);
+  const size_t IdStart = Pos;
+  ASSERT_TRUE(tryDecodeULEB128(Old.data(), Old.size(), Pos, FirstId));
 
+  std::vector<uint8_t> Payload(Old.begin(), Old.begin() + IdHeader);
+  encodeULEB128(IdLen + 1, Payload);
   std::vector<uint8_t> Overlong;
-  encodeULEB128(FieldValue, Overlong);
+  encodeULEB128(FirstId, Overlong);
   Overlong.back() |= 0x80;
   Overlong.push_back(0x00);
-  Payload.erase(Payload.begin() + 1, Payload.begin() + FieldEnd);
-  Payload.insert(Payload.begin() + 1, Overlong.begin(), Overlong.end());
+  ASSERT_EQ(Overlong.size(), Pos - IdStart + 1);
+  Payload.insert(Payload.end(), Overlong.begin(), Overlong.end());
+  Payload.insert(Payload.end(), Old.begin() + Pos, Old.end());
 
   expectRejected(withBlockPayload(Good, 0, Payload), "overlong");
 }
@@ -1178,8 +1213,7 @@ void expectV2Rejected(const std::vector<uint8_t> &Payload,
                       uint64_t EventCount, const std::string &Needle) {
   traceio::DecodedBlock Block;
   std::string Err;
-  EXPECT_FALSE(traceio::decodeEventBlock(traceio::kFormatVersionV2,
-                                         Payload.data(), Payload.size(),
+  EXPECT_FALSE(traceio::decodeEventBlock(Payload.data(), Payload.size(),
                                          EventCount, Block, Err));
   EXPECT_NE(Err.find(Needle), std::string::npos) << "error was: " << Err;
   EXPECT_EQ(Block.events(), 0u) << "failed decode must clear the output";
@@ -1196,8 +1230,7 @@ TEST(TraceIoV2BlockTest, ColumnsZipBackIntoDeliveryOrder) {
       uleb({4, 64}));
   traceio::DecodedBlock Block;
   std::string Err;
-  ASSERT_TRUE(traceio::decodeEventBlock(traceio::kFormatVersionV2,
-                                        Payload.data(), Payload.size(),
+  ASSERT_TRUE(traceio::decodeEventBlock(Payload.data(), Payload.size(),
                                         /*EventCount=*/3, Block, Err))
       << Err;
   EXPECT_EQ(Block.events(), 3u);
@@ -1273,8 +1306,8 @@ TEST(TraceIoV2BlockTest, TrailingBytesAfterColumnsAreRejected) {
 }
 
 //===----------------------------------------------------------------------===//
-// Cross-version goldens: v1 and v2 encodings of one stream are
-// interchangeable — same events, byte-identical profiles
+// Replay goldens: every way of feeding a recorded trace back reproduces
+// the live run's profiles byte for byte
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -1308,90 +1341,50 @@ session::SessionArtifacts injectArtifacts(const std::string &Path) {
 
 } // namespace
 
-class TraceIoCrossVersionTest : public testing::Test {
+class TraceIoReplayGoldenTest : public testing::Test {
 protected:
   void SetUp() override {
-    PathV1 = tempPath("xver_v1.orpt");
-    PathV2 = tempPath("xver_v2.orpt");
-    // One live run, two raw sinks: the v1 and v2 writers see the exact
-    // same event stream. Small blocks give the schedulers real work.
-    core::ProfilingSession Session(memsim::AllocPolicy::FirstFit,
-                                   /*Seed=*/7);
-    traceio::TraceWriter W1(PathV1, Session.registry(),
-                            memsim::AllocPolicy::FirstFit, /*Seed=*/7,
-                            /*BlockBytes=*/2048, traceio::kFormatVersionV1);
-    traceio::TraceWriter W2(PathV2, Session.registry(),
-                            memsim::AllocPolicy::FirstFit, /*Seed=*/7,
-                            /*BlockBytes=*/2048, traceio::kFormatVersionV2);
-    ASSERT_TRUE(W1.ok()) << W1.error();
-    ASSERT_TRUE(W2.ok()) << W2.error();
-    Session.addRawSink(&W1);
-    Session.addRawSink(&W2);
+    Path = tempPath("golden.orpt");
+    // The live run profiles with WHOMP + LEAP while it records. Small
+    // blocks give the schedulers real work.
+    session::SessionConfig Config;
+    Config.Seed = 7;
+    session::ProfileSession Session("live", Config);
+    traceio::TraceWriter Writer(Path, Session.core().registry(),
+                                memsim::AllocPolicy::FirstFit, /*Seed=*/7,
+                                /*BlockBytes=*/2048);
+    ASSERT_TRUE(Writer.ok()) << Writer.error();
+    Session.core().addRawSink(&Writer);
     auto W = workloads::createWorkloadByName("list-traversal");
     ASSERT_TRUE(W);
-    workloads::WorkloadConfig Config;
-    W->run(Session.memory(), Session.registry(), Config);
-    Session.finish();
-    ASSERT_TRUE(W1.close()) << W1.error();
-    ASSERT_TRUE(W2.close()) << W2.error();
-    ASSERT_EQ(W1.eventsWritten(), W2.eventsWritten());
+    workloads::WorkloadConfig WC;
+    W->run(Session.core().memory(), Session.core().registry(), WC);
+    Live = Session.finalize();
+    ASSERT_TRUE(Writer.close()) << Writer.error();
+    Recorded = Writer.eventsWritten();
   }
 
-  void TearDown() override {
-    std::remove(PathV1.c_str());
-    std::remove(PathV2.c_str());
-  }
+  void TearDown() override { std::remove(Path.c_str()); }
 
-  std::string PathV1, PathV2;
+  std::string Path;
+  session::SessionArtifacts Live;
+  uint64_t Recorded = 0;
 };
 
-TEST_F(TraceIoCrossVersionTest, DecodedEventStreamsAreIdentical) {
-  traceio::TraceReader R1, R2;
-  ASSERT_TRUE(R1.open(PathV1)) << R1.error();
-  ASSERT_TRUE(R2.open(PathV2)) << R2.error();
-  EXPECT_EQ(R1.info().Version, traceio::kFormatVersionV1);
-  EXPECT_EQ(R2.info().Version, traceio::kFormatVersionV2);
-  EXPECT_EQ(R1.info().TotalEvents, R2.info().TotalEvents);
-
-  auto Collect = [](traceio::TraceReader &R) {
-    std::vector<traceio::TraceEvent> Events;
-    EXPECT_TRUE(R.forEachEvent(
-        [&](const traceio::TraceEvent &E) { Events.push_back(E); }))
-        << R.error();
-    return Events;
-  };
-  std::vector<traceio::TraceEvent> E1 = Collect(R1), E2 = Collect(R2);
-  ASSERT_EQ(E1.size(), E2.size());
-  for (size_t I = 0; I != E1.size(); ++I) {
-    ASSERT_EQ(E1[I].K, E2[I].K) << "event " << I;
-    ASSERT_EQ(E1[I].InstrOrSite, E2[I].InstrOrSite) << "event " << I;
-    ASSERT_EQ(E1[I].Addr, E2[I].Addr) << "event " << I;
-    ASSERT_EQ(E1[I].Size, E2[I].Size) << "event " << I;
-    ASSERT_EQ(E1[I].Time, E2[I].Time) << "event " << I;
-    ASSERT_EQ(E1[I].IsStore, E2[I].IsStore) << "event " << I;
-    ASSERT_EQ(E1[I].IsStatic, E2[I].IsStatic) << "event " << I;
-  }
-}
-
-TEST_F(TraceIoCrossVersionTest, ProfilesAreByteIdenticalAtEveryWidth) {
-  session::SessionArtifacts Base = replayArtifacts(PathV1, /*Threads=*/1);
-  ASSERT_GT(Base.Events, 0u);
+TEST_F(TraceIoReplayGoldenTest, ProfilesAreByteIdenticalAtEveryWidth) {
+  ASSERT_GT(Recorded, 0u);
+  ASSERT_FALSE(Live.Omsg.empty());
+  ASSERT_FALSE(Live.Leap.empty());
   for (unsigned Threads : {1u, 2u, 8u}) {
-    session::SessionArtifacts V1 = replayArtifacts(PathV1, Threads);
-    session::SessionArtifacts V2 = replayArtifacts(PathV2, Threads);
-    EXPECT_EQ(V1.Events, Base.Events) << "v1 threads=" << Threads;
-    EXPECT_EQ(V2.Events, Base.Events) << "v2 threads=" << Threads;
-    EXPECT_EQ(V1.Omsg, Base.Omsg) << "v1 threads=" << Threads;
-    EXPECT_EQ(V2.Omsg, Base.Omsg) << "v2 threads=" << Threads;
-    EXPECT_EQ(V1.Leap, Base.Leap) << "v1 threads=" << Threads;
-    EXPECT_EQ(V2.Leap, Base.Leap) << "v2 threads=" << Threads;
+    session::SessionArtifacts Replayed = replayArtifacts(Path, Threads);
+    EXPECT_EQ(Replayed.Events, Recorded) << "threads=" << Threads;
+    EXPECT_EQ(Replayed.Omsg, Live.Omsg) << "threads=" << Threads;
+    EXPECT_EQ(Replayed.Leap, Live.Leap) << "threads=" << Threads;
   }
-  for (const std::string *Path : {&PathV1, &PathV2}) {
-    session::SessionArtifacts Injected = injectArtifacts(*Path);
-    EXPECT_EQ(Injected.Events, Base.Events) << "injectBlock " << *Path;
-    EXPECT_EQ(Injected.Omsg, Base.Omsg) << "injectBlock " << *Path;
-    EXPECT_EQ(Injected.Leap, Base.Leap) << "injectBlock " << *Path;
-  }
+  session::SessionArtifacts Injected = injectArtifacts(Path);
+  EXPECT_EQ(Injected.Events, Recorded) << "injectBlock";
+  EXPECT_EQ(Injected.Omsg, Live.Omsg) << "injectBlock";
+  EXPECT_EQ(Injected.Leap, Live.Leap) << "injectBlock";
 }
 
 namespace {
@@ -1411,22 +1404,8 @@ std::vector<uint8_t> withMalformedEvent(const std::vector<uint8_t> &Image,
   EXPECT_TRUE(R.openImage(Image, "intact.orpt")) << R.error();
   const traceio::TraceReader::RawBlock Raw = R.rawBlock(Block);
   size_t Pos = Raw.FileOffset;
-  if (R.info().Version >= traceio::kFormatVersionV2) {
-    skipVarInt(Image, Pos); // The kind column's length: one tag per event.
-    Pos += Event;
-  } else {
-    // v1 records: a tag byte, then the varint fields its opcode implies.
-    for (uint64_t I = 0; I != Event; ++I) {
-      uint8_t Tag = Image[Pos++];
-      unsigned Fields = 2; // A free: address and time.
-      if ((Tag & traceio::kOpMask) == traceio::kOpAccess)
-        Fields = (Tag & traceio::kTagSize8) ? 3 : 4;
-      else if ((Tag & traceio::kOpMask) == traceio::kOpAlloc)
-        Fields = 4;
-      for (; Fields; --Fields)
-        skipVarInt(Image, Pos);
-    }
-  }
+  skipVarInt(Image, Pos); // The kind column's length: one tag per event.
+  Pos += Event;
   std::vector<uint8_t> Payload(Raw.Payload, Raw.Payload + Raw.PayloadLen);
   // Opcode 7 is unassigned.
   Payload[Pos - Raw.FileOffset] |= traceio::kOpMask;
@@ -1435,48 +1414,45 @@ std::vector<uint8_t> withMalformedEvent(const std::vector<uint8_t> &Image,
 
 } // namespace
 
-TEST_F(TraceIoCrossVersionTest, MalformedBlockInjectsNoneOfItsEvents) {
+TEST_F(TraceIoReplayGoldenTest, MalformedBlockInjectsNoneOfItsEvents) {
   // Block 1 passes its CRC but holds an unknown opcode halfway through.
-  // Neither format may inject a prefix of it: the session stops at the
-  // end of block 0 through replayFrom (serial and decode-ahead) and
-  // through injectBlock alike.
-  for (const std::string *Path : {&PathV1, &PathV2}) {
-    traceio::TraceReader Intact;
-    ASSERT_TRUE(Intact.open(*Path)) << Intact.error();
-    ASSERT_GT(Intact.numEventBlocks(), 2u);
-    const uint64_t Boundary = Intact.rawBlock(0).EventCount;
-    const uint64_t Half = Intact.rawBlock(1).EventCount / 2;
-    ASSERT_GT(Half, 0u);
+  // No prefix of it may be injected: the session stops at the end of
+  // block 0 through replayFrom (serial and decode-ahead) and through
+  // injectBlock alike.
+  traceio::TraceReader Intact;
+  ASSERT_TRUE(Intact.open(Path)) << Intact.error();
+  ASSERT_GT(Intact.numEventBlocks(), 2u);
+  const uint64_t Boundary = Intact.rawBlock(0).EventCount;
+  const uint64_t Half = Intact.rawBlock(1).EventCount / 2;
+  ASSERT_GT(Half, 0u);
 
-    traceio::TraceReader Reader;
-    ASSERT_TRUE(Reader.openImage(
-        withMalformedEvent(readFile(*Path), /*Block=*/1, Half), *Path))
-        << Reader.error();
-    for (unsigned Threads : {1u, 2u}) {
-      session::ProfileSession Session("replay",
-                                      session::recordedConfig(Reader));
-      EXPECT_FALSE(Session.replayFrom(Reader, Threads));
-      EXPECT_NE(Session.error().find("unknown event opcode 7"),
-                std::string::npos)
-          << Session.error();
-      EXPECT_EQ(Session.eventsInjected(), Boundary)
-          << *Path << " threads=" << Threads;
-    }
-
-    session::ProfileSession Session("inject", session::recordedConfig(Reader));
-    Session.registerProbeTables(Reader.instructions(), Reader.allocSites());
-    for (size_t B = 0; B != 2; ++B) {
-      traceio::TraceReader::RawBlock Raw = Reader.rawBlock(B);
-      EXPECT_EQ(Session.injectBlock(Raw.Payload, Raw.PayloadLen,
-                                    Raw.EventCount, Raw.Crc, B,
-                                    Reader.info().Version),
-                B == 0)
-          << Session.error();
-    }
-    EXPECT_NE(Session.error().find("block 1 at byte"), std::string::npos)
+  traceio::TraceReader Reader;
+  ASSERT_TRUE(Reader.openImage(
+      withMalformedEvent(readFile(Path), /*Block=*/1, Half), Path))
+      << Reader.error();
+  for (unsigned Threads : {1u, 2u}) {
+    session::ProfileSession Session("replay",
+                                    session::recordedConfig(Reader));
+    EXPECT_FALSE(Session.replayFrom(Reader, Threads));
+    EXPECT_NE(Session.error().find("unknown event opcode 7"),
+              std::string::npos)
         << Session.error();
-    EXPECT_EQ(Session.eventsInjected(), Boundary) << *Path << " injectBlock";
+    EXPECT_EQ(Session.eventsInjected(), Boundary) << "threads=" << Threads;
   }
+
+  session::ProfileSession Session("inject", session::recordedConfig(Reader));
+  Session.registerProbeTables(Reader.instructions(), Reader.allocSites());
+  for (size_t B = 0; B != 2; ++B) {
+    traceio::TraceReader::RawBlock Raw = Reader.rawBlock(B);
+    EXPECT_EQ(Session.injectBlock(Raw.Payload, Raw.PayloadLen,
+                                  Raw.EventCount, Raw.Crc, B,
+                                  Reader.info().Version),
+              B == 0)
+        << Session.error();
+  }
+  EXPECT_NE(Session.error().find("block 1 at byte"), std::string::npos)
+      << Session.error();
+  EXPECT_EQ(Session.eventsInjected(), Boundary) << "injectBlock";
 }
 
 //===----------------------------------------------------------------------===//

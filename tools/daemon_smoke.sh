@@ -30,11 +30,9 @@ cleanup() {
 }
 trap cleanup EXIT
 
-echo "== record two traces (one per .orpt format version)"
-"$ORP_TRACE" record list-traversal -o "$WORK/a.orpt" --scale=1 \
-  --format-version=1
-"$ORP_TRACE" record list-traversal -o "$WORK/b.orpt" --scale=2 \
-  --format-version=2
+echo "== record two traces (scales 1 and 2)"
+"$ORP_TRACE" record list-traversal -o "$WORK/a.orpt" --scale=1
+"$ORP_TRACE" record list-traversal -o "$WORK/b.orpt" --scale=2
 
 echo "== single-session CLI replay references"
 "$ORP_TRACE" replay "$WORK/a.orpt" --profiler=whomp \

@@ -73,8 +73,6 @@ int usage(const char *Argv0) {
       "(default FILE: <workload>.orpt)\n"
       "         [--block-bytes=N]                    target event-block "
       "payload size\n"
-      "         [--format-version=1|2]               .orpt encoding "
-      "(default 2, columnar)\n"
       "  replay <file> [--profiler=whomp|leap|rasg] [--lmads=N] "
       "[--threads=N]\n"
       "         [--dump-omsg=FILE] [--dump-leap=FILE]  re-drive profilers "
@@ -331,24 +329,12 @@ int cmdRecord(int Argc, char **Argv) {
   memsim::AllocPolicy Policy = memsim::AllocPolicy::FirstFit;
   uint64_t Seed = 42, EnvSeed = 0, Scale = 1;
   uint64_t BlockBytes = traceio::TraceWriter::kDefaultBlockBytes;
-  unsigned FormatVersion = traceio::kFormatVersion;
   for (int I = 0; I != Argc; ++I) {
     std::string Arg = Argv[I];
     if (Arg == "-o" && I + 1 != Argc) {
       OutPath = Argv[++I];
     } else if (const char *V = flagValue(Arg, "--out=")) {
       OutPath = V;
-    } else if (const char *V = flagValue(Arg, "--format-version=")) {
-      if (!numericFlag("record", "--format-version", V, FormatVersion))
-        return 1;
-      if (FormatVersion < traceio::kFormatVersionV1 ||
-          FormatVersion > traceio::kFormatVersionV2) {
-        logMessage(LogLevel::Error,
-                   "orp-trace record: --format-version expects 1 or 2, "
-                   "got '%s'",
-                   V);
-        return 1;
-      }
     } else if (const char *V = flagValue(Arg, "--alloc=")) {
       if (!parseAllocPolicy(V, Policy)) {
         logMessage(LogLevel::Error, "orp-trace: unknown alloc policy '%s'",
@@ -398,8 +384,7 @@ int cmdRecord(int Argc, char **Argv) {
 
   core::ProfilingSession Session(Policy, EnvSeed);
   traceio::TraceWriter Writer(OutPath, Session.registry(), Policy, EnvSeed,
-                              static_cast<size_t>(BlockBytes),
-                              static_cast<uint8_t>(FormatVersion));
+                              static_cast<size_t>(BlockBytes));
   if (!Writer.ok()) {
     logMessage(LogLevel::Error, "orp-trace: %s", Writer.error().c_str());
     return 1;
@@ -420,7 +405,8 @@ int cmdRecord(int Argc, char **Argv) {
               "%.2f bytes/event), checksum %llu\n",
               Workload->name(),
               static_cast<unsigned long long>(Writer.eventsWritten()),
-              OutPath.c_str(), FormatVersion,
+              OutPath.c_str(),
+              static_cast<unsigned>(traceio::kFormatVersionV2),
               static_cast<unsigned long long>(Writer.bytesWritten()),
               Writer.eventsWritten()
                   ? static_cast<double>(Writer.bytesWritten()) /
