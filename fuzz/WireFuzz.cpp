@@ -10,8 +10,9 @@
 //
 // Round trip: the input also seeds one OPEN request and one EVENTS
 // header with a payload; encodeOpen/encodeEventsHeader, framed and fed
-// in splits, must decode to exactly what was encoded. Seeds are streams
-// built by the encoders.
+// in splits, must decode to exactly what was encoded, unless an
+// instruction's kind byte is neither Load nor Store: that OPEN request
+// must be refused. Seeds are streams built by the encoders.
 //
 //===----------------------------------------------------------------------===//
 
@@ -207,10 +208,26 @@ void checkRoundTrip(const uint8_t *Data, size_t Size) {
                    "frame types did not round-trip");
   OpenRequest GotReq;
   std::string Err;
-  ORP_FUZZ_REQUIRE(decodeOpen(OpenBytes.data(), OpenBytes.size(), GotReq,
-                              Err) &&
-                       sameOpen(GotReq, Req),
-                   "OPEN request did not round-trip");
+  const bool OpenDecoded =
+      decodeOpen(OpenBytes.data(), OpenBytes.size(), GotReq, Err);
+  // Load and Store are the only access kinds: a request carrying any
+  // other kind byte is refused, naming the first such byte.
+  const auto BadKind = std::find_if(
+      Req.Instrs.begin(), Req.Instrs.end(), [](const trace::InstrInfo &I) {
+        return I.Kind != trace::AccessKind::Load &&
+               I.Kind != trace::AccessKind::Store;
+      });
+  if (BadKind != Req.Instrs.end())
+    ORP_FUZZ_REQUIRE(!OpenDecoded &&
+                         Err == "OPEN frame: malformed instruction entry: "
+                                "kind " +
+                                    std::to_string(
+                                        static_cast<unsigned>(BadKind->Kind)),
+                     "OPEN request with an unknown access kind was not "
+                     "refused");
+  else
+    ORP_FUZZ_REQUIRE(OpenDecoded && sameOpen(GotReq, Req),
+                     "OPEN request did not round-trip");
   EventsHeader Got;
   ORP_FUZZ_REQUIRE(
       decodeEventsHeader(EventsBytes.data(), EventsBytes.size(), Got, Err) &&

@@ -73,7 +73,6 @@ SessionId SessionManager::open(
   S->Engine =
       std::make_unique<ProfileSession>(SessionName, SessionCfg, S->Modules);
   S->Engine->registerProbeTables(Instrs, Sites);
-  S->captureModuleGauges();
   S->publishEstimate();
   S->LastUsed = ++UseClock;
   S->AcceptedAtLastBlock = AcceptedEvents;
@@ -377,7 +376,8 @@ void SessionManager::publishMetrics(telemetry::Registry &Reg) {
     Reg.gauge(Prefix + "ingest_high_watermark")
         .set(static_cast<int64_t>(QT.HighWatermark));
     // The module gauges carry no session prefix: as when each session's
-    // collectors ran here, the last-opened session's values win.
+    // collectors ran here, the last-opened session's values win, once it
+    // has processed a block.
     support::MutexLock Lock(S.GaugeLock);
     for (const telemetry::MetricsSnapshot::GaugeValue &G : S.ModuleGauges)
       Reg.gauge(G.Name).set(G.Value);

@@ -206,8 +206,9 @@ private:
         : Id(Id), Shard(Shard), Ingest(QueueCapacity), Result(1) {}
 
     /// Snapshots the module collectors into ModuleGauges. Runs on the
-    /// thread that owns Engine (the shard, or open() before the first
-    /// token).
+    /// owning shard after every block and Release token. open() does
+    /// not call it: until the first token the session publishes no
+    /// module gauges, since its collectors could read only zeros.
     void captureModuleGauges();
 
     SessionId Id;
@@ -219,7 +220,8 @@ private:
     /// Result handshake of close().
     std::unique_ptr<ProfileSession> Engine;
     support::Mutex GaugeLock;
-    /// The module gauges as of the last block.
+    /// The module gauges as of the last block or index release; empty
+    /// until the first.
     std::vector<telemetry::MetricsSnapshot::GaugeValue>
         ModuleGauges ORP_GUARDED_BY(GaugeLock);
     support::SpscQueue<IngestItem> Ingest;

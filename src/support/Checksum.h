@@ -10,6 +10,8 @@
 /// ranges. Every checksummed section of the .orpt trace format and the
 /// OMSG archive header uses this one checksum so a truncated or
 /// bit-flipped artifact fails loudly instead of decoding to garbage.
+/// The kernel is portable slicing-by-8: eight bytes per step through
+/// eight 256-entry tables, the bytewise loop for the tail.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -73,7 +73,13 @@ bool traceio::parseRegistryPayload(const uint8_t *Data, size_t Len,
       Err = "malformed instruction entry";
       return false;
     }
-    Instr.Kind = static_cast<trace::AccessKind>(Data[Pos++]);
+    const uint8_t Kind = Data[Pos++];
+    if (Kind != static_cast<uint8_t>(trace::AccessKind::Load) &&
+        Kind != static_cast<uint8_t>(trace::AccessKind::Store)) {
+      Err = "malformed instruction entry: kind " + std::to_string(Kind);
+      return false;
+    }
+    Instr.Kind = static_cast<trace::AccessKind>(Kind);
     Instrs.push_back(std::move(Instr));
   }
   uint64_t NumSites;

@@ -14,7 +14,8 @@
 /// its probe sites identically to one replayed from disk.
 ///
 /// Layout: uleb numInstrs, then per instruction {uleb nameLen, name,
-/// u8 kind}; uleb numSites, then per site {uleb nameLen, name,
+/// u8 kind (trace::AccessKind: Load or Store, any other byte is
+/// rejected)}; uleb numSites, then per site {uleb nameLen, name,
 /// uleb typeLen, type}. Framing (section kind, length, CRC) is the
 /// carrier's business, not this codec's.
 ///

@@ -229,7 +229,8 @@ TEST(SessionManagerTest, SnapshotsReadModuleGaugesPublishedByShards) {
   // It must see each session's CDC/OMC, WHOMP and LEAP gauges only as
   // the owning shard published them after a block (a TSan build checks
   // that no module state is read across threads), and once the session
-  // is drained those gauges equal a serial replay's.
+  // is drained those gauges equal a serial replay's. A snapshot between
+  // open() and the first block sees the session with nothing processed.
   ScopedRole Role(session::SessionControlRole);
   std::string Path = tempPath("gauges.orpt");
   recordTrace("list-traversal", Path, /*Scale=*/2);
@@ -270,6 +271,12 @@ TEST(SessionManagerTest, SnapshotsReadModuleGaugesPublishedByShards) {
   Config.Threads = 2;
   session::SessionManager Mgr(Config);
   SessionId Id = openFor(Mgr, Reader, "gauges");
+  {
+    telemetry::MetricsSnapshot Snap = telemetry::Registry::global().snapshot();
+    EXPECT_EQ(Snap.gauge("session.gauges.events"), 0);
+    EXPECT_EQ(Snap.gauge("session.gauges.blocks"), 0);
+    EXPECT_EQ(Snap.gauge("session.gauges.pending"), 0);
+  }
   for (size_t I = 0; I != Reader.numEventBlocks(); ++I) {
     submitBlock(Mgr, Id, Reader, I);
     // Mid-flight: the shard is appending this block right now.
@@ -1131,6 +1138,26 @@ TEST(WireTest, OpenRequestRoundTrips) {
   EXPECT_FALSE(
       session::decodeOpen(Payload.data(), Payload.size() - 3, Out, Err));
   EXPECT_FALSE(Err.empty());
+}
+
+TEST(WireTest, OpenRequestWithUnknownAccessKindIsRejected) {
+  // The OPEN frame carries the same registry payload as a trace file;
+  // a peer's instruction kind is outside input and must be Load or
+  // Store.
+  session::OpenRequest Req;
+  Req.Name = "badkind";
+  Req.Instrs.push_back({"load_a", trace::AccessKind::Load});
+  std::vector<uint8_t> Payload;
+  session::encodeOpen(Req, Payload);
+  // The registry payload ends the frame: {uleb 1, uleb 6, "load_a",
+  // kind} then uleb 0 sites, so the kind byte is second to last.
+  ASSERT_EQ(Payload[Payload.size() - 2],
+            static_cast<uint8_t>(trace::AccessKind::Load));
+  Payload[Payload.size() - 2] = 0xC7;
+  session::OpenRequest Out;
+  std::string Err;
+  EXPECT_FALSE(session::decodeOpen(Payload.data(), Payload.size(), Out, Err));
+  EXPECT_EQ(Err, "OPEN frame: malformed instruction entry: kind 199");
 }
 
 TEST(WireTest, EventsHeaderAndCloseSummaryRoundTrip) {

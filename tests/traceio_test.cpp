@@ -541,6 +541,29 @@ TEST_F(TraceIoCorruptionTest, UnsupportedVersionIsRejected) {
   std::remove(BadPath.c_str());
 }
 
+TEST_F(TraceIoCorruptionTest, UnknownAccessKindIsRejected) {
+  // The registry section is kind byte, uleb length, u32 CRC, payload;
+  // the payload opens with uleb numInstrs and the first instruction's
+  // {uleb nameLen, name, u8 kind}. Only Load (0) and Store (1) exist,
+  // so a re-sealed 0xC7 must be refused, not stored as kind 199.
+  std::vector<uint8_t> Bad = Good;
+  size_t Pos = readLE64(Bad.data() + 16) + 1; // Past the section kind.
+  const uint64_t SectionLen = decodeULEB128(Bad, Pos);
+  const size_t CrcAt = Pos;
+  const size_t PayloadAt = CrcAt + 4;
+  size_t At = PayloadAt;
+  const uint64_t NumInstrs = decodeULEB128(Bad, At);
+  ASSERT_GT(NumInstrs, 0u);
+  const uint64_t NameLen = decodeULEB128(Bad, At);
+  At += NameLen;
+  ASSERT_LE(Bad[At], 1u);
+  Bad[At] = 0xC7;
+  const uint32_t Crc = crc32(Bad.data() + PayloadAt, SectionLen);
+  for (unsigned I = 0; I != 4; ++I)
+    Bad[CrcAt + I] = static_cast<uint8_t>(Crc >> (8 * I));
+  expectRejected(std::move(Bad), "malformed instruction entry: kind 199");
+}
+
 TEST_F(TraceIoCorruptionTest, UnfinalizedTraceIsRejected) {
   std::vector<uint8_t> Bad = Good;
   patchHeader(Bad, 16, 0); // registry offset 0 = writer never close()d
