@@ -6,11 +6,6 @@
 // profiler attached). Feeds the "Trace I/O" section of EXPERIMENTS.md;
 // block decode cost is perfbench's traceio.decode_ns_per_event.
 //
-// It also times orp::crc32, which seals every trace section, block
-// payload and artifact, against a bytewise table CRC over the same
-// 16 MiB buffer (best of 5 rounds each), and exits 1 if the two
-// disagree or crc32 is less than kMinCrcSpeedup times faster.
-//
 // Usage: traceio_bench [scale 1..64]
 //
 //===----------------------------------------------------------------------===//
@@ -18,20 +13,15 @@
 #include "common/BenchCommon.h"
 #include "core/ProfilingSession.h"
 #include "session/ProfileSession.h"
-#include "support/Checksum.h"
-#include "support/Random.h"
 #include "support/TablePrinter.h"
 #include "support/Timer.h"
 #include "traceio/TraceWriter.h"
 #include "whomp/Whomp.h"
 #include "workloads/Workload.h"
 
-#include <algorithm>
-#include <array>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
-#include <vector>
 #include <sys/stat.h>
 
 using namespace orp;
@@ -46,80 +36,6 @@ uint64_t fileSize(const std::string &Path) {
 }
 
 bool haveGzip() { return std::system("gzip --version >/dev/null 2>&1") == 0; }
-
-/// The slowest crc32 may run against the bytewise reference and pass.
-/// Slicing-by-8 measured 4.9-5.3x at -O3 and 4.6x at -O2 on an x86-64
-/// Xeon (shared 4-vCPU KVM guest).
-constexpr double kMinCrcSpeedup = 3.0;
-
-constexpr std::array<uint32_t, 256> makeBytewiseTable() {
-  std::array<uint32_t, 256> Table{};
-  for (uint32_t I = 0; I != 256; ++I) {
-    uint32_t Crc = I;
-    for (int Bit = 0; Bit != 8; ++Bit)
-      Crc = (Crc >> 1) ^ ((Crc & 1) ? 0xEDB88320u : 0u);
-    Table[I] = Crc;
-  }
-  return Table;
-}
-
-constexpr std::array<uint32_t, 256> BytewiseTable = makeBytewiseTable();
-
-/// CRC-32 one byte per table lookup: the reference crc32 is timed
-/// against.
-uint32_t bytewiseCrc32(const uint8_t *Data, size_t Size) {
-  uint32_t Crc = 0xFFFFFFFFu;
-  for (size_t I = 0; I != Size; ++I)
-    Crc = (Crc >> 8) ^ BytewiseTable[(Crc ^ Data[I]) & 0xFF];
-  return Crc ^ 0xFFFFFFFFu;
-}
-
-/// Best-of-5 throughput of \p Crc over \p Buf in MB/s (10^6 bytes);
-/// stores the checksum it computed in \p Value.
-template <typename CrcFn>
-double crcMegabytesPerSecond(CrcFn Crc, const std::vector<uint8_t> &Buf,
-                             uint32_t &Value) {
-  double Best = 0;
-  for (int Round = 0; Round != 5; ++Round) {
-    Timer Clock;
-    Value = Crc(Buf.data(), Buf.size());
-    Best = std::max(Best, Buf.size() / 1e6 / Clock.seconds());
-  }
-  return Best;
-}
-
-/// Prints the CRC-32 row; false if crc32 disagrees with the reference
-/// or is below kMinCrcSpeedup.
-bool crcGate() {
-  std::vector<uint8_t> Buf(size_t(16) << 20);
-  Rng R(16);
-  for (uint8_t &B : Buf)
-    B = static_cast<uint8_t>(R.next());
-  uint32_t Fast = 0, Reference = 0;
-  const double FastMBs = crcMegabytesPerSecond(
-      [](const uint8_t *D, size_t N) { return crc32(D, N); }, Buf, Fast);
-  const double RefMBs = crcMegabytesPerSecond(bytewiseCrc32, Buf, Reference);
-  const double Speedup = FastMBs / RefMBs;
-
-  TablePrinter T({"checksum", "buffer", "crc32 MB/s", "bytewise MB/s",
-                  "speed-up"});
-  T.addRow({"CRC-32", "16 MiB", TablePrinter::fmt(FastMBs, 0),
-            TablePrinter::fmt(RefMBs, 0), TablePrinter::fmtRatio(Speedup, 2)});
-  std::printf("\nCRC-32 throughput (best of 5 rounds each)\n");
-  T.print();
-  if (Fast != Reference) {
-    std::fprintf(stderr, "crc32 = %08x, bytewise reference = %08x\n", Fast,
-                 Reference);
-    return false;
-  }
-  if (Speedup < kMinCrcSpeedup) {
-    std::fprintf(stderr, "crc32 is %.2fx the bytewise reference; below "
-                         "the %.1fx floor\n",
-                 Speedup, kMinCrcSpeedup);
-    return false;
-  }
-  return true;
-}
 
 } // namespace
 
@@ -248,5 +164,5 @@ int main(int Argc, char **Argv) {
               "throughput (scale %llu)\n",
               static_cast<unsigned long long>(Scale));
   T.print();
-  return crcGate() ? 0 : 1;
+  return 0;
 }
