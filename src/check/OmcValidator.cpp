@@ -2,9 +2,6 @@
 
 #include "check/OmcValidator.h"
 
-#include "check/Check.h"
-#include "omc/IntervalBTreeNode.h"
-
 #include <unordered_map>
 #include <unordered_set>
 
@@ -12,31 +9,8 @@ using namespace orp;
 using namespace orp::check;
 using namespace orp::omc;
 
-CheckReport OmcValidator::validateTree(const IntervalBTree &T) {
-  CheckReport Report;
-  if (!Report.require(T.checkInvariants(), "btree: structural invariants"))
-    return Report;
-
-  std::vector<IntervalBTree::Entry> Entries = T.toVector();
-  Report.require(Entries.size() == T.size(),
-                 "btree: leaf chain entry count != size()");
-  for (size_t I = 0; I != Entries.size(); ++I) {
-    const IntervalBTree::Entry &E = Entries[I];
-    Report.require(E.Start < E.End, "btree: empty stored interval");
-    if (I > 0)
-      Report.require(Entries[I - 1].End <= E.Start,
-                     "btree: stored intervals overlap");
-  }
-  return Report;
-}
-
 CheckReport OmcValidator::validate(const ObjectManager &M) {
-  CheckReport Report = validateTree(M.LiveIndex);
-  // A structurally broken tree makes the cross-checks below unreliable;
-  // report it alone rather than cascade.
-  if (!Report.ok())
-    return Report;
-
+  CheckReport Report;
   const std::vector<ObjectRecord> &Records = M.Records;
 
   // Pool bookkeeping is parallel to the records array.
@@ -44,29 +18,36 @@ CheckReport OmcValidator::validate(const ObjectManager &M) {
                  "omc: PoolBaseSerial not parallel to records");
 
   // Every indexed interval must denote exactly the live object whose
-  // record it references, and every live record must be indexed once.
-  std::vector<IntervalBTree::Entry> Entries = M.LiveIndex.toVector();
+  // record it references, the intervals (ascending by base) must be
+  // non-empty and pairwise disjoint, and every live record must be
+  // indexed once.
   std::unordered_set<uint64_t> IndexedIds;
-  for (const IntervalBTree::Entry &E : Entries) {
-    if (!Report.require(E.Value < Records.size(),
+  uint64_t PrevEnd = 0;
+  for (const auto &[Base, Id] : M.LiveIndex) {
+    if (!Report.require(Id < Records.size(),
                         "omc: indexed object id out of range"))
       continue;
-    Report.require(IndexedIds.insert(E.Value).second,
+    Report.require(IndexedIds.insert(Id).second,
                    "omc: object id indexed twice");
-    const ObjectRecord &R = Records[E.Value];
+    const ObjectRecord &R = Records[Id];
     Report.require(R.FreeTime == ObjectManager::kLiveForever,
                    "omc: retired object still in live index");
-    Report.require(R.Base == E.Start,
-                   "omc: indexed start != record base");
-    Report.require(R.Base + R.Size == E.End,
-                   "omc: indexed end != record base + size");
+    Report.require(R.Base == Base, "omc: indexed start != record base");
+    Report.require(!ObjectManager::rangeError(R.Base, R.Size),
+                   "omc: indexed interval empty or wrapping");
+    Report.require(PrevEnd <= Base, "omc: indexed intervals overlap");
+    PrevEnd = R.Base + R.Size;
   }
   size_t LiveRecords = 0;
   for (const ObjectRecord &R : Records)
     if (R.FreeTime == ObjectManager::kLiveForever)
       ++LiveRecords;
-  Report.require(LiveRecords == Entries.size(),
+  Report.require(LiveRecords == M.LiveIndex.size(),
                  "omc: live record count != live index size");
+  // A broken index makes the lookups below unreliable; report it alone
+  // rather than cascade.
+  if (!Report.ok())
+    return Report;
 
   // Site <-> group maps must be a bijection with parallel counters.
   Report.require(M.SiteToGroup.size() == M.GroupSites.size(),
@@ -115,7 +96,7 @@ CheckReport OmcValidator::validate(const ObjectManager &M) {
                    "omc: NextSerial disagrees with allocation history");
 
   // Both translation caches are pure accelerators: any occupied entry
-  // must agree with the authoritative tree lookup.
+  // must agree with the authoritative index lookup.
   auto CheckCacheRange = [&Report, &M, &Records](uint64_t Base, uint64_t End,
                                                  uint64_t ObjectId,
                                                  const char *What) {
@@ -124,11 +105,12 @@ CheckReport OmcValidator::validate(const ObjectManager &M) {
     if (!Report.require(ObjectId < Records.size(),
                         std::string(What) + ": cached id out of range"))
       return;
-    const IntervalBTree::Entry *E = M.LiveIndex.lookup(Base);
-    if (!Report.require(E != nullptr,
+    uint64_t Id = M.findLive(Base);
+    if (!Report.require(Id != ~0ULL,
                         std::string(What) + ": cached range has no object"))
       return;
-    Report.require(E->Start == Base && E->End == End && E->Value == ObjectId,
+    const ObjectRecord &R = Records[Id];
+    Report.require(R.Base == Base && R.Base + R.Size == End && Id == ObjectId,
                    std::string(What) + ": cache disagrees with live index");
   };
   CheckCacheRange(M.CachedBase, M.CachedEnd, M.CachedObjectId,
@@ -137,92 +119,28 @@ CheckReport OmcValidator::validate(const ObjectManager &M) {
     CheckCacheRange(M.InstrCache[L].Base, M.InstrCache[L].End,
                     M.InstrCache[L].ObjectId, "omc instr cache");
 
-  // The page table self-validates its hits against the records, so a
-  // stale entry is legal; but every occupied entry must reference an
-  // in-range record, and while that record is live its address range
-  // must intersect the entry's page — entries are only ever inserted
-  // from a successful translation, which makes anything else a desync.
-  Report.require(M.PageTable.empty() ||
-                     M.PageTable.size() == ObjectManager::kPageTableSlots,
-                 "omc page table: unexpected size");
-  for (const ObjectManager::PageEntry &E : M.PageTable) {
-    if (E.Page == ObjectManager::kEmptyPage)
-      continue;
-    if (!Report.require(E.ObjectId < Records.size(),
-                        "omc page table: entry object id out of range"))
-      continue;
-    const ObjectRecord &R = Records[E.ObjectId];
-    if (R.FreeTime != ObjectManager::kLiveForever)
-      continue; // Stale by design; hits re-validate and skip it.
-    uint64_t FirstPage = R.Base >> ObjectManager::kPageShift;
-    uint64_t LastPage = (R.Base + R.Size - 1) >> ObjectManager::kPageShift;
-    Report.require(E.Page >= FirstPage && E.Page <= LastPage,
-                   "omc page table: live entry outside its object");
-  }
-
   return Report;
-}
-
-OmcValidator::PoisonAudit
-OmcValidator::auditTreePoisoning(const IntervalBTree &T) {
-  PoisonAudit Audit;
-  Audit.AsanActive = asanActive();
-  std::unordered_set<const IntervalBTree::Node *> Seen;
-  for (const IntervalBTree::Node *N = T.FreeNodes; N;) {
-    if (!Seen.insert(N).second)
-      break; // Cycle: the structural validator reports it; don't hang.
-    ++Audit.FreeNodes;
-    if (isPoisoned(N))
-      ++Audit.PoisonedFreeNodes;
-    ScopedUnpoison Window(N, sizeof(IntervalBTree::Node));
-    N = N->Next;
-  }
-  return Audit;
-}
-
-const void *OmcValidator::firstFreeNodeForTest(const IntervalBTree &T) {
-  return T.FreeNodes;
 }
 
 bool OmcValidator::injectForTest(ObjectManager &M, Corruption K) {
   switch (K) {
-  case Corruption::SharedCacheStale: {
-    // Keep (or invent) a plausible range but point it at an object id
-    // that cannot exist; the id-range check fires even on an empty tree.
-    std::vector<IntervalBTree::Entry> Entries = M.LiveIndex.toVector();
-    M.CachedBase = Entries.empty() ? 0x1000 : Entries.front().Start;
-    M.CachedEnd = Entries.empty() ? 0x2000 : Entries.front().End;
-    M.CachedObjectId = M.Records.size();
-    return true;
-  }
+  case Corruption::SharedCacheStale:
   case Corruption::InstrCacheStale: {
-    std::vector<IntervalBTree::Entry> Entries = M.LiveIndex.toVector();
-    ObjectManager::CacheLine &Line = M.InstrCache.front();
-    Line.Base = Entries.empty() ? 0x1000 : Entries.front().Start;
-    Line.End = Entries.empty() ? 0x2000 : Entries.front().End;
-    Line.ObjectId = M.Records.size();
-    return true;
-  }
-  case Corruption::PageTableStale: {
-    // Map a page no live object covers to a live record (or, with no
-    // records at all, to an out-of-range id); both are inserts the real
-    // code can never perform.
-    if (M.PageTable.empty())
-      M.PageTable.resize(ObjectManager::kPageTableSlots);
-    uint64_t LiveId = ~0ULL;
-    for (size_t I = 0; I != M.Records.size(); ++I)
-      if (M.Records[I].FreeTime == ObjectManager::kLiveForever) {
-        LiveId = I;
-        break;
-      }
-    ObjectManager::PageEntry &E = M.PageTable.front();
-    if (LiveId == ~0ULL) {
-      E.Page = 0x12345;
-      E.ObjectId = M.Records.size();
+    // Keep (or invent) a plausible range but point it at an object id
+    // that cannot exist; the id-range check fires even on an empty index.
+    uint64_t Base = 0x1000, End = 0x2000;
+    if (!M.LiveIndex.empty()) {
+      const ObjectRecord &R = M.Records[M.LiveIndex.begin()->second];
+      Base = R.Base;
+      End = R.Base + R.Size;
+    }
+    ObjectManager::CacheLine Stale{Base, End, M.Records.size()};
+    if (K == Corruption::InstrCacheStale) {
+      M.InstrCache.front() = Stale;
     } else {
-      const ObjectRecord &R = M.Records[LiveId];
-      E.Page = ((R.Base + R.Size - 1) >> ObjectManager::kPageShift) + 1024;
-      E.ObjectId = LiveId;
+      M.CachedBase = Stale.Base;
+      M.CachedEnd = Stale.End;
+      M.CachedObjectId = Stale.ObjectId;
     }
     return true;
   }

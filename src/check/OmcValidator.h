@@ -8,23 +8,17 @@
 /// \file
 /// Deep structural validator for the object-management component — the
 /// OMC half of the level-2 invariant framework (see check/Check.h). As a
-/// friend of ObjectManager and IntervalBTree it audits what the public
-/// interface cannot see:
+/// friend of ObjectManager it audits what the public interface cannot
+/// see:
 ///
-///   * the live-object B+-tree is structurally sound and its intervals
-///     are ascending, non-empty, and pairwise non-overlapping;
-///   * every tree entry resolves to a live record whose base/size match
-///     the indexed range, and every live record is indexed exactly once;
+///   * the live index's intervals are non-empty and pairwise disjoint;
+///   * every index entry resolves to a live record whose base matches
+///     its key, and every live record is indexed exactly once;
 ///   * per-group object serials are strictly monotonic in allocation
 ///     order and consistent with the NextSerial counters;
 ///   * the site<->group maps form a bijection;
 ///   * the shared one-entry translation cache and every occupied
-///     per-instruction MRU line agree with an authoritative tree lookup;
-///   * every occupied flat-hash page-table entry references an in-range
-///     record whose address range, while the record is live, actually
-///     intersects the entry's page (stale entries for freed objects are
-///     legal — the table validates hits against the record instead of
-///     invalidating on free);
+///     per-instruction MRU line agree with an authoritative index lookup;
 ///   * pool bookkeeping is parallel to the records array.
 ///
 /// The validator never aborts: violations accumulate in a CheckReport.
@@ -39,48 +33,22 @@
 #include "check/CheckReport.h"
 #include "omc/ObjectManager.h"
 
-#include <cstddef>
-
 namespace orp {
 namespace check {
 
-/// Friend-of-ObjectManager/IntervalBTree deep checker. Stateless; every
-/// entry point is a static function.
+/// Friend-of-ObjectManager deep checker. Stateless; every entry point is
+/// a static function.
 class OmcValidator {
 public:
   /// Runs every structural and cache-coherence check and returns the
   /// collected violations.
   static CheckReport validate(const omc::ObjectManager &M);
 
-  /// Validates just an interval tree: structural invariants plus
-  /// ascending, pairwise non-overlapping entries. Used by the
-  /// adversarial B+-tree churn tests.
-  static CheckReport validateTree(const omc::IntervalBTree &T);
-
-  /// What auditTreePoisoning() saw on the node-recycling list.
-  struct PoisonAudit {
-    bool AsanActive = false; ///< Whether poisoning is real here.
-    size_t FreeNodes = 0;    ///< Nodes on the recycling list.
-    size_t PoisonedFreeNodes = 0; ///< Must equal FreeNodes under ASan.
-  };
-
-  /// Walks the tree's node free list and reports how many nodes are
-  /// ASan-poisoned. Under ASan every recycled node must be poisoned so
-  /// a stale Entry pointer into it is a detected use-after-free.
-  static PoisonAudit auditTreePoisoning(const omc::IntervalBTree &T);
-
-  /// Returns the head of the tree's node-recycling list (nullptr when
-  /// empty). Test-only: the poison death test dereferences it to prove
-  /// a stale-node read is an ASan report, not a silent garbage read.
-  static const void *firstFreeNodeForTest(const omc::IntervalBTree &T);
-
   /// Classes of deliberate corruption for negative tests.
   enum class Corruption {
     SharedCacheStale, ///< Shared cache serves a range no object covers.
     InstrCacheStale,  ///< An MRU line serves a range no object covers.
     SerialRegression, ///< A later object repeats an earlier serial.
-    PageTableStale,   ///< A page entry maps a page its live record
-                      ///< never covered (an impossible insert).
   };
 
   /// Injects \p K into \p M. Returns false when the manager holds too

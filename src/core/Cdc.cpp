@@ -61,8 +61,6 @@ Cdc::Cdc(omc::ObjectManager &Omc, UnknownAddressPolicy Policy,
             R.gauge("omc.mru_hits").set(static_cast<int64_t>(S.MruHits));
             R.gauge("omc.shared_cache_hits")
                 .set(static_cast<int64_t>(S.SharedCacheHits));
-            R.gauge("omc.page_hits")
-                .set(static_cast<int64_t>(S.PageHits));
             R.gauge("omc.unknown_frees")
                 .set(static_cast<int64_t>(S.UnknownFrees));
             R.gauge("omc.groups")

@@ -5,7 +5,7 @@
 #include "check/Check.h"
 #include "support/Error.h"
 
-#include <cassert>
+#include <iterator>
 
 using namespace orp;
 using namespace orp::omc;
@@ -41,20 +41,48 @@ void ObjectManager::splitPoolSite(trace::AllocSiteId Site,
   PoolElementSize[Site] = ElementSize;
 }
 
-const char *ObjectManager::allocError(const trace::AllocEvent &Event) const {
-  if (Event.Size == 0)
+const char *ObjectManager::rangeError(uint64_t Base, uint64_t Size) {
+  if (Size == 0)
     return "zero-sized allocation";
-  if (Event.Size >> 63)
+  if (Size >> 63)
     return "allocation of 2^63 bytes or more";
-  if (Event.Addr + Event.Size <= Event.Addr)
+  if (Base + Size <= Base)
     return "allocation wraps past 2^64";
-  if (LiveIndex.overlapsRange(Event.Addr, Event.Addr + Event.Size))
+  return nullptr;
+}
+
+bool ObjectManager::overlapsLive(uint64_t Base, uint64_t Size) const {
+  // Live ranges are disjoint, so the last object starting below the
+  // range's end reaches furthest; the range overlaps iff that one ends
+  // after Base.
+  auto It = LiveIndex.lower_bound(Base + Size);
+  if (It == LiveIndex.begin())
+    return false;
+  const ObjectRecord &R = Records[std::prev(It)->second];
+  return R.Base + R.Size > Base;
+}
+
+uint64_t ObjectManager::findLive(uint64_t Addr) const {
+  auto It = LiveIndex.upper_bound(Addr);
+  if (It == LiveIndex.begin())
+    return ~0ULL;
+  uint64_t ObjectId = std::prev(It)->second;
+  const ObjectRecord &R = Records[ObjectId];
+  return Addr - R.Base < R.Size ? ObjectId : ~0ULL;
+}
+
+const char *ObjectManager::allocError(const trace::AllocEvent &Event) const {
+  if (const char *Err = rangeError(Event.Addr, Event.Size))
+    return Err;
+  if (overlapsLive(Event.Addr, Event.Size))
     return "allocation overlaps a live object";
   return nullptr;
 }
 
 void ObjectManager::onAlloc(const trace::AllocEvent &Event) {
   ORP_CHECK1(Event.Size > 0, "omc: zero-sized object allocated");
+  ORP_CHECK1(!overlapsLive(Event.Addr, Event.Size),
+             "omc: allocation overlaps a live object");
   GroupId Group = groupForSite(Event.Site);
   uint64_t ObjectId = Records.size();
 
@@ -74,17 +102,17 @@ void ObjectManager::onAlloc(const trace::AllocEvent &Event) {
   Records.push_back(ObjectRecord{Group, Serial, Event.Site, Event.Addr,
                                  Event.Size, Event.Time, kLiveForever,
                                  Event.IsStatic});
-  LiveIndex.insert(Event.Addr, Event.Addr + Event.Size, ObjectId);
+  LiveIndex.emplace(Event.Addr, ObjectId);
 }
 
 void ObjectManager::onFree(const trace::FreeEvent &Event) {
-  const IntervalBTree::Entry *Entry = LiveIndex.lookup(Event.Addr);
-  if (!Entry || Entry->Start != Event.Addr) {
+  auto It = LiveIndex.find(Event.Addr);
+  if (It == LiveIndex.end()) {
     ++Stats.UnknownFrees;
     return;
   }
-  Records[Entry->Value].FreeTime = Event.Time;
-  LiveIndex.erase(Event.Addr);
+  Records[It->second].FreeTime = Event.Time;
+  LiveIndex.erase(It);
   // The freed range must not serve cached translations anymore.
   if (Event.Addr == CachedBase)
     CachedEnd = 0;
@@ -93,81 +121,23 @@ void ObjectManager::onFree(const trace::FreeEvent &Event) {
       Line.End = 0;
 }
 
-uint64_t ObjectManager::lookupPage(uint64_t Addr) const {
-  if (PageTable.empty())
-    return ~0ULL;
-  uint64_t Page = Addr >> kPageShift;
-  size_t Slot = pageSlot(Page);
-  for (size_t P = 0; P != kPageProbeLimit; ++P) {
-    const PageEntry &E = PageTable[(Slot + P) & (kPageTableSlots - 1)];
-    if (E.Page == kEmptyPage)
-      return ~0ULL; // Bounded probe chains never skip an empty slot.
-    if (E.Page != Page)
-      continue;
-    // Self-validating hit: the entry only stands in for the tree while
-    // its record is still live and still covers the address. A stale
-    // entry (its object freed, or a neighbor in the same page) degrades
-    // into a tree descent, never a wrong translation — which is why
-    // onFree() needs no invalidation walk over this table.
-    const ObjectRecord &R = Records[E.ObjectId];
-    if (R.FreeTime == kLiveForever && Addr - R.Base < R.Size)
-      return E.ObjectId;
-    return ~0ULL;
-  }
-  return ~0ULL;
-}
-
-void ObjectManager::rememberPage(uint64_t Addr, uint64_t ObjectId) {
-  if (PageTable.empty())
-    PageTable.resize(kPageTableSlots);
-  uint64_t Page = Addr >> kPageShift;
-  size_t Slot = pageSlot(Page);
-  // Prefer the page's own slot or an empty one; otherwise recycle the
-  // first slot whose object has been freed; otherwise evict the
-  // primary slot (the table is a cache, not an index).
-  size_t Victim = kPageTableSlots;
-  for (size_t P = 0; P != kPageProbeLimit; ++P) {
-    size_t At = (Slot + P) & (kPageTableSlots - 1);
-    PageEntry &E = PageTable[At];
-    if (E.Page == Page || E.Page == kEmptyPage) {
-      E.Page = Page;
-      E.ObjectId = ObjectId;
-      return;
-    }
-    if (Victim == kPageTableSlots &&
-        Records[E.ObjectId].FreeTime != kLiveForever)
-      Victim = At;
-  }
-  PageTable[Victim != kPageTableSlots ? Victim : Slot] =
-      PageEntry{Page, ObjectId};
-}
-
 std::optional<Translation> ObjectManager::translate(uint64_t Addr) {
   if (Addr >= CachedBase && Addr < CachedEnd) {
     ++Stats.Translations;
     ++Stats.SharedCacheHits;
     return translateWithin(CachedObjectId, Addr);
   }
-  if (uint64_t ObjectId = lookupPage(Addr); ObjectId != ~0ULL) {
-    ++Stats.Translations;
-    ++Stats.PageHits;
-    const ObjectRecord &R = Records[ObjectId];
-    CachedBase = R.Base;
-    CachedEnd = R.Base + R.Size;
-    CachedObjectId = ObjectId;
-    return translateWithin(ObjectId, Addr);
-  }
-  const IntervalBTree::Entry *Entry = LiveIndex.lookup(Addr);
-  if (!Entry) {
+  uint64_t ObjectId = findLive(Addr);
+  if (ObjectId == ~0ULL) {
     ++Stats.Misses;
     return std::nullopt;
   }
   ++Stats.Translations;
-  CachedBase = Entry->Start;
-  CachedEnd = Entry->End;
-  CachedObjectId = Entry->Value;
-  rememberPage(Addr, Entry->Value);
-  return translateWithin(Entry->Value, Addr);
+  const ObjectRecord &R = Records[ObjectId];
+  CachedBase = R.Base;
+  CachedEnd = R.Base + R.Size;
+  CachedObjectId = ObjectId;
+  return translateWithin(ObjectId, Addr);
 }
 
 std::optional<Translation> ObjectManager::translate(uint64_t Addr,

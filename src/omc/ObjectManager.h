@@ -23,16 +23,21 @@
 #ifndef ORP_OMC_OBJECTMANAGER_H
 #define ORP_OMC_OBJECTMANAGER_H
 
-#include "omc/IntervalBTree.h"
 #include "trace/Events.h"
 
 #include <array>
 #include <cstdint>
+#include <map>
 #include <optional>
 #include <unordered_map>
 #include <vector>
 
 namespace orp {
+
+namespace check {
+class OmcValidator;
+} // namespace check
+
 namespace omc {
 
 /// Dense identifier of a group (allocation site), first-seen order.
@@ -72,7 +77,9 @@ struct OmcStats {
   uint64_t UnknownFrees = 0; ///< Frees of addresses with no live object.
   uint64_t MruHits = 0;      ///< Hits in the per-instruction MRU cache.
   uint64_t SharedCacheHits = 0; ///< Hits in the one-entry shared cache.
-  uint64_t PageHits = 0; ///< Hits in the flat-hash page table.
+  /// Always 0: no lookup tier counts here. Kept only because perfbench's
+  /// staged OMC layer reads it for its `omc.page_hits` row.
+  uint64_t PageHits = 0;
 };
 
 /// The object-management component.
@@ -138,9 +145,6 @@ public:
   /// Returns OMC counters.
   const OmcStats &stats() const { return Stats; }
 
-  /// Returns the live-object interval index (for tests/inspection).
-  const IntervalBTree &liveIndex() const { return LiveIndex; }
-
 private:
   /// The deep invariant checker (src/check/OmcValidator.h) cross-checks
   /// the caches, serial counters, and site/group maps against the
@@ -151,11 +155,27 @@ private:
   /// caches are derived state and restart cold.
   friend class OmcCheckpoint;
 
+  /// Why [\p Base, \p Base + \p Size) can never be an object's range,
+  /// or null when it can: the admission rule that allocError() and
+  /// checkpoint restore share, minus the overlap test.
+  static const char *rangeError(uint64_t Base, uint64_t Size);
+
+  /// Returns true if some live object overlaps the non-empty range
+  /// [\p Base, \p Base + \p Size).
+  bool overlapsLive(uint64_t Base, uint64_t Size) const;
+
+  /// Returns the id of the live object containing \p Addr, or ~0ULL.
+  uint64_t findLive(uint64_t Addr) const;
+
   /// Completes a translation for the object \p ObjectId containing
   /// \p Addr, applying the pool-splitting policy when configured.
   Translation translateWithin(uint64_t ObjectId, uint64_t Addr);
 
-  IntervalBTree LiveIndex;
+  /// The paper's "B-tree-like" index (Section 3.1): live objects keyed
+  /// by base address, mapped to their ObjectId. Live ranges are
+  /// disjoint, so the object containing an address is the predecessor
+  /// of its upper bound; the object's end comes from its record.
+  std::map<uint64_t, uint64_t> LiveIndex;
   std::vector<ObjectRecord> Records;
   std::unordered_map<trace::AllocSiteId, GroupId> SiteToGroup;
   std::vector<trace::AllocSiteId> GroupSites;
@@ -169,7 +189,7 @@ private:
   OmcStats Stats;
   /// One-entry translation cache: consecutive accesses overwhelmingly
   /// hit the same object (field walks, buffer sweeps), so remembering
-  /// the last hit short-circuits most B+-tree descents.
+  /// the last hit short-circuits most index lookups.
   uint64_t CachedBase = 1;
   uint64_t CachedEnd = 0;
   uint64_t CachedObjectId = 0;
@@ -183,43 +203,6 @@ private:
   };
   static constexpr size_t InstrCacheLines = 64;
   std::array<CacheLine, InstrCacheLines> InstrCache;
-
-  /// \name Flat-hash page translation tier
-  /// Generalization of the MRU idea: an open-addressing table keyed by
-  /// address page (Addr >> kPageShift) remembering which object last
-  /// covered that page, consulted between the shared one-entry cache
-  /// and the authoritative B+-tree. Unlike the caches above, entries
-  /// are never invalidated on free: a hit is only served after
-  /// re-validating against the object's record (still live, still
-  /// covering the address), so a stale entry degrades into a probe miss
-  /// and a tree descent, never a wrong translation. The table is
-  /// bump-allocated on first insert (sessions that never allocate pay
-  /// nothing) and bounded probing keeps the worst case flat.
-  /// @{
-  static constexpr unsigned kPageShift = 12;
-  static constexpr size_t kPageTableSlots = 4096; ///< Power of two.
-  static constexpr size_t kPageProbeLimit = 4;
-  static constexpr uint64_t kEmptyPage = ~0ULL;
-  struct PageEntry {
-    uint64_t Page = kEmptyPage;
-    uint64_t ObjectId = 0;
-  };
-  std::vector<PageEntry> PageTable; ///< Empty until the first insert.
-
-  static size_t pageSlot(uint64_t Page) {
-    // fmix-style multiplicative spread of the page bits over the table.
-    return static_cast<size_t>((Page * 0x9E3779B97F4A7C15ULL) >> 32) &
-           (kPageTableSlots - 1);
-  }
-
-  /// Page-table lookup for \p Addr; validates candidates against their
-  /// records. Returns the covering live ObjectId or ~0ULL.
-  uint64_t lookupPage(uint64_t Addr) const;
-
-  /// Records that \p ObjectId (a live record covering \p Addr) serves
-  /// \p Addr's page, overwriting a stale or colliding slot if needed.
-  void rememberPage(uint64_t Addr, uint64_t ObjectId);
-  /// @}
 };
 
 } // namespace omc

@@ -180,22 +180,20 @@ bool OmcCheckpoint::restore(const uint8_t *Data, size_t Size, size_t &Pos,
         return false;
       }
     }
-    // The ranges injection admits (ObjectManager::allocError): sizes
-    // of 2^63 or more would put offsets past a grammar's terminals.
-    if (Rec.Size == 0 || (Rec.Size >> 63) || Rec.Base + Rec.Size < Rec.Base) {
+    // The ranges injection admits (ObjectManager::allocError).
+    if (ObjectManager::rangeError(Rec.Base, Rec.Size)) {
       Err = "omc checkpoint: record with an empty, wrapping or 2^63-byte "
             "range";
       return false;
     }
     if (Rec.FreeTime == ObjectManager::kLiveForever) {
-      // Re-grow the live interval index; overlapping live ranges mean
-      // the checkpoint is corrupt (the tree requires disjointness).
-      if (Omc.LiveIndex.overlapsRange(Rec.Base, Rec.Base + Rec.Size)) {
+      // Re-grow the live index; overlapping live ranges mean the
+      // checkpoint is corrupt (lookups require disjointness).
+      if (Omc.overlapsLive(Rec.Base, Rec.Size)) {
         Err = "omc checkpoint: overlapping live objects";
         return false;
       }
-      Omc.LiveIndex.insert(Rec.Base, Rec.Base + Rec.Size,
-                           Omc.Records.size());
+      Omc.LiveIndex.emplace(Rec.Base, Omc.Records.size());
     }
     Omc.Records.push_back(Rec);
     Omc.PoolBaseSerial.push_back(PoolBase);

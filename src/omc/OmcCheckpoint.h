@@ -10,9 +10,9 @@
 /// group/site tables, serial counters, pool parameters and the live
 /// interval set — so a replay can stop at a block boundary and resume
 /// later (or elsewhere) with identical translations. Only authoritative
-/// state is stored: the translation caches and the page table are
-/// self-validating accelerators that restart cold without affecting any
-/// result, and the stats counters restart at zero for the new segment.
+/// state is stored: the translation caches restart cold without
+/// affecting any result, the live index is rebuilt from the live
+/// records, and the stats counters restart at zero for the new segment.
 ///
 /// The byte image is deterministic (unordered maps are emitted in
 /// sorted order) and self-describing enough to be validated on restore:

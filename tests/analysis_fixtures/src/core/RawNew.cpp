@@ -1,8 +1,8 @@
 //===- RawNew.cpp - seeded raw-new-delete violation ----------------------===//
 //
-// new/delete expressions outside the B+-tree node arena must be
-// reported. A deleted function and a placement ::new are not
-// new/delete expressions and must not be.
+// new/delete expressions must be reported wherever they appear. A
+// deleted function and a placement ::new are not new/delete
+// expressions and must not be.
 //
 //===----------------------------------------------------------------------===//
 

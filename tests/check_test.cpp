@@ -13,7 +13,6 @@
 #include "check/Check.h"
 #include "check/GrammarValidator.h"
 #include "check/OmcValidator.h"
-#include "omc/IntervalBTree.h"
 #include "omc/ObjectManager.h"
 #include "sequitur/Sequitur.h"
 #include "support/Random.h"
@@ -457,51 +456,7 @@ TEST(ArenaPoisonTest, SequiturFreeListsArePoisonedUnderAsan) {
   }
 }
 
-TEST(ArenaPoisonTest, BTreeFreeNodesArePoisonedUnderAsan) {
-  // Split the tree (bulk inserts), then erase everything so emptied
-  // nodes hit the recycling list; each recycled node must be poisoned.
-  omc::IntervalBTree T;
-  constexpr uint64_t N = 4096;
-  for (uint64_t I = 0; I != N; ++I)
-    T.insert(I * 16, I * 16 + 8, I);
-  ASSERT_GT(T.height(), 1u);
-  for (uint64_t I = 0; I != N; ++I)
-    ASSERT_TRUE(T.erase(I * 16));
-  EXPECT_EQ(T.size(), 0u);
-
-  OmcValidator::PoisonAudit Audit = OmcValidator::auditTreePoisoning(T);
-  ASSERT_GT(Audit.FreeNodes, 0u) << "erase churn recycled no nodes";
-  if (Audit.AsanActive)
-    EXPECT_EQ(Audit.PoisonedFreeNodes, Audit.FreeNodes);
-  else
-    EXPECT_EQ(Audit.PoisonedFreeNodes, 0u);
-
-  // Recycled nodes must be fully reusable after the audit.
-  for (uint64_t I = 0; I != N; ++I)
-    T.insert(I * 32, I * 32 + 16, I);
-  EXPECT_TRUE(T.checkInvariants());
-  EXPECT_TRUE(OmcValidator::validateTree(T).ok());
-}
-
 #if GTEST_HAS_DEATH_TEST
-TEST(ArenaPoisonDeathTest, StaleNodeReadIsAnAsanReport) {
-  // The literal use-after-free: dereference a recycled (poisoned) node.
-  // Under ASan this must die with a use-after-poison report — the
-  // poisoning contract turned a silent garbage read into a detected
-  // violation. Without ASan there is nothing to arm, so skip.
-  if (!check::asanActive())
-    GTEST_SKIP() << "poisoning is a no-op without ASan";
-  omc::IntervalBTree T;
-  for (uint64_t I = 0; I != 4096; ++I)
-    T.insert(I * 16, I * 16 + 8, I);
-  for (uint64_t I = 0; I != 4096; ++I)
-    ASSERT_TRUE(T.erase(I * 16));
-  const auto *Stale =
-      static_cast<const volatile uint8_t *>(OmcValidator::firstFreeNodeForTest(T));
-  ASSERT_NE(Stale, nullptr);
-  EXPECT_DEATH({ [[maybe_unused]] uint8_t Byte = *Stale; }, "use-after-poison");
-}
-
 TEST(ArenaIndexDeathTest, SymbolIndexSpaceExhaustionIsFatal) {
   // Node indices stay below 2^31, because bit 31 of a link is a tag:
   // the arena must stop with a fatal error before an index would reach
@@ -651,60 +606,11 @@ TEST(OmcValidatorTest, CatchesSerialRegression) {
   EXPECT_FALSE(OmcValidator::validate(M).ok());
 }
 
-TEST(OmcValidatorTest, CatchesPageTableStale) {
-  // fillBusyManager's translations populate the flat-hash page tier, so
-  // the injected stale entry sits among genuinely-hot pages.
-  omc::ObjectManager M;
-  fillBusyManager(M);
-  ASSERT_TRUE(OmcValidator::validate(M).ok());
-  ASSERT_TRUE(OmcValidator::injectForTest(
-      M, OmcValidator::Corruption::PageTableStale));
-  EXPECT_FALSE(OmcValidator::validate(M).ok());
-}
-
 //===----------------------------------------------------------------------===//
-// IntervalBTree adversarial churn (validated through the OMC validator)
+// OMC adversarial churn (validated through the OMC validator)
 //===----------------------------------------------------------------------===//
 
-TEST(BTreeAdversarialTest, InterleavedSplitMergeChurn) {
-  // Interleave insert bursts (forcing splits) with erase sweeps (forcing
-  // leaf unlinks and root collapses), validating continuously.
-  omc::IntervalBTree T;
-  Rng R(99);
-  std::vector<uint64_t> Starts;
-  uint64_t NextVal = 0;
-  for (int Round = 0; Round != 60; ++Round) {
-    // Insert burst at a random base so splits happen mid-keyspace too.
-    uint64_t Base = R.nextBelow(1u << 20) << 8;
-    for (uint64_t I = 0; I != 64; ++I) {
-      uint64_t Start = Base + I * 32;
-      if (!T.overlapsRange(Start, Start + 24)) {
-        T.insert(Start, Start + 24, NextVal++);
-        Starts.push_back(Start);
-      }
-    }
-    // Erase sweep of ~half the population, randomized order.
-    for (uint64_t I = 0; I != 40 && !Starts.empty(); ++I) {
-      size_t Pick = R.nextBelow(Starts.size());
-      EXPECT_TRUE(T.erase(Starts[Pick]));
-      Starts.erase(Starts.begin() + static_cast<ptrdiff_t>(Pick));
-    }
-    // Erase of unknown starts must be a clean no-op.
-    EXPECT_FALSE(T.erase(Base + 7));
-    check::CheckReport Report = OmcValidator::validateTree(T);
-    ASSERT_TRUE(Report.ok()) << "round " << Round << ":\n" << Report.str();
-    ASSERT_EQ(T.size(), Starts.size());
-  }
-  // Drain to empty and grow again: recycled nodes must behave.
-  for (uint64_t S : Starts)
-    EXPECT_TRUE(T.erase(S));
-  EXPECT_EQ(T.size(), 0u);
-  for (uint64_t I = 0; I != 512; ++I)
-    T.insert(I * 64, I * 64 + 48, I);
-  EXPECT_TRUE(OmcValidator::validateTree(T).ok());
-}
-
-TEST(BTreeAdversarialTest, OverlappingReallocationsThroughManager) {
+TEST(OmcAdversarialTest, OverlappingReallocationsThroughManager) {
   // The vpr/parser pattern: the allocator hands back overlapping address
   // ranges over time (never concurrently). Free-then-realloc at shifted
   // bases must keep the live index exact and the caches coherent.

@@ -1,175 +1,22 @@
-//===- tests/omc_test.cpp - OMC and interval B+-tree unit tests ----------===//
+//===- tests/omc_test.cpp - Object-management component unit tests -------===//
 
-#include "omc/IntervalBTree.h"
+#include "ReferenceOmc.h"
+
 #include "omc/ObjectManager.h"
+#include "omc/OmcCheckpoint.h"
 #include "support/Random.h"
 #include "trace/Events.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <optional>
+#include <string>
 #include <vector>
 
 using namespace orp;
 using namespace orp::omc;
-
-//===----------------------------------------------------------------------===//
-// IntervalBTree
-//===----------------------------------------------------------------------===//
-
-TEST(IntervalBTreeTest, EmptyTree) {
-  IntervalBTree T;
-  EXPECT_EQ(T.size(), 0u);
-  EXPECT_EQ(T.height(), 1u);
-  EXPECT_EQ(T.lookup(42), nullptr);
-  EXPECT_FALSE(T.erase(42));
-  EXPECT_TRUE(T.checkInvariants());
-}
-
-TEST(IntervalBTreeTest, SingleInterval) {
-  IntervalBTree T;
-  T.insert(100, 200, 7);
-  EXPECT_EQ(T.size(), 1u);
-  ASSERT_NE(T.lookup(100), nullptr);
-  EXPECT_EQ(T.lookup(100)->Value, 7u);
-  ASSERT_NE(T.lookup(199), nullptr);
-  EXPECT_EQ(T.lookup(200), nullptr);
-  EXPECT_EQ(T.lookup(99), nullptr);
-  EXPECT_TRUE(T.checkInvariants());
-}
-
-TEST(IntervalBTreeTest, EraseByStart) {
-  IntervalBTree T;
-  T.insert(100, 200, 1);
-  T.insert(300, 400, 2);
-  EXPECT_TRUE(T.erase(100));
-  EXPECT_EQ(T.lookup(150), nullptr);
-  ASSERT_NE(T.lookup(350), nullptr);
-  EXPECT_FALSE(T.erase(100));
-  EXPECT_EQ(T.size(), 1u);
-}
-
-TEST(IntervalBTreeTest, SplitsGrowHeight) {
-  IntervalBTree T;
-  for (uint64_t I = 0; I != 2000; ++I)
-    T.insert(I * 10, I * 10 + 8, I);
-  EXPECT_EQ(T.size(), 2000u);
-  EXPECT_GT(T.height(), 1u);
-  EXPECT_TRUE(T.checkInvariants());
-  for (uint64_t I = 0; I != 2000; ++I) {
-    const auto *E = T.lookup(I * 10 + 5);
-    ASSERT_NE(E, nullptr);
-    EXPECT_EQ(E->Value, I);
-    EXPECT_EQ(T.lookup(I * 10 + 9), nullptr); // Gap between intervals.
-  }
-}
-
-TEST(IntervalBTreeTest, DrainToEmptyAndReuse) {
-  IntervalBTree T;
-  for (uint64_t I = 0; I != 500; ++I)
-    T.insert(I * 10, I * 10 + 8, I);
-  for (uint64_t I = 0; I != 500; ++I)
-    EXPECT_TRUE(T.erase(I * 10));
-  EXPECT_EQ(T.size(), 0u);
-  EXPECT_TRUE(T.checkInvariants());
-  EXPECT_EQ(T.lookup(55), nullptr);
-  // The tree must be fully usable again.
-  T.insert(5, 10, 99);
-  ASSERT_NE(T.lookup(7), nullptr);
-  EXPECT_EQ(T.lookup(7)->Value, 99u);
-}
-
-TEST(IntervalBTreeTest, OverlapsRange) {
-  IntervalBTree T;
-  T.insert(100, 200, 1);
-  EXPECT_TRUE(T.overlapsRange(150, 160));
-  EXPECT_TRUE(T.overlapsRange(199, 300));
-  EXPECT_TRUE(T.overlapsRange(50, 101));
-  EXPECT_FALSE(T.overlapsRange(200, 300));
-  EXPECT_FALSE(T.overlapsRange(50, 100));
-}
-
-TEST(IntervalBTreeTest, ToVectorIsSorted) {
-  IntervalBTree T;
-  Rng R(5);
-  std::vector<uint64_t> Starts;
-  for (int I = 0; I != 300; ++I)
-    Starts.push_back(R.nextBelow(1 << 20) * 100);
-  for (uint64_t S : Starts)
-    if (!T.overlapsRange(S, S + 50))
-      T.insert(S, S + 50, S);
-  auto V = T.toVector();
-  EXPECT_EQ(V.size(), T.size());
-  for (size_t I = 1; I < V.size(); ++I)
-    EXPECT_LT(V[I - 1].Start, V[I].Start);
-}
-
-/// Randomized differential test against std::map over varying scales.
-class IntervalBTreeFuzzTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(IntervalBTreeFuzzTest, MatchesReferenceModel) {
-  const int Ops = GetParam();
-  IntervalBTree T;
-  std::map<uint64_t, std::pair<uint64_t, uint64_t>> Ref; // start->(end,val)
-  Rng R(GetParam() * 7 + 1);
-
-  auto RefLookup = [&](uint64_t Addr)
-      -> std::optional<std::pair<uint64_t, uint64_t>> {
-    auto It = Ref.upper_bound(Addr);
-    if (It == Ref.begin())
-      return std::nullopt;
-    --It;
-    if (Addr < It->second.first)
-      return std::make_pair(It->first, It->second.second);
-    return std::nullopt;
-  };
-
-  for (int I = 0; I != Ops; ++I) {
-    double Dice = R.nextDouble();
-    if (Dice < 0.45) {
-      uint64_t Start = R.nextBelow(Ops * 4) * 16;
-      uint64_t Len = 8 + R.nextBelow(64);
-      // Skip if it would overlap (the tree requires disjoint ranges).
-      bool Overlaps = T.overlapsRange(Start, Start + Len);
-      bool RefOverlaps = false;
-      {
-        auto It = Ref.upper_bound(Start + Len - 1);
-        if (It != Ref.begin()) {
-          --It;
-          RefOverlaps = It->second.first > Start;
-        }
-      }
-      ASSERT_EQ(Overlaps, RefOverlaps) << "overlapsRange diverged";
-      if (!Overlaps) {
-        T.insert(Start, Start + Len, Start ^ 0xabc);
-        Ref.emplace(Start, std::make_pair(Start + Len, Start ^ 0xabc));
-      }
-    } else if (Dice < 0.75 && !Ref.empty()) {
-      auto It = Ref.begin();
-      std::advance(It, R.nextBelow(Ref.size()));
-      uint64_t Start = It->first;
-      Ref.erase(It);
-      ASSERT_TRUE(T.erase(Start));
-    } else {
-      uint64_t Addr = R.nextBelow(Ops * 4) * 16 + R.nextBelow(80);
-      const auto *Got = T.lookup(Addr);
-      auto Want = RefLookup(Addr);
-      if (Want) {
-        ASSERT_NE(Got, nullptr) << "missing interval at " << Addr;
-        EXPECT_EQ(Got->Start, Want->first);
-        EXPECT_EQ(Got->Value, Want->second);
-      } else {
-        EXPECT_EQ(Got, nullptr) << "phantom interval at " << Addr;
-      }
-    }
-    ASSERT_EQ(T.size(), Ref.size());
-  }
-  EXPECT_TRUE(T.checkInvariants());
-}
-
-INSTANTIATE_TEST_SUITE_P(Scales, IntervalBTreeFuzzTest,
-                         ::testing::Values(50, 200, 1000, 5000));
 
 //===----------------------------------------------------------------------===//
 // ObjectManager
@@ -287,67 +134,215 @@ TEST(ObjectManagerTest, ManyLiveObjectsTranslateCorrectly) {
   }
   EXPECT_EQ(O.numGroups(), 7u);
   EXPECT_EQ(O.numLiveObjects(), 5000u);
-  EXPECT_TRUE(O.liveIndex().checkInvariants());
 }
 
-TEST(ObjectManagerTest, PageTableFastPathMatchesRecordGroundTruth) {
-  // Differential check of the flat-hash page tier: under alloc/free
-  // churn every translate() answer — hit or miss, through whichever
-  // tier served it — must match a linear scan of the authoritative
-  // records. Freed addresses are probed deliberately: their page
-  // entries go stale (the table is never invalidated on free) and must
-  // re-validate against the record before counting as a hit.
-  ObjectManager O;
-  Rng R(77);
-  struct LiveObj {
-    uint64_t Addr, Size;
-  };
-  std::vector<LiveObj> Live;
-  std::vector<uint64_t> FreedAddrs;
-  uint64_t Cursor = 0x100000, Time = 0;
+//===----------------------------------------------------------------------===//
+// Differential test against the linear-scan reference OMC
+//===----------------------------------------------------------------------===//
 
-  auto groundTruth = [&](uint64_t Probe) -> const ObjectRecord * {
-    for (const ObjectRecord &Rec : O.records())
-      if (Rec.FreeTime == ObjectManager::kLiveForever &&
-          Probe - Rec.Base < Rec.Size)
-        return &Rec;
-    return nullptr;
-  };
+namespace {
 
-  for (int Round = 0; Round != 3000; ++Round) {
-    if (Live.empty() || R.nextBool(0.6)) {
-      uint64_t Size = 16 + R.nextBelow(240);
-      O.onAlloc(makeAlloc(static_cast<trace::AllocSiteId>(R.nextBelow(5)),
-                          Cursor, Size, ++Time));
-      Live.push_back({Cursor, Size});
-      Cursor += Size + 16 + R.nextBelow(96);
-    } else {
-      size_t Pick = R.nextBelow(Live.size());
-      O.onFree({Live[Pick].Addr, ++Time});
-      FreedAddrs.push_back(Live[Pick].Addr);
-      Live.erase(Live.begin() + static_cast<ptrdiff_t>(Pick));
-    }
+/// Sites of the differential stream: heap objects come from the sites
+/// below kStaticSite, of which the last two are split pools.
+constexpr trace::AllocSiteId kPoolSiteA = 6, kPoolSiteB = 7, kStaticSite = 8;
 
-    if (!Live.empty()) {
-      const LiveObj &Obj = Live[R.nextBelow(Live.size())];
-      uint64_t Probe = Obj.Addr + R.nextBelow(Obj.Size);
-      auto T = O.translate(Probe);
-      const ObjectRecord *Truth = groundTruth(Probe);
-      ASSERT_NE(Truth, nullptr);
-      ASSERT_TRUE(T) << "live address failed to translate";
-      EXPECT_EQ(T->Group, Truth->Group);
-      EXPECT_EQ(T->Object, Truth->Serial);
-      EXPECT_EQ(T->Offset, Probe - Truth->Base);
-    }
-    if (!FreedAddrs.empty() && R.nextBool(0.5)) {
-      uint64_t Probe = FreedAddrs[R.nextBelow(FreedAddrs.size())];
-      if (!groundTruth(Probe)) {
-        EXPECT_FALSE(O.translate(Probe))
-            << "stale page entry leaked a freed object";
-      }
-    }
+/// Drives an ObjectManager and a ReferenceOmc through the same event
+/// stream and asserts that they agree on every answer.
+class OmcDifferential {
+public:
+  OmcDifferential() {
+    Omc.splitPoolSite(kPoolSiteA, 16);
+    Ref.splitPoolSite(kPoolSiteA, 16);
+    Omc.splitPoolSite(kPoolSiteB, 24);
+    Ref.splitPoolSite(kPoolSiteB, 24);
   }
 
-  EXPECT_GT(O.stats().PageHits, 0u) << "page tier never engaged";
-  EXPECT_TRUE(O.liveIndex().checkInvariants());
+  /// Offers \p Event to both; registers it when both admit it.
+  void alloc(const trace::AllocEvent &Event) {
+    const char *Want = Ref.allocError(Event);
+    const char *Got = Omc.allocError(Event);
+    ASSERT_EQ(std::string(Got ? Got : "admitted"),
+              std::string(Want ? Want : "admitted"))
+        << "allocError at 0x" << std::hex << Event.Addr << " size 0x"
+        << Event.Size;
+    if (Want) {
+      ++Rejected[std::string(Want)];
+      return;
+    }
+    Omc.onAlloc(Event);
+    Ref.onAlloc(Event);
+    Bases.push_back(Event.Addr);
+    Sizes.push_back(Event.Size);
+  }
+
+  void free(uint64_t Addr) {
+    Omc.onFree(trace::FreeEvent{Addr, ++Time});
+    Ref.onFree(trace::FreeEvent{Addr, Time});
+  }
+
+  /// Translates \p Addr through translate(Addr, Instr) when \p Instr is
+  /// set, else through translate(Addr), and compares with the reference.
+  void translate(uint64_t Addr, std::optional<trace::InstrId> Instr) {
+    std::optional<Translation> Got =
+        Instr ? Omc.translate(Addr, *Instr) : Omc.translate(Addr);
+    std::optional<Translation> Want = Ref.translate(Addr);
+    ASSERT_EQ(Got.has_value(), Want.has_value())
+        << "translate(0x" << std::hex << Addr << ") hit/miss";
+    if (!Want)
+      return;
+    EXPECT_EQ(Got->Group, Want->Group);
+    EXPECT_EQ(Got->Object, Want->Object);
+    EXPECT_EQ(Got->Offset, Want->Offset);
+    ASSERT_EQ(Got->ObjectId, Want->ObjectId)
+        << "translate(0x" << std::hex << Addr << ")";
+  }
+
+  /// Compares the counters and the live-object count.
+  void compareState() {
+    ASSERT_EQ(Omc.numLiveObjects(), Ref.numLiveObjects());
+    ASSERT_EQ(Omc.stats().Translations, Ref.stats().Translations);
+    ASSERT_EQ(Omc.stats().Misses, Ref.stats().Misses);
+    ASSERT_EQ(Omc.stats().UnknownFrees, Ref.stats().UnknownFrees);
+  }
+
+  /// Replaces the OMC with one restored from its checkpoint. The restored
+  /// OMC's counters start at zero, and so do the reference's.
+  void checkpointAndRestore() {
+    std::vector<uint8_t> Image;
+    OmcCheckpoint::serialize(Omc, Image);
+    ObjectManager Restored;
+    size_t Pos = 0;
+    std::string Err;
+    ASSERT_TRUE(OmcCheckpoint::restore(Image.data(), Image.size(), Pos,
+                                       Restored, Err))
+        << Err;
+    ASSERT_EQ(Pos, Image.size());
+    Omc = std::move(Restored);
+    Ref.stats() = ReferenceOmc::Stats{};
+  }
+
+  ObjectManager Omc;
+  ReferenceOmc Ref;
+  uint64_t Time = 0;
+  /// Base and size of every admitted object, live or freed.
+  std::vector<uint64_t> Bases, Sizes;
+  /// Rejected allocations by reason.
+  std::map<std::string, size_t> Rejected;
+};
+
+} // namespace
+
+/// A randomized event stream over a small heap, so lifetimes overlap,
+/// addresses are reused and many allocations collide with live objects.
+/// Every allocError, translate(Addr), translate(Addr, Instr), the live
+/// count and the Translations/Misses/UnknownFrees counters must equal the
+/// linear-scan reference's, before and after a mid-stream checkpoint.
+class OmcDifferentialTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(OmcDifferentialTest, MatchesLinearScanReference) {
+  constexpr uint64_t kHeap = 0x100000, kHeapSpan = 0x2000;
+  constexpr uint64_t kStatics = 0x10000;
+  constexpr int kSteps = 4000;
+  constexpr trace::InstrId kInstrs = 6;
+  Rng R(GetParam());
+  OmcDifferential D;
+  uint64_t NextStatic = kStatics;
+
+  // One of the 24 most recently admitted objects.
+  auto Recent = [&]() -> size_t {
+    size_t N = D.Bases.size();
+    return N - 1 - R.nextBelow(std::min<size_t>(N, 24));
+  };
+  // An address near a recent object: its base, an interior byte, its
+  // last byte or one past its end.
+  auto NearRecent = [&]() -> uint64_t {
+    size_t I = Recent();
+    switch (R.nextBelow(4)) {
+    case 0:
+      return D.Bases[I];
+    case 1:
+      return D.Bases[I] + R.nextBelow(D.Sizes[I]);
+    case 2:
+      return D.Bases[I] + D.Sizes[I] - 1;
+    default:
+      return D.Bases[I] + D.Sizes[I];
+    }
+  };
+  auto AnyInstr = [&]() -> std::optional<trace::InstrId> {
+    if (R.nextBool(0.3))
+      return std::nullopt;
+    return static_cast<trace::InstrId>(R.nextBelow(kInstrs));
+  };
+
+  for (int Step = 0; Step != kSteps; ++Step) {
+    if (Step == kSteps / 2) {
+      D.checkpointAndRestore();
+      ASSERT_FALSE(HasFatalFailure());
+    }
+    double Dice = R.nextDouble();
+    if (Dice < 0.30 || D.Bases.empty()) {
+      // Heap allocation: anywhere in the heap (half start inside or
+      // right after a recent object), at a plain or a pool site.
+      uint64_t Addr = !D.Bases.empty() && R.nextBool(0.5)
+                          ? NearRecent()
+                          : kHeap + R.nextBelow(kHeapSpan / 8) * 8;
+      D.alloc(trace::AllocEvent{
+          static_cast<trace::AllocSiteId>(R.nextBelow(kStaticSite)), Addr,
+          1 + R.nextBelow(200), ++D.Time, false});
+    } else if (Dice < 0.34) {
+      // A static object: its own region, never freed.
+      D.alloc(trace::AllocEvent{kStaticSite, NextStatic, 0x20, ++D.Time, true});
+      NextStatic += 0x40;
+    } else if (Dice < 0.37) {
+      // Ranges no OMC may admit: empty, 2^63 bytes or more, wrapping.
+      switch (R.nextBelow(3)) {
+      case 0:
+        D.alloc(trace::AllocEvent{0, kHeap, 0, ++D.Time, false});
+        break;
+      case 1:
+        D.alloc(trace::AllocEvent{0, kHeap,
+                                  (uint64_t(1) << 63) + R.nextBelow(9),
+                                  ++D.Time, false});
+        break;
+      default:
+        D.alloc(trace::AllocEvent{0, ~uint64_t(0) - R.nextBelow(16),
+                                  1 + R.nextBelow(32), ++D.Time, false});
+        break;
+      }
+    } else if (Dice < 0.55) {
+      // A free: of a recent object (live or already freed), of an
+      // interior byte, or of a random address. The freed range is
+      // translated by the same instruction before and after, so a cache
+      // line that survives the free would answer for a dead object.
+      uint64_t Addr = R.nextBool(0.7) ? D.Bases[Recent()] : NearRecent();
+      if (R.nextBool(0.1))
+        Addr = kHeap + R.nextBelow(kHeapSpan);
+      auto Instr = static_cast<trace::InstrId>(R.nextBelow(kInstrs));
+      D.translate(Addr, Instr);
+      D.free(Addr);
+      D.translate(Addr, Instr);
+    } else {
+      uint64_t Addr;
+      if (R.nextBool(0.6))
+        Addr = NearRecent();
+      else if (R.nextBool(0.8))
+        Addr = kHeap + R.nextBelow(kHeapSpan + 0x100);
+      else
+        Addr = kStatics + R.nextBelow(NextStatic - kStatics + 0x40);
+      D.translate(Addr, AnyInstr());
+    }
+    D.compareState();
+    ASSERT_FALSE(HasFailure()) << "step " << Step;
+  }
+
+  // The stream reached every tier and every rejection reason.
+  EXPECT_GT(D.Omc.stats().MruHits, 0u);
+  EXPECT_GT(D.Omc.stats().SharedCacheHits, 0u);
+  EXPECT_GT(D.Omc.stats().UnknownFrees, 0u);
+  EXPECT_EQ(D.Omc.stats().PageHits, 0u);
+  EXPECT_EQ(D.Rejected.size(), 4u);
+  EXPECT_GT(D.Rejected["allocation overlaps a live object"], 100u);
 }
+
+INSTANTIATE_TEST_SUITE_P(Seeds, OmcDifferentialTest,
+                         ::testing::Values(1, 2, 3, 4, 5, 6));

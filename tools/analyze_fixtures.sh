@@ -41,8 +41,8 @@ expect "[GroupSerializer::serialize -> GroupSerializer::flushGroups -> GroupSeri
 expect "orp-analyze: atomics: src/trace/Publish.cpp:14: non-relaxed ordering 'memory_order_seq_cst' outside the sanctioned set"
 expect "orp-analyze: raw-thread: src/core/Spawn.cpp:13: std::thread outside src/support"
 expect "orp-analyze: iostream: src/core/Print.cpp:3: #include <iostream> is banned in src/"
-expect "orp-analyze: raw-new-delete: src/core/RawNew.cpp:19: new expression outside the B+-tree node arena"
-expect "orp-analyze: raw-new-delete: src/core/RawNew.cpp:20: delete expression outside the B+-tree node arena"
+expect "orp-analyze: raw-new-delete: src/core/RawNew.cpp:19: new expression (use a container or a unique_ptr)"
+expect "orp-analyze: raw-new-delete: src/core/RawNew.cpp:20: delete expression (use a container or a unique_ptr)"
 expect "orp-analyze: endian-io: src/core/RawIo.cpp:15: fwrite in a file without support/Endian.h"
 expect "orp-analyze: no-asan-include: src/core/Poison.cpp:14: __asan_poison_memory_region outside src/check/Check.h"
 expect "orp-analyze: log-sink: tools/Shout.cpp:13: fprintf(stderr ...) outside src/support"

@@ -20,8 +20,8 @@
 //                        that own a published happens-before edge.
 //   raw-thread           std::thread/mutex/... only in src/support.
 //   iostream             no #include <iostream> in src/.
-//   raw-new-delete       new/delete expressions only in the B+-tree node
-//                        arena; `= delete` is fine anywhere.
+//   raw-new-delete       no new/delete expressions (use a container or a
+//                        unique_ptr); `= delete` is fine anywhere.
 //   endian-io            a src/ or tools/ .cpp doing raw file I/O
 //                        includes support/Endian.h (fixed-width fields
 //                        go through its little-endian helpers).
@@ -888,11 +888,8 @@ const std::vector<Rule> Rules = {
     // `::new` (placement), `operator new` and `= delete;` are not
     // new/delete expressions.
     {.Name = "raw-new-delete",
-     .Sanctioned = {"src/omc/IntervalBTree.cpp"},
      .Tokens = "!::|operator new|delete ?$id|(|[|*",
-     .Message = "expression outside the B+-tree node arena "
-                "(src/omc/IntervalBTree.cpp); use a container or a "
-                "unique_ptr"},
+     .Message = "expression (use a container or a unique_ptr)"},
     {.Name = "endian-io",
      .Scope = {"src/", "tools/"},
      .Tokens = "fwrite|fread|ifstream|ofstream",
