@@ -6,7 +6,8 @@
 // heap allocator policies (plus an environment-seed change) and
 // measures how stable each lossless profile is: the RASG bytes vary
 // with the environment while the OMSG bytes are identical, because the
-// object-relative stream itself is identical.
+// object-relative stream itself is identical (compared as whole OMSG
+// archives, SessionArtifacts::Omsg).
 //
 //===----------------------------------------------------------------------===//
 
@@ -14,7 +15,6 @@
 #include "common/BenchCommon.h"
 #include "support/Statistics.h"
 #include "support/TablePrinter.h"
-#include "whomp/Whomp.h"
 
 #include <cmath>
 #include <cstdio>
@@ -42,45 +42,43 @@ int main(int Argc, char **Argv) {
                       "OMSG bytes", "OMSG content stable"});
   for (const std::string &Name : specNames()) {
     RunningStat RasgBytes;
-    std::vector<std::vector<uint8_t>> RasgImages, OmsgImages;
+    std::vector<std::vector<uint8_t>> RasgImages, OmsgArchives;
+    uint64_t OmsgBytes = 0;
     for (const Env &E : Envs) {
       RunConfig Config;
       Config.Scale = Scale;
       Config.Policy = E.Policy;
       Config.EnvSeed = E.Seed;
-      core::ProfilingSession Session(E.Policy, E.Seed);
-      baseline::RasgProfiler Rasg;
-      whomp::WhompProfiler Whomp;
-      Session.addRawSink(&Rasg);
-      Session.addConsumer(&Whomp);
-      runInSession(Session, Name, Config);
+      auto Trace = recordTrace(Name, Config);
+      baseline::RasgProfiler Rasg; // Outlives the session.
+      session::ProfileSession Session(
+          Name, sessionConfig(*Trace, /*Whomp=*/true, /*Leap=*/false));
+      Session.core().addRawSink(&Rasg);
+      session::SessionArtifacts Artifacts;
+      replay(Session, *Trace, &Artifacts);
       RasgBytes.add(static_cast<double>(Rasg.serializedSizeBytes()));
       // Profile *content*: the environment moves every raw address, so
       // the RASG bytes change even when the grammar shape (and thus its
-      // size) happens to coincide. The OMSG must be byte-identical.
+      // size) happens to coincide. The OMSG archive must be
+      // byte-identical.
       std::vector<uint8_t> RasgImage = Rasg.addressGrammar().serialize();
       std::vector<uint8_t> InstrImage =
           Rasg.instructionGrammar().serialize();
       RasgImage.insert(RasgImage.end(), InstrImage.begin(),
                        InstrImage.end());
       RasgImages.push_back(std::move(RasgImage));
-      std::vector<uint8_t> OmsgImage;
-      for (core::Dimension D :
-           {core::Dimension::Instruction, core::Dimension::Group,
-            core::Dimension::Object, core::Dimension::Offset}) {
-        const std::vector<uint8_t> &Part = Whomp.imageFor(D).bytes();
-        OmsgImage.insert(OmsgImage.end(), Part.begin(), Part.end());
-      }
-      OmsgImages.push_back(std::move(OmsgImage));
+      if (OmsgArchives.empty())
+        OmsgBytes = Session.whomp()->sizes().total();
+      OmsgArchives.push_back(std::move(Artifacts.Omsg));
     }
     bool RasgStable = true, OmsgStable = true;
     for (size_t I = 1; I != RasgImages.size(); ++I) {
       RasgStable &= RasgImages[I] == RasgImages.front();
-      OmsgStable &= OmsgImages[I] == OmsgImages.front();
+      OmsgStable &= OmsgArchives[I] == OmsgArchives.front();
     }
     Table.addRow({Name, TablePrinter::fmt(uint64_t(RasgBytes.max())),
                   RasgStable ? "yes (unexpected!)" : "NO (run-dependent)",
-                  TablePrinter::fmt(uint64_t(OmsgImages.front().size())),
+                  TablePrinter::fmt(OmsgBytes),
                   OmsgStable ? "yes" : "NO"});
   }
   Table.print();

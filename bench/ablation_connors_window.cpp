@@ -4,7 +4,8 @@
 // running time similar to LEAP". This ablation sweeps the window size
 // and reports MDF accuracy and run time per setting, aggregated over
 // the 7 benchmarks — showing the accuracy/cost trade the paper's
-// comparison point sits on.
+// comparison point sits on. Time is one replay of the recording with
+// only the Connors sink (decode + inject + OMC translation + Connors).
 //
 //===----------------------------------------------------------------------===//
 
@@ -14,7 +15,6 @@
 #include "common/BenchCommon.h"
 #include "support/Statistics.h"
 #include "support/TablePrinter.h"
-#include "support/Timer.h"
 
 #include <cstdio>
 #include <memory>
@@ -28,21 +28,23 @@ int main(int Argc, char **Argv) {
               "Accuracy grows with the window; the paper matches the "
               "window to LEAP's running time.");
 
+  // Record each probe stream once and collect its exact reference.
   struct PerBench {
-    trace::BufferSink Buffer;
+    std::string Name;
+    std::unique_ptr<traceio::TraceReader> Trace;
     analysis::MdfMap ExactMdf;
   };
-  std::vector<std::unique_ptr<PerBench>> Benches;
+  std::vector<PerBench> Benches;
   for (const std::string &Name : specNames()) {
-    auto B = std::make_unique<PerBench>();
     RunConfig Config;
     Config.Scale = Scale;
-    core::ProfilingSession Session(Config.Policy, Config.EnvSeed);
-    baseline::ExactDependenceProfiler Exact;
-    Session.addRawSink(&B->Buffer);
-    Session.addRawSink(&Exact);
-    runInSession(Session, Name, Config);
-    B->ExactMdf = Exact.mdf();
+    PerBench B{Name, recordTrace(Name, Config), {}};
+    baseline::ExactDependenceProfiler Exact; // Outlives the session.
+    session::ProfileSession Session(
+        Name, sessionConfig(*B.Trace, /*Whomp=*/false, /*Leap=*/false));
+    Session.core().addRawSink(&Exact);
+    replay(Session, *B.Trace);
+    B.ExactMdf = Exact.mdf();
     Benches.push_back(std::move(B));
   }
 
@@ -51,16 +53,17 @@ int main(int Argc, char **Argv) {
   for (size_t Window : {4, 16, 64, 256, 1024, 4096, 16384}) {
     RunningStat Within, Seconds;
     uint64_t Found = 0, Missed = 0;
-    for (const auto &B : Benches) {
-      baseline::ConnorsProfiler Connors(Window);
-      Timer T;
-      B->Buffer.replayTo(Connors);
-      Seconds.add(T.seconds());
+    for (PerBench &B : Benches) {
+      baseline::ConnorsProfiler Connors(Window); // Outlives the session.
+      session::ProfileSession Session(
+          B.Name, sessionConfig(*B.Trace, /*Whomp=*/false, /*Leap=*/false));
+      Session.core().addRawSink(&Connors);
+      Seconds.add(replay(Session, *B.Trace));
       auto Est = Connors.mdf();
       Found += Est.size();
-      auto Cmp = analysis::compareMdf(B->ExactMdf, Est);
+      auto Cmp = analysis::compareMdf(B.ExactMdf, Est);
       Within.add(100.0 * Cmp.fractionCorrectOrWithin10());
-      for (const auto &[Pair, Freq] : B->ExactMdf)
+      for (const auto &[Pair, Freq] : B.ExactMdf)
         if (!Est.count(Pair))
           ++Missed;
     }

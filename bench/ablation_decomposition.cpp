@@ -20,7 +20,6 @@
 #include "sequitur/Sequitur.h"
 #include "support/Statistics.h"
 #include "support/TablePrinter.h"
-#include "whomp/Whomp.h"
 
 #include <cstdio>
 
@@ -55,19 +54,19 @@ int main(int Argc, char **Argv) {
   for (const std::string &Name : specNames()) {
     RunConfig Config;
     Config.Scale = Scale;
-    core::ProfilingSession Session(Config.Policy, Config.EnvSeed);
-    baseline::RasgProfiler Rasg;
+    auto Trace = recordTrace(Name, Config);
+    baseline::RasgProfiler Rasg; // Sinks and consumers outlive the session.
     UndecomposedConsumer Undecomposed;
-    whomp::WhompProfiler Whomp;
-    Session.addRawSink(&Rasg);
-    Session.addConsumer(&Undecomposed);
-    Session.addConsumer(&Whomp);
-    runInSession(Session, Name, Config);
+    session::ProfileSession Session(
+        Name, sessionConfig(*Trace, /*Whomp=*/true, /*Leap=*/false));
+    Session.core().addRawSink(&Rasg);
+    Session.core().addConsumer(&Undecomposed);
+    replay(Session, *Trace);
 
     double RasgB = static_cast<double>(Rasg.serializedSizeBytes());
     double UndB =
         static_cast<double>(Undecomposed.Grammar.serializedSizeBytes());
-    double OmsgB = static_cast<double>(Whomp.sizes().total());
+    double OmsgB = static_cast<double>(Session.whomp()->sizes().total());
     double TGain = percentOf(RasgB - UndB, RasgB);
     double DGain = percentOf(UndB - OmsgB, UndB);
     TranslGain.add(TGain);

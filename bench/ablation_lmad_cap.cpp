@@ -6,7 +6,8 @@
 // number of LMADs gives a less lossy profile but increases the running
 // time." This ablation sweeps the cap and reports, per setting: profile
 // size, MDF accuracy (correct-or-within-10%), stride score, sample
-// quality and collection time, aggregated over all 7 benchmarks.
+// quality and collection time (one LEAP-only replay of the recording:
+// decode + inject + OMC translation + LEAP), over all 7 benchmarks.
 //
 //===----------------------------------------------------------------------===//
 
@@ -16,12 +17,11 @@
 #include "baseline/ExactDependence.h"
 #include "baseline/ExactStride.h"
 #include "common/BenchCommon.h"
-#include "leap/Leap.h"
 #include "support/Statistics.h"
 #include "support/TablePrinter.h"
-#include "support/Timer.h"
 
 #include <cstdio>
+#include <memory>
 
 using namespace orp;
 using namespace orp::bench;
@@ -31,26 +31,27 @@ int main(int Argc, char **Argv) {
   printHeader("Ablation A1 — LMAD budget per (instruction, group) pair",
               "The paper's cap of 30 balances quality and cost.");
 
-  // Collect exact references and the probe streams once.
+  // Record each probe stream once and collect its exact references.
   struct PerBench {
-    trace::BufferSink Buffer;
+    std::string Name;
+    std::unique_ptr<traceio::TraceReader> Trace;
     analysis::MdfMap ExactMdf;
     analysis::StrideMap ExactStride;
   };
-  std::vector<std::unique_ptr<PerBench>> Benches;
+  std::vector<PerBench> Benches;
   for (const std::string &Name : specNames()) {
-    auto B = std::make_unique<PerBench>();
     RunConfig Config;
     Config.Scale = Scale;
-    core::ProfilingSession Session(Config.Policy, Config.EnvSeed);
-    baseline::ExactDependenceProfiler Exact;
+    PerBench B{Name, recordTrace(Name, Config), {}, {}};
+    baseline::ExactDependenceProfiler Exact; // Sinks outlive the session.
     baseline::ExactStrideProfiler Strides;
-    Session.addRawSink(&B->Buffer);
-    Session.addRawSink(&Exact);
-    Session.addRawSink(&Strides);
-    runInSession(Session, Name, Config);
-    B->ExactMdf = Exact.mdf();
-    B->ExactStride = Strides.stronglyStrided();
+    session::ProfileSession Session(
+        Name, sessionConfig(*B.Trace, /*Whomp=*/false, /*Leap=*/false));
+    Session.core().addRawSink(&Exact);
+    Session.core().addRawSink(&Strides);
+    replay(Session, *B.Trace);
+    B.ExactMdf = Exact.mdf();
+    B.ExactStride = Strides.stronglyStrided();
     Benches.push_back(std::move(B));
   }
 
@@ -58,31 +59,29 @@ int main(int Argc, char **Argv) {
                       "stride score", "acc captured", "time/run"});
   for (unsigned Cap : {1, 2, 4, 8, 15, 30, 60, 120, 240}) {
     RunningStat Bytes, Mdf, Stride, Captured, Seconds;
-    for (const auto &B : Benches) {
-      omc::ObjectManager Omc;
-      core::Cdc Cdc(Omc);
-      leap::LeapProfiler Leap(Cap);
-      Cdc.addConsumer(&Leap);
-      Timer T;
-      B->Buffer.replayTo(Cdc);
-      Seconds.add(T.seconds());
+    for (PerBench &B : Benches) {
+      session::ProfileSession Session(
+          B.Name, sessionConfig(*B.Trace, /*Whomp=*/false, /*Leap=*/true,
+                                /*MaxLmads=*/Cap));
+      Seconds.add(replay(Session, *B.Trace));
+      const leap::LeapProfiler &Leap = *Session.leap();
       Bytes.add(static_cast<double>(Leap.serializedSizeBytes()));
       Captured.add(Leap.accessesCapturedPercent());
 
       auto Est = analysis::LeapDependenceAnalyzer(Leap).computeMdf();
-      auto Cmp = analysis::compareMdf(B->ExactMdf, Est);
+      auto Cmp = analysis::compareMdf(B.ExactMdf, Est);
       Mdf.add(100.0 * Cmp.fractionCorrectOrWithin10());
 
       auto Found = analysis::findStronglyStrided(Leap);
       uint64_t Correct = 0;
-      for (const auto &[Instr, Info] : B->ExactStride)
+      for (const auto &[Instr, Info] : B.ExactStride)
         if (Found.count(Instr))
           ++Correct;
-      Stride.add(B->ExactStride.empty()
+      Stride.add(B.ExactStride.empty()
                      ? 100.0
                      : percentOf(static_cast<double>(Correct),
                                  static_cast<double>(
-                                     B->ExactStride.size())));
+                                     B.ExactStride.size())));
     }
     Table.addRow({TablePrinter::fmt(uint64_t(Cap)),
                   TablePrinter::fmt(Bytes.sum() / 1024.0, 1),

@@ -5,11 +5,13 @@
 // timing claim that OMSG collection time is about the same as RASG
 // collection time (the paper measured OMSG 1% faster on average).
 //
-// For each of the 7 benchmark analogues this harness runs the workload
-// once with both profilers attached to the same probe stream, then
-// reports serialized profile sizes, the percent size reduction of OMSG
-// relative to RASG (the paper's metric, average ~22%), and the isolated
-// collection time of each profiler.
+// For each of the 7 benchmark analogues this harness records the
+// workload once and replays it twice: with WHOMP, and with the RASG
+// baseline as a raw sink. It reports serialized profile sizes, the
+// percent size reduction of OMSG relative to RASG (the paper's metric,
+// average ~22%), and each replay's time. Both sides pay decode, inject
+// and the CDC's OMC translation; on top, OMSG pays four grammars and
+// the archive, RASG its two raw grammars.
 //
 //===----------------------------------------------------------------------===//
 
@@ -17,9 +19,6 @@
 #include "common/BenchCommon.h"
 #include "support/Statistics.h"
 #include "support/TablePrinter.h"
-#include "support/Timer.h"
-#include "trace/Events.h"
-#include "whomp/Whomp.h"
 
 #include <cstdio>
 
@@ -37,38 +36,30 @@ struct Result {
 };
 
 Result measureOne(const std::string &Name, uint64_t Scale) {
-  // Capture the probe stream once, then time each profiler on a replay
-  // so the two collection times are measured in isolation.
   RunConfig Config;
   Config.Scale = Scale;
-  core::ProfilingSession Session(Config.Policy, Config.EnvSeed);
-  trace::BufferSink Buffer;
-  Session.addRawSink(&Buffer);
-  runInSession(Session, Name, Config);
-
+  auto Trace = recordTrace(Name, Config);
   Result R;
-  R.Accesses = Buffer.accesses().size();
 
-  // OMSG collection: object-relative translation + 4-way horizontal
-  // decomposition + Sequitur per dimension. The replay re-runs the OMC
-  // translation, exactly as live collection would.
+  // OMSG collection: decode + inject + OMC translation + 4-way
+  // horizontal decomposition + Sequitur per dimension.
   {
-    omc::ObjectManager Omc;
-    core::Cdc Cdc(Omc);
-    whomp::WhompProfiler Whomp;
-    Cdc.addConsumer(&Whomp);
-    Timer T;
-    Buffer.replayTo(Cdc);
-    R.OmsgSeconds = T.seconds();
-    R.OmsgBytes = Whomp.sizes().total();
+    session::ProfileSession Session(
+        Name, sessionConfig(*Trace, /*Whomp=*/true, /*Leap=*/false));
+    R.OmsgSeconds = replay(Session, *Trace);
+    R.OmsgBytes = Session.whomp()->sizes().total();
+    const core::CdcStats &Cdc = Session.core().cdc().stats();
+    R.Accesses = Cdc.Translated + Cdc.Unknown;
   }
 
-  // RASG collection: Sequitur over the raw (instruction, address) stream.
+  // RASG collection: Sequitur over the raw (instruction, address)
+  // stream, on the same decode + inject + translation path.
   {
-    baseline::RasgProfiler Rasg;
-    Timer T;
-    Buffer.replayTo(Rasg);
-    R.RasgSeconds = T.seconds();
+    baseline::RasgProfiler Rasg; // Outlives the session.
+    session::ProfileSession Session(
+        Name, sessionConfig(*Trace, /*Whomp=*/false, /*Leap=*/false));
+    Session.core().addRawSink(&Rasg);
+    R.RasgSeconds = replay(Session, *Trace);
     R.RasgBytes = Rasg.serializedSizeBytes();
   }
   return R;

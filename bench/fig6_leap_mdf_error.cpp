@@ -11,8 +11,6 @@
 
 #include "analysis/MdfError.h"
 #include "common/BenchCommon.h"
-#include "common/MdfExperiment.h"
-#include "support/Histogram.h"
 #include "support/Statistics.h"
 #include "support/TablePrinter.h"
 
@@ -34,11 +32,7 @@ int main(int Argc, char **Argv) {
   for (const std::string &Name : specNames()) {
     MdfResults R = runMdfExperiment(Name, Scale);
     analysis::MdfComparison Cmp = analysis::compareMdf(R.Exact, R.Leap);
-    for (unsigned B = 0; B != Cmp.ErrorHist.numBuckets(); ++B) {
-      double Mid =
-          (Cmp.ErrorHist.bucketLo(B) + Cmp.ErrorHist.bucketHi(B)) / 2;
-      Combined.add(Mid, Cmp.ErrorHist.bucketCount(B));
-    }
+    accumulate(Combined, Cmp.ErrorHist);
     Within10.add(100.0 * Cmp.fractionCorrectOrWithin10());
     Table.addRow({Name, TablePrinter::fmt(Cmp.DependentPairs),
                   TablePrinter::fmt(Cmp.ExactlyCorrect),

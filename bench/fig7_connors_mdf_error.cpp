@@ -11,8 +11,6 @@
 
 #include "analysis/MdfError.h"
 #include "common/BenchCommon.h"
-#include "common/MdfExperiment.h"
-#include "support/Histogram.h"
 #include "support/TablePrinter.h"
 
 #include <cstdio>
@@ -38,11 +36,7 @@ int main(int Argc, char **Argv) {
       if (It != R.Exact.end() && Freq > It->second + 1e-12)
         ++Overestimated;
     }
-    for (unsigned B = 0; B != Cmp.ErrorHist.numBuckets(); ++B) {
-      double Mid =
-          (Cmp.ErrorHist.bucketLo(B) + Cmp.ErrorHist.bucketHi(B)) / 2;
-      Combined.add(Mid, Cmp.ErrorHist.bucketCount(B));
-    }
+    accumulate(Combined, Cmp.ErrorHist);
     Table.addRow({Name, TablePrinter::fmt(Cmp.DependentPairs),
                   TablePrinter::fmt(Cmp.ExactlyCorrect),
                   TablePrinter::fmtPercent(

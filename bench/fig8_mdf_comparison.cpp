@@ -10,8 +10,6 @@
 
 #include "analysis/MdfError.h"
 #include "common/BenchCommon.h"
-#include "common/MdfExperiment.h"
-#include "support/Histogram.h"
 #include "support/Statistics.h"
 #include "support/TablePrinter.h"
 
@@ -30,13 +28,9 @@ int main(int Argc, char **Argv) {
   Histogram ConnorsHist(-105.0, 105.0, 21);
   for (const std::string &Name : specNames()) {
     MdfResults R = runMdfExperiment(Name, Scale);
-    analysis::MdfComparison L = analysis::compareMdf(R.Exact, R.Leap);
-    analysis::MdfComparison C = analysis::compareMdf(R.Exact, R.Connors);
-    for (unsigned B = 0; B != L.ErrorHist.numBuckets(); ++B) {
-      double Mid = (L.ErrorHist.bucketLo(B) + L.ErrorHist.bucketHi(B)) / 2;
-      LeapHist.add(Mid, L.ErrorHist.bucketCount(B));
-      ConnorsHist.add(Mid, C.ErrorHist.bucketCount(B));
-    }
+    accumulate(LeapHist, analysis::compareMdf(R.Exact, R.Leap).ErrorHist);
+    accumulate(ConnorsHist,
+               analysis::compareMdf(R.Exact, R.Connors).ErrorHist);
   }
 
   // Side-by-side series, one row per 10%-wide error bucket.

@@ -11,7 +11,6 @@
 #include "analysis/Stride.h"
 #include "baseline/ExactStride.h"
 #include "common/BenchCommon.h"
-#include "leap/Leap.h"
 #include "support/Statistics.h"
 #include "support/TablePrinter.h"
 
@@ -32,15 +31,15 @@ int main(int Argc, char **Argv) {
   for (const std::string &Name : specNames()) {
     RunConfig Config;
     Config.Scale = Scale;
-    core::ProfilingSession Session(Config.Policy, Config.EnvSeed);
-    leap::LeapProfiler Leap;
-    baseline::ExactStrideProfiler Exact;
-    Session.addConsumer(&Leap);
-    Session.addRawSink(&Exact);
-    runInSession(Session, Name, Config);
+    auto Trace = recordTrace(Name, Config);
+    baseline::ExactStrideProfiler Exact; // Outlives the session.
+    session::ProfileSession Session(
+        Name, sessionConfig(*Trace, /*Whomp=*/false, /*Leap=*/true));
+    Session.core().addRawSink(&Exact);
+    replay(Session, *Trace);
 
     analysis::StrideMap Real = Exact.stronglyStrided();
-    analysis::StrideMap Found = analysis::findStronglyStrided(Leap);
+    analysis::StrideMap Found = analysis::findStronglyStrided(*Session.leap());
     uint64_t Correct = 0;
     for (const auto &[Instr, Info] : Real)
       if (Found.count(Instr))

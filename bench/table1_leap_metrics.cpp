@@ -12,9 +12,9 @@
 //===----------------------------------------------------------------------===//
 
 #include "common/BenchCommon.h"
-#include "leap/Leap.h"
 #include "support/Statistics.h"
 #include "support/TablePrinter.h"
+#include "support/Timer.h"
 
 #include <cstdio>
 
@@ -34,22 +34,32 @@ int main(int Argc, char **Argv) {
     RunConfig Config;
     Config.Scale = Scale;
 
-    // Native run: no probes consumed (the dilation baseline). Take the
-    // fastest of a few runs to reduce scheduler noise.
+    // Native run: a bare runtime with no sinks (the dilation baseline).
+    // Take the fastest of a few runs to reduce scheduler noise.
     double NativeSecs = 1e9;
     for (int Rep = 0; Rep != 3; ++Rep) {
       double Secs = runNative(Name, Config);
       NativeSecs = Secs < NativeSecs ? Secs : NativeSecs;
     }
 
-    // Instrumented run: full LEAP pipeline (OMC + CDC + vertical
-    // decomposition + LMAD compression).
-    core::ProfilingSession Session(Config.Policy, Config.EnvSeed);
-    leap::LeapProfiler Leap;
-    trace::CountingSink Counter;
-    Session.addConsumer(&Leap);
-    Session.addRawSink(&Counter);
-    double ProfiledSecs = runInSession(Session, Name, Config);
+    // Instrumented run: the workload live inside a LEAP-only
+    // ProfileSession (probes + OMC + CDC + vertical decomposition +
+    // LMAD compression). Live, not replayed: dilation measures the
+    // probes, which a replay does not pay.
+    session::SessionConfig Live;
+    Live.Policy = Config.Policy;
+    Live.Seed = Config.EnvSeed;
+    Live.EnableWhomp = false;
+    Live.MaxLmads = kPaperMaxLmads;
+    trace::CountingSink Counter; // Outlives the session.
+    session::ProfileSession Session(Name, Live);
+    Session.core().addRawSink(&Counter);
+    Timer T;
+    runWorkload(Name, Config, Session.core().memory(),
+                Session.core().registry());
+    (void)Session.finalize();
+    double ProfiledSecs = T.seconds();
+    const leap::LeapProfiler &Leap = *Session.leap();
 
     double Ratio = static_cast<double>(Counter.rawTraceBytes()) /
                    static_cast<double>(Leap.serializedSizeBytes());

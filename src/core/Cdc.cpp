@@ -45,9 +45,8 @@ constexpr uint64_t OmcValidateIntervalMutations = 1024;
 
 } // namespace
 
-Cdc::Cdc(omc::ObjectManager &Omc, UnknownAddressPolicy Policy,
-         telemetry::Registry &Collectors)
-    : Omc(Omc), Policy(Policy),
+Cdc::Cdc(omc::ObjectManager &Omc, telemetry::Registry &Collectors)
+    : Omc(Omc),
       BatchCounter(telemetry::Registry::global().counter("cdc.batches")),
       Collector(Collectors.addCollector(
           [this](telemetry::Registry &R) {
@@ -99,12 +98,7 @@ bool Cdc::translateEvent(const trace::AccessEvent &Event, OrTuple &Tuple) {
     return true;
   }
   ++Stats.Unknown;
-  if (Policy == UnknownAddressPolicy::Drop)
-    return false;
-  Tuple.Group = WildGroupId;
-  Tuple.Object = 0;
-  Tuple.Offset = Event.Addr;
-  return true;
+  return false;
 }
 
 void Cdc::onAccess(const trace::AccessEvent &Event) {

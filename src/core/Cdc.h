@@ -26,14 +26,6 @@
 namespace orp {
 namespace core {
 
-/// What the CDC does with accesses to addresses that no live object
-/// covers (stack and foreign addresses; the paper "chose not to profile"
-/// stack variables).
-enum class UnknownAddressPolicy {
-  Drop,      ///< Count and skip the access.
-  WildGroup, ///< Attribute it to a distinguished pseudo-group.
-};
-
 /// CDC counters.
 struct CdcStats {
   uint64_t Translated = 0; ///< Accesses forwarded object-relatively.
@@ -41,16 +33,15 @@ struct CdcStats {
 };
 
 /// Control & decomposition component: a TraceSink that translates raw
-/// accesses through an ObjectManager and feeds OrTuple consumers.
+/// accesses through an ObjectManager and feeds OrTuple consumers. An
+/// access to an address no live object covers (stack and foreign
+/// addresses; the paper "chose not to profile" stack variables) is
+/// counted in CdcStats::Unknown and dropped.
 class Cdc : public trace::TraceSink {
 public:
-  /// Pseudo-group used by UnknownAddressPolicy::WildGroup.
-  static constexpr omc::GroupId WildGroupId = ~static_cast<omc::GroupId>(0);
-
   /// The cdc.* and omc.* gauges are published by a collector on
   /// \p Collectors.
   explicit Cdc(omc::ObjectManager &Omc,
-               UnknownAddressPolicy Policy = UnknownAddressPolicy::Drop,
                telemetry::Registry &Collectors = telemetry::Registry::global());
 
   /// Adds \p Consumer (not owned) to the object-relative output.
@@ -73,7 +64,7 @@ public:
 
 private:
   /// Translates \p Event into \p Tuple. Returns false when the address
-  /// is unknown and the policy says to drop the access.
+  /// is unknown (the access is dropped).
   bool translateEvent(const trace::AccessEvent &Event, OrTuple &Tuple);
 
   /// Level-2 checked builds only: runs OmcValidator over the object
@@ -82,7 +73,6 @@ private:
   void validateOmc(const char *When) const;
 
   omc::ObjectManager &Omc;
-  UnknownAddressPolicy Policy;
   std::vector<OrTupleConsumer *> Consumers;
   CdcStats Stats;
   /// Batch-granularity counter (one bump per onAccessBatch — cold

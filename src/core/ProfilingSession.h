@@ -35,7 +35,6 @@ public:
   explicit ProfilingSession(
       memsim::AllocPolicy Policy = memsim::AllocPolicy::FirstFit,
       uint64_t Seed = 0,
-      UnknownAddressPolicy Unknown = UnknownAddressPolicy::Drop,
       telemetry::Registry &Collectors = telemetry::Registry::global());
 
   /// The instrumented runtime the workload executes against.

@@ -74,9 +74,8 @@ SessionConfig session::recordedConfig(const traceio::TraceReader &Reader) {
 ProfileSession::ProfileSession(std::string Name, const SessionConfig &Config,
                                telemetry::Registry &Collectors)
     : Name(std::move(Name)), Config(Config),
-      Core(std::make_unique<core::ProfilingSession>(
-          Config.Policy, Config.Seed, core::UnknownAddressPolicy::Drop,
-          Collectors)) {
+      Core(std::make_unique<core::ProfilingSession>(Config.Policy,
+                                                    Config.Seed, Collectors)) {
   if (Config.EnableWhomp) {
     Whomp = std::make_unique<whomp::WhompProfiler>(Config.ProfilerThreads,
                                                    Collectors);

@@ -37,68 +37,16 @@ void CountingSink::onFree(const FreeEvent &) { ++Frees; }
 
 void BufferSink::onAccess(const AccessEvent &Event) {
   AccessLog.push_back(Event);
-  AccessSeq.push_back(NextSeq++);
 }
 
 void BufferSink::onAccessBatch(std::span<const AccessEvent> Events) {
   AccessLog.insert(AccessLog.end(), Events.begin(), Events.end());
-  for (size_t I = 0; I != Events.size(); ++I)
-    AccessSeq.push_back(NextSeq++);
 }
 
 void BufferSink::onAlloc(const AllocEvent &Event) {
   AllocLog.push_back(Event);
-  AllocSeq.push_back(NextSeq++);
 }
 
 void BufferSink::onFree(const FreeEvent &Event) {
   FreeLog.push_back(Event);
-  FreeSeq.push_back(NextSeq++);
-}
-
-void BufferSink::replayTo(TraceSink &Sink) const {
-  // Each log is sequence-sorted by construction, so a three-way merge on
-  // the arrival sequence reproduces the original delivery order exactly.
-  size_t AI = 0, LI = 0, FI = 0;
-  while (AI < AccessLog.size() || LI < AllocLog.size() ||
-         FI < FreeLog.size()) {
-    uint64_t AS = AI < AccessSeq.size() ? AccessSeq[AI] : ~0ULL;
-    uint64_t LS = LI < AllocSeq.size() ? AllocSeq[LI] : ~0ULL;
-    uint64_t FS = FI < FreeSeq.size() ? FreeSeq[FI] : ~0ULL;
-    if (LS < AS && LS < FS) {
-      Sink.onAlloc(AllocLog[LI++]);
-      continue;
-    }
-    if (FS < AS) {
-      Sink.onFree(FreeLog[FI++]);
-      continue;
-    }
-    Sink.onAccess(AccessLog[AI++]);
-  }
-  Sink.onFinish();
-}
-
-void FanoutSink::onAccess(const AccessEvent &Event) {
-  for (TraceSink *Sink : Sinks)
-    Sink->onAccess(Event);
-}
-
-void FanoutSink::onAccessBatch(std::span<const AccessEvent> Events) {
-  for (TraceSink *Sink : Sinks)
-    Sink->onAccessBatch(Events);
-}
-
-void FanoutSink::onAlloc(const AllocEvent &Event) {
-  for (TraceSink *Sink : Sinks)
-    Sink->onAlloc(Event);
-}
-
-void FanoutSink::onFree(const FreeEvent &Event) {
-  for (TraceSink *Sink : Sinks)
-    Sink->onFree(Event);
-}
-
-void FanoutSink::onFinish() {
-  for (TraceSink *Sink : Sinks)
-    Sink->onFinish();
 }

@@ -103,11 +103,9 @@ private:
   uint64_t Frees = 0;
 };
 
-/// Sink that buffers the full event stream in memory; for tests and for
-/// offline multi-pass analyses (the exact baselines replay from here).
-/// Events are tagged with a private arrival sequence so replay reproduces
-/// the exact original delivery order (timestamps alone cannot order an
-/// alloc against a free that reuses its address within the same tick).
+/// Sink that buffers the full event stream in memory, one log per event
+/// kind; for tests and demos that inspect what a run delivered. A
+/// stream to replay is recorded as an .orpt (traceio::TraceWriter).
 class BufferSink : public TraceSink {
 public:
   void onAccess(const AccessEvent &Event) override;
@@ -119,34 +117,10 @@ public:
   const std::vector<AllocEvent> &allocs() const { return AllocLog; }
   const std::vector<FreeEvent> &frees() const { return FreeLog; }
 
-  /// Replays the buffered stream, in original delivery order, into \p Sink.
-  void replayTo(TraceSink &Sink) const;
-
 private:
   std::vector<AccessEvent> AccessLog;
   std::vector<AllocEvent> AllocLog;
   std::vector<FreeEvent> FreeLog;
-  /// Arrival sequence numbers parallel to each log.
-  std::vector<uint64_t> AccessSeq;
-  std::vector<uint64_t> AllocSeq;
-  std::vector<uint64_t> FreeSeq;
-  uint64_t NextSeq = 0;
-};
-
-/// Sink that forwards every event to several downstream sinks.
-class FanoutSink : public TraceSink {
-public:
-  /// Adds \p Sink as a downstream consumer; not owned.
-  void addSink(TraceSink *Sink) { Sinks.push_back(Sink); }
-
-  void onAccess(const AccessEvent &Event) override;
-  void onAccessBatch(std::span<const AccessEvent> Events) override;
-  void onAlloc(const AllocEvent &Event) override;
-  void onFree(const FreeEvent &Event) override;
-  void onFinish() override;
-
-private:
-  std::vector<TraceSink *> Sinks;
 };
 
 } // namespace trace

@@ -96,23 +96,12 @@ TEST(CdcTest, TranslatesThroughOmc) {
 
 TEST(CdcTest, DropPolicySkipsUnknownAddresses) {
   omc::ObjectManager O;
-  Cdc C(O, UnknownAddressPolicy::Drop);
+  Cdc C(O);
   TupleBuffer Buf;
   C.addConsumer(&Buf);
   C.onAccess(access(1, 0xDEAD, 0));
   EXPECT_TRUE(Buf.Tuples.empty());
   EXPECT_EQ(C.stats().Unknown, 1u);
-}
-
-TEST(CdcTest, WildGroupPolicyForwardsUnknownAddresses) {
-  omc::ObjectManager O;
-  Cdc C(O, UnknownAddressPolicy::WildGroup);
-  TupleBuffer Buf;
-  C.addConsumer(&Buf);
-  C.onAccess(access(1, 0xDEAD, 0));
-  ASSERT_EQ(Buf.Tuples.size(), 1u);
-  EXPECT_EQ(Buf.Tuples[0].Group, Cdc::WildGroupId);
-  EXPECT_EQ(Buf.Tuples[0].Offset, 0xDEADu);
 }
 
 TEST(CdcTest, FreeRetiresTranslation) {

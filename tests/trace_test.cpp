@@ -174,66 +174,6 @@ TEST(CountingSinkTest, RawTraceBytes) {
   EXPECT_EQ(C.rawTraceBytes(), 120u);
 }
 
-TEST(FanoutSinkTest, ForwardsToAll) {
-  FanoutSink F;
-  CountingSink C1, C2;
-  F.addSink(&C1);
-  F.addSink(&C2);
-  F.onAccess(AccessEvent{0, 1, 8, true, 0});
-  F.onAlloc(AllocEvent{0, 2, 8, 0, false});
-  F.onFree(FreeEvent{2, 0});
-  EXPECT_EQ(C1.accesses(), 1u);
-  EXPECT_EQ(C2.accesses(), 1u);
-  EXPECT_EQ(C1.allocs(), 1u);
-  EXPECT_EQ(C2.frees(), 1u);
-}
-
-TEST(BufferSinkTest, ReplayPreservesDeliveryOrder) {
-  // Free + realloc at the same address within one timestamp tick: replay
-  // must reproduce the exact order or a consumer would see a duplicate
-  // live range.
-  BufferSink B;
-  B.onAlloc(AllocEvent{0, 0x1000, 64, 0, false});
-  B.onFree(FreeEvent{0x1000, 0});
-  B.onAlloc(AllocEvent{1, 0x1000, 32, 0, false});
-  B.onAccess(AccessEvent{0, 0x1000, 8, false, 0});
-
-  struct OrderSink : TraceSink {
-    std::vector<int> Seen;
-    bool Finished = false;
-    void onAccess(const AccessEvent &) override { Seen.push_back(0); }
-    void onAlloc(const AllocEvent &) override { Seen.push_back(1); }
-    void onFree(const FreeEvent &) override { Seen.push_back(2); }
-    void onFinish() override { Finished = true; }
-  } S;
-  B.replayTo(S);
-  EXPECT_EQ(S.Seen, (std::vector<int>{1, 2, 1, 0}));
-  EXPECT_TRUE(S.Finished);
-}
-
-TEST(BufferSinkTest, ReplayEqualsOriginalStream) {
-  MemoryInterface M;
-  BufferSink B;
-  M.attachSink(&B);
-  uint64_t H = M.heapAlloc(0, 128);
-  M.store(0, H, 8);
-  M.load(1, H + 8, 8);
-  M.heapFree(H);
-  uint64_t H2 = M.heapAlloc(0, 64);
-  M.load(1, H2, 8);
-  M.finish();
-
-  BufferSink Copy;
-  B.replayTo(Copy);
-  ASSERT_EQ(Copy.accesses().size(), B.accesses().size());
-  for (size_t I = 0; I != B.accesses().size(); ++I) {
-    EXPECT_EQ(Copy.accesses()[I].Addr, B.accesses()[I].Addr);
-    EXPECT_EQ(Copy.accesses()[I].Time, B.accesses()[I].Time);
-  }
-  EXPECT_EQ(Copy.allocs().size(), B.allocs().size());
-  EXPECT_EQ(Copy.frees().size(), B.frees().size());
-}
-
 //===----------------------------------------------------------------------===//
 // Free-path hardening: the contracts pinned in MemoryInterface.h
 //===----------------------------------------------------------------------===//
