@@ -56,16 +56,17 @@ int main(int Argc, char **Argv) {
       Session.core().addRawSink(&Rasg);
       session::SessionArtifacts Artifacts;
       replay(Session, *Trace, &Artifacts);
-      RasgBytes.add(static_cast<double>(Rasg.serializedSizeBytes()));
       // Profile *content*: the environment moves every raw address, so
       // the RASG bytes change even when the grammar shape (and thus its
       // size) happens to coincide. The OMSG archive must be
-      // byte-identical.
+      // byte-identical. The RASG size is that of its two images, each
+      // grammar walked once.
       std::vector<uint8_t> RasgImage = Rasg.addressGrammar().serialize();
       std::vector<uint8_t> InstrImage =
           Rasg.instructionGrammar().serialize();
       RasgImage.insert(RasgImage.end(), InstrImage.begin(),
                        InstrImage.end());
+      RasgBytes.add(static_cast<double>(RasgImage.size()));
       RasgImages.push_back(std::move(RasgImage));
       if (OmsgArchives.empty())
         OmsgBytes = Session.whomp()->sizes().total();

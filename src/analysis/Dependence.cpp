@@ -3,7 +3,7 @@
 #include "analysis/Dependence.h"
 
 #include "analysis/Diophantine.h"
-#include "core/Decomposition.h"
+#include "core/ObjectRelative.h"
 
 #include <algorithm>
 #include <cassert>

@@ -2,7 +2,7 @@
 
 #include "analysis/Stride.h"
 
-#include "core/Decomposition.h"
+#include "core/ObjectRelative.h"
 
 #include <unordered_map>
 

@@ -25,6 +25,7 @@
 #include "omc/ObjectManager.h"
 #include "trace/InstructionRegistry.h"
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 
@@ -85,6 +86,35 @@ inline uint64_t dimensionValue(const OrTuple &T, Dimension D) {
 
 /// Returns a short name for \p D ("instr", "group", ...).
 const char *dimensionName(Dimension D);
+
+/// Key of one vertical substream. The paper decomposes by instruction,
+/// then by group (Section 2.2); LEAP keys its LMAD sets accordingly.
+struct VerticalKey {
+  trace::InstrId Instr;
+  omc::GroupId Group;
+  bool operator<(const VerticalKey &O) const {
+    return Instr != O.Instr ? Instr < O.Instr : Group < O.Group;
+  }
+  bool operator==(const VerticalKey &O) const {
+    return Instr == O.Instr && Group == O.Group;
+  }
+};
+
+/// Hash for VerticalKey (unordered containers, LEAP's shard routing).
+/// Packs both ids into one word and applies a full-avalanche finalizer
+/// so nearby instruction ids (the common case: a dense registry) spread
+/// across the table.
+struct VerticalKeyHash {
+  size_t operator()(const VerticalKey &Key) const {
+    uint64_t X = (static_cast<uint64_t>(Key.Instr) << 32) | Key.Group;
+    X ^= X >> 33;
+    X *= 0xff51afd7ed558ccdULL;
+    X ^= X >> 33;
+    X *= 0xc4ceb9fe1a85ec53ULL;
+    X ^= X >> 33;
+    return static_cast<size_t>(X);
+  }
+};
 
 } // namespace core
 } // namespace orp

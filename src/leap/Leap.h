@@ -23,38 +23,21 @@
 #ifndef ORP_LEAP_LEAP_H
 #define ORP_LEAP_LEAP_H
 
-#include "core/Decomposition.h"
 #include "core/ObjectRelative.h"
 #include "lmad/LmadCompressor.h"
+#include "support/WorkerPool.h"
 #include "telemetry/Registry.h"
 
 #include <cstdint>
 #include <functional>
+#include <map>
+#include <memory>
+#include <span>
 #include <unordered_map>
+#include <vector>
 
 namespace orp {
 namespace leap {
-
-/// One (instruction, group) substream: a 3-dimensional LMAD compressor
-/// over (object, offset, time) points.
-class LeapSubstream : public core::SubstreamConsumer {
-public:
-  explicit LeapSubstream(unsigned MaxLmads)
-      : Compressor(/*Dims=*/3, MaxLmads) {}
-
-  void append(const core::OrTuple &Tuple) override {
-    Compressor.addPoint(lmad::Point{
-        static_cast<int64_t>(Tuple.Object),
-        static_cast<int64_t>(Tuple.Offset),
-        static_cast<int64_t>(Tuple.Time)});
-  }
-
-  /// Returns the LMAD set of this substream.
-  const lmad::LmadCompressor &compressor() const { return Compressor; }
-
-private:
-  lmad::LmadCompressor Compressor;
-};
 
 /// Dimension indices of the (object, offset, time) points LEAP stores.
 enum LeapDim : unsigned { DimObject = 0, DimOffset = 1, DimTime = 2 };
@@ -75,18 +58,38 @@ struct InstrSummary {
 /// The LEAP profiler: attach as an OrTupleConsumer to a Cdc.
 class LeapProfiler : public core::OrTupleConsumer {
 public:
+  /// Tuples accumulated per shard before a chunk is handed to that
+  /// shard's worker (threaded mode only).
+  static constexpr size_t ThreadChunkTuples = 1024;
+  /// Chunks each shard worker may buffer before the producer blocks.
+  static constexpr size_t ThreadQueueDepth = 4;
+
   /// With \p Threads > 1, the (instruction, group) substreams are
-  /// sharded by hash across that many worker threads (DESIGN.md
-  /// section 10); the profile is identical either way. The accessors
-  /// below must not be called before finish() in threaded mode.
-  /// The leap.* gauges are published by a collector on \p Collectors.
+  /// sharded across that many worker threads by VerticalKeyHash
+  /// (DESIGN.md section 10): a key always routes to the same worker,
+  /// each worker exclusively owns the substreams of its shard (no locks
+  /// on the append path), and FIFO chunk order means every substream
+  /// sees its tuples in exactly the serial order. finish() merges the
+  /// shards into one key-sorted map, so the profile is identical for any
+  /// thread count. The accessors below must not be called before
+  /// finish() in threaded mode. The leap.* gauges are published by a
+  /// collector on \p Collectors.
   explicit LeapProfiler(
       unsigned MaxLmads = lmad::LmadCompressor::DefaultMaxLmads,
       unsigned Threads = 1,
       telemetry::Registry &Collectors = telemetry::Registry::global());
+  /// Delivers buffered chunks and joins the workers, with or without a
+  /// prior finish().
+  ~LeapProfiler();
+  LeapProfiler(const LeapProfiler &) = delete;
+  LeapProfiler &operator=(const LeapProfiler &) = delete;
 
+  /// A one-tuple consumeBatch().
   void consume(const core::OrTuple &Tuple) override;
-  void finish() override { Decomposer.finish(); }
+  void consumeBatch(std::span<const core::OrTuple> Tuples) override;
+  /// Flushes pending chunks, joins the workers and merges the shards
+  /// (threaded mode; a no-op in serial mode).
+  void finish() override;
 
   /// Returns the number of tuples profiled.
   uint64_t tuplesSeen() const { return Tuples; }
@@ -122,10 +125,36 @@ public:
   double instructionsCapturedPercent() const;
 
 private:
+  using SubstreamMap = std::map<core::VerticalKey, lmad::LmadCompressor>;
+  using Worker = support::QueueWorker<std::vector<core::OrTuple>>;
+
+  /// True while the shard workers own the substreams: threaded mode,
+  /// before finish().
+  bool threaded() const { return !Workers.empty() && !Joined; }
+
+  /// Hands shard \p S's pending chunk to its worker.
+  void flushShard(size_t S);
+  /// Hands over every pending chunk and joins the workers.
+  void joinWorkers();
+
   unsigned MaxLmads;
-  core::VerticalDecomposer Decomposer;
   std::unordered_map<trace::InstrId, InstrSummary> Instrs;
   uint64_t Tuples = 0;
+  /// One worker per shard (empty in serial mode). Joined by finish() or
+  /// the destructor and kept afterwards: their telemetry() is exact once
+  /// joined.
+  std::vector<std::unique_ptr<Worker>> Workers;
+  /// Set once the workers are joined (finish() or the destructor).
+  bool Joined = false;
+  /// Per-shard tuple chunks being filled by the producer.
+  std::vector<std::vector<core::OrTuple>> Pending;
+  /// Shards[S] is owned by Workers[S]'s thread until finish() merges it
+  /// into SubstreamsByKey. Declared after Workers, so it is destroyed
+  /// first: the destructor must join the workers before that.
+  std::vector<SubstreamMap> Shards;
+  /// Every substream in key order: the serial path appends here, and
+  /// finish() merges the shards here.
+  SubstreamMap SubstreamsByKey;
   /// Publishes tuple/substream/instruction counts (substreams only once
   /// this thread owns them — serial mode or after finish()) and shard-
   /// worker queue counters into leap.* gauges at snapshot time.

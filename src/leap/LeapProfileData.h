@@ -31,7 +31,7 @@
 #ifndef ORP_LEAP_LEAPPROFILEDATA_H
 #define ORP_LEAP_LEAPPROFILEDATA_H
 
-#include "core/Decomposition.h"
+#include "core/ObjectRelative.h"
 #include "leap/Leap.h"
 #include "lmad/LmadCompressor.h"
 

@@ -7,9 +7,9 @@
 ///
 /// \file
 /// A bounded single-producer/single-consumer ring used to hand batches
-/// of work between pipeline stages (the HorizontalDecomposer's dimension
-/// workers, the VerticalDecomposer's substream shards, and the replay
-/// decode-ahead buffer of ProfileSession::replayFrom).
+/// of work between pipeline stages (WhompProfiler's dimension workers,
+/// LeapProfiler's substream shards, and the replay decode-ahead buffer
+/// of ProfileSession::replayFrom).
 ///
 /// Elements are whole batches (vectors of symbols, tuples or events),
 /// so queue operations happen at batch granularity — hundreds per

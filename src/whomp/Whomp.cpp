@@ -6,7 +6,6 @@
 #include "check/GrammarValidator.h"
 #include "support/Error.h"
 
-#include <iterator>
 #include <string>
 
 using namespace orp;
@@ -35,7 +34,8 @@ void validateGrammar(const GrammarT &G, const char *Dimension,
   }
 }
 
-const core::Dimension kDimensions[] = {
+/// The four OMSG dimensions, in Compressors order.
+constexpr core::Dimension kDimensions[] = {
     core::Dimension::Instruction, core::Dimension::Group,
     core::Dimension::Object, core::Dimension::Offset};
 
@@ -97,66 +97,99 @@ size_t SequiturStreamCompressor::footprintBytes() const {
 
 WhompProfiler::WhompProfiler(unsigned Threads,
                              telemetry::Registry &Collectors)
-    : Decomposer(
-          {std::begin(kDimensions), std::end(kDimensions)},
-          // Called once per dimension, in order.
-          [Next = size_t(0)]() mutable {
-            return std::make_unique<SequiturStreamCompressor>(
-                core::dimensionName(kDimensions[Next++]));
-          },
-          Threads),
-      NextValidateAt(ValidateIntervalTuples),
-      Collector(Collectors.addCollector(
-          [this](telemetry::Registry &R) {
-            R.gauge("whomp.tuples").set(static_cast<int64_t>(Tuples));
-            // Grammar internals may only be read while this thread owns
-            // them (serial mode, or after finish() joined the workers).
-            if (!Decomposer.threaded()) {
-              for (core::Dimension D : Decomposer.dimensions()) {
-                const sequitur::GrammarStats G = compressorFor(D).stats();
-                std::string P =
-                    std::string("whomp.") + core::dimensionName(D) + ".";
-                R.gauge(P + "rules").set(static_cast<int64_t>(G.Rules));
-                R.gauge(P + "input_symbols")
-                    .set(static_cast<int64_t>(G.InputLength));
-                R.gauge(P + "body_symbols")
-                    .set(static_cast<int64_t>(G.BodySymbols));
-                R.gauge(P + "digrams").set(static_cast<int64_t>(G.Digrams));
-                R.gauge(P + "symbol_slabs")
-                    .set(static_cast<int64_t>(G.SymbolSlabs));
-                R.gauge(P + "rule_slabs")
-                    .set(static_cast<int64_t>(G.RuleSlabs));
-                R.gauge(P + "index_slots")
-                    .set(static_cast<int64_t>(G.IndexSlots));
-                const sequitur::Churn &C = G.Work;
-                R.gauge(P + "rules_created")
-                    .set(static_cast<int64_t>(C.RulesCreated));
-                R.gauge(P + "rules_inlined")
-                    .set(static_cast<int64_t>(C.RulesInlined));
-                R.gauge(P + "digram_checks")
-                    .set(static_cast<int64_t>(C.DigramChecks));
-                R.gauge(P + "matches").set(static_cast<int64_t>(C.Matches));
-              }
-            }
-            std::vector<support::WorkerTelemetry> WT =
-                Decomposer.workerTelemetry();
-            const std::vector<core::Dimension> &Dims =
-                Decomposer.dimensions();
-            for (size_t I = 0; I != WT.size() && I != Dims.size(); ++I) {
-              std::string P = std::string("whomp.worker.") +
-                              core::dimensionName(Dims[I]) + ".";
-              R.gauge(P + "queue_depth")
-                  .set(static_cast<int64_t>(WT[I].Queue.Depth));
-              R.gauge(P + "queue_high_watermark")
-                  .set(static_cast<int64_t>(WT[I].Queue.HighWatermark));
-              R.gauge(P + "queue_pushes")
-                  .set(static_cast<int64_t>(WT[I].Queue.Pushes));
-              R.gauge(P + "queue_push_stalls")
-                  .set(static_cast<int64_t>(WT[I].Queue.PushStalls));
-              R.gauge(P + "busy_ns")
-                  .set(static_cast<int64_t>(WT[I].BusyNanos));
-            }
-          })) {}
+    : Compressors{SequiturStreamCompressor(
+                      core::dimensionName(core::Dimension::Instruction)),
+                  SequiturStreamCompressor(
+                      core::dimensionName(core::Dimension::Group)),
+                  SequiturStreamCompressor(
+                      core::dimensionName(core::Dimension::Object)),
+                  SequiturStreamCompressor(
+                      core::dimensionName(core::Dimension::Offset))},
+      NextValidateAt(ValidateIntervalTuples) {
+  if (Threads > 1) {
+    // One worker per dimension; each exclusively owns its compressor
+    // until finish(). Chunks are appended via appendBatch so the grammar
+    // state stays hot across the whole chunk.
+    Workers.reserve(Compressors.size());
+    for (size_t I = 0; I != Compressors.size(); ++I) {
+      Pending[I].reserve(ThreadChunkSymbols);
+      SequiturStreamCompressor *Compressor = &Compressors[I];
+      Workers.push_back(std::make_unique<Worker>(
+          ThreadQueueDepth, [Compressor](std::vector<uint64_t> &Chunk) {
+            // An empty chunk ends the stream (see finish()).
+            if (Chunk.empty())
+              Compressor->finish();
+            else
+              Compressor->appendBatch(Chunk);
+          }));
+    }
+  }
+  // Registered last: a snapshot may run the collector at once.
+  Collector = Collectors.addCollector([this](telemetry::Registry &R) {
+    R.gauge("whomp.tuples").set(static_cast<int64_t>(Tuples));
+    // Grammar internals may only be read while this thread owns them
+    // (serial mode, or after finish() joined the workers).
+    if (!threaded()) {
+      for (core::Dimension D : kDimensions) {
+        const sequitur::GrammarStats G = compressorFor(D).stats();
+        std::string P = std::string("whomp.") + core::dimensionName(D) + ".";
+        R.gauge(P + "rules").set(static_cast<int64_t>(G.Rules));
+        R.gauge(P + "input_symbols")
+            .set(static_cast<int64_t>(G.InputLength));
+        R.gauge(P + "body_symbols").set(static_cast<int64_t>(G.BodySymbols));
+        R.gauge(P + "digrams").set(static_cast<int64_t>(G.Digrams));
+        R.gauge(P + "symbol_slabs").set(static_cast<int64_t>(G.SymbolSlabs));
+        R.gauge(P + "rule_slabs").set(static_cast<int64_t>(G.RuleSlabs));
+        R.gauge(P + "index_slots").set(static_cast<int64_t>(G.IndexSlots));
+        const sequitur::Churn &C = G.Work;
+        R.gauge(P + "rules_created")
+            .set(static_cast<int64_t>(C.RulesCreated));
+        R.gauge(P + "rules_inlined")
+            .set(static_cast<int64_t>(C.RulesInlined));
+        R.gauge(P + "digram_checks")
+            .set(static_cast<int64_t>(C.DigramChecks));
+        R.gauge(P + "matches").set(static_cast<int64_t>(C.Matches));
+      }
+    }
+    for (size_t I = 0; I != Workers.size(); ++I) {
+      support::WorkerTelemetry WT = Workers[I]->telemetry();
+      std::string P = std::string("whomp.worker.") +
+                      core::dimensionName(kDimensions[I]) + ".";
+      R.gauge(P + "queue_depth").set(static_cast<int64_t>(WT.Queue.Depth));
+      R.gauge(P + "queue_high_watermark")
+          .set(static_cast<int64_t>(WT.Queue.HighWatermark));
+      R.gauge(P + "queue_pushes").set(static_cast<int64_t>(WT.Queue.Pushes));
+      R.gauge(P + "queue_push_stalls")
+          .set(static_cast<int64_t>(WT.Queue.PushStalls));
+      R.gauge(P + "busy_ns").set(static_cast<int64_t>(WT.BusyNanos));
+    }
+  });
+}
+
+WhompProfiler::~WhompProfiler() {
+  // Deliver what the producer buffered even when the stream is dropped
+  // without finish(), then join the workers while the Compressors their
+  // handlers append into are still alive.
+  if (!threaded())
+    return;
+  flushPending();
+  for (auto &W : Workers)
+    W->finish();
+}
+
+void WhompProfiler::flushPending() {
+  for (size_t I = 0; I != Workers.size(); ++I) {
+    if (Pending[I].empty())
+      continue;
+    std::vector<uint64_t> Chunk;
+    Chunk.reserve(ThreadChunkSymbols);
+    Chunk.swap(Pending[I]);
+    // Workers only close in finish()/the destructor, after the last
+    // flush — a refused chunk here would silently drop symbols.
+    if (!Workers[I]->submit(std::move(Chunk)))
+      ORP_FATAL_ERROR("whomp: dimension worker closed mid-stream");
+  }
+}
 
 void WhompProfiler::validateGrammars() const {
   for (core::Dimension D : kDimensions)
@@ -164,76 +197,95 @@ void WhompProfiler::validateGrammars() const {
 }
 
 void WhompProfiler::consume(const core::OrTuple &Tuple) {
-  Decomposer.consume(Tuple);
-  ++Tuples;
+  consumeBatch(std::span<const core::OrTuple>(&Tuple, 1));
+}
+
+void WhompProfiler::consumeBatch(std::span<const core::OrTuple> Batch) {
+  if (threaded()) {
+    for (size_t I = 0; I != Pending.size(); ++I)
+      for (const core::OrTuple &Tuple : Batch)
+        Pending[I].push_back(core::dimensionValue(Tuple, kDimensions[I]));
+    // All dimensions fill in lock step, so checking one suffices.
+    if (Pending[0].size() >= ThreadChunkSymbols)
+      flushPending();
+  } else {
+    SymbolBatch.resize(Batch.size());
+    for (size_t I = 0; I != Compressors.size(); ++I) {
+      for (size_t J = 0; J != Batch.size(); ++J)
+        SymbolBatch[J] = core::dimensionValue(Batch[J], kDimensions[I]);
+      Compressors[I].appendBatch(SymbolBatch);
+    }
+  }
+  Tuples += Batch.size();
   if constexpr (check::Level >= 2)
     if (Tuples >= NextValidateAt) {
       NextValidateAt = Tuples + ValidateIntervalTuples;
       // Threaded mode: the workers own the grammars until finish(), so
       // periodic validation would race; finish() still validates.
-      if (!Decomposer.threaded())
+      if (!threaded())
         validateGrammars();
     }
 }
 
-void WhompProfiler::consumeBatch(std::span<const core::OrTuple> Batch) {
-  Decomposer.consumeBatch(Batch);
-  Tuples += Batch.size();
-  if constexpr (check::Level >= 2)
-    if (Tuples >= NextValidateAt) {
-      NextValidateAt = Tuples + ValidateIntervalTuples;
-      if (!Decomposer.threaded())
-        validateGrammars();
-    }
-}
-
-// Each compressor's finish() validates and seals its grammar.
-void WhompProfiler::finish() { Decomposer.finish(); }
-
-SequiturStreamCompressor &
-WhompProfiler::mutableCompressorFor(core::Dimension D) {
-  return static_cast<SequiturStreamCompressor &>(Decomposer.compressorFor(D));
+void WhompProfiler::finish() {
+  // Each compressor's finish() validates and seals its grammar.
+  if (!threaded()) {
+    for (SequiturStreamCompressor &Compressor : Compressors)
+      Compressor.finish();
+    return;
+  }
+  flushPending();
+  // Each worker finishes its own compressor after its last chunk, so the
+  // dimensions' finish() work overlaps the slower workers' tails. Chunks
+  // are never empty otherwise (flushPending() skips empty ones).
+  for (auto &W : Workers)
+    if (!W->submit(std::vector<uint64_t>()))
+      ORP_FATAL_ERROR("whomp: dimension worker closed mid-stream");
+  for (auto &W : Workers)
+    W->finish(); // Drains the queue and joins.
+  Joined = true; // The compressors are ours again.
 }
 
 void WhompProfiler::releaseIndexes() {
-  if (Decomposer.threaded())
+  if (threaded())
     return;
-  for (core::Dimension D : kDimensions)
-    mutableCompressorFor(D).releaseIndex();
+  for (SequiturStreamCompressor &Compressor : Compressors)
+    Compressor.releaseIndex();
 }
 
 void WhompProfiler::rebuildIndexes() {
-  if (Decomposer.threaded())
+  if (threaded())
     return;
-  for (core::Dimension D : kDimensions)
-    mutableCompressorFor(D).rebuildIndex();
+  for (SequiturStreamCompressor &Compressor : Compressors)
+    Compressor.rebuildIndex();
 }
 
 bool WhompProfiler::indexesReleased() const {
-  return !Decomposer.threaded() &&
-         compressorFor(core::Dimension::Instruction).indexReleased();
+  return !threaded() && Compressors[0].indexReleased();
 }
 
 size_t WhompProfiler::indexBytes() const {
   size_t Bytes = 0;
-  if (!Decomposer.threaded())
-    for (core::Dimension D : kDimensions)
-      Bytes += compressorFor(D).indexBytes();
+  if (!threaded())
+    for (const SequiturStreamCompressor &Compressor : Compressors)
+      Bytes += Compressor.indexBytes();
   return Bytes;
 }
 
 uint64_t WhompProfiler::bodySymbols() const {
   uint64_t Symbols = 0;
-  if (!Decomposer.threaded())
-    for (core::Dimension D : kDimensions)
-      Symbols += compressorFor(D).stats().BodySymbols;
+  if (!threaded())
+    for (const SequiturStreamCompressor &Compressor : Compressors)
+      Symbols += Compressor.stats().BodySymbols;
   return Symbols;
 }
 
 const SequiturStreamCompressor &
 WhompProfiler::compressorFor(core::Dimension D) const {
-  return static_cast<const SequiturStreamCompressor &>(
-      Decomposer.compressorFor(D));
+  size_t I = static_cast<size_t>(D);
+  if (I >= Compressors.size())
+    ORP_FATAL_ERROR("whomp: dimension not in the OMSG");
+  return Compressors[I];
 }
 
 OmsgSizes WhompProfiler::sizes() const {

@@ -19,35 +19,38 @@
 #ifndef ORP_WHOMP_WHOMP_H
 #define ORP_WHOMP_WHOMP_H
 
-#include "core/Decomposition.h"
 #include "core/ObjectRelative.h"
 #include "sequitur/Sequitur.h"
+#include "support/WorkerPool.h"
 #include "telemetry/Registry.h"
 
 #include <array>
 #include <cstddef>
 #include <memory>
 #include <optional>
+#include <span>
+#include <vector>
 
 namespace orp {
 namespace whomp {
 
-/// StreamCompressor adapter over a Sequitur grammar, and the one place
-/// that knows its phase: it holds the builder until finish() and the
-/// image after it. \p Dimension names the stream in diagnostics.
-class SequiturStreamCompressor : public core::StreamCompressor {
+/// The Sequitur compressor of one OMSG dimension stream, and the one
+/// place that knows its phase: it holds the builder until finish() and
+/// the image after it. \p Dimension names the stream in diagnostics.
+class SequiturStreamCompressor {
 public:
   explicit SequiturStreamCompressor(const char *Dimension = "")
       : Dimension(Dimension) {}
 
-  void append(uint64_t Symbol) override { Builder->append(Symbol); }
-  void appendBatch(std::span<const uint64_t> Symbols) override {
-    // One virtual call for the whole run; the grammar's digram table and
-    // arena stay hot across the inner loop.
+  /// Appends the next symbol(s) of the stream; valid only before
+  /// finish().
+  void append(uint64_t Symbol) { Builder->append(Symbol); }
+  void appendBatch(std::span<const uint64_t> Symbols) {
     for (uint64_t Symbol : Symbols)
       Builder->append(Symbol);
   }
-  size_t serializedSizeBytes() const override {
+  /// Serialized byte size of the stream so far (builder or image).
+  size_t serializedSizeBytes() const {
     return Builder ? Builder->serializedSizeBytes()
                    : Image->serializedSizeBytes();
   }
@@ -56,7 +59,7 @@ public:
   /// image (SequiturGrammar::seal) and validates the image (level 2).
   /// Runs on the thread that owns the grammar, a dimension worker in
   /// threaded mode. A no-op once finished.
-  void finish() override;
+  void finish();
 
   /// True once finish() sealed the grammar.
   bool finished() const { return !Builder; }
@@ -102,8 +105,17 @@ struct OmsgSizes {
 /// OMSG. Attach to a Cdc (see core::ProfilingSession).
 class WhompProfiler : public core::OrTupleConsumer {
 public:
+  /// Symbols accumulated per dimension before a chunk is handed to that
+  /// dimension's worker (threaded mode only).
+  static constexpr size_t ThreadChunkSymbols = 4096;
+  /// Chunks each dimension worker may buffer before the producer blocks.
+  static constexpr size_t ThreadQueueDepth = 4;
+
   /// With \p Threads > 1, each of the four dimension grammars runs on
-  /// its own worker thread (DESIGN.md section 10). The OMSG is
+  /// its own worker thread (DESIGN.md section 10), fed chunks of its
+  /// symbol stream through a bounded SPSC ring; the worker exclusively
+  /// owns its grammar until finish(), so the append path takes no locks
+  /// and each grammar sees exactly the serial symbol order. The OMSG is
   /// byte-identical either way; at most four workers are ever used,
   /// larger values are equivalent to 4. Periodic level-2 grammar
   /// validation is deferred to finish() in threaded mode — the workers
@@ -112,8 +124,18 @@ public:
   explicit WhompProfiler(
       unsigned Threads = 1,
       telemetry::Registry &Collectors = telemetry::Registry::global());
+  /// Delivers buffered chunks and joins the workers, with or without a
+  /// prior finish().
+  ~WhompProfiler();
+  WhompProfiler(const WhompProfiler &) = delete;
+  WhompProfiler &operator=(const WhompProfiler &) = delete;
 
+  /// A one-tuple consumeBatch().
   void consume(const core::OrTuple &Tuple) override;
+  /// Splits the batch one dimension at a time (dimension outer, tuple
+  /// inner): each grammar then sees a dense run of symbols with its own
+  /// state hot in cache. In threaded mode the symbols go to the pending
+  /// chunks, which are handed over once they reach ThreadChunkSymbols.
   void consumeBatch(std::span<const core::OrTuple> Tuples) override;
   /// Validates the grammars (level 2) and seals all four, each on the
   /// thread that owns it (in threaded mode its dimension worker, after
@@ -158,14 +180,32 @@ public:
   OmsgSizes sizes() const;
 
 private:
+  using Worker = support::QueueWorker<std::vector<uint64_t>>;
+
+  /// True while the dimension workers own the grammars: threaded mode,
+  /// before finish(). The grammar accessors must not be used then.
+  bool threaded() const { return !Workers.empty() && !Joined; }
+
   /// Level-2 checked builds only: runs GrammarValidator over all four
   /// dimension grammars and aborts (checkFailed) on any violation.
   void validateGrammars() const;
 
-  /// compressorFor(), for releaseIndexes() and rebuildIndexes().
-  SequiturStreamCompressor &mutableCompressorFor(core::Dimension D);
+  /// Hands every dimension's pending chunk to its worker.
+  void flushPending();
 
-  core::HorizontalDecomposer Decomposer;
+  /// The four dimension compressors, indexed by core::Dimension
+  /// (Instruction, Group, Object, Offset).
+  std::array<SequiturStreamCompressor, 4> Compressors;
+  /// Scratch symbol buffer of the serial consumeBatch().
+  std::vector<uint64_t> SymbolBatch;
+  /// Per-dimension symbol chunks being filled by the producer.
+  std::array<std::vector<uint64_t>, 4> Pending;
+  /// One worker per dimension, parallel to Compressors (empty in serial
+  /// mode). Joined by finish() or the destructor and kept afterwards:
+  /// their telemetry() is exact once joined.
+  std::vector<std::unique_ptr<Worker>> Workers;
+  /// Set once finish() joined the workers.
+  bool Joined = false;
   uint64_t Tuples = 0;
   /// Tuple count at which the next periodic level-2 validation fires.
   uint64_t NextValidateAt;

@@ -1,15 +1,12 @@
-//===- tests/core_test.cpp - Framework (CDC/SCC) unit tests --------------===//
+//===- tests/core_test.cpp - Framework (CDC) unit tests -------------------===//
 
 #include "core/Cdc.h"
-#include "core/Decomposition.h"
 #include "core/ObjectRelative.h"
 #include "core/ProfilingSession.h"
 #include "memsim/AddressSpace.h"
 
 #include <gtest/gtest.h>
 
-#include <map>
-#include <memory>
 #include <vector>
 
 using namespace orp;
@@ -23,21 +20,6 @@ struct TupleBuffer : OrTupleConsumer {
   bool Finished = false;
   void consume(const OrTuple &T) override { Tuples.push_back(T); }
   void finish() override { Finished = true; }
-};
-
-/// StreamCompressor that records appended symbols.
-struct RecordingCompressor : StreamCompressor {
-  std::vector<uint64_t> Symbols;
-  bool Finished = false;
-  void append(uint64_t S) override { Symbols.push_back(S); }
-  void finish() override { Finished = true; }
-  size_t serializedSizeBytes() const override { return Symbols.size(); }
-};
-
-/// Substream consumer that records tuples.
-struct RecordingSubstream : SubstreamConsumer {
-  std::vector<OrTuple> Tuples;
-  void append(const OrTuple &T) override { Tuples.push_back(T); }
 };
 
 trace::AllocEvent alloc(trace::AllocSiteId Site, uint64_t Addr,
@@ -126,68 +108,6 @@ TEST(CdcTest, MultipleConsumersSeeTheSameStream) {
   C.onAccess(access(1, 0x1000, 0));
   EXPECT_EQ(A.Tuples.size(), 1u);
   EXPECT_EQ(B.Tuples.size(), 1u);
-}
-
-//===----------------------------------------------------------------------===//
-// Horizontal decomposition
-//===----------------------------------------------------------------------===//
-
-TEST(HorizontalDecomposerTest, SplitsDimensions) {
-  std::vector<RecordingCompressor *> Made;
-  HorizontalDecomposer H(
-      {Dimension::Instruction, Dimension::Offset}, [&] {
-        auto C = std::make_unique<RecordingCompressor>();
-        Made.push_back(C.get());
-        return C;
-      });
-  ASSERT_EQ(Made.size(), 2u);
-
-  OrTuple T1{1, 0, 0, 16, 0, false, 8};
-  OrTuple T2{2, 0, 1, 24, 1, false, 8};
-  H.consume(T1);
-  H.consume(T2);
-  H.finish();
-
-  EXPECT_EQ(Made[0]->Symbols, (std::vector<uint64_t>{1, 2}));
-  EXPECT_EQ(Made[1]->Symbols, (std::vector<uint64_t>{16, 24}));
-  EXPECT_TRUE(Made[0]->Finished);
-  EXPECT_EQ(H.totalSerializedSizeBytes(), 4u);
-  EXPECT_EQ(&H.compressorFor(Dimension::Offset),
-            static_cast<StreamCompressor *>(Made[1]));
-}
-
-//===----------------------------------------------------------------------===//
-// Vertical decomposition
-//===----------------------------------------------------------------------===//
-
-TEST(VerticalDecomposerTest, RoutesByInstructionThenGroup) {
-  std::map<std::pair<uint32_t, uint32_t>, RecordingSubstream *> Made;
-  VerticalDecomposer V([&](VerticalKey Key) {
-    auto S = std::make_unique<RecordingSubstream>();
-    Made[{Key.Instr, Key.Group}] = S.get();
-    return S;
-  });
-
-  V.consume(OrTuple{1, 10, 0, 0, 0, false, 8});
-  V.consume(OrTuple{1, 10, 1, 8, 1, false, 8});
-  V.consume(OrTuple{1, 20, 0, 0, 2, false, 8});
-  V.consume(OrTuple{2, 10, 0, 0, 3, false, 8});
-
-  EXPECT_EQ(V.numSubstreams(), 3u);
-  EXPECT_EQ(Made.at({1, 10})->Tuples.size(), 2u);
-  EXPECT_EQ(Made.at({1, 20})->Tuples.size(), 1u);
-  EXPECT_EQ(Made.at({2, 10})->Tuples.size(), 1u);
-  EXPECT_EQ(V.lookup(VerticalKey{1, 10}),
-            static_cast<const SubstreamConsumer *>(Made.at({1, 10})));
-  EXPECT_EQ(V.lookup(VerticalKey{9, 9}), nullptr);
-
-  // forEach iterates in key order.
-  std::vector<std::pair<uint32_t, uint32_t>> Keys;
-  V.forEach([&](const VerticalKey &K, const SubstreamConsumer &) {
-    Keys.emplace_back(K.Instr, K.Group);
-  });
-  ASSERT_EQ(Keys.size(), 3u);
-  EXPECT_TRUE(std::is_sorted(Keys.begin(), Keys.end()));
 }
 
 //===----------------------------------------------------------------------===//

@@ -7,7 +7,6 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "core/Decomposition.h"
 #include "core/ProfilingSession.h"
 #include "leap/LeapProfileData.h"
 #include "leap/Leap.h"
@@ -15,6 +14,7 @@
 #include "support/SpscQueue.h"
 #include "support/WorkerPool.h"
 #include "telemetry/Metric.h"
+#include "telemetry/Registry.h"
 #include "traceio/TraceReader.h"
 #include "traceio/TraceWriter.h"
 #include "whomp/OmsgArchive.h"
@@ -23,9 +23,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <numeric>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -218,8 +220,9 @@ TEST(QueueWorkerTest, SubmitAfterFinishReturnsFalse) {
   // Regression for the bug the [[nodiscard]] rollout surfaced:
   // WorkerPool::submit used to return void and silently dropped items
   // submitted after finish(). It now reports the refusal, and every
-  // production call site either fatals (decomposers — a refused chunk
-  // is lost symbols) or stops producing (replayer decode-ahead).
+  // production call site either fatals (WHOMP and LEAP workers — a
+  // refused chunk is lost symbols) or stops producing (replayer
+  // decode-ahead).
   std::vector<int> Seen;
   support::QueueWorker<int> W(/*QueueCapacity=*/4,
                               [&](int &V) { Seen.push_back(V); });
@@ -240,112 +243,106 @@ TEST(QueueWorkerTest, DestructorDrainsWithoutExplicitFinish) {
 }
 
 //===----------------------------------------------------------------------===//
-// Decomposers: threaded == serial
+// Threaded profilers == serial profilers
 //===----------------------------------------------------------------------===//
 
 namespace {
 
-/// Compressor that just records the symbols it was fed.
-class RecordingCompressor : public core::StreamCompressor {
-public:
-  void append(uint64_t Symbol) override { Symbols.push_back(Symbol); }
-  size_t serializedSizeBytes() const override { return Symbols.size(); }
-  std::vector<uint64_t> Symbols;
-};
-
-/// Substream that records its tuples' times.
-class RecordingSubstream : public core::SubstreamConsumer {
-public:
-  void append(const core::OrTuple &Tuple) override {
-    Times.push_back(Tuple.Time);
-  }
-  std::vector<uint64_t> Times;
-};
-
-core::OrTuple makeTuple(uint32_t Instr, uint32_t Group, uint64_t Time) {
+core::OrTuple makeTuple(uint64_t Time) {
   core::OrTuple T;
-  T.Instr = Instr;
-  T.Group = Group;
+  T.Instr = static_cast<trace::InstrId>(Time % 11);
+  T.Group = static_cast<omc::GroupId>(Time % 3);
   T.Object = Time % 7;
   T.Offset = Time % 13;
   T.Time = Time;
-  T.IsStore = false;
+  T.IsStore = Time % 5 == 0;
   T.Size = 8;
   return T;
 }
 
+/// Feeds \p Count synthetic tuples to \p Profiler, alternating single
+/// consume() calls with consumeBatch() runs of 37, so both entry points
+/// cross the chunk boundaries of a threaded profiler.
+void feed(core::OrTupleConsumer &Profiler, uint64_t Count) {
+  std::vector<core::OrTuple> Tuples;
+  for (uint64_t I = 0; I != Count; ++I)
+    Tuples.push_back(makeTuple(I));
+  std::span<const core::OrTuple> Rest(Tuples);
+  for (bool Single = true; !Rest.empty(); Single = !Single) {
+    size_t N = Single ? 1 : std::min<size_t>(37, Rest.size());
+    if (Single)
+      Profiler.consume(Rest.front());
+    else
+      Profiler.consumeBatch(Rest.first(N));
+    Rest = Rest.subspan(N);
+  }
+}
+
+const core::Dimension kOmsgDims[] = {
+    core::Dimension::Instruction, core::Dimension::Group,
+    core::Dimension::Object, core::Dimension::Offset};
+
 } // namespace
 
-TEST(DecompositionThreadedTest, HorizontalMatchesSerial) {
-  auto Run = [](unsigned Threads) {
-    core::HorizontalDecomposer D(
-        {core::Dimension::Instruction, core::Dimension::Offset},
-        [] { return std::make_unique<RecordingCompressor>(); }, Threads);
-    EXPECT_EQ(D.threaded(), Threads > 1);
-    // More tuples than ThreadChunkSymbols so chunking kicks in.
-    for (uint64_t I = 0; I != 3 * D.ThreadChunkSymbols + 17; ++I)
-      D.consume(makeTuple(I % 5, 0, I));
-    D.finish();
-    EXPECT_FALSE(D.threaded()) << "workers joined at finish()";
-    auto Sym = [&](core::Dimension Dim) {
-      return static_cast<const RecordingCompressor &>(D.compressorFor(Dim))
-          .Symbols;
-    };
-    return std::make_pair(Sym(core::Dimension::Instruction),
-                          Sym(core::Dimension::Offset));
+TEST(ThreadedProfilerTest, WhompMatchesSerialAcrossChunks) {
+  // Two and a half chunks: the last partial chunk must reach its
+  // grammar at finish().
+  const uint64_t Count = 5 * whomp::WhompProfiler::ThreadChunkSymbols / 2;
+  auto Run = [&](unsigned Threads) {
+    telemetry::Registry Local;
+    whomp::WhompProfiler Whomp(Threads, Local);
+    feed(Whomp, Count);
+    Whomp.finish();
+    std::vector<std::vector<uint8_t>> Images;
+    for (core::Dimension D : kOmsgDims) {
+      EXPECT_EQ(Whomp.imageFor(D).stats().InputLength, Count)
+          << Threads << " threads, " << core::dimensionName(D);
+      Images.push_back(Whomp.imageFor(D).bytes());
+    }
+    // The joined workers still report their exact counters.
+    int64_t Pushes = Local.snapshot().gauge("whomp.worker.offset.queue_pushes");
+    if (Threads > 1)
+      EXPECT_GT(Pushes, 3);
+    else
+      EXPECT_EQ(Pushes, 0);
+    return Images;
   };
-  auto Serial = Run(1);
-  auto Threaded = Run(4);
-  EXPECT_EQ(Serial.first, Threaded.first);
-  EXPECT_EQ(Serial.second, Threaded.second);
+  EXPECT_EQ(Run(1), Run(4));
 }
 
-TEST(DecompositionThreadedTest, VerticalMatchesSerialAcrossThreadCounts) {
-  auto Run = [](unsigned Threads) {
-    core::VerticalDecomposer D(
-        [](core::VerticalKey) {
-          return std::make_unique<RecordingSubstream>();
-        },
-        Threads);
-    for (uint64_t I = 0; I != 3 * D.ThreadChunkTuples + 5; ++I)
-      D.consume(makeTuple(I % 11, I % 3, I));
-    D.finish();
-    // Key-ordered (key, times) pairs; must be identical for every
-    // thread count.
-    std::vector<std::pair<std::pair<uint32_t, uint32_t>,
-                          std::vector<uint64_t>>> Result;
-    D.forEach([&](const core::VerticalKey &Key,
-                  const core::SubstreamConsumer &Sub) {
-      Result.push_back(
-          {{Key.Instr, Key.Group},
-           static_cast<const RecordingSubstream &>(Sub).Times});
-    });
-    return Result;
+TEST(ThreadedProfilerTest, LeapMatchesSerialAcrossThreadCounts) {
+  const uint64_t Count = 3 * leap::LeapProfiler::ThreadChunkTuples + 5;
+  auto Run = [&](unsigned Threads) {
+    telemetry::Registry Local;
+    leap::LeapProfiler Leap(lmad::LmadCompressor::DefaultMaxLmads, Threads,
+                            Local);
+    feed(Leap, Count);
+    Leap.finish();
+    EXPECT_EQ(Leap.tuplesSeen(), Count);
+    EXPECT_EQ(Local.snapshot().gauge("leap.substreams"), 33)
+        << Threads << " threads";
+    return leap::LeapProfileData::fromProfiler(Leap).serialize();
   };
-  auto Serial = Run(1);
-  EXPECT_EQ(Serial, Run(2));
-  EXPECT_EQ(Serial, Run(8));
+  std::vector<uint8_t> Serial = Run(1);
+  for (unsigned Threads : {2u, 3u, 8u})
+    EXPECT_EQ(Run(Threads), Serial) << Threads << " threads";
 }
 
-TEST(DecompositionThreadedTest, VerticalDestroyWithoutFinishJoinsWorkers) {
-  // Regression (use-after-free): destroying a threaded decomposer with
-  // chunks still in flight must join the workers before the shard maps
-  // are torn down. Detected under ASan/TSan; no finish() on purpose.
-  core::VerticalDecomposer D(
-      [](core::VerticalKey) { return std::make_unique<RecordingSubstream>(); },
-      /*Threads=*/4);
-  for (uint64_t I = 0; I != 8 * D.ThreadChunkTuples + 3; ++I)
-    D.consume(makeTuple(I % 11, I % 3, I));
+TEST(ThreadedProfilerTest, WhompDestroyWithoutFinishJoinsWorkers) {
+  // Destruction with buffered symbols and no finish() must flush, join,
+  // then tear down the grammars the workers append into. Detected under
+  // ASan/TSan; no finish() on purpose.
+  whomp::WhompProfiler Whomp(/*Threads=*/4);
+  feed(Whomp, 8 * whomp::WhompProfiler::ThreadChunkSymbols + 3);
 }
 
-TEST(DecompositionThreadedTest, HorizontalDestroyWithoutFinishJoinsWorkers) {
-  // Same contract for the dimension workers: destruction with buffered
-  // symbols and no finish() must flush, join, then tear down.
-  core::HorizontalDecomposer D(
-      {core::Dimension::Instruction, core::Dimension::Offset},
-      [] { return std::make_unique<RecordingCompressor>(); }, /*Threads=*/4);
-  for (uint64_t I = 0; I != 8 * D.ThreadChunkSymbols + 3; ++I)
-    D.consume(makeTuple(I % 5, 0, I));
+TEST(ThreadedProfilerTest, LeapDestroyWithoutFinishJoinsWorkers) {
+  // Regression (use-after-free): destroying a threaded LEAP profiler
+  // with chunks still in flight must join the workers before the shard
+  // maps are torn down. Detected under ASan/TSan; no finish() on purpose.
+  leap::LeapProfiler Leap(lmad::LmadCompressor::DefaultMaxLmads,
+                          /*Threads=*/4);
+  feed(Leap, 64 * leap::LeapProfiler::ThreadChunkTuples + 3);
 }
 
 //===----------------------------------------------------------------------===//
@@ -486,7 +483,7 @@ TEST(PipelineDeterminismTest, ThreadedReplayRejectsCorruptTrace) {
   }
 
   // Threaded profilers destroyed mid-stream without finish(): the
-  // decomposer destructors must join their workers with chunks still in
+  // profiler destructors must join their workers with chunks still in
   // flight (regression: use-after-free on the shard maps, caught by
   // ASan/TSan). ~ProfileSession finishes its profilers, so a bare
   // pipeline is fed the blocks before the corrupt one instead.

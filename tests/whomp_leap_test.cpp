@@ -152,6 +152,37 @@ TEST(LeapTest, LmadCapBoundsDescriptorCounts) {
   });
 }
 
+TEST(LeapTest, RoutesByInstructionThenGroup) {
+  for (unsigned Threads : {1u, 3u}) {
+    leap::LeapProfiler Leap(lmad::LmadCompressor::DefaultMaxLmads, Threads);
+    // Keys arrive out of order; (1, 10) twice.
+    Leap.consume(core::OrTuple{2, 10, 0, 0, 0, false, 8});
+    Leap.consume(core::OrTuple{1, 20, 0, 0, 1, true, 8});
+    Leap.consume(core::OrTuple{1, 10, 0, 0, 2, false, 8});
+    Leap.consume(core::OrTuple{1, 10, 1, 8, 3, false, 8});
+    Leap.finish();
+
+    ASSERT_NE(Leap.lookup({1, 10}), nullptr) << Threads << " threads";
+    EXPECT_EQ(Leap.lookup({1, 10})->totalPoints(), 2u);
+    EXPECT_EQ(Leap.lookup({1, 20})->totalPoints(), 1u);
+    EXPECT_EQ(Leap.lookup({2, 10})->totalPoints(), 1u);
+    EXPECT_EQ(Leap.lookup({9, 9}), nullptr);
+    EXPECT_EQ(Leap.lookup({2, 20}), nullptr);
+    EXPECT_TRUE(Leap.instructions().at(1).isStore());
+    EXPECT_FALSE(Leap.instructions().at(2).isStore());
+
+    // forEachSubstream iterates in (instruction, group) order.
+    std::vector<std::pair<uint32_t, uint32_t>> Keys;
+    Leap.forEachSubstream(
+        [&](const core::VerticalKey &K, const lmad::LmadCompressor &) {
+          Keys.emplace_back(K.Instr, K.Group);
+        });
+    EXPECT_EQ(Keys, (std::vector<std::pair<uint32_t, uint32_t>>{
+                        {1, 10}, {1, 20}, {2, 10}}))
+        << Threads << " threads";
+  }
+}
+
 TEST(IntegrationTest, CdcDropsNothingOnHeapOnlyWorkload) {
   // Every access the list workload makes targets a live heap/static
   // object, so the CDC must translate all of them.
